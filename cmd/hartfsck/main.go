@@ -12,28 +12,47 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	hart "github.com/casl-sdsu/hart"
+	"github.com/casl-sdsu/hart/internal/epalloc"
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "recovery worker count (0 or 1 = serial)")
-	events := flag.Bool("events", false, "print the recovery's event trail (open, ulog replays, phase timings)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: hartfsck [-workers N] [-events] <image-file>")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it checks the image named by args,
+// reports to stdout and stderr, and returns the exit status (0 ok, 1 the
+// image is unreadable, unrecoverable or inconsistent, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hartfsck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workers := fs.Int("workers", 0, "recovery worker count (0 or 1 = serial)")
+	events := fs.Bool("events", false, "print the recovery's event trail (open, ulog replays, phase timings)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	path := flag.Arg(0)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: hartfsck [-workers N] [-events] <image-file>")
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "hartfsck: "+format+"\n", args...)
+		return 1
+	}
+	path := fs.Arg(0)
 	img, err := os.ReadFile(path)
 	if err != nil {
-		fail("read image: %v", err)
+		return fail("read image: %v", err)
 	}
+	// An image of another format version stops here, with
+	// hart.ErrVersionMismatch naming both versions; it is only read.
 	db, err := hart.Restore(img, hart.Options{CrashSimulation: true, RecoveryWorkers: *workers})
 	if err != nil {
-		fail("recovery: %v", err)
+		return fail("recovery: %v", err)
 	}
 	st := db.Stats()
 	rs := db.LastRecoveryStats()
@@ -41,57 +60,56 @@ func main() {
 	if rs.WasClean {
 		shutdown = "clean shutdown"
 	}
-	fmt.Printf("%s: %d records in %d ARTs, %s\n", path, st.Records, st.ARTs, shutdown)
-	fmt.Printf("  recovery: %d live leaves, %d update logs completed, %d stale slots zeroed, %d orphan values reclaimed\n",
+	fmt.Fprintf(stdout, "%s: %d records in %d ARTs, %s\n", path, st.Records, st.ARTs, shutdown)
+	// The version word as read from the image; the slot size is what that
+	// version lays out (only this build's version gets this far).
+	fmt.Fprintf(stdout, "  format: version %d (%d update-log slots of %d B)\n",
+		rs.FormatVersion, epalloc.NumUpdateLogs, epalloc.ULogSlotSize)
+	fmt.Fprintf(stdout, "  recovery: %d live leaves, %d update logs completed, %d stale slots zeroed, %d orphan values reclaimed\n",
 		rs.LiveLeaves, rs.CompletedULogs, rs.StaleSlotsZeroed, rs.OrphanValues)
-	fmt.Printf("  recovery phases (%d worker(s)): ulog replay %v, leaf scan %v, ART build %v, sweeps %v (build overlaps sweeps)\n",
+	fmt.Fprintf(stdout, "  recovery phases (%d worker(s)): ulog replay %v, leaf scan %v, ART build %v, sweeps %v (build overlaps sweeps)\n",
 		rs.Workers,
 		time.Duration(rs.ULogNs).Round(time.Microsecond),
 		time.Duration(rs.ScanNs).Round(time.Microsecond),
 		time.Duration(rs.BuildNs).Round(time.Microsecond),
 		time.Duration(rs.SweepNs).Round(time.Microsecond))
 	dir := st.Dir
-	fmt.Printf("  directory: %d entries, depth %d", dir.Entries, dir.BaseDepth)
+	fmt.Fprintf(stdout, "  directory: %d entries, depth %d", dir.Entries, dir.BaseDepth)
 	if dir.MaxDepth > dir.BaseDepth {
-		fmt.Printf("-%d", dir.MaxDepth)
+		fmt.Fprintf(stdout, "-%d", dir.MaxDepth)
 	}
-	fmt.Printf(", %d/%d split prefixes persisted", dir.Splits, dir.SplitCap)
+	fmt.Fprintf(stdout, ", %d/%d split prefixes persisted", dir.Splits, dir.SplitCap)
 	if dir.SplitsDone > 0 || dir.MergesDone > 0 {
-		fmt.Printf(" (%d splits, %d merges this run)", dir.SplitsDone, dir.MergesDone)
+		fmt.Fprintf(stdout, " (%d splits, %d merges this run)", dir.SplitsDone, dir.MergesDone)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	for i, hs := range dir.Hot {
 		if i >= 3 || hs.Ops == 0 {
 			break
 		}
-		fmt.Printf("    hot shard %-8q: %6d records, %6d ops since open\n", hs.Prefix, hs.Records, hs.Ops)
+		fmt.Fprintf(stdout, "    hot shard %-8q: %6d records, %6d ops since open\n", hs.Prefix, hs.Records, hs.Ops)
 	}
-	fmt.Printf("  PM:   %.2f MB reserved of %.2f MB\n",
+	fmt.Fprintf(stdout, "  PM:   %.2f MB reserved of %.2f MB\n",
 		float64(st.Size.PMBytes)/(1<<20), float64(st.Arena.Capacity)/(1<<20))
 	for _, cs := range st.Alloc {
-		fmt.Printf("  class %-8s: %6d used, %4d chunks, %4d free chunks\n",
-			cs.Name, cs.Used, cs.Chunks, cs.FreeChunks)
+		fmt.Fprintf(stdout, "  class %-8s: %6d used, %4d chunks, %4d free chunks, %d B of allocator DRAM\n",
+			cs.Name, cs.Used, cs.Chunks, cs.FreeChunks, cs.VolatileBytes)
 	}
 	if *events {
-		fmt.Println("  events:")
+		fmt.Fprintln(stdout, "  events:")
 		for _, ev := range db.Events() {
-			fmt.Printf("    #%-4d %-20s %-8s", ev.Seq, ev.Kind, ev.Detail)
+			fmt.Fprintf(stdout, "    #%-4d %-20s %-8s", ev.Seq, ev.Kind, ev.Detail)
 			if ev.Kind == "recover.phase" {
-				fmt.Printf(" items=%d took=%v", ev.A, time.Duration(ev.B).Round(time.Microsecond))
+				fmt.Fprintf(stdout, " items=%d took=%v", ev.A, time.Duration(ev.B).Round(time.Microsecond))
 			} else if ev.A != 0 || ev.B != 0 {
-				fmt.Printf(" a=%d b=%d", ev.A, ev.B)
+				fmt.Fprintf(stdout, " a=%d b=%d", ev.A, ev.B)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 	if err := db.Check(); err != nil {
-		fail("FSCK FAILED: %v", err)
+		return fail("FSCK FAILED: %v", err)
 	}
-	fmt.Println("  fsck: ok (no lost records, no persistent leaks)")
-}
-
-// fail prints and exits non-zero.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "hartfsck: "+format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintln(stdout, "  fsck: ok (no lost records, no persistent leaks)")
+	return 0
 }

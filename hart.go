@@ -55,6 +55,10 @@ const (
 	MaxValueLen = core.MaxValueLen
 )
 
+// FormatVersion is the on-media format version this build writes and the
+// only one it opens (ErrVersionMismatch otherwise).
+const FormatVersion = core.FormatVersion
+
 // Errors re-exported from the core implementation.
 var (
 	// ErrNotFound reports a missing key.
@@ -68,6 +72,9 @@ var (
 	ErrGeometryMismatch = core.ErrGeometryMismatch
 	// ErrNotFormatted reports an arena or file holding no HART store.
 	ErrNotFormatted = core.ErrNotFormatted
+	// ErrVersionMismatch reports a store written under another format
+	// version; it is refused as it stands, never converted or reformatted.
+	ErrVersionMismatch = core.ErrVersionMismatch
 	// ErrTruncatedFile reports a backing file shorter than the arena its
 	// header describes (torn creation or external truncation).
 	ErrTruncatedFile = pmem.ErrTruncatedFile

@@ -180,14 +180,13 @@ func (h *HART) putGroupSeq(s *artShard, hashKey []byte, recs []Record, stripe in
 //  2. Allocate every insert's leaf with one AllocBatch and its value
 //     object with one AllocBatch per class, all on the shard's stripe.
 //  3. Write all values, persisting contiguous slot runs in single calls.
-//  4. Commit all value bits with one SetBits (one header persist per
-//     chunk run). From here until a record's leaf bit commits, its value
-//     is an orphan — committed but referenced by nothing durable — which
-//     the recovery orphan sweep reclaims, so the early commit trades a
-//     bounded post-crash sweep for per-record pValue/bit ordering.
-//  5. Write all leaf fields (pValue word, key, keyLen) and persist
+//  4. Write all leaf fields (pValue word, key, keyLen) and persist
 //     contiguous leaf runs. The fields need no internal ordering: the
 //     leaf stays dead until its bit commits.
+//  5. Commit all value bits with one SetBits (one header persist per
+//     chunk run). Steps 3-5 are insertNew's order — value, leaf, value
+//     bit — so a value committed by a torn batch is referenced by its
+//     durable dead leaf and reclaimed through it, like a torn Put's.
 //  6. Walk the records in sorted order. Inserts go into one art.Batch —
 //     which clones each tree node at most once, however many keys land
 //     under it — and queue their leaf bits. Updates first flush the
@@ -282,7 +281,18 @@ func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error)
 		}
 	}
 
-	// Phase 4: commit value bits.
+	// Phase 4: write leaf fields, persist runs.
+	h.arena.SetPersistSite("batch.leaf-fields")
+	for i := range recs {
+		if isInsert[i] {
+			h.writeLeaf(leafOf[i], valOf[i], recs[i].Key, len(recs[i].Value))
+		}
+	}
+	h.persistRuns(leaves, leafSize)
+
+	// Phase 5: commit value bits. On failure the committed prefix is
+	// released, the rest aborted, and every leaf scrubbed before its slot
+	// is handed back (see insertNew's value-bit failure).
 	h.arena.SetPersistSite("batch.value-bits")
 	var valBits []pmem.Ptr
 	for _, ptrs := range classPtrs {
@@ -297,23 +307,11 @@ func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error)
 			}
 		}
 		for _, l := range leaves {
+			h.scrubLeaf(l)
 			_ = h.alloc.Abort(l)
 		}
 		return 0, err
 	}
-
-	// Phase 5: write leaf fields, persist runs.
-	h.arena.SetPersistSite("batch.leaf-fields")
-	for i := range recs {
-		if !isInsert[i] {
-			continue
-		}
-		leaf := leafOf[i]
-		h.arena.Write8(leaf+lfPValue, packValue(valOf[i], len(recs[i].Value)))
-		h.arena.WriteAt(leaf+lfKey, recs[i].Key)
-		h.arena.Write1(leaf+lfKeyLen, byte(len(recs[i].Key)))
-	}
-	h.persistRuns(leaves, leafSize)
 
 	// Phases 6-7: ordered commit walk, single publication.
 	b := base.BeginBatch()
@@ -333,8 +331,7 @@ func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error)
 				continue
 			}
 			_ = h.alloc.Release(valOf[i])
-			h.arena.Write8(leafOf[i]+lfPValue, 0)
-			h.arena.Persist(leafOf[i]+lfPValue, 8)
+			h.scrubLeaf(leafOf[i])
 			_ = h.alloc.Abort(leafOf[i])
 		}
 		s.tree.Store(t)

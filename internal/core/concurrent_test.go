@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestConcurrentWritersDistinctARTs exercises the paper's concurrency
@@ -333,5 +334,55 @@ func TestEmptyShardRemovalRace(t *testing.T) {
 	}
 	if err := h.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSameStripeSiblingShards is the regression test for slot hand-back:
+// four writers, each looping Put, Get, Delete on its own key in its own
+// shard, whose four directory prefixes all map to one allocator stripe.
+// The writers share no shard lock, only the stripe's slot lists, so a
+// leaf or value slot that an operation makes allocatable before it is
+// done with it is handed to a sibling mid-operation — a delete's p_value
+// scrub then zeroes the sibling's fresh leaf, and the sibling's own
+// acknowledged Put reads as not found.
+func TestSameStripeSiblingShards(t *testing.T) {
+	h, err := New(Options{ArenaSize: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixes := sameStripePrefixes(t, 4)
+
+	deadline := time.Now().Add(2 * time.Second)
+	var rounds, lost atomic.Int64
+	var wg sync.WaitGroup
+	for w, p := range prefixes {
+		wg.Add(1)
+		go func(w int, key []byte) {
+			defer wg.Done()
+			val := []byte{byte('0' + w), 'v'}
+			buf := make([]byte, 0, MaxValueLen)
+			for n := 0; time.Now().Before(deadline); n++ {
+				val[1] = byte(n)
+				if err := h.Put(key, val); err != nil {
+					t.Errorf("writer %d: Put: %v", w, err)
+					return
+				}
+				if v, ok := h.GetInto(key, buf); !ok || !bytes.Equal(v, val) {
+					lost.Add(1)
+				}
+				if err := h.Delete(key); err != nil {
+					t.Errorf("writer %d: Delete of its own key: %v", w, err)
+					return
+				}
+				rounds.Add(1)
+			}
+		}(w, append(append([]byte(nil), p...), "-key"...))
+	}
+	wg.Wait()
+	if n := lost.Load(); n != 0 {
+		t.Errorf("%d of %d rounds did not read back their own acknowledged Put", n, rounds.Load())
+	}
+	if err := h.Check(); err != nil {
+		t.Errorf("Check after %d rounds: %v", rounds.Load(), err)
 	}
 }

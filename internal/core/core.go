@@ -140,13 +140,13 @@ type Options struct {
 	LegacyRecovery bool
 	// UnloggedUpdates selects the update mechanism the paper *measured*
 	// (Section IV.B: "a pointer to that new value is updated as the last
-	// step") instead of the full Algorithm 3 micro-log. It is roughly
-	// half the persists per update but can strand one old value object if
-	// a crash lands between the pointer swing and the old value's bit
-	// reset; the recovery orphan sweep reclaims such strays on the next
-	// restart, so the leak is bounded by one recovery period (the
-	// baselines leak the same window unboundedly). Default false:
-	// Algorithm 3, immediately leak-free.
+	// step") instead of the full Algorithm 3 micro-log. It is four
+	// persists per update instead of the logged protocol's six, but can
+	// strand one old value object if a crash lands between the pointer
+	// swing and the old value's bit reset; the recovery orphan sweep
+	// reclaims such strays on the next restart, so the leak is bounded by
+	// one recovery period (the baselines leak the same window
+	// unboundedly). Default false: Algorithm 3, immediately leak-free.
 	UnloggedUpdates bool
 	// LockedReads disables the lock-free read path and reproduces the
 	// paper's original Section III.A.3 protocol verbatim: Get takes the
@@ -474,6 +474,7 @@ func Open(arena *pmem.Arena, opts Options) (*HART, error) {
 		return nil, err
 	}
 	h.recoveryStats.WasClean = sb.Clean
+	h.recoveryStats.FormatVersion = sb.Version
 	detail := "dirty"
 	if sb.Clean {
 		detail = "clean"

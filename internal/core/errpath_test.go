@@ -99,7 +99,7 @@ func TestUpdateReleaseFailureLeaksVisiblyThenRecovers(t *testing.T) {
 	if err := h.Put([]byte("alpha"), []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	h.alloc.FailResetBitAfter(0) // trips Release of the old value
+	h.alloc.FailResetBitAfter(0) // trips Retire of the old value
 	err := h.Put([]byte("alpha"), []byte("new"))
 	if !errors.Is(err, epalloc.ErrInjected) {
 		t.Fatalf("update = %v, want ErrInjected", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"time"
 
 	"github.com/casl-sdsu/hart/internal/pmem"
@@ -54,7 +55,14 @@ func (h *HART) putOp(key, value []byte) error {
 }
 
 // insertNew performs Algorithm 1 lines 9-18 under the shard write lock,
-// allocating from the shard's allocator stripe.
+// allocating from the shard's allocator stripe. Four ordered persists:
+// value, leaf, value bit, leaf bit. Algorithm 1 persists p_value, key and
+// key_len separately (six persists), but the only orderings recovery rests
+// on are p_value durable before the value bit — so a value committed by a
+// torn insert is always found through its dead leaf (Algorithm 2 lines
+// 12-16) — and the whole leaf durable before the leaf bit; the leaf's
+// fields need no order among themselves because the leaf is dead until
+// its bit commits.
 func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) error {
 	leaf, err := h.alloc.AllocStripe(classLeaf, stripe) // line 10 (OnReuse repair may run)
 	if err != nil {
@@ -74,30 +82,23 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 	h.arena.WriteWords(val, value)
 	h.arena.Persist(val, len(value))
 
-	// Line 13: leaf.p_value = &value; persistent(leaf.p_value).
-	h.arena.SetPersistSite("insert.pvalue")
-	h.arena.Write8(leaf+lfPValue, packValue(val, len(value)))
-	h.arena.Persist(leaf+lfPValue, 8)
+	// Lines 13, 15, 16: p_value, key and key_len, persisted as one run.
+	h.arena.SetPersistSite("insert.leaf")
+	h.writeLeaf(leaf, val, key, len(value))
+	h.arena.Persist(leaf, lfKey+len(key))
 
 	// Line 14: set and persist the value bit. On failure neither bit is
-	// set, so both slots must only be released from their volatile
-	// in-flight state — PM already reads them as free.
+	// set: release both slots from their volatile in-flight state and
+	// scrub the dead leaf's value word, so a later reuse of the leaf slot
+	// cannot run the Algorithm 2 repair against whoever owns the value
+	// slot by then.
 	h.arena.SetPersistSite("insert.value-bit")
 	if err := h.alloc.SetBit(val); err != nil {
 		h.alloc.Abort(val)
+		h.scrubLeaf(leaf)
 		h.alloc.Abort(leaf)
 		return err
 	}
-
-	// Line 15: leaf.key = K; persistent(leaf.key).
-	h.arena.SetPersistSite("insert.key")
-	h.arena.WriteAt(leaf+lfKey, key)
-	h.arena.Persist(leaf+lfKey, len(key))
-
-	// Line 16: leaf.key_len = len(K); persistent(leaf.key_len).
-	h.arena.SetPersistSite("insert.keylen")
-	h.arena.Write1(leaf+lfKeyLen, byte(len(key)))
-	h.arena.Persist(leaf+lfKeyLen, 1)
 
 	// Line 17: Insert2Tree — volatile, no persistence needed. The tree is
 	// republished by copy-on-write so concurrent lock-free readers only
@@ -110,18 +111,13 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 	// crash anywhere above leaves the leaf bit clear, so the slot reads as
 	// free and the value object is reclaimed by onLeafReuse. On failure
 	// the insert must unwind completely: unpublish the leaf, release the
-	// committed value object, and scrub the dead leaf's value word so a
-	// later reuse of the slot cannot run the Algorithm 2 repair against a
-	// reallocated value.
+	// committed value object, and scrub the dead leaf as above.
 	h.arena.SetPersistSite("insert.leaf-bit")
 	if err := h.alloc.SetBit(leaf); err != nil {
 		rb, _, _ := s.tree.Load().CowDelete(artKey)
 		s.tree.Store(rb)
-		if !val.IsNil() {
-			h.alloc.Release(val)
-		}
-		h.arena.Write8(leaf+lfPValue, 0)
-		h.arena.Persist(leaf+lfPValue, 8)
+		h.alloc.Release(val)
+		h.scrubLeaf(leaf)
 		h.alloc.Abort(leaf)
 		return err
 	}
@@ -130,19 +126,49 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 	return nil
 }
 
+// writeLeaf stores a leaf's three fields (not yet persisted) as one run of
+// atomic word stores: p_value because a stale optimistic reader may still
+// be loading the reused slot (see insertNew), the rest because a neighbour
+// leaf's persist flushes — and the tracked arena's shadow copy reads — the
+// whole cache line, this leaf's words included. The final partial word is
+// zero-padded, which stays inside the leaf's own 40 bytes.
+func (h *HART) writeLeaf(leaf, val pmem.Ptr, key []byte, valueLen int) {
+	var buf [leafSize]byte
+	binary.LittleEndian.PutUint64(buf[lfPValue:], packValue(val, valueLen))
+	buf[lfKeyLen] = byte(len(key))
+	copy(buf[lfKey:], key)
+	h.arena.WriteWords(leaf, buf[:lfKey+len(key)])
+}
+
+// scrubLeaf durably clears a dead leaf's value word, so its stale
+// reference cannot alias the value slot once that slot belongs to another
+// record (the next reuse of the leaf slot would otherwise run the
+// Algorithm 2 repair against the new owner's live value).
+func (h *HART) scrubLeaf(leaf pmem.Ptr) {
+	h.arena.Write8(leaf+lfPValue, 0)
+	h.arena.Persist(leaf+lfPValue, 8)
+}
+
 // update performs an out-of-place value update under the shard write
 // lock: Algorithm 3's logged protocol by default, or the paper's measured
 // unlogged pointer swing when Options.UnloggedUpdates is set.
+//
+// The micro-log is a redo log with one commit record (see ULog.Commit):
+// once value and record are durable the update will complete, here or in
+// recovery's replay (set new bit, swing, clear old bit — each idempotent),
+// so arming the log needs no persist of its own. Six persists: value, log,
+// value bit, swing, old bit, reclaim.
+//
+// The old value's slot stays in flight until the log is reclaimed: were it
+// allocatable while the record is armed, a crash would replay "clear the
+// old bit" onto whatever a concurrent writer on the same stripe had
+// meanwhile committed there.
 func (h *HART) update(leaf pmem.Ptr, value []byte, stripe int) error {
 	if h.opts.UnloggedUpdates {
 		return h.updateUnlogged(leaf, value, stripe)
 	}
 	ulog := h.getULog(stripe) // line 1
-
-	oldW := h.arena.Read8(leaf + lfPValue)
-	oldV, _ := unpackValue(oldW)
-	h.arena.SetPersistSite("update.arm")
-	ulog.Arm(leaf, oldV) // lines 2-3, merged into one persist
+	oldV, _ := unpackValue(h.arena.Read8(leaf + lfPValue))
 
 	newV, err := h.alloc.AllocStripe(h.valueClass(len(value)), stripe) // line 4
 	if err != nil {
@@ -156,11 +182,12 @@ func (h *HART) update(leaf pmem.Ptr, value []byte, stripe int) error {
 	h.arena.WriteWords(newV, value)
 	h.arena.Persist(newV, len(value))
 
-	// Line 6: ulog.PNewV = &new_value. The packed word also records the
-	// value length so recovery can rebuild leaf.p_value verbatim.
-	h.arena.SetPersistSite("update.log-newv")
+	// Lines 2, 3, 6: the log record. PNewV is the packed word, so it also
+	// records the value length and recovery can rebuild leaf.p_value
+	// verbatim.
+	h.arena.SetPersistSite("update.log")
 	newW := packValue(newV, len(value))
-	ulog.SetPNewV(pmem.Ptr(newW))
+	ulog.Commit(leaf, oldV, pmem.Ptr(newW))
 
 	// Line 7: set the bit for the new value. On failure the new object's
 	// bit is clear (nothing durable to undo), but the slot must leave its
@@ -178,13 +205,13 @@ func (h *HART) update(leaf pmem.Ptr, value []byte, stripe int) error {
 	h.arena.Write8(leaf+lfPValue, newW)
 	h.arena.Persist(leaf+lfPValue, 8)
 
-	// Lines 9-10: release the old value and recycle its chunk if emptied.
-	// The update committed at the pointer swing, so a release failure must
-	// not leave the log armed — reclaim it and surface the error (the old
-	// object's bit leaks until fsck, which is exactly what Check reports).
-	h.arena.SetPersistSite("update.release-old")
+	// Line 9: clear the old value's bit. The update committed at the
+	// pointer swing, so a failure here must not leave the log armed —
+	// reclaim it and surface the error (the old object's bit leaks until
+	// fsck, which is exactly what Check reports).
 	if !oldV.IsNil() {
-		if err := h.alloc.Release(oldV); err != nil {
+		h.arena.SetPersistSite("update.release-old")
+		if err := h.alloc.Retire(oldV); err != nil {
 			ulog.Reclaim()
 			return err
 		}
@@ -192,6 +219,15 @@ func (h *HART) update(leaf pmem.Ptr, value []byte, stripe int) error {
 
 	h.arena.SetPersistSite("update.reclaim")
 	ulog.Reclaim() // line 11
+
+	// Line 10, after line 11: only now may the old slot be reallocated;
+	// its chunk is recycled if that emptied it.
+	if !oldV.IsNil() {
+		h.arena.SetPersistSite("update.recycle-old")
+		if err := h.alloc.Free(oldV); err != nil {
+			return err
+		}
+	}
 	h.obs.updates.Add(1)
 	return nil
 }
@@ -466,12 +502,17 @@ func (h *HART) deleteLocked(key []byte) ([]byte, error) {
 
 	// Line 11: reset and persist the leaf bit. From here the leaf is dead
 	// even across a crash; its stale p_value drives onLeafReuse repair if
-	// the value-bit reset below never lands. On failure the record is
-	// still fully committed on PM, so republish it and report the error —
+	// the value-bit reset below never lands. The slot is retired, not
+	// freed: it stays unallocatable until the scrub below is durable, or a
+	// writer on the same allocator stripe could be handed it in between
+	// and have its fresh p_value zeroed by that scrub (and its onLeafReuse
+	// would clear the value's bit a second time, after this delete's
+	// Release, possibly under a new owner). On failure the record is still
+	// fully committed on PM, so republish it and report the error —
 	// dropping it from the tree alone would lose the key for readers while
 	// recovery would resurrect it.
 	h.arena.SetPersistSite("delete.leaf-bit")
-	if err := h.alloc.ResetBit(leaf); err != nil {
+	if err := h.alloc.Retire(leaf); err != nil {
 		rb, _, _ := s.tree.Load().CowInsert(artKey, uint64(leaf))
 		s.tree.Store(rb)
 		return nil, err
@@ -491,19 +532,16 @@ func (h *HART) deleteLocked(key []byte) ([]byte, error) {
 		}
 	}
 
-	// Hardening beyond Algorithm 5: clear the dead leaf's value word so
-	// its stale reference cannot alias the value slot once the slot is
-	// legitimately reallocated to another record — otherwise the next
-	// reuse of *this* leaf slot would run the Algorithm 2 repair against
-	// the new owner's live value. A crash before this store lands is
-	// repaired by the recovery sweep (see recover).
+	// Hardening beyond Algorithm 5: scrub the dead leaf (see scrubLeaf). A
+	// crash before this store lands is repaired by the recovery sweep (see
+	// recover).
 	h.arena.SetPersistSite("delete.scrub-pvalue")
-	h.arena.Write8(leaf+lfPValue, 0)
-	h.arena.Persist(leaf+lfPValue, 8)
+	h.scrubLeaf(leaf)
 
-	// Line 14: recycle the leaf's chunk if it emptied.
+	// Line 14: hand the leaf slot back and recycle its chunk if it
+	// emptied.
 	h.arena.SetPersistSite("delete.recycle")
-	if err := h.alloc.Recycle(leaf); err != nil && firstErr == nil {
+	if err := h.alloc.Free(leaf); err != nil && firstErr == nil {
 		firstErr = err
 	}
 
@@ -535,9 +573,9 @@ func (h *HART) GetLeaf(key []byte) (pmem.Ptr, bool) {
 // updateUnlogged is the update mechanism the paper's evaluation ran
 // (Section IV.B), shared in structure with WOART and ART+CoW: write the
 // new value object, commit its bit, swing the leaf's value word
-// atomically, release the old object. Four persists instead of
-// Algorithm 3's seven; crash exposure is the old object in the final
-// window, reclaimed by the recovery orphan sweep.
+// atomically, release the old object. Four persists instead of the logged
+// protocol's six; crash exposure is the old object in the final window,
+// reclaimed by the recovery orphan sweep.
 func (h *HART) updateUnlogged(leaf pmem.Ptr, value []byte, stripe int) error {
 	oldW := h.arena.Read8(leaf + lfPValue)
 	oldV, _ := unpackValue(oldW)

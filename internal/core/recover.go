@@ -565,6 +565,9 @@ type RecoveryStats struct {
 	// flag when Open attached — true for an image produced by Close, false
 	// for a crash image (or a pre-Open store). Always false after New.
 	WasClean bool
+	// FormatVersion is the version word Open read from the superblock (0
+	// after New or Rebuild, which read none).
+	FormatVersion int
 	// Per-phase wall times: update-log replay, leaf scan, index build and
 	// consistency sweeps. The build overlaps the sweeps on the pipelined
 	// path, so BuildNs includes the sweep window it ran concurrently with.
@@ -578,18 +581,21 @@ type RecoveryStats struct {
 // Rebuild) found and repaired.
 func (h *HART) LastRecoveryStats() RecoveryStats { return h.recoveryStats }
 
-// recoverUpdate completes one interrupted Algorithm 3 update, following
-// the paper's case analysis.
+// recoverUpdate completes one interrupted Algorithm 3 update. The paper's
+// case analysis has three cases; ULog.Commit makes the record durable in
+// one persist with the arming PLeaf stored last, so a running update
+// leaves either no armed log or the complete record, never the paper's
+// cases 1 and 2.
 func (h *HART) recoverUpdate(ul epalloc.UpdateLogState) error {
-	// Case 1: only PLeaf valid — the update had not allocated anything
-	// durable; reset the log.
-	// Case 2: PLeaf and POldV valid but PNewV invalid — the new value's
-	// bit was never set, so its space reads as free; reset the log.
+	// PLeaf set but PNewV nil is a torn Reclaim (it clears PNewV first) of
+	// an update that had already completed, or given up on an error:
+	// nothing to redo, and the caller's reset of the log finishes the
+	// Reclaim.
 	if ul.PNewV.IsNil() {
 		return nil
 	}
 	// Case 3: all three pointers valid — the crash happened between line 7
-	// and line 10; resume from line 7.
+	// and line 11; resume from line 7. Every step is idempotent.
 	leaf := ul.PLeaf
 	newW := uint64(ul.PNewV) // packed (pointer, length) word
 	newV, _ := unpackValue(newW)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/casl-sdsu/hart/internal/epalloc"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
@@ -16,7 +17,8 @@ import (
 //
 //	+0  magic (8B, "HARTCORE"); written last during format, so a torn
 //	    format reads as not-formatted rather than half-formatted
-//	+8  format version (8B)
+//	+8  format version (8B, FormatVersion); a file of any other version
+//	    is refused, never converted
 //	+16 HashKeyLen (8B) — kh, the base hash-directory routing width
 //	+24 number of value classes (8B)
 //	+32 flags (8B): bit 0 = clean shutdown (set by Close, cleared by
@@ -51,8 +53,7 @@ import (
 const (
 	sbBase pmem.Ptr = pmem.LabelBase
 
-	sbMagic   = 0x48415254434f5245 // "HARTCORE"
-	sbVersion = 1
+	sbMagic = 0x48415254434f5245 // "HARTCORE"
 
 	sbOffMagic      = 0
 	sbOffVersion    = 8
@@ -77,6 +78,11 @@ const (
 	// capacity pressure degrades performance, never correctness.
 	sbMaxSplits = (int64(pmem.LabelSize) - sbOffSplits) / 8
 )
+
+// FormatVersion is the on-media format this build writes and the only one
+// it opens. Version 2 widened the allocator's update-log slots from 24 to
+// 32 bytes, moving every allocator structure behind the pool.
+const FormatVersion = 2
 
 // Superblock attach errors.
 var (
@@ -138,7 +144,7 @@ func writeSuperblockBody(arena *pmem.Arena, opts Options) error {
 		return fmt.Errorf("hart: %d value classes exceed the superblock capacity %d",
 			len(opts.ValueClasses), sbMaxClasses)
 	}
-	arena.Write8(sbBase+sbOffVersion, sbVersion)
+	arena.Write8(sbBase+sbOffVersion, FormatVersion)
 	arena.Write8(sbBase+sbOffHashKeyLen, uint64(opts.HashKeyLen))
 	arena.Write8(sbBase+sbOffNumClasses, uint64(len(opts.ValueClasses)))
 	arena.Write8(sbBase+sbOffFlags, 0) // born dirty; Close marks clean
@@ -165,9 +171,9 @@ func readSuperblock(arena *pmem.Arena) (superblock, error) {
 		return sb, ErrNotFormatted
 	}
 	sb.Version = int(arena.Read8(sbBase + sbOffVersion))
-	if sb.Version != sbVersion {
-		return sb, fmt.Errorf("%w: image version %d, this build reads %d",
-			ErrVersionMismatch, sb.Version, sbVersion)
+	if sb.Version != FormatVersion {
+		return sb, fmt.Errorf("%w: image version %d, this build reads %d (%d-byte update-log slots; version 1 had 24-byte ones)",
+			ErrVersionMismatch, sb.Version, FormatVersion, epalloc.ULogSlotSize)
 	}
 	sb.HashKeyLen = int(arena.Read8(sbBase + sbOffHashKeyLen))
 	if sb.HashKeyLen < 1 || sb.HashKeyLen >= MaxKeyLen {

@@ -35,7 +35,7 @@ func (a *Allocator) AllocStripe(c Class, stripe int) (pmem.Ptr, error) {
 	ss := &cs.stripes[stripe]
 	for {
 		ss.mu.Lock()
-		if obj, ok := a.takeFromStripe(c, ss); ok {
+		if obj, ok := a.takeFromStripe(ss); ok {
 			a.runOnReuse(cs, obj)
 			ss.mu.Unlock()
 			return obj, nil
@@ -65,7 +65,7 @@ func (a *Allocator) AllocBatch(c Class, stripe, n int) ([]pmem.Ptr, error) {
 	for len(objs) < n {
 		ss.mu.Lock()
 		for len(objs) < n {
-			obj, ok := a.takeFromStripe(c, ss)
+			obj, ok := a.takeFromStripe(ss)
 			if !ok {
 				break
 			}
@@ -90,14 +90,13 @@ func (a *Allocator) AllocBatch(c Class, stripe, n int) ([]pmem.Ptr, error) {
 
 // takeFromStripe claims one free slot from the stripe's avail queue.
 // Caller holds the stripe lock.
-func (a *Allocator) takeFromStripe(c Class, ss *stripeState) (pmem.Ptr, bool) {
+func (a *Allocator) takeFromStripe(ss *stripeState) (pmem.Ptr, bool) {
 	for len(ss.avail) > 0 {
-		chunk := ss.avail[len(ss.avail)-1]
-		meta := ss.meta[chunk]
-		if obj, ok := a.takeSlot(c, chunk, meta); ok {
+		m := ss.avail[len(ss.avail)-1]
+		if obj, ok := a.takeSlot(m); ok {
 			return obj, true
 		}
-		meta.inAvail = false
+		m.inAvail = false
 		ss.avail = ss.avail[:len(ss.avail)-1]
 	}
 	return pmem.Nil, false
@@ -110,12 +109,13 @@ func (a *Allocator) runOnReuse(cs *classState, obj pmem.Ptr) {
 	}
 }
 
-// takeSlot claims one free slot of chunk, preferring the persistent
+// takeSlot claims one free slot of the chunk, preferring the persistent
 // next-free hint. A slot is free when neither its persistent bit nor its
 // volatile in-flight bit is set. Returns false if the chunk is full.
-func (a *Allocator) takeSlot(c Class, chunk pmem.Ptr, meta *chunkMeta) (pmem.Ptr, bool) {
-	h := a.readHeader(chunk)
-	freeMask := ^(h.bitmap() | meta.inFlight) & bitmapMask
+// Caller holds the stripe lock.
+func (a *Allocator) takeSlot(m *chunkMeta) (pmem.Ptr, bool) {
+	h := header(m.hdr.Load())
+	freeMask := ^(h.bitmap() | m.inFlight) & bitmapMask
 	if freeMask == 0 {
 		return pmem.Nil, false
 	}
@@ -123,8 +123,17 @@ func (a *Allocator) takeSlot(c Class, chunk pmem.Ptr, meta *chunkMeta) (pmem.Ptr
 	if idx >= ObjectsPerChunk || freeMask&(1<<uint(idx)) == 0 {
 		idx = bits.TrailingZeros64(freeMask)
 	}
-	meta.inFlight |= 1 << uint(idx)
-	return a.SlotAddr(chunk, c, idx), true
+	m.inFlight |= 1 << uint(idx)
+	return a.SlotAddr(m.start, m.class, idx), true
+}
+
+// queueAvail puts the chunk on its stripe's avail queue unless it is there
+// already. Caller holds the stripe lock.
+func (ss *stripeState) queueAvail(m *chunkMeta) {
+	if !m.inAvail {
+		m.inAvail = true
+		ss.avail = append(ss.avail, m)
+	}
 }
 
 // allocChunk obtains a chunk for the stripe: a recycled chunk from the
@@ -193,6 +202,7 @@ func (a *Allocator) allocChunk(c Class, dst int) (pmem.Ptr, error) {
 func (a *Allocator) transferLocked(c Class, src, dst int, fresh bool) (pmem.Ptr, error) {
 	ar := a.arena
 	var chunk pmem.Ptr
+	var m *chunkMeta
 	if fresh {
 		// Predict the reservation address so the transfer log can be armed
 		// *before* the bump cursor durably advances; a crash between the
@@ -201,6 +211,11 @@ func (a *Allocator) transferLocked(c Class, src, dst int, fresh bool) (pmem.Ptr,
 		chunk = pmem.Ptr((ar.Reserved() + 7) &^ 7)
 	} else {
 		chunk = a.freeHead(c, src)
+		var ok bool
+		if m, ok = a.lookupChunk(chunk + chunkDataOff); !ok || m.start != chunk || m.class != c {
+			return pmem.Nil, fmt.Errorf("%w: class %d stripe %d free-list head %d is not a chunk of the class",
+				ErrCorrupt, c, src, chunk)
+		}
 	}
 
 	// Arm the transfer log: "chunk is moving onto class c, stripe dst's
@@ -242,26 +257,16 @@ func (a *Allocator) transferLocked(c Class, src, dst int, fresh bool) (pmem.Ptr,
 	ar.WritePtr(t+tlChunkOff, pmem.Nil)
 	ar.Persist(t+tlChunkOff, 8)
 
-	a.registerRange(chunk, c, dst)
-
-	// Volatile bookkeeping: the chunk now offers slots on dst.
-	cs := &a.classes[c]
+	// Volatile bookkeeping: the chunk now offers 56 slots on dst.
 	if fresh {
-		cs.nchunks.Add(1)
-	} else if src != dst {
-		delete(cs.stripes[src].meta, chunk)
+		a.classes[c].nchunks.Add(1)
+		m = a.registerChunk(chunk, c, dst)
+	} else {
+		m.stripe.Store(int32(dst))
 	}
-	dstSS := &cs.stripes[dst]
-	meta := dstSS.meta[chunk]
-	if meta == nil {
-		meta = &chunkMeta{}
-		dstSS.meta[chunk] = meta
-	}
-	meta.inFlight = 0
-	if !meta.inAvail {
-		meta.inAvail = true
-		dstSS.avail = append(dstSS.avail, chunk)
-	}
+	m.hdr.Store(uint64(makeHeader(0, 0, fullAvailable)))
+	m.inFlight = 0
+	a.classes[c].stripes[dst].queueAvail(m)
 	return chunk, nil
 }
 
@@ -272,21 +277,18 @@ func (a *Allocator) SetBit(obj pmem.Ptr) error {
 	if a.failSetBit.tripped() {
 		return ErrInjected
 	}
-	r, ss, err := a.lockStripeOf(obj)
+	m, ss, err := a.lockStripeOf(obj)
 	if err != nil {
 		return err
 	}
 	defer ss.mu.Unlock()
-	idx, err := a.slotIndex(r, obj)
+	idx, err := a.slotIndex(m, obj)
 	if err != nil {
 		return err
 	}
-	h := a.readHeader(r.start)
-	bm := h.bitmap() | 1<<uint(idx)
-	a.writeHeader(r.start, packHeader(bm))
-	if meta := ss.meta[r.start]; meta != nil {
-		meta.inFlight &^= 1 << uint(idx)
-	}
+	bit := uint64(1) << uint(idx)
+	a.writeHeader(m, packHeader(header(m.hdr.Load()).bitmap()|bit))
+	m.inFlight &^= bit
 	return nil
 }
 
@@ -302,140 +304,131 @@ func (a *Allocator) SetBits(objs []pmem.Ptr) (int, error) {
 	}
 	i := 0
 	for i < len(objs) {
-		r, ss, err := a.lockStripeOf(objs[i])
+		m, ss, err := a.lockStripeOf(objs[i])
 		if err != nil {
 			return i, err
 		}
-		h := a.readHeader(r.start)
-		bm := h.bitmap()
-		meta := ss.meta[r.start]
+		var run uint64
 		j := i
-		for ; j < len(objs) && objs[j] >= r.start+chunkDataOff && objs[j] < r.end; j++ {
-			idx, err := a.slotIndex(r, objs[j])
+		for ; j < len(objs) && objs[j] >= m.start+chunkDataOff && objs[j] < m.end; j++ {
+			idx, err := a.slotIndex(m, objs[j])
 			if err != nil {
 				ss.mu.Unlock()
 				return i, err
 			}
-			bm |= 1 << uint(idx)
-			if meta != nil {
-				meta.inFlight &^= 1 << uint(idx)
-			}
+			run |= 1 << uint(idx)
 		}
-		a.writeHeader(r.start, packHeader(bm))
+		a.writeHeader(m, packHeader(header(m.hdr.Load()).bitmap()|run))
+		m.inFlight &^= run
 		ss.mu.Unlock()
 		i = j
 	}
 	return i, nil
 }
 
-// ResetBit durably marks the slot free (used by deletion, update reclaim
-// and the OnReuse repair path) and refreshes hint and indicator.
+// ResetBit durably marks the slot free and immediately allocatable (the
+// OnReuse repair path and recovery, where nothing else refers to the
+// slot) and refreshes hint and indicator. An operation that still has
+// writes or a log record outstanding against the slot uses Retire.
 func (a *Allocator) ResetBit(obj pmem.Ptr) error {
+	return a.clearBit(obj, false, false)
+}
+
+// Retire durably clears the slot's bit but keeps the slot in flight — not
+// allocatable — until the caller hands it back with Free. A delete retires
+// its leaf before scrubbing it, and a logged update retires the old value
+// before reclaiming its micro-log: handing the slot to a concurrent writer
+// on the same stripe any earlier lets the retiring operation's remaining
+// writes (or a crash replay of its log) land on the new owner's object.
+func (a *Allocator) Retire(obj pmem.Ptr) error {
+	return a.clearBit(obj, true, false)
+}
+
+// Release clears the slot's persistent bit, makes the slot allocatable
+// and, if that empties its chunk, recycles the chunk — ResetBit plus
+// Recycle (Algorithm 5 lines 12-13 / Algorithm 3 lines 9-10) fused under
+// one stripe-lock acquisition.
+func (a *Allocator) Release(obj pmem.Ptr) error {
+	return a.clearBit(obj, false, true)
+}
+
+// clearBit implements ResetBit, Retire and Release: one header persist
+// clearing obj's bit, after which the slot is either held in flight or
+// offered for allocation, and the chunk optionally recycled if it emptied.
+func (a *Allocator) clearBit(obj pmem.Ptr, hold, recycle bool) error {
 	if a.failResetBit.tripped() {
 		return ErrInjected
 	}
-	r, ss, err := a.lockStripeOf(obj)
+	m, ss, err := a.lockStripeOf(obj)
 	if err != nil {
 		return err
 	}
 	defer ss.mu.Unlock()
-	idx, err := a.slotIndex(r, obj)
+	idx, err := a.slotIndex(m, obj)
 	if err != nil {
 		return err
 	}
-	a.resetBitLocked(ss, r, idx)
+	bit := uint64(1) << uint(idx)
+	a.writeHeader(m, packHeader(header(m.hdr.Load()).bitmap()&^bit))
+	if hold {
+		m.inFlight |= bit
+		return nil
+	}
+	m.inFlight &^= bit
+	ss.queueAvail(m)
+	if recycle {
+		return a.recycleLocked(m, ss, true)
+	}
 	return nil
 }
 
-// resetBitLocked clears a slot bit with the owning stripe's lock held.
-func (a *Allocator) resetBitLocked(ss *stripeState, r chunkRange, idx int) {
-	h := a.readHeader(r.start)
-	bm := h.bitmap() &^ (1 << uint(idx))
-	a.writeHeader(r.start, packHeader(bm))
-	meta := ss.meta[r.start]
-	if meta == nil {
-		meta = &chunkMeta{}
-		ss.meta[r.start] = meta
-	}
-	meta.inFlight &^= 1 << uint(idx)
-	if !meta.inAvail {
-		meta.inAvail = true
-		ss.avail = append(ss.avail, r.start)
-	}
-}
-
-// Release clears the slot's persistent bit and, if that empties its
-// chunk, recycles the chunk — ResetBit plus Recycle (Algorithm 5 lines
-// 12-13 / Algorithm 3 lines 9-10) fused under one stripe-lock acquisition
-// and one header read.
-func (a *Allocator) Release(obj pmem.Ptr) error {
-	if a.failResetBit.tripped() {
-		return ErrInjected
-	}
-	r, ss, err := a.lockStripeOf(obj)
-	if err != nil {
-		return err
-	}
-	idx, err := a.slotIndex(r, obj)
-	if err != nil {
-		ss.mu.Unlock()
-		return err
-	}
-	h := a.readHeader(r.start)
-	bm := h.bitmap() &^ (1 << uint(idx))
-	a.writeHeader(r.start, packHeader(bm))
-	meta := ss.meta[r.start]
-	if meta == nil {
-		meta = &chunkMeta{}
-		ss.meta[r.start] = meta
-	}
-	meta.inFlight &^= 1 << uint(idx)
-	if !meta.inAvail {
-		meta.inAvail = true
-		ss.avail = append(ss.avail, r.start)
-	}
-	empty := bm == 0 && meta.inFlight == 0
-	ss.mu.Unlock()
-	if !empty {
-		return nil
-	}
-	return a.recycleChunkMode(r.start, true)
+// Free hands back a slot that is in flight with its bit clear — retired by
+// Retire — making it allocatable again and recycling its chunk if that left
+// the chunk empty, in one stripe-lock acquisition. Nothing is written to PM
+// unless the chunk is recycled.
+func (a *Allocator) Free(obj pmem.Ptr) error {
+	return a.handBack(obj, true)
 }
 
 // Abort releases a slot obtained from Alloc whose object will never be
 // committed (volatile only; nothing to undo on PM).
 func (a *Allocator) Abort(obj pmem.Ptr) error {
-	r, ss, err := a.lockStripeOf(obj)
+	return a.handBack(obj, false)
+}
+
+// handBack takes obj out of its chunk's in-flight mask and offers the
+// chunk for allocation again, optionally recycling it if it is now empty.
+func (a *Allocator) handBack(obj pmem.Ptr, recycle bool) error {
+	m, ss, err := a.lockStripeOf(obj)
 	if err != nil {
 		return err
 	}
 	defer ss.mu.Unlock()
-	idx, err := a.slotIndex(r, obj)
+	idx, err := a.slotIndex(m, obj)
 	if err != nil {
 		return err
 	}
-	if meta := ss.meta[r.start]; meta != nil {
-		meta.inFlight &^= 1 << uint(idx)
-		if !meta.inAvail {
-			meta.inAvail = true
-			ss.avail = append(ss.avail, r.start)
-		}
+	m.inFlight &^= 1 << uint(idx)
+	ss.queueAvail(m)
+	if recycle {
+		return a.recycleLocked(m, ss, false)
 	}
 	return nil
 }
 
 // BitIsSet reports whether the slot's persistent bit is set (the validity
-// check search performs on leaves, Algorithm 4 line 9).
+// check search performs on leaves, Algorithm 4 line 9). Lock-free, served
+// from the header mirror: a bit reads as set only once it is durable.
 func (a *Allocator) BitIsSet(obj pmem.Ptr) (bool, error) {
-	r, ok := a.lookupRange(obj)
+	m, ok := a.lookupChunk(obj)
 	if !ok {
 		return false, ErrNotChunkObject
 	}
-	idx, err := a.slotIndex(r, obj)
+	idx, err := a.slotIndex(m, obj)
 	if err != nil {
 		return false, err
 	}
-	return a.readHeader(r.start).bitmap()&(1<<uint(idx)) != 0, nil
+	return header(m.hdr.Load()).bitmap()&(1<<uint(idx)) != 0, nil
 }
 
 // packHeader derives hint and indicator from a bitmap and packs the header.

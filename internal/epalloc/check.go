@@ -126,6 +126,10 @@ type ClassStats struct {
 	Used int
 	// PMBytes is the PM footprint of all the class's chunks (both lists).
 	PMBytes int64
+	// VolatileBytes is the DRAM the allocator keeps for the class's chunks
+	// (both lists): per chunk one record with the header mirror and slot
+	// bookkeeping, one extent-index entry and one avail-queue slot.
+	VolatileBytes int64
 }
 
 // Stats returns per-class statistics.
@@ -149,6 +153,7 @@ func (a *Allocator) Stats() []ClassStats {
 		}
 		st.FreeChunks = a.FreeChunks(c)
 		st.PMBytes = int64(st.Chunks+st.FreeChunks) * chunkSize(cs.spec.ObjSize)
+		st.VolatileBytes = int64(st.Chunks+st.FreeChunks) * chunkMetaBytes
 		out[i] = st
 	}
 	return out
@@ -165,6 +170,8 @@ func (a *Allocator) Stats() []ClassStats {
 //     (no chunk has fallen off the partition);
 //   - every chunk-list header's full indicator and next-free hint agree
 //     with its bitmap;
+//   - every chunk's DRAM header mirror equals its PM header (the hot paths
+//     trust the mirror; a divergence means a header write bypassed it);
 //   - no armed micro-log remains on any stripe (a quiescent allocator has
 //     none).
 //
@@ -186,15 +193,18 @@ func (a *Allocator) Check() error {
 						ErrCorrupt, cs.spec.Name, chunk, s, (prev-1)/2, (prev-1)%2)
 				}
 				seen[chunk] = s*2 + 1
-				r, ok := a.lookupRange(chunk + chunkDataOff)
-				if !ok || r.start != chunk || r.class != c {
+				m, ok := a.lookupChunk(chunk + chunkDataOff)
+				if !ok || m.start != chunk || m.class != c {
 					return fmt.Errorf("%w: class %s chunk %d not a registered reservation", ErrCorrupt, cs.spec.Name, chunk)
 				}
-				if r.stripe != s {
+				if st := int(m.stripe.Load()); st != s {
 					return fmt.Errorf("%w: class %s chunk %d on stripe %d's list but registered to stripe %d",
-						ErrCorrupt, cs.spec.Name, chunk, s, r.stripe)
+						ErrCorrupt, cs.spec.Name, chunk, s, st)
 				}
-				h := a.readHeader(chunk)
+				h, err := a.auditHeader(m)
+				if err != nil {
+					return err
+				}
 				if h.bitmap() == bitmapMask {
 					if h.fullIndicator() != fullFull {
 						return fmt.Errorf("%w: class %s chunk %d full but indicator %d",
@@ -221,12 +231,20 @@ func (a *Allocator) Check() error {
 						ErrCorrupt, cs.spec.Name, chunk, s, (prev-1)/2, (prev-1)%2)
 				}
 				seen[chunk] = s*2 + 2
+				// A free chunk's mirror is zero (Attach leaves it unread);
+				// so must its PM header be, or the chunk was recycled with
+				// live slots.
+				if m, ok := a.lookupChunk(chunk + chunkDataOff); ok {
+					if _, err := a.auditHeader(m); err != nil {
+						return err
+					}
+				}
 			}
 		}
 		// Coverage: the stripe partition must account for every registered
 		// chunk of the class — a chunk on no list is a persistent leak.
 		for _, r := range a.rangeSnapshot() {
-			if r.class != c {
+			if r.meta.class != c {
 				continue
 			}
 			if seen[r.start] == 0 {
@@ -246,12 +264,27 @@ func (a *Allocator) Check() error {
 	return nil
 }
 
+// auditHeader reads a chunk's PM header and compares it with the mirror,
+// under the chunk's stripe lock so that a concurrent header write is seen
+// on both sides or on neither.
+func (a *Allocator) auditHeader(m *chunkMeta) (header, error) {
+	ss := a.lockChunk(m)
+	defer ss.mu.Unlock()
+	h := a.readHeader(m.start)
+	if mh := header(m.hdr.Load()); mh != h {
+		return h, fmt.Errorf("%w: class %s chunk %d header mirror %#x, PM holds %#x",
+			ErrCorrupt, a.classes[m.class].spec.Name, m.start, uint64(mh), uint64(h))
+	}
+	return h, nil
+}
+
 // CheckQuiescent runs Check plus the invariants that only hold when no
 // operation is in flight:
 //
 //   - no slot is volatile-in-flight (every Alloc was followed by SetBit,
-//     Abort or ResetBit — a lingering in-flight bit is a volatile leak
-//     that makes the slot unallocatable until restart);
+//     Abort or ResetBit, every Retire by Free — a lingering
+//     in-flight bit is a volatile leak that makes the slot unallocatable
+//     until restart);
 //   - no persistent update log is armed and no volatile ulog slot is busy
 //     (an armed ulog between operations means an update error path forgot
 //     to Reclaim, permanently shrinking the pool).
@@ -264,19 +297,14 @@ func (a *Allocator) CheckQuiescent() error {
 	if err := a.Check(); err != nil {
 		return err
 	}
-	for i := range a.classes {
-		cs := &a.classes[i]
-		for s := range cs.stripes {
-			ss := &cs.stripes[s]
-			ss.mu.Lock()
-			for chunk, meta := range ss.meta {
-				if meta.inFlight != 0 {
-					ss.mu.Unlock()
-					return fmt.Errorf("%w: class %s stripe %d chunk %d has in-flight slots %#x (leaked Alloc?)",
-						ErrCorrupt, cs.spec.Name, s, chunk, meta.inFlight)
-				}
-			}
-			ss.mu.Unlock()
+	for _, r := range a.rangeSnapshot() {
+		m := r.meta
+		ss := a.lockChunk(m)
+		inFlight := m.inFlight
+		ss.mu.Unlock()
+		if inFlight != 0 {
+			return fmt.Errorf("%w: class %s stripe %d chunk %d has in-flight slots %#x (leaked Alloc, or Retire without Free?)",
+				ErrCorrupt, a.classes[m.class].spec.Name, m.stripe.Load(), m.start, inFlight)
 		}
 	}
 	if logs := a.PendingUpdateLogs(); len(logs) != 0 {

@@ -42,6 +42,23 @@
 // volatile-in-flight so concurrent allocations skip it); the caller calls
 // SetBit only after the object is fully initialised and linked. A crash in
 // between leaves the bit clear and the slot reusable.
+//
+// Giving a slot up has the same two halves, in the other order. Retire
+// clears the bit durably but leaves the slot in flight; Free makes it
+// allocatable once the retiring operation has no write and no log record
+// outstanding against it. ResetBit and Release do both at once, for
+// callers — the repair paths, recovery — that hold the last reference.
+//
+// # Header mirror
+//
+// The allocator is the only writer of a chunk header and writes it under
+// the stripe lock, so each chunk's volatile record (chunkMeta) keeps a
+// copy of the word, filled by Attach's one header read per chunk and at
+// chunk initialisation, and updated after every header persist. The
+// allocation, commit and release paths and BitIsSet read the copy, never
+// the PM word — which the previous header persist has just flushed out of
+// the CPU cache. The PM header stays the durable truth: recovery's
+// iterators, Stats and Check read it, and Check asserts the two agree.
 package epalloc
 
 import (
@@ -50,6 +67,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/casl-sdsu/hart/internal/obs"
 	"github.com/casl-sdsu/hart/internal/pmem"
@@ -84,19 +102,23 @@ func StripeFor(prefix []byte) int {
 // chunkDataOff is the byte offset of slot 0 within a chunk.
 const chunkDataOff = 16
 
-// Superblock layout v2 (relative to the allocator's superblock base, which
+// Superblock layout v3 (relative to the allocator's superblock base, which
 // is always the first reservation of the arena, i.e. offset
-// pmem.HeaderSize). v2 widens the class table to per-stripe list heads and
-// stripes the recycle and transfer logs; v1 images are rejected by magic.
+// pmem.HeaderSize, a cache-line boundary). v2 widened the class table to
+// per-stripe list heads and striped the recycle and transfer logs; v3
+// aligns the update-log pool to its 32-byte slot size so no slot straddles
+// a cache line. Older images are rejected by magic (and, one layer up, by
+// the store superblock's format version).
 const (
-	sbMagicOff      = 0  // 8B magic
-	sbNumClassesOff = 8  // 8B class count
-	sbNumStripesOff = 16 // 8B stripe count (layout check on Attach)
-	sbClassTableOff = 24 // MaxClasses × ceSize entries
+	sbMagicOff      = 0                                   // 8B magic
+	sbNumClassesOff = 8                                   // 8B class count
+	sbNumStripesOff = 16                                  // 8B stripe count (layout check on Attach)
+	sbClassTableOff = 24                                  // MaxClasses × ceSize entries
 	sbRLogOff       = sbClassTableOff + MaxClasses*ceSize // NumStripes recycle slots
 	sbTLogOff       = sbRLogOff + NumStripes*rlogSlotSize // NumStripes transfer slots
-	sbULogPoolOff   = sbTLogOff + NumStripes*tlogSlotSize // NumUpdateLogs × 24B update logs
-	sbSize          = sbULogPoolOff + NumUpdateLogs*ulogSlotSize
+	// NumUpdateLogs update-log slots, aligned up to the slot size.
+	sbULogPoolOff = (sbTLogOff + NumStripes*tlogSlotSize + ULogSlotSize - 1) &^ (ULogSlotSize - 1)
+	sbSize        = sbULogPoolOff + NumUpdateLogs*ULogSlotSize
 )
 
 // Per-class table entry layout: the object size followed by one chunk-list
@@ -131,7 +153,7 @@ const (
 // tlSrcFresh is the transfer-log source sentinel for fresh reservations.
 const tlSrcFresh = NumStripes
 
-const epMagic = 0x4841525445504132 // "HARTEPA2"
+const epMagic = 0x4841525445504133 // "HARTEPA3"
 
 // Header-byte-7 encodings.
 const (
@@ -169,19 +191,45 @@ type ClassSpec struct {
 	OnReuse func(obj pmem.Ptr)
 }
 
-// chunkMeta is volatile per-chunk bookkeeping, owned by the chunk's
-// current stripe (guarded by that stripe's mutex).
+// chunkMeta is the volatile record of one chunk: its extent and class
+// (immutable), its owning stripe, a DRAM mirror of its PM header and the
+// slot bookkeeping that never reaches PM. One record exists per chunk for
+// the allocator's lifetime — chunks move between lists and stripes but are
+// never destroyed — and the extent index (Allocator.ranges) points at it,
+// so resolving an object to its chunk state is one binary search.
 type chunkMeta struct {
-	inFlight uint64 // slots handed out but not yet bit-committed
-	inAvail  bool   // chunk is queued in stripeState.avail
+	start, end pmem.Ptr
+	class      Class
+	// stripe is the chunk's current owner. It changes only in a
+	// cross-stripe free-list steal, which holds both stripes' locks, so it
+	// is stable under the lock of the stripe it names (see lockStripeOf);
+	// atomic because lookups read it before taking that lock.
+	stripe atomic.Int32
+	// hdr mirrors the chunk's 8-byte PM header. The allocator is the
+	// header's only writer and writes it under the stripe lock, so the hot
+	// paths read the bitmap, hint and indicator from here instead of from
+	// PM — where the previous writeHeader's CLFLUSH has just evicted the
+	// line. It is stored only after the PM word is persisted, so the
+	// lock-free BitIsSet never reports a bit that is not yet durable.
+	// Check asserts mirror == PM for every chunk.
+	hdr atomic.Uint64
+	// inFlight marks slots that are neither allocatable nor committed:
+	// handed out by Alloc and not yet bit-committed, or retired (bit
+	// cleared) by an operation that is not done with them yet (Retire —
+	// released by Free). Guarded by the stripe lock.
+	inFlight uint64
+	inAvail  bool // chunk is queued in stripeState.avail; stripe lock
 }
+
+// chunkMetaBytes is the volatile cost of one chunk: its record, its
+// extent-index entry and its avail-queue slot.
+const chunkMetaBytes = int64(unsafe.Sizeof(chunkMeta{}) + unsafe.Sizeof(chunkRange{}) + unsafe.Sizeof((*chunkMeta)(nil)))
 
 // stripeState is the volatile state of one allocation stripe of a class.
 type stripeState struct {
 	mu sync.Mutex
 	// avail queues chunks believed to have a free slot.
-	avail []pmem.Ptr
-	meta  map[pmem.Ptr]*chunkMeta
+	avail []*chunkMeta
 }
 
 // classState is volatile per-class state.
@@ -194,13 +242,11 @@ type classState struct {
 	nchunks atomic.Int64
 }
 
-// chunkRange records one chunk's extent and current stripe for ChunkOf
-// lookups.
+// chunkRange is one extent-index entry: the chunk's start address (kept
+// inline so the binary search touches only the index) and its record.
 type chunkRange struct {
-	start  pmem.Ptr
-	end    pmem.Ptr
-	class  Class
-	stripe int
+	start pmem.Ptr
+	meta  *chunkMeta
 }
 
 // Allocator is one EPallocator instance over one arena.
@@ -216,15 +262,14 @@ type Allocator struct {
 
 	ulogs ulogPool
 
-	// ranges is the chunk-extent index for ChunkOf, published as an
-	// immutable snapshot: registerRange copies, extends and re-publishes
-	// under rangeMu (chunk creation and stripe moves are rare), while
-	// lookups — including BitIsSet on HART's lock-free read path — load
-	// the snapshot with a single atomic read and binary-search it with no
-	// lock at all. Chunk extents are never removed (recycled chunks keep
-	// their reservation), so a stale snapshot is merely short, never
-	// wrong; a stale *stripe* is re-checked under the stripe lock by
-	// lockStripeOf.
+	// ranges is the chunk-extent index, published as an immutable
+	// snapshot: registerChunk extends and re-publishes it under rangeMu
+	// (chunk creation is rare), while lookups — including the lock-free
+	// BitIsSet — load the snapshot with a single atomic read and
+	// binary-search it with no lock at all. Chunk extents are never
+	// removed (recycled chunks keep their reservation), so a stale
+	// snapshot is merely short, never wrong; the owning stripe lives in
+	// the record and is re-checked under the stripe lock by lockStripeOf.
 	rangeMu sync.Mutex
 	ranges  atomic.Pointer[[]chunkRange] // sorted by start
 
@@ -294,9 +339,6 @@ func newAllocator(arena *pmem.Arena, sb pmem.Ptr, specs []ClassSpec) *Allocator 
 	a.DisarmFaults()
 	for i, s := range specs {
 		a.classes[i].spec = s
-		for st := range a.classes[i].stripes {
-			a.classes[i].stripes[st].meta = make(map[pmem.Ptr]*chunkMeta)
-		}
 	}
 	return a
 }
@@ -335,10 +377,14 @@ func Attach(arena *pmem.Arena, specs []ClassSpec) (*Allocator, error) {
 	// seen-set per class spans every stripe, so a chunk reachable from two
 	// stripes (or twice from one) is caught here. The extent index is
 	// accumulated locally and published once, sorted — the walk visits
-	// chunks in list order, not address order, and per-chunk registerRange
+	// chunks in list order, not address order, and per-chunk registerChunk
 	// would rebuild the sorted snapshot on every out-of-order insert
 	// (quadratic in chunk count, the dominant cost of attaching a large
-	// image before recovery proper even starts).
+	// image before recovery proper even starts). Each chunk-list chunk's
+	// header is read once, filling its mirror; a free-list chunk's header
+	// is zero by construction (only an empty chunk is recycled, and every
+	// header write is packHeader of its bitmap) and is rewritten when the
+	// chunk is next transferred, so its mirror starts at zero unread.
 	var ranges []chunkRange
 	for i := range a.classes {
 		c := Class(i)
@@ -356,11 +402,17 @@ func Attach(arena *pmem.Arena, specs []ClassSpec) (*Allocator, error) {
 					}
 					seen[p] = true
 					cs.nchunks.Add(1)
-					ranges = append(ranges, chunkRange{start: p, end: p + pmem.Ptr(size), class: c, stripe: st})
-					ss.meta[p] = &chunkMeta{}
-					if !inFree && a.readHeader(p).free() > 0 {
-						ss.meta[p].inAvail = true
-						ss.avail = append(ss.avail, p)
+					m := &chunkMeta{start: p, end: p + pmem.Ptr(size), class: c}
+					m.stripe.Store(int32(st))
+					ranges = append(ranges, chunkRange{start: p, meta: m})
+					if inFree {
+						continue
+					}
+					h := a.readHeader(p)
+					m.hdr.Store(uint64(h))
+					if h.free() > 0 {
+						m.inAvail = true
+						ss.avail = append(ss.avail, m)
 					}
 				}
 			}
@@ -443,37 +495,32 @@ func makeHeader(bitmap uint64, nextFree, full int) header {
 	return header(bitmap&bitmapMask | uint64(nextFree&0x3f)<<56 | uint64(full&0x3)<<62)
 }
 
-// readHeader loads a chunk header.
+// readHeader loads a chunk header from PM. The hot paths read the DRAM
+// mirror instead (chunkMeta.hdr); this is for Attach, which fills the
+// mirror, and for the walks that audit or report PM state (Iterate*,
+// Stats, Check).
 func (a *Allocator) readHeader(chunk pmem.Ptr) header {
 	return header(a.arena.Read8(chunk))
 }
 
-// writeHeader stores and persists a chunk header; the header is 8 bytes so
-// the commit is failure-atomic.
-func (a *Allocator) writeHeader(chunk pmem.Ptr, h header) {
-	a.arena.Write8(chunk, uint64(h))
-	a.arena.Persist(chunk, 8)
+// writeHeader stores and persists a chunk header, then updates its mirror;
+// the header is 8 bytes so the commit is failure-atomic. Caller holds the
+// chunk's stripe lock.
+func (a *Allocator) writeHeader(m *chunkMeta, h header) {
+	a.arena.Write8(m.start, uint64(h))
+	a.arena.Persist(m.start, 8)
+	m.hdr.Store(uint64(h))
 }
 
-// registerRange records a chunk extent and its owning stripe for ChunkOf,
-// publishing a fresh snapshot (copy-on-write; see the ranges field). A
-// re-registration of a known chunk updates its stripe (free-list steal).
-func (a *Allocator) registerRange(chunk pmem.Ptr, c Class, stripe int) {
-	end := chunk + pmem.Ptr(chunkSize(a.classes[c].spec.ObjSize))
+// registerChunk creates the record of a freshly reserved chunk and
+// publishes it in the extent index (copy-on-write; see the ranges field).
+func (a *Allocator) registerChunk(chunk pmem.Ptr, c Class, stripe int) *chunkMeta {
+	m := &chunkMeta{start: chunk, end: chunk + pmem.Ptr(chunkSize(a.classes[c].spec.ObjSize)), class: c}
+	m.stripe.Store(int32(stripe))
 	a.rangeMu.Lock()
 	defer a.rangeMu.Unlock()
 	old := a.rangeSnapshot()
 	i := sort.Search(len(old), func(i int) bool { return old[i].start >= chunk })
-	if i < len(old) && old[i].start == chunk {
-		if old[i].stripe == stripe {
-			return // re-registration after same-stripe free-list reuse
-		}
-		nu := make([]chunkRange, len(old))
-		copy(nu, old)
-		nu[i].stripe = stripe
-		a.ranges.Store(&nu)
-		return
-	}
 	if i == len(old) && cap(old) > len(old) {
 		// Fresh chunks come from the arena's bump reservation, so runtime
 		// registrations append in address order; reuse the spare capacity
@@ -481,18 +528,19 @@ func (a *Allocator) registerRange(chunk pmem.Ptr, c Class, stripe int) {
 		// slice length, and the atomic Store orders the element write
 		// before the new length becomes visible, so sharing the backing
 		// array with published snapshots is safe.
-		nu := append(old, chunkRange{start: chunk, end: end, class: c, stripe: stripe})
+		nu := append(old, chunkRange{start: chunk, meta: m})
 		a.ranges.Store(&nu)
-		return
+		return m
 	}
-	// Out-of-order insert (Attach replay) or exhausted capacity: rebuild
-	// with doubling headroom so runtime appends stay amortised O(1) instead
-	// of copying the whole index per chunk.
+	// Out-of-order insert or exhausted capacity: rebuild with doubling
+	// headroom so runtime appends stay amortised O(1) instead of copying
+	// the whole index per chunk.
 	nu := make([]chunkRange, 0, 2*len(old)+8)
 	nu = append(nu, old[:i]...)
-	nu = append(nu, chunkRange{start: chunk, end: end, class: c, stripe: stripe})
+	nu = append(nu, chunkRange{start: chunk, meta: m})
 	nu = append(nu, old[i:]...)
 	a.ranges.Store(&nu)
+	return m
 }
 
 // rangeSnapshot loads the current extent snapshot (possibly empty).
@@ -503,39 +551,45 @@ func (a *Allocator) rangeSnapshot() []chunkRange {
 	return nil
 }
 
-// lookupRange finds the chunk containing obj. Lock-free: it binary-searches
-// the current immutable snapshot, so the validity check HART's Get performs
-// on every leaf (BitIsSet, Algorithm 4 line 9) costs no shared-lock
-// round trip.
-func (a *Allocator) lookupRange(obj pmem.Ptr) (chunkRange, bool) {
+// lookupChunk finds the record of the chunk containing obj. Lock-free: it
+// binary-searches the current immutable snapshot, so the validity check
+// HART's locked Get performs on a leaf (BitIsSet, Algorithm 4 line 9)
+// costs no shared-lock round trip.
+func (a *Allocator) lookupChunk(obj pmem.Ptr) (*chunkMeta, bool) {
 	ranges := a.rangeSnapshot()
 	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].start > obj })
 	if i == 0 {
-		return chunkRange{}, false
+		return nil, false
 	}
-	r := ranges[i-1]
-	if obj < r.start+chunkDataOff || obj >= r.end {
-		return chunkRange{}, false
+	m := ranges[i-1].meta
+	if obj < m.start+chunkDataOff || obj >= m.end {
+		return nil, false
 	}
-	return r, true
+	return m, true
 }
 
 // lockStripeOf locks and returns the stripe currently owning obj's chunk.
 // A concurrent free-list steal can move the chunk to another stripe
-// between the lookup and the lock, so the ownership is re-checked under
-// the lock and the acquisition retried if it moved (steals require the
-// source stripe's lock, so once we hold the lock of the stripe the
-// snapshot names, the chunk cannot move).
-func (a *Allocator) lockStripeOf(obj pmem.Ptr) (chunkRange, *stripeState, error) {
+// between the lookup and the lock, so the record's stripe field is
+// re-read under the lock and the acquisition retried if it moved (a steal
+// holds the source stripe's lock, so once we hold the lock of the stripe
+// the record names, the chunk cannot move).
+func (a *Allocator) lockStripeOf(obj pmem.Ptr) (*chunkMeta, *stripeState, error) {
+	m, ok := a.lookupChunk(obj)
+	if !ok {
+		return nil, nil, ErrNotChunkObject
+	}
+	return m, a.lockChunk(m), nil
+}
+
+// lockChunk locks the stripe currently owning the chunk (see lockStripeOf).
+func (a *Allocator) lockChunk(m *chunkMeta) *stripeState {
 	for {
-		r, ok := a.lookupRange(obj)
-		if !ok {
-			return chunkRange{}, nil, ErrNotChunkObject
-		}
-		ss := &a.classes[r.class].stripes[r.stripe]
+		st := m.stripe.Load()
+		ss := &a.classes[m.class].stripes[st]
 		ss.mu.Lock()
-		if r2, ok := a.lookupRange(obj); ok && r2.stripe == r.stripe {
-			return r2, ss, nil
+		if m.stripe.Load() == st {
+			return ss
 		}
 		ss.mu.Unlock()
 	}
@@ -543,37 +597,37 @@ func (a *Allocator) lockStripeOf(obj pmem.Ptr) (chunkRange, *stripeState, error)
 
 // ChunkOf returns the chunk containing obj (the paper's MemChunkOf).
 func (a *Allocator) ChunkOf(obj pmem.Ptr) (pmem.Ptr, error) {
-	r, ok := a.lookupRange(obj)
+	m, ok := a.lookupChunk(obj)
 	if !ok {
 		return pmem.Nil, ErrNotChunkObject
 	}
-	return r.start, nil
+	return m.start, nil
 }
 
 // ClassOf returns the class owning obj.
 func (a *Allocator) ClassOf(obj pmem.Ptr) (Class, error) {
-	r, ok := a.lookupRange(obj)
+	m, ok := a.lookupChunk(obj)
 	if !ok {
 		return 0, ErrNotChunkObject
 	}
-	return r.class, nil
+	return m.class, nil
 }
 
 // StripeOf returns the stripe currently owning obj's chunk (diagnostics
 // and tests; the answer can be stale the moment it returns).
 func (a *Allocator) StripeOf(obj pmem.Ptr) (int, error) {
-	r, ok := a.lookupRange(obj)
+	m, ok := a.lookupChunk(obj)
 	if !ok {
 		return 0, ErrNotChunkObject
 	}
-	return r.stripe, nil
+	return int(m.stripe.Load()), nil
 }
 
 // slotIndex returns the slot number of obj within its chunk. obj must be a
 // slot base address.
-func (a *Allocator) slotIndex(r chunkRange, obj pmem.Ptr) (int, error) {
-	objSize := a.classes[r.class].spec.ObjSize
-	rel := int64(obj - r.start - chunkDataOff)
+func (a *Allocator) slotIndex(m *chunkMeta, obj pmem.Ptr) (int, error) {
+	objSize := a.classes[m.class].spec.ObjSize
+	rel := int64(obj - m.start - chunkDataOff)
 	if rel%objSize != 0 {
 		return 0, fmt.Errorf("%w: %d is not a slot base", ErrNotChunkObject, obj)
 	}

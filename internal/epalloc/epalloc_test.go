@@ -345,9 +345,7 @@ func TestAttachWrongSpecsRejected(t *testing.T) {
 func TestUpdateLogRoundTrip(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
 	u := al.GetUpdateLog()
-	u.SetPLeaf(100)
-	u.SetPOldV(200)
-	u.SetPNewV(300)
+	u.Commit(100, 200, 300)
 	pend := al.PendingUpdateLogs()
 	if len(pend) != 1 || pend[0].PLeaf != 100 || pend[0].POldV != 200 || pend[0].PNewV != 300 {
 		t.Fatalf("pending logs = %+v", pend)
@@ -381,8 +379,7 @@ func TestUpdateLogPoolExhaustionBlocksAndRecovers(t *testing.T) {
 func TestUpdateLogSurvivesCrash(t *testing.T) {
 	arena, al := newAlloc(t, 1<<20)
 	u := al.GetUpdateLog()
-	u.SetPLeaf(111)
-	u.SetPOldV(222)
+	u.Commit(111, 222, 333)
 	crashed, err := arena.Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +389,7 @@ func TestUpdateLogSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	pend := al2.PendingUpdateLogs()
-	if len(pend) != 1 || pend[0].PLeaf != 111 || pend[0].POldV != 222 || pend[0].PNewV != 0 {
+	if len(pend) != 1 || pend[0].PLeaf != 111 || pend[0].POldV != 222 || pend[0].PNewV != 333 {
 		t.Fatalf("pending after crash = %+v", pend)
 	}
 	al2.ResetUpdateLogAt(pend[0].Index)

@@ -178,15 +178,34 @@ func TestReleaseRecyclesEmptiedChunk(t *testing.T) {
 	}
 }
 
-// TestArmMergesLogWrites: the merged Arm writes both pointers with the
-// recovery-visible semantics of SetPLeaf + SetPOldV.
-func TestArmMergesLogWrites(t *testing.T) {
-	_, al := newAlloc(t, 1<<20)
-	u := al.GetUpdateLog()
-	u.Arm(123, 456)
-	pend := al.PendingUpdateLogs()
-	if len(pend) != 1 || pend[0].PLeaf != 123 || pend[0].POldV != 456 || pend[0].PNewV != 0 {
-		t.Fatalf("pending after Arm = %+v", pend)
+// TestULogCommitOnePersistOneLine pins the cost of the micro-log's two
+// writes: Commit makes the whole record durable with one persist, Reclaim
+// disarms it with one, and — the slots being 32 bytes at a 32-byte-aligned
+// base — neither ever flushes a second cache line, for any slot of the
+// pool.
+func TestULogCommitOnePersistOneLine(t *testing.T) {
+	arena, al := newAlloc(t, 1<<20)
+	for i := 0; i < NumUpdateLogs; i++ {
+		u := al.GetUpdateLog()
+		if u.base%ULogSlotSize != 0 {
+			t.Fatalf("slot %d at %d is not %d-byte aligned", u.idx, u.base, ULogSlotSize)
+		}
+		before := arena.Stats()
+		u.Commit(123, 456, 789)
+		mid := arena.Stats()
+		if p, l := mid.Persists-before.Persists, mid.PersistedLines-before.PersistedLines; p != 1 || l != 1 {
+			t.Fatalf("slot %d: Commit issued %d persists over %d lines, want 1 over 1", u.idx, p, l)
+		}
+		pend := al.PendingUpdateLogs()
+		if len(pend) != 1 || pend[0].PLeaf != 123 || pend[0].POldV != 456 || pend[0].PNewV != 789 {
+			t.Fatalf("pending after Commit = %+v", pend)
+		}
+		u.Reclaim()
+		after := arena.Stats()
+		if p, l := after.Persists-mid.Persists, after.PersistedLines-mid.PersistedLines; p != 1 || l != 1 {
+			t.Fatalf("slot %d: Reclaim issued %d persists over %d lines, want 1 over 1", u.idx, p, l)
+		}
+		// Keep the slot busy so the next claim moves on to the next one.
+		al.ulogs.busy[u.idx/ulogsPerStripe].Or(1 << uint(u.idx%ulogsPerStripe))
 	}
-	u.Reclaim()
 }

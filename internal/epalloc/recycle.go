@@ -18,16 +18,7 @@ import (
 // recovery never has to guess whether the chunk was the head. See
 // recoverLogs for the case analysis.
 func (a *Allocator) Recycle(obj pmem.Ptr) error {
-	r, ok := a.lookupRange(obj)
-	if !ok {
-		return ErrNotChunkObject
-	}
-	return a.recycleChunkMode(r.start, false)
-}
-
-// RecycleChunk recycles the given chunk directly.
-func (a *Allocator) RecycleChunk(c Class, chunk pmem.Ptr) error {
-	return a.recycleChunkMode(chunk, false)
+	return a.recycleChunkMode(obj, false)
 }
 
 // RecycleIfPresent behaves like Recycle but silently succeeds when the
@@ -35,27 +26,27 @@ func (a *Allocator) RecycleChunk(c Class, chunk pmem.Ptr) error {
 // use it: replaying an interrupted operation may re-recycle a chunk the
 // crashed run already unlinked.
 func (a *Allocator) RecycleIfPresent(obj pmem.Ptr) error {
-	r, ok := a.lookupRange(obj)
-	if !ok {
-		return ErrNotChunkObject
-	}
-	return a.recycleChunkMode(r.start, true)
+	return a.recycleChunkMode(obj, true)
 }
 
-// recycleChunkMode implements Recycle; lenient mode treats "chunk not on
-// the list" as success instead of corruption. The operation is local to
-// the chunk's current stripe: its lock, its lists, its recycle-log slot.
-func (a *Allocator) recycleChunkMode(chunk pmem.Ptr, lenient bool) error {
-	r, ss, err := a.lockStripeOf(chunk + chunkDataOff)
+// recycleChunkMode locks the stripe owning obj's chunk and recycles the
+// chunk if it is empty.
+func (a *Allocator) recycleChunkMode(obj pmem.Ptr, lenient bool) error {
+	m, ss, err := a.lockStripeOf(obj)
 	if err != nil {
 		return err
 	}
 	defer ss.mu.Unlock()
-	c, stripe := r.class, r.stripe
+	return a.recycleLocked(m, ss, lenient)
+}
 
-	meta := ss.meta[chunk]
-	h := a.readHeader(chunk)
-	if h.bitmap() != 0 || (meta != nil && meta.inFlight != 0) {
+// recycleLocked implements Recycle with the chunk's stripe lock held;
+// lenient mode treats "chunk not on the list" as success instead of
+// corruption. The operation is local to the chunk's current stripe: its
+// lock, its lists, its recycle-log slot.
+func (a *Allocator) recycleLocked(m *chunkMeta, ss *stripeState, lenient bool) error {
+	chunk, c, stripe := m.start, m.class, int(m.stripe.Load())
+	if header(m.hdr.Load()).bitmap() != 0 || m.inFlight != 0 {
 		return nil // chunk has a used object (Algorithm 6 lines 1-2)
 	}
 	// Keep at least one chunk per stripe linked: recycling the only chunk
@@ -107,13 +98,13 @@ func (a *Allocator) recycleChunkMode(chunk pmem.Ptr, lenient bool) error {
 	a.metrics.Recycles.AddStripe(stripe, 1)
 
 	// Volatile bookkeeping: the chunk no longer offers slots.
-	if meta != nil {
-		meta.inAvail = false
-	}
-	for i, p := range ss.avail {
-		if p == chunk {
-			ss.avail = append(ss.avail[:i], ss.avail[i+1:]...)
-			break
+	if m.inAvail {
+		m.inAvail = false
+		for i, q := range ss.avail {
+			if q == m {
+				ss.avail = append(ss.avail[:i], ss.avail[i+1:]...)
+				break
+			}
 		}
 	}
 	return nil

@@ -311,3 +311,150 @@ func TestCheckDetectsStripeRegistrationMismatch(t *testing.T) {
 		t.Fatalf("Check = %v, want ErrCorrupt (stripe registration mismatch)", err)
 	}
 }
+
+func mustChunkOf(t *testing.T, al *Allocator, obj pmem.Ptr) pmem.Ptr {
+	t.Helper()
+	c, err := al.ChunkOf(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRetireHoldsSlotUntilFree checks deferred availability on the
+// two-step path: Retire clears the bit durably but the slot is not handed
+// out again until Free, which also recycles the chunk it empties.
+func TestRetireHoldsSlotUntilFree(t *testing.T) {
+	arena, al := newAlloc(t, 4<<20)
+	// Fill stripe 5's first chunk, then put one object in a second chunk.
+	for i := 0; i < ObjectsPerChunk; i++ {
+		obj, err := al.AllocStripe(0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := al.SetBit(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lone, err := al.AllocStripe(0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := al.SetBit(lone); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := al.Retire(lone); err != nil {
+		t.Fatal(err)
+	}
+	img, err := arena.Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	al2, err := Attach(img, testSpecs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set, _ := al2.BitIsSet(lone); set {
+		t.Fatal("Retire's bit clear was not durable")
+	}
+
+	if err := al.CheckQuiescent(); err == nil {
+		t.Fatal("CheckQuiescent missed the retired, not yet freed slot")
+	}
+	if n := al.FreeChunks(0); n != 0 {
+		t.Fatalf("chunk recycled while its retired slot was still held (FreeChunks = %d)", n)
+	}
+	other, err := al.AllocStripe(0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == lone {
+		t.Fatal("retired slot handed out before Free")
+	}
+	if err := al.Abort(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := al.Free(lone); err != nil {
+		t.Fatal(err)
+	}
+	if n := al.FreeChunks(0); n != 1 {
+		t.Fatalf("FreeChunks = %d after Free emptied the chunk, want 1", n)
+	}
+	if err := al.CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHotPathReadsNoPM pins what the header mirror is for: allocating,
+// committing, testing, retiring and freeing slots — everything short of
+// chunk set-up and recycling — loads nothing from PM.
+func TestHotPathReadsNoPM(t *testing.T) {
+	arena, al := newAlloc(t, 4<<20)
+	warm, err := al.AllocStripe(1, 1) // links the stripe's first chunk
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := al.SetBit(warm); err != nil {
+		t.Fatal(err)
+	}
+	before := arena.Stats().Reads
+	for i := 0; i < 3*ObjectsPerChunk; i++ {
+		obj, err := al.AllocStripe(1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := al.SetBit(obj); err != nil {
+			t.Fatal(err)
+		}
+		if set, err := al.BitIsSet(obj); err != nil || !set {
+			t.Fatalf("BitIsSet = (%v, %v)", set, err)
+		}
+		switch i % 3 {
+		case 0:
+			err = al.ResetBit(obj)
+		case 1:
+			err = al.Release(obj)
+		default:
+			if err = al.Retire(obj); err == nil {
+				err = al.Free(obj)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reads := arena.Stats().Reads - before; reads != 0 {
+		t.Fatalf("%d PM reads on the allocator's hot paths, want 0", reads)
+	}
+	if err := al.CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckDetectsHeaderMirrorDivergence: a PM header changed behind the
+// allocator's back — the mirror no longer describes the medium — must
+// fail fsck, and the volatile footprint the mirror costs is reported.
+func TestCheckDetectsHeaderMirrorDivergence(t *testing.T) {
+	arena, al := newAlloc(t, 4<<20)
+	obj, err := al.AllocStripe(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := al.SetBit(obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := al.Check(); err != nil {
+		t.Fatal(err)
+	}
+	st := al.Stats()[0]
+	if st.Chunks != 1 || st.VolatileBytes != chunkMetaBytes {
+		t.Fatalf("Stats: %d chunks, %d volatile bytes; want 1 and %d", st.Chunks, st.VolatileBytes, chunkMetaBytes)
+	}
+	chunk := mustChunkOf(t, al, obj)
+	arena.Write8(chunk, uint64(packHeader(0b111)))
+	err = al.Check()
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "header mirror") {
+		t.Fatalf("Check = %v, want ErrCorrupt (header mirror)", err)
+	}
+}

@@ -23,19 +23,27 @@ const ulogsPerStripe = NumUpdateLogs / NumStripes
 // ulogStripeMask covers one stripe's busy bits.
 const ulogStripeMask = (uint64(1) << ulogsPerStripe) - 1
 
-const ulogSlotSize = 24
+// ULogSlotSize is the PM size of one update-log slot: three 8-byte
+// fields padded to 32 bytes. The pool is 32-byte aligned (sbULogPoolOff),
+// so a slot never straddles a cache line and both Commit and Reclaim flush
+// exactly one; at the 24-byte stride of format version 1 two slots in
+// eight did straddle.
+const ULogSlotSize = 32
 
 // Update-log slot field offsets (paper Algorithm 3).
 const (
-	ulogPLeafOff = 0  // address of the leaf being updated; arms the slot
-	ulogPOldVOff = 8  // address of the old value object
-	ulogPNewVOff = 16 // address of the new value object
+	ulogPLeafOff   = 0  // address of the leaf being updated; arms the slot
+	ulogPOldVOff   = 8  // address of the old value object
+	ulogPNewVOff   = 16 // address of the new value object
+	ulogRecordSize = 24 // the fields above; the rest of the slot is padding
 )
 
-// ULog is one persistent update log (Algorithm 3). A ULog is armed once
-// PLeaf is set and disarmed by Reclaim; recovery interprets the three
-// pointers exactly as the paper describes. The slot is exclusively owned
-// between GetUpdateLog/GetUpdateLogStriped and Reclaim.
+// ULog is one persistent update log (Algorithm 3), used as a redo log
+// with a single commit record: nothing about an update is durable in the
+// log until Commit persists all three pointers at once, after which
+// recovery completes the update from them; Reclaim disarms the slot. The
+// slot is exclusively owned between GetUpdateLog/GetUpdateLogStriped and
+// Reclaim.
 type ULog struct {
 	a    *Allocator
 	idx  int
@@ -122,37 +130,23 @@ func (a *Allocator) tryClaimULog(start int) *ULog {
 
 // ulogAddr returns the PM base address of update-log slot i.
 func (a *Allocator) ulogAddr(i int) pmem.Ptr {
-	return a.sb + sbULogPoolOff + pmem.Ptr(i*ulogSlotSize)
+	return a.sb + sbULogPoolOff + pmem.Ptr(i*ULogSlotSize)
 }
 
-// SetPLeaf records and persists the leaf address, arming the log
-// (Algorithm 3 line 2).
-func (u *ULog) SetPLeaf(p pmem.Ptr) {
-	u.a.arena.WritePtr(u.base+ulogPLeafOff, p)
-	u.a.arena.Persist(u.base+ulogPLeafOff, 8)
-}
-
-// Arm records leaf and old-value addresses with a single persist, merging
-// Algorithm 3 lines 2-3. The merge is semantically safe: recovery treats
-// "PLeaf valid, POldV invalid" and "PLeaf and POldV valid, PNewV invalid"
-// identically (reset the log), so the intermediate ordering of the two
-// stores is unobservable.
-func (u *ULog) Arm(leaf, oldV pmem.Ptr) {
-	u.a.arena.WritePtr(u.base+ulogPLeafOff, leaf)
-	u.a.arena.WritePtr(u.base+ulogPOldVOff, oldV)
-	u.a.arena.Persist(u.base+ulogPLeafOff, 16)
-}
-
-// SetPOldV records and persists the old value address (Algorithm 3 line 3).
-func (u *ULog) SetPOldV(p pmem.Ptr) {
-	u.a.arena.WritePtr(u.base+ulogPOldVOff, p)
-	u.a.arena.Persist(u.base+ulogPOldVOff, 8)
-}
-
-// SetPNewV records and persists the new value address (Algorithm 3 line 6).
-func (u *ULog) SetPNewV(p pmem.Ptr) {
-	u.a.arena.WritePtr(u.base+ulogPNewVOff, p)
-	u.a.arena.Persist(u.base+ulogPNewVOff, 8)
+// Commit writes the log record — old value, new value, then the leaf
+// address that arms the slot — and persists it once. Algorithm 3 persists
+// the three fields separately (lines 2, 3, 6), but recovery resets a log
+// whose PNewV is not durable, so the states "PLeaf only" and "PLeaf and
+// POldV" record nothing an update needs: the record matters only once it
+// is complete. The arming word is stored last and the slot lies within one
+// cache line, so whatever prefix of these stores an early eviction makes
+// durable, a durable PLeaf implies durable POldV and PNewV.
+func (u *ULog) Commit(leaf, oldV, newV pmem.Ptr) {
+	ar := u.a.arena
+	ar.WritePtr(u.base+ulogPOldVOff, oldV)
+	ar.WritePtr(u.base+ulogPNewVOff, newV)
+	ar.WritePtr(u.base+ulogPLeafOff, leaf)
+	ar.Persist(u.base, ulogRecordSize)
 }
 
 // Reclaim disarms the log (Algorithm 3 line 11) and returns the slot to
@@ -163,7 +157,7 @@ func (u *ULog) Reclaim() {
 	ar.WritePtr(u.base+ulogPNewVOff, pmem.Nil)
 	ar.WritePtr(u.base+ulogPOldVOff, pmem.Nil)
 	ar.WritePtr(u.base+ulogPLeafOff, pmem.Nil)
-	ar.Persist(u.base, ulogSlotSize)
+	ar.Persist(u.base, ulogRecordSize)
 	p := &u.a.ulogs
 	s, bit := u.idx/ulogsPerStripe, uint64(1)<<uint(u.idx%ulogsPerStripe)
 	p.busy[s].And(^bit)
@@ -213,5 +207,5 @@ func (a *Allocator) ResetUpdateLogAt(i int) {
 	a.arena.WritePtr(base+ulogPNewVOff, pmem.Nil)
 	a.arena.WritePtr(base+ulogPOldVOff, pmem.Nil)
 	a.arena.WritePtr(base+ulogPLeafOff, pmem.Nil)
-	a.arena.Persist(base, ulogSlotSize)
+	a.arena.Persist(base, ulogRecordSize)
 }

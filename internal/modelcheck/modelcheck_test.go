@@ -85,6 +85,46 @@ func TestModelCheckChunkRecycle(t *testing.T) {
 	}
 }
 
+// TestModelCheckUpdateAcrossChunks sweeps the logged update through the
+// allocator states the generated histories' small key universe never
+// reaches, each crashed at every persist boundary and — re-entrant — at
+// every boundary of the recovery that follows. 56 records under one
+// directory prefix (one shard, one allocator stripe) fill the stripe's
+// first 8-byte value chunk exactly, so the first update sets up a fresh
+// chunk between claiming its log and committing it; the second lands in
+// that chunk; the third changes the value's class (and sets up the 16-byte
+// class's first chunk mid-update); then back to the 8-byte class, and —
+// after two deletes have opened slots in the full chunk — a batch whose
+// updates stay in and change class around an insert. The unlogged mode
+// runs the same history through its own four-persist protocol.
+func TestModelCheckUpdateAcrossChunks(t *testing.T) {
+	var hist History
+	key := func(i int) []byte { return []byte(fmt.Sprintf("up%03d", i)) }
+	for i := 0; i < 56; i++ {
+		hist.Ops = append(hist.Ops, Op{Kind: OpPut, Key: key(i), Value: []byte{byte(i), 1}})
+	}
+	hist.Ops = append(hist.Ops,
+		Op{Kind: OpPut, Key: key(7), Value: []byte("full")},          // class's chunks full: fresh chunk
+		Op{Kind: OpPut, Key: key(8), Value: []byte("same")},          // same class
+		Op{Kind: OpPut, Key: key(8), Value: []byte("class-sixteen")}, // 8 B class to 16 B
+		Op{Kind: OpPut, Key: key(9), Value: []byte("same2")},
+		Op{Kind: OpPut, Key: key(8), Value: []byte("back")}, // 16 B class to 8 B
+		Op{Kind: OpDelete, Key: key(20)},
+		Op{Kind: OpDelete, Key: key(21)},
+		Op{Kind: OpBatch, Batch: []core.Record{
+			{Key: key(10), Value: []byte("b-same")},
+			{Key: key(56), Value: []byte("b-insert")},
+			{Key: key(11), Value: []byte("b-to-class-16")},
+		}},
+		Op{Kind: OpDelete, Key: key(11)},
+	)
+	for _, unlogged := range []bool{false, true} {
+		if err := RunHistory(hist, Config{UnloggedUpdates: unlogged, ReentrantRecovery: true}); err != nil {
+			t.Fatalf("unlogged=%v: %v", unlogged, err)
+		}
+	}
+}
+
 // TestModelCheckMixedWorstCase is one fixed, dense history touching every
 // op kind, checked with re-entrant recovery in both update modes.
 func TestModelCheckMixedWorstCase(t *testing.T) {

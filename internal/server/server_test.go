@@ -283,6 +283,12 @@ func TestShutdownDrains(t *testing.T) {
 	const K = 256
 	s, h := startServer(t, Options{QueueDepth: K})
 	c := dial(t, s)
+	// The drain contract covers connections the server has accepted. One
+	// still in the listen backlog when Shutdown closes the listener is
+	// reset by the kernel — no request of it was ever received.
+	for s.Metrics().ConnsActive == 0 {
+		time.Sleep(time.Millisecond)
+	}
 
 	var stream []byte
 	for i := 0; i < K; i++ {

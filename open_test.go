@@ -2,6 +2,7 @@ package hart
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,10 @@ import (
 	"path/filepath"
 	"testing"
 )
+
+// superblockVersionOff is the file offset of the store superblock's format
+// version word (pmem.LabelBase + 8).
+const superblockVersionOff = 72
 
 // TestOpenRestartRoundTrip drives a Put/Delete mix into a file-backed
 // store, closes it, reopens the file and checks full content equivalence
@@ -43,7 +48,7 @@ func TestOpenRestartRoundTrip(t *testing.T) {
 					}
 					continue
 				}
-				val := fmt.Sprintf("v%d", rng.Intn(1 << 20))
+				val := fmt.Sprintf("v%d", rng.Intn(1<<20))
 				if err := db.Put([]byte(key), []byte(val)); err != nil {
 					t.Fatalf("put %s: %v", key, err)
 				}
@@ -205,6 +210,21 @@ func TestOpenRefusesDamagedFiles(t *testing.T) {
 	// Geometry conflict against the healthy store.
 	if _, err := Open(path, Options{HashKeyLen: 7}); !errors.Is(err, ErrGeometryMismatch) {
 		t.Fatalf("geometry conflict: err = %v, want ErrGeometryMismatch", err)
+	}
+
+	// A store of the previous format version (24-byte update-log slots) is
+	// refused as it stands: not converted, not reformatted.
+	v1 := filepath.Join(dir, "v1.hart")
+	old := bytes.Clone(img)
+	binary.LittleEndian.PutUint64(old[superblockVersionOff:], FormatVersion-1)
+	if err := os.WriteFile(v1, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(v1, Options{}); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("version-1 file: err = %v, want ErrVersionMismatch", err)
+	}
+	if kept, err := os.ReadFile(v1); err != nil || !bytes.Equal(kept, old) {
+		t.Fatalf("refused version-1 file was modified (read err %v)", err)
 	}
 
 	// All refusals left the original file untouched.

@@ -80,3 +80,10 @@ go test -race -count=1 ./internal/wire/ ./internal/server/ ./client/
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 go test -race -count=1 ./cmd/hartd/ ./cmd/hartkv/
 go test -race -count=1 -run 'RunWireSmoke|ActiveCloser' ./internal/bench/
+
+# The benchmark is a nested module (benchmark/go.mod), so nothing above
+# compiles it. Its smoke test runs every workload at toy scale against the
+# product code as it stands: a change that stops the benchmark compiling,
+# renames a counter it reads, or makes ops_failed non-zero fails here,
+# before the pipeline runs the real thing.
+(cd benchmark && go vet ./... && go test -count=1 ./...)
