@@ -172,6 +172,11 @@ func run(args []string) int {
 			fmt.Printf("DRAM used: %.2f MB (height %d; %d/%d/%d/%d N4/N16/N48/N256)\n",
 				float64(st.Size.DRAMBytes)/(1<<20), st.ART.Height,
 				st.ART.Node4s, st.ART.Node16s, st.ART.Node48s, st.ART.Node256s)
+			if n := float64(st.Records); n > 0 {
+				fmt.Printf("DRAM B/record: %.1f (leaves %.1f + inner nodes %.1f + directory %.1f)\n",
+					float64(st.Size.DRAMBytes)/n, float64(st.ART.LeafBytes)/n,
+					float64(st.ART.Bytes-st.ART.LeafBytes)/n, float64(st.Size.DRAMBytes-st.ART.Bytes)/n)
+			}
 			for _, cs := range st.Alloc {
 				fmt.Printf("class %-8s: %d used, %d chunks (+%d free), %.2f MB PM\n",
 					cs.Name, cs.Used, cs.Chunks, cs.FreeChunks, float64(cs.PMBytes)/(1<<20))

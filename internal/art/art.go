@@ -1,23 +1,29 @@
 // Package art implements a volatile Adaptive Radix Tree (Leis et al.,
-// ICDE 2013) over byte-string keys with uint64 values.
+// ICDE 2013) over byte-string keys of at most MaxKeyLen bytes with uint64
+// values.
 //
 // HART stores all ART internal nodes in DRAM (paper Section III.A.2), so
 // this package is an ordinary in-memory structure: adaptive node types
-// NODE4/NODE16/NODE48/NODE256, pessimistic path compression (full prefixes
-// are kept, so lookups never need a second key verification), lazy
-// expansion (single-record subtrees are just leaves), ordered iteration,
-// and node shrinking on delete.
+// NODE4/NODE16/NODE48/NODE256, path compression with the whole compressed
+// path stored (inline, a few bytes per node, longer paths chained — see
+// node.go), lazy expansion (a single-record subtree is just its leaf, so
+// a lookup that reaches a leaf always compares the leaf's full key),
+// ordered iteration, and node shrinking on delete.
 //
 // Values are uint64 because HART stores persistent-memory offsets
 // (pmem.Ptr) in its ARTs; the package itself is index-agnostic.
 //
 // Keys may be arbitrary byte strings, including keys that are prefixes of
 // other keys: every inner node carries an optional terminator leaf for the
-// key that ends exactly at that node. A Tree is not safe for concurrent
-// use; HART serialises writers per ART with an RWMutex.
+// key that ends exactly at that node.
+//
+// A Tree is immutable once published: CowInsert, CowDelete and
+// Batch.Commit return a new Tree that shares every untouched node with
+// the one it was made from. Any number of goroutines may read a Tree, and
+// derive new trees from it, with no synchronisation beyond the one that
+// handed them the pointer; HART publishes each shard's tree through an
+// atomic pointer and serialises that shard's writers.
 package art
-
-import "bytes"
 
 // Kind enumerates the adaptive node types, exported for stats.
 type Kind uint8
@@ -49,84 +55,9 @@ func (k Kind) String() string {
 	}
 }
 
-// node is implemented by *leaf and the four inner node types.
-type node interface {
-	kind() Kind
-}
-
-// leaf holds one record: the full key and its value.
-type leaf struct {
-	key []byte
-	val uint64
-}
-
-func (*leaf) kind() Kind { return KindLeaf }
-
-// inner is the embedded header common to all inner node types. prefix is
-// the full compressed path segment below the parent edge byte (pessimistic
-// path compression). term is the terminator leaf for a key ending exactly
-// at this node. owner tags nodes created (or first cloned) by an open
-// Batch so later inserts of the same batch may mutate them in place
-// instead of cloning again; it is meaningless — never a license to mutate
-// — once the batch commits (see batch.go).
-type inner struct {
-	prefix []byte
-	term   *leaf
-	n      int // number of populated children (terminator excluded)
-	owner  *Batch
-}
-
-type node4 struct {
-	inner
-	keys     [4]byte
-	children [4]node
-}
-
-func (*node4) kind() Kind { return Kind4 }
-
-type node16 struct {
-	inner
-	keys     [16]byte
-	children [16]node
-}
-
-func (*node16) kind() Kind { return Kind16 }
-
-type node48 struct {
-	inner
-	// index maps a key byte to child slot + 1; 0 means no child.
-	index    [256]uint8
-	children [48]node
-}
-
-func (*node48) kind() Kind { return Kind48 }
-
-type node256 struct {
-	inner
-	children [256]node
-}
-
-func (*node256) kind() Kind { return Kind256 }
-
-// header returns the shared inner header of an inner node.
-func header(n node) *inner {
-	switch v := n.(type) {
-	case *node4:
-		return &v.inner
-	case *node16:
-		return &v.inner
-	case *node48:
-		return &v.inner
-	case *node256:
-		return &v.inner
-	default:
-		return nil
-	}
-}
-
 // Tree is a volatile adaptive radix tree.
 type Tree struct {
-	root node
+	root *node
 	size int
 }
 
@@ -140,56 +71,41 @@ func (t *Tree) Len() int { return t.size }
 func (t *Tree) Empty() bool { return t.size == 0 }
 
 // Get returns the value stored under key.
-func (t *Tree) Get(key []byte) (uint64, bool) {
-	n := t.root
+func (t *Tree) Get(key []byte) (uint64, bool) { return lookup(t.root, key) }
+
+// lookup walks from n down key: an inner node's stored prefix is compared
+// on the way, the full key at the leaf.
+func lookup(n *node, key []byte) (uint64, bool) {
 	depth := 0
 	for n != nil {
-		if l, ok := n.(*leaf); ok {
-			if bytes.Equal(l.key, key) {
+		if n.isLeaf() {
+			l := n.leaf()
+			if string(l.k()) == string(key) {
 				return l.val, true
 			}
 			return 0, false
 		}
-		h := header(n)
-		if len(key)-depth < len(h.prefix) || !bytes.Equal(h.prefix, key[depth:depth+len(h.prefix)]) {
+		h := n.inner()
+		if !hasPrefix(key[depth:], h) {
 			return 0, false
 		}
-		depth += len(h.prefix)
+		depth += int(h.plen)
 		if depth == len(key) {
 			if h.term != nil {
 				return h.term.val, true
 			}
 			return 0, false
 		}
-		n = findChild(n, key[depth])
+		n = h.child(key[depth])
 		depth++
 	}
 	return 0, false
 }
 
-// findChild returns the child of n under byte b, or nil.
-func findChild(n node, b byte) node {
-	switch v := n.(type) {
-	case *node4:
-		for i := 0; i < v.n; i++ {
-			if v.keys[i] == b {
-				return v.children[i]
-			}
-		}
-	case *node16:
-		for i := 0; i < v.n; i++ {
-			if v.keys[i] == b {
-				return v.children[i]
-			}
-		}
-	case *node48:
-		if s := v.index[b]; s != 0 {
-			return v.children[s-1]
-		}
-	case *node256:
-		return v.children[b]
-	}
-	return nil
+// hasPrefix reports whether rest begins with h's stored prefix.
+func hasPrefix(rest []byte, h *inner) bool {
+	p := h.prefix[:h.plen]
+	return len(rest) >= len(p) && string(rest[:len(p)]) == string(p)
 }
 
 // commonPrefixLen returns the length of the longest common prefix.
@@ -211,68 +127,41 @@ type Stats struct {
 	Node4s, Node16s, Node48s, Node256s int
 	// Height is the maximum node depth (leaves included).
 	Height int
-	// Bytes estimates the DRAM footprint of all nodes and leaf headers.
+	// Bytes is the DRAM the tree holds: every leaf, every inner node and
+	// the Tree itself, each at the size class the Go heap allocates it in.
 	Bytes int64
+	// LeafBytes is the leaves' share of Bytes.
+	LeafBytes int64
 }
-
-// Approximate per-node DRAM costs (Go struct sizes incl. slice headers).
-const (
-	leafCost    = 48 // struct + key slice header; key bytes added per leaf
-	node4Cost   = 56 + 4 + 4*16
-	node16Cost  = 56 + 16 + 16*16
-	node48Cost  = 56 + 256 + 48*16
-	node256Cost = 56 + 256*16
-)
 
 // Stats walks the tree and returns shape statistics.
 func (t *Tree) Stats() Stats {
-	var s Stats
-	var walk func(n node, depth int)
-	walk = func(n node, depth int) {
-		if n == nil {
+	s := Stats{Bytes: treeBytes}
+	var kinds [Kind256 + 1]int
+	var walk func(n *node, depth int)
+	walk = func(n *node, depth int) {
+		s.Height = max(s.Height, depth)
+		kinds[n.meta&kindMask]++
+		if n.isLeaf() {
 			return
 		}
-		if depth > s.Height {
-			s.Height = depth
-		}
-		if l, ok := n.(*leaf); ok {
-			s.Records++
-			s.Bytes += leafCost + int64(len(l.key))
-			return
-		}
-		h := header(n)
-		s.Bytes += int64(len(h.prefix))
+		h := n.inner()
 		if h.term != nil {
-			s.Records++
-			s.Bytes += leafCost + int64(len(h.term.key))
+			kinds[KindLeaf]++
 		}
-		switch v := n.(type) {
-		case *node4:
-			s.Node4s++
-			s.Bytes += node4Cost
-			for i := 0; i < v.n; i++ {
-				walk(v.children[i], depth+1)
-			}
-		case *node16:
-			s.Node16s++
-			s.Bytes += node16Cost
-			for i := 0; i < v.n; i++ {
-				walk(v.children[i], depth+1)
-			}
-		case *node48:
-			s.Node48s++
-			s.Bytes += node48Cost
-			for _, c := range v.children {
-				walk(c, depth+1)
-			}
-		case *node256:
-			s.Node256s++
-			s.Bytes += node256Cost
-			for _, c := range v.children {
-				walk(c, depth+1)
-			}
-		}
+		h.each(0, 255, false, func(_ byte, c *node) bool {
+			walk(c, depth+1)
+			return true
+		})
 	}
-	walk(t.root, 0)
+	if t.root != nil {
+		walk(t.root, 0)
+	}
+	s.Records = kinds[KindLeaf]
+	s.Node4s, s.Node16s, s.Node48s, s.Node256s = kinds[Kind4], kinds[Kind16], kinds[Kind48], kinds[Kind256]
+	for k, n := range kinds {
+		s.Bytes += int64(n) * nodeBytes[k]
+	}
+	s.LeafBytes = int64(s.Records) * nodeBytes[KindLeaf]
 	return s
 }

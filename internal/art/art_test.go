@@ -9,6 +9,22 @@ import (
 	"testing/quick"
 )
 
+// editor threads a tree through CowInsert and CowDelete, so a test body
+// reads as the sequence of operations it checks.
+type editor struct{ *Tree }
+
+func newEditor() *editor { return &editor{New()} }
+
+func (e *editor) Insert(key []byte, val uint64) (old uint64, updated bool) {
+	e.Tree, old, updated = e.CowInsert(key, val)
+	return old, updated
+}
+
+func (e *editor) Delete(key []byte) (old uint64, ok bool) {
+	e.Tree, old, ok = e.CowDelete(key)
+	return old, ok
+}
+
 // ref is a reference model for differential testing.
 type ref map[string]uint64
 
@@ -23,6 +39,7 @@ func (r ref) sortedKeys() []string {
 
 func checkAgainstRef(t *testing.T, tr *Tree, r ref) {
 	t.Helper()
+	checkShape(t, tr)
 	if tr.Len() != len(r) {
 		t.Fatalf("Len = %d, ref has %d", tr.Len(), len(r))
 	}
@@ -52,7 +69,7 @@ func checkAgainstRef(t *testing.T, tr *Tree, r ref) {
 }
 
 func TestInsertGetBasic(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	if _, ok := tr.Get([]byte("missing")); ok {
 		t.Fatal("Get on empty tree returned ok")
 	}
@@ -74,7 +91,7 @@ func TestInsertGetBasic(t *testing.T) {
 }
 
 func TestInsertUpdateReturnsOld(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	tr.Insert([]byte("key"), 10)
 	old, updated := tr.Insert([]byte("key"), 20)
 	if !updated || old != 10 {
@@ -90,27 +107,27 @@ func TestInsertUpdateReturnsOld(t *testing.T) {
 
 func TestPrefixKeys(t *testing.T) {
 	// Keys that are prefixes of one another exercise terminator leaves.
-	tr := New()
+	tr := newEditor()
 	r := ref{}
 	keys := []string{"a", "ab", "abc", "abcd", "abcde", "b", "", "abce", "abd"}
 	for i, k := range keys {
 		tr.Insert([]byte(k), uint64(i+100))
 		r[k] = uint64(i + 100)
 	}
-	checkAgainstRef(t, tr, r)
+	checkAgainstRef(t, tr.Tree, r)
 	// Delete the middle of a prefix chain.
 	for _, k := range []string{"abc", "a", ""} {
 		if _, ok := tr.Delete([]byte(k)); !ok {
 			t.Fatalf("Delete(%q) failed", k)
 		}
 		delete(r, k)
-		checkAgainstRef(t, tr, r)
+		checkAgainstRef(t, tr.Tree, r)
 	}
 }
 
 func TestNodeGrowthAllKinds(t *testing.T) {
 	// 256 single-byte-suffix keys force NODE4 -> NODE16 -> NODE48 -> NODE256.
-	tr := New()
+	tr := newEditor()
 	r := ref{}
 	for i := 0; i < 256; i++ {
 		k := string([]byte{'p', 'r', 'e', byte(i)})
@@ -118,7 +135,7 @@ func TestNodeGrowthAllKinds(t *testing.T) {
 		r[k] = uint64(i)
 		// Validate at the growth boundaries.
 		if i == 3 || i == 4 || i == 15 || i == 16 || i == 47 || i == 48 || i == 255 {
-			checkAgainstRef(t, tr, r)
+			checkAgainstRef(t, tr.Tree, r)
 		}
 	}
 	st := tr.Stats()
@@ -128,7 +145,7 @@ func TestNodeGrowthAllKinds(t *testing.T) {
 }
 
 func TestNodeShrinkAllKinds(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	r := ref{}
 	for i := 0; i < 256; i++ {
 		k := string([]byte{'x', byte(i)})
@@ -145,7 +162,7 @@ func TestNodeShrinkAllKinds(t *testing.T) {
 		// Validate around the shrink boundaries and at the end.
 		left := 256 - n - 1
 		if left == 48 || left == 37 || left == 16 || left == 12 || left == 4 || left == 3 || left == 1 || left == 0 {
-			checkAgainstRef(t, tr, r)
+			checkAgainstRef(t, tr.Tree, r)
 		}
 	}
 	if tr.root != nil {
@@ -154,7 +171,7 @@ func TestNodeShrinkAllKinds(t *testing.T) {
 }
 
 func TestDeleteMissing(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	tr.Insert([]byte("abc"), 1)
 	for _, k := range []string{"", "a", "ab", "abcd", "abd", "xyz"} {
 		if _, ok := tr.Delete([]byte(k)); ok {
@@ -167,18 +184,18 @@ func TestDeleteMissing(t *testing.T) {
 }
 
 func TestPathCompressionSplit(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	r := ref{}
 	// Long shared prefix, diverging at several depths.
 	for i, k := range []string{"aaaaaaaaaaaaaaaa1", "aaaaaaaaaaaaaaaa2", "aaaaaaaa", "aaaab", "aaaaaaaaaaaaaaaa"} {
 		tr.Insert([]byte(k), uint64(i))
 		r[k] = uint64(i)
 	}
-	checkAgainstRef(t, tr, r)
+	checkAgainstRef(t, tr.Tree, r)
 }
 
 func TestAscendRange(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	var all []string
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key%04d", i)
@@ -217,7 +234,7 @@ func TestAscendRange(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	if _, _, ok := tr.Min(); ok {
 		t.Fatal("Min on empty tree returned ok")
 	}
@@ -234,7 +251,7 @@ func TestMinMax(t *testing.T) {
 }
 
 func TestKeySliceNotAliased(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	buf := []byte("mutable")
 	tr.Insert(buf, 1)
 	buf[0] = 'X'
@@ -245,7 +262,7 @@ func TestKeySliceNotAliased(t *testing.T) {
 
 func TestRandomizedAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	tr := New()
+	tr := newEditor()
 	r := ref{}
 	var live []string
 	const ops = 20000
@@ -281,7 +298,7 @@ func TestRandomizedAgainstMap(t *testing.T) {
 			}
 		}
 	}
-	checkAgainstRef(t, tr, r)
+	checkAgainstRef(t, tr.Tree, r)
 }
 
 // randKey draws short keys from a small alphabet to maximise structural
@@ -299,11 +316,11 @@ func TestQuickInsertGetDelete(t *testing.T) {
 	// Property: a tree loaded with any key set returns exactly that set in
 	// sorted order, and deleting half leaves exactly the other half.
 	f := func(raw [][]byte) bool {
-		tr := New()
+		tr := newEditor()
 		r := ref{}
 		for i, k := range raw {
-			if len(k) > 64 {
-				k = k[:64]
+			if len(k) > MaxKeyLen {
+				k = k[:MaxKeyLen]
 			}
 			tr.Insert(k, uint64(i))
 			r[string(k)] = uint64(i)
@@ -350,7 +367,7 @@ func TestQuickInsertGetDelete(t *testing.T) {
 }
 
 func TestStatsCounts(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	for i := 0; i < 10000; i++ {
 		tr.Insert([]byte(fmt.Sprintf("%08d", i)), uint64(i))
 	}
@@ -363,26 +380,40 @@ func TestStatsCounts(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	keys := make([][]byte, b.N)
+func benchKeys(n int) [][]byte {
+	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("%012d", i*2654435761%1000000007))
 	}
+	return keys
+}
+
+func BenchmarkCowInsert(b *testing.B) {
+	keys := benchKeys(b.N)
 	tr := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Insert(keys[i], uint64(i))
+		tr, _, _ = tr.CowInsert(keys[i], uint64(i))
+	}
+}
+
+func BenchmarkBatchInsert(b *testing.B) {
+	keys := benchKeys(b.N)
+	bt := New().BeginBatch()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bt.Insert(keys[i], uint64(i))
 	}
 }
 
 func BenchmarkGet(b *testing.B) {
-	tr := New()
 	const n = 100000
-	keys := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		keys[i] = []byte(fmt.Sprintf("%012d", i*2654435761%1000000007))
-		tr.Insert(keys[i], uint64(i))
+	keys := benchKeys(n)
+	bt := New().BeginBatch()
+	for i, k := range keys {
+		bt.Insert(k, uint64(i))
 	}
+	tr := bt.Commit()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(keys[i%n])
@@ -390,7 +421,7 @@ func BenchmarkGet(b *testing.B) {
 }
 
 func TestDescend(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	var keys []string
 	for i := 0; i < 300; i++ {
 		k := fmt.Sprintf("d%04d", i)
@@ -441,7 +472,7 @@ func TestKindStringsAndEmpty(t *testing.T) {
 			t.Fatalf("Kind(%d).String() = %q, want %q", k, k.String(), want)
 		}
 	}
-	tr := New()
+	tr := newEditor()
 	if !tr.Empty() {
 		t.Fatal("new tree not Empty")
 	}
@@ -454,7 +485,7 @@ func TestKindStringsAndEmpty(t *testing.T) {
 // TestMinMaxOnLargeNodes drives extreme() through NODE48/NODE256 paths
 // and terminator interactions.
 func TestMinMaxOnLargeNodes(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	// Dense fanout under one prefix forces NODE256 at the top.
 	for i := 255; i >= 0; i-- {
 		tr.Insert([]byte{'q', byte(i), 'z'}, uint64(i))
@@ -482,7 +513,7 @@ func TestMinMaxOnLargeNodes(t *testing.T) {
 // node kind by deleting down to one child.
 func TestSoleChildMergeAllKinds(t *testing.T) {
 	for _, fan := range []int{4, 16, 48, 256} {
-		tr := New()
+		tr := newEditor()
 		for i := 0; i < fan; i++ {
 			tr.Insert([]byte{'m', byte(i), 'a', 'b'}, uint64(i))
 		}
@@ -505,7 +536,7 @@ func TestSoleChildMergeAllKinds(t *testing.T) {
 }
 
 func TestDescendOnLargeNodesWithBounds(t *testing.T) {
-	tr := New()
+	tr := newEditor()
 	for i := 0; i < 200; i++ {
 		tr.Insert([]byte{'w', byte(i)}, uint64(i))
 	}

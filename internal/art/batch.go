@@ -1,35 +1,41 @@
 package art
 
-import "bytes"
+import "sync/atomic"
 
 // Batch is a transient copy-on-write editor over a base tree: a sequence
-// of inserts that clones each node reachable from the base at most once,
+// of inserts that copies each node reachable from the base at most once,
 // no matter how many keys land under it, and publishes the result as one
 // new immutable *Tree. It is the amortised counterpart of calling
-// CowInsert per key (which re-clones the root-to-leaf path every time).
+// CowInsert per key (which re-copies the root-to-leaf path every time).
 //
-// Ownership is tracked by tagging each node the batch creates or clones
-// with the batch's identity (inner.owner): an insert walking into a node
-// it already owns mutates it in place, which is safe because an owned node
-// is reachable only from this batch's private root until Commit. Nodes of
-// the base tree are never mutated, so the base remains published and
-// readable throughout. The owner tag is a pointer, not a generation
-// counter, so a node can never be confused with a later batch's property:
-// the tag keeps the batch alive and therefore unique.
+// Ownership is an id: each batch draws one from a package-wide 64-bit
+// counter and tags every node it creates or copies with it (inner.owner).
+// An insert walking into a node that carries the batch's id edits it in
+// place, which is safe because such a node is reachable only from this
+// batch's private root until Commit. Nodes of the base tree carry another
+// id — an earlier batch's, or 0 — and are never edited, so the base stays
+// published and readable throughout. Ids are never reused (the counter
+// does not wrap in any run), so a tag left on a published node confers
+// nothing on a later batch, and it keeps no finished Batch alive.
 //
 // After Commit the produced tree is immutable like any CoW-published tree;
-// further Insert calls on the batch panic (a committed batch's tags no
-// longer confer ownership). A Batch is not safe for concurrent use; HART
-// drives one batch per shard under the shard's writer lock.
+// further Insert calls on the batch panic. A Batch is not safe for
+// concurrent use; HART drives one batch per shard under the shard's
+// writer lock.
 type Batch struct {
-	root      node
+	root      *node
 	size      int
+	id        uint64
 	committed bool
 }
 
+// lastBatch is the id of the most recently opened batch. The first batch
+// gets 1: 0 tags the nodes no batch owns.
+var lastBatch atomic.Uint64
+
 // BeginBatch opens a batch over t. t itself is never modified.
 func (t *Tree) BeginBatch() *Batch {
-	return &Batch{root: t.root, size: t.size}
+	return &Batch{root: t.root, size: t.size, id: lastBatch.Add(1)}
 }
 
 // Len returns the number of records in the batch's working state.
@@ -37,9 +43,7 @@ func (b *Batch) Len() int { return b.size }
 
 // Get returns the value stored under key in the batch's working state
 // (base tree plus all inserts so far).
-func (b *Batch) Get(key []byte) (uint64, bool) {
-	return (&Tree{root: b.root}).Get(key)
-}
+func (b *Batch) Get(key []byte) (uint64, bool) { return lookup(b.root, key) }
 
 // Commit freezes the batch and returns its state as an immutable tree.
 // The batch cannot be used afterwards.
@@ -49,85 +53,15 @@ func (b *Batch) Commit() *Tree {
 }
 
 // Insert stores val under key in the batch's working state, returning the
-// previous value if the key was present. The key bytes are copied.
+// previous value if the key was present. The key bytes are copied. It
+// panics on a key longer than MaxKeyLen.
 func (b *Batch) Insert(key []byte, val uint64) (old uint64, updated bool) {
 	if b.committed {
 		panic("art: Insert on committed Batch")
 	}
-	k := append([]byte(nil), key...)
-	b.root, old, updated = b.insert(b.root, k, 0, val)
+	b.root, old, updated = insert(b.root, key, 0, val, b.id)
 	if !updated {
 		b.size++
 	}
 	return old, updated
-}
-
-// own returns n if the batch already owns it, else a clone tagged as
-// owned. Leaves are always replaced whole (they may be shared with the
-// base), so own is only called on inner nodes.
-func (b *Batch) own(n node) node {
-	if header(n).owner == b {
-		return n
-	}
-	c := cloneNode(n)
-	header(c).owner = b
-	return c
-}
-
-// insert mirrors cowInsert, cloning each base node at most once.
-func (b *Batch) insert(n node, key []byte, depth int, val uint64) (node, uint64, bool) {
-	if n == nil {
-		return &leaf{key: key, val: val}, 0, false
-	}
-	if l, ok := n.(*leaf); ok {
-		if bytes.Equal(l.key, key) {
-			return &leaf{key: key, val: val}, l.val, true
-		}
-		cp := commonPrefixLen(l.key[depth:], key[depth:])
-		nn := &node4{inner: inner{prefix: append([]byte(nil), key[depth:depth+cp]...), owner: b}}
-		attach(nn, l.key, depth+cp, l) // l itself is shared, not copied
-		attach(nn, key, depth+cp, &leaf{key: key, val: val})
-		return nn, 0, false
-	}
-
-	h := header(n)
-	cp := commonPrefixLen(h.prefix, key[depth:])
-	if cp < len(h.prefix) {
-		// Split inside n's compressed path: n survives under a new parent
-		// with its prefix trimmed; trim on an owned copy.
-		nn := &node4{inner: inner{prefix: append([]byte(nil), h.prefix[:cp]...), owner: b}}
-		edge := h.prefix[cp]
-		cn := b.own(n)
-		header(cn).prefix = append([]byte(nil), h.prefix[cp+1:]...)
-		addChild(nn, edge, cn)
-		attach(nn, key, depth+cp, &leaf{key: key, val: val})
-		return nn, 0, false
-	}
-	depth += len(h.prefix)
-
-	if depth == len(key) {
-		cn := b.own(n)
-		ch := header(cn)
-		if ch.term != nil {
-			old := ch.term.val
-			ch.term = &leaf{key: key, val: val} // term may be shared: replace whole
-			return cn, old, true
-		}
-		ch.term = &leaf{key: key, val: val}
-		return cn, 0, false
-	}
-
-	eb := key[depth]
-	child := findChild(n, eb)
-	if child == nil {
-		// addChild mutates (and possibly grows) the node it is given; growth
-		// copies the inner header, so the owner tag survives it.
-		return addChild(b.own(n), eb, &leaf{key: key, val: val}), 0, false
-	}
-	newChild, old, updated := b.insert(child, key, depth+1, val)
-	cn := b.own(n)
-	if newChild != child {
-		replaceChild(cn, eb, newChild)
-	}
-	return cn, old, updated
 }

@@ -60,12 +60,12 @@ func TestBatchTerminatorAndSplitPaths(t *testing.T) {
 		val     uint64
 		wantUpd bool
 	}{
-		{"abc", 2, false},    // terminator inside compressed path
-		{"abcd", 3, false},   // terminator at existing node
-		{"abcde", 4, true},   // update base key
-		{"ab", 5, false},     // split above
-		{"abc", 6, true},     // update a key this batch inserted
-		{"zzz", 7, false},    // fresh top-level branch
+		{"abc", 2, false},     // terminator inside compressed path
+		{"abcd", 3, false},    // terminator at existing node
+		{"abcde", 4, true},    // update base key
+		{"ab", 5, false},      // split above
+		{"abc", 6, true},      // update a key this batch inserted
+		{"zzz", 7, false},     // fresh top-level branch
 		{"abcdefg", 8, false}, // extend below a leaf
 	}
 	want := map[string]uint64{"abcdf": 1, "abxyz": 1}

@@ -1,28 +1,24 @@
 package art
 
-import "bytes"
-
 // Copy-on-write mutation.
 //
-// CowInsert and CowDelete are the functional counterparts of Insert and
-// Delete: instead of mutating t they return a new *Tree that shares every
-// untouched subtree with t and copies only the nodes along the modified
-// path (O(key length) copies). A tree reached through them is immutable,
-// so HART can publish each shard's current tree behind an atomic pointer
-// and let lock-free readers traverse it with no synchronisation at all:
-// the atomic root swap is the only happens-before edge a reader needs.
+// CowInsert and CowDelete return a new *Tree that shares every untouched
+// subtree with t and copies only the nodes along the modified path
+// (O(key length) copies). Every node reachable from a published tree is
+// immutable, so HART can publish each shard's current tree behind an
+// atomic pointer and let lock-free readers traverse it with no
+// synchronisation at all: the atomic root swap is the only happens-before
+// edge a reader needs.
 //
-// The invariant the in-place mutators do not give: after nu = t.CowX(...),
-// every node reachable from t is bit-for-bit unchanged. Cloned nodes share
-// prefix backing arrays with their originals, which is safe because no
-// code path writes *through* a prefix slice — prefixes are only ever
-// replaced whole, on a clone.
+// The invariant: after nu = t.CowX(...), every node reachable from t is
+// bit-for-bit unchanged.
 
-// CowInsert returns a tree with val stored under key, leaving t unchanged.
-// Like Insert it reports the previous value if the key was present.
+// CowInsert returns a tree with val stored under key, leaving t
+// unchanged, and reports the previous value if the key was present. The
+// key bytes are copied into the new leaf. It panics on a key longer than
+// MaxKeyLen.
 func (t *Tree) CowInsert(key []byte, val uint64) (nu *Tree, old uint64, updated bool) {
-	k := append([]byte(nil), key...)
-	root, old, updated := cowInsert(t.root, k, 0, val)
+	root, old, updated := insert(t.root, key, 0, val, 0)
 	size := t.size
 	if !updated {
 		size++
@@ -30,158 +26,138 @@ func (t *Tree) CowInsert(key []byte, val uint64) (nu *Tree, old uint64, updated 
 	return &Tree{root: root, size: size}, old, updated
 }
 
-// cowInsert mirrors (*Tree).insert with every mutated node cloned first.
-func cowInsert(n node, key []byte, depth int, val uint64) (node, uint64, bool) {
+// insert stores val under key below n, whose path covers key[:depth], and
+// returns the node that takes n's place. Nodes tagged owner are edited in
+// place; every other node on the path is copied first and the copy
+// tagged, as is every node made on the way. With owner 0 nothing is
+// edited in place: that is CowInsert; a Batch passes its id.
+func insert(n *node, key []byte, depth int, val, owner uint64) (*node, uint64, bool) {
 	if n == nil {
-		return &leaf{key: key, val: val}, 0, false
+		return &newLeaf(key, val).node, 0, false
 	}
-	if l, ok := n.(*leaf); ok {
-		if bytes.Equal(l.key, key) {
-			return &leaf{key: key, val: val}, l.val, true
+	if n.isLeaf() {
+		// Leaves may be shared with a published tree: replace, never edit.
+		l := n.leaf()
+		lk := l.k()
+		if string(lk) == string(key) {
+			return &newLeaf(key, val).node, l.val, true
 		}
-		cp := commonPrefixLen(l.key[depth:], key[depth:])
-		nn := &node4{inner: inner{prefix: append([]byte(nil), key[depth:depth+cp]...)}}
-		attach(nn, l.key, depth+cp, l) // l itself is shared, not copied
-		attach(nn, key, depth+cp, &leaf{key: key, val: val})
-		return nn, 0, false
+		// Lazy expansion ends here: a new node holds both records below
+		// the path they share.
+		cp := commonPrefixLen(lk[depth:], key[depth:])
+		nn := newInner(Kind4, owner)
+		attach(nn, lk, depth+cp, l)
+		attach(nn, key, depth+cp, newLeaf(key, val))
+		return chain(key[depth:depth+cp], nn, owner), 0, false
 	}
 
-	h := header(n)
-	cp := commonPrefixLen(h.prefix, key[depth:])
-	if cp < len(h.prefix) {
-		// Split inside n's compressed path: n survives under a new parent
-		// with its prefix trimmed, so clone it before trimming.
-		nn := &node4{inner: inner{prefix: append([]byte(nil), h.prefix[:cp]...)}}
-		edge := h.prefix[cp]
-		cn := cloneNode(n)
-		header(cn).prefix = append([]byte(nil), h.prefix[cp+1:]...)
-		addChild(nn, edge, cn)
-		attach(nn, key, depth+cp, &leaf{key: key, val: val})
-		return nn, 0, false
+	h := n.inner()
+	cp := commonPrefixLen(h.prefix[:h.plen], key[depth:])
+	if cp < int(h.plen) {
+		// The key leaves the stored path inside h's prefix. A new node
+		// takes the bytes they share; the byte after them becomes its edge
+		// to the rest of the path, re-chained above the node that ends
+		// h's chain so that every link below the split is full again.
+		var buf [MaxKeyLen]byte
+		path, end := chainPath(buf[:0], h)
+		nn := newInner(Kind4, owner)
+		nn.setPrefix(path[:cp])
+		nn.insertChild(path[cp], chain(path[cp+1:], own(end, owner), owner))
+		attach(nn, key, depth+cp, newLeaf(key, val))
+		return &nn.node, 0, false
 	}
-	depth += len(h.prefix)
+	depth += int(h.plen)
 
 	if depth == len(key) {
-		cn := cloneNode(n)
-		ch := header(cn)
-		if ch.term != nil {
-			old := ch.term.val
-			ch.term = &leaf{key: key, val: val}
-			return cn, old, true
+		c := own(h, owner)
+		var old uint64
+		updated := c.term != nil
+		if updated {
+			old = c.term.val
 		}
-		ch.term = &leaf{key: key, val: val}
-		return cn, 0, false
+		c.term = newLeaf(key, val)
+		return &c.node, old, updated
 	}
 
 	b := key[depth]
-	child := findChild(n, b)
+	child := h.child(b)
 	if child == nil {
-		// addChild mutates (and possibly grows) the node it is given, so
-		// hand it a clone; growth then also starts from the clone's header.
-		return addChild(cloneNode(n), b, &leaf{key: key, val: val}), 0, false
+		c := withRoom(h, owner)
+		c.insertChild(b, &newLeaf(key, val).node)
+		return &c.node, 0, false
 	}
-	newChild, old, updated := cowInsert(child, key, depth+1, val)
-	cn := cloneNode(n)
-	replaceChild(cn, b, newChild)
-	return cn, old, updated
+	newChild, old, updated := insert(child, key, depth+1, val, owner)
+	c := own(h, owner)
+	*c.slot(b) = newChild
+	return &c.node, old, updated
 }
 
-// CowDelete returns a tree without key, leaving t unchanged. Like Delete
-// it reports the removed value if the key was present.
+// attach hangs leaf l below nn: as the terminator when l's key ends at
+// position pos, otherwise as a child under edge byte key[pos].
+func attach(nn *inner, key []byte, pos int, l *leaf) {
+	if pos == len(key) {
+		nn.term = l
+	} else {
+		nn.insertChild(key[pos], &l.node)
+	}
+}
+
+// CowDelete returns a tree without key, leaving t unchanged, and reports
+// the removed value if the key was present. Inner nodes shrink to smaller
+// kinds as they empty and single-child paths re-compress, so a tree that
+// empties returns to a nil root. Deleting an absent key returns t itself.
 func (t *Tree) CowDelete(key []byte) (nu *Tree, old uint64, ok bool) {
-	root, old, ok := cowRemove(t.root, key, 0)
+	root, old, ok := remove(t.root, key, 0)
 	if !ok {
 		return t, 0, false
 	}
 	return &Tree{root: root, size: t.size - 1}, old, true
 }
 
-// cowRemove mirrors (*Tree).remove with every mutated node cloned first.
-func cowRemove(n node, key []byte, depth int) (node, uint64, bool) {
+// remove deletes key below n, whose path covers key[:depth], and returns
+// the node that takes n's place: nil when nothing is left, n itself when
+// the key is absent, otherwise a copy.
+func remove(n *node, key []byte, depth int) (*node, uint64, bool) {
 	if n == nil {
 		return nil, 0, false
 	}
-	if l, ok := n.(*leaf); ok {
-		if bytes.Equal(l.key, key) {
+	if n.isLeaf() {
+		if l := n.leaf(); string(l.k()) == string(key) {
 			return nil, l.val, true
 		}
 		return n, 0, false
 	}
 
-	h := header(n)
-	if len(key)-depth < len(h.prefix) || !bytes.Equal(h.prefix, key[depth:depth+len(h.prefix)]) {
+	h := n.inner()
+	if !hasPrefix(key[depth:], h) {
 		return n, 0, false
 	}
-	depth += len(h.prefix)
+	depth += int(h.plen)
 
 	if depth == len(key) {
 		if h.term == nil {
 			return n, 0, false
 		}
-		old := h.term.val
-		cn := cloneNode(n)
-		header(cn).term = nil
-		return cowCompact(cn), old, true
+		c := own(h, 0)
+		c.term = nil
+		return compact(c), h.term.val, true
 	}
 
 	b := key[depth]
-	child := findChild(n, b)
-	if child == nil {
-		return n, 0, false
-	}
-	newChild, old, ok := cowRemove(child, key, depth+1)
+	newChild, old, ok := remove(h.child(b), key, depth+1)
 	if !ok {
 		return n, 0, false
 	}
-	cn := cloneNode(n)
+	if newChild != nil && newChild.isLeaf() && h.isLink() {
+		// The chain h belongs to no longer leads to an inner node: it
+		// collapses, link by link, into the one record left below it.
+		return newChild, old, true
+	}
+	c := own(h, 0)
 	if newChild == nil {
-		removeChild(cn, b)
-		return cowCompact(cn), old, true
+		c.removeChild(b)
+		return compact(c), old, true
 	}
-	replaceChild(cn, b, newChild)
-	return cn, old, true
-}
-
-// cowCompact is compact for a node the caller already owns (a clone): the
-// only case compact mutates *another* node — merging the prefix into a
-// lone child during path re-compression — clones that child first here.
-func cowCompact(n node) node {
-	h := header(n)
-	if h.n == 1 && h.term == nil {
-		b, child := soleChild(n)
-		if cl, ok := child.(*leaf); ok {
-			return cl
-		}
-		ch := header(child)
-		merged := make([]byte, 0, len(h.prefix)+1+len(ch.prefix))
-		merged = append(merged, h.prefix...)
-		merged = append(merged, b)
-		merged = append(merged, ch.prefix...)
-		cc := cloneNode(child)
-		header(cc).prefix = merged
-		return cc
-	}
-	return compact(n)
-}
-
-// cloneNode shallow-copies an inner node: header fields (the prefix slice
-// header is shared — see the package invariant above) plus the key/index
-// and children arrays. Subtrees are shared, not copied.
-func cloneNode(n node) node {
-	switch v := n.(type) {
-	case *node4:
-		c := *v
-		return &c
-	case *node16:
-		c := *v
-		return &c
-	case *node48:
-		c := *v
-		return &c
-	case *node256:
-		c := *v
-		return &c
-	default:
-		panic("art: cloneNode on leaf")
-	}
+	*c.slot(b) = newChild
+	return &c.node, old, true
 }

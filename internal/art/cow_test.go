@@ -18,6 +18,7 @@ func dump(t *Tree) map[string]uint64 {
 
 func sameContents(t *testing.T, want map[string]uint64, tree *Tree, label string) {
 	t.Helper()
+	checkShape(t, tree)
 	got := dump(tree)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d entries, want %d", label, len(got), len(want))
@@ -76,46 +77,6 @@ func TestCowLeavesOriginalUnchanged(t *testing.T) {
 	sameContents(t, live, tree, "final tree")
 	for i, s := range snaps {
 		sameContents(t, s.contents, s.tree, fmt.Sprintf("snapshot %d", i))
-	}
-}
-
-// TestCowMatchesInPlace drives identical random operation sequences
-// through the in-place and COW mutators and checks they agree at every
-// step, including return values.
-func TestCowMatchesInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	inPlace := New()
-	cow := New()
-
-	for i := 0; i < 6000; i++ {
-		k := []byte(randKey(rng))
-		if rng.Intn(3) == 0 {
-			o1, ok1 := inPlace.Delete(k)
-			nu, o2, ok2 := cow.CowDelete(k)
-			if o1 != o2 || ok1 != ok2 {
-				t.Fatalf("Delete(%q): in-place %d,%v cow %d,%v", k, o1, ok1, o2, ok2)
-			}
-			cow = nu
-		} else {
-			v := rng.Uint64()
-			o1, u1 := inPlace.Insert(k, v)
-			nu, o2, u2 := cow.CowInsert(k, v)
-			if o1 != o2 || u1 != u2 {
-				t.Fatalf("Insert(%q): in-place %d,%v cow %d,%v", k, o1, u1, o2, u2)
-			}
-			cow = nu
-		}
-		if inPlace.Len() != cow.Len() {
-			t.Fatalf("step %d: Len in-place %d cow %d", i, inPlace.Len(), cow.Len())
-		}
-	}
-	sameContents(t, dump(inPlace), cow, "cow vs in-place")
-
-	// Structural agreement too: node counts must match, since cowInsert /
-	// cowRemove mirror the in-place algorithms decision for decision.
-	s1, s2 := inPlace.Stats(), cow.Stats()
-	if s1 != s2 {
-		t.Fatalf("stats diverge: in-place %+v cow %+v", s1, s2)
 	}
 }
 

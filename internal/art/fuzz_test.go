@@ -1,0 +1,198 @@
+package art
+
+import (
+	"bytes"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// FuzzARTDifferential reads its input as a history of CowInsert,
+// CowDelete and Batch operations, runs it beside a sorted-map model, and
+// after every step checks the new tree against the model (contents,
+// order, a range scan in both directions, shape invariants) and every
+// tree published so far against the memory dump taken when it was
+// published. Run it under -race: that is what turns checkptr on for every
+// cast in node.go.
+func FuzzARTDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x00\x03abc\x00\x02ab\x00\x05abcde\x03\x02ab\x05\x03\x01a\x01b\x02ab\x06\x00\x07\x01a"))
+	// A path two links long, split inside the chain, then re-compressed.
+	f.Add([]byte("\x00\x0cabcdefghijk1\x00\x0cabcdefghijk2\x00\x07abcdefg\x00\x03abX\x03\x03abX\x03\x07abcdefg\x03\x0cabcdefghijk1"))
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 24; i++ {
+		seed := make([]byte, 64+rng.Intn(700))
+		rng.Read(seed)
+		if i%2 == 0 { // every other seed: wide fanout under short keys
+			for j := range seed {
+				if j%3 == 1 {
+					seed[j] = byte(1 + rng.Intn(2))
+				}
+			}
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(runHistory)
+}
+
+// history decodes fuzz input.
+type history struct{ data []byte }
+
+func (h *history) byte() byte {
+	if len(h.data) == 0 {
+		return 0
+	}
+	b := h.data[0]
+	h.data = h.data[1:]
+	return b
+}
+
+// key draws a key of 0..MaxKeyLen bytes. Half the byte values map onto
+// four symbols, so that keys share prefixes and end inside one another;
+// the rest stay as they are, so that nodes can grow wide.
+func (h *history) key() []byte {
+	k := make([]byte, int(h.byte())%(MaxKeyLen+1))
+	for i := range k {
+		if b := h.byte(); b < 0x80 {
+			k[i] = "\x00ab\xff"[b&3]
+		} else {
+			k[i] = b
+		}
+	}
+	return k
+}
+
+func runHistory(t *testing.T, data []byte) {
+	h := &history{data}
+	cur := New()
+	model := map[string]uint64{}
+	type snapshot struct {
+		tree *Tree
+		dump []byte
+	}
+	snaps := []snapshot{{cur, rawDump(cur)}}
+	prevKey := []byte(nil)
+
+	for step := uint64(1); len(h.data) > 0 && step <= 150; step++ {
+		op := h.byte() % 8
+		key := h.key()
+		switch {
+		case op <= 2:
+			nu, old, updated := cur.CowInsert(key, step)
+			if want, present := model[string(key)]; updated != present || old != want {
+				t.Fatalf("step %d: CowInsert(%q) = %d,%v; model had %d,%v", step, key, old, updated, want, present)
+			}
+			model[string(key)] = step
+			cur = nu
+		case op <= 4:
+			if op == 4 && len(model) > 0 { // a key that is there
+				keys := sortedKeys(model)
+				key = []byte(keys[int(h.byte())%len(keys)])
+			}
+			nu, old, ok := cur.CowDelete(key)
+			if want, present := model[string(key)]; ok != present || old != want {
+				t.Fatalf("step %d: CowDelete(%q) = %d,%v; model had %d,%v", step, key, old, ok, want, present)
+			}
+			if !ok && nu != cur {
+				t.Fatalf("step %d: CowDelete of absent %q made a new tree", step, key)
+			}
+			delete(model, string(key))
+			cur = nu
+		default:
+			b := cur.BeginBatch()
+			for n := 1 + int(h.byte())%12; n > 0; n-- {
+				old, updated := b.Insert(key, step)
+				if want, present := model[string(key)]; updated != present || old != want {
+					t.Fatalf("step %d: Batch.Insert(%q) = %d,%v; model had %d,%v", step, key, old, updated, want, present)
+				}
+				model[string(key)] = step
+				if got, ok := b.Get(key); !ok || got != step || b.Len() != len(model) {
+					t.Fatalf("step %d: mid-batch Get(%q) = %d,%v, Len %d of %d", step, key, got, ok, b.Len(), len(model))
+				}
+				key = h.key()
+			}
+			cur = b.Commit()
+		}
+
+		checkShape(t, cur)
+		keys := sortedKeys(model)
+		if cur.Len() != len(keys) {
+			t.Fatalf("step %d: Len = %d, model has %d", step, cur.Len(), len(keys))
+		}
+		i := 0
+		cur.Ascend(func(k []byte, v uint64) bool {
+			if i >= len(keys) || string(k) != keys[i] || v != model[keys[i]] {
+				t.Fatalf("step %d: Ascend record %d is %q=%d", step, i, k, v)
+			}
+			if got, ok := cur.Get(k); !ok || got != v {
+				t.Fatalf("step %d: Get(%q) = %d,%v, want %d", step, k, got, ok, v)
+			}
+			i++
+			return true
+		})
+		if i != len(keys) {
+			t.Fatalf("step %d: Ascend visited %d of %d", step, i, len(keys))
+		}
+		_, present := model[string(key)]
+		if _, ok := cur.Get(key); ok != present {
+			t.Fatalf("step %d: Get(%q) found = %v", step, key, ok)
+		}
+		lo, hi := prevKey, key
+		if bytes.Compare(lo, hi) > 0 {
+			lo, hi = hi, lo
+		}
+		checkRange(t, cur, keys, lo, hi)
+		checkRange(t, cur, keys, hi, nil)
+		checkRange(t, cur, keys, nil, lo)
+		prevKey = key
+
+		for i, s := range snaps {
+			if !bytes.Equal(rawDump(s.tree), s.dump) {
+				t.Fatalf("step %d wrote to snapshot %d, published earlier", step, i)
+			}
+		}
+		if cur != snaps[len(snaps)-1].tree {
+			snaps = append(snaps, snapshot{cur, rawDump(cur)})
+		}
+	}
+}
+
+func sortedKeys(m map[string]uint64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// checkRange compares both range scans of [start, end) with keys, the
+// model's sorted key list.
+func checkRange(t *testing.T, tr *Tree, keys []string, start, end []byte) {
+	t.Helper()
+	var want []string
+	for _, k := range keys {
+		if (start == nil || k >= string(start)) && (end == nil || k < string(end)) {
+			want = append(want, k)
+		}
+	}
+	i := 0
+	finished := tr.AscendRange(start, end, func(k []byte, _ uint64) bool {
+		if i >= len(want) || string(k) != want[i] {
+			t.Fatalf("AscendRange[%q, %q) record %d is %q, want %q", start, end, i, k, want)
+		}
+		i++
+		return true
+	})
+	j := len(want)
+	finished = tr.DescendRange(start, end, func(k []byte, _ uint64) bool {
+		if j--; j < 0 || string(k) != want[j] {
+			t.Fatalf("DescendRange[%q, %q) record %d is %q, want %q", start, end, j, k, want)
+		}
+		return true
+	}) && finished
+	if i != len(want) || j != 0 || !finished {
+		t.Fatalf("range [%q, %q): ascending saw %d, descending %d of %d; ran to the end: %v",
+			start, end, i, len(want)-j, len(want), finished)
+	}
+}

@@ -3,84 +3,118 @@ package art
 import "bytes"
 
 // Ascend visits every record in ascending key order until fn returns
-// false. It returns false if the iteration was cut short.
+// false. It returns false if fn cut the iteration short.
 func (t *Tree) Ascend(fn func(key []byte, val uint64) bool) bool {
-	return walk(t.root, nil, nil, fn)
+	return walk(t.root, 0, nil, nil, false, fn)
 }
 
 // AscendRange visits records with start <= key < end in ascending order.
 // A nil start means "from the smallest key"; a nil end means "to the
 // largest". It returns false if fn cut the iteration short.
 func (t *Tree) AscendRange(start, end []byte, fn func(key []byte, val uint64) bool) bool {
-	return walk(t.root, start, end, fn)
+	return walk(t.root, 0, start, end, false, fn)
 }
 
-// walk traverses n in order, pruning subtrees that fall wholly outside
-// [start, end). Leaves carry full keys, so boundary subtrees are resolved
-// by exact comparison at the leaf.
-func walk(n node, start, end []byte, fn func(key []byte, val uint64) bool) bool {
+// Descend visits every record in descending key order until fn returns
+// false.
+func (t *Tree) Descend(fn func(key []byte, val uint64) bool) bool {
+	return walk(t.root, 0, nil, nil, true, fn)
+}
+
+// DescendRange visits records with start <= key < end in descending
+// order (the same half-open interval as AscendRange, reversed).
+func (t *Tree) DescendRange(start, end []byte, fn func(key []byte, val uint64) bool) bool {
+	return walk(t.root, 0, start, end, true, fn)
+}
+
+// walk visits, in key order (reversed when desc), the records of the
+// subtree n whose keys lie in [start, end), and reports whether fn let it
+// finish. depth is the length of the path above n. A bound is passed down
+// only while it can still cut the subtree, that is while the path above n
+// equals the bound's first depth bytes; otherwise the subtree lies wholly
+// on the bound's inner side and the bound arrives as nil. Because inner
+// nodes store their whole compressed path, a subtree that lies wholly
+// outside the range is recognised at its root and skipped, and only the
+// two boundary leaves are decided by comparing full keys.
+func walk(n *node, depth int, start, end []byte, desc bool, fn func(key []byte, val uint64) bool) bool {
 	if n == nil {
 		return true
 	}
-	if l, ok := n.(*leaf); ok {
-		return emit(l, start, end, fn)
+	if n.isLeaf() {
+		return visit(n.leaf(), start, end, fn)
 	}
-	h := header(n)
-	if h.term != nil && !emit(h.term, start, end, fn) {
+	h := n.inner()
+	prefix := h.prefix[:h.plen]
+	if start != nil {
+		switch side(prefix, start[depth:]) {
+		case -1:
+			return true
+		case +1:
+			start = nil
+		}
+	}
+	if end != nil {
+		switch side(prefix, end[depth:]) {
+		case -1:
+			end = nil
+		case +1:
+			return true
+		}
+	}
+	depth += len(prefix)
+
+	// A bound still in force is longer than the path and equal to it so
+	// far: it excludes the children on the far side of its next byte and
+	// goes down with the child under that byte.
+	lo, hi := 0, 255
+	if start != nil {
+		lo = int(start[depth])
+	}
+	if end != nil {
+		hi = int(end[depth])
+	}
+	// The terminator's key is the path itself, the smallest of the subtree.
+	if h.term != nil && !desc && !visit(h.term, start, end, fn) {
 		return false
 	}
-	visit := func(c node) bool {
-		// Pruning by leaf bounds: the minimum and maximum keys of c tell
-		// whether the subtree intersects the range at all. Computing them
-		// is O(height); for boundary subtrees this is cheaper than
-		// visiting every leaf, and interior subtrees short-circuit on the
-		// start/end == nil fast path below.
-		return walk(c, start, end, fn)
+	if !h.each(lo, hi, desc, func(b byte, c *node) bool {
+		var s, e []byte
+		if int(b) == lo {
+			s = start
+		}
+		if int(b) == hi {
+			e = end
+		}
+		return walk(c, depth+1, s, e, desc, fn)
+	}) {
+		return false
 	}
-	switch v := n.(type) {
-	case *node4:
-		for i := 0; i < v.n; i++ {
-			if !visit(v.children[i]) {
-				return false
-			}
-		}
-	case *node16:
-		for i := 0; i < v.n; i++ {
-			if !visit(v.children[i]) {
-				return false
-			}
-		}
-	case *node48:
-		for kb := 0; kb < 256; kb++ {
-			if s := v.index[kb]; s != 0 {
-				if !visit(v.children[s-1]) {
-					return false
-				}
-			}
-		}
-	case *node256:
-		for kb := 0; kb < 256; kb++ {
-			if c := v.children[kb]; c != nil {
-				if !visit(c) {
-					return false
-				}
-			}
-		}
-	}
-	return true
+	return h.term == nil || !desc || visit(h.term, start, end, fn)
 }
 
-// emit applies the range filter and calls fn. Iteration stops (returns
-// false) once a key at or beyond end is seen, which bounds the work of a
-// range scan by the size of the result plus one subtree.
-func emit(l *leaf, start, end []byte, fn func(key []byte, val uint64) bool) bool {
-	if start != nil && bytes.Compare(l.key, start) < 0 {
+// side places a subtree against a bound. The path above the subtree
+// equals the bound's first bytes; prefix is how the path goes on and rest
+// how the bound does. -1: every key of the subtree is below the bound.
+// +1: every key is at or above it. 0: the bound is longer than the path
+// and still equal to it, so it cuts the subtree.
+func side(prefix, rest []byte) int {
+	m := min(len(prefix), len(rest))
+	if c := bytes.Compare(prefix[:m], rest[:m]); c != 0 {
+		return c
+	}
+	if len(rest) <= len(prefix) {
+		return +1
+	}
+	return 0
+}
+
+// visit calls fn for l if its key lies in [start, end).
+func visit(l *leaf, start, end []byte, fn func(key []byte, val uint64) bool) bool {
+	k := l.k()
+	if (start != nil && bytes.Compare(k, start) < 0) || (end != nil && bytes.Compare(k, end) >= 0) {
 		return true
 	}
-	if end != nil && bytes.Compare(l.key, end) >= 0 {
-		return false
-	}
-	return fn(l.key, l.val)
+	return fn(k, l.val)
 }
 
 // Min returns the smallest key and its value.
@@ -93,138 +127,23 @@ func (t *Tree) Max() (key []byte, val uint64, ok bool) {
 	return extreme(t.root, true)
 }
 
-// extreme descends to the smallest (max=false) or largest (max=true) leaf.
-func extreme(n node, max bool) ([]byte, uint64, bool) {
+// extreme descends to the smallest (max=false) or largest (max=true)
+// leaf. Every inner node has a child, and any child's keys are greater
+// than the node's terminator.
+func extreme(n *node, max bool) ([]byte, uint64, bool) {
 	for n != nil {
-		if l, ok := n.(*leaf); ok {
-			return l.key, l.val, true
+		if n.isLeaf() {
+			l := n.leaf()
+			return l.k(), l.val, true
 		}
-		h := header(n)
+		h := n.inner()
 		if !max && h.term != nil {
-			return h.term.key, h.term.val, true
+			return h.term.k(), h.term.val, true
 		}
-		var next node
-		switch v := n.(type) {
-		case *node4:
-			if max {
-				next = v.children[v.n-1]
-			} else {
-				next = v.children[0]
-			}
-		case *node16:
-			if max {
-				next = v.children[v.n-1]
-			} else {
-				next = v.children[0]
-			}
-		case *node48:
-			if max {
-				for kb := 255; kb >= 0; kb-- {
-					if s := v.index[kb]; s != 0 {
-						next = v.children[s-1]
-						break
-					}
-				}
-			} else {
-				for kb := 0; kb < 256; kb++ {
-					if s := v.index[kb]; s != 0 {
-						next = v.children[s-1]
-						break
-					}
-				}
-			}
-		case *node256:
-			if max {
-				for kb := 255; kb >= 0; kb-- {
-					if v.children[kb] != nil {
-						next = v.children[kb]
-						break
-					}
-				}
-			} else {
-				for kb := 0; kb < 256; kb++ {
-					if v.children[kb] != nil {
-						next = v.children[kb]
-						break
-					}
-				}
-			}
-		}
-		if max && h.term != nil && next == nil {
-			return h.term.key, h.term.val, true
-		}
-		n = next
+		h.each(0, 255, max, func(_ byte, c *node) bool {
+			n = c
+			return false
+		})
 	}
 	return nil, 0, false
-}
-
-// Descend visits every record in descending key order until fn returns
-// false.
-func (t *Tree) Descend(fn func(key []byte, val uint64) bool) bool {
-	return walkDesc(t.root, nil, nil, fn)
-}
-
-// DescendRange visits records with start <= key < end in descending
-// order (the same half-open interval as AscendRange, reversed).
-func (t *Tree) DescendRange(start, end []byte, fn func(key []byte, val uint64) bool) bool {
-	return walkDesc(t.root, start, end, fn)
-}
-
-// walkDesc mirrors walk with children visited in reverse byte order and
-// the terminator leaf (the node's smallest key) last.
-func walkDesc(n node, start, end []byte, fn func(key []byte, val uint64) bool) bool {
-	if n == nil {
-		return true
-	}
-	if l, ok := n.(*leaf); ok {
-		return emitDesc(l, start, end, fn)
-	}
-	h := header(n)
-	visit := func(c node) bool { return walkDesc(c, start, end, fn) }
-	switch v := n.(type) {
-	case *node4:
-		for i := v.n - 1; i >= 0; i-- {
-			if !visit(v.children[i]) {
-				return false
-			}
-		}
-	case *node16:
-		for i := v.n - 1; i >= 0; i-- {
-			if !visit(v.children[i]) {
-				return false
-			}
-		}
-	case *node48:
-		for kb := 255; kb >= 0; kb-- {
-			if s := v.index[kb]; s != 0 {
-				if !visit(v.children[s-1]) {
-					return false
-				}
-			}
-		}
-	case *node256:
-		for kb := 255; kb >= 0; kb-- {
-			if c := v.children[kb]; c != nil {
-				if !visit(c) {
-					return false
-				}
-			}
-		}
-	}
-	if h.term != nil && !emitDesc(h.term, start, end, fn) {
-		return false
-	}
-	return true
-}
-
-// emitDesc applies the range filter for descending traversal: iteration
-// stops once a key below start is seen.
-func emitDesc(l *leaf, start, end []byte, fn func(key []byte, val uint64) bool) bool {
-	if end != nil && bytes.Compare(l.key, end) >= 0 {
-		return true
-	}
-	if start != nil && bytes.Compare(l.key, start) < 0 {
-		return false
-	}
-	return fn(l.key, l.val)
 }

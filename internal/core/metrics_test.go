@@ -146,6 +146,30 @@ func TestMetricsZeroAllocDisabledGet(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Contains with metrics disabled allocates %.1f/op, want 0", allocs)
 	}
+
+	// An insert allocates what its ART publication does and nothing else.
+	// Under a one-node path that is three objects — the copied root, the
+	// leaf (the key's bytes are inside it), the Tree. 64 one-byte ART keys
+	// make that root a NODE256, so fresh edges fit without growing it. (On
+	// an arena without Tracking: that one records every persist.)
+	u, err := New(Options{ArenaSize: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	for i := 0; i < 64; i++ {
+		mustPut(t, u, "zb"+string(rune('0'+i)), "value")
+	}
+	fresh, value := []byte{'z', 'b', 0x80}, []byte("value")
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := u.Put(fresh, value); err != nil {
+			t.Fatal(err)
+		}
+		fresh[2]++
+	})
+	if allocs != 3 {
+		t.Fatalf("Put of a fresh key under a one-node path allocates %.2f/op, want 3", allocs)
+	}
 }
 
 // TestStatsMetricsRace hammers the consistent-snapshot paths — Stats()

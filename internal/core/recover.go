@@ -746,7 +746,8 @@ func (h *HART) legacyRebuildIndex(leaves []pmem.Ptr) error {
 			dir.Put(hashKey, s)
 		}
 		dirMu.Unlock()
-		s.tree.Load().Insert(artKey, uint64(leaf))
+		nu, _, _ := s.tree.Load().CowInsert(artKey, uint64(leaf))
+		s.tree.Store(nu)
 		h.size.Add(1)
 		return nil
 	}

@@ -31,8 +31,10 @@ type SizeInfo struct {
 	// PMBytes is the persistent footprint: every byte reserved from the
 	// arena (superblock, chunk lists, free lists).
 	PMBytes int64
-	// DRAMBytes estimates the volatile footprint: ART internal nodes,
-	// in-DRAM leaf headers and the hash directory.
+	// DRAMBytes is the volatile footprint: the ARTs as art.Stats counts
+	// them (inner nodes and the DRAM leaves that hold each key and its PM
+	// leaf's offset, at their heap size classes) plus an estimate of the
+	// hash directory.
 	DRAMBytes int64
 }
 
@@ -138,6 +140,7 @@ func (h *HART) Stats() Stats {
 			st.ART.Height = ts.Height
 		}
 		st.ART.Bytes += ts.Bytes
+		st.ART.LeafBytes += ts.LeafBytes
 		st.Size.DRAMBytes += ts.Bytes
 		if len(ns.hk) > st.Dir.MaxDepth {
 			st.Dir.MaxDepth = len(ns.hk)

@@ -2,7 +2,9 @@
 # Tier-1+ gate: everything CI (and a reviewer) needs to trust a change.
 # Build + vet + the full test suite, then the race detector over the
 # packages with lock-free/concurrent paths (core's optimistic reads,
-# hashdir's COW snapshots, epalloc's atomic stats ranges).
+# hashdir's COW snapshots, epalloc's atomic stats ranges, and art, whose
+# published trees those reads walk: -race is also what turns checkptr on
+# for the casts in art/node.go).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -10,7 +12,12 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
-go test -race -count=1 ./internal/core/ ./internal/hashdir/ ./internal/epalloc/
+go test -race -count=1 ./internal/art/ ./internal/core/ ./internal/hashdir/ ./internal/epalloc/
+
+# The ART's node layer against a sorted-map model: every step's tree
+# checked for contents, order, range scans and shape, every tree published
+# before it for not one changed bit.
+go test -run='^$' -fuzz=FuzzARTDifferential -fuzztime=10s ./internal/art/
 
 # Differential crash-consistency model checker: the deterministic quick
 # suite (every persist boundary of fixed + seeded histories), then a short
