@@ -60,7 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if rs.WasClean {
 		shutdown = "clean shutdown"
 	}
-	fmt.Fprintf(stdout, "%s: %d records in %d ARTs, %s\n", path, st.Records, st.ARTs, shutdown)
+	fmt.Fprintf(stdout, "%s: %d records (%d inline, %d out of line) in %d ARTs, %s\n",
+		path, st.Records, st.InlineRecords, st.Records-st.InlineRecords, st.ARTs, shutdown)
 	// The version word as read from the image; the slot size is what that
 	// version lays out (only this build's version gets this far).
 	fmt.Fprintf(stdout, "  format: version %d (%d update-log slots of %d B)\n",

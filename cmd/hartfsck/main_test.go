@@ -14,9 +14,10 @@ import (
 )
 
 // TestRunChecksImageAndRefusesOldFormat runs hartfsck over a healthy store
-// file, which it must pass while naming the format it found, and over the
-// same bytes relabelled as the previous format version, which it must
-// refuse with the version error and leave unmodified.
+// file, which it must pass while naming the format it found and how many
+// records keep their value in the leaf, and over the same bytes relabelled
+// as each earlier format version, which it must refuse with the version
+// error and leave unmodified.
 func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.hart")
@@ -25,7 +26,11 @@ func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key%03d", i)), []byte("value")); err != nil {
+		value := []byte("value")
+		if i < 30 {
+			value = []byte("value-in-object")
+		}
+		if err := db.Put([]byte(fmt.Sprintf("key%03d", i)), value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,7 +44,7 @@ func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 	}
 	format := fmt.Sprintf("format: version %d (%d update-log slots of %d B)",
 		hart.FormatVersion, epalloc.NumUpdateLogs, epalloc.ULogSlotSize)
-	for _, want := range []string{"100 records", "clean shutdown", format, "fsck: ok"} {
+	for _, want := range []string{"100 records", "70 inline, 30 out of line", "clean shutdown", format, "fsck: ok"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("healthy store: output lacks %q:\n%s", want, stdout.String())
 		}
@@ -50,20 +55,24 @@ func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	const versionOff = 72 // pmem.LabelBase + 8: the superblock's version word
-	binary.LittleEndian.PutUint64(img[versionOff:], hart.FormatVersion-1)
-	v1 := filepath.Join(dir, "v1.hart")
-	if err := os.WriteFile(v1, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{v1}, &stdout, &stderr); code != 1 {
-		t.Fatalf("version-1 image: exit %d, want 1\n%s%s", code, stdout.String(), stderr.String())
-	}
-	if msg := stderr.String(); !strings.Contains(msg, hart.ErrVersionMismatch.Error()) || !strings.Contains(msg, "image version 1") {
-		t.Errorf("version-1 image: stderr does not name the version mismatch: %s", msg)
-	}
-	if kept, err := os.ReadFile(v1); err != nil || !bytes.Equal(kept, img) {
-		t.Errorf("version-1 image was modified (read err %v)", err)
+	for old := uint64(1); old < hart.FormatVersion; old++ {
+		binary.LittleEndian.PutUint64(img[versionOff:], old)
+		name := fmt.Sprintf("version-%d image", old)
+		path := filepath.Join(dir, fmt.Sprintf("v%d.hart", old))
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stdout.Reset()
+		stderr.Reset()
+		if code := run([]string{path}, &stdout, &stderr); code != 1 {
+			t.Fatalf("%s: exit %d, want 1\n%s%s", name, code, stdout.String(), stderr.String())
+		}
+		both := fmt.Sprintf("image version %d, this build reads %d", old, hart.FormatVersion)
+		if msg := stderr.String(); !strings.Contains(msg, hart.ErrVersionMismatch.Error()) || !strings.Contains(msg, both) {
+			t.Errorf("%s: stderr does not name the version mismatch: %s", name, msg)
+		}
+		if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, img) {
+			t.Errorf("%s was modified (read err %v)", name, err)
+		}
 	}
 }

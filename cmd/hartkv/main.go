@@ -165,7 +165,8 @@ func run(args []string) int {
 			fmt.Println(db.Len())
 		case "stats":
 			st := db.Stats()
-			fmt.Printf("records:   %d\n", st.Records)
+			fmt.Printf("records:   %d (%d inline, %d out of line)\n",
+				st.Records, st.InlineRecords, st.Records-st.InlineRecords)
 			fmt.Printf("ARTs:      %d\n", st.ARTs)
 			fmt.Printf("PM used:   %.2f MB (%d persists so far)\n",
 				float64(st.Size.PMBytes)/(1<<20), st.Arena.Persists)

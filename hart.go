@@ -5,8 +5,9 @@
 // A DB is a concurrent persistent key-value index: a DRAM hash directory
 // routes the first few key bytes to one Adaptive Radix Tree per hash key;
 // ART internal nodes stay in DRAM while leaves and values live on
-// simulated persistent memory, committed through EPallocator's chunk
-// bitmaps so that crashes can neither tear an operation nor leak PM.
+// simulated persistent memory — a value of up to 8 bytes inside its leaf,
+// a longer one in an object of its own — committed through EPallocator's
+// chunk bitmaps so that crashes can neither tear an operation nor leak PM.
 //
 // Quick start — a durable store backed by a file:
 //
@@ -51,12 +52,17 @@ import (
 const (
 	// MaxKeyLen is the maximum key length in bytes.
 	MaxKeyLen = core.MaxKeyLen
-	// MaxValueLen is the maximum value length in bytes.
+	// MaxValueLen is the maximum value length in bytes under the default
+	// value classes. Values of up to 8 bytes are stored in the record's PM
+	// leaf (one PM object per record, one PM read per lookup, one persist
+	// per same-length update); longer ones in a separate value object.
 	MaxValueLen = core.MaxValueLen
 )
 
 // FormatVersion is the on-media format version this build writes and the
-// only one it opens (ErrVersionMismatch otherwise).
+// only one it opens (ErrVersionMismatch otherwise). Version 3 moved values
+// of up to 8 bytes into the leaf; stores written by earlier builds are
+// refused.
 const FormatVersion = core.FormatVersion
 
 // Errors re-exported from the core implementation.
@@ -95,8 +101,9 @@ type Options struct {
 	// crash-point injection work (costs memory and write overhead).
 	CrashSimulation bool
 	// ValueClasses lists value-object sizes in bytes, ascending multiples
-	// of 8 (default [8, 16], the paper's two classes). The largest class
-	// bounds value length. The table is persisted in the store's
+	// of 8 (default [8, 16], the paper's two classes), for the values too
+	// long for the leaf (more than 8 bytes). The largest class bounds
+	// value length. The table is persisted in the store's
 	// superblock: Open and Restore adopt it when this field is left nil
 	// and fail with ErrGeometryMismatch when it names a different table.
 	ValueClasses []int64

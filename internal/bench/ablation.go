@@ -143,8 +143,9 @@ func RunAblationScan(c Config) (Report, error) {
 	return report, nil
 }
 
-// RunAblationValueSize compares the two value classes (Section III.A.5):
-// 8-byte versus 16-byte out-of-leaf value objects, insert and update.
+// RunAblationValueSize compares the paper's two value sizes (Section
+// III.A.5), insert and update: 8 bytes, which HART stores in the leaf, and
+// 16, which it stores in a value object.
 func RunAblationValueSize(c Config) (Report, error) {
 	c = c.WithDefaults()
 	lat := latency.Config300x300()

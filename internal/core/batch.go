@@ -156,8 +156,8 @@ func (h *HART) putGroupSeq(s *artShard, hashKey []byte, recs []Record, stripe in
 	for _, r := range recs {
 		artKey := r.Key[len(hashKey):]
 		var err error
-		if leafW, found := s.tree.Load().Get(artKey); found {
-			err = h.update(pmem.Ptr(leafW), r.Value, stripe)
+		if w, found := s.tree.Load().Get(artKey); found {
+			err = h.updateAt(s, artKey, leafRef(w), r.Value, stripe)
 		} else {
 			err = h.insertNew(s, artKey, r.Key, r.Value, stripe)
 		}
@@ -177,22 +177,25 @@ func (h *HART) putGroupSeq(s *artShard, hashKey []byte, recs []Record, stripe in
 //     tree. Duplicates are adjacent after sorting, so only the first
 //     occurrence of an absent key is an insert; later occurrences update
 //     the leaf their predecessor settles.
-//  2. Allocate every insert's leaf with one AllocBatch and its value
-//     object with one AllocBatch per class, all on the shard's stripe.
-//  3. Write all values, persisting contiguous slot runs in single calls.
-//  4. Write all leaf fields (pValue word, key, keyLen) and persist
+//  2. Allocate every insert's leaf with one AllocBatch and — for the
+//     inserts whose value does not fit the leaf — its value object with
+//     one AllocBatch per class, all on the shard's stripe.
+//  3. Write those values, persisting contiguous slot runs in single calls.
+//  4. Write all leaf fields (word 0, keyLen, shape, key) and persist
 //     contiguous leaf runs. The fields need no internal ordering: the
 //     leaf stays dead until its bit commits.
-//  5. Commit all value bits with one SetBits (one header persist per
-//     chunk run). Steps 3-5 are insertNew's order — value, leaf, value
-//     bit — so a value committed by a torn batch is referenced by its
-//     durable dead leaf and reclaimed through it, like a torn Put's.
+//  5. Commit the value bits, if any, with one SetBits (one header persist
+//     per chunk run). Steps 3-5 are insertNew's order — value, leaf,
+//     value bit — so a value committed by a torn batch is referenced by
+//     its durable dead leaf and reclaimed through it, like a torn Put's.
+//     A group of inline inserts skips steps 3 and 5: leaf runs, leaf bits.
 //  6. Walk the records in sorted order. Inserts go into one art.Batch —
 //     which clones each tree node at most once, however many keys land
 //     under it — and queue their leaf bits. Updates first flush the
 //     queued bits (SetBits commits in argument order, so a crash exposes
-//     a sorted prefix of the group), then run the per-record Algorithm 3
-//     protocol, whose pointer swing is its own commit point.
+//     a sorted prefix of the group), then run the per-record update
+//     protocol, whose swing is its own commit point, and put the record's
+//     ref into the batch again if the update changed its shape.
 //  7. Flush the remaining leaf bits and publish the batch's tree once.
 //
 // On error the committed prefix stays applied; everything beyond it is
@@ -219,8 +222,9 @@ func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error)
 	}
 
 	// Phase 2: allocate. leafOf/valOf are indexed by record (Nil for
-	// updates); classPtrs keeps each class's slots in allocation order,
-	// which is the contiguous-run order for persisting and committing.
+	// updates, valOf also for inline inserts); classPtrs keeps each class's
+	// slots in allocation order, which is the contiguous-run order for
+	// persisting and committing.
 	leafOf := make([]pmem.Ptr, len(recs))
 	valOf := make([]pmem.Ptr, len(recs))
 	var leaves []pmem.Ptr
@@ -249,8 +253,10 @@ func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error)
 		}
 		leafOf[i] = leaves[k]
 		k++
-		c := h.valueClass(len(recs[i].Value))
-		byClass[c] = append(byClass[c], i)
+		if valueShape(len(recs[i].Value)) == 0 {
+			c := h.valueClass(len(recs[i].Value))
+			byClass[c] = append(byClass[c], i)
+		}
 	}
 	classPtrs := make([][]pmem.Ptr, len(byClass))
 	for c, idxs := range byClass {
@@ -271,7 +277,7 @@ func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error)
 	// Phase 3: write values, persist runs.
 	h.arena.SetPersistSite("batch.value")
 	for i := range recs {
-		if isInsert[i] {
+		if !valOf[i].IsNil() {
 			h.arena.WriteWords(valOf[i], recs[i].Value)
 		}
 	}
@@ -283,10 +289,15 @@ func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error)
 
 	// Phase 4: write leaf fields, persist runs.
 	h.arena.SetPersistSite("batch.leaf-fields")
-	for i := range recs {
-		if isInsert[i] {
-			h.writeLeaf(leafOf[i], valOf[i], recs[i].Key, len(recs[i].Value))
+	for i, r := range recs {
+		if !isInsert[i] {
+			continue
 		}
+		shape, word0 := valueShape(len(r.Value)), packValue(valOf[i], len(r.Value))
+		if shape != 0 {
+			word0 = inlineWord(r.Value)
+		}
+		h.writeLeaf(leafOf[i], word0, shape, r.Key)
 	}
 	h.persistRuns(leaves, leafSize)
 
@@ -330,7 +341,9 @@ func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error)
 			if !isInsert[i] {
 				continue
 			}
-			_ = h.alloc.Release(valOf[i])
+			if !valOf[i].IsNil() {
+				_ = h.alloc.Release(valOf[i])
+			}
 			h.scrubLeaf(leafOf[i])
 			_ = h.alloc.Abort(leafOf[i])
 		}
@@ -350,7 +363,7 @@ func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error)
 	flushBase := 0 // record index of pending[0]; [flushBase, walk) are all inserts
 	for i := range recs {
 		if isInsert[i] {
-			b.Insert(artKeys[i], uint64(leafOf[i]))
+			b.Insert(artKeys[i], uint64(makeLeafRef(leafOf[i], valueShape(len(recs[i].Value)))))
 			pending = append(pending, leafOf[i])
 			continue
 		}
@@ -365,8 +378,13 @@ func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error)
 			pending = pending[:0]
 		}
 		flushBase = i
-		leafW, _ := b.Get(artKeys[i]) // present: classified as update
-		if err := h.update(pmem.Ptr(leafW), recs[i].Value, stripe); err != nil {
+		w, _ := b.Get(artKeys[i]) // present: classified as update
+		ref := leafRef(w)
+		nref, err := h.update(ref, recs[i].Value, stripe)
+		if nref != ref {
+			b.Insert(artKeys[i], uint64(nref))
+		}
+		if err != nil {
 			return unwind(i, i, err)
 		}
 		flushBase = i + 1

@@ -16,7 +16,7 @@ func TestPutBatchBasic(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		recs = append(recs, Record{
 			Key:   []byte(fmt.Sprintf("%c%c%04d", 'a'+i%4, 'a'+(i/4)%4, i)),
-			Value: []byte(fmt.Sprintf("v%05d", i)),
+			Value: []byte(mixedValue("v%05d", i)),
 		})
 	}
 	// Shuffle so grouping actually reorders.
@@ -30,7 +30,7 @@ func TestPutBatchBasic(t *testing.T) {
 	}
 	for i := 0; i < 1000; i += 97 {
 		k := fmt.Sprintf("%c%c%04d", 'a'+i%4, 'a'+(i/4)%4, i)
-		if v, ok := h.Get([]byte(k)); !ok || string(v) != fmt.Sprintf("v%05d", i) {
+		if v, ok := h.Get([]byte(k)); !ok || string(v) != mixedValue("v%05d", i) {
 			t.Fatalf("Get(%q) = (%q,%v)", k, v, ok)
 		}
 	}
@@ -143,14 +143,16 @@ func TestPutBatchConcurrentMultiShard(t *testing.T) {
 }
 
 // TestPutBatchValueBitFailureUnwinds injects a failure into the batched
-// value-bit commit (the first SetBits of a group): the whole group must
-// unwind with nothing applied and no slot left in flight.
+// value-bit commit (the first SetBits of a group with a value object in
+// it): the whole group must unwind with nothing applied, no slot left in
+// flight and — the inline record's leaf was already written — no dead slot
+// left holding a value.
 func TestPutBatchValueBitFailureUnwinds(t *testing.T) {
 	h := newHART(t)
 	mustPut(t, h, "vb-keep", "keep")
 	h.Allocator().FailSetBitAfter(0)
 	recs := []Record{
-		{Key: []byte("vb-a"), Value: []byte("1")},
+		{Key: []byte("vb-a"), Value: []byte("1-in-an-object")},
 		{Key: []byte("vb-b"), Value: []byte("2")},
 	}
 	n, err := h.PutBatch(recs)
@@ -180,16 +182,22 @@ func TestPutBatchValueBitFailureUnwinds(t *testing.T) {
 }
 
 // TestPutBatchLeafBitFailureUnwinds injects a failure into the batched
-// leaf-bit flush (the second SetBits of an insert-only group): the
-// uncommitted inserts must leave the published tree, release their
-// committed values and abort their leaves.
+// leaf-bit flush of an insert-only group — its second SetBits when a
+// record of the group has a value object, its only one when all are
+// inline: the uncommitted inserts must leave the published tree, release
+// their committed values, scrub and abort their leaves.
 func TestPutBatchLeafBitFailureUnwinds(t *testing.T) {
+	t.Run("mixed shapes", func(t *testing.T) { testPutBatchLeafBitFailureUnwinds(t, "2-in-an-object", 1) })
+	t.Run("all inline", func(t *testing.T) { testPutBatchLeafBitFailureUnwinds(t, "2", 0) })
+}
+
+func testPutBatchLeafBitFailureUnwinds(t *testing.T, second string, leafSetBits int64) {
 	h := newHART(t)
 	mustPut(t, h, "lb-keep", "keep")
-	h.Allocator().FailSetBitAfter(1) // value bits commit, leaf bits trip
+	h.Allocator().FailSetBitAfter(leafSetBits) // value bits, if any, commit; leaf bits trip
 	recs := []Record{
 		{Key: []byte("lb-a"), Value: []byte("1")},
-		{Key: []byte("lb-b"), Value: []byte("2")},
+		{Key: []byte("lb-b"), Value: []byte(second)},
 		{Key: []byte("lb-c"), Value: []byte("3")},
 	}
 	n, err := h.PutBatch(recs)
@@ -228,7 +236,7 @@ func TestPutBatchAllocFailureAborts(t *testing.T) {
 	h.Allocator().FailAllocAfter(1) // leaf batch passes, value batch trips
 	n, err := h.PutBatch([]Record{
 		{Key: []byte("af-a"), Value: []byte("1")},
-		{Key: []byte("af-b"), Value: []byte("2")},
+		{Key: []byte("af-b"), Value: []byte("2-in-an-object")},
 	})
 	if !errors.Is(err, epalloc.ErrInjected) || n != 0 {
 		t.Fatalf("PutBatch = (%d,%v)", n, err)
@@ -349,7 +357,7 @@ func TestPutBatchMatchesIndividualPuts(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		recs = append(recs, Record{
 			Key:   []byte(fmt.Sprintf("%c%c%04d", 'a'+rng.Intn(3), 'a'+rng.Intn(3), rng.Intn(3000))),
-			Value: []byte(fmt.Sprintf("v%06d", i)),
+			Value: []byte(mixedValue("v%06d", i)),
 		})
 	}
 	for _, r := range recs {

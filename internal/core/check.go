@@ -12,14 +12,17 @@ import (
 // cross-layer invariants between the volatile index and persistent memory:
 //
 //  1. Every committed leaf (leaf bit set) is indexed by exactly one ART
-//     under exactly its stored key, and vice versa.
-//  2. Every committed leaf references a committed value object of the
-//     class matching its value length.
+//     under exactly its stored key, and vice versa, and the shape its ART
+//     entry carries is the shape byte it stores.
+//  2. Every committed leaf holds its value in canonical form: shape 1-8
+//     means word 0 is the value, with nothing above its length; shape 0
+//     means word 0 names a committed value object of the class matching
+//     its length, which is above MaxInlineLen — a value that fits the leaf
+//     is never out of line.
 //  3. Every committed value object is referenced by exactly one committed
-//     leaf, or — transiently, after a crash between an insertion's value
-//     commit and leaf commit — by exactly one *uncommitted* leaf slot,
-//     which makes it reclaimable by the next allocation of that slot
-//     (Algorithm 2 lines 12-16). Anything else is a persistent leak.
+//     leaf. Anything else is a persistent leak.
+//  4. Every dead leaf slot has word 0 == 0: nothing an allocation could
+//     misread (reclaimStale) survives a scrub or a recovery.
 //
 // Check takes every shard's read lock, so it excludes writers. It demands
 // full allocator quiescence (epalloc.CheckQuiescent): callers run fsck
@@ -36,19 +39,22 @@ func (h *HART) Check() error {
 	// pending shards' trees are empty); finish the builds first.
 	h.DrainRecovery()
 
-	// PM side: committed leaves, and the stale value references of dead
-	// leaf slots (the reclaimable set).
+	// PM side: committed leaves, and dead slots' first words.
 	liveLeaf := make(map[pmem.Ptr]bool)
-	deadRef := make(map[pmem.Ptr]int)
+	var slotErr error
 	if err := h.alloc.IterateObjects(classLeaf, func(leaf pmem.Ptr, used bool) bool {
 		if used {
 			liveLeaf[leaf] = true
-		} else if vp, _ := unpackValue(h.arena.Read8(leaf + lfPValue)); !vp.IsNil() {
-			deadRef[vp]++
+		} else if w := h.arena.Read8(leaf + lfWord0); w != 0 {
+			slotErr = fmt.Errorf("hart: dead leaf slot %d holds stale word %#x", leaf, w)
+			return false
 		}
 		return true
 	}); err != nil {
 		return err
+	}
+	if slotErr != nil {
+		return slotErr
 	}
 
 	// Volatile side: every tree entry must be a committed leaf whose
@@ -69,8 +75,9 @@ func (h *HART) Check() error {
 	for _, ns := range shards {
 		var shardErr error
 		ns.s.mu.RLock()
-		ns.s.tree.Load().Ascend(func(artKey []byte, leafW uint64) bool {
-			leaf := pmem.Ptr(leafW)
+		ns.s.tree.Load().Ascend(func(artKey []byte, w uint64) bool {
+			ref := leafRef(w)
+			leaf := ref.ptr()
 			indexed++
 			if !liveLeaf[leaf] {
 				shardErr = fmt.Errorf("hart: indexed leaf %d has no committed bit", leaf)
@@ -91,8 +98,20 @@ func (h *HART) Check() error {
 					leaf, wantKey, ns.hk, rk)
 				return false
 			}
-			vp, n := unpackValue(h.arena.Read8(leaf + lfPValue))
-			if vp.IsNil() || n < 1 || n > h.maxValueLen() {
+			if shape := hdrShape(h.arena.Read8(leaf + lfKeyLen)); shape != ref.shape() {
+				shardErr = fmt.Errorf("hart: leaf %d stores shape %d but is indexed with shape %d", leaf, shape, ref.shape())
+				return false
+			}
+			word0 := h.arena.Read8(leaf + lfWord0)
+			if n := ref.shape(); n != 0 {
+				if n > MaxInlineLen || n < 8 && word0>>(8*uint(n)) != 0 {
+					shardErr = fmt.Errorf("hart: leaf %d holds a %d-byte inline value in word %#x", leaf, n, word0)
+					return false
+				}
+				return true
+			}
+			vp, n := unpackValue(word0)
+			if vp.IsNil() || n <= MaxInlineLen || n > h.maxValueLen() {
 				shardErr = fmt.Errorf("hart: leaf %d has invalid value word (ptr=%d len=%d)", leaf, vp, n)
 				return false
 			}
@@ -122,7 +141,7 @@ func (h *HART) Check() error {
 		return fmt.Errorf("hart: size counter %d but %d leaves indexed", h.Len(), indexed)
 	}
 
-	// Value-object accounting: exactly-one live reference, or reclaimable.
+	// Value-object accounting: exactly one live reference.
 	for i := range h.opts.ValueClasses {
 		c := classValue0 + epalloc.Class(i)
 		var classErr error
@@ -134,15 +153,10 @@ func (h *HART) Check() error {
 			case refs == 1:
 			case refs > 1:
 				classErr = fmt.Errorf("hart: value %d referenced by %d leaves", vp, refs)
-				return false
-			case deadRef[vp] > 0:
-				// Reclaimable orphan: committed value referenced only by a
-				// dead leaf slot; the next reuse of that slot repairs it.
 			default:
 				classErr = fmt.Errorf("hart: value %d is committed but unreachable — persistent leak", vp)
-				return false
 			}
-			return true
+			return classErr == nil
 		}); err != nil {
 			return err
 		}

@@ -359,7 +359,12 @@ func TestSameStripeSiblingShards(t *testing.T) {
 		wg.Add(1)
 		go func(w int, key []byte) {
 			defer wg.Done()
+			// Two writers' values fit the leaf, two need a value object, so
+			// both classes' slots change hands.
 			val := []byte{byte('0' + w), 'v'}
+			if w%2 == 1 {
+				val = append(val, "-in-an-object"...)
+			}
 			buf := make([]byte, 0, MaxValueLen)
 			for n := 0; time.Now().Before(deadline); n++ {
 				val[1] = byte(n)
@@ -384,5 +389,81 @@ func TestSameStripeSiblingShards(t *testing.T) {
 	}
 	if err := h.Check(); err != nil {
 		t.Errorf("Check after %d rounds: %v", rounds.Load(), err)
+	}
+}
+
+// TestShapeCyclingReadersSeeWholeValues races lock-free readers against a
+// writer that takes every key of a set round and round through the value
+// shapes: 8 bytes in the leaf, 8 again (the one-store update), 5 (the
+// shape byte changes), 16 (out of the leaf into a value object), back to 8.
+// A reader learns the shape from the tree and the bytes from PM, in two
+// loads a writer can come between; whatever it returns must be one value
+// that was written to that key — the key's own, whole, of the length it
+// was written with — never the old length over the new bytes or the
+// reverse. Every value spells its key, its step and its own length in each
+// byte, so any mixture shows.
+func TestShapeCyclingReadersSeeWholeValues(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nkeys = 16
+	lens := [...]int{8, 8, 5, 16, 8}
+	const steps = 50 * len(lens) // what a byte can count, in whole cycles
+	key := func(i int) []byte { return []byte(fmt.Sprintf("s%c-cycle%02d", 'a'+i%3, i)) }
+	value := func(i, step int) []byte {
+		v := make([]byte, lens[step%len(lens)])
+		v[0], v[1] = byte(i), byte(step)
+		for j := 2; j < len(v); j++ {
+			v[j] = byte(i*31 + step*17 + len(v)*7 + j)
+		}
+		return v
+	}
+	for i := 0; i < nkeys; i++ {
+		if err := h.Put(key(i), value(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var stop atomic.Bool
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			buf := make([]byte, 0, MaxValueLen)
+			for n := r; !stop.Load(); n++ {
+				i := n % nkeys
+				v, ok := h.GetInto(key(i), buf)
+				if !ok {
+					t.Errorf("key %d missing", i)
+					return
+				}
+				if len(v) < 2 || int(v[0]) != i || int(v[1]) >= steps || !bytes.Equal(v, value(i, int(v[1]))) {
+					t.Errorf("key %d: read %x, which was never written to it", i, v)
+					return
+				}
+			}
+		}(r)
+	}
+	for round := 0; round < 2 && !t.Failed(); round++ {
+		for step := 1; step <= steps; step++ {
+			for i := 0; i < nkeys; i++ {
+				if err := h.Put(key(i), value(i, step%steps)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	stop.Store(true)
+	readers.Wait()
+	for i := 0; i < nkeys; i++ {
+		if v, ok := h.Get(key(i)); !ok || !bytes.Equal(v, value(i, 0)) {
+			t.Fatalf("key %d = (%x, %v) after the last cycle, want %x", i, v, ok, value(i, 0))
+		}
+	}
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -37,12 +37,17 @@ import (
 // "The maximal key length supported by HART is 24 bytes").
 const MaxKeyLen = 24
 
-// MaxValueLen is the largest value object size under the default class
-// table; HART supports 8-byte and 16-byte value classes (Section III.A.5)
-// and is "easily extended ... by implementing more singly linked-lists of
-// value object memory chunks" — Options.ValueClasses realises exactly
-// that, growing the limit with the largest configured class.
+// MaxValueLen is the largest value under the default class table. A
+// value of up to MaxInlineLen bytes is stored in its leaf; a longer one in
+// a value object of the smallest class that fits it. HART supports 8-byte
+// and 16-byte value classes (Section III.A.5) and is "easily extended ...
+// by implementing more singly linked-lists of value object memory chunks" —
+// Options.ValueClasses realises exactly that, growing the limit with the
+// largest configured class.
 const MaxValueLen = 16
+
+// MaxInlineLen is the longest value a leaf holds in its own first word.
+const MaxInlineLen = 8
 
 // DefaultHashKeyLen is the paper's kh: "the hash key length is set to 2".
 const DefaultHashKeyLen = 2
@@ -55,32 +60,83 @@ const (
 	classValue0 epalloc.Class = 1
 )
 
-// Leaf node layout on PM (40 bytes, 8-aligned; paper Fig. 3 stores the
-// value out of leaf behind p_value to support variable-size values).
+// Leaf node layout on PM (40 bytes, 8-aligned). Paper Fig. 3 puts every
+// value behind p_value "to support variable-size values"; here a value
+// that fits the word p_value occupies is stored in it, so the common
+// record is one PM object, not two.
 //
-//	+0 pValue word (8B): bits 0-55 value-object offset, bits 56-63 value
-//	   length. Packing the length beside the pointer keeps the
-//	   pointer+length update a single failure-atomic 8-byte store.
-//	+8 keyLen (1B)
-//	+9 key (MaxKeyLen bytes)
+//	+0  word 0 (8B), read by the shape byte. Shape 1-8: the value itself,
+//	    zero-padded to the word. Shape 0: bits 0-55 value-object offset,
+//	    bits 56-63 value length (9 and up) — pointer and length packed so
+//	    that an out-of-line update stays a single failure-atomic store.
+//	+8  keyLen (1B)
+//	+9  shape (1B): the inline value's length, or 0 for a value object
+//	+10 key (MaxKeyLen bytes)
+//
+// keyLen, shape and the first hdrKeyBytes key bytes share the aligned word
+// at +8 (the header word): recovery learns a record's shape from the load
+// that gives it the key's length and routing prefix. Word 0 and the header
+// word lie on different cache lines in one slot of eight, so the pair is
+// never assumed to change atomically: the only operation that rewrites
+// both on a live leaf runs under the update log (updateLogged).
 const (
 	leafSize    = 40
-	lfPValue    = 0
+	lfWord0     = 0
 	lfKeyLen    = 8
-	lfKey       = 9
+	lfShape     = 9
+	lfKey       = 10
+	hdrKeyBytes = 16 - lfKey
 	ptrMask     = (uint64(1) << 56) - 1
 	valLenShift = 56
 )
 
-// packValue encodes a value pointer and its length into the pValue word.
+// packValue encodes a value pointer and its length into word 0.
 func packValue(p pmem.Ptr, n int) uint64 {
 	return uint64(p)&ptrMask | uint64(n)<<valLenShift
 }
 
-// unpackValue decodes a pValue word.
+// unpackValue decodes an out-of-line word 0.
 func unpackValue(w uint64) (pmem.Ptr, int) {
 	return pmem.Ptr(w & ptrMask), int(w >> valLenShift)
 }
+
+// valueShape is the shape byte of a record whose value is n bytes long: n
+// itself if the leaf holds the value, 0 if a value object does.
+func valueShape(n int) int {
+	if n > MaxInlineLen {
+		return 0
+	}
+	return n
+}
+
+// inlineWord encodes a value of at most MaxInlineLen bytes as word 0.
+func inlineWord(v []byte) uint64 {
+	var w uint64
+	for i, b := range v {
+		w |= uint64(b) << (8 * uint(i))
+	}
+	return w
+}
+
+// hdrKeyLen and hdrShape decode a leaf's header word.
+func hdrKeyLen(hdr uint64) int { return int(hdr & 0xff) }
+func hdrShape(hdr uint64) int  { return int(hdr >> 8 & 0xff) }
+
+// leafRef is what a DRAM ART leaf holds for its record: the PM leaf's
+// offset in the low 56 bits (the width packValue assumes) and the record's
+// shape byte, mirrored, in the top eight — so a lookup, an update and a
+// delete know how to read word 0 without a PM load of their own. The shape
+// changes only inside a shard write section that republishes the ref.
+type leafRef uint64
+
+func makeLeafRef(leaf pmem.Ptr, shape int) leafRef {
+	return leafRef(packValue(leaf, shape))
+}
+
+func (r leafRef) ptr() pmem.Ptr { return pmem.Ptr(uint64(r) & ptrMask) }
+
+// shape is the inline value's length, or 0 for a value object.
+func (r leafRef) shape() int { return int(uint64(r) >> valLenShift) }
 
 // Errors returned by HART operations.
 var (
@@ -115,8 +171,9 @@ type Options struct {
 	Tracking bool
 	// ValueClasses lists the value-object sizes in bytes, each a multiple
 	// of 8 in ascending order (default [8, 16], the paper's two classes).
-	// A value of n bytes lands in the smallest class that fits it; the
-	// largest class bounds the value length.
+	// A value of more than MaxInlineLen bytes lands in the smallest class
+	// that fits it (a shorter one in its leaf, so a class of 8 bytes stays
+	// empty and costs nothing); the largest class bounds the value length.
 	ValueClasses []int64
 	// RecoveryWorkers parallelises the Algorithm 7 rebuild across that
 	// many goroutines, partitioned by hash key (0 or 1 = the paper's
@@ -138,15 +195,19 @@ type Options struct {
 	// measurable "before" baseline for the recovery benchmarks
 	// (BENCH_recovery.json); leave it unset otherwise.
 	LegacyRecovery bool
-	// UnloggedUpdates selects the update mechanism the paper *measured*
-	// (Section IV.B: "a pointer to that new value is updated as the last
-	// step") instead of the full Algorithm 3 micro-log. It is four
-	// persists per update instead of the logged protocol's six, but can
-	// strand one old value object if a crash lands between the pointer
-	// swing and the old value's bit reset; the recovery orphan sweep
-	// reclaims such strays on the next restart, so the leak is bounded by
-	// one recovery period (the baselines leak the same window
-	// unboundedly). Default false: Algorithm 3, immediately leak-free.
+	// UnloggedUpdates selects, for the update that replaces one value
+	// object by another (both values longer than MaxInlineLen), the update
+	// mechanism the paper *measured* (Section IV.B: "a pointer to that new
+	// value is updated as the last step") instead of the full Algorithm 3
+	// micro-log. It is four persists per update instead of the logged
+	// protocol's six, but can strand one old value object if a crash lands
+	// between the pointer swing and the old value's bit reset; the
+	// recovery orphan sweep reclaims such strays on the next restart, so
+	// the leak is bounded by one recovery period (the baselines leak the
+	// same window unboundedly). Default false: Algorithm 3, immediately
+	// leak-free. No other update consults it: a value the leaf holds is
+	// replaced by one of its own length in a single failure-atomic store,
+	// and an update that changes a record's shape is always logged.
 	UnloggedUpdates bool
 	// LockedReads disables the lock-free read path and reproduces the
 	// paper's original Section III.A.3 protocol verbatim: Get takes the
@@ -219,7 +280,7 @@ func validateClasses(classes []int64) error {
 //
 // Readers never take mu on the fast path. They load tree — an immutable
 // snapshot republished by copy-on-write mutation — and validate the
-// PM-side reads (leaf bit, pValue word, value words) against seq, a
+// PM-side reads (the leaf's word 0, a value object's words) against seq, a
 // seqlock writers hold odd for the duration of their critical section.
 // The DRAM tree walk needs no validation at all; seq exists because the
 // PM slots behind the tree's leaf pointers are reused by the allocator,
@@ -259,7 +320,7 @@ type artShard struct {
 // pendingLeaves is a lazily recovered shard's to-do list: the live leaves
 // the recovery scan assigned to it, awaiting the first-touch ART build.
 type pendingLeaves struct {
-	leaves []pmem.Ptr
+	leaves []leafRef
 	// hkLen is the length of the shard's directory prefix, which the
 	// first-touch build strips from each leaf's full key to form its ART
 	// key. Fixed at kh before the elastic directory; now per-shard,
@@ -709,43 +770,109 @@ func (h *HART) NumARTs() int {
 
 // leafKey reads the full key stored in a leaf.
 func (h *HART) leafKey(leaf pmem.Ptr) []byte {
-	n := int(h.arena.Read1(leaf + lfKeyLen))
-	if n > MaxKeyLen {
-		n = MaxKeyLen
-	}
-	key := make([]byte, n)
-	h.arena.ReadAt(leaf+lfKey, key)
+	hdr := h.arena.Read8(leaf + lfKeyLen)
+	key := make([]byte, min(hdrKeyLen(hdr), MaxKeyLen))
+	h.keyFromHeader(leaf, hdr, key)
 	return key
 }
 
-// leafValue reads the value referenced by a leaf.
-func (h *HART) leafValue(leaf pmem.Ptr) []byte {
-	vp, n := unpackValue(h.arena.Read8(leaf + lfPValue))
-	if vp.IsNil() || n == 0 || n > h.maxValueLen() {
-		return nil
+// keyFromHeader fills key with the leading len(key) bytes of the leaf's
+// key: from the header word as far as it reaches, and by one more load
+// only for the bytes past it.
+func (h *HART) keyFromHeader(leaf pmem.Ptr, hdr uint64, key []byte) {
+	for i := 0; i < len(key) && i < hdrKeyBytes; i++ {
+		key[i] = byte(hdr >> (8 * uint(lfKey-lfKeyLen+i)))
 	}
-	v := make([]byte, n)
-	h.arena.ReadAt(vp, v)
-	return v
+	if len(key) > hdrKeyBytes {
+		h.arena.ReadAt(leaf+lfKey+hdrKeyBytes, key[hdrKeyBytes:])
+	}
 }
 
-// onLeafReuse is the Algorithm 2 lines 12-16 repair hook: when a leaf slot
-// is handed out and its stale p_value still references a committed value
-// object, the crash happened between value-bit set and leaf-bit set of a
-// previous insertion (or between the bit resets of a deletion); the value
-// is unreachable and must be reclaimed before the slot is reused.
-func (h *HART) onLeafReuse(leaf pmem.Ptr) {
-	w := h.arena.Read8(leaf + lfPValue)
-	vp, _ := unpackValue(w)
-	if vp.IsNil() {
-		return
+// readValue loads the value of the record behind ref, into dst if its
+// capacity suffices. An inline value is one load of word 0; a value object
+// costs that load and one of the object. With want false the value is
+// located but not copied, which for an inline value needs no load at all.
+// ok is false for a word 0 no committed leaf holds, which only a reader
+// racing a writer can see (and then discards, see readOptimistic).
+//
+// All loads are atomic word loads: the slots behind a stale tree snapshot
+// are reused, so a lock-free reader's loads race the new owner's stores.
+// Such a reader also passes stable, which reports whether ref and the word
+// 0 just loaded still belong to one committed state: a word 0 that has
+// since become an inline value's bytes must not be followed as a pointer —
+// it can spell an address outside the arena. (A pointer that was good when
+// loaded stays inside it, whatever becomes of its object.) A caller that
+// excludes writers passes nil.
+func (h *HART) readValue(ref leafRef, dst []byte, want bool, stable func() bool) (v []byte, ok bool) {
+	n := ref.shape()
+	if n != 0 && !want {
+		return nil, true
 	}
-	set, err := h.alloc.BitIsSet(vp)
-	if err == nil && set {
-		if err := h.alloc.ResetBit(vp); err == nil {
-			_ = h.alloc.RecycleIfPresent(vp)
+	w := h.arena.Read8(ref.ptr() + lfWord0)
+	var vp pmem.Ptr
+	if n == 0 {
+		vp, n = unpackValue(w)
+		if vp.IsNil() || n <= MaxInlineLen || n > h.maxValueLen() {
+			return nil, false
+		}
+		if !want {
+			return nil, true
+		}
+		if stable != nil && !stable() {
+			return nil, false
 		}
 	}
-	h.arena.Write8(leaf+lfPValue, 0)
-	h.arena.Persist(leaf+lfPValue, 8)
+	if cap(dst) >= n {
+		v = dst[:n]
+	} else {
+		v = make([]byte, n)
+	}
+	if vp.IsNil() {
+		for i := range v {
+			v[i] = byte(w >> (8 * uint(i)))
+		}
+	} else {
+		h.arena.ReadWords(vp, v)
+	}
+	return v, true
+}
+
+// reclaimStale is the one place a dead leaf slot's word 0 is followed. The
+// word is never trusted: since values live in it, a torn insert or an
+// unscrubbed delete leaves user bytes there, beside a shape byte that may
+// be a previous occupant's, and BitIsSet/ResetBit accept any slot base of
+// any class. So w is followed only if, read as a packed pointer, it names
+// a slot base of a value class whose bit is set and which no live leaf
+// references — then it is what Algorithm 2 lines 12-16 look for, a value
+// committed by an insert that never committed its leaf (or left behind by
+// a delete between its two bit resets), and is reclaimed. The caller
+// zeroes the word whatever this finds.
+func (h *HART) reclaimStale(w uint64, referenced func(pmem.Ptr) bool) error {
+	vp, _ := unpackValue(w)
+	if c, err := h.alloc.ClassOf(vp); err != nil || c < classValue0 {
+		return nil
+	}
+	if set, err := h.alloc.BitIsSet(vp); err != nil || !set || referenced(vp) {
+		return nil
+	}
+	if err := h.alloc.ResetBit(vp); err != nil {
+		return err
+	}
+	return h.alloc.RecycleIfPresent(vp)
+}
+
+// onLeafReuse is the Algorithm 2 lines 12-16 repair hook, run on a leaf
+// slot as it is handed out. An allocatable leaf slot durably has word 0
+// == 0 — the delete scrub, the failure-path scrubs and recovery's sweep
+// of every dead slot keep that invariant (DESIGN.md §7 item 3) — so the
+// load below is all this does; the repair is kept for the slot that
+// escapes the invariant, where it can only run against a value object
+// with no way to tell whether a live leaf references it.
+func (h *HART) onLeafReuse(leaf pmem.Ptr) {
+	w := h.arena.Read8(leaf + lfWord0)
+	if w == 0 {
+		return
+	}
+	_ = h.reclaimStale(w, func(pmem.Ptr) bool { return false })
+	h.scrubLeaf(leaf)
 }

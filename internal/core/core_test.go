@@ -19,6 +19,17 @@ func newHART(t *testing.T) *HART {
 	return h
 }
 
+// mixedValue formats the i-th value of a generated workload so that the
+// workload meets both value shapes: two in three fit the leaf, the third
+// is long enough to need a value object.
+func mixedValue(format string, i int) string {
+	v := fmt.Sprintf(format, i)
+	if i%3 == 0 {
+		v += "-wide"
+	}
+	return v
+}
+
 func mustPut(t *testing.T, h *HART, k, v string) {
 	t.Helper()
 	if err := h.Put([]byte(k), []byte(v)); err != nil {
@@ -95,7 +106,7 @@ func TestPutUpdatesExisting(t *testing.T) {
 	if h.Len() != 1 {
 		t.Fatalf("Len = %d after in-place put, want 1", h.Len())
 	}
-	// Cross size classes: 8B class -> 16B class and back.
+	// Cross shapes: out of the leaf into a value object and back.
 	mustPut(t, h, "key", "0123456789abcdef")
 	mustGet(t, h, "key", "0123456789abcdef")
 	mustPut(t, h, "key", "x")
@@ -375,11 +386,14 @@ func TestManyRecordsAcrossChunks(t *testing.T) {
 func TestStatsAndSizeInfo(t *testing.T) {
 	h := newHART(t)
 	for i := 0; i < 1000; i++ {
-		mustPut(t, h, fmt.Sprintf("st%06d", i), "12345678")
+		mustPut(t, h, fmt.Sprintf("st%06d", i), mixedValue("%07d", i))
 	}
 	st := h.Stats()
 	if st.Records != 1000 {
 		t.Fatalf("Records = %d", st.Records)
+	}
+	if st.InlineRecords != 666 { // mixedValue: all but every third, 0 to 999
+		t.Fatalf("InlineRecords = %d, want 666", st.InlineRecords)
 	}
 	if st.Size.PMBytes <= 0 || st.Size.DRAMBytes <= 0 {
 		t.Fatalf("SizeInfo non-positive: %+v", st.Size)
@@ -402,17 +416,17 @@ func TestStatsAndSizeInfo(t *testing.T) {
 func TestDeleteDoesNotPoisonReusedValueSlot(t *testing.T) {
 	h := newHART(t)
 	// k1's value occupies a value slot; delete k1 frees it.
-	mustPut(t, h, "xx-one", "willfree")
+	mustPut(t, h, "xx-one", "willfree-object")
 	if err := h.Delete([]byte("xx-one")); err != nil {
 		t.Fatal(err)
 	}
 	// k2 reuses the freed value slot (same class, same chunk hint).
-	mustPut(t, h, "yy-two", "newowner")
+	mustPut(t, h, "yy-two", "newowner-object")
 	// k3 reuses k1's leaf slot, firing the OnReuse repair hook. Before
 	// the fix, the hook saw k1's stale p_value -> k2's live value and
 	// reset its bit.
 	mustPut(t, h, "zz-three", "fresh")
-	mustGet(t, h, "yy-two", "newowner")
+	mustGet(t, h, "yy-two", "newowner-object")
 	if err := h.Check(); err != nil {
 		t.Fatalf("aliasing regression: %v", err)
 	}
@@ -428,7 +442,7 @@ func TestChurnHeavyMixedOps(t *testing.T) {
 		k := fmt.Sprintf("%c%c%03d", 'a'+rng.Intn(3), 'a'+rng.Intn(3), rng.Intn(300))
 		switch rng.Intn(3) {
 		case 0:
-			v := fmt.Sprintf("v%06d", i)
+			v := mixedValue("v%06d", i)
 			if err := h.Put([]byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
@@ -531,7 +545,7 @@ func TestParallelRecoveryEquivalence(t *testing.T) {
 	ref := map[string]string{}
 	for i := 0; i < 5000; i++ {
 		k := fmt.Sprintf("%c%c%05d", 'a'+rng.Intn(6), 'a'+rng.Intn(6), rng.Intn(50000))
-		v := fmt.Sprintf("v%06d", i)
+		v := mixedValue("v%06d", i)
 		if err := h.Put([]byte(k), []byte(v)); err != nil {
 			t.Fatal(err)
 		}

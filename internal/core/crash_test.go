@@ -99,149 +99,172 @@ func TestCrashDuringInsertEveryPersist(t *testing.T) {
 			}
 		}
 	}
-	points := 0
-	for fail := int64(0); ; fail++ {
-		h2, crashed := crashHarness(t, fail, setup, func(h *HART) {
-			if err := h.Put([]byte("victim"), []byte("vnew")); err != nil {
-				t.Fatal(err)
+	// One sweep per shape: a value the leaf holds, a value in an object.
+	for _, vnew := range []string{"vnew", "vnew-in-object"} {
+		points := 0
+		for fail := int64(0); ; fail++ {
+			h2, crashed := crashHarness(t, fail, setup, func(h *HART) {
+				if err := h.Put([]byte("victim"), []byte(vnew)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !crashed {
+				break
 			}
-		})
-		if !crashed {
-			break
-		}
-		points++
-		for i := 0; i < 10; i++ {
-			got, ok := h2.Get([]byte(fmt.Sprintf("pre%03d", i)))
-			if !ok || string(got) != "stable" {
-				t.Fatalf("fail=%d: pre-existing record damaged: (%q,%v)", fail, got, ok)
+			points++
+			for i := 0; i < 10; i++ {
+				got, ok := h2.Get([]byte(fmt.Sprintf("pre%03d", i)))
+				if !ok || string(got) != "stable" {
+					t.Fatalf("%q fail=%d: pre-existing record damaged: (%q,%v)", vnew, fail, got, ok)
+				}
+			}
+			if got, ok := h2.Get([]byte("victim")); ok && string(got) != vnew {
+				t.Fatalf("%q fail=%d: torn insert visible: %q", vnew, fail, got)
+			}
+			if err := h2.Check(); err != nil {
+				t.Fatalf("%q fail=%d: fsck after insert crash: %v", vnew, fail, err)
+			}
+			// The index must remain fully writable; the in-limbo leaf slot
+			// is among the first to be reused.
+			for i := 0; i < 60; i++ {
+				if err := h2.Put([]byte(fmt.Sprintf("post%03d", i)), []byte("p")); err != nil {
+					t.Fatalf("%q fail=%d: post-crash put: %v", vnew, fail, err)
+				}
+			}
+			if err := h2.Check(); err != nil {
+				t.Fatalf("%q fail=%d: fsck after refill: %v", vnew, fail, err)
 			}
 		}
-		if got, ok := h2.Get([]byte("victim")); ok && string(got) != "vnew" {
-			t.Fatalf("fail=%d: torn insert visible: %q", fail, got)
+		if points < 5 {
+			t.Fatalf("insert of %q exercised only %d crash points; expected several persists", vnew, points)
 		}
-		if err := h2.Check(); err != nil {
-			t.Fatalf("fail=%d: fsck after insert crash: %v", fail, err)
-		}
-		// The index must remain fully writable; in particular, reusing the
-		// in-limbo leaf slot must reclaim any orphaned value (Alg. 2).
-		for i := 0; i < 60; i++ {
-			if err := h2.Put([]byte(fmt.Sprintf("post%03d", i)), []byte("p")); err != nil {
-				t.Fatalf("fail=%d: post-crash put: %v", fail, err)
-			}
-		}
-		if err := h2.Check(); err != nil {
-			t.Fatalf("fail=%d: fsck after refill: %v", fail, err)
-		}
-	}
-	if points < 5 {
-		t.Fatalf("insert exercised only %d crash points; expected several persists", points)
 	}
 }
 
-// TestCrashDuringUpdateEveryPersist verifies Algorithm 3: after a crash at
-// any persist boundary of an update, recovery leaves the key mapped to
+// updateShapes lists one update per pair of value shapes, with the fewest
+// persists its protocol issues: the old and the new value each either in
+// the leaf (up to 8 bytes) or in a value object.
+var updateShapes = []struct {
+	name, old, new string
+	persists       int
+}{
+	{"inline, same length", "oldval", "newval", 1},
+	{"inline, length change", "oldval12", "new", 3},
+	{"inline to object", "oldval", "newval-in-object", 5},
+	{"object to inline", "oldval-in-object", "newval", 4},
+	{"object to object", "oldval-in-object", "newval-in-object", 6},
+}
+
+// TestCrashDuringUpdateEveryPersist verifies Algorithm 3 and the one-store
+// inline update: after a crash at any persist boundary of an update,
+// whatever shapes it goes between, recovery leaves the key mapped to
 // either the old or the new value, with no leak and no torn state.
 func TestCrashDuringUpdateEveryPersist(t *testing.T) {
-	setup := func(h *HART) {
-		if err := h.Put([]byte("upkey"), []byte("oldval")); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			if err := h.Put([]byte(fmt.Sprintf("other%d", i)), []byte("keep")); err != nil {
+	for _, c := range updateShapes {
+		setup := func(h *HART) {
+			if err := h.Put([]byte("upkey"), []byte(c.old)); err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	points := 0
-	for fail := int64(0); ; fail++ {
-		h2, crashed := crashHarness(t, fail, setup, func(h *HART) {
-			if err := h.Update([]byte("upkey"), []byte("newval")); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 5; i++ {
+				if err := h.Put([]byte(fmt.Sprintf("other%d", i)), []byte("keep")); err != nil {
+					t.Fatal(err)
+				}
 			}
-		})
-		if !crashed {
-			break
 		}
-		points++
-		got, ok := h2.Get([]byte("upkey"))
-		if !ok {
-			t.Fatalf("fail=%d: key vanished during update", fail)
+		points := 0
+		for fail := int64(0); ; fail++ {
+			h2, crashed := crashHarness(t, fail, setup, func(h *HART) {
+				if err := h.Update([]byte("upkey"), []byte(c.new)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !crashed {
+				break
+			}
+			points++
+			got, ok := h2.Get([]byte("upkey"))
+			if !ok {
+				t.Fatalf("%s fail=%d: key vanished during update", c.name, fail)
+			}
+			if s := string(got); s != c.old && s != c.new {
+				t.Fatalf("%s fail=%d: torn update value %q", c.name, fail, s)
+			}
+			if err := h2.Check(); err != nil {
+				t.Fatalf("%s fail=%d: fsck after update crash: %v", c.name, fail, err)
+			}
+			// Updating again post-recovery must work and converge.
+			if err := h2.Update([]byte("upkey"), []byte("final!")); err != nil {
+				t.Fatalf("%s fail=%d: post-crash update: %v", c.name, fail, err)
+			}
+			if got, _ := h2.Get([]byte("upkey")); string(got) != "final!" {
+				t.Fatalf("%s fail=%d: post-crash update lost: %q", c.name, fail, got)
+			}
+			if err := h2.Check(); err != nil {
+				t.Fatalf("%s fail=%d: fsck after post-crash update: %v", c.name, fail, err)
+			}
 		}
-		if s := string(got); s != "oldval" && s != "newval" {
-			t.Fatalf("fail=%d: torn update value %q", fail, s)
+		if points < c.persists {
+			t.Fatalf("%s: update exercised only %d crash points, want at least %d", c.name, points, c.persists)
 		}
-		if err := h2.Check(); err != nil {
-			t.Fatalf("fail=%d: fsck after update crash: %v", fail, err)
-		}
-		// Updating again post-recovery must work and converge.
-		if err := h2.Update([]byte("upkey"), []byte("final!")); err != nil {
-			t.Fatalf("fail=%d: post-crash update: %v", fail, err)
-		}
-		if got, _ := h2.Get([]byte("upkey")); string(got) != "final!" {
-			t.Fatalf("fail=%d: post-crash update lost: %q", fail, got)
-		}
-		if err := h2.Check(); err != nil {
-			t.Fatalf("fail=%d: fsck after post-crash update: %v", fail, err)
-		}
-	}
-	if points < 5 {
-		t.Fatalf("update exercised only %d crash points", points)
 	}
 }
 
 // TestCrashDuringDeleteEveryPersist verifies Algorithm 5: a crash during
 // deletion leaves the key either present with its value or fully absent;
-// a half-deleted leaf (leaf bit cleared, value bit still set) must be
-// repaired by subsequent allocations, not leaked.
+// a half-deleted record (leaf bit cleared; value bit still set, or the
+// value's bytes still in the dead slot's word 0) must be cleaned up by
+// recovery — no leak, nothing left for the slot's next owner to misread.
 func TestCrashDuringDeleteEveryPersist(t *testing.T) {
-	setup := func(h *HART) {
-		for i := 0; i < 8; i++ {
-			if err := h.Put([]byte(fmt.Sprintf("del%03d", i)), []byte("dv")); err != nil {
-				t.Fatal(err)
+	// One sweep per shape. Deleting one of several records in shared chunks
+	// performs exactly two persists for a record the leaf holds whole (leaf
+	// bit, scrub) and three when its value is an object (leaf bit, value
+	// bit, scrub); every boundary must have been exercised.
+	for dv, persists := range map[string]int{"dv": 2, "dv-in-an-object": 3} {
+		setup := func(h *HART) {
+			for i := 0; i < 8; i++ {
+				if err := h.Put([]byte(fmt.Sprintf("del%03d", i)), []byte(dv)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	points := 0
-	for fail := int64(0); ; fail++ {
-		h2, crashed := crashHarness(t, fail, setup, func(h *HART) {
-			if err := h.Delete([]byte("del003")); err != nil {
-				t.Fatal(err)
+		points := 0
+		for fail := int64(0); ; fail++ {
+			h2, crashed := crashHarness(t, fail, setup, func(h *HART) {
+				if err := h.Delete([]byte("del003")); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !crashed {
+				break
 			}
-		})
-		if !crashed {
-			break
-		}
-		points++
-		if got, ok := h2.Get([]byte("del003")); ok && string(got) != "dv" {
-			t.Fatalf("fail=%d: half-deleted key visible with value %q", fail, got)
-		}
-		for i := 0; i < 8; i++ {
-			if i == 3 {
-				continue
+			points++
+			if got, ok := h2.Get([]byte("del003")); ok && string(got) != dv {
+				t.Fatalf("%q fail=%d: half-deleted key visible with value %q", dv, fail, got)
 			}
-			if got, ok := h2.Get([]byte(fmt.Sprintf("del%03d", i))); !ok || string(got) != "dv" {
-				t.Fatalf("fail=%d: sibling del%03d damaged", fail, i)
+			for i := 0; i < 8; i++ {
+				if i == 3 {
+					continue
+				}
+				if got, ok := h2.Get([]byte(fmt.Sprintf("del%03d", i))); !ok || string(got) != dv {
+					t.Fatalf("%q fail=%d: sibling del%03d damaged", dv, fail, i)
+				}
+			}
+			if err := h2.Check(); err != nil {
+				t.Fatalf("%q fail=%d: fsck after delete crash: %v", dv, fail, err)
+			}
+			// Fill enough records to force reuse of the victim slot.
+			for i := 0; i < 60; i++ {
+				if err := h2.Put([]byte(fmt.Sprintf("re%04d", i)), []byte("r")); err != nil {
+					t.Fatalf("%q fail=%d: refill: %v", dv, fail, err)
+				}
+			}
+			if err := h2.Check(); err != nil {
+				t.Fatalf("%q fail=%d: fsck after refill: %v", dv, fail, err)
 			}
 		}
-		if err := h2.Check(); err != nil {
-			t.Fatalf("fail=%d: fsck after delete crash: %v", fail, err)
+		if points != persists {
+			t.Fatalf("delete of %q exercised %d crash points, want %d", dv, points, persists)
 		}
-		// Fill enough records to force reuse of the victim slot; the
-		// orphaned value (if any) must be reclaimed.
-		for i := 0; i < 60; i++ {
-			if err := h2.Put([]byte(fmt.Sprintf("re%04d", i)), []byte("r")); err != nil {
-				t.Fatalf("fail=%d: refill: %v", fail, err)
-			}
-		}
-		if err := h2.Check(); err != nil {
-			t.Fatalf("fail=%d: fsck after refill: %v", fail, err)
-		}
-	}
-	// Deleting one of several records in shared chunks performs exactly
-	// two persists (leaf-bit reset, value-bit reset); both boundaries must
-	// have been exercised.
-	if points < 2 {
-		t.Fatalf("delete exercised only %d crash points", points)
 	}
 }
 
@@ -269,7 +292,7 @@ func TestCrashDuringMixedWorkload(t *testing.T) {
 			for i := 0; ; i++ {
 				seed = seed*6364136223846793005 + 1442695040888963407
 				k := fmt.Sprintf("%c%c%04d", 'a'+byte(seed>>8%4), 'a'+byte(seed>>16%4), (seed>>24)%500)
-				v := fmt.Sprintf("v%06d", i)
+				v := mixedValue("v%06d", i)
 				// The op below may crash mid-flight: record intent first.
 				switch {
 				case i%5 == 4:
@@ -317,10 +340,10 @@ func TestCrashDuringMixedWorkload(t *testing.T) {
 }
 
 // TestCrashDuringUnloggedUpdateEveryPersist exercises the paper's
-// measured update path (Section IV.B): the pointer swing is atomic, so
-// the key always reads old-or-new; any stranded value object must be
-// reclaimed by the recovery orphan sweep so the recovered store is
-// leak-free.
+// measured update path (Section IV.B), which Options.UnloggedUpdates
+// selects between value objects: the pointer swing is atomic, so the key
+// always reads old-or-new; any stranded value object must be reclaimed by
+// the recovery orphan sweep so the recovered store is leak-free.
 func TestCrashDuringUnloggedUpdateEveryPersist(t *testing.T) {
 	opts := Options{ArenaSize: 16 << 20, Tracking: true, UnloggedUpdates: true}
 	points := 0
@@ -329,7 +352,7 @@ func TestCrashDuringUnloggedUpdateEveryPersist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Put([]byte("unlog"), []byte("oldval")); err != nil {
+		if err := h.Put([]byte("unlog"), []byte("oldval-in-object")); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
@@ -348,7 +371,7 @@ func TestCrashDuringUnloggedUpdateEveryPersist(t *testing.T) {
 					crashed = true
 				}
 			}()
-			if err := h.Update([]byte("unlog"), []byte("newval")); err != nil {
+			if err := h.Update([]byte("unlog"), []byte("newval-in-object")); err != nil {
 				t.Fatal(err)
 			}
 		}()
@@ -369,7 +392,7 @@ func TestCrashDuringUnloggedUpdateEveryPersist(t *testing.T) {
 		if !ok {
 			t.Fatalf("fail=%d: key vanished", fail)
 		}
-		if s := string(got); s != "oldval" && s != "newval" {
+		if s := string(got); s != "oldval-in-object" && s != "newval-in-object" {
 			t.Fatalf("fail=%d: torn unlogged update: %q", fail, s)
 		}
 		// The orphan sweep must leave the store leak-free immediately.
@@ -387,10 +410,11 @@ func TestCrashDuringUnloggedUpdateEveryPersist(t *testing.T) {
 // TestWritePathBudgets pins what each single-record write costs on a
 // store in steady state (chunks linked, slots being reused): the ordered
 // persists it issues, by site, the cache lines they flush and the PM loads
-// it makes. The protocols' recovery arguments are made persist by persist
-// (DESIGN.md §10), and persists and PM reads are what the medium charges
-// for, so a change to any of these numbers is a change of protocol and
-// must be made on purpose.
+// it makes — one row per protocol, which is one per pair of value shapes
+// (DESIGN.md §10: in the leaf up to 8 bytes, in a value object above). The
+// protocols' recovery arguments are made persist by persist there, and
+// persists and PM reads are what the medium charges for, so a change to
+// any of these numbers is a change of protocol and must be made on purpose.
 func TestWritePathBudgets(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("wp%03d", i)) }
 	must := func(err error) {
@@ -399,26 +423,33 @@ func TestWritePathBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// fill puts n records with 8-byte-class values under one directory
-	// prefix — one shard, one allocator stripe — so 56 of them fill the
-	// stripe's first leaf chunk and first value chunk exactly.
-	fill := func(h *HART, n int) {
+	// Values by shape. short2 is short's length, so replacing one by the
+	// other is the same-length inline update.
+	short, short2, eight, five := []byte("v1"), []byte("v2"), []byte("eight-by"), []byte("five!")
+	wide, wide2 := []byte("sixteen-bytes-ok"), []byte("now-twelve-b")
+	// fill puts n records under one directory prefix — one shard, one
+	// allocator stripe — so 56 of them fill the stripe's first leaf chunk
+	// and, with values of the 16-byte class, its first value chunk exactly.
+	fill := func(h *HART, n int, v []byte) {
 		for i := 0; i < n; i++ {
-			must(h.Put(key(i), []byte("v0")))
+			must(h.Put(key(i), v))
 		}
 	}
-	// steady is the common starting state: both classes' first chunks
-	// full, second chunks partly used and churned so their free slots are
-	// reused ones, and one record already in the 16-byte class so a
-	// class-changing update finds a linked chunk there.
-	steady := func(h *HART) {
-		fill(h, 60)
-		must(h.Put([]byte("wp-wide"), []byte("sixteen-bytes-ok")))
-		for i := 57; i < 60; i++ {
-			must(h.Delete(key(i)))
-		}
-		for i := 57; i < 60; i++ {
-			must(h.Put(key(i), []byte("v1")))
+	// steady is the common starting state for records of value v: first
+	// chunks full, second chunks partly used and churned so their free
+	// slots are reused ones, and one record in the 16-byte class whatever v
+	// is, so an update that moves a value out of its leaf finds a linked
+	// chunk there.
+	steady := func(v []byte) func(h *HART) {
+		return func(h *HART) {
+			fill(h, 60, v)
+			must(h.Put([]byte("wp-wide"), wide))
+			for i := 57; i < 60; i++ {
+				must(h.Delete(key(i)))
+			}
+			for i := 57; i < 60; i++ {
+				must(h.Put(key(i), v))
+			}
 		}
 	}
 
@@ -448,42 +479,107 @@ func TestWritePathBudgets(t *testing.T) {
 		lines    int64
 		reads    int64
 	}{
+		// The record that is one PM object: value in the leaf.
 		{
-			name:  "insert",
-			setup: steady,
-			op:    func(h *HART) error { return h.Put([]byte("wp-new"), []byte("v")) },
-			sites: sites("insert", "value", "leaf", "value-bit", "leaf-bit"),
-			lines: 4,
-			reads: 1, // onLeafReuse: the reused leaf slot's stale p_value
+			name:  "inline insert",
+			setup: steady(short),
+			op:    func(h *HART) error { return h.Put([]byte("wp-new"), short) },
+			sites: sites("insert", "leaf", "leaf-bit"),
+			lines: 2,
+			reads: 1, // onLeafReuse: the reused leaf slot's word 0
 		},
 		{
-			name:  "logged update",
-			setup: steady,
-			op:    func(h *HART) error { return h.Update(key(58), []byte("v2")) },
-			sites: sites("update", "value", "log", "value-bit", "swing", "release-old", "reclaim"),
-			lines: 6,
-			reads: 1, // the leaf's p_value
+			name:  "inline update, same length",
+			setup: steady(short),
+			op:    func(h *HART) error { return h.Update(key(58), short2) },
+			sites: sites("update", "inline"),
+			lines: 1,
+			reads: 0, // the ART entry says where the value is and how long
+		},
+		{
+			name:  "inline delete",
+			setup: steady(short),
+			op:    func(h *HART) error { return h.Delete(key(58)) },
+			sites: sites("delete", "leaf-bit", "scrub-pvalue"),
+			lines: 2,
+			reads: 0,
+		},
+		{
+			// Alone in its leaf chunk, which the delete empties and
+			// recycles (inside Free) under the stripe's recycle log.
+			name:  "inline delete that empties the chunk",
+			setup: func(h *HART) { fill(h, 57, short) },
+			op:    func(h *HART) error { return h.Delete(key(56)) },
+			sites: sites("delete", "leaf-bit", "scrub-pvalue", "recycle*7"),
+			lines: 9,
+			reads: 5, // five list words per recycle
+		},
+		// Every change of shape is the logged update, less the steps of the
+		// side that has no value object.
+		{
+			name:  "inline update, 8 to 5 B",
+			setup: func(h *HART) { steady(short)(h); must(h.Put(key(58), eight)) },
+			op:    func(h *HART) error { return h.Update(key(58), five) },
+			sites: sites("update", "log", "swing", "reclaim"),
+			lines: 3,
+			reads: 1, // the header word the shape byte is set in
 		},
 		{
 			name:  "logged update, class-changing 8 to 16 B",
-			setup: steady,
-			op:    func(h *HART) error { return h.Update(key(58), []byte("now-twelve-b")) },
+			setup: func(h *HART) { steady(short)(h); must(h.Put(key(58), eight)) },
+			op:    func(h *HART) error { return h.Update(key(58), wide) },
+			sites: sites("update", "value", "log", "value-bit", "swing", "reclaim"),
+			lines: 5,
+			reads: 1,
+		},
+		{
+			name:  "logged update, 16 B to inline",
+			setup: steady(wide),
+			op:    func(h *HART) error { return h.Update(key(58), eight) },
+			sites: sites("update", "log", "swing", "release-old", "reclaim"),
+			lines: 4,
+			reads: 2, // word 0 for the old value's address, then the header word
+		},
+		// The record that is two: value of 9 bytes and up in an object.
+		{
+			name:  "insert",
+			setup: steady(wide),
+			op:    func(h *HART) error { return h.Put([]byte("wp-new"), wide) },
+			sites: sites("insert", "value", "leaf", "value-bit", "leaf-bit"),
+			lines: 4,
+			reads: 1, // onLeafReuse: the reused leaf slot's word 0
+		},
+		{
+			name:  "logged update",
+			setup: steady(wide),
+			op:    func(h *HART) error { return h.Update(key(58), wide2) },
 			sites: sites("update", "value", "log", "value-bit", "swing", "release-old", "reclaim"),
 			lines: 6,
-			reads: 1,
+			reads: 1, // the leaf's word 0
 		},
 		{
 			name:     "unlogged update",
 			unlogged: true,
-			setup:    steady,
-			op:       func(h *HART) error { return h.Update(key(58), []byte("v2")) },
+			setup:    steady(wide),
+			op:       func(h *HART) error { return h.Update(key(58), wide2) },
 			sites:    sites("uupdate", "value", "value-bit", "swing", "release-old"),
 			lines:    4,
 			reads:    1,
 		},
 		{
+			// UnloggedUpdates selects between value objects only: a value
+			// the leaf holds is updated in place, option or no option.
+			name:     "inline update, same length, unlogged option",
+			unlogged: true,
+			setup:    steady(short),
+			op:       func(h *HART) error { return h.Update(key(58), short2) },
+			sites:    sites("update", "inline"),
+			lines:    1,
+			reads:    0,
+		},
+		{
 			name:  "delete",
-			setup: steady,
+			setup: steady(wide),
 			op:    func(h *HART) error { return h.Delete(key(58)) },
 			sites: sites("delete", "leaf-bit", "value-bit", "scrub-pvalue"),
 			lines: 3,
@@ -495,11 +591,11 @@ func TestWritePathBudgets(t *testing.T) {
 			// Release), then the leaf chunk (inside Free) — seven persists
 			// each under the stripe's recycle log.
 			name:  "delete that empties both chunks",
-			setup: func(h *HART) { fill(h, 57) },
+			setup: func(h *HART) { fill(h, 57, wide) },
 			op:    func(h *HART) error { return h.Delete(key(56)) },
 			sites: sites("delete", "leaf-bit", "value-bit", "value-bit*7", "scrub-pvalue", "recycle*7"),
 			lines: 17,
-			reads: 11, // p_value, then five list words per recycle
+			reads: 11, // word 0, then five list words per recycle
 		},
 	}
 	for _, c := range cases {
@@ -602,87 +698,79 @@ func TestCrashDuringDeleteRecycleEveryPersist(t *testing.T) {
 
 // TestCrashDuringRecoveryEveryPersist closes the re-entrancy gap: the
 // first crash lands at every boundary of an update (the op whose recovery
-// does the most PM writes: completing the ulog, resetting it, sweeping
-// stale slots), then recovery itself is crashed at every one of its own
-// persist boundaries, and recovery-after-recovery must still produce the
-// old or new value with a clean fsck.
+// does the most PM writes: completing the ulog — for an update that
+// changes the record's shape, rewriting two words of its leaf — resetting
+// it, sweeping stale slots), then recovery itself is crashed at every one
+// of its own persist boundaries, and recovery-after-recovery must still
+// produce the old or new value with a clean fsck.
 func TestCrashDuringRecoveryEveryPersist(t *testing.T) {
-	for fail := int64(0); ; fail++ {
-		h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Put([]byte("upkey"), []byte("oldval")); err != nil {
-			t.Fatal(err)
-		}
-		h.Arena().FailAfterPersists(fail)
-		crashed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(pmem.CrashError); !ok {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
-			if err := h.Update([]byte("upkey"), []byte("newval")); err != nil {
-				t.Fatal(err)
-			}
-		}()
-		h.Arena().DisarmCrash()
-		if !crashed {
-			break
-		}
-		img, err := h.Arena().DurableImage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rfail := int64(0); ; rfail++ {
-			if rfail > 256 {
-				t.Fatalf("fail=%d: recovery persisted more than 256 times", fail)
-			}
-			ar, err := pmem.Attach(append([]byte(nil), img...), pmem.Config{Tracking: true})
+	for _, c := range updateShapes {
+		for fail := int64(0); ; fail++ {
+			h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ar.FailAfterPersists(rfail)
-			recrashed := false
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(pmem.CrashError); !ok {
-							panic(r)
-						}
-						recrashed = true
-					}
-				}()
-				_, err = Open(ar, Options{})
-			}()
-			var h2 *HART
-			if recrashed {
-				img2, cerr := ar.Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
-				if cerr != nil {
-					t.Fatal(cerr)
+			if err := h.Put([]byte("upkey"), []byte(c.old)); err != nil {
+				t.Fatal(err)
+			}
+			_, crashed := runToCrash(h, fail, func() {
+				if err := h.Update([]byte("upkey"), []byte(c.new)); err != nil {
+					t.Fatal(err)
 				}
-				if h2, err = Open(img2, Options{}); err != nil {
-					t.Fatalf("fail=%d rfail=%d: recovery after recovery crash: %v", fail, rfail, err)
-				}
-			} else if err != nil {
-				t.Fatalf("fail=%d rfail=%d: open: %v", fail, rfail, err)
-			} else {
-				// Recovery finished before the second injection: sweep done.
+			})
+			if !crashed {
 				break
 			}
-			got, ok := h2.Get([]byte("upkey"))
-			if !ok {
-				t.Fatalf("fail=%d rfail=%d: key vanished", fail, rfail)
+			img, err := h.Arena().DurableImage()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if s := string(got); s != "oldval" && s != "newval" {
-				t.Fatalf("fail=%d rfail=%d: torn value %q", fail, rfail, s)
-			}
-			if err := h2.Check(); err != nil {
-				t.Fatalf("fail=%d rfail=%d: fsck: %v", fail, rfail, err)
+			for rfail := int64(0); ; rfail++ {
+				if rfail > 256 {
+					t.Fatalf("%s fail=%d: recovery persisted more than 256 times", c.name, fail)
+				}
+				ar, err := pmem.Attach(append([]byte(nil), img...), pmem.Config{Tracking: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ar.FailAfterPersists(rfail)
+				recrashed := false
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							if _, ok := r.(pmem.CrashError); !ok {
+								panic(r)
+							}
+							recrashed = true
+						}
+					}()
+					_, err = Open(ar, Options{})
+				}()
+				var h2 *HART
+				if recrashed {
+					img2, cerr := ar.Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
+					if cerr != nil {
+						t.Fatal(cerr)
+					}
+					if h2, err = Open(img2, Options{}); err != nil {
+						t.Fatalf("%s fail=%d rfail=%d: recovery after recovery crash: %v", c.name, fail, rfail, err)
+					}
+				} else if err != nil {
+					t.Fatalf("%s fail=%d rfail=%d: open: %v", c.name, fail, rfail, err)
+				} else {
+					// Recovery finished before the second injection: sweep done.
+					break
+				}
+				got, ok := h2.Get([]byte("upkey"))
+				if !ok {
+					t.Fatalf("%s fail=%d rfail=%d: key vanished", c.name, fail, rfail)
+				}
+				if s := string(got); s != c.old && s != c.new {
+					t.Fatalf("%s fail=%d rfail=%d: torn value %q", c.name, fail, rfail, s)
+				}
+				if err := h2.Check(); err != nil {
+					t.Fatalf("%s fail=%d rfail=%d: fsck: %v", c.name, fail, rfail, err)
+				}
 			}
 		}
 	}
@@ -700,7 +788,7 @@ func TestUpdateLogReplaySparesReusedSlot(t *testing.T) {
 	prefixes := sameStripePrefixes(t, 2)
 	victim, sibling := append(prefixes[0], "-victim"...), append(prefixes[1], "-sibling"...)
 
-	const newVal = "v2"
+	const newVal = "v2-in-an-object"
 	// Crash the update at each boundary in turn, on a fresh store,
 	// until the one at the log reclaim is found.
 	var h *HART
@@ -709,7 +797,7 @@ func TestUpdateLogReplaySparesReusedSlot(t *testing.T) {
 		if h, err = New(Options{ArenaSize: 16 << 20, Tracking: true}); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Put(victim, []byte("v1")); err != nil {
+		if err := h.Put(victim, []byte("v1-in-an-object")); err != nil {
 			t.Fatal(err)
 		}
 		site, crashed := runToCrash(h, k, func() {
@@ -727,7 +815,7 @@ func TestUpdateLogReplaySparesReusedSlot(t *testing.T) {
 
 	// The crashed writer is gone mid-operation; the sibling shard's
 	// writer carries on until the power actually fails.
-	if err := h.Put(sibling, []byte("sib")); err != nil {
+	if err := h.Put(sibling, []byte("sib-in-an-object")); err != nil {
 		t.Fatal(err)
 	}
 	img, err := h.Arena().Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
@@ -746,17 +834,200 @@ func TestUpdateLogReplaySparesReusedSlot(t *testing.T) {
 	}
 	// A freed-but-referenced slot shows once it is handed out again.
 	for i := 0; i < 3; i++ {
-		if err := h2.Put([]byte(fmt.Sprintf("%s-more%d", prefixes[1], i)), []byte("other")); err != nil {
+		if err := h2.Put([]byte(fmt.Sprintf("%s-more%d", prefixes[1], i)), []byte("other-in-object")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if v, ok := h2.Get(sibling); !ok || string(v) != "sib" {
-		t.Fatalf("sibling's record = (%q, %v) after replay, want \"sib\"", v, ok)
+	if v, ok := h2.Get(sibling); !ok || string(v) != "sib-in-an-object" {
+		t.Fatalf("sibling's record = (%q, %v) after replay, want \"sib-in-an-object\"", v, ok)
 	}
 	if v, ok := h2.Get(victim); !ok || string(v) != newVal {
 		t.Fatalf("replayed update = (%q, %v), want %q", v, ok, newVal)
 	}
 	if err := h2.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recoveryModes is every way Open rebuilds the index: the four modes share
+// classifyLeaf and reclaimStale, and a test of what recovery may trust
+// runs under each.
+var recoveryModes = []struct {
+	name string
+	opts Options
+}{
+	{"serial", Options{}},
+	{"parallel", Options{RecoveryWorkers: 4}},
+	{"lazy", Options{LazyRecovery: true}},
+	{"lazy-parallel", Options{LazyRecovery: true, RecoveryWorkers: 4}},
+	{"legacy", Options{LegacyRecovery: true}},
+}
+
+// TestDeadSlotWordIsNeverTrusted pins the rule word 0 now lives under: it
+// holds user bytes, so a dead slot's word 0 can spell anything. The torn
+// image is built by hand — an inline insert whose leaf persist reached the
+// line holding word 0 but not the one holding the header, so the new value
+// sits beside the previous occupant's shape byte of 0, "value object" — with
+// the value's bytes spelling, in turn, the address of a live leaf and that
+// of a live value object, bare and as the packed word the live leaf itself
+// holds. Following such a word as recovery followed every dead slot's
+// word before (BitIsSet and ResetBit accept any slot base of any class)
+// clears the bit of the live leaf or of the live value. Every recovery
+// mode must instead zero the word and nothing else: every record present,
+// fsck clean, and — the dead slot being the next one allocated — still so
+// after the slot is reused.
+func TestDeadSlotWordIsNeverTrusted(t *testing.T) {
+	h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[string]string{
+		"tn-inline": "in-leaf",
+		"tn-object": "in-a-value-object"[:16],
+		"tn-other":  "bystander",
+	}
+	for k, v := range ref {
+		mustPut(t, h, k, v)
+	}
+	// The slot a torn insert dies in: last held a record with a value
+	// object (stale shape byte 0), deleted and scrubbed since.
+	mustPut(t, h, "tn-victim", "victim-in-object")
+	dead, _ := h.GetLeaf([]byte("tn-victim"))
+	if err := h.Delete([]byte("tn-victim")); err != nil {
+		t.Fatal(err)
+	}
+	liveLeaf, _ := h.GetLeaf([]byte("tn-inline"))
+	objLeaf, _ := h.GetLeaf([]byte("tn-object"))
+	liveWord := h.arena.Read8(objLeaf + lfWord0)
+	liveVal, _ := unpackValue(liveWord)
+	if c, err := h.alloc.ClassOf(liveVal); err != nil || c < classValue0 {
+		t.Fatalf("fixture: %d is not a value object (class %v, err %v)", liveVal, c, err)
+	}
+
+	for _, torn := range []struct {
+		name  string
+		word0 uint64
+	}{
+		{"address of a live leaf", uint64(liveLeaf)},
+		{"address of a live value object", uint64(liveVal)},
+		{"packed word of a live value object", liveWord},
+	} {
+		h.arena.Write8(dead+lfWord0, torn.word0)
+		h.arena.Persist(dead+lfWord0, 8)
+		img, err := h.Arena().DurableImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range recoveryModes {
+			name := torn.name + ", " + m.name
+			h2 := openImage(t, img, m.opts)
+			if n := h2.LastRecoveryStats().StaleSlotsZeroed; n != 1 {
+				t.Fatalf("%s: recovery zeroed %d stale slots, want the torn one", name, n)
+			}
+			assertContents(t, h2, ref, nil, name)
+			if err := h2.Check(); err != nil {
+				t.Fatalf("%s: fsck after recovery: %v", name, err)
+			}
+			// Reuse the slot, under the deleted record's shard and stripe.
+			mustPut(t, h2, "tn-victim", "again")
+			if leaf, _ := h2.GetLeaf([]byte("tn-victim")); leaf != dead {
+				t.Fatalf("%s: re-insert took slot %d, not the torn slot %d", name, leaf, dead)
+			}
+			for k, v := range ref {
+				if got, ok := h2.Get([]byte(k)); !ok || string(got) != v {
+					t.Fatalf("%s: Get(%q) = (%q, %v) after the slot's reuse, want %q", name, k, got, ok, v)
+				}
+			}
+			if err := h2.Check(); err != nil {
+				t.Fatalf("%s: fsck after the slot's reuse: %v", name, err)
+			}
+		}
+	}
+
+	// The same word met at run time, by the Algorithm 2 hook of the
+	// allocation that reuses the slot: a leaf's address is no value object,
+	// so it is zeroed and nothing follows it.
+	h.arena.Write8(dead+lfWord0, uint64(liveLeaf))
+	h.arena.Persist(dead+lfWord0, 8)
+	mustPut(t, h, "tn-victim", "again")
+	ref["tn-victim"] = "again"
+	assertContents(t, h, ref, nil, "run-time reuse")
+	if err := h.Check(); err != nil {
+		t.Fatalf("fsck after run-time reuse: %v", err)
+	}
+}
+
+// TestTornShapeSwingReplays covers the one place a live leaf's word 0 and
+// shape byte are rewritten together. They share a cache line in seven
+// slots of eight and straddle two in the eighth, so a crash between the
+// swing's stores and its persist can leave either word new beside the
+// other old — a state no persist-boundary sweep produces, because the
+// simulated medium drops every unpersisted line. Both halves are built by
+// hand here, for every change of shape, on a slot whose header does
+// straddle; the armed update log must put the record right in every
+// recovery mode.
+func TestTornShapeSwingReplays(t *testing.T) {
+	for _, c := range updateShapes {
+		if len(c.old) == len(c.new) {
+			continue // no change of shape: the swing is one word
+		}
+		// fixture puts sw-key in a slot whose header word opens a cache
+		// line: same shard, same stripe, so consecutive slots of one chunk,
+		// filled until the next one is such a slot.
+		ref := map[string]string{"sw-key": c.new}
+		fixture := func() (*HART, pmem.Ptr) {
+			h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; ; i++ {
+				k := fmt.Sprintf("sw-fill%d", i)
+				mustPut(t, h, k, "filler")
+				ref[k] = "filler"
+				if last, _ := h.GetLeaf([]byte(k)); (last+leafSize+lfKeyLen)%64 == 0 {
+					break
+				}
+			}
+			mustPut(t, h, "sw-key", c.old)
+			leaf, _ := h.GetLeaf([]byte("sw-key"))
+			if (leaf+lfKeyLen)%64 != 0 {
+				t.Fatalf("fixture: leaf %d keeps word 0 and its header word on one line", leaf)
+			}
+			return h, leaf
+		}
+		// Crash the update at each boundary in turn, on a fresh store, until
+		// the one at the swing is found.
+		var h *HART
+		var leaf pmem.Ptr
+		for k := int64(0); ; k++ {
+			h, leaf = fixture()
+			site, crashed := runToCrash(h, k, func() { mustPut(t, h, "sw-key", c.new) })
+			if !crashed {
+				t.Fatalf("%s: update completed without reaching update.swing", c.name)
+			}
+			if site == "update.swing" {
+				break
+			}
+		}
+		durable, err := h.Arena().DurableImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, half := range []pmem.Ptr{lfWord0, lfKeyLen} {
+			img := append([]byte(nil), durable...)
+			// The line holding this half was evicted before the crash.
+			h.arena.ReadAt(leaf+half, img[leaf+half:leaf+half+8])
+			for _, m := range recoveryModes {
+				name := fmt.Sprintf("%s, new word at +%d, %s", c.name, half, m.name)
+				h2 := openImage(t, img, m.opts)
+				if n := h2.LastRecoveryStats().CompletedULogs; n != 1 {
+					t.Fatalf("%s: recovery completed %d update logs, want 1", name, n)
+				}
+				assertContents(t, h2, ref, nil, name)
+				if err := h2.Check(); err != nil {
+					t.Fatalf("%s: fsck: %v", name, err)
+				}
+			}
+		}
 	}
 }

@@ -44,7 +44,7 @@ func TestAdversarialCrashRecovery(t *testing.T) {
 				k := fmt.Sprintf("%c%c%04d", 'a'+rng.Intn(3), 'a'+rng.Intn(3), rng.Intn(400))
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3, 4: // put
-					v := fmt.Sprintf("v%07d", i)
+					v := mixedValue("v%07d", i)
 					inFlight[k] = true
 					if err := h.Put([]byte(k), []byte(v)); err != nil {
 						t.Error(err)
@@ -56,7 +56,7 @@ func TestAdversarialCrashRecovery(t *testing.T) {
 					if _, ok := committed[k]; !ok {
 						continue
 					}
-					v := fmt.Sprintf("u%07d", i)
+					v := mixedValue("u%06d", i+1)
 					inFlight[k] = true
 					if err := h.Update([]byte(k), []byte(v)); err != nil {
 						t.Error(err)

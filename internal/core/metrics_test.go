@@ -125,44 +125,59 @@ func TestMetricsHistogramsWhenEnabled(t *testing.T) {
 // wrapper and the always-on counters must not push GetInto's stack
 // buffer or the counter stripe selection onto the heap.
 func TestMetricsZeroAllocDisabledGet(t *testing.T) {
-	h := newHART(t)
-	key := []byte("za-key")
-	mustPut(t, h, string(key), "value")
-	buf := make([]byte, 0, MaxValueLen)
-	allocs := testing.AllocsPerRun(200, func() {
-		v, ok := h.GetInto(key, buf)
-		if !ok || len(v) == 0 {
-			t.Fatal("lookup failed")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("GetInto with metrics disabled allocates %.1f/op, want 0", allocs)
+	// On an arena without Tracking: that one records every persist.
+	h, err := New(Options{ArenaSize: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs = testing.AllocsPerRun(200, func() {
-		if !h.Contains(key) {
-			t.Fatal("Contains failed")
+	defer h.Close()
+	key := []byte("za-key")
+	buf := make([]byte, 0, MaxValueLen)
+	// Both shapes: the value in the leaf, the value in an object.
+	for _, value := range []string{"value", "value-in-object"} {
+		mustPut(t, h, string(key), value)
+		allocs := testing.AllocsPerRun(200, func() {
+			v, ok := h.GetInto(key, buf)
+			if !ok || len(v) != len(value) {
+				t.Fatal("lookup failed")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("GetInto of %q with metrics disabled allocates %.1f/op, want 0", value, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Contains with metrics disabled allocates %.1f/op, want 0", allocs)
+		allocs = testing.AllocsPerRun(200, func() {
+			if !h.Contains(key) {
+				t.Fatal("Contains failed")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Contains of %q with metrics disabled allocates %.1f/op, want 0", value, allocs)
+		}
+		// An update that keeps the value's shape — one store for the
+		// inline value, the logged protocol for the object — publishes
+		// nothing and allocates nothing.
+		v := []byte(value)
+		allocs = testing.AllocsPerRun(200, func() {
+			v[0]++
+			if err := h.Put(key, v); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Put over %q, same length, allocates %.1f/op, want 0", value, allocs)
+		}
 	}
 
 	// An insert allocates what its ART publication does and nothing else.
 	// Under a one-node path that is three objects — the copied root, the
 	// leaf (the key's bytes are inside it), the Tree. 64 one-byte ART keys
-	// make that root a NODE256, so fresh edges fit without growing it. (On
-	// an arena without Tracking: that one records every persist.)
-	u, err := New(Options{ArenaSize: 16 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer u.Close()
+	// make that root a NODE256, so fresh edges fit without growing it.
 	for i := 0; i < 64; i++ {
-		mustPut(t, u, "zb"+string(rune('0'+i)), "value")
+		mustPut(t, h, "zb"+string(rune('0'+i)), "value")
 	}
 	fresh, value := []byte{'z', 'b', 0x80}, []byte("value")
-	allocs = testing.AllocsPerRun(100, func() {
-		if err := u.Put(fresh, value); err != nil {
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := h.Put(fresh, value); err != nil {
 			t.Fatal(err)
 		}
 		fresh[2]++

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/casl-sdsu/hart/internal/pmem"
@@ -107,6 +109,41 @@ func TestOpenRejectsUnformattedArena(t *testing.T) {
 	}
 	if _, err := Open(arena, Options{}); !errors.Is(err, ErrNotFormatted) {
 		t.Fatalf("unformatted arena: err = %v, want ErrNotFormatted", err)
+	}
+}
+
+// TestOpenRefusesOlderFormatVersions verifies an image whose superblock
+// names an earlier format — version 2 laid every value out behind a
+// pointer, so its leaves would be misread, not merely slow — is refused
+// with ErrVersionMismatch naming both versions, before recovery writes
+// anything.
+func TestOpenRefusesOlderFormatVersions(t *testing.T) {
+	h := newHART(t)
+	if err := h.Put([]byte("alpha"), []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	durable, err := h.Arena().DurableImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(1); v < FormatVersion; v++ {
+		img, err := pmem.Attach(append([]byte(nil), durable...), pmem.Config{Tracking: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.Write8(sbBase+sbOffVersion, v)
+		img.Persist(sbBase+sbOffVersion, 8)
+		before := img.Persists()
+		_, err = Open(img, Options{})
+		if !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("version %d: err = %v, want ErrVersionMismatch", v, err)
+		}
+		if both := fmt.Sprintf("image version %d, this build reads %d", v, FormatVersion); !strings.Contains(err.Error(), both) {
+			t.Fatalf("version %d: error %q does not name both versions", v, err)
+		}
+		if n := img.Persists() - before; n != 0 {
+			t.Fatalf("version %d: the refused Open persisted %d times", v, n)
+		}
 	}
 }
 

@@ -37,8 +37,8 @@ func (h *HART) putOp(key, value []byte) error {
 	stripe := h.stripeOf(hashKey)
 	s.beginWrite()
 	var err error
-	if leafW, found := s.tree.Load().Get(artKey); found { // line 6: SearchNode
-		err = h.update(pmem.Ptr(leafW), value, stripe) // lines 7-8
+	if w, found := s.tree.Load().Get(artKey); found { // line 6: SearchNode
+		err = h.updateAt(s, artKey, leafRef(w), value, stripe) // lines 7-8
 	} else {
 		err = h.insertNew(s, artKey, key, value, stripe) // lines 9-18
 	}
@@ -55,68 +55,85 @@ func (h *HART) putOp(key, value []byte) error {
 }
 
 // insertNew performs Algorithm 1 lines 9-18 under the shard write lock,
-// allocating from the shard's allocator stripe. Four ordered persists:
-// value, leaf, value bit, leaf bit. Algorithm 1 persists p_value, key and
-// key_len separately (six persists), but the only orderings recovery rests
-// on are p_value durable before the value bit — so a value committed by a
-// torn insert is always found through its dead leaf (Algorithm 2 lines
-// 12-16) — and the whole leaf durable before the leaf bit; the leaf's
-// fields need no order among themselves because the leaf is dead until
-// its bit commits.
+// allocating from the shard's allocator stripe. One protocol per shape:
+//
+// Inline (value of at most MaxInlineLen bytes), two ordered persists: leaf,
+// leaf bit. The record is one object; it is dead until its bit commits.
+//
+// Out of line, four: value, leaf, value bit, leaf bit. Algorithm 1 persists
+// p_value, key and key_len separately (six persists), but the only
+// orderings recovery rests on are p_value durable before the value bit — so
+// a value committed by a torn insert is always found through its dead leaf
+// (Algorithm 2 lines 12-16) — and the whole leaf durable before the leaf
+// bit; the leaf's fields need no order among themselves because the leaf is
+// dead until its bit commits.
 func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) error {
 	leaf, err := h.alloc.AllocStripe(classLeaf, stripe) // line 10 (OnReuse repair may run)
 	if err != nil {
 		return err
 	}
-	val, err := h.alloc.AllocStripe(h.valueClass(len(value)), stripe) // line 11
-	if err != nil {
-		h.alloc.Abort(leaf)
-		return err
+	shape, word0, val := valueShape(len(value)), uint64(0), pmem.Nil
+	if shape != 0 {
+		word0 = inlineWord(value)
+	} else {
+		val, err = h.alloc.AllocStripe(h.valueClass(len(value)), stripe) // line 11
+		if err != nil {
+			h.alloc.Abort(leaf)
+			return err
+		}
+		word0 = packValue(val, len(value))
+
+		// Line 12: value = V; persistent(value). Word-wise atomic stores:
+		// the slot may be a reused one that a stale optimistic reader is
+		// still loading (it will fail seq validation, but the loads race
+		// these stores and must not tear).
+		h.arena.SetPersistSite("insert.value")
+		h.arena.WriteWords(val, value)
+		h.arena.Persist(val, len(value))
 	}
 
-	// Line 12: value = V; persistent(value). Word-wise atomic stores: the
-	// slot may be a reused one that a stale optimistic reader is still
-	// loading (it will fail seq validation, but the loads race these
-	// stores and must not tear).
-	h.arena.SetPersistSite("insert.value")
-	h.arena.WriteWords(val, value)
-	h.arena.Persist(val, len(value))
-
-	// Lines 13, 15, 16: p_value, key and key_len, persisted as one run.
+	// Lines 13, 15, 16: word 0, key and key_len (and the shape byte),
+	// persisted as one run.
 	h.arena.SetPersistSite("insert.leaf")
-	h.writeLeaf(leaf, val, key, len(value))
+	h.writeLeaf(leaf, word0, shape, key)
 	h.arena.Persist(leaf, lfKey+len(key))
 
 	// Line 14: set and persist the value bit. On failure neither bit is
 	// set: release both slots from their volatile in-flight state and
-	// scrub the dead leaf's value word, so a later reuse of the leaf slot
+	// scrub the dead leaf's word 0, so a later reuse of the leaf slot
 	// cannot run the Algorithm 2 repair against whoever owns the value
 	// slot by then.
-	h.arena.SetPersistSite("insert.value-bit")
-	if err := h.alloc.SetBit(val); err != nil {
-		h.alloc.Abort(val)
-		h.scrubLeaf(leaf)
-		h.alloc.Abort(leaf)
-		return err
+	if !val.IsNil() {
+		h.arena.SetPersistSite("insert.value-bit")
+		if err := h.alloc.SetBit(val); err != nil {
+			h.alloc.Abort(val)
+			h.scrubLeaf(leaf)
+			h.alloc.Abort(leaf)
+			return err
+		}
 	}
 
 	// Line 17: Insert2Tree — volatile, no persistence needed. The tree is
 	// republished by copy-on-write so concurrent lock-free readers only
 	// ever traverse immutable nodes; they cannot act on this leaf early
 	// because the enclosing seqlock section is still open.
-	nu, _, _ := s.tree.Load().CowInsert(artKey, uint64(leaf))
+	nu, _, _ := s.tree.Load().CowInsert(artKey, uint64(makeLeafRef(leaf, shape)))
 	s.tree.Store(nu)
 
 	// Line 18: set and persist the leaf bit. This is the commit point: a
 	// crash anywhere above leaves the leaf bit clear, so the slot reads as
-	// free and the value object is reclaimed by onLeafReuse. On failure
-	// the insert must unwind completely: unpublish the leaf, release the
-	// committed value object, and scrub the dead leaf as above.
+	// free and recovery's sweep of dead slots reclaims the value object, if
+	// there is one. On failure the insert must unwind completely: unpublish
+	// the leaf, release the committed value object, and scrub the dead leaf
+	// as above (an inline value's bytes are as unwelcome in a dead slot as
+	// a stale pointer: see reclaimStale).
 	h.arena.SetPersistSite("insert.leaf-bit")
 	if err := h.alloc.SetBit(leaf); err != nil {
 		rb, _, _ := s.tree.Load().CowDelete(artKey)
 		s.tree.Store(rb)
-		h.alloc.Release(val)
+		if !val.IsNil() {
+			h.alloc.Release(val)
+		}
 		h.scrubLeaf(leaf)
 		h.alloc.Abort(leaf)
 		return err
@@ -126,94 +143,171 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 	return nil
 }
 
-// writeLeaf stores a leaf's three fields (not yet persisted) as one run of
-// atomic word stores: p_value because a stale optimistic reader may still
-// be loading the reused slot (see insertNew), the rest because a neighbour
+// writeLeaf stores a leaf's fields (not yet persisted) as one run of atomic
+// word stores: word 0 because a stale optimistic reader may still be
+// loading the reused slot (see insertNew), the rest because a neighbour
 // leaf's persist flushes — and the tracked arena's shadow copy reads — the
 // whole cache line, this leaf's words included. The final partial word is
 // zero-padded, which stays inside the leaf's own 40 bytes.
-func (h *HART) writeLeaf(leaf, val pmem.Ptr, key []byte, valueLen int) {
+func (h *HART) writeLeaf(leaf pmem.Ptr, word0 uint64, shape int, key []byte) {
 	var buf [leafSize]byte
-	binary.LittleEndian.PutUint64(buf[lfPValue:], packValue(val, valueLen))
+	binary.LittleEndian.PutUint64(buf[lfWord0:], word0)
 	buf[lfKeyLen] = byte(len(key))
+	buf[lfShape] = byte(shape)
 	copy(buf[lfKey:], key)
 	h.arena.WriteWords(leaf, buf[:lfKey+len(key)])
 }
 
-// scrubLeaf durably clears a dead leaf's value word, so its stale
-// reference cannot alias the value slot once that slot belongs to another
-// record (the next reuse of the leaf slot would otherwise run the
-// Algorithm 2 repair against the new owner's live value).
+// scrubLeaf durably zeroes a dead leaf's word 0, restoring the invariant
+// that an allocatable leaf slot has nothing there to misread: a stale
+// pointer would alias the value slot once that slot belongs to another
+// record, and an inline value's bytes may spell any address at all (see
+// reclaimStale).
 func (h *HART) scrubLeaf(leaf pmem.Ptr) {
-	h.arena.Write8(leaf+lfPValue, 0)
-	h.arena.Persist(leaf+lfPValue, 8)
+	h.arena.Write8(leaf+lfWord0, 0)
+	h.arena.Persist(leaf+lfWord0, 8)
 }
 
-// update performs an out-of-place value update under the shard write
-// lock: Algorithm 3's logged protocol by default, or the paper's measured
-// unlogged pointer swing when Options.UnloggedUpdates is set.
+// swing gives a live leaf its new word 0 by one failure-atomic store and
+// persists it — the commit point of an update that keeps the record's
+// shape.
+func (h *HART) swing(leaf pmem.Ptr, word0 uint64) {
+	h.arena.Write8(leaf+lfWord0, word0)
+	h.arena.Persist(leaf+lfWord0, 8)
+}
+
+// reshape is the swing of an update that changes the record's shape: the
+// shape byte is rewritten with word 0 and both are persisted by one call.
+// The two words are not assumed to become durable together, which is why
+// this happens only under an armed update log, in updateLogged and in the
+// log's replay (recoverUpdate).
+func (h *HART) reshape(leaf pmem.Ptr, word0 uint64, shape int) {
+	h.arena.Write8(leaf+lfWord0, word0)
+	hdr := h.arena.Read8(leaf + lfKeyLen)
+	h.arena.Write8(leaf+lfKeyLen, hdr&^(0xff<<8)|uint64(shape)<<8)
+	h.arena.Persist(leaf, lfKey)
+}
+
+// updateAt updates the record behind ref and, if that changed its shape,
+// republishes its ref in the shard's tree. Caller holds the shard write
+// lock and an open seqlock section.
+func (h *HART) updateAt(s *artShard, artKey []byte, ref leafRef, value []byte, stripe int) error {
+	nref, err := h.update(ref, value, stripe)
+	if nref != ref {
+		nu, _, _ := s.tree.Load().CowInsert(artKey, uint64(nref))
+		s.tree.Store(nu)
+	}
+	return err
+}
+
+// update replaces a record's value under the shard write lock, by the one
+// protocol its old and new shapes select, and returns the record's ref as
+// it stands afterwards — changed exactly when the shape did, error or not,
+// and then the caller must republish it.
+//
+//   - Inline to inline of the same length: one atomic store of word 0 and
+//     one persist. Failure-atomic by width — the pointer swing the paper
+//     measured (Section IV.B), with nothing behind the pointer to leak.
+//   - Value object to value object with Options.UnloggedUpdates: the
+//     paper's measured four-persist swing (updateUnlogged).
+//   - Everything else — value object to value object by default, and any
+//     change of shape, which has two words to rewrite: Algorithm 3's
+//     logged protocol (updateLogged).
+func (h *HART) update(ref leafRef, value []byte, stripe int) (leafRef, error) {
+	switch old := ref.shape(); {
+	case old != 0 && old == len(value):
+		h.arena.SetPersistSite("update.inline")
+		h.swing(ref.ptr(), inlineWord(value))
+		h.obs.updates.Add(1)
+		return ref, nil
+	case old == 0 && len(value) > MaxInlineLen && h.opts.UnloggedUpdates:
+		return ref, h.updateUnlogged(ref.ptr(), value, stripe)
+	}
+	return h.updateLogged(ref, value, stripe)
+}
+
+// updateLogged is Algorithm 3, generalised from "swing p_value to a new
+// value object" to "give the leaf a new word 0 and shape byte": the new
+// value is a fresh object (persisted and committed as in Algorithm 3) or
+// sits in the word itself, and the old one is an object to release or was
+// in the word and is simply overwritten.
 //
 // The micro-log is a redo log with one commit record (see ULog.Commit):
-// once value and record are durable the update will complete, here or in
-// recovery's replay (set new bit, swing, clear old bit — each idempotent),
-// so arming the log needs no persist of its own. Six persists: value, log,
-// value bit, swing, old bit, reclaim.
+// once the record — and the new value object, if there is one — is
+// durable the update will complete, here or in recovery's replay (set new
+// bit, swing, clear old bit — each idempotent), so arming the log needs no
+// persist of its own. Between value objects that is six persists: value,
+// log, value bit, swing, old bit, reclaim; a side that is inline drops its
+// own two.
 //
 // The old value's slot stays in flight until the log is reclaimed: were it
 // allocatable while the record is armed, a crash would replay "clear the
 // old bit" onto whatever a concurrent writer on the same stripe had
 // meanwhile committed there.
-func (h *HART) update(leaf pmem.Ptr, value []byte, stripe int) error {
-	if h.opts.UnloggedUpdates {
-		return h.updateUnlogged(leaf, value, stripe)
-	}
+func (h *HART) updateLogged(ref leafRef, value []byte, stripe int) (leafRef, error) {
+	leaf := ref.ptr()
 	ulog := h.getULog(stripe) // line 1
-	oldV, _ := unpackValue(h.arena.Read8(leaf + lfPValue))
-
-	newV, err := h.alloc.AllocStripe(h.valueClass(len(value)), stripe) // line 4
-	if err != nil {
-		ulog.Reclaim()
-		return err
+	var oldV pmem.Ptr
+	if ref.shape() == 0 {
+		oldV, _ = unpackValue(h.arena.Read8(leaf + lfWord0))
 	}
 
-	// Line 5: new_value = V; persistent(new_value). Atomic word stores —
-	// see insertNew.
-	h.arena.SetPersistSite("update.value")
-	h.arena.WriteWords(newV, value)
-	h.arena.Persist(newV, len(value))
+	shape, word0, newV := valueShape(len(value)), uint64(0), pmem.Nil
+	if shape != 0 {
+		word0 = inlineWord(value)
+	} else {
+		var err error
+		newV, err = h.alloc.AllocStripe(h.valueClass(len(value)), stripe) // line 4
+		if err != nil {
+			ulog.Reclaim()
+			return ref, err
+		}
+		word0 = packValue(newV, len(value))
 
-	// Lines 2, 3, 6: the log record. PNewV is the packed word, so it also
-	// records the value length and recovery can rebuild leaf.p_value
-	// verbatim.
+		// Line 5: new_value = V; persistent(new_value). Atomic word stores —
+		// see insertNew.
+		h.arena.SetPersistSite("update.value")
+		h.arena.WriteWords(newV, value)
+		h.arena.Persist(newV, len(value))
+	}
+
+	// Lines 2, 3, 6: the log record. It carries word 0 whole — for a value
+	// object the packed pointer and length — and the shape byte, so
+	// recovery can rebuild the leaf's header verbatim.
 	h.arena.SetPersistSite("update.log")
-	newW := packValue(newV, len(value))
-	ulog.Commit(leaf, oldV, pmem.Ptr(newW))
+	ulog.Commit(leaf, oldV, word0, uint8(shape))
 
 	// Line 7: set the bit for the new value. On failure the new object's
 	// bit is clear (nothing durable to undo), but the slot must leave its
 	// volatile in-flight state and the armed log must be reclaimed, or the
 	// failed update strands a permanently-busy ulog slot.
-	h.arena.SetPersistSite("update.value-bit")
-	if err := h.alloc.SetBit(newV); err != nil {
-		h.alloc.Abort(newV)
-		ulog.Reclaim()
-		return err
+	if !newV.IsNil() {
+		h.arena.SetPersistSite("update.value-bit")
+		if err := h.alloc.SetBit(newV); err != nil {
+			h.alloc.Abort(newV)
+			ulog.Reclaim()
+			return ref, err
+		}
 	}
 
-	// Line 8: swing the leaf's value pointer (single atomic 8-byte store).
+	// Line 8: swing the leaf to the new value.
 	h.arena.SetPersistSite("update.swing")
-	h.arena.Write8(leaf+lfPValue, newW)
-	h.arena.Persist(leaf+lfPValue, 8)
+	if shape == ref.shape() {
+		h.swing(leaf, word0)
+	} else {
+		h.reshape(leaf, word0, shape)
+	}
+	nref := makeLeafRef(leaf, shape)
 
 	// Line 9: clear the old value's bit. The update committed at the
-	// pointer swing, so a failure here must not leave the log armed —
-	// reclaim it and surface the error (the old object's bit leaks until
-	// fsck, which is exactly what Check reports).
+	// swing, so a failure here must not leave the log armed — reclaim it
+	// and surface the error (the old object's bit leaks until fsck, which
+	// is exactly what Check reports).
 	if !oldV.IsNil() {
 		h.arena.SetPersistSite("update.release-old")
 		if err := h.alloc.Retire(oldV); err != nil {
 			ulog.Reclaim()
-			return err
+			return nref, err
 		}
 	}
 
@@ -225,11 +319,11 @@ func (h *HART) update(leaf pmem.Ptr, value []byte, stripe int) error {
 	if !oldV.IsNil() {
 		h.arena.SetPersistSite("update.recycle-old")
 		if err := h.alloc.Free(oldV); err != nil {
-			return err
+			return nref, err
 		}
 	}
 	h.obs.updates.Add(1)
-	return nil
+	return nref, nil
 }
 
 // Update overwrites the value of an existing key (Algorithm 3); it fails
@@ -246,8 +340,8 @@ func (h *HART) Update(key, value []byte) error {
 	artKey := key[len(hashKey):]
 	s.beginWrite()
 	var err error
-	if leafW, found := s.tree.Load().Get(artKey); found {
-		err = h.update(pmem.Ptr(leafW), value, h.stripeOf(hashKey))
+	if w, found := s.tree.Load().Get(artKey); found {
+		err = h.updateAt(s, artKey, leafRef(w), value, h.stripeOf(hashKey))
 	} else {
 		err = ErrNotFound
 	}
@@ -322,8 +416,8 @@ func (h *HART) getInto(key, dst []byte) ([]byte, bool) {
 }
 
 // Contains reports whether key is present. Unlike Get it neither copies
-// nor allocates: presence is decided from the leaf bit and the packed
-// pValue word alone.
+// nor allocates: presence is decided from the tree and, for a record whose
+// value is out of line, the packed word 0 alone.
 func (h *HART) Contains(key []byte) bool {
 	if h.validate(key, nil) != nil {
 		return false
@@ -352,9 +446,12 @@ func (h *HART) Contains(key []byte) bool {
 //  3. Load the published tree and search it. The walk touches only
 //     immutable DRAM nodes, so it needs no validation; not-found is
 //     conclusive if seq is still unchanged (the snapshot was current).
-//  4. Validate the leaf bit, read the packed pValue word, and copy the
-//     value words out of PM — all atomic word loads, racing at worst
-//     with atomic word stores from writers reusing the slot.
+//  4. Read the value through the leaf (readValue: word 0, which is the
+//     value or names its object) — all atomic word loads, racing at
+//     worst with atomic word stores from writers reusing the slot. Before
+//     a word 0 is followed to an object, seq is re-loaded once: the word
+//     of a leaf a writer has meanwhile given an inline value is user
+//     bytes, not an address.
 //  5. Re-load seq. Unchanged-and-even proves no writer entered the
 //     shard between steps 2 and 5, so every PM word read belongs to one
 //     consistent committed state.
@@ -376,11 +473,10 @@ func (h *HART) readOptimistic(key, dst []byte, needValue bool) (v []byte, found,
 	if v0&1 != 0 {
 		return nil, false, false
 	}
-	leafW, ok := s.tree.Load().Get(artKey)
+	w, ok := s.tree.Load().Get(artKey)
 	if !ok {
 		return nil, false, s.seq.Load() == v0
 	}
-	leaf := pmem.Ptr(leafW)
 	// Algorithm 4's leaf-bit validation is subsumed here by the seqlock:
 	// a leaf's tree membership and its bit only ever change together
 	// inside one write section (insertNew sets the bit before its section
@@ -388,24 +484,14 @@ func (h *HART) readOptimistic(key, dst []byte, needValue bool) (v []byte, found,
 	// so a tree observed in a quiescent window — seq even and unchanged
 	// across the whole read — holds committed leaves only, and the
 	// explicit BitIsSet of the locked path would be redundant PM traffic.
-	// A stale leaf read through an interfered window is discarded by the
-	// seq check below before it can be returned.
-	vp, n := unpackValue(h.arena.Read8(leaf + lfPValue))
-	if vp.IsNil() || n == 0 || n > h.maxValueLen() {
-		return nil, false, s.seq.Load() == v0
-	}
-	if needValue {
-		if cap(dst) >= n {
-			v = dst[:n]
-		} else {
-			v = make([]byte, n)
-		}
-		h.arena.ReadWords(vp, v)
-	}
+	// The same goes for the shape the ref carries: it and the leaf's word
+	// 0 change in one section. A stale leaf read through an interfered
+	// window is discarded by the seq check below before it can be returned.
+	v, found = h.readValue(leafRef(w), dst, needValue, func() bool { return s.seq.Load() == v0 })
 	if s.seq.Load() != v0 {
 		return nil, false, false
 	}
-	return v, true, true
+	return v, found, true
 }
 
 // lockedGet is Algorithm 4 under the shard read lock: the fallback for
@@ -418,31 +504,17 @@ func (h *HART) lockedGet(key, dst []byte, needValue bool) ([]byte, bool) {
 	}
 	defer s.mu.RUnlock()
 	artKey := key[len(hashKey):]
-	leafW, found := s.tree.Load().Get(artKey) // line 5
+	w, found := s.tree.Load().Get(artKey) // line 5
 	if !found {
 		return nil, false // lines 6-7
 	}
-	leaf := pmem.Ptr(leafW)
+	ref := leafRef(w)
 	// Lines 9-12: validate the leaf against its persistent bit before
-	// trusting its value pointer.
-	if set, err := h.alloc.BitIsSet(leaf); err != nil || !set {
+	// trusting its word 0.
+	if set, err := h.alloc.BitIsSet(ref.ptr()); err != nil || !set {
 		return nil, false
 	}
-	vp, n := unpackValue(h.arena.Read8(leaf + lfPValue))
-	if vp.IsNil() || n == 0 || n > h.maxValueLen() {
-		return nil, false
-	}
-	if !needValue {
-		return nil, true
-	}
-	var v []byte
-	if cap(dst) >= n {
-		v = dst[:n]
-	} else {
-		v = make([]byte, n)
-	}
-	h.arena.ReadAt(vp, v)
-	return v, true
+	return h.readValue(ref, dst, needValue, nil)
 }
 
 // Delete removes a key (Algorithm 5). A successful delete under the
@@ -487,25 +559,32 @@ func (h *HART) deleteLocked(key []byte) ([]byte, error) {
 	s.beginWrite()
 	defer s.endWrite()
 
-	leafW, found := s.tree.Load().Get(artKey) // line 5
+	w, found := s.tree.Load().Get(artKey) // line 5
 	if !found {
 		return nil, ErrNotFound // lines 6-7
 	}
-	leaf := pmem.Ptr(leafW)
+	ref := leafRef(w)
+	leaf := ref.ptr()
 
 	// Line 9: remove from the (volatile) tree first; a crash after this
 	// point leaves the PM bits to the reset/repair protocol below.
 	nu, _, _ := s.tree.Load().CowDelete(artKey)
 	s.tree.Store(nu)
 
-	val, _ := unpackValue(h.arena.Read8(leaf + lfPValue)) // line 10
+	// Line 10. A record that is one object — its ref says so — has no
+	// value to find and skips lines 12-13: leaf bit and scrub are all of
+	// its delete.
+	var val pmem.Ptr
+	if ref.shape() == 0 {
+		val, _ = unpackValue(h.arena.Read8(leaf + lfWord0))
+	}
 
 	// Line 11: reset and persist the leaf bit. From here the leaf is dead
-	// even across a crash; its stale p_value drives onLeafReuse repair if
-	// the value-bit reset below never lands. The slot is retired, not
+	// even across a crash; its stale word 0 leads recovery's sweep to the
+	// value if the value-bit reset below never lands. The slot is retired, not
 	// freed: it stays unallocatable until the scrub below is durable, or a
 	// writer on the same allocator stripe could be handed it in between
-	// and have its fresh p_value zeroed by that scrub (and its onLeafReuse
+	// and have its fresh word 0 zeroed by that scrub (and its onLeafReuse
 	// would clear the value's bit a second time, after this delete's
 	// Release, possibly under a new owner). On failure the record is still
 	// fully committed on PM, so republish it and report the error —
@@ -513,7 +592,7 @@ func (h *HART) deleteLocked(key []byte) ([]byte, error) {
 	// recovery would resurrect it.
 	h.arena.SetPersistSite("delete.leaf-bit")
 	if err := h.alloc.Retire(leaf); err != nil {
-		rb, _, _ := s.tree.Load().CowInsert(artKey, uint64(leaf))
+		rb, _, _ := s.tree.Load().CowInsert(artKey, uint64(ref))
 		s.tree.Store(rb)
 		return nil, err
 	}
@@ -525,8 +604,8 @@ func (h *HART) deleteLocked(key []byte) ([]byte, error) {
 	var firstErr error
 
 	// Lines 12-13: reset the value bit and recycle its chunk if emptied.
-	h.arena.SetPersistSite("delete.value-bit")
 	if !val.IsNil() {
+		h.arena.SetPersistSite("delete.value-bit")
 		if err := h.alloc.Release(val); err != nil {
 			firstErr = err
 		}
@@ -559,11 +638,11 @@ func (h *HART) GetLeaf(key []byte) (pmem.Ptr, bool) {
 	}
 	defer s.mu.RUnlock()
 	artKey := key[len(hashKey):]
-	leafW, found := s.tree.Load().Get(artKey)
+	w, found := s.tree.Load().Get(artKey)
 	if !found {
 		return pmem.Nil, false
 	}
-	leaf := pmem.Ptr(leafW)
+	leaf := leafRef(w).ptr()
 	if !bytes.Equal(h.leafKey(leaf), key) {
 		return pmem.Nil, false
 	}
@@ -571,14 +650,13 @@ func (h *HART) GetLeaf(key []byte) (pmem.Ptr, bool) {
 }
 
 // updateUnlogged is the update mechanism the paper's evaluation ran
-// (Section IV.B), shared in structure with WOART and ART+CoW: write the
-// new value object, commit its bit, swing the leaf's value word
-// atomically, release the old object. Four persists instead of the logged
-// protocol's six; crash exposure is the old object in the final window,
-// reclaimed by the recovery orphan sweep.
+// (Section IV.B), shared in structure with WOART and ART+CoW, for a record
+// that keeps its value out of line: write the new value object, commit its
+// bit, swing the leaf's word 0 atomically, release the old object. Four
+// persists instead of the logged protocol's six; crash exposure is the old
+// object in the final window, reclaimed by the recovery orphan sweep.
 func (h *HART) updateUnlogged(leaf pmem.Ptr, value []byte, stripe int) error {
-	oldW := h.arena.Read8(leaf + lfPValue)
-	oldV, _ := unpackValue(oldW)
+	oldV, _ := unpackValue(h.arena.Read8(leaf + lfWord0))
 
 	newV, err := h.alloc.AllocStripe(h.valueClass(len(value)), stripe)
 	if err != nil {
@@ -596,8 +674,7 @@ func (h *HART) updateUnlogged(leaf pmem.Ptr, value []byte, stripe int) error {
 	// The atomic pointer swing is the commit point ("updated as the last
 	// step to ensure consistency").
 	h.arena.SetPersistSite("uupdate.swing")
-	h.arena.Write8(leaf+lfPValue, packValue(newV, len(value)))
-	h.arena.Persist(leaf+lfPValue, 8)
+	h.swing(leaf, packValue(newV, len(value)))
 
 	h.arena.SetPersistSite("uupdate.release-old")
 	if !oldV.IsNil() {

@@ -26,11 +26,11 @@ import (
 // The path is a pipeline of four phases (see DESIGN.md §11):
 //
 //  1. Update-log replay — serial; must precede everything so the leaves'
-//     value pointers are final.
+//     first words and shape bytes are final.
 //  2. Leaf scan — the allocator's stripes walked by up to RecoveryWorkers
 //     goroutines, each collecting its stripes' live leaves (with their
-//     keys, read from PM exactly once), live value references and dead
-//     slots into per-stripe sets; no shared map is touched.
+//     shapes and keys, read from PM exactly once), live value references
+//     and stale dead slots into per-stripe sets; no shared map is touched.
 //  3. Bulk rebuild — workers partitioned by hash key sort their leaves
 //     and build whole ARTs with a one-clone-per-node batch insert into a
 //     private, unpublished directory (or, under Options.LazyRecovery,
@@ -141,20 +141,39 @@ func (h *HART) recover() error {
 	return nil
 }
 
-// recLeaf is one live leaf carried through recovery's partition: the key
-// is read from PM once, during the scan, and reused for partitioning,
-// sorting and tree building. Under LazyRecovery only the hash-key prefix
-// is read (and stored here); the full key read is deferred to the shard's
-// first-touch build.
+// recLeaf is one live leaf carried through recovery's partition: shape
+// and key are read from PM once, during the scan, and reused for
+// partitioning, sorting and tree building. Under LazyRecovery only the
+// hash-key prefix is read (and stored here); the full key read is deferred
+// to the shard's first-touch build.
 type recLeaf struct {
-	leaf pmem.Ptr
-	key  []byte
+	ref leafRef
+	key []byte
 }
 
-// deadSlot is an unused leaf slot whose stale value word needs scrubbing.
+// deadSlot is an unused leaf slot whose word 0 is not zero and needs
+// scrubbing. The word is kept raw: what it may be trusted to mean is
+// reclaimStale's decision.
 type deadSlot struct {
-	leaf pmem.Ptr
-	vp   pmem.Ptr
+	leaf  pmem.Ptr
+	word0 uint64
+}
+
+// classifyLeaf is recovery's one look at a leaf slot, the same in every
+// mode. Of a dead slot it reads word 0, which is all a dead slot has to
+// say. Of a live leaf it reads the header word — shape, key length and the
+// first hdrKeyBytes key bytes in one load — and word 0 only when the shape
+// says it names a value object, returned as vp (Nil otherwise).
+func (h *HART) classifyLeaf(leaf pmem.Ptr, used bool) (hdr, word0 uint64, vp pmem.Ptr) {
+	if !used {
+		return 0, h.arena.Read8(leaf + lfWord0), pmem.Nil
+	}
+	hdr = h.arena.Read8(leaf + lfKeyLen)
+	if hdrShape(hdr) == 0 {
+		word0 = h.arena.Read8(leaf + lfWord0)
+		vp, _ = unpackValue(word0)
+	}
+	return hdr, word0, vp
 }
 
 // byteArena hands out small byte slices carved from large blocks, so a
@@ -214,11 +233,10 @@ func (sc *leafScan) partition(w int) []recLeaf {
 // per allocator stripe), collecting per-stripe live/dead sets and
 // partitioning the live leaves by routed directory prefix for the build
 // phase. Each live leaf's key is read exactly once; under LazyRecovery
-// only the leading rd = max(kh, longest split prefix + 1) bytes are read
-// — maxDirDepth caps rd at 7, so that is a single 8-byte load of the
-// keyLen byte plus the first seven key bytes. Routing the truncated key
-// is exact: rd exceeds every split prefix, so Route never wants a byte
-// the truncation dropped.
+// only the leading rd = max(kh, longest split prefix + 1) bytes are kept,
+// which up to hdrKeyBytes come with the header word classifyLeaf loaded
+// anyway. Routing the truncated key is exact: rd exceeds every split
+// prefix, so Route never wants a byte the truncation dropped.
 func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 	kh := h.opts.HashKeyLen
 	splits := h.dir.Load().splits
@@ -233,48 +251,26 @@ func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 	}
 	err := h.alloc.IterateObjectsParallel(classLeaf, workers, func(st int, leaf pmem.Ptr, used bool) bool {
 		ss := &sc.stripes[st]
-		vp, _ := unpackValue(h.arena.Read8(leaf + lfPValue))
+		hdr, word0, vp := h.classifyLeaf(leaf, used)
 		if !used {
-			if !vp.IsNil() {
-				ss.dead = append(ss.dead, deadSlot{leaf: leaf, vp: vp})
+			if word0 != 0 {
+				ss.dead = append(ss.dead, deadSlot{leaf: leaf, word0: word0})
 			}
 			return true
 		}
 		if !vp.IsNil() {
 			ss.vals = append(ss.vals, vp)
 		}
-		var key []byte
-		if lazy && rd <= 7 {
-			// keyLen and key[0..6] share one aligned word (leaf layout:
-			// +8 keyLen, +9 key; the arena is little-endian).
-			kw := h.arena.Read8(leaf + lfKeyLen)
-			n := int(kw & 0xff)
-			if n == 0 {
-				ss.err = fmt.Errorf("hart: recovery found live leaf %d with empty key", leaf)
-				return false
-			}
-			if n > rd {
-				n = rd
-			}
-			key = ss.keys.alloc(n)
-			for i := range key {
-				key[i] = byte(kw >> (8 * uint(i+1)))
-			}
-		} else {
-			n := int(h.arena.Read1(leaf + lfKeyLen))
-			if n == 0 {
-				ss.err = fmt.Errorf("hart: recovery found live leaf %d with empty key", leaf)
-				return false
-			}
-			if n > MaxKeyLen {
-				n = MaxKeyLen
-			}
-			if lazy && n > rd {
-				n = rd
-			}
-			key = ss.keys.alloc(n)
-			h.arena.ReadAt(leaf+lfKey, key)
+		n := min(hdrKeyLen(hdr), MaxKeyLen)
+		if n == 0 {
+			ss.err = fmt.Errorf("hart: recovery found live leaf %d with empty key", leaf)
+			return false
 		}
+		if lazy {
+			n = min(n, rd)
+		}
+		key := ss.keys.alloc(n)
+		h.keyFromHeader(leaf, hdr, key)
 		hk := splits.Route(key, kh)
 		if lazy {
 			// The deferred full-key read only needs the shard assignment;
@@ -282,7 +278,7 @@ func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 			key = hk
 		}
 		w := int(fnv32(hk)) % workers
-		ss.buckets[w] = append(ss.buckets[w], recLeaf{leaf: leaf, key: key})
+		ss.buckets[w] = append(ss.buckets[w], recLeaf{ref: makeLeafRef(leaf, hdrShape(hdr)), key: key})
 		return true
 	})
 	if err != nil {
@@ -338,7 +334,7 @@ func (h *HART) buildPartition(recs []recLeaf) []builtShard {
 	type shardBuild struct {
 		s     *artShard
 		batch *art.Batch
-		pend  []pmem.Ptr
+		pend  []leafRef
 	}
 	byHK := make(map[string]*shardBuild)
 	out := make([]builtShard, 0, len(byHK))
@@ -359,13 +355,13 @@ func (h *HART) buildPartition(recs []recLeaf) []builtShard {
 			out = append(out, builtShard{hk: string(hk), s: sb.s})
 		}
 		if lazy {
-			sb.pend = append(sb.pend, r.leaf)
+			sb.pend = append(sb.pend, r.ref)
 		} else {
 			var artKey []byte
 			if len(r.key) > len(hk) {
 				artKey = r.key[len(hk):]
 			}
-			sb.batch.Insert(artKey, uint64(r.leaf))
+			sb.batch.Insert(artKey, uint64(r.ref))
 		}
 	}
 	for _, bs := range out {
@@ -381,37 +377,31 @@ func (h *HART) buildPartition(recs []recLeaf) []builtShard {
 
 // sweepStaleAndOrphans runs recovery's two PM-repair passes.
 //
-// Stale-reference sweep: a dead leaf slot may still reference a value
-// object — either a reclaimable orphan from an interrupted insertion or
-// deletion (value bit set, value owned by nobody) or a harmless stale
-// pointer. Reclaim the orphans and zero every stale word so that no later
-// slot reuse can misinterpret an aliased, since-reallocated value slot
-// (see Delete for the runtime side). The candidates were collected by the
-// scan phase; the writes land here, in stripe order.
+// Stale-word sweep: a dead leaf slot whose word 0 is not zero was left by
+// an interrupted insertion, deletion or scrub. The word may name a
+// reclaimable orphan (value bit set, value owned by nobody), be a harmless
+// stale pointer, or be an inline value's bytes — which can spell anything,
+// the address of a live leaf or a live value included. reclaimStale
+// follows it only where that is safe, and every such word is then zeroed,
+// so that no later reuse of the slot finds anything to misread (see Delete
+// for the runtime side). The candidates were collected by the scan phase;
+// the writes land here, in stripe order.
 //
 // Orphan value sweep (mark-and-sweep): any committed value object
-// referenced by no live leaf and no dead slot is unreachable forever —
-// the residue of an unlogged update (Options.UnloggedUpdates) or of a
-// baseline-style crash window — and is reclaimed. The value-chunk walk
-// fans out per stripe; the releases land here, in class and stripe order.
-// With Algorithm 3 updates this finds nothing; either way, a recovered
-// HART starts leak-free.
+// referenced by no live leaf is unreachable forever — the residue of an
+// unlogged update (Options.UnloggedUpdates) or of a baseline-style crash
+// window — and is reclaimed. The value-chunk walk fans out per stripe; the
+// releases land here, in class and stripe order. With Algorithm 3 updates
+// this finds nothing; either way, a recovered HART starts leak-free.
 func (h *HART) sweepStaleAndOrphans(sc *leafScan, workers int, stats *RecoveryStats) error {
 	h.arena.SetPersistSite("recover.stale-sweep")
+	referenced := func(vp pmem.Ptr) bool { return ptrSetHas(sc.valSet, vp) }
 	for st := range sc.stripes {
 		for _, d := range sc.stripes[st].dead {
-			if !ptrSetHas(sc.valSet, d.vp) {
-				if set, err := h.alloc.BitIsSet(d.vp); err == nil && set {
-					if err := h.alloc.ResetBit(d.vp); err != nil {
-						return err
-					}
-					if err := h.alloc.RecycleIfPresent(d.vp); err != nil {
-						return err
-					}
-				}
+			if err := h.reclaimStale(d.word0, referenced); err != nil {
+				return err
 			}
-			h.arena.Write8(d.leaf+lfPValue, 0)
-			h.arena.Persist(d.leaf+lfPValue, 8)
+			h.scrubLeaf(d.leaf)
 			stats.StaleSlotsZeroed++
 		}
 	}
@@ -453,14 +443,11 @@ func (h *HART) buildPending(s *artShard) {
 	}
 	var keys byteArena
 	recs := make([]recLeaf, 0, len(pp.leaves))
-	for _, leaf := range pp.leaves {
-		n := int(h.arena.Read1(leaf + lfKeyLen))
-		if n > MaxKeyLen {
-			n = MaxKeyLen
-		}
-		key := keys.alloc(n)
-		h.arena.ReadAt(leaf+lfKey, key)
-		recs = append(recs, recLeaf{leaf: leaf, key: key})
+	for _, ref := range pp.leaves {
+		hdr := h.arena.Read8(ref.ptr() + lfKeyLen)
+		key := keys.alloc(min(hdrKeyLen(hdr), MaxKeyLen))
+		h.keyFromHeader(ref.ptr(), hdr, key)
+		recs = append(recs, recLeaf{ref: ref, key: key})
 	}
 	sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i].key, recs[j].key) < 0 })
 	b := art.New().BeginBatch()
@@ -469,7 +456,7 @@ func (h *HART) buildPending(s *artShard) {
 		if len(r.key) > pp.hkLen {
 			artKey = r.key[pp.hkLen:]
 		}
-		b.Insert(artKey, uint64(r.leaf))
+		b.Insert(artKey, uint64(r.ref))
 	}
 	s.tree.Store(b.Commit())
 	s.pending.Store(nil)
@@ -549,8 +536,8 @@ type RecoveryStats struct {
 	CompletedULogs int
 	// LiveLeaves counts committed leaves rebuilt into the index.
 	LiveLeaves int
-	// StaleSlotsZeroed counts dead leaf slots whose stale value pointer
-	// was scrubbed (orphan values reclaimed along the way).
+	// StaleSlotsZeroed counts dead leaf slots whose stale word 0 was
+	// scrubbed (orphan values reclaimed along the way).
 	StaleSlotsZeroed int
 	// OrphanValues counts committed but unreachable value objects
 	// reclaimed by the mark-and-sweep pass.
@@ -581,30 +568,31 @@ type RecoveryStats struct {
 // Rebuild) found and repaired.
 func (h *HART) LastRecoveryStats() RecoveryStats { return h.recoveryStats }
 
-// recoverUpdate completes one interrupted Algorithm 3 update. The paper's
-// case analysis has three cases; ULog.Commit makes the record durable in
-// one persist with the arming PLeaf stored last, so a running update
-// leaves either no armed log or the complete record, never the paper's
-// cases 1 and 2.
+// recoverUpdate completes one interrupted logged update (updateLogged).
+// The paper's case analysis has three cases; ULog.Commit makes the record
+// durable in one persist with the arming PLeaf stored last, so a running
+// update leaves either no armed log or the complete record, never the
+// paper's cases 1 and 2.
 func (h *HART) recoverUpdate(ul epalloc.UpdateLogState) error {
-	// PLeaf set but PNewV nil is a torn Reclaim (it clears PNewV first) of
-	// an update that had already completed, or given up on an error:
-	// nothing to redo, and the caller's reset of the log finishes the
-	// Reclaim.
-	if ul.PNewV.IsNil() {
+	// Armed but not complete is a torn Reclaim (it clears the meta word
+	// first) of an update that had already completed, or given up on an
+	// error: nothing to redo, and the caller's reset of the log finishes
+	// the Reclaim.
+	if !ul.Complete {
 		return nil
 	}
-	// Case 3: all three pointers valid — the crash happened between line 7
-	// and line 11; resume from line 7. Every step is idempotent.
-	leaf := ul.PLeaf
-	newW := uint64(ul.PNewV) // packed (pointer, length) word
-	newV, _ := unpackValue(newW)
-
-	if err := h.alloc.SetBit(newV); err != nil { // line 7
-		return err
+	// Case 3: the whole record is valid — the crash happened between line 7
+	// and line 11; resume from line 7. Every step is idempotent, the swing
+	// included: it rewrites word 0 and the shape byte from the record
+	// whatever part of the pair the crash had made durable.
+	var newV pmem.Ptr
+	if ul.Shape == 0 {
+		newV, _ = unpackValue(ul.NewWord)
+		if err := h.alloc.SetBit(newV); err != nil { // line 7
+			return err
+		}
 	}
-	h.arena.Write8(leaf+lfPValue, newW) // line 8
-	h.arena.Persist(leaf+lfPValue, 8)
+	h.reshape(ul.PLeaf, ul.NewWord, int(ul.Shape)) // line 8
 	if !ul.POldV.IsNil() && ul.POldV != newV {
 		if err := h.alloc.ResetBit(ul.POldV); err != nil { // line 9
 			return err
@@ -652,20 +640,20 @@ func (h *HART) recoverLegacy() error {
 
 	t = time.Now()
 	liveVals := make(map[pmem.Ptr]bool)
-	var deadSlots []pmem.Ptr
-	var liveLeaves []pmem.Ptr
+	var deadSlots []deadSlot
+	var liveLeaves []leafRef
 	err := h.alloc.IterateObjects(classLeaf, func(leaf pmem.Ptr, used bool) bool {
-		vp, _ := unpackValue(h.arena.Read8(leaf + lfPValue))
+		hdr, word0, vp := h.classifyLeaf(leaf, used)
 		if !used {
-			if !vp.IsNil() {
-				deadSlots = append(deadSlots, leaf)
+			if word0 != 0 {
+				deadSlots = append(deadSlots, deadSlot{leaf: leaf, word0: word0})
 			}
 			return true
 		}
 		if !vp.IsNil() {
 			liveVals[vp] = true
 		}
-		liveLeaves = append(liveLeaves, leaf)
+		liveLeaves = append(liveLeaves, makeLeafRef(leaf, hdrShape(hdr)))
 		return true
 	})
 	if err != nil {
@@ -682,20 +670,11 @@ func (h *HART) recoverLegacy() error {
 
 	t = time.Now()
 	h.arena.SetPersistSite("recover.stale-sweep")
-	for _, leaf := range deadSlots {
-		vp, _ := unpackValue(h.arena.Read8(leaf + lfPValue))
-		if !vp.IsNil() && !liveVals[vp] {
-			if set, err := h.alloc.BitIsSet(vp); err == nil && set {
-				if err := h.alloc.ResetBit(vp); err != nil {
-					return err
-				}
-				if err := h.alloc.RecycleIfPresent(vp); err != nil {
-					return err
-				}
-			}
+	for _, d := range deadSlots {
+		if err := h.reclaimStale(d.word0, func(vp pmem.Ptr) bool { return liveVals[vp] }); err != nil {
+			return err
 		}
-		h.arena.Write8(leaf+lfPValue, 0)
-		h.arena.Persist(leaf+lfPValue, 8)
+		h.scrubLeaf(d.leaf)
 		stats.StaleSlotsZeroed++
 	}
 
@@ -728,15 +707,15 @@ func (h *HART) recoverLegacy() error {
 // serially or with Options.RecoveryWorkers parallel workers partitioned
 // by hash key (leaves with the same hash key always land on the same
 // worker, so shards are single-writer during rebuild).
-func (h *HART) legacyRebuildIndex(leaves []pmem.Ptr) error {
+func (h *HART) legacyRebuildIndex(leaves []leafRef) error {
 	h.size.Store(0)
 	splits := h.dir.Load().splits // installed from the superblock by Open
 	dir := hashdir.New[*artShard]()
 	var dirMu sync.Mutex
-	insert := func(leaf pmem.Ptr) error {
-		key := h.leafKey(leaf)
+	insert := func(ref leafRef) error {
+		key := h.leafKey(ref.ptr())
 		if len(key) == 0 {
-			return fmt.Errorf("hart: recovery found live leaf %d with empty key", leaf)
+			return fmt.Errorf("hart: recovery found live leaf %d with empty key", ref.ptr())
 		}
 		hashKey, artKey := h.splitKey(key)
 		dirMu.Lock()
@@ -746,7 +725,7 @@ func (h *HART) legacyRebuildIndex(leaves []pmem.Ptr) error {
 			dir.Put(hashKey, s)
 		}
 		dirMu.Unlock()
-		nu, _, _ := s.tree.Load().CowInsert(artKey, uint64(leaf))
+		nu, _, _ := s.tree.Load().CowInsert(artKey, uint64(ref))
 		s.tree.Store(nu)
 		h.size.Add(1)
 		return nil
@@ -758,8 +737,8 @@ func (h *HART) legacyRebuildIndex(leaves []pmem.Ptr) error {
 
 	workers := h.opts.RecoveryWorkers
 	if workers <= 1 || len(leaves) < 1024 {
-		for _, leaf := range leaves {
-			if err := insert(leaf); err != nil {
+		for _, ref := range leaves {
+			if err := insert(ref); err != nil {
 				return err
 			}
 		}
@@ -767,11 +746,11 @@ func (h *HART) legacyRebuildIndex(leaves []pmem.Ptr) error {
 	}
 
 	// Partition by hash key so no two workers touch the same ART.
-	parts := make([][]pmem.Ptr, workers)
-	for _, leaf := range leaves {
-		hashKey, _ := h.splitKey(h.leafKey(leaf))
+	parts := make([][]leafRef, workers)
+	for _, ref := range leaves {
+		hashKey, _ := h.splitKey(h.leafKey(ref.ptr()))
 		w := int(fnv32(hashKey)) % workers
-		parts[w] = append(parts[w], leaf)
+		parts[w] = append(parts[w], ref)
 	}
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -779,8 +758,8 @@ func (h *HART) legacyRebuildIndex(leaves []pmem.Ptr) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for _, leaf := range parts[w] {
-				if errs[w] = insert(leaf); errs[w] != nil {
+			for _, ref := range parts[w] {
+				if errs[w] = insert(ref); errs[w] != nil {
 					return
 				}
 			}

@@ -24,7 +24,10 @@ func recoveryFixture(t *testing.T, n int) ([]byte, map[string]string) {
 	keys := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("%c%c%05d", 'a'+rng.Intn(6), 'a'+rng.Intn(6), rng.Intn(10*n))
-		v := fmt.Sprintf("v%06d", i)
+		v := fmt.Sprintf("v%06d", i) // 7 bytes: in the leaf
+		if i%4 == 0 {
+			v += "-wide" // 12: in a value object
+		}
 		if err := h.Put([]byte(k), []byte(v)); err != nil {
 			t.Fatal(err)
 		}
@@ -33,8 +36,8 @@ func recoveryFixture(t *testing.T, n int) ([]byte, map[string]string) {
 		}
 		ref[k] = v
 	}
-	// Deletes and updates so recovery sees reused slots and both value
-	// classes' churn.
+	// Deletes and updates so recovery sees reused slots, churn in the
+	// value class and records that changed shape in both directions.
 	for i := 0; i < len(keys); i += 3 {
 		if err := h.Delete([]byte(keys[i])); err != nil {
 			t.Fatal(err)
@@ -46,6 +49,9 @@ func recoveryFixture(t *testing.T, n int) ([]byte, map[string]string) {
 			continue
 		}
 		v := fmt.Sprintf("upd%05d", i)
+		if i%2 == 0 {
+			v += "-wide"
+		}
 		if err := h.Put([]byte(keys[i]), []byte(v)); err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
 // Scan visits all records with start <= key < end in ascending key order,
@@ -109,13 +107,13 @@ func (h *HART) scanOp(start, end []byte, fn func(key, value []byte) bool) {
 			continue
 		}
 		stop := false
-		s.tree.Load().AscendRange(artStart, artEnd, func(artKey []byte, leafW uint64) bool {
-			rec := h.leafKeyValue(leafW)
-			if rec == nil {
+		s.tree.Load().AscendRange(artStart, artEnd, func(artKey []byte, w uint64) bool {
+			key, value, ok := h.leafKeyValue(leafRef(w))
+			if !ok {
 				return true
 			}
 			visited++
-			if !fn(rec.key, rec.value) {
+			if !fn(key, value) {
 				stop = true
 				return false
 			}
@@ -159,23 +157,16 @@ func prefixSuccessor(p []byte) []byte {
 	return nil
 }
 
-// scannedLeaf carries one materialised record.
-type scannedLeaf struct {
-	key, value []byte
-}
-
-// leafKeyValue loads a leaf's key and value, returning nil for a leaf
-// whose bit is unset (concurrently deleted).
-func (h *HART) leafKeyValue(leafW uint64) *scannedLeaf {
-	leaf := pmem.Ptr(leafW)
-	if set, err := h.alloc.BitIsSet(leaf); err != nil || !set {
-		return nil
+// leafKeyValue loads copies of a leaf's key and value; ok is false for a
+// leaf whose bit is unset (concurrently deleted).
+func (h *HART) leafKeyValue(ref leafRef) (key, value []byte, ok bool) {
+	if set, err := h.alloc.BitIsSet(ref.ptr()); err != nil || !set {
+		return nil, nil, false
 	}
-	v := h.leafValue(leaf)
-	if v == nil {
-		return nil
+	if value, ok = h.readValue(ref, nil, true, nil); !ok {
+		return nil, nil, false
 	}
-	return &scannedLeaf{key: h.leafKey(leaf), value: v}
+	return h.leafKey(ref.ptr()), value, true
 }
 
 // Keys returns all keys in ascending order (convenience for tests and
@@ -261,13 +252,13 @@ func (h *HART) scanReverseOp(start, end []byte, fn func(key, value []byte) bool)
 			continue
 		}
 		stop := false
-		s.tree.Load().DescendRange(artStart, artEnd, func(artKey []byte, leafW uint64) bool {
-			rec := h.leafKeyValue(leafW)
-			if rec == nil {
+		s.tree.Load().DescendRange(artStart, artEnd, func(artKey []byte, w uint64) bool {
+			key, value, ok := h.leafKeyValue(leafRef(w))
+			if !ok {
 				return true
 			}
 			visited++
-			if !fn(rec.key, rec.value) {
+			if !fn(key, value) {
 				stop = true
 				return false
 			}

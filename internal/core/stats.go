@@ -40,8 +40,10 @@ type SizeInfo struct {
 
 // Stats aggregates the state of a HART instance.
 type Stats struct {
-	// Records is the number of live records.
-	Records int
+	// Records is the number of live records, InlineRecords how many of
+	// them hold their value in the leaf (the rest have a value object).
+	Records       int
+	InlineRecords int
 	// ARTs is the number of ARTs in the hash directory.
 	ARTs int
 	// Size is the PM/DRAM footprint.
@@ -105,6 +107,13 @@ func (h *HART) Stats() Stats {
 		Alloc:   h.alloc.Stats(),
 	}
 	st.Size.PMBytes = st.Arena.Reserved
+	// Every live value object belongs to exactly one record (Check's
+	// invariant 3), so the value classes' live counts say how many records
+	// are not inline.
+	st.InlineRecords = st.Records
+	for _, cs := range st.Alloc[classValue0:] {
+		st.InlineRecords -= cs.Used
+	}
 
 	d := h.dir.Load()
 	type namedShard struct {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"github.com/casl-sdsu/hart/internal/epalloc"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
@@ -81,8 +80,11 @@ const (
 
 // FormatVersion is the on-media format this build writes and the only one
 // it opens. Version 2 widened the allocator's update-log slots from 24 to
-// 32 bytes, moving every allocator structure behind the pool.
-const FormatVersion = 2
+// 32 bytes, moving every allocator structure behind the pool. Version 3
+// stores values of up to MaxInlineLen bytes in the leaf's first word: the
+// leaf gained a shape byte at +9 (the key moved to +10) and the update-log
+// record the leaf's new shape in what was the slot's padding word.
+const FormatVersion = 3
 
 // Superblock attach errors.
 var (
@@ -172,8 +174,8 @@ func readSuperblock(arena *pmem.Arena) (superblock, error) {
 	}
 	sb.Version = int(arena.Read8(sbBase + sbOffVersion))
 	if sb.Version != FormatVersion {
-		return sb, fmt.Errorf("%w: image version %d, this build reads %d (%d-byte update-log slots; version 1 had 24-byte ones)",
-			ErrVersionMismatch, sb.Version, FormatVersion, epalloc.ULogSlotSize)
+		return sb, fmt.Errorf("%w: image version %d, this build reads %d (values of up to %d bytes in the leaf; version 2 kept every value in an object of its own, version 1 had 24-byte update-log slots)",
+			ErrVersionMismatch, sb.Version, FormatVersion, MaxInlineLen)
 	}
 	sb.HashKeyLen = int(arena.Read8(sbBase + sbOffHashKeyLen))
 	if sb.HashKeyLen < 1 || sb.HashKeyLen >= MaxKeyLen {

@@ -297,8 +297,12 @@ func (a *Allocator) SetBit(obj pmem.Ptr) error {
 // batched-insert commit path. Bits are committed in argument order, run by
 // run, so a crash exposes exactly a prefix of the batch (possibly jumping
 // a whole chunk run at once, which is still a prefix). Returns the number
-// of objects durably committed, which is len(objs) iff err is nil.
+// of objects durably committed, which is len(objs) iff err is nil. An
+// empty batch commits nothing and cannot fail.
 func (a *Allocator) SetBits(objs []pmem.Ptr) (int, error) {
+	if len(objs) == 0 {
+		return 0, nil
+	}
 	if a.failSetBit.tripped() {
 		return 0, ErrInjected
 	}

@@ -185,9 +185,9 @@ type ClassSpec struct {
 	// OnReuse, if non-nil, runs under the owning stripe's lock whenever
 	// Alloc hands out a slot (fresh or reused). HART registers the
 	// Algorithm 2 lines 12-16 check here: a leaf slot whose bit is clear
-	// but whose p_value still references a live value object is the
-	// residue of an incomplete insertion or deletion, and the value must
-	// be reclaimed before the slot is reused.
+	// but whose first word still references a committed value object is
+	// the residue of an incomplete insertion or deletion, and the value
+	// must be reclaimed before the slot is reused.
 	OnReuse func(obj pmem.Ptr)
 }
 

@@ -345,10 +345,32 @@ func TestAttachWrongSpecsRejected(t *testing.T) {
 func TestUpdateLogRoundTrip(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
 	u := al.GetUpdateLog()
-	u.Commit(100, 200, 300)
+	u.Commit(100, 200, 300, 5)
 	pend := al.PendingUpdateLogs()
-	if len(pend) != 1 || pend[0].PLeaf != 100 || pend[0].POldV != 200 || pend[0].PNewV != 300 {
+	if len(pend) != 1 || pend[0].PLeaf != 100 || pend[0].POldV != 200 || pend[0].NewWord != 300 || pend[0].Shape != 5 || !pend[0].Complete {
 		t.Fatalf("pending logs = %+v", pend)
+	}
+	u.Reclaim()
+	if len(al.PendingUpdateLogs()) != 0 {
+		t.Fatal("log still pending after Reclaim")
+	}
+}
+
+// TestUpdateLogZeroWordIsARecord: the new word is payload — an inline value
+// of zero bytes makes it 0 — so what tells a record from a slot caught
+// mid-clear is the meta word, which a clear zeroes first.
+func TestUpdateLogZeroWordIsARecord(t *testing.T) {
+	arena, al := newAlloc(t, 1<<20)
+	u := al.GetUpdateLog()
+	u.Commit(100, pmem.Nil, 0, 8)
+	pend := al.PendingUpdateLogs()
+	if len(pend) != 1 || !pend[0].Complete || pend[0].NewWord != 0 || pend[0].Shape != 8 {
+		t.Fatalf("pending logs = %+v, want one complete record of a zero word", pend)
+	}
+	// A Reclaim torn after its first store: still armed, nothing to redo.
+	arena.Write8(u.base+ulogMetaOff, 0)
+	if pend = al.PendingUpdateLogs(); len(pend) != 1 || pend[0].Complete {
+		t.Fatalf("pending logs = %+v, want one armed slot with no record", pend)
 	}
 	u.Reclaim()
 	if len(al.PendingUpdateLogs()) != 0 {
@@ -379,7 +401,7 @@ func TestUpdateLogPoolExhaustionBlocksAndRecovers(t *testing.T) {
 func TestUpdateLogSurvivesCrash(t *testing.T) {
 	arena, al := newAlloc(t, 1<<20)
 	u := al.GetUpdateLog()
-	u.Commit(111, 222, 333)
+	u.Commit(111, 222, 333, 5)
 	crashed, err := arena.Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +411,7 @@ func TestUpdateLogSurvivesCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	pend := al2.PendingUpdateLogs()
-	if len(pend) != 1 || pend[0].PLeaf != 111 || pend[0].POldV != 222 || pend[0].PNewV != 333 {
+	if len(pend) != 1 || pend[0].PLeaf != 111 || pend[0].POldV != 222 || pend[0].NewWord != 333 || pend[0].Shape != 5 || !pend[0].Complete {
 		t.Fatalf("pending after crash = %+v", pend)
 	}
 	al2.ResetUpdateLogAt(pend[0].Index)

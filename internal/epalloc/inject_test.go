@@ -70,7 +70,7 @@ func TestCheckQuiescentCatchesInFlightSlot(t *testing.T) {
 func TestCheckQuiescentCatchesArmedULog(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
 	u := al.GetUpdateLog()
-	u.Commit(1024, 2048, 4096)
+	u.Commit(1024, 2048, 4096, 5)
 	if err := al.CheckQuiescent(); err == nil {
 		t.Fatal("CheckQuiescent missed an armed update log")
 	}

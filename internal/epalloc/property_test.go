@@ -191,13 +191,13 @@ func TestULogCommitOnePersistOneLine(t *testing.T) {
 			t.Fatalf("slot %d at %d is not %d-byte aligned", u.idx, u.base, ULogSlotSize)
 		}
 		before := arena.Stats()
-		u.Commit(123, 456, 789)
+		u.Commit(123, 456, 789, 5)
 		mid := arena.Stats()
 		if p, l := mid.Persists-before.Persists, mid.PersistedLines-before.PersistedLines; p != 1 || l != 1 {
 			t.Fatalf("slot %d: Commit issued %d persists over %d lines, want 1 over 1", u.idx, p, l)
 		}
 		pend := al.PendingUpdateLogs()
-		if len(pend) != 1 || pend[0].PLeaf != 123 || pend[0].POldV != 456 || pend[0].PNewV != 789 {
+		if len(pend) != 1 || pend[0].PLeaf != 123 || pend[0].POldV != 456 || pend[0].NewWord != 789 || pend[0].Shape != 5 || !pend[0].Complete {
 			t.Fatalf("pending after Commit = %+v", pend)
 		}
 		u.Reclaim()

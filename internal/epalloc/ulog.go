@@ -23,25 +23,30 @@ const ulogsPerStripe = NumUpdateLogs / NumStripes
 // ulogStripeMask covers one stripe's busy bits.
 const ulogStripeMask = (uint64(1) << ulogsPerStripe) - 1
 
-// ULogSlotSize is the PM size of one update-log slot: three 8-byte
-// fields padded to 32 bytes. The pool is 32-byte aligned (sbULogPoolOff),
-// so a slot never straddles a cache line and both Commit and Reclaim flush
-// exactly one; at the 24-byte stride of format version 1 two slots in
-// eight did straddle.
+// ULogSlotSize is the PM size of one update-log slot: four 8-byte fields.
+// The pool is 32-byte aligned (sbULogPoolOff), so a slot never straddles a
+// cache line and both Commit and Reclaim flush exactly one; at the 24-byte
+// stride of format version 1 two slots in eight did straddle.
 const ULogSlotSize = 32
 
-// Update-log slot field offsets (paper Algorithm 3).
+// Update-log slot field offsets (paper Algorithm 3, whose PNewV is
+// generalised to the leaf's whole new first word plus its shape byte: a
+// value stored in the leaf has no object to point at).
 const (
-	ulogPLeafOff   = 0  // address of the leaf being updated; arms the slot
-	ulogPOldVOff   = 8  // address of the old value object
-	ulogPNewVOff   = 16 // address of the new value object
-	ulogRecordSize = 24 // the fields above; the rest of the slot is padding
+	ulogPLeafOff = 0  // address of the leaf being updated; arms the slot
+	ulogPOldVOff = 8  // address of the old value object, Nil if it had none
+	ulogNewWOff  = 16 // the leaf's new first word
+	ulogMetaOff  = 24 // ulogComplete | the leaf's new shape byte; 0 = nothing to redo
 )
+
+// ulogComplete marks a slot's meta word as part of a whole record. The new
+// word alone cannot: an inline value of zero bytes is a legal one.
+const ulogComplete = 1 << 8
 
 // ULog is one persistent update log (Algorithm 3), used as a redo log
 // with a single commit record: nothing about an update is durable in the
-// log until Commit persists all three pointers at once, after which
-// recovery completes the update from them; Reclaim disarms the slot. The
+// log until Commit persists the whole record at once, after which
+// recovery completes the update from it; Reclaim disarms the slot. The
 // slot is exclusively owned between GetUpdateLog/GetUpdateLogStriped and
 // Reclaim.
 type ULog struct {
@@ -133,31 +138,40 @@ func (a *Allocator) ulogAddr(i int) pmem.Ptr {
 	return a.sb + sbULogPoolOff + pmem.Ptr(i*ULogSlotSize)
 }
 
-// Commit writes the log record — old value, new value, then the leaf
-// address that arms the slot — and persists it once. Algorithm 3 persists
-// the three fields separately (lines 2, 3, 6), but recovery resets a log
-// whose PNewV is not durable, so the states "PLeaf only" and "PLeaf and
-// POldV" record nothing an update needs: the record matters only once it
-// is complete. The arming word is stored last and the slot lies within one
-// cache line, so whatever prefix of these stores an early eviction makes
-// durable, a durable PLeaf implies durable POldV and PNewV.
-func (u *ULog) Commit(leaf, oldV, newV pmem.Ptr) {
+// Commit writes the log record — old value, the leaf's new first word and
+// shape byte, then the leaf address that arms the slot — and persists it
+// once. Algorithm 3 persists its three fields separately (lines 2, 3, 6),
+// but recovery resets a log whose new value is not durable, so the states
+// "PLeaf only" and "PLeaf and POldV" record nothing an update needs: the
+// record matters only once it is complete. The arming word is stored last
+// and the slot lies within one cache line, so whatever prefix of these
+// stores an early eviction makes durable, a durable PLeaf implies the rest
+// of the record is durable too.
+func (u *ULog) Commit(leaf, oldV pmem.Ptr, newWord uint64, shape uint8) {
 	ar := u.a.arena
 	ar.WritePtr(u.base+ulogPOldVOff, oldV)
-	ar.WritePtr(u.base+ulogPNewVOff, newV)
+	ar.Write8(u.base+ulogNewWOff, newWord)
+	ar.Write8(u.base+ulogMetaOff, ulogComplete|uint64(shape))
 	ar.WritePtr(u.base+ulogPLeafOff, leaf)
-	ar.Persist(u.base, ulogRecordSize)
+	ar.Persist(u.base, ULogSlotSize)
+}
+
+// clearULog zeroes and persists the slot at base, meta word first: a clear
+// torn before the arming word goes reads as an armed log with nothing to
+// redo, never as a record with one field missing.
+func (a *Allocator) clearULog(base pmem.Ptr) {
+	a.arena.Write8(base+ulogMetaOff, 0)
+	a.arena.Write8(base+ulogNewWOff, 0)
+	a.arena.WritePtr(base+ulogPOldVOff, pmem.Nil)
+	a.arena.WritePtr(base+ulogPLeafOff, pmem.Nil)
+	a.arena.Persist(base, ULogSlotSize)
 }
 
 // Reclaim disarms the log (Algorithm 3 line 11) and returns the slot to
 // the pool with a single atomic clear; the pool mutex is touched only
 // when a claimant is actually blocked.
 func (u *ULog) Reclaim() {
-	ar := u.a.arena
-	ar.WritePtr(u.base+ulogPNewVOff, pmem.Nil)
-	ar.WritePtr(u.base+ulogPOldVOff, pmem.Nil)
-	ar.WritePtr(u.base+ulogPLeafOff, pmem.Nil)
-	ar.Persist(u.base, ulogRecordSize)
+	u.a.clearULog(u.base)
 	p := &u.a.ulogs
 	s, bit := u.idx/ulogsPerStripe, uint64(1)<<uint(u.idx%ulogsPerStripe)
 	p.busy[s].And(^bit)
@@ -176,8 +190,16 @@ func (u *ULog) Reclaim() {
 type UpdateLogState struct {
 	// Index identifies the slot (for ResetUpdateLogAt).
 	Index int
-	// PLeaf, POldV, PNewV mirror the persistent fields.
-	PLeaf, POldV, PNewV pmem.Ptr
+	// PLeaf and POldV mirror the persistent pointer fields.
+	PLeaf, POldV pmem.Ptr
+	// NewWord and Shape are the first word and shape byte the update gives
+	// the leaf.
+	NewWord uint64
+	Shape   uint8
+	// Complete is false for a slot caught mid-clear (a torn Reclaim): the
+	// update it served had finished or given up, and nothing is to be
+	// redone.
+	Complete bool
 }
 
 // PendingUpdateLogs returns every armed update log. The semantics of the
@@ -191,11 +213,14 @@ func (a *Allocator) PendingUpdateLogs() []UpdateLogState {
 		if leaf.IsNil() {
 			continue
 		}
+		meta := a.arena.Read8(base + ulogMetaOff)
 		out = append(out, UpdateLogState{
-			Index: i,
-			PLeaf: leaf,
-			POldV: a.arena.ReadPtr(base + ulogPOldVOff),
-			PNewV: a.arena.ReadPtr(base + ulogPNewVOff),
+			Index:    i,
+			PLeaf:    leaf,
+			POldV:    a.arena.ReadPtr(base + ulogPOldVOff),
+			NewWord:  a.arena.Read8(base + ulogNewWOff),
+			Shape:    uint8(meta),
+			Complete: meta&ulogComplete != 0,
 		})
 	}
 	return out
@@ -203,9 +228,5 @@ func (a *Allocator) PendingUpdateLogs() []UpdateLogState {
 
 // ResetUpdateLogAt disarms slot i (recovery's "reset the log").
 func (a *Allocator) ResetUpdateLogAt(i int) {
-	base := a.ulogAddr(i)
-	a.arena.WritePtr(base+ulogPNewVOff, pmem.Nil)
-	a.arena.WritePtr(base+ulogPOldVOff, pmem.Nil)
-	a.arena.WritePtr(base+ulogPLeafOff, pmem.Nil)
-	a.arena.Persist(base, ulogRecordSize)
+	a.clearULog(a.ulogAddr(i))
 }

@@ -61,9 +61,10 @@ func TestModelCheckUnloggedUpdates(t *testing.T) {
 }
 
 // TestModelCheckChunkRecycle forces a history through the recycle-log
-// unlink path: enough inserts to fill multiple 56-object leaf chunks,
-// then deletion of every key, so the sweep crosses chunk recycling at
-// every persist boundary. The key universe is too small for Generate to
+// unlink path: enough inserts to fill multiple 56-object leaf chunks — and,
+// the values being too long for the leaf, as many value chunks — then
+// deletion of every key, so the sweep crosses chunk recycling in both
+// classes at every persist boundary. The key universe is too small for Generate to
 // reach this, so the history is written out longhand.
 func TestModelCheckChunkRecycle(t *testing.T) {
 	var hist History
@@ -74,7 +75,7 @@ func TestModelCheckChunkRecycle(t *testing.T) {
 	keys := make([][]byte, nkeys)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("rc%04d", i))
-		hist.Ops = append(hist.Ops, Op{Kind: OpPut, Key: keys[i], Value: []byte{byte(i), 1}})
+		hist.Ops = append(hist.Ops, Op{Kind: OpPut, Key: keys[i], Value: []byte(fmt.Sprintf("recycle-%04d", i))})
 	}
 	// Delete back-to-front so the last chunk empties (and recycles) first.
 	for i := len(keys) - 1; i >= 0; i-- {
@@ -85,36 +86,36 @@ func TestModelCheckChunkRecycle(t *testing.T) {
 	}
 }
 
-// TestModelCheckUpdateAcrossChunks sweeps the logged update through the
-// allocator states the generated histories' small key universe never
-// reaches, each crashed at every persist boundary and — re-entrant — at
-// every boundary of the recovery that follows. 56 records under one
-// directory prefix (one shard, one allocator stripe) fill the stripe's
-// first 8-byte value chunk exactly, so the first update sets up a fresh
-// chunk between claiming its log and committing it; the second lands in
-// that chunk; the third changes the value's class (and sets up the 16-byte
-// class's first chunk mid-update); then back to the 8-byte class, and —
-// after two deletes have opened slots in the full chunk — a batch whose
-// updates stay in and change class around an insert. The unlogged mode
-// runs the same history through its own four-persist protocol.
+// TestModelCheckUpdateAcrossChunks sweeps the logged update between value
+// objects through the allocator states the generated histories' small key
+// universe never reaches, each crashed at every persist boundary and —
+// re-entrant — at every boundary of the recovery that follows. 56 records
+// under one directory prefix (one shard, one allocator stripe), their
+// values too long for the leaf, fill the stripe's first value chunk
+// exactly, so the first update sets up a fresh chunk between claiming its
+// log and committing it; the second lands in that chunk; the third takes
+// the value into the leaf, leaving a slot in the chunk; then back out into
+// it, and — after two deletes have opened slots in the full chunk — a batch
+// whose updates stay out of line and move in around an insert. The unlogged
+// mode runs the same history through its own four-persist protocol.
 func TestModelCheckUpdateAcrossChunks(t *testing.T) {
 	var hist History
 	key := func(i int) []byte { return []byte(fmt.Sprintf("up%03d", i)) }
 	for i := 0; i < 56; i++ {
-		hist.Ops = append(hist.Ops, Op{Kind: OpPut, Key: key(i), Value: []byte{byte(i), 1}})
+		hist.Ops = append(hist.Ops, Op{Kind: OpPut, Key: key(i), Value: []byte(fmt.Sprintf("object-%03d", i))})
 	}
 	hist.Ops = append(hist.Ops,
-		Op{Kind: OpPut, Key: key(7), Value: []byte("full")},          // class's chunks full: fresh chunk
-		Op{Kind: OpPut, Key: key(8), Value: []byte("same")},          // same class
-		Op{Kind: OpPut, Key: key(8), Value: []byte("class-sixteen")}, // 8 B class to 16 B
-		Op{Kind: OpPut, Key: key(9), Value: []byte("same2")},
-		Op{Kind: OpPut, Key: key(8), Value: []byte("back")}, // 16 B class to 8 B
+		Op{Kind: OpPut, Key: key(7), Value: []byte("chunks-are-full")}, // class's chunks full: fresh chunk
+		Op{Kind: OpPut, Key: key(8), Value: []byte("same-chunk")},
+		Op{Kind: OpPut, Key: key(8), Value: []byte("inline")}, // object to leaf
+		Op{Kind: OpPut, Key: key(9), Value: []byte("same-chunk-2")},
+		Op{Kind: OpPut, Key: key(8), Value: []byte("object-again")}, // leaf to object
 		Op{Kind: OpDelete, Key: key(20)},
 		Op{Kind: OpDelete, Key: key(21)},
 		Op{Kind: OpBatch, Batch: []core.Record{
-			{Key: key(10), Value: []byte("b-same")},
-			{Key: key(56), Value: []byte("b-insert")},
-			{Key: key(11), Value: []byte("b-to-class-16")},
+			{Key: key(10), Value: []byte("b-same-shape")},
+			{Key: key(56), Value: []byte("b-insert-object")},
+			{Key: key(11), Value: []byte("b-inline")},
 		}},
 		Op{Kind: OpDelete, Key: key(11)},
 	)
@@ -327,5 +328,187 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a.Ops[i].String() != b.Ops[i].String() {
 			t.Fatalf("op %d differs: %s vs %s", i, a.Ops[i], b.Ops[i])
 		}
+	}
+}
+
+// Values by shape, for the histories below: in the leaf up to 8 bytes
+// (zeros included: an inline value of zero bytes is a legal word 0, and
+// the update log must not take it for an empty record), in a value object
+// above.
+var (
+	in8a, in8b = []byte("eight-by"), []byte("EIGHT-BY")
+	in8zero    = make([]byte, 8)
+	in5, in1   = []byte("five!"), []byte{0}
+	out16      = []byte("sixteen-bytes-ok")
+	out9       = []byte("nine-byte")
+)
+
+// inlineShapeHistories are the fixed histories that take records through
+// every pair of value shapes. Word 0 and the shape byte of a leaf share a
+// cache line in seven slots of eight and straddle two in the eighth, so
+// the histories that rewrite both work on eight keys under one directory
+// prefix — eight consecutive slots of one chunk — and apply each step to
+// all of them.
+func inlineShapeHistories() map[string]History {
+	group := func(i int) []byte { return []byte(fmt.Sprintf("sh-slot%d", i)) }
+	each := func(h *History, v []byte) {
+		for i := 0; i < 8; i++ {
+			h.Ops = append(h.Ops, Op{Kind: OpPut, Key: group(i), Value: v})
+		}
+	}
+	put := func(k string, v []byte) Op { return Op{Kind: OpPut, Key: []byte(k), Value: v} }
+	del := func(k string) Op { return Op{Kind: OpDelete, Key: []byte(k)} }
+
+	// One store per update, whatever the length as long as it stays.
+	same := History{Ops: []Op{
+		put("aa", in8a), put("aab", in1), put("ba", in5),
+		put("aa", in8b), put("aab", []byte{1}), put("ba", []byte("FIVE?")),
+		put("aa", in8zero), put("aa", in8a),
+		{Kind: OpScan},
+	}}
+
+	// The shape byte changes with word 0; to zeros and back too.
+	var length History
+	each(&length, in8a)
+	each(&length, in5)
+	each(&length, in8zero)
+	each(&length, in1)
+	length.Ops = append(length.Ops, Op{Kind: OpScanReverse})
+
+	// Out of the leaf and back in, on one key: the first trip sets up the
+	// value class's first chunk mid-update, the later ones reuse its slots.
+	var inOut History
+	each(&inOut, in8a)
+	each(&inOut, out16)
+	each(&inOut, in8b)
+	each(&inOut, out9)
+	each(&inOut, in5)
+
+	// One leaf slot, and one value slot, under records of both shapes in
+	// turn: all keys share a directory prefix, so a delete's slot is the
+	// next insert's.
+	slot := History{Ops: []Op{
+		put("sr-a", in8a), put("sr-b", out16),
+		del("sr-a"), put("sr-c", out16), // a's leaf slot now holds a pointer
+		del("sr-b"), put("sr-d", in5), // b's leaf slot an inline value; b's value slot is free
+		del("sr-c"), put("sr-a", in8zero), // c's leaf slot zeros; c's value slot is free
+		put("sr-e", out9), // takes a freed value slot
+		del("sr-d"), del("sr-a"), del("sr-e"),
+		put("sr-f", in1),
+		{Kind: OpScan},
+	}}
+
+	// Duplicate keys inside one PutBatch whose occurrences differ in shape:
+	// the first is an insert, the later ones update the leaf it settles —
+	// across the boundary in both directions, beside plain records.
+	batch := History{Ops: []Op{
+		{Kind: OpBatch, Batch: []core.Record{
+			{Key: []byte("bd-k"), Value: in8a},
+			{Key: []byte("bd-k"), Value: out16},
+			{Key: []byte("bd-k"), Value: in5},
+			{Key: []byte("bd-j"), Value: out9},
+			{Key: []byte("bd-j"), Value: in1},
+			{Key: []byte("bd-plain"), Value: in8b},
+		}},
+		{Kind: OpBatch, Batch: []core.Record{
+			{Key: []byte("bd-k"), Value: out16},
+			{Key: []byte("bd-k"), Value: in8zero},
+			{Key: []byte("bd-j"), Value: in8a},
+			{Key: []byte("bd-j"), Value: in8b},
+			{Key: []byte("bd-new"), Value: out9},
+			{Key: []byte("bd-new"), Value: out16},
+			{Key: []byte("bd-plain"), Value: out16},
+		}},
+		{Kind: OpScan},
+		del("bd-k"), del("bd-new"),
+	}}
+
+	return map[string]History{
+		"same length":         same,
+		"length change":       length,
+		"in and out":          inOut,
+		"slot across shapes":  slot,
+		"batch of duplicates": batch,
+	}
+}
+
+// TestModelCheckInlineShapes sweeps the fixed shape histories at every
+// persist boundary, with a second crash at every boundary of the recovery
+// that follows, under the logged and the unlogged update option, every
+// recovery mode, the pre-striping write path (whose PutBatch applies
+// duplicates record by record) and file reattach.
+func TestModelCheckInlineShapes(t *testing.T) {
+	configs := map[string]Config{
+		"logged":            {ReentrantRecovery: true},
+		"unlogged":          {UnloggedUpdates: true, ReentrantRecovery: true},
+		"parallel recovery": {RecoveryWorkers: 4, ReentrantRecovery: true},
+		"lazy recovery":     {LazyRecovery: true, ReentrantRecovery: true},
+		"lazy parallel":     {RecoveryWorkers: 4, LazyRecovery: true, UnloggedUpdates: true, ReentrantRecovery: true},
+		"legacy recovery":   {LegacyRecovery: true, ReentrantRecovery: true},
+		"legacy write path": {LegacyWritePath: true, ReentrantRecovery: true},
+		"file reattach":     {FileReattach: true, FileReattachDir: t.TempDir()},
+	}
+	for hname, hist := range inlineShapeHistories() {
+		for cname, cfg := range configs {
+			// A few chunks is all these histories reserve, and every replay
+			// and every recovery of the sweep pays for the arena's size.
+			cfg.ArenaSize = 256 << 10
+			if err := RunHistory(hist, cfg); err != nil {
+				t.Errorf("%s, %s: %v", hname, cname, err)
+			}
+		}
+	}
+}
+
+// shapeCensus replays a history against a plain map and counts its updates
+// — a Put or batch record whose key is live — and how many of them change
+// the record's shape: the inline length, or the side of the 8-byte boundary
+// the value is on.
+func shapeCensus(hist History) (updates, reshaping int) {
+	shape := func(v string) int { // core's valueShape
+		if len(v) > core.MaxInlineLen {
+			return 0
+		}
+		return len(v)
+	}
+	m := model{}
+	put := func(k, v []byte) {
+		if old, live := m[string(k)]; live {
+			updates++
+			if shape(old) != shape(string(v)) {
+				reshaping++
+			}
+		}
+		m[string(k)] = string(v)
+	}
+	for _, op := range hist.Ops {
+		switch op.Kind {
+		case OpPut:
+			put(op.Key, op.Value)
+		case OpBatch:
+			for _, r := range op.Batch {
+				put(r.Key, r.Value)
+			}
+		default:
+			m.apply(op)
+		}
+	}
+	return updates, reshaping
+}
+
+// TestGeneratedHistoriesChangeShapes pins what the seeded sweeps above are
+// relied on for beside the fixed histories: the generator draws values of
+// 1 to 16 bytes, so the histories of the seeds those sweeps run are full of
+// updates that change a record's shape, unasked.
+func TestGeneratedHistoriesChangeShapes(t *testing.T) {
+	_, ops := quickParams()
+	updates, reshaping := 0, 0
+	for _, seed := range []int64{0, 1, 2, 3, 1000, 1001, 1002, 1003, 2000, 2001, 3000, 3001, 4000, 4001, 5000, 5001, 5002, 5003} {
+		u, r := shapeCensus(Generate(rand.New(rand.NewSource(seed)), ops))
+		updates, reshaping = updates+u, reshaping+r
+	}
+	t.Logf("%d updates in the quick suite's seeded histories, %d of them shape-changing", updates, reshaping)
+	if reshaping*2 < updates {
+		t.Fatalf("only %d of %d generated updates change the record's shape", reshaping, updates)
 	}
 }

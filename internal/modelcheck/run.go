@@ -31,6 +31,9 @@ type Config struct {
 	// sweep covers serving and re-crashing from a partially built
 	// directory (verifyRecovered's dump drains the pending shards).
 	LazyRecovery bool
+	// LegacyRecovery selects the store's pre-pipeline recovery, so the
+	// sweep covers the baseline's scan and sweeps as well.
+	LegacyRecovery bool
 	// ReentrantRecovery additionally sweeps every persist boundary of
 	// recovery itself at every crash point (assertion (c)).
 	ReentrantRecovery bool
@@ -77,6 +80,7 @@ func (c Config) options() core.Options {
 		LegacyWritePath: c.LegacyWritePath,
 		RecoveryWorkers: c.RecoveryWorkers,
 		LazyRecovery:    c.LazyRecovery,
+		LegacyRecovery:  c.LegacyRecovery,
 
 		ElasticDirectory: c.ElasticDirectory,
 		SplitOps:         c.SplitOps,
@@ -126,6 +130,7 @@ func differentialRun(hist History, cfg Config) ([]model, []int64, int64, error) 
 	base := h.Arena().Persists()
 	states := []model{{}}
 	cum := make([]int64, len(hist.Ops))
+	keys := keyUniverseOf(hist)
 	for i, op := range hist.Ops {
 		m := states[len(states)-1]
 		if err := applyChecked(h, m, op); err != nil {
@@ -139,6 +144,14 @@ func differentialRun(hist History, cfg Config) ([]model, []int64, int64, error) 
 		if dump := dumpStore(h); !nm.equal(dump) {
 			return nil, nil, 0, fmt.Errorf("op %d %s: store diverged from model: %s", i, op, nm.diff(dump))
 		}
+		// Scan reads a record under the shard lock; Get is the lock-free
+		// path, which learns a value's place and length from the tree.
+		for _, k := range keys {
+			got, ok := h.Get(k)
+			if want, live := nm[string(k)]; ok != live || string(got) != want {
+				return nil, nil, 0, fmt.Errorf("op %d %s: Get(%q) = (%q, %v), model (%q, %v)", i, op, k, got, ok, want, live)
+			}
+		}
 		if h.Len() != len(nm) {
 			return nil, nil, 0, fmt.Errorf("op %d %s: Len %d, model %d", i, op, h.Len(), len(nm))
 		}
@@ -147,6 +160,29 @@ func differentialRun(hist History, cfg Config) ([]model, []int64, int64, error) 
 		return nil, nil, 0, fmt.Errorf("fsck after history: %w", err)
 	}
 	return states, cum, base, nil
+}
+
+// keyUniverseOf lists every key a history writes or deletes, once each.
+func keyUniverseOf(hist History) [][]byte {
+	seen := map[string]bool{}
+	var keys [][]byte
+	add := func(k []byte) {
+		if !seen[string(k)] {
+			seen[string(k)] = true
+			keys = append(keys, k)
+		}
+	}
+	for _, op := range hist.Ops {
+		switch op.Kind {
+		case OpPut, OpDelete:
+			add(op.Key)
+		case OpBatch:
+			for _, r := range op.Batch {
+				add(r.Key)
+			}
+		}
+	}
+	return keys
 }
 
 // applyChecked runs one op on the store, validating its result against

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -212,19 +213,28 @@ func TestOpenRefusesDamagedFiles(t *testing.T) {
 		t.Fatalf("geometry conflict: err = %v, want ErrGeometryMismatch", err)
 	}
 
-	// A store of the previous format version (24-byte update-log slots) is
-	// refused as it stands: not converted, not reformatted.
-	v1 := filepath.Join(dir, "v1.hart")
-	old := bytes.Clone(img)
-	binary.LittleEndian.PutUint64(old[superblockVersionOff:], FormatVersion-1)
-	if err := os.WriteFile(v1, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(v1, Options{}); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("version-1 file: err = %v, want ErrVersionMismatch", err)
-	}
-	if kept, err := os.ReadFile(v1); err != nil || !bytes.Equal(kept, old) {
-		t.Fatalf("refused version-1 file was modified (read err %v)", err)
+	// A store of an earlier format version — 1 had 24-byte update-log
+	// slots, 2 kept every value in an object of its own — is refused as it
+	// stands, by an error naming both versions: not converted, not
+	// reformatted.
+	for v := uint64(1); v < FormatVersion; v++ {
+		name := fmt.Sprintf("version-%d file", v)
+		path := filepath.Join(dir, fmt.Sprintf("v%d.hart", v))
+		old := bytes.Clone(img)
+		binary.LittleEndian.PutUint64(old[superblockVersionOff:], v)
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path, Options{})
+		if !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("%s: err = %v, want ErrVersionMismatch", name, err)
+		}
+		if both := fmt.Sprintf("image version %d, this build reads %d", v, FormatVersion); !strings.Contains(err.Error(), both) {
+			t.Fatalf("%s: error %q does not name both versions (%q)", name, err, both)
+		}
+		if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, old) {
+			t.Fatalf("refused %s was modified (read err %v)", name, err)
+		}
 	}
 
 	// All refusals left the original file untouched.

@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
+# core's line is also where the value-shape tests ride: the hand-built torn
+# images (TestDeadSlotWordIsNeverTrusted, TestTornShapeSwingReplays), the
+# readers-versus-shape-cycling-writer test and the refusal of version-1 and
+# version-2 images.
 go test -race -count=1 ./internal/art/ ./internal/core/ ./internal/hashdir/ ./internal/epalloc/
 
 # The ART's node layer against a sorted-map model: every step's tree
@@ -24,6 +28,9 @@ go test -run='^$' -fuzz=FuzzARTDifferential -fuzztime=10s ./internal/art/
 # fuzz smoke over the byte-string history decoder.
 go test -count=1 ./internal/modelcheck/
 go test -run='^$' -fuzz=FuzzModelCheck -fuzztime=10s ./internal/modelcheck/
+# The fixed value-shape histories once more under the race detector (about
+# 90 s; the whole sweep under -race exceeds the default timeout).
+go test -race -count=1 -run 'ModelCheckInline' ./internal/modelcheck/
 
 # Write-path comparison harness, short and under the race detector: the
 # striped-vs-legacy benchmarks drive Put/PutBatch from parallel workers
