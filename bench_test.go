@@ -7,12 +7,10 @@ package hart_test
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"github.com/casl-sdsu/hart/internal/bench"
-	"github.com/casl-sdsu/hart/internal/core"
 	"github.com/casl-sdsu/hart/internal/kv"
 	"github.com/casl-sdsu/hart/internal/latency"
 	"github.com/casl-sdsu/hart/internal/workload"
@@ -283,76 +281,5 @@ func BenchmarkFig10dScalability(b *testing.B) {
 				}
 			})
 		})
-	}
-}
-
-// BenchmarkReadPath measures the lock-free read path against the
-// Options.LockedReads baseline (the paper's original two-lock reads):
-// parallel Get, zero-alloc GetInto and a 95/5 read/write mix at
-// GOMAXPROCS 1, 4 and 8. cmd/hartbench -fig readpath runs the same
-// comparison standalone and records it in BENCH_readpath.json.
-func BenchmarkReadPath(b *testing.B) {
-	const n = 1 << 16
-	keys := benchKeys(n)
-	load := func(b *testing.B, locked bool) *core.HART {
-		b.Helper()
-		h, err := core.New(core.Options{
-			ArenaSize:       256 << 20,
-			UnloggedUpdates: true,
-			LockedReads:     locked,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, k := range keys {
-			if err := h.Put(k, benchVal); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return h
-	}
-	for _, mode := range []string{"locked", "lockfree"} {
-		h := load(b, mode == "locked")
-		ops := []string{"Get", "GetInto", "Mixed95-5"}
-		if mode == "locked" {
-			ops = []string{"Get", "Mixed95-5"}
-		}
-		for _, procs := range []int{1, 4, 8} {
-			for _, op := range ops {
-				b.Run(fmt.Sprintf("%s/%s/procs=%d", mode, op, procs), func(b *testing.B) {
-					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					var ctr atomic.Int64
-					b.ReportAllocs()
-					b.ResetTimer()
-					b.RunParallel(func(pb *testing.PB) {
-						i := int(ctr.Add(1)) * 1000003
-						buf := make([]byte, 0, 16)
-						for pb.Next() {
-							i++
-							k := keys[i&(n-1)]
-							switch op {
-							case "Get":
-								if _, ok := h.Get(k); !ok {
-									b.Fatal("miss")
-								}
-							case "GetInto":
-								if _, ok := h.GetInto(k, buf); !ok {
-									b.Fatal("miss")
-								}
-							case "Mixed95-5":
-								if i%20 == 0 {
-									if err := h.Put(k, benchVal); err != nil {
-										b.Fatal(err)
-									}
-								} else if _, ok := h.GetInto(k, buf); !ok {
-									b.Fatal("miss")
-								}
-							}
-						}
-					})
-				})
-			}
-		}
-		h.Close()
 	}
 }

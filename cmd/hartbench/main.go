@@ -20,28 +20,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"github.com/casl-sdsu/hart/internal/bench"
 	"github.com/casl-sdsu/hart/internal/latency"
-	"github.com/casl-sdsu/hart/internal/obs"
 	"github.com/casl-sdsu/hart/internal/workload"
 )
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to run: all, 4, 5, 6, 7, 8, 9, 10a, 10b, 10c, 10d, summary, ablation, readpath, writepath, recovery, restart, skew, obs, wire")
-		rpOut   = flag.String("readpath-out", "BENCH_readpath.json", "output file for -fig readpath")
-		wpOut   = flag.String("writepath-out", "BENCH_writepath.json", "output file for -fig writepath")
-		recOut  = flag.String("recovery-out", "BENCH_recovery.json", "output file for -fig recovery")
-		rstOut  = flag.String("restart-out", "BENCH_restart.json", "output file for -fig restart")
-		skOut   = flag.String("skew-out", "BENCH_skew.json", "output file for -fig skew")
-		obsOut  = flag.String("obs-out", "BENCH_obs.json", "output file for -fig obs")
-		wireOut = flag.String("wire-out", "BENCH_wire.json", "output file for -fig wire")
-		mAddr   = flag.String("metrics-addr", "", "serve Prometheus /metrics and expvar /debug/vars for the store under measurement (e.g. :9090)")
+		fig     = flag.String("fig", "all", "figure to run: all, 4, 5, 6, 7, 8, 9, 10a, 10b, 10c, 10d, summary, ablation, skew")
 		dist    = flag.String("dist", "uniform", "mixed-workload request distribution: uniform (the paper's) or zipf")
 		theta   = flag.Float64("theta", 0.99, "zipfian skew parameter for -dist zipf, in (0, 1)")
 		records = flag.Int("records", 100000, "Sequential/Random record count")
@@ -90,39 +79,14 @@ func main() {
 	if *threads != "" {
 		cfg.Threads = parseInts(*threads)
 	}
-	// The path comparisons keep their checked-in 1/4/8 matrix unless the
-	// user passed -threads explicitly (the flag's default serves fig 10d).
+	// The skew comparison keeps its 1/4/8 matrix unless the user passed
+	// -threads explicitly (the flag's default serves fig 10d).
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "threads" {
 			cfg.PathThreads = cfg.Threads
 		}
 	})
 	cfg = cfg.WithDefaults()
-
-	if *mAddr != "" {
-		srv := obs.Serve(*mAddr, "hart", bench.LiveSnapshot, func(err error) {
-			fmt.Fprintf(os.Stderr, "hartbench: metrics server: %v\n", err)
-		})
-		defer srv.Close()
-	}
-
-	// An interrupt mid-run must not strand a file-backed experiment
-	// store dirty: close (drain + sync + clean flag) whatever is open,
-	// then exit with the conventional 128+signal code.
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigCh
-		fmt.Fprintf(os.Stderr, "hartbench: %s: closing active stores\n", sig)
-		code := 130 // SIGINT
-		if sig == syscall.SIGTERM {
-			code = 143
-		}
-		if err := bench.CloseActive(); err != nil {
-			fmt.Fprintf(os.Stderr, "hartbench: close: %v\n", err)
-		}
-		os.Exit(code)
-	}()
 
 	var (
 		rep bench.Report
@@ -151,26 +115,8 @@ func main() {
 		rep, err = bench.RunFig10c(cfg)
 	case "10d":
 		rep, err = bench.RunFig10d(cfg)
-	case "readpath":
-		runReadPath(cfg, *rpOut)
-		return
-	case "writepath":
-		runWritePath(cfg, *wpOut)
-		return
-	case "recovery":
-		runRecovery(cfg, *recOut)
-		return
-	case "restart":
-		runRestart(cfg, *rstOut)
-		return
 	case "skew":
-		runSkew(cfg, *skOut)
-		return
-	case "obs":
-		runObs(cfg, *obsOut)
-		return
-	case "wire":
-		runWire(cfg, *wireOut)
+		runSkew(cfg)
 		return
 	case "summary":
 		rep, err = runBasics(cfg)
@@ -191,142 +137,14 @@ func main() {
 	}
 }
 
-// runReadPath runs the lock-free vs locked read-path comparison and
-// records it as JSON (the before/after evidence for the optimisation).
-func runReadPath(cfg bench.Config, out string) {
-	rep, err := bench.RunReadPath(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rep.FprintTable(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "hartbench: wrote %s\n", out)
-}
-
-// runWritePath runs the striped vs legacy write-path comparison and
-// records it as JSON (the before/after evidence for the optimisation).
-func runWritePath(cfg bench.Config, out string) {
-	rep, err := bench.RunWritePath(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rep.FprintTable(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "hartbench: wrote %s\n", out)
-}
-
-// runRecovery runs the legacy vs pipelined vs lazy recovery comparison
-// and records it as JSON (the before/after evidence for the optimisation).
-func runRecovery(cfg bench.Config, out string) {
-	rep, err := bench.RunRecovery(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rep.FprintTable(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "hartbench: wrote %s\n", out)
-}
-
-// runRestart runs the file-backed close-and-reopen comparison and
-// records it as JSON (the time-to-first-read evidence for the durable
-// file backend).
-func runRestart(cfg bench.Config, out string) {
-	rep, err := bench.RunRestart(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rep.FprintTable(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "hartbench: wrote %s\n", out)
-}
-
 // runSkew runs the zipfian-skew fixed vs elastic directory comparison
-// and records it as JSON (the skew-resilience evidence for hot-shard
-// splitting).
-func runSkew(cfg bench.Config, out string) {
+// (the skew-resilience evidence for hot-shard splitting).
+func runSkew(cfg bench.Config) {
 	rep, err := bench.RunSkew(cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	rep.FprintTable(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "hartbench: wrote %s\n", out)
-}
-
-// runObs runs the metrics-off vs metrics-on overhead comparison with a
-// live Prometheus scrape and records it as JSON (the overhead evidence
-// for the observability layer).
-func runObs(cfg bench.Config, out string) {
-	rep, err := bench.RunObs(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rep.FprintTable(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "hartbench: wrote %s\n", out)
-}
-
-// runWire runs the hartsoak service-layer comparison — naive vs
-// pipelined clients over real TCP connections to an in-process hartd —
-// and records it as JSON (the throughput evidence for the wire
-// protocol's pipelining and Put coalescing).
-func runWire(cfg bench.Config, out string) {
-	rep, err := bench.RunWire(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rep.FprintTable(os.Stdout)
-	f, err := os.Create(out)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	if err := rep.WriteJSON(f); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "hartbench: wrote %s\n", out)
 }
 
 // runBasics runs Figs. 4-7, the inputs of the headline summary.

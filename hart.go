@@ -107,17 +107,6 @@ type Options struct {
 	// superblock: Open and Restore adopt it when this field is left nil
 	// and fail with ErrGeometryMismatch when it names a different table.
 	ValueClasses []int64
-	// LockedReads disables the lock-free read path and restores the
-	// paper's original two-lock reads (global directory read lock, then
-	// per-ART read lock). It exists as the benchmark baseline for the
-	// read-path experiment; leave it unset in normal use.
-	LockedReads bool
-	// LegacyWritePath disables the striped write path and restores the
-	// pre-striping behaviour (single allocator stripe, serialised
-	// micro-log pool, per-key batch publication). It exists as the
-	// benchmark baseline for the write-path experiment; leave it unset
-	// in normal use.
-	LegacyWritePath bool
 	// RecoveryWorkers parallelises recovery's leaf scan, sweeps and ART
 	// rebuild across that many goroutines (0 or 1 = serial).
 	RecoveryWorkers int
@@ -126,10 +115,6 @@ type Options struct {
 	// and each shard's ART is built on first touch or by DrainRecovery
 	// (typically started in the background right after Restore).
 	LazyRecovery bool
-	// LegacyRecovery restores the pre-pipeline serial-scan recovery. It
-	// exists as the benchmark baseline for the recovery experiment; leave
-	// it unset in normal use.
-	LegacyRecovery bool
 	// ElasticDirectory enables hot-shard splitting and cold-group merging:
 	// a shard whose write heat crosses SplitOps is split into per-byte
 	// child ARTs under one-byte-longer directory prefixes, restoring write
@@ -168,11 +153,8 @@ func (o Options) coreOptions() core.Options {
 		ArenaSize:       o.ArenaSize,
 		Tracking:        o.CrashSimulation,
 		ValueClasses:    o.ValueClasses,
-		LockedReads:     o.LockedReads,
-		LegacyWritePath: o.LegacyWritePath,
 		RecoveryWorkers: o.RecoveryWorkers,
 		LazyRecovery:    o.LazyRecovery,
-		LegacyRecovery:  o.LegacyRecovery,
 
 		ElasticDirectory: o.ElasticDirectory,
 		SplitOps:         o.SplitOps,

@@ -54,8 +54,8 @@ type Config struct {
 	ScaleSweep []int
 	// Threads lists the Fig. 10d thread counts.
 	Threads []int
-	// PathThreads lists the thread counts of the read-path and write-path
-	// comparisons (nil = the checked-in default, 1/4/8).
+	// PathThreads lists the thread counts of the skew comparison (nil =
+	// 1/4/8).
 	PathThreads []int
 	// Dist is the request distribution the mixed workloads draw
 	// search/update/delete targets from (zero value = Uniform, the

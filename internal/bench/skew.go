@@ -1,16 +1,15 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
 	"github.com/casl-sdsu/hart/internal/core"
-	"github.com/casl-sdsu/hart/internal/obs"
 	"github.com/casl-sdsu/hart/internal/workload"
 )
 
@@ -18,14 +17,13 @@ import (
 // zipfian over a small prefix universe, so a handful of hash-directory
 // shards absorb most of the writes. The fixed kh=2 directory serialises
 // every writer on the hot shard's lock and keeps growing one big COW ART
-// there; the elastic directory (DESIGN.md §13) notices the heat and
+// there; the elastic directory (DESIGN.md §14) notices the heat and
 // splits the hot shard into one-byte-deeper children, which in this
 // workload are per-writer (the byte after the rank prefix is the writer
 // tag), restoring the disjoint-shard parallelism of the uniform case.
 //
-// Latency injection is off for the same reason as the read/write-path
-// experiments: the subject is directory contention, which identical PM
-// penalties would only dilute.
+// Latency injection is off: the subject is directory contention, which
+// identical PM penalties would only dilute.
 
 // SkewRankUniverse is the number of distinct 2-byte rank prefixes the
 // skewed key stream draws from. 1024 ranks under theta=0.99 send ~13% of
@@ -44,48 +42,44 @@ type SkewResult struct {
 	// Mode is "uniform" (uniform ranks, fixed directory — the ceiling),
 	// "fixed" (zipfian ranks, fixed kh=2 directory — the baseline) or
 	// "elastic" (zipfian ranks, hot-shard splitting on).
-	Mode string `json:"mode"`
+	Mode string
 	// Op is always "Put": a bulk insert of Records fresh keys.
-	Op string `json:"op"`
+	Op string
 	// Threads is the writer-goroutine / GOMAXPROCS count.
-	Threads int `json:"threads"`
+	Threads int
 	// NsPerOp is the mean wall-clock cost per inserted record.
-	NsPerOp float64 `json:"ns_per_op"`
+	NsPerOp float64
 	// MOPS is millions of inserts per second (all writers combined).
-	MOPS float64 `json:"mops"`
+	MOPS float64
 	// Splits and MaxDepth report the directory geometry after the run
 	// (elastic rows only): persisted split prefixes and the longest
 	// directory entry.
-	Splits   int `json:"splits,omitempty"`
-	MaxDepth int `json:"max_depth,omitempty"`
+	Splits   int
+	MaxDepth int
 }
 
-// SkewReport is the BENCH_skew.json document, shaped like
-// BENCH_writepath.json (a results array keyed by mode/op/threads) so
-// benchdiff.sh reads it unchanged.
+// SkewReport is what RunSkew measured: one result per mode and thread
+// count, and the two ratios the comparison is read by.
 type SkewReport struct {
 	// Records is the number of keys each cell inserts.
-	Records   int `json:"records"`
-	ValueSize int `json:"value_size"`
+	Records   int
+	ValueSize int
 	// Theta and RankUniverse parameterise the zipfian key stream.
-	Theta        float64 `json:"theta"`
-	RankUniverse int     `json:"rank_universe"`
+	Theta        float64
+	RankUniverse int
 	// SplitOps is the heat threshold the elastic cells ran with.
-	SplitOps int `json:"split_ops"`
-	NumCPU   int `json:"num_cpu"`
-	Results  []SkewResult `json:"results"`
+	SplitOps int
+	NumCPU   int
+	Results  []SkewResult
 	// RecoveredFrac maps "t<threads>" to elastic MOPS ÷ uniform MOPS:
 	// the fraction of the unskewed throughput the elastic directory
 	// recovers under zipfian skew. The acceptance bar is ≥ 0.70 at every
 	// multi-writer thread count.
-	RecoveredFrac map[string]float64 `json:"recovered_frac"`
+	RecoveredFrac map[string]float64
 	// FixedFrac maps "t<threads>" to fixed MOPS ÷ uniform MOPS: how much
 	// the skew costs when the directory cannot adapt, kept as the
 	// measured baseline.
-	FixedFrac map[string]float64 `json:"fixed_frac"`
-	// Metrics is the final elastic cell's observability snapshot (split
-	// events and dir.splits put the recovered fractions in context).
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+	FixedFrac map[string]float64
 }
 
 // skewKeys generates each writer's insert stream: the first two bytes
@@ -126,14 +120,14 @@ func skewKeys(n, threads int, dist workload.Distribution, seed int64) [][][]byte
 // pre-generated per-writer key streams, manual wall-clock over the
 // partitioned writers (the generator cost stays outside the timed
 // region).
-func skewCell(c Config, mode string, parts [][][]byte, splitOps, threads int) (SkewResult, *obs.Snapshot, error) {
+func skewCell(c Config, mode string, parts [][][]byte, splitOps, threads int) (SkewResult, error) {
 	h, err := core.New(core.Options{
 		ArenaSize:        arenaSize("HART", c.Records),
 		ElasticDirectory: mode == "elastic",
 		SplitOps:         splitOps,
 	})
 	if err != nil {
-		return SkewResult{}, nil, err
+		return SkewResult{}, err
 	}
 	defer h.Close()
 	val := make([]byte, c.ValueSize)
@@ -170,20 +164,19 @@ func skewCell(c Config, mode string, parts [][][]byte, splitOps, threads int) (S
 	d := time.Since(start)
 	close(errs)
 	for err := range errs {
-		return SkewResult{}, nil, err
+		return SkewResult{}, err
 	}
 	if got := h.Len(); got != total {
-		return SkewResult{}, nil, fmt.Errorf("skew %s left %d records, want %d", mode, got, total)
+		return SkewResult{}, fmt.Errorf("skew %s left %d records, want %d", mode, got, total)
 	}
 	ns := float64(d.Nanoseconds()) / float64(total)
 	res := SkewResult{Mode: mode, Op: "Put", Threads: threads, NsPerOp: ns, MOPS: 1e3 / ns}
-	m := h.Metrics()
 	if mode == "elastic" {
 		st := h.Stats()
 		res.Splits = st.Dir.Splits
 		res.MaxDepth = st.Dir.MaxDepth
 	}
-	return res, &m, nil
+	return res, nil
 }
 
 // RunSkew measures the skew comparison and returns the report.
@@ -218,14 +211,13 @@ func RunSkew(c Config) (*SkewReport, error) {
 			fmt.Fprintf(c.Out, "skew: %s insert threads=%d...\n", mode, t)
 			parts := skewKeys(c.Records, t, dist, c.Seed+int64(t))
 			var r SkewResult
-			var rm *obs.Snapshot
 			for rep := 0; rep < SkewReps; rep++ {
-				rr, m, err := skewCell(c, mode, parts, splitOps, t)
+				rr, err := skewCell(c, mode, parts, splitOps, t)
 				if err != nil {
 					return nil, err
 				}
 				if rep == 0 || rr.NsPerOp < r.NsPerOp {
-					r, rm = rr, m
+					r = rr
 				}
 			}
 			rep.Results = append(rep.Results, r)
@@ -241,18 +233,22 @@ func RunSkew(c Config) (*SkewReport, error) {
 				if base := uniformMOPS[t]; base > 0 {
 					rep.RecoveredFrac[key] = r.MOPS / base
 				}
-				rep.Metrics = rm
 			}
 		}
 	}
 	return rep, nil
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r *SkewReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// sortedKeys returns the map's "t<threads>" keys in numeric order.
+func sortedKeys(m map[string]float64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return len(keys[i]) < len(keys[j]) || (len(keys[i]) == len(keys[j]) && keys[i] < keys[j])
+	})
+	return keys
 }
 
 // FprintTable renders the report for the terminal.

@@ -27,10 +27,6 @@ type Record struct {
 // once. Crash atomicity remains per record: a crash exposes a sorted
 // prefix of the batch, the same guarantee the per-key path gives.
 //
-// In Options.LegacyWritePath mode the pre-batching behaviour is kept
-// verbatim (per-record protocol, one republication per key) as the
-// measurable baseline.
-//
 // The first error aborts the remainder; the count of applied records is
 // returned with it.
 func (h *HART) PutBatch(records []Record) (int, error) {
@@ -95,14 +91,11 @@ func (h *HART) putBatchOp(records []Record) (int, error) {
 		s.beginWrite()
 		var n int
 		var err error
-		switch {
-		case h.opts.LegacyWritePath:
-			n, err = h.putGroupSeq(s, hashKey, sorted[i:j], 0)
-		case j-i == 1:
+		if j-i == 1 {
 			// A group of one has nothing to amortise; the per-record
 			// protocol skips putGroup's batch bookkeeping.
-			n, err = h.putGroupSeq(s, hashKey, sorted[i:j], h.stripeOf(hashKey))
-		default:
+			n, err = h.putGroupSeq(s, hashKey, sorted[i:j])
+		} else {
 			n, err = h.putGroup(s, hashKey, sorted[i:j])
 		}
 		s.endWrite()
@@ -144,14 +137,13 @@ func (h *HART) groupStable(recs []Record, hashKey []byte) bool {
 }
 
 // putGroupSeq applies one group with the per-record protocol and one
-// tree republication per key, allocating on the given stripe. With
-// stripe 0 it is the pre-batching write path verbatim, kept as the
-// LegacyWritePath baseline; the striped path uses it for single-record
+// tree republication per key: what PutBatch uses for single-record
 // groups, which have nothing to amortise. Caller holds the shard write
 // lock and an open seqlock section; hashKey is the group's validated
 // route, so ART keys are formed by stripping it rather than re-routing
 // through a possibly newer snapshot.
-func (h *HART) putGroupSeq(s *artShard, hashKey []byte, recs []Record, stripe int) (int, error) {
+func (h *HART) putGroupSeq(s *artShard, hashKey []byte, recs []Record) (int, error) {
+	stripe := epalloc.StripeFor(hashKey)
 	done := 0
 	for _, r := range recs {
 		artKey := r.Key[len(hashKey):]
@@ -203,7 +195,7 @@ func (h *HART) putGroupSeq(s *artShard, hashKey []byte, recs []Record, stripe in
 // values released, their leaves scrubbed and aborted) and the prefix
 // length is returned with the error.
 func (h *HART) putGroup(s *artShard, hashKey []byte, recs []Record) (int, error) {
-	stripe := h.stripeOf(hashKey)
+	stripe := epalloc.StripeFor(hashKey)
 	base := s.tree.Load()
 
 	// Phase 1: classify.

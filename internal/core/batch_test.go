@@ -277,46 +277,41 @@ func TestDeleteBatch(t *testing.T) {
 // batch inserts, which exercises the flush-then-update path (the first
 // record's leaf bit must commit before the second record's update).
 func TestPutBatchDuplicateKeys(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		h, err := New(Options{ArenaSize: 16 << 20, Tracking: true, LegacyWritePath: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustPut(t, h, "dupbase", "old")
-		n, err := h.PutBatch([]Record{
-			{Key: []byte("dupnew"), Value: []byte("first")},
-			{Key: []byte("dupbase"), Value: []byte("mid")},
-			{Key: []byte("dupnew"), Value: []byte("second")},
-			{Key: []byte("dupbase"), Value: []byte("final")},
-			{Key: []byte("dupnew"), Value: []byte("third")},
-		})
-		if err != nil || n != 5 {
-			t.Fatalf("legacy=%v: PutBatch = (%d,%v)", legacy, n, err)
-		}
-		mustGet(t, h, "dupnew", "third")
-		mustGet(t, h, "dupbase", "final")
-		if h.Len() != 2 {
-			t.Fatalf("legacy=%v: Len = %d", legacy, h.Len())
-		}
-		if err := h.Check(); err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
+	h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, h, "dupbase", "old")
+	n, err := h.PutBatch([]Record{
+		{Key: []byte("dupnew"), Value: []byte("first")},
+		{Key: []byte("dupbase"), Value: []byte("mid")},
+		{Key: []byte("dupnew"), Value: []byte("second")},
+		{Key: []byte("dupbase"), Value: []byte("final")},
+		{Key: []byte("dupnew"), Value: []byte("third")},
+	})
+	if err != nil || n != 5 {
+		t.Fatalf("PutBatch = (%d,%v)", n, err)
+	}
+	mustGet(t, h, "dupnew", "third")
+	mustGet(t, h, "dupbase", "final")
+	if h.Len() != 2 {
+		t.Fatalf("Len = %d", h.Len())
+	}
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestPutBatchLegacyMatchesStriped runs the same mixed batch stream
-// through the striped write path and the LegacyWritePath baseline and
-// requires identical contents — the differential guarantee that striping
-// changed the cost, not the semantics.
+// TestPutBatchLegacyMatchesStriped runs a mixed batch stream, full of
+// duplicate keys within and across batches, through PutBatch and through a
+// plain map applied record by record in submission order, and requires
+// identical contents: batching changes the cost, not the semantics.
 func TestPutBatchLegacyMatchesStriped(t *testing.T) {
-	hs, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
+	h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hl, err := New(Options{ArenaSize: 16 << 20, Tracking: true, LegacyWritePath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := map[string]string{}
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 40; round++ {
 		var recs []Record
@@ -326,26 +321,28 @@ func TestPutBatchLegacyMatchesStriped(t *testing.T) {
 				Value: []byte(fmt.Sprintf("r%dv%d", round, i)),
 			})
 		}
-		ns, errS := hs.PutBatch(recs)
-		nl, errL := hl.PutBatch(recs)
-		if ns != nl || (errS == nil) != (errL == nil) {
-			t.Fatalf("round %d: striped (%d,%v), legacy (%d,%v)", round, ns, errS, nl, errL)
+		if n, err := h.PutBatch(recs); err != nil || n != len(recs) {
+			t.Fatalf("round %d: PutBatch = (%d,%v), want %d", round, n, err, len(recs))
+		}
+		for _, r := range recs {
+			want[string(r.Key)] = string(r.Value)
 		}
 	}
-	if hs.Len() != hl.Len() {
-		t.Fatalf("Len: striped %d, legacy %d", hs.Len(), hl.Len())
+	if h.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", h.Len(), len(want))
 	}
-	hs.Scan(nil, nil, func(k, v []byte) bool {
-		lv, ok := hl.Get(k)
-		if !ok || string(lv) != string(v) {
-			t.Fatalf("key %q: striped %q, legacy (%q,%v)", k, v, lv, ok)
+	seen := 0
+	h.Scan(nil, nil, func(k, v []byte) bool {
+		if wv, ok := want[string(k)]; !ok || wv != string(v) {
+			t.Fatalf("key %q: got %q, want (%q,%v)", k, v, wv, ok)
 		}
+		seen++
 		return true
 	})
-	if err := hs.Check(); err != nil {
-		t.Fatal(err)
+	if seen != len(want) {
+		t.Fatalf("Scan saw %d records, want %d", seen, len(want))
 	}
-	if err := hl.Check(); err != nil {
+	if err := h.Check(); err != nil {
 		t.Fatal(err)
 	}
 }

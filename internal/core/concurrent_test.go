@@ -252,6 +252,52 @@ func TestOptimisticReadStress(t *testing.T) {
 	}
 }
 
+// TestGetFallsBackUnderOpenWriteSection drives lockedGet's one job
+// deterministically: a Get that finds its shard's seqlock odd on every
+// optimistic attempt gives up, queues on the shard read lock, and returns
+// the committed value once the writer leaves.
+func TestGetFallsBackUnderOpenWriteSection(t *testing.T) {
+	h := newHART(t)
+	key := []byte("fb-key")
+	mustPut(t, h, string(key), "committed")
+	s, _ := h.getShard(key, false)
+	retries, fallbacks := h.obs.seqRetries.Value(), h.obs.lockedFallbacks.Value()
+
+	s.mu.Lock()
+	s.beginWrite()
+	type result struct {
+		v  []byte
+		ok bool
+	}
+	done := make(chan result)
+	go func() {
+		v, ok := h.Get(key)
+		done <- result{v, ok}
+	}()
+	// The reader counts its fallback before it asks for the read lock, so
+	// from here on nothing it does can succeed until the Unlock below.
+	for h.obs.lockedFallbacks.Value() == fallbacks {
+		runtime.Gosched()
+	}
+	select {
+	case r := <-done:
+		t.Fatalf("Get returned (%q,%v) inside an open write section", r.v, r.ok)
+	default:
+	}
+	s.endWrite()
+	s.mu.Unlock()
+
+	if r := <-done; !r.ok || string(r.v) != "committed" {
+		t.Fatalf("Get = (%q,%v), want the committed value", r.v, r.ok)
+	}
+	if got := h.obs.seqRetries.Value() - retries; got != optimisticAttempts {
+		t.Fatalf("read.seq_retries rose by %d, want %d", got, optimisticAttempts)
+	}
+	if got := h.obs.lockedFallbacks.Value() - fallbacks; got != 1 {
+		t.Fatalf("read.locked_fallbacks rose by %d, want 1", got)
+	}
+}
+
 // TestOptimisticReadShardRemoval races lock-free readers against the
 // delete-to-empty / recreate cycle of a single shard: a reader holding a
 // stale directory snapshot must either conclusively miss or return a

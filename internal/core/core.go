@@ -16,7 +16,7 @@
 // immutable snapshot behind an atomic pointer (copy-on-write on the rare
 // shard add/remove), each shard's ART is an immutable tree republished by
 // copy-on-write mutation, and a per-shard seqlock validates the PM-side
-// leaf and value reads. See DESIGN.md, "Read-path concurrency".
+// leaf and value reads. See DESIGN.md §11.
 package core
 
 import (
@@ -188,13 +188,6 @@ type Options struct {
 	// store size; durable state is untouched by the deferred builds, so a
 	// crash mid-drain recovers exactly like a crash before it.
 	LazyRecovery bool
-	// LegacyRecovery disables the pipelined recovery and restores the
-	// pre-pipeline path: one serial IterateObjects pass per class, a
-	// global live-value map, per-leaf directory locking and a second PM
-	// key read per leaf on the parallel rebuild. It exists as the
-	// measurable "before" baseline for the recovery benchmarks
-	// (BENCH_recovery.json); leave it unset otherwise.
-	LegacyRecovery bool
 	// UnloggedUpdates selects, for the update that replaces one value
 	// object by another (both values longer than MaxInlineLen), the update
 	// mechanism the paper *measured* (Section IV.B: "a pointer to that new
@@ -209,22 +202,8 @@ type Options struct {
 	// replaced by one of its own length in a single failure-atomic store,
 	// and an update that changes a record's shape is always logged.
 	UnloggedUpdates bool
-	// LockedReads disables the lock-free read path and reproduces the
-	// paper's original Section III.A.3 protocol verbatim: Get takes the
-	// global directory read lock to resolve the shard, then the shard's
-	// read lock for the tree walk and PM reads. It exists as the
-	// measurable "before" baseline for the read-path benchmarks
-	// (BENCH_readpath.json); leave it unset otherwise.
-	LockedReads bool
-	// LegacyWritePath disables the scalable write path and restores the
-	// pre-striping behaviour: every writer allocates from EPallocator
-	// stripe 0, claims micro-log slots through the mutex-serialised pool,
-	// and PutBatch republishes the shard's tree once per record. It
-	// exists as the measurable "before" baseline for the write-path
-	// benchmarks (BENCH_writepath.json); leave it unset otherwise.
-	LegacyWritePath bool
 	// ElasticDirectory enables hot-shard splitting and cold-group
-	// merging (DESIGN.md §13): a shard whose write heat crosses SplitOps
+	// merging (DESIGN.md §14): a shard whose write heat crosses SplitOps
 	// is split into children keyed on a one-byte-longer hash prefix, and
 	// a delete that leaves a split group small and cold folds it back.
 	// Off by default — the directory keeps the paper's fixed-kh shape.
@@ -372,13 +351,11 @@ type HART struct {
 	// dirTable). Both structures behind the pointer are immutable: shard
 	// insertion/removal and geometry changes clone, mutate the clone and
 	// swap the pointer. Readers load it with no lock; dirMu serialises
-	// the writers performing the clone-and-swap (and doubles as the
-	// global read lock of the Options.LockedReads baseline). Lock
-	// ordering: shard mutexes before dirMu — removeShardIfEmpty,
-	// splitShard and tryMerge all publish while holding shard locks,
-	// which is safe because getShard never waits on a shard while
-	// holding dirMu.
-	dirMu sync.RWMutex
+	// the writers performing the clone-and-swap. Lock ordering: shard
+	// mutexes before dirMu — removeShardIfEmpty, splitShard and tryMerge
+	// all publish while holding shard locks, which is safe because
+	// getShard never waits on a shard while holding dirMu.
+	dirMu sync.Mutex
 	dir   atomic.Pointer[dirTable]
 
 	// splitSlots mirrors the superblock's split-slot array in slot order
@@ -517,8 +494,8 @@ func Open(arena *pmem.Arena, opts Options) (*HART, error) {
 	}
 	h := &HART{opts: opts, arena: arena}
 	// The initial snapshot already carries the persisted split set:
-	// recovery (including the legacy path's per-leaf inserts) routes
-	// every leaf through it, rebuilding the exact pre-crash geometry.
+	// recovery routes every leaf through it, rebuilding the exact
+	// pre-crash geometry.
 	h.adoptSplits(sb)
 	h.dir.Store(&dirTable{
 		tab:    hashdir.New[*artShard](),
@@ -579,32 +556,6 @@ func (h *HART) Close() error {
 	h.DrainRecovery()
 	h.setCleanFlag(true)
 	return h.arena.Close()
-}
-
-// stripeOf maps a hash key to its EPallocator stripe, giving every
-// writer of one shard the same allocation and micro-log affinity while
-// spreading distinct shards across the allocator's striped locks. The
-// mapping hashes the hash key — never anything execution-dependent like
-// a goroutine identity — so a replayed history allocates from identical
-// stripes and produces an identical persist sequence (the determinism
-// the crash-consistency checker depends on). In LegacyWritePath mode
-// every writer lands on stripe 0, reproducing the single-lock contention
-// of the pre-striping allocator.
-func (h *HART) stripeOf(hashKey []byte) int {
-	if h.opts.LegacyWritePath {
-		return 0
-	}
-	return epalloc.StripeFor(hashKey)
-}
-
-// getULog claims a micro-log slot for a writer with the given stripe
-// affinity: the lock-free striped claim by default, the mutex-serialised
-// global pool in LegacyWritePath mode.
-func (h *HART) getULog(stripe int) *epalloc.ULog {
-	if h.opts.LegacyWritePath {
-		return h.alloc.GetUpdateLog()
-	}
-	return h.alloc.GetUpdateLogStriped(stripe)
 }
 
 // splitKey divides a key into its hash key and ART key (Algorithm 1
@@ -707,24 +658,10 @@ func (h *HART) lockShardW(key []byte, create bool) (*artShard, []byte) {
 
 // lockShardR locates and read-locks the shard owning key. It is the
 // slow path: optimistic readers that exhausted their retries, plus the
-// stats/check paths that need a stable shard. In LockedReads mode the
-// directory lookup additionally passes through dirMu, reproducing the
-// paper's original two-lock read sequence for benchmarking.
+// stats/check paths that need a stable shard.
 func (h *HART) lockShardR(key []byte) (*artShard, []byte) {
 	for {
-		var (
-			s  *artShard
-			hk []byte
-		)
-		if h.opts.LockedReads {
-			h.dirMu.RLock()
-			d := h.dir.Load()
-			hk = d.route(key, h.opts.HashKeyLen)
-			s, _ = d.tab.Get(hk)
-			h.dirMu.RUnlock()
-		} else {
-			s, hk = h.getShard(key, false)
-		}
+		s, hk := h.getShard(key, false)
 		if s == nil {
 			return nil, nil
 		}

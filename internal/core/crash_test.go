@@ -411,7 +411,7 @@ func TestCrashDuringUnloggedUpdateEveryPersist(t *testing.T) {
 // store in steady state (chunks linked, slots being reused): the ordered
 // persists it issues, by site, the cache lines they flush and the PM loads
 // it makes — one row per protocol, which is one per pair of value shapes
-// (DESIGN.md §10: in the leaf up to 8 bytes, in a value object above). The
+// (DESIGN.md §12: in the leaf up to 8 bytes, in a value object above). The
 // protocols' recovery arguments are made persist by persist there, and
 // persists and PM reads are what the medium charges for, so a change to
 // any of these numbers is a change of protocol and must be made on purpose.
@@ -860,7 +860,6 @@ var recoveryModes = []struct {
 	{"parallel", Options{RecoveryWorkers: 4}},
 	{"lazy", Options{LazyRecovery: true}},
 	{"lazy-parallel", Options{LazyRecovery: true, RecoveryWorkers: 4}},
-	{"legacy", Options{LegacyRecovery: true}},
 }
 
 // TestDeadSlotWordIsNeverTrusted pins the rule word 0 now lives under: it

@@ -10,7 +10,7 @@ import (
 )
 
 // Elastic directory: hot-shard splitting and cold-group merging
-// (DESIGN.md §13).
+// (DESIGN.md §14).
 //
 // A fixed kh routes a zipfian workload onto a handful of ARTs, where the
 // per-shard writer mutex and ever-larger COW republications stop the

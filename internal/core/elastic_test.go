@@ -304,7 +304,6 @@ func TestElasticReopen(t *testing.T) {
 		{"elastic-off", Options{}},
 		{"lazy", Options{LazyRecovery: true, RecoveryWorkers: 4}},
 		{"parallel", Options{RecoveryWorkers: 4}},
-		{"legacy", Options{LegacyRecovery: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			h2 := reopenCrash(t, h, mode.opts)

@@ -47,7 +47,7 @@ type coreObs struct {
 // and the event ring are always active; only the clock reads around
 // Get/Put/Delete/Scan/PutBatch and the arena's Persist/Sync are gated.
 // Off by default: the disabled read path stays allocation-free and
-// within noise of an uninstrumented build (BENCH_obs.json).
+// within noise of an uninstrumented build.
 func (h *HART) EnableMetrics(on bool) {
 	h.obs.timing.Set(on)
 	h.arena.EnableTiming(on)

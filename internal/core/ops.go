@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"github.com/casl-sdsu/hart/internal/epalloc"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
@@ -34,7 +35,7 @@ func (h *HART) putOp(key, value []byte) error {
 	}
 	s, hashKey := h.lockShardW(key, true) // lines 2-5: HashFind / NewART / HashInsert
 	artKey := key[len(hashKey):]
-	stripe := h.stripeOf(hashKey)
+	stripe := epalloc.StripeFor(hashKey)
 	s.beginWrite()
 	var err error
 	if w, found := s.tree.Load().Get(artKey); found { // line 6: SearchNode
@@ -246,7 +247,7 @@ func (h *HART) update(ref leafRef, value []byte, stripe int) (leafRef, error) {
 // meanwhile committed there.
 func (h *HART) updateLogged(ref leafRef, value []byte, stripe int) (leafRef, error) {
 	leaf := ref.ptr()
-	ulog := h.getULog(stripe) // line 1
+	ulog := h.alloc.GetUpdateLog(stripe) // line 1
 	var oldV pmem.Ptr
 	if ref.shape() == 0 {
 		oldV, _ = unpackValue(h.arena.Read8(leaf + lfWord0))
@@ -341,7 +342,7 @@ func (h *HART) Update(key, value []byte) error {
 	s.beginWrite()
 	var err error
 	if w, found := s.tree.Load().Get(artKey); found {
-		err = h.updateAt(s, artKey, leafRef(w), value, h.stripeOf(hashKey))
+		err = h.updateAt(s, artKey, leafRef(w), value, epalloc.StripeFor(hashKey))
 	} else {
 		err = ErrNotFound
 	}
@@ -360,7 +361,7 @@ func (h *HART) Update(key, value []byte) error {
 // directory snapshot, walks the shard's published (immutable) tree, and
 // validates the PM-side reads against the shard seqlock, retrying on
 // interference and falling back to the shard read lock after
-// optimisticAttempts tries. See DESIGN.md, "Read-path concurrency".
+// optimisticAttempts tries. See DESIGN.md §11.
 //
 // The destination buffer is a constant-capacity stack allocation handed
 // to GetInto, whose dst parameter leaks only to its result: escape
@@ -395,19 +396,17 @@ func (h *HART) getInto(key, dst []byte) ([]byte, bool) {
 		return nil, false
 	}
 	h.obs.gets.Add(1)
-	if !h.opts.LockedReads {
-		for i := 0; i < optimisticAttempts; i++ {
-			v, ok, conclusive := h.readOptimistic(key, dst, true)
-			if conclusive {
-				if !ok {
-					h.obs.getMisses.Add(1)
-				}
-				return v, ok
+	for i := 0; i < optimisticAttempts; i++ {
+		v, ok, conclusive := h.readOptimistic(key, dst, true)
+		if conclusive {
+			if !ok {
+				h.obs.getMisses.Add(1)
 			}
-			h.obs.seqRetries.Add(1)
+			return v, ok
 		}
-		h.obs.lockedFallbacks.Add(1)
+		h.obs.seqRetries.Add(1)
 	}
+	h.obs.lockedFallbacks.Add(1)
 	v, ok := h.lockedGet(key, dst, true)
 	if !ok {
 		h.obs.getMisses.Add(1)
@@ -422,12 +421,10 @@ func (h *HART) Contains(key []byte) bool {
 	if h.validate(key, nil) != nil {
 		return false
 	}
-	if !h.opts.LockedReads {
-		for i := 0; i < optimisticAttempts; i++ {
-			_, ok, conclusive := h.readOptimistic(key, nil, false)
-			if conclusive {
-				return ok
-			}
+	for i := 0; i < optimisticAttempts; i++ {
+		_, ok, conclusive := h.readOptimistic(key, nil, false)
+		if conclusive {
+			return ok
 		}
 	}
 	_, ok := h.lockedGet(key, nil, false)
@@ -495,8 +492,8 @@ func (h *HART) readOptimistic(key, dst []byte, needValue bool) (v []byte, found,
 }
 
 // lockedGet is Algorithm 4 under the shard read lock: the fallback for
-// readers that kept losing seqlock races, and the whole read path in
-// LockedReads mode.
+// readers that kept losing seqlock races or met a lazily recovered shard
+// whose ART is not built yet.
 func (h *HART) lockedGet(key, dst []byte, needValue bool) ([]byte, bool) {
 	s, hashKey := h.lockShardR(key) // lines 1-2
 	if s == nil {

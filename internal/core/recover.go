@@ -23,7 +23,7 @@ import (
 // values are already on PM: only hash-directory entries and ART internal
 // nodes are created, and no PM write happens for the common case.
 //
-// The path is a pipeline of four phases (see DESIGN.md §11):
+// The path is a pipeline of four phases (see DESIGN.md §13):
 //
 //  1. Update-log replay — serial; must precede everything so the leaves'
 //     first words and shape bytes are final.
@@ -46,9 +46,6 @@ import (
 // The directory and the size counter are published once at the end, so a
 // Rebuild on a live store never exposes a partially rebuilt index.
 func (h *HART) recover() error {
-	if h.opts.LegacyRecovery {
-		return h.recoverLegacy()
-	}
 	var stats RecoveryStats
 	workers := h.opts.RecoveryWorkers
 	if workers < 1 {
@@ -556,8 +553,8 @@ type RecoveryStats struct {
 	// after New or Rebuild, which read none).
 	FormatVersion int
 	// Per-phase wall times: update-log replay, leaf scan, index build and
-	// consistency sweeps. The build overlaps the sweeps on the pipelined
-	// path, so BuildNs includes the sweep window it ran concurrently with.
+	// consistency sweeps. The build overlaps the sweeps, so BuildNs
+	// includes the sweep window it ran concurrently with.
 	ULogNs  int64
 	ScanNs  int64
 	BuildNs int64
@@ -612,166 +609,6 @@ func (h *HART) recoverUpdate(ul epalloc.UpdateLogState) error {
 // an empty or partially filled intermediate.
 func (h *HART) Rebuild() error {
 	return h.recover()
-}
-
-// recoverLegacy is the pre-pipeline recovery path: one serial
-// IterateObjects pass per class, a global liveVals map, and a rebuild
-// that locks the private directory per leaf and re-reads each leaf's key
-// from PM on the parallel path. It exists as the measurable "before"
-// baseline for BENCH_recovery.json (Options.LegacyRecovery); the
-// pipelined recover above is the default.
-func (h *HART) recoverLegacy() error {
-	var stats RecoveryStats
-	stats.Workers = h.opts.RecoveryWorkers
-	if stats.Workers < 1 {
-		stats.Workers = 1
-	}
-
-	t := time.Now()
-	h.arena.SetPersistSite("recover.ulog")
-	for _, ul := range h.alloc.PendingUpdateLogs() {
-		if err := h.recoverUpdate(ul); err != nil {
-			return err
-		}
-		h.alloc.ResetUpdateLogAt(ul.Index)
-		stats.CompletedULogs++
-	}
-	stats.ULogNs = time.Since(t).Nanoseconds()
-
-	t = time.Now()
-	liveVals := make(map[pmem.Ptr]bool)
-	var deadSlots []deadSlot
-	var liveLeaves []leafRef
-	err := h.alloc.IterateObjects(classLeaf, func(leaf pmem.Ptr, used bool) bool {
-		hdr, word0, vp := h.classifyLeaf(leaf, used)
-		if !used {
-			if word0 != 0 {
-				deadSlots = append(deadSlots, deadSlot{leaf: leaf, word0: word0})
-			}
-			return true
-		}
-		if !vp.IsNil() {
-			liveVals[vp] = true
-		}
-		liveLeaves = append(liveLeaves, makeLeafRef(leaf, hdrShape(hdr)))
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	stats.LiveLeaves = len(liveLeaves)
-	stats.ScanNs = time.Since(t).Nanoseconds()
-
-	t = time.Now()
-	if err := h.legacyRebuildIndex(liveLeaves); err != nil {
-		return err
-	}
-	stats.BuildNs = time.Since(t).Nanoseconds()
-
-	t = time.Now()
-	h.arena.SetPersistSite("recover.stale-sweep")
-	for _, d := range deadSlots {
-		if err := h.reclaimStale(d.word0, func(vp pmem.Ptr) bool { return liveVals[vp] }); err != nil {
-			return err
-		}
-		h.scrubLeaf(d.leaf)
-		stats.StaleSlotsZeroed++
-	}
-
-	h.arena.SetPersistSite("recover.orphan-sweep")
-	for i := range h.opts.ValueClasses {
-		c := classValue0 + epalloc.Class(i)
-		var orphans []pmem.Ptr
-		if err := h.alloc.IterateObjects(c, func(vp pmem.Ptr, used bool) bool {
-			if used && !liveVals[vp] {
-				orphans = append(orphans, vp)
-			}
-			return true
-		}); err != nil {
-			return err
-		}
-		for _, vp := range orphans {
-			if err := h.alloc.Release(vp); err != nil {
-				return err
-			}
-			stats.OrphanValues++
-		}
-	}
-	stats.SweepNs = time.Since(t).Nanoseconds()
-	h.pendingShards.Store(0)
-	h.recoveryStats = stats
-	return nil
-}
-
-// legacyRebuildIndex inserts every live leaf into the volatile index,
-// serially or with Options.RecoveryWorkers parallel workers partitioned
-// by hash key (leaves with the same hash key always land on the same
-// worker, so shards are single-writer during rebuild).
-func (h *HART) legacyRebuildIndex(leaves []leafRef) error {
-	h.size.Store(0)
-	splits := h.dir.Load().splits // installed from the superblock by Open
-	dir := hashdir.New[*artShard]()
-	var dirMu sync.Mutex
-	insert := func(ref leafRef) error {
-		key := h.leafKey(ref.ptr())
-		if len(key) == 0 {
-			return fmt.Errorf("hart: recovery found live leaf %d with empty key", ref.ptr())
-		}
-		hashKey, artKey := h.splitKey(key)
-		dirMu.Lock()
-		s, ok := dir.Get(hashKey)
-		if !ok {
-			s = newShard()
-			dir.Put(hashKey, s)
-		}
-		dirMu.Unlock()
-		nu, _, _ := s.tree.Load().CowInsert(artKey, uint64(ref))
-		s.tree.Store(nu)
-		h.size.Add(1)
-		return nil
-	}
-	defer func() {
-		h.dir.Store(&dirTable{tab: dir, splits: splits})
-		h.obs.dirPublish.Add(1)
-	}()
-
-	workers := h.opts.RecoveryWorkers
-	if workers <= 1 || len(leaves) < 1024 {
-		for _, ref := range leaves {
-			if err := insert(ref); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Partition by hash key so no two workers touch the same ART.
-	parts := make([][]leafRef, workers)
-	for _, ref := range leaves {
-		hashKey, _ := h.splitKey(h.leafKey(ref.ptr()))
-		w := int(fnv32(hashKey)) % workers
-		parts[w] = append(parts[w], ref)
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, ref := range parts[w] {
-				if errs[w] = insert(ref); errs[w] != nil {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fnv32 hashes a hash key for worker partitioning.

@@ -36,7 +36,7 @@ import (
 // when the caller named conflicting values.
 //
 // The split-prefix set is structural too — it defines the variable-depth
-// routing the directory was rebuilt under (DESIGN.md §13) — but unlike
+// routing the directory was rebuilt under (DESIGN.md §14) — but unlike
 // kh it needs no agreement dance: recovery regroups every leaf under
 // whatever set the superblock holds, and ANY subset of split prefixes is
 // a valid geometry. Updates exploit that: an add persists the slot word

@@ -344,7 +344,7 @@ func TestAttachWrongSpecsRejected(t *testing.T) {
 
 func TestUpdateLogRoundTrip(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
-	u := al.GetUpdateLog()
+	u := al.GetUpdateLog(0)
 	u.Commit(100, 200, 300, 5)
 	pend := al.PendingUpdateLogs()
 	if len(pend) != 1 || pend[0].PLeaf != 100 || pend[0].POldV != 200 || pend[0].NewWord != 300 || pend[0].Shape != 5 || !pend[0].Complete {
@@ -361,7 +361,7 @@ func TestUpdateLogRoundTrip(t *testing.T) {
 // mid-clear is the meta word, which a clear zeroes first.
 func TestUpdateLogZeroWordIsARecord(t *testing.T) {
 	arena, al := newAlloc(t, 1<<20)
-	u := al.GetUpdateLog()
+	u := al.GetUpdateLog(0)
 	u.Commit(100, pmem.Nil, 0, 8)
 	pend := al.PendingUpdateLogs()
 	if len(pend) != 1 || !pend[0].Complete || pend[0].NewWord != 0 || pend[0].Shape != 8 {
@@ -382,10 +382,10 @@ func TestUpdateLogPoolExhaustionBlocksAndRecovers(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
 	logs := make([]*ULog, NumUpdateLogs)
 	for i := range logs {
-		logs[i] = al.GetUpdateLog()
+		logs[i] = al.GetUpdateLog(0)
 	}
 	done := make(chan *ULog)
-	go func() { done <- al.GetUpdateLog() }()
+	go func() { done <- al.GetUpdateLog(0) }()
 	select {
 	case <-done:
 		t.Fatal("GetUpdateLog returned with pool exhausted")
@@ -400,7 +400,7 @@ func TestUpdateLogPoolExhaustionBlocksAndRecovers(t *testing.T) {
 
 func TestUpdateLogSurvivesCrash(t *testing.T) {
 	arena, al := newAlloc(t, 1<<20)
-	u := al.GetUpdateLog()
+	u := al.GetUpdateLog(0)
 	u.Commit(111, 222, 333, 5)
 	crashed, err := arena.Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
 	if err != nil {

@@ -69,7 +69,7 @@ func TestCheckQuiescentCatchesInFlightSlot(t *testing.T) {
 
 func TestCheckQuiescentCatchesArmedULog(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
-	u := al.GetUpdateLog()
+	u := al.GetUpdateLog(0)
 	u.Commit(1024, 2048, 4096, 5)
 	if err := al.CheckQuiescent(); err == nil {
 		t.Fatal("CheckQuiescent missed an armed update log")
@@ -81,7 +81,7 @@ func TestCheckQuiescentCatchesArmedULog(t *testing.T) {
 
 	// A busy-but-unarmed slot (claimed, never armed, never reclaimed) is
 	// also a quiescence violation: the pool has shrunk.
-	_ = al.GetUpdateLog()
+	_ = al.GetUpdateLog(0)
 	if err := al.CheckQuiescent(); err == nil {
 		t.Fatal("CheckQuiescent missed a busy ulog slot")
 	}

@@ -186,7 +186,7 @@ func TestReleaseRecyclesEmptiedChunk(t *testing.T) {
 func TestULogCommitOnePersistOneLine(t *testing.T) {
 	arena, al := newAlloc(t, 1<<20)
 	for i := 0; i < NumUpdateLogs; i++ {
-		u := al.GetUpdateLog()
+		u := al.GetUpdateLog(0)
 		if u.base%ULogSlotSize != 0 {
 			t.Fatalf("slot %d at %d is not %d-byte aligned", u.idx, u.base, ULogSlotSize)
 		}

@@ -216,14 +216,14 @@ func TestStripedULogClaims(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
 	var own []*ULog
 	for i := 0; i < ulogsPerStripe; i++ {
-		u := al.GetUpdateLogStriped(3)
+		u := al.GetUpdateLog(3)
 		if got := u.idx / ulogsPerStripe; got != 3 {
 			t.Fatalf("claim %d landed in stripe %d's partition, want 3", i, got)
 		}
 		own = append(own, u)
 	}
 	// Stripe 3 is dry: the next claim must steal from a sibling partition.
-	spill := al.GetUpdateLogStriped(3)
+	spill := al.GetUpdateLog(3)
 	if got := spill.idx / ulogsPerStripe; got == 3 {
 		t.Fatalf("claim beyond the partition stayed on stripe 3 (slot %d)", spill.idx)
 	}
@@ -232,7 +232,7 @@ func TestStripedULogClaims(t *testing.T) {
 		u.Reclaim()
 	}
 	// All slots home again: a fresh claim gets stripe 3's first slot back.
-	u := al.GetUpdateLogStriped(3)
+	u := al.GetUpdateLog(3)
 	if got := u.idx / ulogsPerStripe; got != 3 {
 		t.Fatalf("post-reclaim claim landed in stripe %d's partition", got)
 	}

@@ -47,8 +47,7 @@ const ulogComplete = 1 << 8
 // with a single commit record: nothing about an update is durable in the
 // log until Commit persists the whole record at once, after which
 // recovery completes the update from it; Reclaim disarms the slot. The
-// slot is exclusively owned between GetUpdateLog/GetUpdateLogStriped and
-// Reclaim.
+// slot is exclusively owned between GetUpdateLog and Reclaim.
 type ULog struct {
 	a    *Allocator
 	idx  int
@@ -71,29 +70,11 @@ type ulogPool struct {
 	slots [NumUpdateLogs]ULog
 }
 
-// GetUpdateLog claims a free update-log slot under the pool mutex — the
-// serialised claim path kept for callers with no stripe affinity and as
-// the measurable legacy baseline (core.Options.LegacyWritePath). It blocks
-// if all NumUpdateLogs slots are in flight.
-func (a *Allocator) GetUpdateLog() *ULog {
-	p := &a.ulogs
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.waiters.Add(1)
-	defer p.waiters.Add(-1)
-	for {
-		if u := a.tryClaimULog(0); u != nil {
-			return u
-		}
-		p.cond.Wait()
-	}
-}
-
-// GetUpdateLogStriped claims a free update-log slot with a lock-free CAS,
+// GetUpdateLog claims a free update-log slot with a lock-free CAS,
 // preferring the stripe's own partition and scanning the siblings when it
 // is dry. Only when every slot in the pool is armed does it fall back to
 // blocking on the pool condition.
-func (a *Allocator) GetUpdateLogStriped(stripe int) *ULog {
+func (a *Allocator) GetUpdateLog(stripe int) *ULog {
 	stripe &= NumStripes - 1
 	if u := a.tryClaimULog(stripe); u != nil {
 		return u

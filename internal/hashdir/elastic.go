@@ -3,7 +3,7 @@ package hashdir
 import "sort"
 
 // Splits is an immutable set of split prefixes defining a variable-depth
-// directory geometry (the elastic-directory extension; DESIGN.md §13).
+// directory geometry (the elastic-directory extension; DESIGN.md §14).
 //
 // With a fixed hash-key length kh every record routes to key[:kh]. A
 // split prefix p (len(p) >= kh) declares that the entry p was split one

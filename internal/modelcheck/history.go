@@ -8,7 +8,7 @@
 // recovered contents are compared against the model's legal states at the
 // crash point; the recovered store must also pass HART's fsck, and — in
 // re-entrant mode — survive a second crash placed at every persist
-// boundary of recovery itself. See DESIGN.md section 9.
+// boundary of recovery itself. See DESIGN.md §6.
 package modelcheck
 
 import (

@@ -183,10 +183,8 @@ func TestModelCheckBigMultiShardBatch(t *testing.T) {
 			{Key: []byte("ca"), Value: []byte("u4")},
 		}},
 	}}
-	for _, legacy := range []bool{false, true} {
-		if err := RunHistory(hist, Config{LegacyWritePath: legacy, ReentrantRecovery: !*quick}); err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
+	if err := RunHistory(hist, Config{ReentrantRecovery: !*quick}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -284,21 +282,6 @@ func TestModelCheckElasticFileReattach(t *testing.T) {
 		FileReattach: true, FileReattachDir: dir}
 	if err := RunSeed(5100, 16, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestModelCheckLegacyWritePath sweeps seeded histories against the
-// pre-striping baseline write path, so both sides of the write-path
-// comparison stay crash-consistent.
-func TestModelCheckLegacyWritePath(t *testing.T) {
-	seeds, ops := quickParams()
-	if *quick {
-		seeds = 2 // the baseline shares most code with pre-striping PRs
-	}
-	for seed := 0; seed < seeds; seed++ {
-		if err := RunSeed(int64(2000+seed), ops, Config{LegacyWritePath: true, ReentrantRecovery: true}); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -435,8 +418,7 @@ func inlineShapeHistories() map[string]History {
 // TestModelCheckInlineShapes sweeps the fixed shape histories at every
 // persist boundary, with a second crash at every boundary of the recovery
 // that follows, under the logged and the unlogged update option, every
-// recovery mode, the pre-striping write path (whose PutBatch applies
-// duplicates record by record) and file reattach.
+// recovery mode and file reattach.
 func TestModelCheckInlineShapes(t *testing.T) {
 	configs := map[string]Config{
 		"logged":            {ReentrantRecovery: true},
@@ -444,8 +426,6 @@ func TestModelCheckInlineShapes(t *testing.T) {
 		"parallel recovery": {RecoveryWorkers: 4, ReentrantRecovery: true},
 		"lazy recovery":     {LazyRecovery: true, ReentrantRecovery: true},
 		"lazy parallel":     {RecoveryWorkers: 4, LazyRecovery: true, UnloggedUpdates: true, ReentrantRecovery: true},
-		"legacy recovery":   {LegacyRecovery: true, ReentrantRecovery: true},
-		"legacy write path": {LegacyWritePath: true, ReentrantRecovery: true},
 		"file reattach":     {FileReattach: true, FileReattachDir: t.TempDir()},
 	}
 	for hname, hist := range inlineShapeHistories() {
@@ -503,7 +483,7 @@ func shapeCensus(hist History) (updates, reshaping int) {
 func TestGeneratedHistoriesChangeShapes(t *testing.T) {
 	_, ops := quickParams()
 	updates, reshaping := 0, 0
-	for _, seed := range []int64{0, 1, 2, 3, 1000, 1001, 1002, 1003, 2000, 2001, 3000, 3001, 4000, 4001, 5000, 5001, 5002, 5003} {
+	for _, seed := range []int64{0, 1, 2, 3, 1000, 1001, 1002, 1003, 3000, 3001, 4000, 4001, 5000, 5001, 5002, 5003} {
 		u, r := shapeCensus(Generate(rand.New(rand.NewSource(seed)), ops))
 		updates, reshaping = updates+u, reshaping+r
 	}

@@ -18,11 +18,6 @@ type Config struct {
 	// UnloggedUpdates selects the store's unlogged update mechanism, so
 	// the sweep covers both Algorithm 3 and the paper's measured variant.
 	UnloggedUpdates bool
-	// LegacyWritePath selects the store's pre-striping write path
-	// (stripe-0 allocation, serialised micro-log pool, per-key batch
-	// publication), so the sweep covers the baseline as well as the
-	// striped default.
-	LegacyWritePath bool
 	// RecoveryWorkers parallelises the store's recovery, so the sweep
 	// covers the fanned-out scan and build (recovery's persist sequence
 	// is deterministic at any worker count — exactly what this checks).
@@ -31,9 +26,6 @@ type Config struct {
 	// sweep covers serving and re-crashing from a partially built
 	// directory (verifyRecovered's dump drains the pending shards).
 	LazyRecovery bool
-	// LegacyRecovery selects the store's pre-pipeline recovery, so the
-	// sweep covers the baseline's scan and sweeps as well.
-	LegacyRecovery bool
 	// ReentrantRecovery additionally sweeps every persist boundary of
 	// recovery itself at every crash point (assertion (c)).
 	ReentrantRecovery bool
@@ -77,10 +69,8 @@ func (c Config) options() core.Options {
 		ArenaSize:       c.ArenaSize,
 		Tracking:        true,
 		UnloggedUpdates: c.UnloggedUpdates,
-		LegacyWritePath: c.LegacyWritePath,
 		RecoveryWorkers: c.RecoveryWorkers,
 		LazyRecovery:    c.LazyRecovery,
-		LegacyRecovery:  c.LegacyRecovery,
 
 		ElasticDirectory: c.ElasticDirectory,
 		SplitOps:         c.SplitOps,

@@ -10,7 +10,8 @@
 //     one striped atomic add per op — and everything that needs a clock
 //     (histogram timing) hides behind a single Gate check, so the
 //     disabled read path stays allocation-free and within noise of the
-//     uninstrumented build (BENCH_obs.json holds the line).
+//     uninstrumented build (the benchmark's obs.timing_on_overhead_pct
+//     prices the enabled one).
 //  2. No coordination. Every instrument is a leaf of plain atomics:
 //     no locks, no channels, no registration step. The zero value of
 //     every type is ready to use, so packages below core (epalloc, pmem)
@@ -18,9 +19,10 @@
 //     or import cycles.
 //  3. Mergeable snapshots. Histograms and counters snapshot into plain
 //     values that add across shards/instances, and Snapshot renders to
-//     JSON (bench reports), Prometheus text (WriteProm) and expvar.
+//     JSON (hartd's Stats reply, the benchmark's ledger), Prometheus text
+//     (WriteProm) and expvar.
 //
-// See DESIGN.md §14 for the architecture and the overhead methodology.
+// See DESIGN.md §15 for the architecture and the overhead methodology.
 package obs
 
 import (

@@ -23,8 +23,8 @@ type HistVal struct {
 
 // Snapshot is a point-in-time metrics view: named counter totals, named
 // histogram summaries and the event-ring contents. It is the one shape
-// every consumer shares — hart.Metrics(), the BENCH_*.json reports,
-// WriteProm and the expvar export all carry it.
+// every consumer shares — hart.Metrics(), the benchmark's per-layer
+// ledger, WriteProm and the expvar export all carry it.
 type Snapshot struct {
 	Counters map[string]uint64  `json:"counters"`
 	Hists    map[string]HistVal `json:"hists,omitempty"`

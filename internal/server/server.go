@@ -8,7 +8,7 @@
 // execute and responded to while later ones decode; and consecutive
 // in-flight Puts on one connection are coalesced into a single
 // core.PutBatch call, so the wire path rides the batched copy-on-write
-// publication (DESIGN.md §10) instead of republishing the shard tree
+// publication (DESIGN.md §12) instead of republishing the shard tree
 // once per request. Responses are always written in request order —
 // coalescing changes how work is applied, never what the client
 // observes.

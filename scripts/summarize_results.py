@@ -2,16 +2,8 @@
 """Summarise hartbench output (results_full.txt) into the shape checks
 EXPERIMENTS.md reports: per-figure winners and HART-vs-baseline ratios.
 
-JSON arguments (the BENCH_*.json path reports) are summarised instead by
-their embedded observability snapshot: headline op counters, latency
-percentiles when histograms were enabled, recorded events, and — for
-BENCH_obs.json — the off-vs-on overhead table and the live-Prometheus
-scrape fields.
-
 Usage: python3 scripts/summarize_results.py results_full.txt
-       python3 scripts/summarize_results.py BENCH_obs.json [BENCH_*.json ...]
 """
-import json
 import re
 import sys
 from collections import defaultdict
@@ -104,48 +96,6 @@ def main(path):
             print(f"threads={r['threads']:<3} {r['op']:<8} {r['val']:8.3f} MIOPS")
 
 
-def summarize_json(path):
-    """Summarise one BENCH_*.json report's observability fields."""
-    with open(path) as f:
-        rep = json.load(f)
-    print(f"== {path} ==")
-    if "overhead_pct" in rep:  # BENCH_obs.json
-        for key in sorted(rep["overhead_pct"]):
-            print(f"  metrics-on overhead {key:<10}: {rep['overhead_pct'][key]:+.2f}%")
-        if "prom_ops_get" in rep:
-            print(f"  prometheus scrape: hart_ops_get={rep['prom_ops_get']} "
-                  f"get_p99={rep.get('prom_get_p99_ns', 0):.0f}ns")
-    m = rep.get("metrics")
-    if not m:
-        print("  (no metrics snapshot embedded)")
-        return
-    counters = m.get("counters", {})
-    headline = [k for k in ("ops.get", "ops.put", "ops.insert", "ops.update",
-                            "ops.delete", "ops.scan", "ops.put_batch",
-                            "read.seq_retries", "read.locked_fallbacks",
-                            "dir.entries", "dir.splits", "dir.merges",
-                            "alloc.steals", "pm.persists", "pm.syncs")
-                if counters.get(k)]
-    for k in headline:
-        print(f"  {k:<22} {counters[k]}")
-    for name in sorted(m.get("hists", {})):
-        h = m["hists"][name]
-        print(f"  {name + ' (ns)':<22} n={h['count']} mean={h['mean_ns']:.0f} "
-              f"p50={h['p50_ns']} p95={h['p95_ns']} p99={h['p99_ns']} max={h['max_ns']}")
-    events = m.get("events", [])
-    if events:
-        kinds = defaultdict(int)
-        for ev in events:
-            kinds[ev["kind"]] += 1
-        summary = ", ".join(f"{k}×{n}" for k, n in sorted(kinds.items()))
-        print(f"  events: {len(events)} ({summary})")
-
-
 if __name__ == "__main__":
-    args = sys.argv[1:] or ["results_full.txt"]
-    json_args = [a for a in args if a.endswith(".json")]
-    for p in json_args:
-        summarize_json(p)
-    for p in args:
-        if p not in json_args:
-            main(p)
+    for p in sys.argv[1:] or ["results_full.txt"]:
+        main(p)
