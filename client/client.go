@@ -9,9 +9,9 @@
 //
 // For explicit batching — the client-side half of the server's Put
 // coalescing — use Pipeline: queue requests locally, Exec writes them
-// as one burst (one syscall, one flush), and the server's execute stage
-// sees them back-to-back, which is exactly the shape its PutBatch
-// coalescing feeds on.
+// as one burst (one syscall, one flush), and the server reads them as
+// one burst of its own, whose consecutive Puts it coalesces into one
+// PutBatch.
 //
 // An acknowledged write (nil error from Put, PutBatch, Delete) is
 // durable on the server at the time the call returns; a connection or
@@ -235,8 +235,9 @@ func (c *Client) send(req *wire.Request) (*call, error) {
 	}
 	c.encBuf = p[:0]
 	c.pending <- ca
-	frame := wire.AppendFrame(nil, p)
-	_, werr := c.bw.Write(frame)
+	// The frame is built in the writer's free buffer, so Write copies
+	// nothing unless the frame outgrows it.
+	_, werr := c.bw.Write(wire.AppendFrame(c.bw.AvailableBuffer(), p))
 	if werr == nil {
 		werr = c.bw.Flush()
 	}
@@ -387,7 +388,8 @@ func (c *Client) Stats() (Stats, error) {
 // collects every response, in order.
 type Pipeline struct {
 	c     *Client
-	buf   []byte
+	enc   []byte // one request's payload
+	buf   []byte // the burst's frames
 	calls []*call
 }
 
@@ -406,10 +408,11 @@ type Result struct {
 
 // queue appends one encoded request to the burst.
 func (p *Pipeline) queue(req *wire.Request) error {
-	payload, err := req.AppendRequest(nil)
+	payload, err := req.AppendRequest(p.enc[:0])
 	if err != nil {
 		return err
 	}
+	p.enc = payload
 	p.buf = wire.AppendFrame(p.buf, payload)
 	p.calls = append(p.calls, &call{op: req.Op, done: make(chan result, 1)})
 	return nil

@@ -338,3 +338,20 @@ func TestClientAfterServerGone(t *testing.T) {
 		t.Fatalf("Put after shutdown: %v, want ErrConnClosed", err)
 	}
 }
+
+// TestPipelinePutAllocs pins Pipeline.Put encoding into the pipeline's
+// reused buffers: per request it allocates the call and its result
+// channel (three objects), and nothing for the payload or the frame.
+func TestPipelinePutAllocs(t *testing.T) {
+	p := (&Client{}).Pipeline()
+	key, val := []byte("alloc-key"), []byte("value-08")
+	allocs := testing.AllocsPerRun(1000, func() {
+		if p.Len() == 64 {
+			p.reset()
+		}
+		p.Put(key, val)
+	})
+	if allocs > 3 {
+		t.Fatalf("Pipeline.Put: %v allocations per request, want 3", allocs)
+	}
+}

@@ -1,11 +1,11 @@
 // Command hartd serves a file-backed HART store over TCP.
 //
 // It speaks the length-prefixed binary protocol from internal/wire
-// (clients use the public client package), pipelines each connection's
-// requests through a read/execute/respond pipeline that coalesces
-// in-flight Puts into PutBatch, and shuts down in the durability-safe
+// (clients use the public client package), serves each connection's
+// pipelined requests a burst at a time — consecutive Puts of a burst
+// coalesced into one PutBatch — and shuts down in the durability-safe
 // order on SIGINT/SIGTERM: stop accepting, drain every connection's
-// received requests and flush their responses, then Close the store —
+// received requests and write their responses, then Close the store —
 // the superblock's clean-shutdown flag is the last write.
 //
 // Usage:
@@ -44,15 +44,14 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs := flag.NewFlagSet("hartd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dbPath   = fs.String("db", "", "PM image file (required; created if missing)")
-		addr     = fs.String("addr", "127.0.0.1:7070", "TCP listen address (\":0\" picks a free port)")
-		mAddr    = fs.String("metrics-addr", "", "serve Prometheus /metrics and expvar /debug/vars (e.g. :9090)")
-		size     = fs.Int64("size", 64<<20, "arena size for a fresh store")
-		lazy     = fs.Bool("lazy", false, "lazy per-shard recovery on attach")
-		workers  = fs.Int("recovery-workers", 0, "parallel recovery workers (0 = GOMAXPROCS)")
-		elastic  = fs.Bool("elastic", false, "enable elastic directory splitting")
-		batchMax = fs.Int("batch-max", 256, "max in-flight Puts coalesced into one PutBatch per connection")
-		hists    = fs.Bool("latency-hists", false, "collect latency histograms (small hot-path cost)")
+		dbPath  = fs.String("db", "", "PM image file (required; created if missing)")
+		addr    = fs.String("addr", "127.0.0.1:7070", "TCP listen address (\":0\" picks a free port)")
+		mAddr   = fs.String("metrics-addr", "", "serve Prometheus /metrics and expvar /debug/vars (e.g. :9090)")
+		size    = fs.Int64("size", 64<<20, "arena size for a fresh store")
+		lazy    = fs.Bool("lazy", false, "lazy per-shard recovery on attach")
+		workers = fs.Int("recovery-workers", 0, "parallel recovery workers (0 = GOMAXPROCS)")
+		elastic = fs.Bool("elastic", false, "enable elastic directory splitting")
+		hists   = fs.Bool("latency-hists", false, "collect latency histograms (small hot-path cost)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -91,7 +90,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 
 	srv := server.New(db.HART, server.Options{
-		BatchMax: *batchMax,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, format+"\n", a...)
 		},

@@ -150,16 +150,17 @@ func TestSigtermCleanShutdown(t *testing.T) {
 }
 
 // TestKillMidTrafficDurability is the issue's acceptance test: 8
-// concurrent clients stream writes at a live daemon; the daemon is
-// SIGKILLed mid-traffic; a fresh daemon is started on the same file and
-// every acknowledged write must be readable over the wire — zero
-// acked-write loss. The restarted daemon then gets a SIGTERM and the
-// image must come back clean.
+// concurrent clients stream pipelined bursts of 32 Puts at a live daemon,
+// which coalesces them into PutBatch calls; the daemon is SIGKILLed
+// mid-traffic, so the kill can land inside a coalesced batch; a fresh
+// daemon is started on the same file and every acknowledged write must
+// be readable over the wire — zero acked-write loss. The restarted daemon
+// then gets a SIGTERM and the image must come back clean.
 func TestKillMidTrafficDurability(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kill.hart")
 	d := startDaemon(t, path)
 
-	const clients = 8
+	const clients, burst = 8, 32
 	type ackedWrite struct{ key, val string }
 	ackedByClient := make([][]ackedWrite, clients)
 	var totalAcked atomic.Int64
@@ -174,15 +175,26 @@ func TestKillMidTrafficDurability(t *testing.T) {
 				return // daemon may already be dead; nothing acked, nothing owed
 			}
 			defer c.Close()
-			for i := 0; ; i++ {
-				key := fmt.Sprintf("kill-c%d-%06d", ci, i)
-				val := fmt.Sprintf("kv-%d-%06d", ci, i)
-				if err := c.Put([]byte(key), []byte(val)); err != nil {
-					return // unacked — allowed to be lost
+			p := c.Pipeline()
+			for i := 0; ; i += burst {
+				var sent []ackedWrite
+				for j := i; j < i+burst; j++ {
+					w := ackedWrite{fmt.Sprintf("kill-c%d-%06d", ci, j), fmt.Sprintf("kv-%d-%06d", ci, j)}
+					p.Put([]byte(w.key), []byte(w.val))
+					sent = append(sent, w)
 				}
-				// Ack received before the kill resolves: must survive.
-				ackedByClient[ci] = append(ackedByClient[ci], ackedWrite{key, val})
-				totalAcked.Add(1)
+				res, err := p.Exec()
+				for j, r := range res {
+					// Ack received before the kill resolves: must survive.
+					// A Put without one is allowed to be lost.
+					if r.Err == nil {
+						ackedByClient[ci] = append(ackedByClient[ci], sent[j])
+						totalAcked.Add(1)
+					}
+				}
+				if err != nil {
+					return
+				}
 			}
 		}(ci)
 	}

@@ -1,17 +1,20 @@
-// Package server implements hartd's TCP service layer: each accepted
-// connection runs a three-stage pipeline (read+decode → execute →
-// encode+respond) over one shared HART store, speaking the
-// internal/wire protocol.
+// Package server implements hartd's TCP service layer over one shared
+// HART store, speaking the internal/wire protocol.
 //
-// Pipelining is the point of the design. A client that streams many
-// requests without waiting gets them decoded while earlier ones
-// execute and responded to while later ones decode; and consecutive
-// in-flight Puts on one connection are coalesced into a single
-// core.PutBatch call, so the wire path rides the batched copy-on-write
-// publication (DESIGN.md §12) instead of republishing the shard tree
-// once per request. Responses are always written in request order —
-// coalescing changes how work is applied, never what the client
-// observes.
+// Each connection is one goroutine looping over bursts: it reads what the
+// socket has, executes every complete request in it in arrival order, and
+// writes their responses with one call. A pipelining client thus costs one
+// read and one write per burst rather than per request, and consecutive
+// valid Puts of a burst are coalesced into a single core.PutBatch call, so
+// the wire path rides the batched copy-on-write publication (DESIGN.md
+// §12) instead of republishing the shard tree once per request. Responses
+// are always written in request order — coalescing changes how work is
+// applied, never what the client observes.
+//
+// A connection holds one input buffer (grown past 64 KiB only for a frame
+// that needs it, so at most MaxFrame+4 bytes) and one output buffer, which
+// is written out whenever it reaches outFlush, so it never holds more
+// than 64 KiB plus one response (at most a Scan page).
 //
 // Acknowledgement contract: a response with wire.StatusOK is sent only
 // after the operation's commit point has persisted (Put/PutBatch return
@@ -21,7 +24,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,37 +37,23 @@ import (
 	"github.com/casl-sdsu/hart/internal/wire"
 )
 
-// closeLinger bounds the post-drain wait for a peer to consume its last
-// responses and close; a peer that keeps the connection busy past it is
-// cut off (and may lose unconsumed responses to the reset).
-const closeLinger = time.Second
+const (
+	// closeLinger bounds the post-drain wait for a peer to consume its
+	// last responses and close, and on Shutdown the wait for a peer to
+	// take a pending write; a peer that keeps the connection busy past it
+	// is cut off (and may lose unconsumed responses to the reset).
+	closeLinger = time.Second
+	// batchMax caps how many consecutive Puts one PutBatch coalesces.
+	batchMax = 256
+	// outFlush is how many response bytes a burst buffers before writing
+	// them out early.
+	outFlush = 64 << 10
+)
 
 // Options configures a Server.
 type Options struct {
-	// BatchMax caps how many consecutive in-flight Puts one connection
-	// coalesces into a single PutBatch (default 256).
-	BatchMax int
-	// QueueDepth is the per-connection pipeline depth: how many decoded
-	// requests (and encoded responses) may sit between the stages
-	// (default 256). A client keeping more than QueueDepth requests in
-	// flight is flow-controlled by TCP, not errored.
-	QueueDepth int
 	// Logf receives connection-level diagnostics (nil = silent).
 	Logf func(format string, args ...any)
-}
-
-// withDefaults fills unset fields.
-func (o Options) withDefaults() Options {
-	if o.BatchMax == 0 {
-		o.BatchMax = 256
-	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 256
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
-	return o
 }
 
 // Metrics are the server's own counters, exposed through the Stats op
@@ -104,9 +92,12 @@ type Server struct {
 // drains connections but leaves closing the store to the caller, so the
 // daemon controls the drain → Close → clean-flag ordering.
 func New(h *core.HART, opts Options) *Server {
+	if opts.Logf == nil {
+		opts.Logf = func(string, ...any) {}
+	}
 	return &Server{
 		h:     h,
-		opts:  opts.withDefaults(),
+		opts:  opts,
 		conns: map[net.Conn]struct{}{},
 		done:  make(chan struct{}),
 	}
@@ -176,11 +167,14 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Shutdown stops accepting, nudges every connection's reader off its
-// blocking read, waits for all queued requests to execute and their
-// responses to flush, and returns once every connection has closed.
-// The store itself is untouched — callers close it after Shutdown so
-// the superblock's clean flag is the last thing written.
+// Shutdown stops accepting, nudges every connection off its blocking
+// read, waits for the requests each has already read to execute and
+// their responses to be written, and returns once every connection has
+// closed. A peer that has stopped reading cannot hold it up: writes get
+// a deadline closeLinger away, and a connection whose write fails closes
+// with its responses unsent. The store itself is untouched — callers
+// close it after Shutdown so the superblock's clean flag is the last
+// thing written.
 func (s *Server) Shutdown() error {
 	if s.shutting.Swap(true) {
 		return nil
@@ -191,10 +185,11 @@ func (s *Server) Shutdown() error {
 		s.ln.Close()
 	}
 	for c := range s.conns {
-		// Expire the blocking read: the reader treats errors after the
-		// done signal as a clean end-of-stream, so requests already
-		// received still execute and respond before the conn closes.
+		// Expire the blocking read: the connection treats errors after
+		// the done signal as a clean end-of-stream, so requests already
+		// read still execute and respond before the conn closes.
 		c.SetReadDeadline(time.Now())
+		c.SetWriteDeadline(time.Now().Add(closeLinger))
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -220,84 +215,76 @@ func (s *Server) untrack(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// connItem is one unit handed from the read stage to the execute stage:
-// a decoded request, or the decode error that ends the connection.
-type connItem struct {
-	req       wire.Request
-	decodeErr error
+// conn is one connection's state, owned by its handleConn goroutine.
+type conn struct {
+	s      *Server
+	nc     net.Conn
+	maxVal int
+	puts   []core.Record // the run of consecutive valid Puts not yet applied
+	val    []byte        // Get's value buffer
+	resp   []byte        // one response payload
+	out    []byte        // framed responses not yet written
+	werr   error         // the first write error, which ends the connection
 }
 
-// handleConn runs one connection's pipeline. The calling goroutine is
-// the read stage; execute and respond stages run alongside it. Stage
-// channels close downstream in order, so every received request is
-// executed and every produced response flushed before the conn closes.
-func (s *Server) handleConn(c net.Conn) {
+// handleConn serves one connection until the peer closes it, a protocol
+// or write error, or Shutdown. Each pass of the loop is one burst: read
+// what the socket has, run every complete request in it, write the
+// responses. Decoded requests alias in, so a burst is fully executed
+// before in is compacted for the next read.
+func (s *Server) handleConn(nc net.Conn) {
 	defer s.wg.Done()
 	defer s.connsActive.Add(-1)
-	defer s.untrack(c)
-	defer c.Close()
-
-	execCh := make(chan connItem, s.opts.QueueDepth)
-	writeCh := make(chan []byte, s.opts.QueueDepth)
-
-	var stages sync.WaitGroup
-	stages.Add(2)
-	go func() {
-		defer stages.Done()
-		s.execLoop(execCh, writeCh)
-	}()
-	go func() {
-		defer stages.Done()
-		s.writeLoop(c, writeCh)
-	}()
-
+	defer s.untrack(nc)
+	defer nc.Close()
 	defer func() {
-		// Graceful close: flushing responses is not enough — if unread
+		// Graceful close: writing the responses is not enough — if unread
 		// bytes remain in the kernel receive buffer (a pipelining client
-		// cut off mid-burst by Shutdown), Close sends RST, which
-		// clobbers flushed-but-unconsumed responses on the peer's side.
-		// Half-close instead (FIN after the last response), then give
-		// the peer a bounded moment to consume and close its end.
-		if tc, ok := c.(*net.TCPConn); ok {
+		// cut off mid-burst by Shutdown), Close sends RST, which clobbers
+		// written-but-unconsumed responses on the peer's side. Half-close
+		// instead (FIN after the last response), then give the peer a
+		// bounded moment to consume and close its end.
+		if tc, ok := nc.(*net.TCPConn); ok {
 			tc.CloseWrite()
 		}
-		c.SetReadDeadline(time.Now().Add(closeLinger))
-		io.Copy(io.Discard, c)
+		nc.SetReadDeadline(time.Now().Add(closeLinger))
+		io.Copy(io.Discard, nc)
 	}()
 
-	br := bufio.NewReaderSize(c, 64<<10)
+	c := &conn{s: s, nc: nc, maxVal: s.maxValueLen()}
+	in := make([]byte, 0, 64<<10)
 	for {
-		// Each frame gets its own buffer: the decoded request aliases it
-		// and crosses into the execute stage, which runs concurrently
-		// with the next read.
-		payload, err := wire.ReadFrame(br, nil)
-		if err != nil {
-			if !s.isCleanEOF(err) {
-				// Framing is unrecoverable: report once, then drop the conn.
-				s.protocolErrors.Add(1)
-				execCh <- connItem{decodeErr: err}
-				s.opts.Logf("hartd: %s: read: %v", c.RemoteAddr(), err)
+		m, rerr := nc.Read(in[len(in):cap(in)])
+		in = in[:len(in)+m]
+		off, need, err := c.burst(in)
+		in = in[:copy(in, in[off:])]
+		if need > cap(in) {
+			in = append(make([]byte, 0, need), in...)
+		}
+		if err == nil && rerr != nil {
+			if errors.Is(rerr, io.EOF) && len(in) > 0 {
+				err = wire.ErrTruncated
+			} else if !s.isCleanEOF(rerr) {
+				err = rerr
 			}
-			break
 		}
-		req, err := wire.DecodeRequest(payload)
 		if err != nil {
+			// Framing is unrecoverable: report once, then drop the conn.
 			s.protocolErrors.Add(1)
-			execCh <- connItem{decodeErr: err}
-			s.opts.Logf("hartd: %s: decode: %v", c.RemoteAddr(), err)
-			break
+			c.respond(wire.OpGet, wire.Response{Status: wire.StatusBadRequest, Msg: err.Error()})
+			s.opts.Logf("hartd: %s: %v", nc.RemoteAddr(), err)
 		}
-		s.requests.Add(1)
-		execCh <- connItem{req: req}
+		c.flush()
+		if err != nil || rerr != nil || c.werr != nil {
+			return
+		}
 	}
-	close(execCh)
-	stages.Wait()
 }
 
 // isCleanEOF reports whether a read error just means "no more requests"
 // — client closed its end, or Shutdown expired the read deadline.
 func (s *Server) isCleanEOF(err error) bool {
-	if errors.Is(err, net.ErrClosed) || err.Error() == "EOF" {
+	if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) {
 		return true
 	}
 	var ne net.Error
@@ -312,132 +299,136 @@ func (s *Server) isCleanEOF(err error) bool {
 	return false
 }
 
-// execLoop is the execute stage: it applies requests against the store
-// in arrival order and emits one encoded response frame per request, in
-// the same order. When a valid Put arrives, every immediately available
-// consecutive valid Put behind it in the queue is gathered (without
-// blocking — an idle connection's single Put executes alone) into one
-// coalesced batch; the first non-Put or invalid item ends the gather
-// and is handled right after the batch, preserving order.
-func (s *Server) execLoop(execCh <-chan connItem, writeCh chan<- []byte) {
-	defer close(writeCh)
-	maxVal := s.maxValueLen()
-	var batch []wire.Request
-	for item := range execCh {
-		if item.decodeErr != nil {
-			writeCh <- encodeResponse(wire.OpGet, &wire.Response{
-				Status: wire.StatusBadRequest, Msg: item.decodeErr.Error(),
-			})
+// burst executes every complete request in b in arrival order. It
+// returns how many bytes those took, how long the buffer must be to hold
+// the next frame whole, and the framing or decode error that ends the
+// connection, if any. A valid Put is held back to join a run of
+// consecutive valid Puts; anything else — an invalid Put or a decode
+// error included — ends the run, which is applied before it.
+func (c *conn) burst(b []byte) (off, need int, err error) {
+	for c.werr == nil {
+		var p []byte
+		if p, need, err = wire.SplitFrame(b[off:]); err != nil || need > len(b)-off {
+			break
+		}
+		var req wire.Request
+		if req, err = wire.DecodeRequest(p); err != nil {
+			break
+		}
+		off += need
+		c.s.requests.Add(1)
+		if req.Op == wire.OpPut && c.validatePut(&req) == wire.StatusOK {
+			if c.puts = append(c.puts, core.Record{Key: req.Key, Value: req.Value}); len(c.puts) == batchMax {
+				c.applyPuts()
+			}
 			continue
 		}
-		if item.req.Op != wire.OpPut || s.validatePut(&item.req, maxVal) != wire.StatusOK {
-			writeCh <- encodeResponse(item.req.Op, s.execute(&item.req, maxVal))
-			continue
-		}
-		batch = append(batch[:0], item.req)
-		var tail *connItem
-	gather:
-		for len(batch) < s.opts.BatchMax {
-			select {
-			case it, ok := <-execCh:
-				if !ok {
-					break gather
-				}
-				if it.decodeErr == nil && it.req.Op == wire.OpPut &&
-					s.validatePut(&it.req, maxVal) == wire.StatusOK {
-					batch = append(batch, it.req)
-					continue
-				}
-				// Invalid Puts terminate the gather rather than joining it:
-				// PutBatch validates all-or-nothing, so one bad record must
-				// not poison its neighbours' acks.
-				tail = &it
-				break gather
-			default:
-				break gather
-			}
-		}
-		s.applyPuts(batch, writeCh)
-		if tail != nil {
-			if tail.decodeErr != nil {
-				writeCh <- encodeResponse(wire.OpGet, &wire.Response{
-					Status: wire.StatusBadRequest, Msg: tail.decodeErr.Error(),
-				})
-			} else {
-				writeCh <- encodeResponse(tail.req.Op, s.execute(&tail.req, maxVal))
-			}
-		}
+		c.applyPuts()
+		c.respond(req.Op, c.execute(&req))
 	}
+	c.applyPuts()
+	return off, need, err
 }
 
-// applyPuts applies one coalesced run of pre-validated Puts and
-// responds per request, in order. A single Put goes through h.Put; two
-// or more become one core.PutBatch — one shard-tree republication per
-// shard group instead of one per record. Acks are written only after
-// the call returns, by which point every applied record is durable.
-func (s *Server) applyPuts(batch []wire.Request, writeCh chan<- []byte) {
-	if len(batch) == 1 {
-		writeCh <- encodeResponse(wire.OpPut, responseFor(s.h.Put(batch[0].Key, batch[0].Value)))
+// applyPuts applies the pending run of pre-validated Puts and responds
+// to each, in order. A single Put goes through h.Put; two or more become
+// one core.PutBatch — one shard-tree republication per shard group
+// instead of one per record. Acks are encoded only after the call
+// returns, by which point every applied record is durable.
+func (c *conn) applyPuts() {
+	switch len(c.puts) {
+	case 0:
 		return
+	case 1:
+		c.respond(wire.OpPut, responseFor(c.s.h.Put(c.puts[0].Key, c.puts[0].Value)))
+	default:
+		c.s.batchesFormed.Add(1)
+		c.s.putsCoalesced.Add(uint64(len(c.puts)))
+		_, err := c.s.h.PutBatch(c.puts)
+		// PutBatch applies records in sorted key order, so on error the
+		// applied count does not identify which *submitted* requests
+		// landed. Err on the safe side of the ack contract: every Put in
+		// the batch reports the failure (an ack must imply durability; a
+		// failure report for a record that did land is harmless).
+		resp := responseFor(err)
+		for range c.puts {
+			c.respond(wire.OpPut, resp)
+		}
 	}
-	recs := make([]core.Record, len(batch))
-	for i := range batch {
-		recs[i] = core.Record{Key: batch[i].Key, Value: batch[i].Value}
+	c.puts = c.puts[:0]
+}
+
+// respond appends resp's frame to the output, first writing out what is
+// buffered once that has reached outFlush.
+func (c *conn) respond(op wire.Op, resp wire.Response) {
+	if len(c.out) >= outFlush {
+		c.flush()
 	}
-	s.batchesFormed.Add(1)
-	s.putsCoalesced.Add(uint64(len(batch)))
-	_, err := s.h.PutBatch(recs)
-	// PutBatch applies records in sorted key order, so on error the
-	// applied count does not identify which *submitted* requests landed.
-	// Err on the safe side of the ack contract: every Put in the batch
-	// reports the failure (an ack must imply durability; a failure
-	// report for a record that did land is harmless).
-	resp := encodeResponse(wire.OpPut, responseFor(err))
-	for range batch {
-		writeCh <- resp
+	p, err := resp.AppendResponse(c.resp[:0], op)
+	if err != nil {
+		// Encoding can only fail on malformed server-built responses
+		// (oversized scan page keys, unknown status) — a bug, but the
+		// connection must still get a parseable answer.
+		p, _ = (&wire.Response{
+			Status: wire.StatusServerError,
+			Msg:    fmt.Sprintf("response encoding failed: %v", err),
+		}).AppendResponse(c.resp[:0], op)
 	}
+	c.resp = p
+	c.out = wire.AppendFrame(c.out, p)
+}
+
+// flush writes the buffered responses with one call. After a write error
+// nothing more is written.
+func (c *conn) flush() {
+	if len(c.out) > 0 && c.werr == nil {
+		_, c.werr = c.nc.Write(c.out)
+	}
+	c.out = c.out[:0]
 }
 
 // execute applies one non-coalesced request and builds its response.
-func (s *Server) execute(req *wire.Request, maxVal int) *wire.Response {
+func (c *conn) execute(req *wire.Request) wire.Response {
+	h := c.s.h
 	switch req.Op {
 	case wire.OpGet:
-		v, ok := s.h.Get(req.Key)
+		v, ok := h.GetInto(req.Key, c.val[:0])
 		if !ok {
-			return &wire.Response{Status: wire.StatusNotFound, Msg: wire.StatusNotFound.String()}
+			return wire.Response{Status: wire.StatusNotFound, Msg: wire.StatusNotFound.String()}
 		}
-		return &wire.Response{Status: wire.StatusOK, Value: v}
+		c.val = v
+		return wire.Response{Status: wire.StatusOK, Value: v}
 	case wire.OpPut:
-		if st := s.validatePut(req, maxVal); st != wire.StatusOK {
-			return &wire.Response{Status: st, Msg: st.String()}
+		if st := c.validatePut(req); st != wire.StatusOK {
+			return wire.Response{Status: st, Msg: st.String()}
 		}
-		return responseFor(s.h.Put(req.Key, req.Value))
+		return responseFor(h.Put(req.Key, req.Value))
 	case wire.OpDelete:
-		return responseFor(s.h.Delete(req.Key))
+		return responseFor(h.Delete(req.Key))
 	case wire.OpScan:
-		return s.execScan(req)
+		return c.s.execScan(req)
 	case wire.OpPutBatch:
 		recs := make([]core.Record, len(req.Records))
 		for i, r := range req.Records {
 			recs[i] = core.Record{Key: r.Key, Value: r.Value}
 		}
-		n, err := s.h.PutBatch(recs)
+		n, err := h.PutBatch(recs)
 		resp := responseFor(err)
 		resp.Applied = uint32(n)
 		return resp
 	case wire.OpStats:
-		return s.execStats()
+		return c.s.execStats()
 	}
-	return &wire.Response{Status: wire.StatusBadRequest, Msg: wire.ErrBadOp.Error()}
+	return wire.Response{Status: wire.StatusBadRequest, Msg: wire.ErrBadOp.Error()}
 }
 
 // execScan runs one bounded scan page.
-func (s *Server) execScan(req *wire.Request) *wire.Response {
+func (s *Server) execScan(req *wire.Request) wire.Response {
 	limit := int(req.Limit)
 	if limit <= 0 || limit > wire.MaxScanPage {
 		limit = wire.MaxScanPage
 	}
-	resp := &wire.Response{Status: wire.StatusOK}
+	resp := wire.Response{Status: wire.StatusOK}
 	// Collect one past the limit to learn whether the range continues.
 	s.h.Scan(req.Start, req.End, func(k, v []byte) bool {
 		if len(resp.Records) == limit {
@@ -452,7 +443,7 @@ func (s *Server) execScan(req *wire.Request) *wire.Response {
 
 // execStats marshals the store's metrics snapshot plus the server's own
 // counters into the Stats response JSON.
-func (s *Server) execStats() *wire.Response {
+func (s *Server) execStats() wire.Response {
 	m := s.h.Metrics()
 	p := wire.StatsPayload{
 		Records:  s.h.Len(),
@@ -477,15 +468,15 @@ func (s *Server) execStats() *wire.Response {
 	}
 	js, err := json.Marshal(p)
 	if err != nil {
-		return &wire.Response{Status: wire.StatusServerError, Msg: err.Error()}
+		return wire.Response{Status: wire.StatusServerError, Msg: err.Error()}
 	}
-	return &wire.Response{Status: wire.StatusOK, Value: js}
+	return wire.Response{Status: wire.StatusOK, Value: js}
 }
 
 // validatePut screens a Put before it may join a coalesced batch:
 // PutBatch validates all-or-nothing, so one bad record must not poison
 // its neighbours' acks.
-func (s *Server) validatePut(req *wire.Request, maxVal int) wire.Status {
+func (c *conn) validatePut(req *wire.Request) wire.Status {
 	switch {
 	case len(req.Key) == 0:
 		return wire.StatusBadRequest
@@ -493,7 +484,7 @@ func (s *Server) validatePut(req *wire.Request, maxVal int) wire.Status {
 		return wire.StatusKeyTooLong
 	case len(req.Value) == 0:
 		return wire.StatusBadRequest
-	case len(req.Value) > maxVal:
+	case len(req.Value) > c.maxVal:
 		return wire.StatusValueTooLong
 	}
 	return wire.StatusOK
@@ -506,9 +497,9 @@ func (s *Server) maxValueLen() int {
 }
 
 // responseFor maps a store error to its wire response.
-func responseFor(err error) *wire.Response {
+func responseFor(err error) wire.Response {
 	if err == nil {
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	}
 	st := wire.StatusServerError
 	switch {
@@ -523,46 +514,5 @@ func responseFor(err error) *wire.Response {
 	case errors.Is(err, core.ErrClosed):
 		st = wire.StatusClosed
 	}
-	return &wire.Response{Status: st, Msg: err.Error()}
-}
-
-// encodeResponse renders a response into one framed byte slice.
-func encodeResponse(op wire.Op, resp *wire.Response) []byte {
-	payload, err := resp.AppendResponse(nil, op)
-	if err != nil {
-		// Encoding can only fail on malformed server-built responses
-		// (oversized scan page keys, unknown status) — a bug, but the
-		// connection must still get a parseable answer.
-		payload, _ = (&wire.Response{
-			Status: wire.StatusServerError,
-			Msg:    fmt.Sprintf("response encoding failed: %v", err),
-		}).AppendResponse(nil, op)
-	}
-	return wire.AppendFrame(nil, payload)
-}
-
-// writeLoop is the respond stage: it writes response frames in order,
-// flushing whenever the queue momentarily drains (one syscall per burst
-// rather than per response). On a write error it keeps draining the
-// channel so the execute stage never blocks against a dead peer.
-func (s *Server) writeLoop(c net.Conn, writeCh <-chan []byte) {
-	bw := bufio.NewWriterSize(c, 64<<10)
-	broken := false
-	for frame := range writeCh {
-		if broken {
-			continue
-		}
-		if _, err := bw.Write(frame); err != nil {
-			broken = true
-			continue
-		}
-		if len(writeCh) == 0 {
-			if err := bw.Flush(); err != nil {
-				broken = true
-			}
-		}
-	}
-	if !broken {
-		bw.Flush()
-	}
+	return wire.Response{Status: st, Msg: err.Error()}
 }

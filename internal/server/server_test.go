@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,26 +16,17 @@ import (
 	"github.com/casl-sdsu/hart/internal/wire"
 )
 
-// startServer brings up a server on an ephemeral port over a fresh
-// in-memory store and tears both down in the right order (drain the
-// server, then close the store) at test end.
-type testServer struct {
-	*Server
-	addr string
-}
-
-func startServer(t *testing.T, opts Options) (*testServer, *core.HART) {
+// serve runs a server on ln over a fresh in-memory store and tears both
+// down in the right order (drain the server, then close the store) at
+// test end.
+func serve(t *testing.T, ln net.Listener) (*Server, *core.HART) {
 	t.Helper()
 	h, err := core.New(core.Options{})
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
 	t.Cleanup(func() { h.Close() })
-	s := New(h, opts)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
+	s := New(h, Options{})
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(ln) }()
 	t.Cleanup(func() {
@@ -43,6 +35,22 @@ func startServer(t *testing.T, opts Options) (*testServer, *core.HART) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
+	return s, h
+}
+
+// testServer is a server on an ephemeral TCP port.
+type testServer struct {
+	*Server
+	addr string
+}
+
+func startServer(t *testing.T) (*testServer, *core.HART) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	s, h := serve(t, ln)
 	return &testServer{Server: s, addr: ln.Addr().String()}, h
 }
 
@@ -53,6 +61,47 @@ func dial(t *testing.T, s *testServer) net.Conn {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// pipeListener hands Serve the server ends of net.Pipe connections. A
+// pipe delivers one Write to one Read when the reader has room, so a test
+// decides exactly what one burst holds, and sees each server write whole.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func startPipeServer(t *testing.T) (*Server, *core.HART, *pipeListener) {
+	t.Helper()
+	l := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	s, h := serve(t, l)
+	return s, h, l
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// dial opens a pipe to the server and returns the client end.
+func (l *pipeListener) dial(t *testing.T) net.Conn {
+	t.Helper()
+	c, srv := net.Pipe()
+	l.conns <- srv
 	t.Cleanup(func() { c.Close() })
 	return c
 }
@@ -81,61 +130,76 @@ func readResp(t *testing.T, br *bufio.Reader, op wire.Op) wire.Response {
 	return resp
 }
 
-// TestPutCoalescing is the batching contract from the issue: K Puts
-// kept in flight on one connection must reach the store in fewer than K
-// publication units — observable as ops.put (one republication each)
-// plus ops.put_batch (one republication per shard group) summing below
-// K, while every record still lands (ops.put + ops.put_batch_records
-// == K and the store holds K keys). Coalescing is opportunistic (the
-// gather never blocks), so a scheduling fluke where the executor keeps
-// pace with the reader is legal; the test retries on a fresh store
-// before declaring the mechanism broken.
-func TestPutCoalescing(t *testing.T) {
-	const K = 512
-	for attempt := 0; attempt < 3; attempt++ {
-		s, h := startServer(t, Options{QueueDepth: K})
-		c := dial(t, s)
+// step is one request of a burst and the response it must get.
+type step struct {
+	req        wire.Request
+	wantStatus wire.Status
+	wantValue  []byte
+}
 
-		var stream []byte
-		for i := 0; i < K; i++ {
-			stream = append(stream, frame(t, wire.Request{
-				Op:    wire.OpPut,
-				Key:   []byte(fmt.Sprintf("coalesce-%04d", i)),
-				Value: []byte(fmt.Sprintf("value-%04d", i)),
-			})...)
-		}
-		// One write call: the whole burst is in flight before any
-		// response is consumed, so the exec queue actually fills.
-		if _, err := c.Write(stream); err != nil {
-			t.Fatalf("write burst: %v", err)
-		}
-		br := bufio.NewReader(c)
-		for i := 0; i < K; i++ {
-			if resp := readResp(t, br, wire.OpPut); resp.Status != wire.StatusOK {
-				t.Fatalf("put %d: status %s (%s)", i, resp.Status, resp.Msg)
-			}
-		}
-
-		m := h.Metrics().Counters
-		singles, batches := m["ops.put"], m["ops.put_batch"]
-		batched := m["ops.put_batch_records"]
-		if singles+batched != K {
-			t.Fatalf("records applied: %d singles + %d batched != %d", singles, batched, K)
-		}
-		if h.Len() != K {
-			t.Fatalf("store holds %d records, want %d", h.Len(), K)
-		}
-		if singles+batches < K {
-			if sm := s.Metrics(); sm.BatchesFormed == 0 || sm.PutsCoalesced == 0 {
-				t.Fatalf("store saw batches but server counters disagree: %+v", sm)
-			}
-			t.Logf("attempt %d: %d puts → %d singles + %d batches (%d records coalesced)",
-				attempt, K, singles, batches, batched)
-			return
-		}
-		t.Logf("attempt %d: no coalescing (%d singles, %d batches); retrying", attempt, singles, batches)
+// runBurst writes every step's request with one Write, then checks each
+// response, in order, against its step.
+func runBurst(t *testing.T, c net.Conn, br *bufio.Reader, steps []step) {
+	t.Helper()
+	var stream []byte
+	for _, st := range steps {
+		stream = append(stream, frame(t, st.req)...)
 	}
-	t.Fatal("no coalescing in 3 attempts: K in-flight Puts produced K publications")
+	if _, err := c.Write(stream); err != nil {
+		t.Fatalf("write burst: %v", err)
+	}
+	for i, st := range steps {
+		resp := readResp(t, br, st.req.Op)
+		if resp.Status != st.wantStatus {
+			t.Fatalf("step %d (%s %q): status %s, want %s (msg %q)",
+				i, st.req.Op, st.req.Key, resp.Status, st.wantStatus, resp.Msg)
+		}
+		if st.wantValue != nil && !bytes.Equal(resp.Value, st.wantValue) {
+			t.Fatalf("step %d: value %q, want %q", i, resp.Value, st.wantValue)
+		}
+	}
+}
+
+// TestPutCoalescing pins coalescing as a function of the burst. One burst
+// of 600 valid Puts, broken by a Get, an invalid Put and a Delete, reaches
+// the store as exactly the runs between them: a run of one as a Put, a
+// run of 2–256 as one PutBatch, a longer run split at batchMax. The pipe
+// hands the whole burst to one server read, so no count here depends on
+// timing.
+func TestPutCoalescing(t *testing.T) {
+	s, h, l := startPipeServer(t)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("co-%03d", i)) }
+	val := func(i int) []byte { return []byte(fmt.Sprintf("v-%03d", i)) }
+
+	var steps []step
+	puts := 0
+	run := func(n int) {
+		for ; n > 0; n-- {
+			steps = append(steps, step{req: wire.Request{Op: wire.OpPut, Key: key(puts), Value: val(puts)}, wantStatus: wire.StatusOK})
+			puts++
+		}
+	}
+	run(300) // PutBatch(256) + PutBatch(44)
+	steps = append(steps, step{req: wire.Request{Op: wire.OpGet, Key: key(7)}, wantStatus: wire.StatusOK, wantValue: val(7)})
+	run(1) // Put
+	steps = append(steps, step{req: wire.Request{Op: wire.OpPut, Key: key(999)}, wantStatus: wire.StatusBadRequest})
+	run(100) // PutBatch(100)
+	steps = append(steps, step{req: wire.Request{Op: wire.OpDelete, Key: key(0)}, wantStatus: wire.StatusOK})
+	run(199) // PutBatch(199)
+	c := l.dial(t)
+	runBurst(t, c, bufio.NewReader(c), steps)
+
+	m := h.Metrics().Counters
+	got := [3]uint64{m["ops.put"], m["ops.put_batch"], m["ops.put_batch_records"]}
+	if want := [3]uint64{1, 4, 599}; got != want {
+		t.Fatalf("ops.put, ops.put_batch, ops.put_batch_records = %v, want %v", got, want)
+	}
+	if sm := s.Metrics(); sm.BatchesFormed != 4 || sm.PutsCoalesced != 599 {
+		t.Fatalf("server counters %+v, want 4 batches of 599 Puts", sm)
+	}
+	if h.Len() != puts-1 {
+		t.Fatalf("store holds %d records, want %d", h.Len(), puts-1)
+	}
 }
 
 // TestResponseOrder pipelines a mixed op sequence in one burst and
@@ -144,17 +208,12 @@ func TestPutCoalescing(t *testing.T) {
 // is deliberately interrupted by an invalid Put, a Delete miss, a Get
 // and a Scan so the order crosses every coalescing boundary case.
 func TestResponseOrder(t *testing.T) {
-	s, h := startServer(t, Options{})
+	s, h := startServer(t)
 	c := dial(t, s)
 
 	val := func(i int) []byte { return []byte(fmt.Sprintf("v-%03d", i)) }
 	key := func(i int) []byte { return []byte(fmt.Sprintf("ord-%03d", i)) }
 
-	type step struct {
-		req        wire.Request
-		wantStatus wire.Status
-		wantValue  []byte
-	}
 	var steps []step
 	for i := 0; i < 8; i++ {
 		steps = append(steps, step{req: wire.Request{Op: wire.OpPut, Key: key(i), Value: val(i)}, wantStatus: wire.StatusOK})
@@ -172,25 +231,8 @@ func TestResponseOrder(t *testing.T) {
 		step{req: wire.Request{Op: wire.OpPut, Key: key(9), Value: val(9)}, wantStatus: wire.StatusOK},
 		step{req: wire.Request{Op: wire.OpGet, Key: key(9)}, wantStatus: wire.StatusOK, wantValue: val(9)},
 	)
-
-	var stream []byte
-	for _, st := range steps {
-		stream = append(stream, frame(t, st.req)...)
-	}
-	if _, err := c.Write(stream); err != nil {
-		t.Fatalf("write burst: %v", err)
-	}
 	br := bufio.NewReader(c)
-	for i, st := range steps {
-		resp := readResp(t, br, st.req.Op)
-		if resp.Status != st.wantStatus {
-			t.Fatalf("step %d (%s %q): status %s, want %s (msg %q)",
-				i, st.req.Op, st.req.Key, resp.Status, st.wantStatus, resp.Msg)
-		}
-		if st.wantValue != nil && !bytes.Equal(resp.Value, st.wantValue) {
-			t.Fatalf("step %d: value %q, want %q", i, resp.Value, st.wantValue)
-		}
-	}
+	runBurst(t, c, br, steps)
 
 	// A scan at the end sees the same connection's net effect: keys 0-9
 	// except the deleted key(3).
@@ -216,7 +258,7 @@ func TestResponseOrder(t *testing.T) {
 // one StatusBadRequest response followed by connection close — framing
 // is unrecoverable after garbage, so the server must not keep reading.
 func TestProtocolErrorClosesConn(t *testing.T) {
-	s, _ := startServer(t, Options{})
+	s, _ := startServer(t)
 
 	cases := []struct {
 		name    string
@@ -281,7 +323,7 @@ func TestProtocolErrorClosesConn(t *testing.T) {
 // of records in the store. No acked-but-lost, no applied-but-silent.
 func TestShutdownDrains(t *testing.T) {
 	const K = 256
-	s, h := startServer(t, Options{QueueDepth: K})
+	s, h := startServer(t)
 	c := dial(t, s)
 	// The drain contract covers connections the server has accepted. One
 	// still in the listen backlog when Shutdown closes the listener is
@@ -349,10 +391,88 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestShutdownNonReadingPeer pipelines Gets at a server and never reads
+// a response, so the server's writes block on a full socket. Shutdown
+// must still return: its write deadline fails the blocked write and the
+// connection closes.
+func TestShutdownNonReadingPeer(t *testing.T) {
+	s, _ := startServer(t)
+	c := dial(t, s)
+	stream := bytes.Repeat(frame(t, wire.Request{Op: wire.OpGet, Key: []byte("no-such-key")}), 400_000)
+	go c.Write(stream) // fails once either side closes; dial's cleanup closes c
+	time.Sleep(2 * time.Second)
+
+	done := make(chan struct{})
+	go func() {
+		s.Shutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Shutdown still blocked after 5 s, %d requests read", s.Metrics().Requests)
+	}
+}
+
+// TestScanBurstWriteBound pins the per-connection output bound: a burst
+// of full-page Scans, read slowly, arrives whole and in order, and no
+// server write exceeds outFlush plus one page.
+func TestScanBurstWriteBound(t *testing.T) {
+	_, h, l := startPipeServer(t)
+	recs := make([]core.Record, wire.MaxScanPage+1)
+	for i := range recs {
+		recs[i] = core.Record{Key: []byte(fmt.Sprintf("scan-%05d", i)), Value: []byte("value-08")}
+	}
+	if _, err := h.PutBatch(recs); err != nil {
+		t.Fatalf("PutBatch: %v", err)
+	}
+	page := wire.Response{Status: wire.StatusOK, More: true, Records: make([]wire.Record, wire.MaxScanPage)}
+	for i := range page.Records {
+		page.Records[i] = wire.Record{Key: recs[i].Key, Value: recs[i].Value}
+	}
+	p, err := page.AppendResponse(nil, wire.OpScan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pageFrame := wire.AppendFrame(nil, p)
+
+	const scans = 50
+	c := l.dial(t)
+	var stream []byte
+	for i := 0; i < scans; i++ {
+		stream = append(stream, frame(t, wire.Request{Op: wire.OpScan})...)
+	}
+	if _, err := c.Write(stream); err != nil {
+		t.Fatalf("write burst: %v", err)
+	}
+	var got []byte
+	buf := make([]byte, 4<<20)
+	for len(got) < scans*len(pageFrame) {
+		time.Sleep(time.Millisecond)
+		n, err := c.Read(buf)
+		if err != nil {
+			t.Fatalf("read after %d bytes: %v", len(got), err)
+		}
+		if n > outFlush+len(pageFrame) {
+			t.Fatalf("one server write of %d bytes, bound %d", n, outFlush+len(pageFrame))
+		}
+		got = append(got, buf[:n]...)
+	}
+	for i := 0; i < scans; i++ {
+		if !bytes.Equal(got[:len(pageFrame)], pageFrame) {
+			t.Fatalf("scan %d: response is not the first page", i)
+		}
+		got = got[len(pageFrame):]
+	}
+	if len(got) != 0 {
+		t.Fatalf("%d bytes beyond %d pages", len(got), scans)
+	}
+}
+
 // TestStatsOp checks the Stats document: store-level record counts and
 // counters plus the server's own connection/coalescing counters.
 func TestStatsOp(t *testing.T) {
-	s, _ := startServer(t, Options{})
+	s, _ := startServer(t)
 	c := dial(t, s)
 	br := bufio.NewReader(c)
 
@@ -390,7 +510,7 @@ func TestStatsOp(t *testing.T) {
 // TestPutBatchOp exercises the explicit PutBatch op (as opposed to
 // server-side coalescing): applied count, then visibility via Get.
 func TestPutBatchOp(t *testing.T) {
-	s, h := startServer(t, Options{})
+	s, h := startServer(t)
 	c := dial(t, s)
 	br := bufio.NewReader(c)
 

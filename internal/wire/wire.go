@@ -125,8 +125,8 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", byte(s))
 }
 
-// Decoder errors. ErrFrameTooLarge is also returned by ReadFrame for a
-// length prefix above MaxFrame.
+// Decoder errors. ErrFrameTooLarge is also returned by SplitFrame and
+// ReadFrame for a length prefix above MaxFrame.
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 	ErrTruncated     = errors.New("wire: truncated message")
@@ -205,6 +205,25 @@ func AppendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// SplitFrame finds the frame b starts with. n is the frame's whole length,
+// prefix included — or 4 while b is shorter than the prefix — and once
+// len(b) >= n, payload is the frame's payload, aliasing b. A length prefix
+// above MaxFrame returns ErrFrameTooLarge: the stream's framing is lost.
+func SplitFrame(b []byte) (payload []byte, n int, err error) {
+	if len(b) < 4 {
+		return nil, 4, nil
+	}
+	size := binary.BigEndian.Uint32(b)
+	if size > MaxFrame {
+		return nil, 0, ErrFrameTooLarge
+	}
+	n = 4 + int(size)
+	if len(b) < n {
+		return nil, n, nil
+	}
+	return b[4:n:n], n, nil
+}
+
 // ReadFrame reads one frame's payload from r, reusing buf when it is
 // large enough. It returns ErrFrameTooLarge for a length prefix above
 // MaxFrame (the connection is then unusable — framing is lost) and the
@@ -218,11 +237,12 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
+	_, n, err := SplitFrame(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	if uint32(cap(buf)) < n {
+	n -= len(hdr)
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -182,6 +183,37 @@ func TestReadFrame(t *testing.T) {
 	}
 	if _, err := ReadFrame(bytes.NewReader(cut[:2]), nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("cut header: err = %v, want ErrTruncated", err)
+	}
+}
+
+// TestSplitFrame feeds TestReadFrame's stream to SplitFrame one byte more
+// at a time, the way a socket may deliver it: each frame is split off only
+// once whole, and until then n says how long the buffer must grow.
+func TestSplitFrame(t *testing.T) {
+	want := []string{"first", "", "third-frame"}
+	var stream []byte
+	for _, p := range want {
+		stream = AppendFrame(stream, []byte(p))
+	}
+	var got []string
+	off := 0
+	for end := 0; end <= len(stream); end++ {
+		p, n, err := SplitFrame(stream[off:end])
+		if err != nil {
+			t.Fatalf("SplitFrame(stream[%d:%d]): %v", off, end, err)
+		}
+		if n > end-off {
+			continue
+		}
+		got = append(got, string(p))
+		off += n
+	}
+	if off != len(stream) || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("split %q, consumed %d of %d bytes; want %q", got, off, len(stream), want)
+	}
+	huge := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
+	if _, _, err := SplitFrame(huge); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized frame: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 

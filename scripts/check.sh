@@ -10,7 +10,7 @@ go test ./...
 
 # The race detector over every package but the model checker: the
 # lock-free reads (core's seqlock, hashdir's COW snapshots, obs's striped
-# counters), the striped allocator, the server's per-connection pipeline
+# counters), the striped allocator, the server's per-connection burst loop
 # and the daemons' signal paths all have concurrent tests, and -race is
 # also what turns checkptr on for the unsafe casts in art/node.go.
 go test -race -count=1 $(go list ./... | grep -v /internal/modelcheck)
