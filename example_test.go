@@ -73,7 +73,7 @@ func ExampleOptions_latency() {
 	}
 	db.Put([]byte("k"), []byte("v"))
 	st := db.Arena().Clock().Snapshot()
-	fmt.Println("persists charged:", st.Persists > 0)
+	fmt.Println("persists charged:", st.WritePenaltyNs > 0)
 	// Output: persists charged: true
 }
 

@@ -82,8 +82,8 @@ func TestFacadeLatencyEmulation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := db.Arena().Clock().Snapshot(); st.Persists == 0 || st.WritePenaltyNs == 0 {
-		t.Fatalf("latency emulation inactive: %+v", st)
+	if n, st := db.Arena().Stats().Persists, db.Arena().Clock().Snapshot(); n == 0 || st.WritePenaltyNs == 0 {
+		t.Fatalf("latency emulation inactive: %d persists, %+v", n, st)
 	}
 }
 

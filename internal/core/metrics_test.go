@@ -2,9 +2,14 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"github.com/casl-sdsu/hart/internal/latency"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
@@ -263,5 +268,120 @@ func TestMetricsEventsAcrossRecovery(t *testing.T) {
 		if ev.Kind == "open" && ev.Detail != "dirty" {
 			t.Errorf("open after crash image should be dirty, got %q", ev.Detail)
 		}
+	}
+}
+
+// pmCounters returns the pm.* counters of h's metrics snapshot.
+func pmCounters(h *HART) map[string]uint64 {
+	c := map[string]uint64{}
+	for name, v := range h.Metrics().Counters {
+		if strings.HasPrefix(name, "pm.") {
+			c[name] = v
+		}
+	}
+	return c
+}
+
+// TestPMCountsIndependentOfRecoveryWorkers pins that the arena's counts
+// are a function of the image, not of how many goroutines recover it: one
+// file image opened with 1, 2 and 4 recovery workers and drained reports
+// the same six pm.* counters, eagerly and (other counts) lazily.
+func TestPMCountsIndependentOfRecoveryWorkers(t *testing.T) {
+	opts := Options{ArenaSize: 8 << 20}
+	path := filepath.Join(t.TempDir(), "store.hart")
+	arena, _, err := pmem.OpenFileArena(path, opts.ArenaConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewOnArena(arena, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		mustPut(t, h, fmt.Sprintf("rw%05d", i), mixedValue("v%d", i))
+	}
+	for i := 0; i < 3000; i += 7 {
+		if err := h.Delete([]byte(fmt.Sprintf("rw%05d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, lazy := range []bool{false, true} {
+		var want map[string]uint64
+		for _, workers := range []int{1, 2, 4} {
+			p := filepath.Join(t.TempDir(), "copy.hart")
+			if err := os.WriteFile(p, img, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			h, err := reopen(t, p, Options{RecoveryWorkers: workers, LazyRecovery: lazy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.DrainRecovery()
+			got := pmCounters(h)
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 6 {
+				t.Fatalf("snapshot has %d pm.* counters, want 6: %v", len(got), got)
+			}
+			if want == nil {
+				want = got
+			} else if !maps.Equal(got, want) {
+				t.Errorf("lazy=%v workers=%d: pm counters %v, want %v", lazy, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestArenaCountsIndependentOfEmulation pins that emulation prices the
+// arena's events and never counts them: one op stream on an arena without
+// emulation and on one with the 300/300 latency and the cache model
+// leaves the same Arena.Stats.
+func TestArenaCountsIndependentOfEmulation(t *testing.T) {
+	var stats [2]pmem.Stats
+	for i, opts := range []Options{
+		{ArenaSize: 8 << 20},
+		{ArenaSize: 8 << 20, Latency: latency.Config300x300(), CacheModel: true},
+	} {
+		h, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 2000; j++ {
+			mustPut(t, h, fmt.Sprintf("em%05d", j), mixedValue("v%d", j))
+		}
+		// Updates that keep the shape, change the length and cross the
+		// inline boundary both ways.
+		for j := 0; j < 2000; j += 3 {
+			mustPut(t, h, fmt.Sprintf("em%05d", j), mixedValue("u%d", j+1))
+		}
+		for j := 0; j < 2500; j++ {
+			h.Get([]byte(fmt.Sprintf("em%05d", j)))
+		}
+		for j := 0; j < 2000; j += 5 {
+			if err := h.Delete([]byte(fmt.Sprintf("em%05d", j))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.Scan([]byte("em01"), []byte("em02"), func(k, v []byte) bool { return true })
+		if _, err := h.PutBatch([]Record{{Key: []byte("emb1"), Value: []byte("v")}, {Key: []byte("emb2"), Value: []byte("value-in-object")}}); err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = h.Arena().Stats()
+		if emulated := h.Arena().Clock().PenaltyNs() > 0; emulated != (i == 1) {
+			t.Fatalf("options %d: penalty charged = %v", i, emulated)
+		}
+		h.Close()
+	}
+	if stats[0] != stats[1] {
+		t.Fatalf("arena counts differ under emulation:\n off %+v\n on  %+v", stats[0], stats[1])
 	}
 }

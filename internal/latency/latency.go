@@ -7,12 +7,16 @@
 // caused by a PM load (Eq. 1-2 of the paper, following Quartz and PMEP).
 // This package reproduces that methodology:
 //
-//   - OnPersist charges (PMWriteNs - DRAMWriteNs) once per persistent()
-//     call, exactly like the paper's instrumented persistent().
-//   - OnRead charges (PMReadNs - DRAMReadNs) for every PM load that misses
+//   - OnPersist charges (PMWriteNs - DRAMWriteNs) per line flushed by a
+//     persistent() call, like the paper's instrumented persistent().
+//   - OnReadMiss charges (PMReadNs - DRAMReadNs) for a PM load that missed
 //     the simulated last-level cache (see package cachesim); cache hits are
 //     served at CPU speed and charge nothing, mirroring the stall-cycle
 //     accounting of Eq. 1.
+//
+// A Clock counts only what emulation adds — misses and penalties. The
+// events themselves (loads, persists, flushed lines) are counted once, by
+// the PM arena that issues them (pmem.Arena.Stats).
 //
 // Two injection modes are provided. ModeSpin busy-waits for the charged
 // duration so that wall-clock measurements (including multi-threaded ones)
@@ -126,10 +130,6 @@ func Off() Config { return Config{Mode: ModeOff} }
 
 // Stats is a snapshot of a Clock's counters.
 type Stats struct {
-	// Persists counts persistent() invocations charged.
-	Persists int64
-	// PMReads counts PM loads observed.
-	PMReads int64
 	// PMReadMisses counts PM loads that missed the simulated cache.
 	PMReadMisses int64
 	// WritePenaltyNs is the total charged write penalty.
@@ -145,8 +145,6 @@ func (s Stats) PenaltyNs() int64 { return s.WritePenaltyNs + s.ReadPenaltyNs }
 // use. The zero value is a valid clock with ModeOff semantics.
 type Clock struct {
 	cfg          Config
-	persists     atomic.Int64
-	pmReads      atomic.Int64
 	pmReadMisses atomic.Int64
 	writePenalty atomic.Int64
 	readPenalty  atomic.Int64
@@ -165,7 +163,6 @@ func (c *Clock) Config() Config { return c.cfg }
 // media, so the write-latency delta applies per line — a 2 KB node build
 // persisted in one call costs 32 line flushes, not one.
 func (c *Clock) OnPersist(lines int) {
-	c.persists.Add(1)
 	if lines < 1 {
 		lines = 1
 	}
@@ -182,13 +179,9 @@ func (c *Clock) OnPersist(lines int) {
 	}
 }
 
-// OnRead charges one PM load. miss reports whether the load missed the
-// simulated last-level cache; only misses pay the PM read delta.
-func (c *Clock) OnRead(miss bool) {
-	c.pmReads.Add(1)
-	if !miss {
-		return
-	}
+// OnReadMiss charges one PM load that missed the simulated last-level
+// cache; hits are not reported, since they pay nothing.
+func (c *Clock) OnReadMiss() {
 	c.pmReadMisses.Add(1)
 	if c.cfg.Mode == ModeOff {
 		return
@@ -211,8 +204,6 @@ func (c *Clock) PenaltyNs() int64 {
 // Snapshot returns the current counters.
 func (c *Clock) Snapshot() Stats {
 	return Stats{
-		Persists:       c.persists.Load(),
-		PMReads:        c.pmReads.Load(),
 		PMReadMisses:   c.pmReadMisses.Load(),
 		WritePenaltyNs: c.writePenalty.Load(),
 		ReadPenaltyNs:  c.readPenalty.Load(),
@@ -221,8 +212,6 @@ func (c *Clock) Snapshot() Stats {
 
 // Reset zeroes all counters.
 func (c *Clock) Reset() {
-	c.persists.Store(0)
-	c.pmReads.Store(0)
 	c.pmReadMisses.Store(0)
 	c.writePenalty.Store(0)
 	c.readPenalty.Store(0)

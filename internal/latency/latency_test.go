@@ -49,15 +49,11 @@ func TestClockAccounting(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.OnPersist(1)
 	}
-	c.OnRead(true)
-	c.OnRead(true)
-	c.OnRead(false)
+	c.OnReadMiss()
+	c.OnReadMiss()
 	s := c.Snapshot()
-	if s.Persists != 10 {
-		t.Errorf("Persists = %d, want 10", s.Persists)
-	}
-	if s.PMReads != 3 || s.PMReadMisses != 2 {
-		t.Errorf("PMReads/Misses = %d/%d, want 3/2", s.PMReads, s.PMReadMisses)
+	if s.PMReadMisses != 2 {
+		t.Errorf("PMReadMisses = %d, want 2", s.PMReadMisses)
 	}
 	if want := int64(10 * 285); s.WritePenaltyNs != want {
 		t.Errorf("WritePenaltyNs = %d, want %d", s.WritePenaltyNs, want)
@@ -77,12 +73,13 @@ func TestClockAccounting(t *testing.T) {
 func TestModeOffChargesNothing(t *testing.T) {
 	c := NewClock(Off())
 	c.OnPersist(1)
-	c.OnRead(true)
+	c.OnReadMiss()
 	if c.PenaltyNs() != 0 {
 		t.Errorf("ModeOff charged %d ns", c.PenaltyNs())
 	}
-	// Counters still tick so stats remain useful.
-	if s := c.Snapshot(); s.Persists != 1 || s.PMReadMisses != 1 {
+	// Misses still tick: a cache model without a latency config reports
+	// its miss count through the clock.
+	if s := c.Snapshot(); s.PMReadMisses != 1 {
 		t.Errorf("ModeOff lost counters: %+v", s)
 	}
 }
@@ -114,17 +111,19 @@ func TestClockConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.OnPersist(1)
-				c.OnRead(i%2 == 0)
+				if i%2 == 0 {
+					c.OnReadMiss()
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	s := c.Snapshot()
-	if s.Persists != workers*per {
-		t.Errorf("Persists = %d, want %d", s.Persists, workers*per)
+	if want := int64(workers * per * 285); s.WritePenaltyNs != want {
+		t.Errorf("WritePenaltyNs = %d, want %d", s.WritePenaltyNs, want)
 	}
-	if s.PMReads != workers*per {
-		t.Errorf("PMReads = %d, want %d", s.PMReads, workers*per)
+	if s.PMReadMisses != workers*per/2 {
+		t.Errorf("PMReadMisses = %d, want %d", s.PMReadMisses, workers*per/2)
 	}
 }
 

@@ -30,11 +30,14 @@ import (
 	"unsafe"
 )
 
+// stripeBits is log2 of NumStripes.
+const stripeBits = 3
+
 // NumStripes is the number of padded cells a Counter spreads its
 // increments over. Power of two; sized for small-to-medium core counts —
 // the goal is to break same-line ping-pong between concurrent writers,
 // not to give every CPU a private cell.
-const NumStripes = 8
+const NumStripes = 1 << stripeBits
 
 // cell is one padded counter stripe: the pad keeps adjacent stripes on
 // distinct cache lines so concurrent increments don't false-share.
@@ -51,18 +54,21 @@ type Counter struct {
 	cells [NumStripes]cell
 }
 
-// stripeHint derives a cheap per-goroutine-ish stripe index from the
-// address of a stack local: goroutine stacks live at distinct addresses,
-// so concurrent callers spread across cells without any runtime hook,
-// and the probe never escapes (no allocation). Callers that already know
-// a better affinity (an allocator stripe, a shard hash) should use
-// AddStripe instead.
+// stripeHint derives a per-goroutine stripe from the address of a stack
+// local, Fibonacci-hashed into the top stripeBits bits. Goroutine stacks
+// are aligned to their size, so goroutines on one call path hold the
+// local at the same offset from different bases: their addresses share
+// every low bit and differ only high up, which the multiply carries into
+// the stripe. A goroutine keeps its cell while its stack stays put, so a
+// lone writer touches one line; the probe never escapes (no allocation).
+// Callers that already know a better affinity (an allocator stripe, a
+// shard hash, a PM page) should use AddStripe instead.
 func stripeHint() int {
 	var probe byte
-	return int(uintptr(unsafe.Pointer(&probe))>>9) & (NumStripes - 1)
+	return int(uint64(uintptr(unsafe.Pointer(&probe))) * 0x9E3779B97F4A7C15 >> (64 - stripeBits))
 }
 
-// Add increments the counter by n on a stack-address-derived stripe.
+// Add increments the counter by n on the caller's stripeHint stripe.
 func (c *Counter) Add(n uint64) {
 	c.cells[stripeHint()].n.Add(n)
 }

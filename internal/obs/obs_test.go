@@ -33,6 +33,37 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// TestCounterSpreadsOneCallPath pins that Add spreads goroutines running
+// the same code over the stripes: 16 of them, one increment each from one
+// call path, must land in at least 4 distinct cells (goroutine stacks are
+// size-aligned, so a hint taken from the low bits of a stack address put
+// them all in one or two).
+func TestCounterSpreadsOneCallPath(t *testing.T) {
+	const goroutines = 16
+	var c Counter
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Add(1)
+		}()
+	}
+	wg.Wait()
+	used := 0
+	for i := range c.cells {
+		if c.cells[i].n.Load() > 0 {
+			used++
+		}
+	}
+	if used < 4 {
+		t.Fatalf("%d goroutines on one call path used %d of %d cells, want >= 4", goroutines, used, NumStripes)
+	}
+	if got := c.Value(); got != goroutines {
+		t.Fatalf("Value = %d, want %d", got, goroutines)
+	}
+}
+
 func TestGauge(t *testing.T) {
 	var g Gauge
 	g.Set(42)

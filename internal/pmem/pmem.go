@@ -18,8 +18,11 @@
 //     injection (FailAfterPersists) lets tests crash at every persist
 //     boundary of an algorithm.
 //
-//   - Every PM load and persist is routed through the latency Clock and the
-//     cachesim model, reproducing the paper's PM latency emulation.
+//   - Every PM load, store and persist is counted once, on a counter stripe
+//     chosen by its page. With emulation configured (Config.Latency or
+//     Config.Cache) it is also routed through the cachesim model and the
+//     latency Clock, reproducing the paper's PM latency emulation; without,
+//     the emulation hook is nil and the access pays one nil check.
 //
 // The first HeaderSize bytes of an arena hold the arena's own metadata
 // (magic, capacity, bump cursor) followed by the application label area
@@ -159,8 +162,8 @@ type Stats struct {
 type Arena struct {
 	data    []byte
 	backend Backend
-	clock   *latency.Clock
-	cache   *cachesim.Cache
+	// emu is nil unless the arena emulates PM latency (see emulator).
+	emu *emulator
 
 	// Tracking state.
 	tracking bool
@@ -170,21 +173,27 @@ type Arena struct {
 
 	reserveMu sync.Mutex
 
-	// failAfter < 0 disables injection. Otherwise a Persist that observes
-	// persists == failAfter panics with CrashError before applying.
-	failAfter atomic.Int64
+	// crashBudget < 0 disables crash injection. Otherwise it is the number
+	// of persists still allowed to apply; a Persist that finds it at 0
+	// panics with CrashError before applying (takeCrashBudget).
+	crashBudget atomic.Int64
 
 	// site labels the persist boundaries currently being executed for
 	// crash diagnostics (SetPersistSite). Maintained only in Tracking
 	// mode so the label stores cost nothing on benchmark arenas.
 	site atomic.Pointer[string]
 
-	persists       atomic.Int64
-	persistedLines atomic.Int64
-	reads          atomic.Int64
-	writes         atomic.Int64
-	bytesWritten   atomic.Int64
-	syncs          atomic.Int64
+	// The event counters, each striped by the page of the access
+	// (pageStripe), so goroutines working on different pages increment
+	// different cache lines. The pad keeps the first stripe off the line
+	// of the read-mostly fields above, which every access loads.
+	_              [64]byte
+	persists       obs.Counter
+	persistedLines obs.Counter
+	reads          obs.Counter
+	writes         obs.Counter
+	bytesWritten   obs.Counter
+	syncs          obs.Counter
 
 	// timing gates the Persist/Sync latency histograms below: one atomic
 	// flag load on the persist path when off (obs.Gate); when on, sample
@@ -254,11 +263,10 @@ func newArena(be Backend, cfg Config) *Arena {
 	a := &Arena{
 		data:     be.Bytes(),
 		backend:  be,
-		clock:    latency.NewClock(cfg.Latency),
-		cache:    cfg.Cache,
+		emu:      newEmulator(cfg),
 		tracking: cfg.Tracking,
 	}
-	a.failAfter.Store(-1)
+	a.crashBudget.Store(-1)
 	if cfg.Tracking {
 		a.dirty = make([]atomic.Uint64, (numLines(int64(len(a.data)))+63)/64)
 	}
@@ -288,8 +296,14 @@ func numLines(size int64) int64 {
 	return (size + lineSize - 1) / lineSize
 }
 
-// Clock returns the arena's latency clock.
-func (a *Arena) Clock() *latency.Clock { return a.clock }
+// Clock returns the arena's latency clock. An arena without emulation
+// returns an idle clock that never charges.
+func (a *Arena) Clock() *latency.Clock {
+	if a.emu == nil {
+		return latency.NewClock(latency.Off())
+	}
+	return a.emu.clock
+}
 
 // Capacity returns the arena size in bytes.
 func (a *Arena) Capacity() int64 { return int64(len(a.data)) }
@@ -359,24 +373,27 @@ func checkAligned(p Ptr) {
 	}
 }
 
-// chargeRead funnels one PM load through the cache and latency models.
+// pageStripe is the counter stripe of an access at p: its 4 KiB page, so
+// concurrent work on neighbouring pages lands on distinct cells.
+func pageStripe(p Ptr) int { return int(p >> 12) }
+
+// chargeRead counts one PM load and hands it to the emulation, if any.
 func (a *Arena) chargeRead(p Ptr, size int) {
-	a.reads.Add(1)
-	miss := true
-	if a.cache != nil {
-		miss = a.cache.Access(uint64(p), size) > 0
+	a.reads.AddStripe(pageStripe(p), 1)
+	if a.emu != nil {
+		a.emu.read(p, size)
 	}
-	a.clock.OnRead(miss)
 }
 
-// chargeWrite funnels one PM store through the cache model (a store brings
-// the line into cache on write-allocate hardware) and the counters. Stores
-// themselves are DRAM-speed; only Persist pays the PM write latency.
+// chargeWrite counts one PM store and hands it to the emulation, if any.
+// Stores themselves are DRAM-speed; only Persist pays the PM write
+// latency.
 func (a *Arena) chargeWrite(p Ptr, size int) {
-	a.writes.Add(1)
-	a.bytesWritten.Add(int64(size))
-	if a.cache != nil {
-		a.cache.Access(uint64(p), size)
+	s := pageStripe(p)
+	a.writes.AddStripe(s, 1)
+	a.bytesWritten.AddStripe(s, uint64(size))
+	if a.emu != nil {
+		a.emu.write(p, size)
 	}
 }
 
@@ -521,27 +538,42 @@ func (a *Arena) persistAt(p Ptr, size int) {
 	a.persistNow(p, size)
 }
 
-// persistNow applies one persist: crash-injection check, latency charge,
-// cache flush, media flush.
+// persistNow applies one persist: crash-injection check, count,
+// emulation charge, media flush.
 func (a *Arena) persistNow(p Ptr, size int) {
-	if fa := a.failAfter.Load(); fa >= 0 && a.persists.Load() >= fa {
-		panic(CrashError{Persists: a.persists.Load(), Site: a.PersistSite()})
+	if a.crashBudget.Load() >= 0 {
+		a.takeCrashBudget()
 	}
-	a.persists.Add(1)
-	first := int64(p) / lineSize
-	last := (int64(p) + int64(size) - 1) / lineSize
-	a.clock.OnPersist(int(last - first + 1))
-	if a.cache != nil {
-		a.cache.Flush(uint64(p), size)
+	a.persists.AddStripe(pageStripe(p), 1)
+	if a.emu != nil {
+		a.emu.persist(p, size)
 	}
 	a.persistRange(int64(p), int64(size))
+}
+
+// takeCrashBudget lets one persist through armed crash injection, or
+// panics with CrashError when the budget is spent. Deciding and counting
+// are one compare-and-swap, so concurrent persisters can never apply more
+// persists than were armed.
+func (a *Arena) takeCrashBudget() {
+	for {
+		b := a.crashBudget.Load()
+		switch {
+		case b < 0: // disarmed meanwhile
+			return
+		case b == 0:
+			panic(CrashError{Persists: a.Persists(), Site: a.PersistSite()})
+		case a.crashBudget.CompareAndSwap(b, b-1):
+			return
+		}
+	}
 }
 
 // persistRange flushes lines without charging latency (internal metadata).
 func (a *Arena) persistRange(off, size int64) {
 	first := off / lineSize
 	last := (off + size - 1) / lineSize
-	a.persistedLines.Add(last - first + 1)
+	a.persistedLines.AddStripe(pageStripe(Ptr(off)), uint64(last-first+1))
 	a.backend.Persist(off, size)
 	if !a.tracking {
 		return
@@ -566,19 +598,14 @@ func (a *Arena) persistRange(off, size int64) {
 }
 
 // FailAfterPersists arms crash injection: the (n+1)-th subsequent Persist
-// (counting from the current persist count) panics with CrashError without
-// taking effect. n = 0 crashes at the very next persist. Pass a negative
-// value to disarm.
-func (a *Arena) FailAfterPersists(n int64) {
-	if n < 0 {
-		a.failAfter.Store(-1)
-		return
-	}
-	a.failAfter.Store(a.persists.Load() + n)
-}
+// panics with CrashError without taking effect, and so does every Persist
+// after it until DisarmCrash. n = 0 crashes at the very next persist. The
+// count is exact under concurrent persisters. Pass a negative value to
+// disarm.
+func (a *Arena) FailAfterPersists(n int64) { a.crashBudget.Store(max(n, -1)) }
 
 // DisarmCrash cancels any pending injected crash.
-func (a *Arena) DisarmCrash() { a.failAfter.Store(-1) }
+func (a *Arena) DisarmCrash() { a.crashBudget.Store(-1) }
 
 // SetPersistSite labels the persist boundaries executed from here until
 // the next SetPersistSite call, so an injected crash can report *which*
@@ -609,7 +636,7 @@ func (a *Arena) PersistSite() string {
 }
 
 // Persists returns the number of completed Persist calls.
-func (a *Arena) Persists() int64 { return a.persists.Load() }
+func (a *Arena) Persists() int64 { return int64(a.persists.Value()) }
 
 // CrashOptions tune Crash's model of what survives a power failure.
 type CrashOptions struct {
@@ -667,12 +694,12 @@ func (a *Arena) Stats() Stats {
 	return Stats{
 		Capacity:       int64(len(a.data)),
 		Reserved:       a.Reserved(),
-		Persists:       a.persists.Load(),
-		PersistedLines: a.persistedLines.Load(),
-		Reads:          a.reads.Load(),
-		Writes:         a.writes.Load(),
-		BytesWritten:   a.bytesWritten.Load(),
-		Syncs:          a.syncs.Load(),
+		Persists:       a.Persists(),
+		PersistedLines: int64(a.persistedLines.Value()),
+		Reads:          int64(a.reads.Value()),
+		Writes:         int64(a.writes.Value()),
+		BytesWritten:   int64(a.bytesWritten.Value()),
+		Syncs:          int64(a.syncs.Value()),
 	}
 }
 

@@ -235,6 +235,133 @@ func TestFailAfterPersists(t *testing.T) {
 	a.Persist(p, 8)
 }
 
+// TestFailAfterPersistsConcurrent pins that crash injection is exact
+// under concurrent persisters: exactly n persists apply, and a goroutine
+// that saw an injected crash sees one on every later persist.
+func TestFailAfterPersistsConcurrent(t *testing.T) {
+	const workers, per, n = 4, 200, 301
+	a := newTracked(t, 1<<16)
+	base, err := a.Reserve(workers*lineSize, lineSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := a.Persists()
+	a.FailAfterPersists(n)
+	applied := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := base + Ptr(w*lineSize)
+			crashed := false
+			for i := 0; i < per; i++ {
+				a.Write8(p, uint64(i))
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							if _, ok := r.(CrashError); !ok {
+								t.Errorf("panic value %v, want CrashError", r)
+							}
+							crashed = true
+						}
+					}()
+					a.Persist(p, 8)
+					if crashed {
+						t.Errorf("worker %d: persist %d applied after an injected crash", w, i)
+					}
+					applied[w]++
+				}()
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, k := range applied {
+		total += k
+	}
+	if total != n {
+		t.Fatalf("%d persists applied under FailAfterPersists(%d)", total, n)
+	}
+	if got := a.Persists() - before; got != n {
+		t.Fatalf("persist counter advanced %d, want %d", got, n)
+	}
+}
+
+// TestCountersExactConcurrent pins that the striped counters lose nothing:
+// goroutines loading, storing and persisting on disjoint pages sum to the
+// exact totals.
+func TestCountersExactConcurrent(t *testing.T) {
+	const workers, per, page = 8, 1000, 4096
+	a, err := New(Config{Size: (workers + 2) * page})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := a.Reserve(workers*page, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := a.Stats()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(p Ptr) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				q := p + Ptr(i%(page/8)*8)
+				a.Write8(q, uint64(i))
+				a.Read8(q)
+				a.Persist(q, 16) // 16 bytes at q%64 == 56 span two lines
+			}
+		}(base + Ptr(w*page))
+	}
+	wg.Wait()
+	s := a.Stats()
+	const ops = workers * per
+	// Per page, every eighth word of 512 starts a two-line persist.
+	const lines = ops + workers*per/8
+	if d := s.Reads - before.Reads; d != ops {
+		t.Errorf("reads advanced %d, want %d", d, ops)
+	}
+	if d := s.Writes - before.Writes; d != ops {
+		t.Errorf("writes advanced %d, want %d", d, ops)
+	}
+	if d := s.BytesWritten - before.BytesWritten; d != 8*ops {
+		t.Errorf("bytes written advanced %d, want %d", d, 8*ops)
+	}
+	if d := s.Persists - before.Persists; d != ops {
+		t.Errorf("persists advanced %d, want %d", d, ops)
+	}
+	if d := s.PersistedLines - before.PersistedLines; d != lines {
+		t.Errorf("persisted lines advanced %d, want %d", d, lines)
+	}
+}
+
+// TestEmulationHookOnlyWhenConfigured pins that an arena without a
+// latency mode or cache model has no emulation hook — its accesses never
+// reach package latency or cachesim — and that either one installs it.
+func TestEmulationHookOnlyWhenConfigured(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want bool
+	}{
+		{"none", Config{}, false},
+		{"latency off", Config{Latency: latency.Off()}, false},
+		{"latency", Config{Latency: latency.Config300x300()}, true},
+		{"cache", Config{Cache: cachesim.New(1<<14, 4)}, true},
+	} {
+		c.cfg.Size = 1 << 16
+		a, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.emu != nil; got != c.want {
+			t.Errorf("%s: emulation hook installed = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestLatencyAccounting(t *testing.T) {
 	a, err := New(Config{
 		Size:    1 << 16,
@@ -245,12 +372,12 @@ func TestLatencyAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := a.Reserve(256, 64)
-	base := a.Clock().Snapshot()
+	base, basePersists := a.Clock().Snapshot(), a.Stats().Persists
 	a.Write8(p, 7)
 	a.Persist(p, 8)
 	s := a.Clock().Snapshot()
-	if s.Persists != base.Persists+1 {
-		t.Fatalf("persist not charged: %+v", s)
+	if got := a.Stats().Persists; got != basePersists+1 {
+		t.Fatalf("persist not counted: %d, want %d", got, basePersists+1)
 	}
 	if s.WritePenaltyNs <= base.WritePenaltyNs {
 		t.Fatal("write penalty not charged")
