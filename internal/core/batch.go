@@ -2,8 +2,9 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/casl-sdsu/hart/internal/epalloc"
@@ -46,13 +47,7 @@ func (h *HART) putBatchOp(records []Record) (int, error) {
 			return 0, err
 		}
 	}
-	sorted := make([]Record, len(records))
-	copy(sorted, records)
-	// Stable, so duplicate keys apply in submission order and the batch
-	// nets out to the last submitted value, like sequential Puts.
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return bytes.Compare(sorted[i].Key, sorted[j].Key) < 0
-	})
+	sorted := sortRecords(records)
 
 	done := 0
 	retries := 0
@@ -115,6 +110,28 @@ func (h *HART) putBatchOp(records []Record) (int, error) {
 	h.obs.putBatches.Add(1)
 	h.obs.batchRecords.Add(uint64(done))
 	return done, nil
+}
+
+// sortRecords returns the records ordered by key and, among equal keys, by
+// submission position, so duplicates apply in submission order and the
+// batch nets out to the last submitted value, like sequential Puts. It
+// sorts 4-byte positions and gathers the 48-byte records once.
+func sortRecords(records []Record) []Record {
+	pos := make([]int32, len(records))
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	slices.SortFunc(pos, func(a, b int32) int {
+		if c := bytes.Compare(records[a].Key, records[b].Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	sorted := make([]Record, len(records))
+	for i, p := range pos {
+		sorted[i] = records[p]
+	}
+	return sorted
 }
 
 // groupStable reports whether every record still routes to hashKey under
@@ -420,9 +437,8 @@ func (h *HART) DeleteBatch(keys [][]byte) (int, error) {
 			return 0, err
 		}
 	}
-	sorted := make([][]byte, len(keys))
-	copy(sorted, keys)
-	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i], sorted[j]) < 0 })
+	sorted := slices.Clone(keys)
+	slices.SortFunc(sorted, bytes.Compare)
 
 	done := 0
 	for _, k := range sorted {

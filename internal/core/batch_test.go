@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -386,5 +389,68 @@ func TestPutBatchMatchesIndividualPuts(t *testing.T) {
 	}
 	if err := hb.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSortRecordsMatchesStableSort pins PutBatch's application order: by
+// key, and among duplicates by submission position — exactly what a
+// stable sort of the records by key gives.
+func TestSortRecordsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 50; round++ {
+		recs := make([]Record, rng.Intn(300))
+		for i := range recs {
+			// A small key space, so most batches carry duplicates.
+			recs[i] = Record{
+				Key:   []byte(fmt.Sprintf("%c%c%d", 'a'+rng.Intn(3), 'a'+rng.Intn(3), rng.Intn(20))),
+				Value: []byte(fmt.Sprint(i)),
+			}
+		}
+		want := slices.Clone(recs)
+		sort.SliceStable(want, func(i, j int) bool { return bytes.Compare(want[i].Key, want[j].Key) < 0 })
+		got := sortRecords(recs)
+		for i := range want {
+			if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
+				t.Fatalf("round %d: record %d is (%s, %s), want (%s, %s)", round, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+			}
+		}
+	}
+}
+
+// TestPutBatchAllocBudget bounds the allocations of a 256-record PutBatch
+// into shards that already exist: one record per shard, the shape of a
+// bulk load over a kh = 2 directory, and sixteen per shard. The budgets
+// are what the batch cost when it sorted the records themselves by
+// reflection; sorting positions must not cost more.
+func TestPutBatchAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		shards int
+		budget float64
+	}{
+		{"1 per shard", 256, 4},
+		{"16 per shard", 16, 116},
+	} {
+		h, err := New(Options{ArenaSize: 16 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := make([]Record, 256)
+		for i := range recs {
+			s := i % c.shards
+			recs[i] = Record{Key: []byte(fmt.Sprintf("%c%c-%03d", 'A'+s/16, 'A'+s%16, i)), Value: []byte("value-01")}
+		}
+		if n, err := h.PutBatch(recs); err != nil || n != len(recs) {
+			t.Fatalf("%s: load PutBatch = (%d, %v)", c.name, n, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if n, err := h.PutBatch(recs); err != nil || n != len(recs) {
+				t.Fatalf("%s: PutBatch = (%d, %v)", c.name, n, err)
+			}
+		})
+		if allocs > c.budget {
+			t.Errorf("%s: PutBatch of %d records allocates %.1f, budget %.0f", c.name, len(recs), allocs, c.budget)
+		}
+		h.Close()
 	}
 }

@@ -608,9 +608,11 @@ func (h *HART) validateWrite(key, value []byte) error {
 // snapshot; creation re-routes under dirMu — the geometry may have
 // changed since the optimistic route, and inserting under a stale prefix
 // would resurrect an entry a split just removed — then clones the table
-// and publishes the clone. The returned shard is unlocked; a caller that
-// locks it must re-check shard.dead and retry, since an emptied, split
-// or merged shard may have left the directory meanwhile.
+// and publishes the clone, which copies the segment headers and the one
+// segment the entry lands in (hashdir.Clone). The returned shard is
+// unlocked; a caller that locks it must re-check shard.dead and retry,
+// since an emptied, split or merged shard may have left the directory
+// meanwhile.
 func (h *HART) getShard(key []byte, create bool) (*artShard, []byte) {
 	d := h.dir.Load()
 	hk := d.route(key, h.opts.HashKeyLen)

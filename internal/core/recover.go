@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,7 +113,7 @@ func (h *HART) recover() error {
 	for _, p := range parts {
 		all = append(all, p...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].hk < all[j].hk })
+	slices.SortFunc(all, func(a, b builtShard) int { return strings.Compare(a.hk, b.hk) })
 	keys := make([]string, len(all))
 	shards := make([]*artShard, len(all))
 	for i, bs := range all {
@@ -334,7 +334,7 @@ func (h *HART) buildPartition(recs []recLeaf) []builtShard {
 		pend  []leafRef
 	}
 	byHK := make(map[string]*shardBuild)
-	out := make([]builtShard, 0, len(byHK))
+	var out []builtShard
 	for _, r := range recs {
 		// Under LazyRecovery the scan already reduced r.key to the routed
 		// prefix; eager records carry the full key and route here.
@@ -446,7 +446,7 @@ func (h *HART) buildPending(s *artShard) {
 		h.keyFromHeader(ref.ptr(), hdr, key)
 		recs = append(recs, recLeaf{ref: ref, key: key})
 	}
-	sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i].key, recs[j].key) < 0 })
+	slices.SortFunc(recs, func(a, b recLeaf) int { return bytes.Compare(a.key, b.key) })
 	b := art.New().BeginBatch()
 	for _, r := range recs {
 		var artKey []byte

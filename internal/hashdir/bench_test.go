@@ -1,0 +1,71 @@
+package hashdir
+
+import (
+	"slices"
+	"testing"
+)
+
+// sink keeps benchmarked results alive.
+var sink int
+
+// BenchmarkCreateShards times building the 3 844-entry directory one entry
+// at a time, each a Clone+Put as HART's shard creation does it.
+func BenchmarkCreateShards(b *testing.B) {
+	keys := pairKeys(alphabet62)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tb, _ := createOneByOne(New[int](), keys)
+		sink += tb.Len()
+	}
+}
+
+// BenchmarkCreateShardsScanned is BenchmarkCreateShards with a scanner
+// that reads the sorted key list of every table published, as a Scan
+// running during the load does at each step.
+func BenchmarkCreateShardsScanned(b *testing.B) {
+	keys := pairKeys(alphabet62)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tb := New[int]()
+		for j, k := range keys {
+			nu := tb.Clone()
+			nu.Put(k, j)
+			tb = nu
+			sink += len(tb.SortedKeys())
+		}
+	}
+}
+
+// BenchmarkGet times a hit in the 3 844-entry directory.
+func BenchmarkGet(b *testing.B) {
+	keys := pairKeys(alphabet62)
+	tb := New[int]()
+	for i, k := range keys {
+		tb.Put(k, i)
+	}
+	b.ResetTimer()
+	for i, j := 0, 0; i < b.N; i++ {
+		v, _ := tb.Get(keys[j])
+		sink += v
+		if j++; j == len(keys) {
+			j = 0
+		}
+	}
+}
+
+// BenchmarkNewFromSorted times recovery's bulk construction of the
+// 3 844-entry directory.
+func BenchmarkNewFromSorted(b *testing.B) {
+	pairs := pairKeys(alphabet62)
+	keys := make([]string, len(pairs))
+	for i, k := range pairs {
+		keys[i] = string(k)
+	}
+	slices.Sort(keys)
+	vals := make([]int, len(keys))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += NewFromSorted(keys, vals).Len()
+	}
+}

@@ -49,16 +49,27 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestDRAMBytesMatchesLayout pins DRAMBytes to the real slot layout.
+// TestDRAMBytesMatchesLayout pins DRAMBytes to the real layout: segment
+// headers, slot arrays, and the sorted list only once it is built.
 func TestDRAMBytesMatchesLayout(t *testing.T) {
 	tb := New[uint64]()
+	// A power-of-two header stride keeps Get's segment index a shift.
+	if sz := unsafe.Sizeof(tb.segs[0]); sz != 32 {
+		t.Fatalf("segment header is %d B, want 32", sz)
+	}
+	headers := int64(unsafe.Sizeof(tb.segs))
 	per := int64(unsafe.Sizeof(slot[uint64]{}))
-	if got, want := tb.DRAMBytes(), int64(minBuckets)*per; got != want {
-		t.Fatalf("empty DRAMBytes = %d, want %d", got, want)
+	if got := tb.DRAMBytes(); got != headers {
+		t.Fatalf("empty DRAMBytes = %d, want %d (headers only, no slots)", got, headers)
 	}
 	tb.Put([]byte("ab"), 1)
-	want := int64(len(tb.slots))*per + int64(unsafe.Sizeof("")) + 2
+	want := headers + minSegBuckets*per
 	if got := tb.DRAMBytes(); got != want {
-		t.Fatalf("DRAMBytes = %d, want %d", got, want)
+		t.Fatalf("DRAMBytes = %d, want %d before the sorted list is built", got, want)
+	}
+	tb.SortedKeys()
+	want += int64(unsafe.Sizeof("")) + 2
+	if got := tb.DRAMBytes(); got != want {
+		t.Fatalf("DRAMBytes = %d, want %d with the sorted list", got, want)
 	}
 }

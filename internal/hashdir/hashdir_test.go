@@ -196,17 +196,3 @@ func TestDRAMBytesPositive(t *testing.T) {
 		t.Fatal("DRAMBytes not positive")
 	}
 }
-
-func BenchmarkGet(b *testing.B) {
-	tb := New[int]()
-	const n = 4096
-	keys := make([][]byte, n)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("%02x%02x", i>>8, i&0xff))
-		tb.Put(keys[i], i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.Get(keys[i%n])
-	}
-}

@@ -2,6 +2,7 @@ package hashdir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -42,9 +43,14 @@ func TestNewFromSorted(t *testing.T) {
 				t.Fatalf("n=%d: sorted[%d] = %q vs %q", n, i, bs[i], is[i])
 			}
 		}
-		st := bulk.Stats()
-		if (st.Live+1)*maxLoadDen >= st.Buckets*maxLoadNum {
-			t.Fatalf("n=%d: table over load threshold: %+v", n, st)
+		for i := range bulk.segs {
+			sg := &bulk.segs[i]
+			if sg.live > 0 && (int(sg.live)+1)*maxLoadDen >= len(sg.slots)*maxLoadNum {
+				t.Fatalf("n=%d: segment %d over load threshold: %d live in %d slots", n, i, sg.live, len(sg.slots))
+			}
+			if sg.live == 0 && sg.slots != nil {
+				t.Fatalf("n=%d: empty segment %d holds %d slots", n, i, len(sg.slots))
+			}
 		}
 		// The table stays fully usable for subsequent mutation.
 		bulk.Put([]byte("zzz"), -1)
@@ -66,5 +72,48 @@ func TestNewFromSortedRejectsUnsorted(t *testing.T) {
 			}()
 			NewFromSorted(keys, make([]int, len(keys)))
 		}()
+	}
+}
+
+// TestSortedListKeptAcrossCreation: once any table of a lineage has been
+// asked for its sorted list, each clone → Put or Delete step hands the
+// next snapshot a ready list, so a scan that reads every snapshot of a
+// load never sorts again — also when the writer cloned before the scan's
+// first call.
+func TestSortedListKeptAcrossCreation(t *testing.T) {
+	keys := pairKeys(alphabet62)
+	tb := New[int]()
+	for i, k := range keys[:100] {
+		tb.Put(k, i)
+	}
+	if tb.sorted.Load() != nil {
+		t.Fatal("a lineage nobody scanned holds a sorted list")
+	}
+	nu := tb.Clone() // the writer's clone, taken before the scan
+	tb.SortedKeys()  // the scan, on the published table
+	nu.Put(keys[100], 100)
+	if nu.sorted.Load() == nil {
+		t.Fatal("a clone taken before the first SortedKeys has no list after its Put")
+	}
+	tb = nu
+	for i, k := range keys[101:] {
+		nu := tb.Clone()
+		nu.Put(k, i)
+		if i%3 == 0 {
+			nu.Delete(keys[i])
+		}
+		if nu.sorted.Load() == nil {
+			t.Fatalf("creation %d: the new snapshot has no sorted list", i)
+		}
+		tb = nu
+	}
+	var want []string
+	tb.Range(func(k []byte, _ int) bool {
+		want = append(want, string(k))
+		return true
+	})
+	slices.Sort(want)
+	if got := tb.SortedKeys(); !slices.Equal(got, want) {
+		t.Fatalf("derived list has %d keys, the table %d", len(got), len(want))
 	}
 }

@@ -28,6 +28,10 @@ go test -run='^$' -fuzz=FuzzARTDifferential -fuzztime=10s ./internal/art/
 go test -run='^$' -fuzz=FuzzModelCheck -fuzztime=10s ./internal/modelcheck/
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 
+# The directory's micro-benchmarks (shard creation, Get, bulk build), one
+# iteration each, so they keep compiling and running.
+go test -run '^$' -bench . -benchtime 1x ./internal/hashdir/
+
 # The benchmark is a nested module (benchmark/go.mod), so nothing above
 # compiles it. Its smoke test runs every workload at toy scale against the
 # product code as it stands: a change that stops the benchmark compiling,
