@@ -137,8 +137,8 @@ func main() {
 	}
 }
 
-// runSkew runs the zipfian-skew fixed vs elastic directory comparison
-// (the skew-resilience evidence for hot-shard splitting).
+// runSkew runs the zipfian vs uniform insert comparison: what a skewed
+// key stream costs the directory's per-shard write locks.
 func runSkew(cfg bench.Config) {
 	rep, err := bench.RunSkew(cfg)
 	if err != nil {

@@ -25,6 +25,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 
 	hart "github.com/casl-sdsu/hart"
@@ -50,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		size    = fs.Int64("size", 64<<20, "arena size for a fresh store")
 		lazy    = fs.Bool("lazy", false, "lazy per-shard recovery on attach")
 		workers = fs.Int("recovery-workers", 0, "parallel recovery workers (0 = GOMAXPROCS)")
-		elastic = fs.Bool("elastic", false, "enable elastic directory splitting")
 		hists   = fs.Bool("latency-hists", false, "collect latency histograms (small hot-path cost)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -61,11 +61,13 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 2
 	}
 
+	if *workers == 0 {
+		*workers = runtime.GOMAXPROCS(0)
+	}
 	db, err := hart.Open(*dbPath, hart.Options{
-		ArenaSize:        *size,
-		LazyRecovery:     *lazy,
-		RecoveryWorkers:  *workers,
-		ElasticDirectory: *elastic,
+		ArenaSize:       *size,
+		LazyRecovery:    *lazy,
+		RecoveryWorkers: *workers,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "hartd: cannot open %s: %v\n", *dbPath, err)
@@ -74,11 +76,15 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if *hists {
 		db.EnableMetrics(true)
 	}
+	// Only an attach runs recovery, and recovery runs with one worker or
+	// more.
 	how := "created"
-	if rs := db.LastRecoveryStats(); rs.WasClean {
-		how = "clean shutdown"
-	} else if db.Len() > 0 {
+	if rs := db.LastRecoveryStats(); rs.Workers > 0 {
 		how = "crash image, recovered"
+		if rs.WasClean {
+			how = "clean shutdown"
+		}
+		how += fmt.Sprintf(", %d recovery workers", rs.Workers)
 	}
 	fmt.Fprintf(stdout, "hartd: opened %s: %d records (%s)\n", *dbPath, db.Len(), how)
 

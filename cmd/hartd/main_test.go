@@ -15,6 +15,7 @@ import (
 
 	hart "github.com/casl-sdsu/hart"
 	"github.com/casl-sdsu/hart/client"
+	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
 // TestHelperHartd is not a real test: it is the daemon body for the
@@ -34,12 +35,14 @@ func TestHelperHartd(t *testing.T) {
 	}
 }
 
-// daemon is one spawned hartd child process. done is closed once the
-// process has exited (waitErr holds its exit error), so any number of
-// receivers can wait on it.
+// daemon is one spawned hartd child process. opened is the line it
+// printed on attaching the store. done is closed once the process has
+// exited (waitErr holds its exit error), so any number of receivers can
+// wait on it.
 type daemon struct {
 	cmd     *exec.Cmd
 	addr    string
+	opened  string
 	done    chan struct{}
 	waitErr error
 }
@@ -56,12 +59,12 @@ func (d *daemon) exited(t *testing.T, within time.Duration) error {
 	}
 }
 
-// startDaemon spawns hartd (via the helper) on path and waits until it
-// reports its listen address.
-func startDaemon(t *testing.T, path string) *daemon {
+// startDaemon spawns hartd (via the helper) on path, with env added to
+// its environment, and waits until it reports its listen address.
+func startDaemon(t *testing.T, path string, env ...string) *daemon {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=TestHelperHartd$")
-	cmd.Env = append(os.Environ(), "HARTD_TEST_DB="+path)
+	cmd.Env = append(append(os.Environ(), "HARTD_TEST_DB="+path), env...)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -81,6 +84,9 @@ func startDaemon(t *testing.T, path string) *daemon {
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
+			if strings.HasPrefix(line, "hartd: opened ") {
+				d.opened = line
+			}
 			if rest, ok := strings.CutPrefix(line, "hartd: listening on "); ok {
 				select {
 				case addrCh <- rest:
@@ -250,6 +256,40 @@ func TestKillMidTrafficDurability(t *testing.T) {
 	}
 	if db.Len() < checked {
 		t.Fatalf("final store has %d records, fewer than %d acked", db.Len(), checked)
+	}
+}
+
+// TestRecoveryWorkersDefault reopens a dirty image with no
+// -recovery-workers flag: recovery must run on GOMAXPROCS workers, as the
+// flag's help says, not serially.
+func TestRecoveryWorkersDefault(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dirty.hart")
+	db, err := hart.Open(path, hart.Options{ArenaSize: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("dirty-%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Abandon the store without Close, so the image stays dirty.
+	if err := db.Arena().Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pmem.BackendOf(db.Arena()).Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d := startDaemon(t, path, "GOMAXPROCS=3")
+	if want := "100 records (crash image, recovered, 3 recovery workers)"; !strings.HasSuffix(d.opened, want) {
+		t.Fatalf("hartd printed %q, want it to end in %q", d.opened, want)
+	}
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("signal: %v", err)
+	}
+	if err := d.exited(t, 30*time.Second); err != nil {
+		t.Fatalf("daemon exit after SIGTERM: %v", err)
 	}
 }
 

@@ -75,15 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		time.Duration(rs.BuildNs).Round(time.Microsecond),
 		time.Duration(rs.SweepNs).Round(time.Microsecond))
 	dir := st.Dir
-	fmt.Fprintf(stdout, "  directory: %d entries, depth %d", dir.Entries, dir.BaseDepth)
-	if dir.MaxDepth > dir.BaseDepth {
-		fmt.Fprintf(stdout, "-%d", dir.MaxDepth)
-	}
-	fmt.Fprintf(stdout, ", %d/%d split prefixes persisted", dir.Splits, dir.SplitCap)
-	if dir.SplitsDone > 0 || dir.MergesDone > 0 {
-		fmt.Fprintf(stdout, " (%d splits, %d merges this run)", dir.SplitsDone, dir.MergesDone)
-	}
-	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "  directory: %d entries, hash key %d bytes\n", dir.Entries, db.Options().HashKeyLen)
 	for i, hs := range dir.Hot {
 		if i >= 3 || hs.Ops == 0 {
 			break

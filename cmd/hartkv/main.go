@@ -182,9 +182,13 @@ func run(args []string) int {
 				fmt.Printf("class %-8s: %d used, %d chunks (+%d free), %.2f MB PM\n",
 					cs.Name, cs.Used, cs.Chunks, cs.FreeChunks, float64(cs.PMBytes)/(1<<20))
 			}
-			d := st.Dir
-			fmt.Printf("directory: %d entries, depth %d..%d, %d/%d split prefixes (%d splits, %d merges since open)\n",
-				d.Entries, d.BaseDepth, d.MaxDepth, d.Splits, d.SplitCap, d.SplitsDone, d.MergesDone)
+			fmt.Printf("directory: %d entries, hash key %d bytes\n", st.Dir.Entries, db.Options().HashKeyLen)
+			for i, hs := range st.Dir.Hot {
+				if i >= 3 || hs.Ops == 0 {
+					break
+				}
+				fmt.Printf("  hot shard %-8q: %d records, %d ops since open\n", hs.Prefix, hs.Records, hs.Ops)
+			}
 			m := db.Metrics()
 			for _, name := range sortedNames(m.Counters) {
 				fmt.Printf("  %-22s %d\n", name, m.Counters[name])

@@ -115,22 +115,6 @@ type Options struct {
 	// and each shard's ART is built on first touch or by DrainRecovery
 	// (typically started in the background right after Restore).
 	LazyRecovery bool
-	// ElasticDirectory enables hot-shard splitting and cold-group merging:
-	// a shard whose write heat crosses SplitOps is split into per-byte
-	// child ARTs under one-byte-longer directory prefixes, restoring write
-	// concurrency under skewed (e.g. zipfian) workloads; groups shrunk
-	// below MergeRecords by deletes fold back. The split geometry is
-	// persisted in the superblock, so a store reopens with the shape it
-	// crashed with regardless of this flag (the flag only gates *new*
-	// geometry changes).
-	ElasticDirectory bool
-	// SplitOps is the per-shard write-op heat threshold that triggers a
-	// split (default 4096). Only meaningful with ElasticDirectory.
-	SplitOps int
-	// MergeRecords is the record-count ceiling below which a delete may
-	// merge a cold split group back into its parent (default 48). Only
-	// meaningful with ElasticDirectory.
-	MergeRecords int
 }
 
 // Record is one key-value pair for DB.PutBatch. The alias makes the
@@ -155,10 +139,6 @@ func (o Options) coreOptions() core.Options {
 		ValueClasses:    o.ValueClasses,
 		RecoveryWorkers: o.RecoveryWorkers,
 		LazyRecovery:    o.LazyRecovery,
-
-		ElasticDirectory: o.ElasticDirectory,
-		SplitOps:         o.SplitOps,
-		MergeRecords:     o.MergeRecords,
 	}
 	if o.PMWriteNs > 0 || o.PMReadNs > 0 {
 		opts.Latency = latency.Config{

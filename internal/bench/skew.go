@@ -15,12 +15,10 @@ import (
 
 // Skew experiment: multi-writer insert throughput when the key stream is
 // zipfian over a small prefix universe, so a handful of hash-directory
-// shards absorb most of the writes. The fixed kh=2 directory serialises
-// every writer on the hot shard's lock and keeps growing one big COW ART
-// there; the elastic directory (DESIGN.md §14) notices the heat and
-// splits the hot shard into one-byte-deeper children, which in this
-// workload are per-writer (the byte after the rank prefix is the writer
-// tag), restoring the disjoint-shard parallelism of the uniform case.
+// shards absorb most of the writes, against the same inserts drawn
+// uniformly. The kh=2 directory serialises every writer on the hot
+// shard's lock and keeps growing one big COW ART there; the ratio of the
+// two is what the skew costs.
 //
 // Latency injection is off: the subject is directory contention, which
 // identical PM penalties would only dilute.
@@ -39,9 +37,8 @@ const SkewReps = 3
 
 // SkewResult is one measured cell of the skew comparison.
 type SkewResult struct {
-	// Mode is "uniform" (uniform ranks, fixed directory — the ceiling),
-	// "fixed" (zipfian ranks, fixed kh=2 directory — the baseline) or
-	// "elastic" (zipfian ranks, hot-shard splitting on).
+	// Mode is "uniform" (uniform ranks — the ceiling) or "zipfian"
+	// (zipfian ranks).
 	Mode string
 	// Op is always "Put": a bulk insert of Records fresh keys.
 	Op string
@@ -51,15 +48,10 @@ type SkewResult struct {
 	NsPerOp float64
 	// MOPS is millions of inserts per second (all writers combined).
 	MOPS float64
-	// Splits and MaxDepth report the directory geometry after the run
-	// (elastic rows only): persisted split prefixes and the longest
-	// directory entry.
-	Splits   int
-	MaxDepth int
 }
 
 // SkewReport is what RunSkew measured: one result per mode and thread
-// count, and the two ratios the comparison is read by.
+// count, and the ratio the comparison is read by.
 type SkewReport struct {
 	// Records is the number of keys each cell inserts.
 	Records   int
@@ -67,26 +59,17 @@ type SkewReport struct {
 	// Theta and RankUniverse parameterise the zipfian key stream.
 	Theta        float64
 	RankUniverse int
-	// SplitOps is the heat threshold the elastic cells ran with.
-	SplitOps int
-	NumCPU   int
-	Results  []SkewResult
-	// RecoveredFrac maps "t<threads>" to elastic MOPS ÷ uniform MOPS:
-	// the fraction of the unskewed throughput the elastic directory
-	// recovers under zipfian skew. The acceptance bar is ≥ 0.70 at every
-	// multi-writer thread count.
-	RecoveredFrac map[string]float64
-	// FixedFrac maps "t<threads>" to fixed MOPS ÷ uniform MOPS: how much
-	// the skew costs when the directory cannot adapt, kept as the
-	// measured baseline.
-	FixedFrac map[string]float64
+	NumCPU       int
+	Results      []SkewResult
+	// ZipfianFrac maps "t<threads>" to zipfian MOPS ÷ uniform MOPS: the
+	// share of the unskewed throughput left under zipfian skew.
+	ZipfianFrac map[string]float64
 }
 
 // skewKeys generates each writer's insert stream: the first two bytes
 // encode a rank drawn from dist over [0, SkewRankUniverse), the third
 // byte tags the writer, and a fixed-width counter makes the key unique.
-// Under zipfian ranks the hot shard's children split by the writer tag,
-// so a split is exactly a writer-parallelism restoration.
+// Writers share a shard exactly when they draw the same rank.
 func skewKeys(n, threads int, dist workload.Distribution, seed int64) [][][]byte {
 	const alpha = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 	per := (n + threads - 1) / threads
@@ -120,12 +103,8 @@ func skewKeys(n, threads int, dist workload.Distribution, seed int64) [][][]byte
 // pre-generated per-writer key streams, manual wall-clock over the
 // partitioned writers (the generator cost stays outside the timed
 // region).
-func skewCell(c Config, mode string, parts [][][]byte, splitOps, threads int) (SkewResult, error) {
-	h, err := core.New(core.Options{
-		ArenaSize:        arenaSize("HART", c.Records),
-		ElasticDirectory: mode == "elastic",
-		SplitOps:         splitOps,
-	})
+func skewCell(c Config, mode string, parts [][][]byte, threads int) (SkewResult, error) {
+	h, err := core.New(core.Options{ArenaSize: arenaSize("HART", c.Records)})
 	if err != nil {
 		return SkewResult{}, err
 	}
@@ -170,13 +149,7 @@ func skewCell(c Config, mode string, parts [][][]byte, splitOps, threads int) (S
 		return SkewResult{}, fmt.Errorf("skew %s left %d records, want %d", mode, got, total)
 	}
 	ns := float64(d.Nanoseconds()) / float64(total)
-	res := SkewResult{Mode: mode, Op: "Put", Threads: threads, NsPerOp: ns, MOPS: 1e3 / ns}
-	if mode == "elastic" {
-		st := h.Stats()
-		res.Splits = st.Dir.Splits
-		res.MaxDepth = st.Dir.MaxDepth
-	}
-	return res, nil
+	return SkewResult{Mode: mode, Op: "Put", Threads: threads, NsPerOp: ns, MOPS: 1e3 / ns}, nil
 }
 
 // RunSkew measures the skew comparison and returns the report.
@@ -186,23 +159,16 @@ func RunSkew(c Config) (*SkewReport, error) {
 	if len(threads) == 0 {
 		threads = []int{1, 4, 8}
 	}
-	// Scale the split threshold with the run so toy-sized smoke runs
-	// still split: the hot shard sees ~13% of all inserts, so Records/64
-	// leaves it roughly eight splits' worth of heat.
-	splitOps := max(128, c.Records/64)
-
 	rep := &SkewReport{
-		Records:       c.Records,
-		ValueSize:     c.ValueSize,
-		Theta:         SkewTheta,
-		RankUniverse:  SkewRankUniverse,
-		SplitOps:      splitOps,
-		NumCPU:        runtime.NumCPU(),
-		RecoveredFrac: map[string]float64{},
-		FixedFrac:     map[string]float64{},
+		Records:      c.Records,
+		ValueSize:    c.ValueSize,
+		Theta:        SkewTheta,
+		RankUniverse: SkewRankUniverse,
+		NumCPU:       runtime.NumCPU(),
+		ZipfianFrac:  map[string]float64{},
 	}
 	uniformMOPS := map[int]float64{}
-	for _, mode := range []string{"uniform", "fixed", "elastic"} {
+	for _, mode := range []string{"uniform", "zipfian"} {
 		dist := workload.ZipfTheta(SkewTheta)
 		if mode == "uniform" {
 			dist = workload.Uniform()
@@ -212,7 +178,7 @@ func RunSkew(c Config) (*SkewReport, error) {
 			parts := skewKeys(c.Records, t, dist, c.Seed+int64(t))
 			var r SkewResult
 			for rep := 0; rep < SkewReps; rep++ {
-				rr, err := skewCell(c, mode, parts, splitOps, t)
+				rr, err := skewCell(c, mode, parts, t)
 				if err != nil {
 					return nil, err
 				}
@@ -221,18 +187,10 @@ func RunSkew(c Config) (*SkewReport, error) {
 				}
 			}
 			rep.Results = append(rep.Results, r)
-			key := fmt.Sprintf("t%d", t)
-			switch mode {
-			case "uniform":
+			if mode == "uniform" {
 				uniformMOPS[t] = r.MOPS
-			case "fixed":
-				if base := uniformMOPS[t]; base > 0 {
-					rep.FixedFrac[key] = r.MOPS / base
-				}
-			case "elastic":
-				if base := uniformMOPS[t]; base > 0 {
-					rep.RecoveredFrac[key] = r.MOPS / base
-				}
+			} else if base := uniformMOPS[t]; base > 0 {
+				rep.ZipfianFrac[fmt.Sprintf("t%d", t)] = r.MOPS / base
 			}
 		}
 	}
@@ -253,25 +211,13 @@ func sortedKeys(m map[string]float64) []string {
 
 // FprintTable renders the report for the terminal.
 func (r *SkewReport) FprintTable(w io.Writer) {
-	fmt.Fprintf(w, "\n== Skew: zipfian(theta=%.2f, ranks=%d) inserts, fixed vs elastic directory (records=%d, split_ops=%d, NumCPU=%d) ==\n",
-		r.Theta, r.RankUniverse, r.Records, r.SplitOps, r.NumCPU)
-	fmt.Fprintf(w, "%-10s %-6s %-8s %12s %10s %8s %9s\n", "mode", "op", "threads", "ns/op", "Mops/s", "splits", "max depth")
+	fmt.Fprintf(w, "\n== Skew: zipfian(theta=%.2f, ranks=%d) vs uniform inserts (records=%d, NumCPU=%d) ==\n",
+		r.Theta, r.RankUniverse, r.Records, r.NumCPU)
+	fmt.Fprintf(w, "%-10s %-6s %-8s %12s %10s\n", "mode", "op", "threads", "ns/op", "Mops/s")
 	for _, res := range r.Results {
-		depth := ""
-		if res.MaxDepth > 0 {
-			depth = fmt.Sprintf("%9d", res.MaxDepth)
-		}
-		splits := ""
-		if res.Mode == "elastic" {
-			splits = fmt.Sprintf("%8d", res.Splits)
-		}
-		fmt.Fprintf(w, "%-10s %-6s %-8d %12.1f %10.3f %8s %9s\n",
-			res.Mode, res.Op, res.Threads, res.NsPerOp, res.MOPS, splits, depth)
+		fmt.Fprintf(w, "%-10s %-6s %-8d %12.1f %10.3f\n", res.Mode, res.Op, res.Threads, res.NsPerOp, res.MOPS)
 	}
-	for _, t := range sortedKeys(r.FixedFrac) {
-		fmt.Fprintf(w, "fixed/uniform %s: %.2f\n", t, r.FixedFrac[t])
-	}
-	for _, t := range sortedKeys(r.RecoveredFrac) {
-		fmt.Fprintf(w, "elastic/uniform %s: %.2f (bar: ≥ 0.70 multi-writer)\n", t, r.RecoveredFrac[t])
+	for _, t := range sortedKeys(r.ZipfianFrac) {
+		fmt.Fprintf(w, "zipfian/uniform %s: %.2f\n", t, r.ZipfianFrac[t])
 	}
 }

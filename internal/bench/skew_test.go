@@ -7,8 +7,8 @@ import (
 )
 
 // TestRunSkewSmoke runs the skew comparison at toy scale and checks the
-// report's shape: every mode × thread cell present, the elastic cells
-// actually split, and the fraction maps filled.
+// report's shape: every mode × thread cell present and the fraction map
+// filled.
 func TestRunSkewSmoke(t *testing.T) {
 	c := Config{Records: 6000, PathThreads: []int{2}}.WithDefaults()
 	c.Out = nil
@@ -19,8 +19,8 @@ func TestRunSkewSmoke(t *testing.T) {
 	if rep.Records != 6000 || rep.Theta != SkewTheta || rep.RankUniverse != SkewRankUniverse {
 		t.Fatalf("header wrong: %+v", rep)
 	}
-	if len(rep.Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(rep.Results))
+	if len(rep.Results) != 2 {
+		t.Fatalf("results = %d, want 2", len(rep.Results))
 	}
 	cells := map[string]SkewResult{}
 	for _, r := range rep.Results {
@@ -29,22 +29,18 @@ func TestRunSkewSmoke(t *testing.T) {
 		}
 		cells[r.Mode] = r
 	}
-	for _, mode := range []string{"uniform", "fixed", "elastic"} {
+	for _, mode := range []string{"uniform", "zipfian"} {
 		if _, ok := cells[mode]; !ok {
 			t.Fatalf("missing cell %s", mode)
 		}
 	}
-	// The zipfian hot shard must cross the scaled threshold and split.
-	if e := cells["elastic"]; e.Splits == 0 || e.MaxDepth <= 2 {
-		t.Fatalf("elastic run did not split: %+v", e)
-	}
-	if rep.RecoveredFrac["t2"] <= 0 || rep.FixedFrac["t2"] <= 0 {
-		t.Fatalf("fraction maps missing: %v %v", rep.RecoveredFrac, rep.FixedFrac)
+	if rep.ZipfianFrac["t2"] <= 0 {
+		t.Fatalf("fraction map missing: %v", rep.ZipfianFrac)
 	}
 
 	var tbl bytes.Buffer
 	rep.FprintTable(&tbl)
-	for _, want := range []string{"elastic", "fixed", "uniform", "elastic/uniform t2"} {
+	for _, want := range []string{"zipfian", "uniform", "zipfian/uniform t2"} {
 		if !strings.Contains(tbl.String(), want) {
 			t.Fatalf("table missing %q:\n%s", want, tbl.String())
 		}

@@ -50,39 +50,19 @@ func (h *HART) putBatchOp(records []Record) (int, error) {
 	sorted := sortRecords(records)
 
 	done := 0
-	retries := 0
 	for i := 0; i < len(sorted); {
+		// Extend the run of records sharing this hash key: sorted order
+		// makes it contiguous, since a key shorter than kh is its own hash
+		// key and sorts before every longer key it prefixes.
 		hashKey, _ := h.splitKey(sorted[i].Key)
-		// Extend the run of records sharing this hash key (sorted order
-		// makes the run contiguous). After repeated validation failures —
-		// possible only under concurrent elastic geometry churn — degrade
-		// to single-record groups, which are always self-consistent.
 		j := i + 1
-		if retries < 3 {
-			for j < len(sorted) {
-				hk2, _ := h.splitKey(sorted[j].Key)
-				if !bytes.Equal(hk2, hashKey) {
-					break
-				}
-				j++
+		for j < len(sorted) {
+			if hk, _ := h.splitKey(sorted[j].Key); !bytes.Equal(hk, hashKey) {
+				break
 			}
+			j++
 		}
-		s, lockedHK := h.lockShardW(sorted[i].Key, true)
-		if j-i == 1 {
-			// The route taken under the lock is authoritative for a
-			// single record, whatever grouping thought.
-			hashKey = lockedHK
-		} else if !bytes.Equal(lockedHK, hashKey) || !h.groupStable(sorted[i+1:j], hashKey) {
-			// A split or merge rerouted part of the group between the
-			// optimistic grouping and the lock: regroup against the new
-			// geometry. Holding the shard lock pins the routes of keys
-			// that NOW map to lockedHK, so a group that validates here
-			// stays valid for the whole application.
-			s.mu.Unlock()
-			retries++
-			continue
-		}
-		retries = 0
+		s, _ := h.lockShardW(sorted[i].Key, true)
 		s.beginWrite()
 		var n int
 		var err error
@@ -94,11 +74,8 @@ func (h *HART) putBatchOp(records []Record) (int, error) {
 			n, err = h.putGroup(s, hashKey, sorted[i:j])
 		}
 		s.endWrite()
-		hot := err == nil && n > 0 && h.noteWrite(s, n)
+		s.ops.Add(uint64(n))
 		s.mu.Unlock()
-		if hot {
-			h.maybeSplit(hashKey)
-		}
 		done += n
 		if err != nil {
 			h.obs.putBatches.Add(1)
@@ -134,31 +111,10 @@ func sortRecords(records []Record) []Record {
 	return sorted
 }
 
-// groupStable reports whether every record still routes to hashKey under
-// the current directory snapshot. Called with the shard at hashKey write-
-// locked, after which the answer cannot change: splitting hashKey needs
-// this lock, its ancestor entries are residual-only (never split), and a
-// merge covering it locks this shard too. Geometry is immutable without
-// ElasticDirectory, so the scan is skipped there.
-func (h *HART) groupStable(recs []Record, hashKey []byte) bool {
-	if !h.opts.ElasticDirectory {
-		return true
-	}
-	d := h.dir.Load()
-	for _, r := range recs {
-		if !bytes.Equal(d.route(r.Key, h.opts.HashKeyLen), hashKey) {
-			return false
-		}
-	}
-	return true
-}
-
 // putGroupSeq applies one group with the per-record protocol and one
 // tree republication per key: what PutBatch uses for single-record
 // groups, which have nothing to amortise. Caller holds the shard write
-// lock and an open seqlock section; hashKey is the group's validated
-// route, so ART keys are formed by stripping it rather than re-routing
-// through a possibly newer snapshot.
+// lock and an open seqlock section.
 func (h *HART) putGroupSeq(s *artShard, hashKey []byte, recs []Record) (int, error) {
 	stripe := epalloc.StripeFor(hashKey)
 	done := 0

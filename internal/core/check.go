@@ -64,8 +64,8 @@ func (h *HART) Check() error {
 		hk string
 		s  *artShard
 	}
-	shards := make([]namedShard, 0, d.tab.Len())
-	d.tab.Range(func(hk []byte, s *artShard) bool {
+	shards := make([]namedShard, 0, d.Len())
+	d.Range(func(hk []byte, s *artShard) bool {
 		shards = append(shards, namedShard{string(hk), s})
 		return true
 	})
@@ -89,13 +89,11 @@ func (h *HART) Check() error {
 				shardErr = fmt.Errorf("hart: leaf %d stores key %q but is indexed under %q", leaf, gotKey, wantKey)
 				return false
 			}
-			// Elastic routing invariant: the entry holding the leaf must be
-			// the one the current geometry routes its key to — a violation
-			// means a split/merge stranded a record where lookups cannot
-			// find it.
-			if rk := d.splits.Route(wantKey, h.opts.HashKeyLen); string(rk) != ns.hk {
-				shardErr = fmt.Errorf("hart: leaf %d (key %q) indexed under %q but routes to %q",
-					leaf, wantKey, ns.hk, rk)
+			// The entry holding the leaf must be its key's first kh bytes,
+			// the only place a lookup searches for it.
+			if hk, _ := h.splitKey(wantKey); string(hk) != ns.hk {
+				shardErr = fmt.Errorf("hart: leaf %d (key %q) indexed under %q but its hash key is %q",
+					leaf, wantKey, ns.hk, hk)
 				return false
 			}
 			if shape := hdrShape(h.arena.Read8(leaf + lfKeyLen)); shape != ref.shape() {

@@ -202,24 +202,6 @@ type Options struct {
 	// replaced by one of its own length in a single failure-atomic store,
 	// and an update that changes a record's shape is always logged.
 	UnloggedUpdates bool
-	// ElasticDirectory enables hot-shard splitting and cold-group
-	// merging (DESIGN.md §14): a shard whose write heat crosses SplitOps
-	// is split into children keyed on a one-byte-longer hash prefix, and
-	// a delete that leaves a split group small and cold folds it back.
-	// Off by default — the directory keeps the paper's fixed-kh shape.
-	// Routing always honours split prefixes already persisted in the
-	// superblock, so a store shaped by an elastic instance reopens
-	// correctly regardless of this flag; the flag only gates *new*
-	// geometry changes.
-	ElasticDirectory bool
-	// SplitOps is the per-shard write-op heat threshold that triggers a
-	// split attempt (default DefaultSplitOps). Only meaningful with
-	// ElasticDirectory.
-	SplitOps int
-	// MergeRecords caps the total record count at which a delete may
-	// fold a split group back into its parent prefix (default
-	// DefaultMergeRecords). Only meaningful with ElasticDirectory.
-	MergeRecords int
 }
 
 // withDefaults fills unset fields.
@@ -232,12 +214,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.ValueClasses) == 0 {
 		o.ValueClasses = []int64{8, 16}
-	}
-	if o.SplitOps == 0 {
-		o.SplitOps = DefaultSplitOps
-	}
-	if o.MergeRecords == 0 {
-		o.MergeRecords = DefaultMergeRecords
 	}
 	return o
 }
@@ -286,25 +262,16 @@ type artShard struct {
 	// mu held exclusively. Optimistic readers treat a non-nil pending as
 	// inconclusive and fall back to the locked path, which builds.
 	pending atomic.Pointer[pendingLeaves]
-	// heat counts write ops against this shard since the last split or
-	// merge decision looked at it; ops is the shard's cumulative write
-	// count (stats only). Both are bumped while mu is held, which is what
-	// makes split/merge decisions deterministic under the model checker's
-	// single-threaded replay; they are atomics so Stats can read them
-	// without the lock.
-	heat atomic.Uint64
-	ops  atomic.Uint64
+	// ops is the shard's cumulative count of records written by Put,
+	// Update and PutBatch (stats only). Bumped while mu is held; an atomic
+	// so Stats can read it without the lock.
+	ops atomic.Uint64
 }
 
 // pendingLeaves is a lazily recovered shard's to-do list: the live leaves
 // the recovery scan assigned to it, awaiting the first-touch ART build.
 type pendingLeaves struct {
 	leaves []leafRef
-	// hkLen is the length of the shard's directory prefix, which the
-	// first-touch build strips from each leaf's full key to form its ART
-	// key. Fixed at kh before the elastic directory; now per-shard,
-	// since a recovered split child sits under a longer prefix.
-	hkLen int
 }
 
 // newShard returns a live shard with an empty published tree.
@@ -312,26 +279,6 @@ func newShard() *artShard {
 	s := &artShard{}
 	s.tree.Store(art.New())
 	return s
-}
-
-// dirTable is one published directory snapshot: the shard table together
-// with the split set that defines how keys route into it. The two are
-// swapped as a unit so every reader observes a table under the geometry
-// it was built for.
-//
-// Routing invariant: a directory entry that is a proper prefix of
-// another entry holds only the record whose full key equals the entry
-// itself — short keys (len < kh) and the residual entries left behind by
-// splits. hashdir.Splits.Route resolves any key to exactly one entry
-// under this invariant.
-type dirTable struct {
-	tab    *hashdir.Table[*artShard]
-	splits *hashdir.Splits
-}
-
-// route returns key's directory prefix under this snapshot's geometry.
-func (d *dirTable) route(key []byte, kh int) []byte {
-	return d.splits.Route(key, kh)
 }
 
 // beginWrite opens a seqlock critical section. Caller holds s.mu.
@@ -346,26 +293,16 @@ type HART struct {
 	arena *pmem.Arena
 	alloc *epalloc.Allocator
 
-	// dir is the published directory snapshot (the paper's hash table
-	// plus the split set that defines its routing geometry; see
-	// dirTable). Both structures behind the pointer are immutable: shard
-	// insertion/removal and geometry changes clone, mutate the clone and
-	// swap the pointer. Readers load it with no lock; dirMu serialises
-	// the writers performing the clone-and-swap. Lock ordering: shard
-	// mutexes before dirMu — removeShardIfEmpty, splitShard and tryMerge
-	// all publish while holding shard locks, which is safe because
-	// getShard never waits on a shard while holding dirMu.
+	// dir is the published directory snapshot, the paper's hash table
+	// from each key's first kh bytes to its shard. The table behind the
+	// pointer is immutable: shard insertion and removal clone it, mutate
+	// the clone and swap the pointer. Readers load it with no lock; dirMu
+	// serialises the writers performing the clone-and-swap. Lock
+	// ordering: shard mutexes before dirMu — removeShardIfEmpty publishes
+	// while holding its shard's lock, which is safe because getShard
+	// never waits on a shard while holding dirMu.
 	dirMu sync.Mutex
-	dir   atomic.Pointer[dirTable]
-
-	// splitSlots mirrors the superblock's split-slot array in slot order
-	// (persistSplitRemove needs the index layout, not just the set).
-	// Guarded by dirMu.
-	splitSlots []string
-
-	// splitCount / mergeCount tally geometry changes since open (stats).
-	splitCount atomic.Uint64
-	mergeCount atomic.Uint64
+	dir   atomic.Pointer[hashdir.Table[*artShard]]
 
 	size   atomic.Int64
 	closed atomic.Bool
@@ -452,7 +389,7 @@ func NewOnArena(arena *pmem.Arena, opts Options) (*HART, error) {
 		return nil, err
 	}
 	h := &HART{opts: opts, arena: arena}
-	h.dir.Store(&dirTable{tab: hashdir.New[*artShard](), splits: hashdir.NoSplits()})
+	h.dir.Store(hashdir.New[*artShard]())
 	arena.SetPersistSite("format.superblock")
 	if err := writeSuperblockBody(arena, opts); err != nil {
 		return nil, err
@@ -493,14 +430,7 @@ func Open(arena *pmem.Arena, opts Options) (*HART, error) {
 		return nil, err
 	}
 	h := &HART{opts: opts, arena: arena}
-	// The initial snapshot already carries the persisted split set:
-	// recovery routes every leaf through it, rebuilding the exact
-	// pre-crash geometry.
-	h.adoptSplits(sb)
-	h.dir.Store(&dirTable{
-		tab:    hashdir.New[*artShard](),
-		splits: hashdir.NewSplits(sb.Splits),
-	})
+	h.dir.Store(hashdir.New[*artShard]())
 	alloc, err := epalloc.Attach(arena, h.classSpecs())
 	if err != nil {
 		return nil, err
@@ -559,17 +489,12 @@ func (h *HART) Close() error {
 }
 
 // splitKey divides a key into its hash key and ART key (Algorithm 1
-// line 1, generalised to the elastic geometry): the hash key is the
-// key's routed directory prefix — kh bytes in the base shape, longer
-// under an entry that was split — and the ART key is the remainder. Keys
-// shorter than kh hash on their full bytes and carry an empty ART key.
-//
-// The division is only meaningful relative to one directory snapshot; a
-// caller that must act on it (every write) re-derives it under the shard
-// lock via lockShardW.
+// line 1): the hash key is the key's first kh bytes and the ART key is
+// the remainder. Keys shorter than kh hash on their full bytes and carry
+// an empty ART key. Both are subslices of key.
 func (h *HART) splitKey(key []byte) (hashKey, artKey []byte) {
-	hk := h.dir.Load().route(key, h.opts.HashKeyLen)
-	return hk, key[len(hk):]
+	n := min(len(key), h.opts.HashKeyLen)
+	return key[:n], key[n:]
 }
 
 // validate rejects out-of-range keys and values.
@@ -602,45 +527,41 @@ func (h *HART) validateWrite(key, value []byte) error {
 	return nil
 }
 
-// getShard routes key through the current directory snapshot and returns
-// its shard plus the routed hash key, optionally creating the shard
+// getShard looks key's hash key up in the current directory snapshot and
+// returns its shard plus the hash key, optionally creating the shard
 // (HashInsert, Algorithm 1 lines 3-5). Lookup is a lock-free read of the
-// snapshot; creation re-routes under dirMu — the geometry may have
-// changed since the optimistic route, and inserting under a stale prefix
-// would resurrect an entry a split just removed — then clones the table
-// and publishes the clone, which copies the segment headers and the one
-// segment the entry lands in (hashdir.Clone). The returned shard is
-// unlocked; a caller that locks it must re-check shard.dead and retry,
-// since an emptied, split or merged shard may have left the directory
-// meanwhile.
+// snapshot; creation looks again under dirMu, since another writer may
+// have created the shard meanwhile, then clones the table and publishes
+// the clone, which copies the segment headers and the one segment the
+// entry lands in (hashdir.Clone). The returned shard is unlocked; a
+// caller that locks it must re-check shard.dead and retry, since an
+// emptied shard may have left the directory meanwhile.
 func (h *HART) getShard(key []byte, create bool) (*artShard, []byte) {
-	d := h.dir.Load()
-	hk := d.route(key, h.opts.HashKeyLen)
-	s, ok := d.tab.Get(hk)
+	hk, _ := h.splitKey(key)
+	s, ok := h.dir.Load().Get(hk)
 	if ok || !create {
 		return s, hk
 	}
 	h.dirMu.Lock()
 	defer h.dirMu.Unlock()
 	cur := h.dir.Load()
-	hk = cur.route(key, h.opts.HashKeyLen)
-	if s, ok = cur.tab.Get(hk); ok {
+	if s, ok = cur.Get(hk); ok {
 		return s, hk
 	}
 	s = newShard()
-	nu := cur.tab.Clone()
+	nu := cur.Clone()
 	nu.Put(hk, s)
-	h.dir.Store(&dirTable{tab: nu, splits: cur.splits})
+	h.dir.Store(nu)
 	h.obs.dirPublish.Add(1)
 	return s, hk
 }
 
 // lockShardW locates and write-locks the shard owning key, handling the
-// removed-shard race: every retry re-routes the full key, so a writer
-// that lost its shard to a split or merge lands on the entry the current
-// geometry assigns it. Returns the shard and its routed hash key (the
+// removed-shard race: a writer whose shard emptied and left the directory
+// before it got the lock looks the hash key up again (creating a fresh
+// shard if create is set). Returns the shard and the hash key (the
 // caller's ART key is key[len(hashKey):]); the shard is nil when create
-// is false and the route resolves to no entry.
+// is false and the directory has no entry for the hash key.
 func (h *HART) lockShardW(key []byte, create bool) (*artShard, []byte) {
 	for {
 		s, hk := h.getShard(key, create)
@@ -693,10 +614,9 @@ func (h *HART) removeShardIfEmpty(hashKey []byte, s *artShard) {
 	s.dead = true
 	h.dirMu.Lock()
 	defer h.dirMu.Unlock()
-	cur := h.dir.Load()
-	nu := cur.tab.Clone()
+	nu := h.dir.Load().Clone()
 	if nu.Delete(hashKey) {
-		h.dir.Store(&dirTable{tab: nu, splits: cur.splits})
+		h.dir.Store(nu)
 		h.obs.dirPublish.Add(1)
 	}
 }
@@ -704,7 +624,7 @@ func (h *HART) removeShardIfEmpty(hashKey []byte, s *artShard) {
 // NumARTs returns the number of live ARTs (the paper's maximum write
 // concurrency).
 func (h *HART) NumARTs() int {
-	return h.dir.Load().tab.Len()
+	return h.dir.Load().Len()
 }
 
 // leafKey reads the full key stored in a leaf.

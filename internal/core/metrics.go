@@ -1,16 +1,12 @@
 package core
 
-import (
-	"fmt"
-
-	"github.com/casl-sdsu/hart/internal/obs"
-)
+import "github.com/casl-sdsu/hart/internal/obs"
 
 // coreObs bundles HART's observability state: always-on operation
 // counters (striped atomic adds, see package obs), latency histograms
 // gated behind one atomic flag so the disabled hot path never reads the
 // clock, and the structured event ring recording rare state transitions
-// (elastic splits and merges, allocator stripe steals, recovery phases).
+// (opens, allocator stripe steals, recovery phases).
 // The zero value is ready to use — HART embeds it by value and never
 // initialises it explicitly.
 type coreObs struct {
@@ -69,7 +65,7 @@ func (h *HART) EmitEvent(kind, detail string, a, b uint64) {
 // Metrics assembles one observability snapshot across every layer:
 // operation and read-path counters from core, chunk/steal/ulog counters
 // from the allocator, persist and device counters from the arena,
-// directory geometry, the gated latency histograms (present only when
+// directory counters, the gated latency histograms (present only when
 // they have samples) and the retained event tail. The snapshot is
 // internally consistent per counter (each is one atomic sum) but not a
 // global linearization point — counters advance independently while it
@@ -95,12 +91,9 @@ func (h *HART) Metrics() obs.Snapshot {
 		"read.seq_retries":      h.obs.seqRetries.Value(),
 		"read.locked_fallbacks": h.obs.lockedFallbacks.Value(),
 
-		"dir.republish":      h.obs.dirPublish.Value(),
-		"dir.clones":         d.tab.Clones(),
-		"dir.entries":        uint64(d.tab.Len()),
-		"dir.split_prefixes": uint64(d.splits.Len()),
-		"dir.splits":         h.splitCount.Load(),
-		"dir.merges":         h.mergeCount.Load(),
+		"dir.republish": h.obs.dirPublish.Value(),
+		"dir.clones":    d.Clones(),
+		"dir.entries":   uint64(d.Len()),
 
 		"alloc.chunk_reuses": am.ChunkReuses.Value(),
 		"alloc.steals":       am.Steals.Value(),
@@ -135,7 +128,3 @@ func (h *HART) Metrics() obs.Snapshot {
 
 	return obs.Snapshot{Counters: c, Hists: hists, Events: h.obs.events.Snapshot()}
 }
-
-// evPrefix renders a directory prefix for an event detail field: hex, so
-// arbitrary byte prefixes survive JSON and Prometheus exposition.
-func evPrefix(p []byte) string { return fmt.Sprintf("%x", p) }

@@ -44,11 +44,10 @@ func (h *HART) putOp(key, value []byte) error {
 		err = h.insertNew(s, artKey, key, value, stripe) // lines 9-18
 	}
 	s.endWrite()
-	hot := err == nil && h.noteWrite(s, 1)
-	s.mu.Unlock()
-	if hot {
-		h.maybeSplit(hashKey)
+	if err == nil {
+		s.ops.Add(1)
 	}
+	s.mu.Unlock()
 	if err == nil {
 		h.obs.puts.Add(1)
 	}
@@ -347,11 +346,10 @@ func (h *HART) Update(key, value []byte) error {
 		err = ErrNotFound
 	}
 	s.endWrite()
-	hot := err == nil && h.noteWrite(s, 1)
-	s.mu.Unlock()
-	if hot {
-		h.maybeSplit(hashKey)
+	if err == nil {
+		s.ops.Add(1)
 	}
+	s.mu.Unlock()
 	return err
 }
 
@@ -435,10 +433,9 @@ func (h *HART) Contains(key []byte) bool {
 // reports (value, found, conclusive); conclusive=false means a writer
 // interfered and the attempt tells us nothing. The protocol:
 //
-//  1. Load the current directory snapshot, route the key through its
-//     geometry and resolve the shard. No shard → conclusively absent
-//     (the snapshot is the linearization point; snapshots — table and
-//     split set together — are immutable).
+//  1. Load the current directory snapshot and resolve the shard of the
+//     key's first kh bytes. No shard → conclusively absent (the snapshot
+//     is the linearization point; snapshots are immutable).
 //  2. Load the shard seqlock. Odd → a writer is mid-section; retry.
 //  3. Load the published tree and search it. The walk touches only
 //     immutable DRAM nodes, so it needs no validation; not-found is
@@ -453,13 +450,11 @@ func (h *HART) Contains(key []byte) bool {
 //     shard between steps 2 and 5, so every PM word read belongs to one
 //     consistent committed state.
 func (h *HART) readOptimistic(key, dst []byte, needValue bool) (v []byte, found, conclusive bool) {
-	d := h.dir.Load()
-	hashKey := d.route(key, h.opts.HashKeyLen)
-	s, ok := d.tab.Get(hashKey)
+	hashKey, artKey := h.splitKey(key)
+	s, ok := h.dir.Load().Get(hashKey)
 	if !ok {
 		return nil, false, true
 	}
-	artKey := key[len(hashKey):]
 	if s.pending.Load() != nil {
 		// Lazily recovered shard whose ART is not built yet: the published
 		// tree is empty, so a miss would be wrong. Inconclusive — the
@@ -514,10 +509,7 @@ func (h *HART) lockedGet(key, dst []byte, needValue bool) ([]byte, bool) {
 	return h.readValue(ref, dst, needValue, nil)
 }
 
-// Delete removes a key (Algorithm 5). A successful delete under the
-// elastic directory additionally nominates the shard's split group for a
-// merge — after the shard lock is released, since merging locks whole
-// groups.
+// Delete removes a key (Algorithm 5).
 func (h *HART) Delete(key []byte) error {
 	if h.obs.timing.Enabled() {
 		start := time.Now()
@@ -533,23 +525,22 @@ func (h *HART) deleteOp(key []byte) error {
 	if err := h.validate(key, nil); err != nil {
 		return err
 	}
-	hashKey, err := h.deleteLocked(key)
-	if hashKey != nil {
+	removed, err := h.deleteLocked(key)
+	if removed {
 		h.obs.deletes.Add(1)
-		h.maybeMerge(hashKey)
 	} else if err == ErrNotFound {
 		h.obs.deleteMisses.Add(1)
 	}
 	return err
 }
 
-// deleteLocked is Delete's under-the-shard-lock body. The returned
-// hashKey is non-nil exactly when the record was removed (the commit
-// point passed, whatever later cleanup reported).
-func (h *HART) deleteLocked(key []byte) ([]byte, error) {
+// deleteLocked is Delete's under-the-shard-lock body. It reports true
+// exactly when the record was removed (the commit point passed, whatever
+// later cleanup reported).
+func (h *HART) deleteLocked(key []byte) (bool, error) {
 	s, hashKey := h.lockShardW(key, false) // lines 1-2
 	if s == nil {
-		return nil, ErrNotFound // lines 3-4
+		return false, ErrNotFound // lines 3-4
 	}
 	artKey := key[len(hashKey):]
 	defer s.mu.Unlock()
@@ -558,7 +549,7 @@ func (h *HART) deleteLocked(key []byte) ([]byte, error) {
 
 	w, found := s.tree.Load().Get(artKey) // line 5
 	if !found {
-		return nil, ErrNotFound // lines 6-7
+		return false, ErrNotFound // lines 6-7
 	}
 	ref := leafRef(w)
 	leaf := ref.ptr()
@@ -591,7 +582,7 @@ func (h *HART) deleteLocked(key []byte) ([]byte, error) {
 	if err := h.alloc.Retire(leaf); err != nil {
 		rb, _, _ := s.tree.Load().CowInsert(artKey, uint64(ref))
 		s.tree.Store(rb)
-		return nil, err
+		return false, err
 	}
 
 	// The leaf-bit reset above is the commit point: from here the delete
@@ -624,7 +615,7 @@ func (h *HART) deleteLocked(key []byte) ([]byte, error) {
 	h.size.Add(-1)
 	// Lines 15-16: free the ART if it became empty.
 	h.removeShardIfEmpty(hashKey, s)
-	return hashKey, firstErr
+	return true, firstErr
 }
 
 // GetLeaf returns the PM address of a key's leaf (tests and fsck).

@@ -120,13 +120,8 @@ func (h *HART) recover() error {
 		keys[i] = bs.hk
 		shards[i] = bs.s
 	}
-	// The split geometry was installed from the superblock before recovery
-	// started (Open) and cannot change mid-recovery (no concurrent ops),
-	// so the snapshot it rides in carries the same splits the leaves were
-	// just grouped under.
-	splits := h.dir.Load().splits
 	h.dirMu.Lock()
-	h.dir.Store(&dirTable{tab: hashdir.NewFromSorted(keys, shards), splits: splits})
+	h.dir.Store(hashdir.NewFromSorted(keys, shards))
 	h.dirMu.Unlock()
 	h.obs.dirPublish.Add(1)
 	h.size.Store(int64(scan.live))
@@ -141,8 +136,8 @@ func (h *HART) recover() error {
 // recLeaf is one live leaf carried through recovery's partition: shape
 // and key are read from PM once, during the scan, and reused for
 // partitioning, sorting and tree building. Under LazyRecovery only the
-// hash-key prefix is read (and stored here); the full key read is deferred
-// to the shard's first-touch build.
+// hash key is read (and stored here); the full key read is deferred to
+// the shard's first-touch build.
 type recLeaf struct {
 	ref leafRef
 	key []byte
@@ -228,19 +223,11 @@ func (sc *leafScan) partition(w int) []recLeaf {
 
 // scanLeaves walks every leaf chunk with up to `workers` goroutines (one
 // per allocator stripe), collecting per-stripe live/dead sets and
-// partitioning the live leaves by routed directory prefix for the build
-// phase. Each live leaf's key is read exactly once; under LazyRecovery
-// only the leading rd = max(kh, longest split prefix + 1) bytes are kept,
-// which up to hdrKeyBytes come with the header word classifyLeaf loaded
-// anyway. Routing the truncated key is exact: rd exceeds every split
-// prefix, so Route never wants a byte the truncation dropped.
+// partitioning the live leaves by hash key for the build phase. Each live
+// leaf's key is read exactly once; under LazyRecovery only its hash key,
+// the leading kh bytes, which up to hdrKeyBytes come with the header word
+// classifyLeaf loaded anyway.
 func (h *HART) scanLeaves(workers int) (*leafScan, error) {
-	kh := h.opts.HashKeyLen
-	splits := h.dir.Load().splits
-	rd := kh // lazy read width: enough bytes to route any key
-	if m := splits.MaxLen(); m+1 > rd {
-		rd = m + 1
-	}
 	lazy := h.opts.LazyRecovery
 	sc := &leafScan{}
 	for st := range sc.stripes {
@@ -264,16 +251,11 @@ func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 			return false
 		}
 		if lazy {
-			n = min(n, rd)
+			n = min(n, h.opts.HashKeyLen)
 		}
 		key := ss.keys.alloc(n)
 		h.keyFromHeader(leaf, hdr, key)
-		hk := splits.Route(key, kh)
-		if lazy {
-			// The deferred full-key read only needs the shard assignment;
-			// keep just the routed prefix.
-			key = hk
-		}
+		hk, _ := h.splitKey(key)
 		w := int(fnv32(hk)) % workers
 		ss.buckets[w] = append(ss.buckets[w], recLeaf{ref: makeLeafRef(leaf, hdrShape(hdr)), key: key})
 		return true
@@ -325,8 +307,6 @@ func (h *HART) buildPartition(recs []recLeaf) []builtShard {
 	if len(recs) == 0 {
 		return nil
 	}
-	kh := h.opts.HashKeyLen
-	splits := h.dir.Load().splits
 	lazy := h.opts.LazyRecovery
 	type shardBuild struct {
 		s     *artShard
@@ -336,12 +316,9 @@ func (h *HART) buildPartition(recs []recLeaf) []builtShard {
 	byHK := make(map[string]*shardBuild)
 	var out []builtShard
 	for _, r := range recs {
-		// Under LazyRecovery the scan already reduced r.key to the routed
-		// prefix; eager records carry the full key and route here.
-		hk := r.key
-		if !lazy {
-			hk = splits.Route(r.key, kh)
-		}
+		// Under LazyRecovery the scan read only the hash key, so artKey is
+		// empty; eager records carry the full key.
+		hk, artKey := h.splitKey(r.key)
 		sb := byHK[string(hk)]
 		if sb == nil {
 			sb = &shardBuild{s: newShard()}
@@ -354,17 +331,13 @@ func (h *HART) buildPartition(recs []recLeaf) []builtShard {
 		if lazy {
 			sb.pend = append(sb.pend, r.ref)
 		} else {
-			var artKey []byte
-			if len(r.key) > len(hk) {
-				artKey = r.key[len(hk):]
-			}
 			sb.batch.Insert(artKey, uint64(r.ref))
 		}
 	}
 	for _, bs := range out {
 		sb := byHK[bs.hk]
 		if lazy {
-			sb.s.pending.Store(&pendingLeaves{leaves: sb.pend, hkLen: len(bs.hk)})
+			sb.s.pending.Store(&pendingLeaves{leaves: sb.pend})
 		} else {
 			sb.s.tree.Store(sb.batch.Commit())
 		}
@@ -449,10 +422,7 @@ func (h *HART) buildPending(s *artShard) {
 	slices.SortFunc(recs, func(a, b recLeaf) int { return bytes.Compare(a.key, b.key) })
 	b := art.New().BeginBatch()
 	for _, r := range recs {
-		var artKey []byte
-		if len(r.key) > pp.hkLen {
-			artKey = r.key[pp.hkLen:]
-		}
+		_, artKey := h.splitKey(r.key)
 		b.Insert(artKey, uint64(r.ref))
 	}
 	s.tree.Store(b.Commit())
@@ -486,7 +456,7 @@ func (h *HART) DrainRecovery() {
 		return
 	}
 	var pend []*artShard
-	h.dir.Load().tab.Range(func(_ []byte, s *artShard) bool {
+	h.dir.Load().Range(func(_ []byte, s *artShard) bool {
 		if s.pending.Load() != nil {
 			pend = append(pend, s)
 		}

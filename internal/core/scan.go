@@ -15,20 +15,18 @@ import (
 // IV.D) and notes that "the side-effect of hash on range query of HART is
 // very limited because the main part of HART are multiple ART trees".
 // Scan realises that observation as a native ordered scan: directory
-// entries sort like the records they hold (an entry that is a proper
-// prefix of another holds only its exact key — the dirTable invariant —
-// so entry order is record order), and each ART is traversed in order,
-// making the concatenated output globally sorted.
+// entries sort like the records they hold, and each ART is traversed in
+// order, making the concatenated output globally sorted. An entry that is
+// a proper prefix of another is a key shorter than kh, and it holds only
+// that key, so entry order is record order.
 //
 // The walk is cursor-based rather than a single directory-snapshot
 // iteration: each step re-resolves the cursor position against the
 // *current* snapshot, visits one entry under its read lock, and advances
-// the cursor past that entry's whole key range. An elastic split or merge
-// between steps therefore cannot hide records — moved keys are either
-// behind the cursor (already visited under the old geometry, and key
-// ranges never revisit) or ahead of it (found via the fresh snapshot).
-// Within one entry the shard read lock excludes geometry changes, since
-// splitting or merging a shard requires its write lock.
+// the cursor past that entry's whole key range. A shard that empties,
+// leaves the directory and is created afresh between steps therefore
+// cannot hide records inserted into its successor: the fresh snapshot
+// finds them ahead of the cursor.
 func (h *HART) Scan(start, end []byte, fn func(key, value []byte) bool) {
 	if h.obs.timing.Enabled() {
 		t := time.Now()
@@ -60,7 +58,7 @@ func (h *HART) scanOp(start, end []byte, fn func(key, value []byte) bool) {
 	cursor := start // next key position to visit; nil = from the beginning
 	for {
 		d := h.dir.Load()
-		keys := d.tab.SortedKeys()
+		keys := d.SortedKeys()
 		var ek, artStart []byte
 		switch {
 		case cursor == nil:
@@ -69,16 +67,14 @@ func (h *HART) scanOp(start, end []byte, fn func(key, value []byte) bool) {
 			}
 			ek = []byte(keys[0])
 		default:
-			rk := d.route(cursor, h.opts.HashKeyLen)
-			if _, ok := d.tab.Get(rk); ok && len(rk) < len(cursor) {
-				// The cursor falls strictly inside a proper-prefix entry:
-				// its remaining records start at cursor's in-shard suffix.
-				// Entries between rk and cursor in sort order cannot hold
-				// qualifying keys: routing stopped at rk, so rk is not a
-				// split prefix, and only split prefixes can have entries
-				// extending them — rk owns its whole prefix range.
-				ek = rk
-				artStart = cursor[len(rk):]
+			hk, rest := h.splitKey(cursor)
+			if _, ok := d.Get(hk); ok && len(rest) > 0 {
+				// The cursor falls strictly inside the entry of its hash
+				// key: its remaining records start at cursor's ART key.
+				// No entry sorts between hk and cursor: it would extend
+				// hk, and no entry is longer than kh.
+				ek = hk
+				artStart = rest
 				break
 			}
 			i := sort.SearchStrings(keys, string(cursor))
@@ -95,14 +91,14 @@ func (h *HART) scanOp(start, end []byte, fn func(key, value []byte) bool) {
 			artEnd = end[len(ek):]
 		}
 
-		s, _ := d.tab.Get(ek)
+		s, _ := d.Get(ek)
 		if s.pending.Load() != nil {
 			h.drainShard(s)
 		}
 		s.mu.RLock()
 		if s.dead {
-			// Split, merged or emptied since the snapshot: re-resolve the
-			// unchanged cursor against a fresh snapshot.
+			// Emptied since the snapshot: re-resolve the unchanged cursor
+			// against a fresh snapshot.
 			s.mu.RUnlock()
 			continue
 		}
@@ -124,11 +120,10 @@ func (h *HART) scanOp(start, end []byte, fn func(key, value []byte) bool) {
 			return
 		}
 		// Advance past everything this entry held. An entry that is a
-		// proper prefix of its sorted successor is residual-only (the
-		// dirTable invariant: it holds just the key ek itself — short keys
-		// and split residuals), so deeper entries own the rest of ek's
-		// prefix range and the cursor must step into that range, not over
-		// it. Entries extending ek sort contiguously right after it, so
+		// proper prefix of its sorted successor is a key shorter than kh
+		// and holds just the key ek itself, so longer entries own the rest
+		// of ek's prefix range and the cursor must step into that range,
+		// not over it. Entries extending ek sort contiguously right after it, so
 		// checking the immediate successor suffices. Either advance is
 		// strictly greater than the old cursor, so the walk terminates.
 		j := sort.SearchStrings(keys, string(ek))
@@ -212,7 +207,7 @@ func (h *HART) scanReverseOp(start, end []byte, fn func(key, value []byte) bool)
 	cursorEnd := end // visit keys < cursorEnd next; nil = from the top
 	for {
 		d := h.dir.Load()
-		keys := d.tab.SortedKeys()
+		keys := d.SortedKeys()
 		// Highest entry that can hold a key < cursorEnd: entries at or
 		// above cursorEnd hold only keys >= themselves >= cursorEnd.
 		i := len(keys) - 1
@@ -242,7 +237,7 @@ func (h *HART) scanReverseOp(start, end []byte, fn func(key, value []byte) bool)
 			artEnd = cursorEnd[len(ek):]
 		}
 
-		s, _ := d.tab.Get(ek)
+		s, _ := d.Get(ek)
 		if s.pending.Load() != nil {
 			h.drainShard(s)
 		}

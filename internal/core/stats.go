@@ -54,39 +54,28 @@ type Stats struct {
 	Arena pmem.Stats
 	// Alloc is the allocator's per-class state.
 	Alloc []epalloc.ClassStats
-	// Dir describes the elastic directory's current geometry and heat.
+	// Dir describes the hash directory and where the writes go.
 	Dir DirStats
 }
 
-// DirStats describes the hash directory's geometry — flat at BaseDepth
-// until elastic splits deepen parts of it — and where the write heat is.
+// DirStats describes the hash directory: how many entries it has and
+// which shards take the most writes.
 type DirStats struct {
 	// Entries is the number of directory entries (== ARTs).
 	Entries int
-	// BaseDepth is the configured hash-key length; MaxDepth is the
-	// longest live entry prefix (== BaseDepth when nothing is split).
-	BaseDepth int
-	MaxDepth  int
-	// Splits is the number of currently persisted split prefixes, out of
-	// SplitCap superblock slots.
-	Splits   int
-	SplitCap int
-	// SplitsDone and MergesDone count geometry changes since Open.
-	SplitsDone uint64
-	MergesDone uint64
-	// Hot lists the hottest shards (by heat since the last split/merge
-	// decision), descending, at most eight.
-	Hot []ShardHeat
+	// Hot lists the shards with the most records written, by Ops
+	// descending, at most eight.
+	Hot []HotShard
 }
 
-// ShardHeat is one directory entry's write-activity snapshot.
-type ShardHeat struct {
-	// Prefix is the entry's directory prefix.
+// HotShard is one directory entry's write-activity snapshot.
+type HotShard struct {
+	// Prefix is the entry's hash key.
 	Prefix string
-	// Heat is the write-op count since the last split/merge decision;
-	// Ops is the shard's cumulative write count.
-	Heat uint64
-	Ops  uint64
+	// Ops is the number of records Put, Update and PutBatch wrote to the
+	// shard since it was created (by Open's recovery, or by the first
+	// insert under its hash key).
+	Ops uint64
 	// Records is the shard's current tree size (0 for a still-pending
 	// lazily recovered shard).
 	Records int
@@ -120,24 +109,15 @@ func (h *HART) Stats() Stats {
 		hk string
 		s  *artShard
 	}
-	shards := make([]namedShard, 0, d.tab.Len())
-	d.tab.Range(func(hk []byte, s *artShard) bool {
+	shards := make([]namedShard, 0, d.Len())
+	d.Range(func(hk []byte, s *artShard) bool {
 		shards = append(shards, namedShard{string(hk), s})
 		return true
 	})
-	dirBytes := d.tab.DRAMBytes()
 
 	st.ARTs = len(shards)
-	st.Size.DRAMBytes = int64(st.ARTs)*dirEntryCost + dirBytes
-	st.Dir = DirStats{
-		Entries:    len(shards),
-		BaseDepth:  h.opts.HashKeyLen,
-		MaxDepth:   h.opts.HashKeyLen,
-		Splits:     d.splits.Len(),
-		SplitCap:   int(sbMaxSplits),
-		SplitsDone: h.splitCount.Load(),
-		MergesDone: h.mergeCount.Load(),
-	}
+	st.Size.DRAMBytes = int64(st.ARTs)*dirEntryCost + d.DRAMBytes()
+	st.Dir.Entries = len(shards)
 	for _, ns := range shards {
 		ts := ns.s.tree.Load().Stats()
 		st.ART.Records += ts.Records
@@ -151,17 +131,13 @@ func (h *HART) Stats() Stats {
 		st.ART.Bytes += ts.Bytes
 		st.ART.LeafBytes += ts.LeafBytes
 		st.Size.DRAMBytes += ts.Bytes
-		if len(ns.hk) > st.Dir.MaxDepth {
-			st.Dir.MaxDepth = len(ns.hk)
-		}
-		st.Dir.Hot = append(st.Dir.Hot, ShardHeat{
+		st.Dir.Hot = append(st.Dir.Hot, HotShard{
 			Prefix:  ns.hk,
-			Heat:    ns.s.heat.Load(),
 			Ops:     ns.s.ops.Load(),
 			Records: ts.Records,
 		})
 	}
-	sort.SliceStable(st.Dir.Hot, func(i, j int) bool { return st.Dir.Hot[i].Heat > st.Dir.Hot[j].Heat })
+	sort.SliceStable(st.Dir.Hot, func(i, j int) bool { return st.Dir.Hot[i].Ops > st.Dir.Hot[j].Ops })
 	if len(st.Dir.Hot) > 8 {
 		st.Dir.Hot = st.Dir.Hot[:8]
 	}

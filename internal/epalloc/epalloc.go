@@ -83,13 +83,10 @@ const MaxClasses = 16
 // power of two and divide NumUpdateLogs.
 const NumStripes = 8
 
-// StripeFor maps a shard's effective directory prefix (its routed hash
-// key — kh bytes in the fixed geometry, longer for an elastic split
-// child) to an allocation stripe. FNV-1a over the prefix bytes, so the
-// mapping depends only on durable routing state — never on execution
-// order — which keeps replayed histories allocating from identical
-// stripes, and so that the children of a split hot shard spread across
-// stripes instead of inheriting their parent's single lock.
+// StripeFor maps a shard's directory prefix (its hash key, the key's
+// first kh bytes) to an allocation stripe. FNV-1a over the prefix bytes,
+// so the mapping depends only on the key — never on execution order —
+// which keeps replayed histories allocating from identical stripes.
 func StripeFor(prefix []byte) int {
 	h := uint32(2166136261)
 	for _, b := range prefix {

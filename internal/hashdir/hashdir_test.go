@@ -196,3 +196,95 @@ func TestDRAMBytesPositive(t *testing.T) {
 		t.Fatal("DRAMBytes not positive")
 	}
 }
+
+// TestNewFromSortedVariableDepth covers the bulk constructor with
+// entry names of mixed lengths, some prefixes of others — what a
+// directory holding keys shorter than its hash-key length next to full
+// hash keys produces.
+func TestNewFromSortedVariableDepth(t *testing.T) {
+	keys := []string{"a", "ab", "aba", "abz", "ac", "b", "zzzzzzz"}
+	vals := make([]int, len(keys))
+	for i := range vals {
+		vals[i] = i + 1
+	}
+	tab := NewFromSorted(keys, vals)
+	if tab.Len() != len(keys) {
+		t.Fatalf("Len = %d, want %d", tab.Len(), len(keys))
+	}
+	for i, k := range keys {
+		v, ok := tab.Get([]byte(k))
+		if !ok || v != i+1 {
+			t.Fatalf("Get(%q) = (%d,%v), want (%d,true)", k, v, ok, i+1)
+		}
+	}
+	if _, ok := tab.Get([]byte("abq")); ok {
+		t.Fatal("Get on absent mixed-length key succeeded")
+	}
+	got := tab.SortedKeys()
+	for i, k := range keys {
+		if got[i] != k {
+			t.Fatalf("SortedKeys[%d] = %q, want %q", i, got[i], k)
+		}
+	}
+	// Mutations after bulk construction keep working across lengths.
+	tab.Put([]byte("abq"), 99)
+	if v, ok := tab.Get([]byte("abq")); !ok || v != 99 {
+		t.Fatal("Put/Get after NewFromSorted failed")
+	}
+	if !tab.Delete([]byte("ab")) {
+		t.Fatal("Delete of a key that prefixes others failed")
+	}
+	if _, ok := tab.Get([]byte("ab")); ok {
+		t.Fatal("deleted key still present")
+	}
+	if _, ok := tab.Get([]byte("aba")); !ok {
+		t.Fatal("sibling lost by Delete")
+	}
+}
+
+func TestNewFromSortedVariableDepthLarge(t *testing.T) {
+	// A larger mixed-length set keeps Get/Range consistent after Clone.
+	var keys []string
+	for i := 0; i < 64; i++ {
+		keys = append(keys, fmt.Sprintf("%02d", i))
+	}
+	for i := 0; i < 64; i++ {
+		keys = append(keys, fmt.Sprintf("ab%02d", i)) // 4-byte names under "ab"
+	}
+	keys = append(keys, "ab") // a prefix of 64 other names
+	vals := make([]string, len(keys))
+	for i, k := range keys {
+		vals[i] = "v" + k
+	}
+	// NewFromSorted requires ascending keys.
+	type pair struct{ k, v string }
+	pairs := make([]pair, len(keys))
+	for i := range keys {
+		pairs[i] = pair{keys[i], vals[i]}
+	}
+	for i := 1; i < len(pairs); i++ {
+		for j := i; j > 0 && pairs[j].k < pairs[j-1].k; j-- {
+			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
+		}
+	}
+	sk := make([]string, len(pairs))
+	sv := make([]string, len(pairs))
+	for i, p := range pairs {
+		sk[i], sv[i] = p.k, p.v
+	}
+	tab := NewFromSorted(sk, sv)
+	cl := tab.Clone()
+	for _, tt := range []*Table[string]{tab, cl} {
+		n := 0
+		tt.Range(func(k []byte, v string) bool {
+			if v != "v"+string(k) {
+				t.Fatalf("Range saw (%q,%q)", k, v)
+			}
+			n++
+			return true
+		})
+		if n != len(sk) {
+			t.Fatalf("Range visited %d, want %d", n, len(sk))
+		}
+	}
+}

@@ -217,74 +217,6 @@ func TestModelCheckRecoveryModes(t *testing.T) {
 	}
 }
 
-// TestModelCheckElasticSeeds sweeps seeded histories with the elastic
-// directory on and thresholds low enough that short histories split (and
-// occasionally merge) for real: every persist boundary — including the
-// superblock split-slot and split-count persists — is crashed and
-// recovered, and with re-entrant recovery every persist of that recovery
-// is crashed again, covering recovery of a half-split directory.
-func TestModelCheckElasticSeeds(t *testing.T) {
-	seeds, ops := quickParams()
-	cfg := Config{ElasticDirectory: true, SplitOps: 3, MergeRecords: 6, ReentrantRecovery: true}
-	for seed := 0; seed < seeds; seed++ {
-		if err := RunSeed(int64(5000+seed), ops, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestModelCheckElasticSplitMerge is a fixed history engineered to cross
-// a split (heat on shard "aa", branching next bytes, plus the residual
-// key "aa" itself), write into the split children, then delete the group
-// down so a merge fires — checked at every crash boundary, in both
-// update modes, and under lazy + parallel recovery (whose first-touch
-// builds must strip per-shard variable-length prefixes).
-func TestModelCheckElasticSplitMerge(t *testing.T) {
-	hist := History{Ops: []Op{
-		{Kind: OpPut, Key: []byte("aa"), Value: []byte("res")}, // future residual
-		{Kind: OpPut, Key: []byte("aab1"), Value: []byte("b1")},
-		{Kind: OpPut, Key: []byte("aac1"), Value: []byte("c1")},
-		{Kind: OpPut, Key: []byte("aab2"), Value: []byte("b2")}, // heat crosses: split "aa"
-		{Kind: OpScan},
-		{Kind: OpPut, Key: []byte("aab3"), Value: []byte("b3")}, // lands in child "aab"
-		{Kind: OpPut, Key: []byte("aa"), Value: []byte("res2")}, // update the residual
-		{Kind: OpBatch, Batch: []core.Record{ // batch across split + flat shards
-			{Key: []byte("aac2"), Value: []byte("c2")},
-			{Key: []byte("ba"), Value: []byte("flat")},
-			{Key: []byte("aab1"), Value: []byte("b1u")},
-		}},
-		{Kind: OpScanReverse},
-		{Kind: OpDelete, Key: []byte("aab2")},
-		{Kind: OpDelete, Key: []byte("aab3")},
-		{Kind: OpDelete, Key: []byte("aac1")},
-		{Kind: OpDelete, Key: []byte("aac2")},
-		{Kind: OpDelete, Key: []byte("aab1")}, // group is tiny and cold: merge fires
-		{Kind: OpScan},
-		{Kind: OpPut, Key: []byte("aad9"), Value: []byte("post")}, // write after merge
-	}}
-	for _, cfg := range []Config{
-		{ElasticDirectory: true, SplitOps: 4, MergeRecords: 6, ReentrantRecovery: true},
-		{ElasticDirectory: true, SplitOps: 4, MergeRecords: 6, UnloggedUpdates: true, ReentrantRecovery: true},
-		{ElasticDirectory: true, SplitOps: 4, MergeRecords: 6, LazyRecovery: true, RecoveryWorkers: 4, ReentrantRecovery: true},
-	} {
-		if err := RunHistory(hist, cfg); err != nil {
-			t.Fatalf("unlogged=%v lazy=%v: %v", cfg.UnloggedUpdates, cfg.LazyRecovery, err)
-		}
-	}
-}
-
-// TestModelCheckElasticFileReattach routes the split/merge history's
-// crash images through the file backend: a store carrying persisted
-// split prefixes must reopen identically from disk.
-func TestModelCheckElasticFileReattach(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{ElasticDirectory: true, SplitOps: 3, MergeRecords: 6,
-		FileReattach: true, FileReattachDir: dir}
-	if err := RunSeed(5100, 16, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFromBytesTotal checks the fuzz decoder is total and its histories
 // replay deterministically through the live differential pass.
 func TestFromBytesTotal(t *testing.T) {

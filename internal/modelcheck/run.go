@@ -42,16 +42,6 @@ type Config struct {
 	// recovery that persists more than this fails the run (runaway
 	// recovery). Default 256.
 	MaxRecoveryPersists int
-	// ElasticDirectory enables the store's hot-shard splitting and
-	// cold-group merging, so the sweep covers crashes astride the
-	// superblock's split-slot persists and recovery under a half-split
-	// geometry. Splits and merges trigger deterministically: heat is
-	// counted under the shard lock, and the checker replays ops
-	// single-threaded. SplitOps/MergeRecords tune the thresholds — tests
-	// set them very low so short histories actually change geometry.
-	ElasticDirectory bool
-	SplitOps         int
-	MergeRecords     int
 }
 
 func (c Config) withDefaults() Config {
@@ -71,10 +61,6 @@ func (c Config) options() core.Options {
 		UnloggedUpdates: c.UnloggedUpdates,
 		RecoveryWorkers: c.RecoveryWorkers,
 		LazyRecovery:    c.LazyRecovery,
-
-		ElasticDirectory: c.ElasticDirectory,
-		SplitOps:         c.SplitOps,
-		MergeRecords:     c.MergeRecords,
 	}
 }
 

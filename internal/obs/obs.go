@@ -1,7 +1,7 @@
 // Package obs is HART's always-compiled observability layer: lock-free
 // striped counters and gauges for hot-path event counting, log-bucketed
 // latency histograms for per-op timing, and a fixed-size ring buffer of
-// structured events for rare occurrences (shard splits, recovery phase
+// structured events for rare occurrences (opens, recovery phase
 // transitions, stripe steals).
 //
 // Design constraints, in order:
@@ -22,7 +22,7 @@
 //     JSON (hartd's Stats reply, the benchmark's ledger), Prometheus text
 //     (WriteProm) and expvar.
 //
-// See DESIGN.md §15 for the architecture and the overhead methodology.
+// See DESIGN.md §14 for the architecture and the overhead methodology.
 package obs
 
 import (

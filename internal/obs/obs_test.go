@@ -271,7 +271,7 @@ func TestEventRingConcurrent(t *testing.T) {
 
 func TestWritePromAndHandler(t *testing.T) {
 	snap := Snapshot{
-		Counters: map[string]uint64{"ops.get": 123, "dir.splits": 4},
+		Counters: map[string]uint64{"ops.get": 123, "dir.clones": 4},
 		Hists: map[string]HistVal{
 			"ops.get": {Count: 123, P50Ns: 256, P95Ns: 1024, P99Ns: 2048, MaxNs: 5000},
 		},
@@ -283,7 +283,7 @@ func TestWritePromAndHandler(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"hart_ops_get 123",
-		"hart_dir_splits 4",
+		"hart_dir_clones 4",
 		`hart_ops_get_ns{quantile="0.99"} 2048`,
 		"hart_ops_get_ns_count 123",
 		"hart_ops_get_ns_max 5000",

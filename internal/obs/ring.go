@@ -7,14 +7,14 @@ import (
 )
 
 // RingSize is the event ring's fixed capacity (power of two). Events are
-// rare by design — splits, merges, recovery phases, stripe steals — so a
+// rare by design — opens, recovery phases, stripe steals — so a
 // thousand slots hold minutes-to-hours of history; older events are
 // overwritten in emission order.
 const RingSize = 1024
 
 // Event is one structured occurrence. Kind is a stable dotted name
-// ("dir.split", "recover.scan", ...); Detail is free-form context (a
-// shard prefix, a phase label); A and B carry two kind-specific numeric
+// ("alloc.steal", "recover.phase", ...); Detail is free-form context (a
+// phase label, say); A and B carry two kind-specific numeric
 // payloads (counts, durations).
 type Event struct {
 	// Seq is the event's 1-based global emission number; gaps in a

@@ -14,6 +14,10 @@ go test ./...
 # and the daemons' signal paths all have concurrent tests, and -race is
 # also what turns checkptr on for the unsafe casts in art/node.go.
 go test -race -count=1 $(go list ./... | grep -v /internal/modelcheck)
+# Shard churn races shard creation and removal against every operation;
+# its interleavings differ run to run, and the races it has caught before
+# failed well under half the runs, so it gets three.
+go test -race -count=3 -run TestShardConcurrentChurn ./internal/core/
 # The model checker's whole sweep under -race exceeds the default timeout
 # (ROADMAP item C), so only its fixed value-shape histories run here: they
 # put every pair of value shapes through every recovery mode, parallel
