@@ -10,10 +10,10 @@ import (
 // FuzzARTDifferential reads its input as a history of CowInsert,
 // CowDelete and Batch operations, runs it beside a sorted-map model, and
 // after every step checks the new tree against the model (contents,
-// order, a range scan in both directions, shape invariants) and every
-// tree published so far against the memory dump taken when it was
-// published. Run it under -race: that is what turns checkptr on for every
-// cast in node.go.
+// order, a range scan in both directions, shape invariants, Prefetch
+// against Get) and every tree published so far against the memory dump
+// taken when it was published. Run it under -race: that is what turns
+// checkptr on for every cast in node.go.
 func FuzzARTDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00\x03abc\x00\x02ab\x00\x05abcde\x03\x02ab\x05\x03\x01a\x01b\x02ab\x06\x00\x07\x01a"))
@@ -145,6 +145,29 @@ func runHistory(t *testing.T, data []byte) {
 		checkRange(t, cur, keys, hi, nil)
 		checkRange(t, cur, keys, nil, lo)
 		prevKey = key
+
+		// Prefetch walks the step's key and its near misses down every
+		// published tree, and every key's down the current one: it must
+		// find what Get finds, and (checked next) change no bit anywhere.
+		var trees []*Tree
+		var probes [][]byte
+		var want uint64
+		probe := func(tr *Tree, k []byte) {
+			for _, p := range nearMisses(k) {
+				trees, probes = append(trees, tr), append(probes, p)
+				v, _ := tr.Get(p)
+				want += v
+			}
+		}
+		for _, s := range snaps {
+			probe(s.tree, key)
+		}
+		for _, k := range keys {
+			probe(cur, []byte(k))
+		}
+		if got := Prefetch(trees, probes); got != want {
+			t.Fatalf("step %d: Prefetch of %d probes = %d, Get sums to %d", step, len(probes), got, want)
+		}
 
 		for i, s := range snaps {
 			if !bytes.Equal(rawDump(s.tree), s.dump) {

@@ -411,7 +411,9 @@ func (h *HART) buildPending(s *artShard) {
 	if pp == nil {
 		return
 	}
-	var keys byteArena
+	// One block that fits every key: the arena's default 64 KiB block would
+	// be zeroed for a shard whose keys take a few hundred bytes.
+	keys := byteArena{buf: make([]byte, 0, len(pp.leaves)*MaxKeyLen)}
 	recs := make([]recLeaf, 0, len(pp.leaves))
 	for _, ref := range pp.leaves {
 		hdr := h.arena.Read8(ref.ptr() + lfKeyLen)

@@ -3,18 +3,23 @@
 //
 // Each connection is one goroutine looping over bursts: it reads what the
 // socket has, executes every complete request in it in arrival order, and
-// writes their responses with one call. A pipelining client thus costs one
-// read and one write per burst rather than per request, and consecutive
-// valid Puts of a burst are coalesced into a single core.PutBatch call, so
-// the wire path rides the batched copy-on-write publication (DESIGN.md
-// §12) instead of republishing the shard tree once per request. Responses
-// are always written in request order — coalescing changes how work is
-// applied, never what the client observes.
+// writes their responses with one call. A burst is decoded and executed in
+// windows of up to 64 requests, and each window's keys are first walked
+// down the index together (core.Prefetch), so the cache misses of their
+// lookups overlap instead of queueing one behind another. A pipelining
+// client thus costs one read and one write per burst rather than per
+// request, and consecutive valid Puts of a burst are coalesced into a
+// single core.PutBatch call, so the wire path rides the batched
+// copy-on-write publication (DESIGN.md §12) instead of republishing the
+// shard tree once per request. Responses are always written in request
+// order — prefetching and coalescing change how work is applied, never
+// what the client observes.
 //
 // A connection holds one input buffer (grown past 64 KiB only for a frame
-// that needs it, so at most MaxFrame+4 bytes) and one output buffer, which
-// is written out whenever it reaches outFlush, so it never holds more
-// than 64 KiB plus one response (at most a Scan page).
+// that needs it, so at most MaxFrame+4 bytes), one window of decoded
+// requests, which alias the input, and one output buffer, which is written
+// out whenever it reaches outFlush, so it never holds more than 64 KiB
+// plus one response (at most a Scan page).
 //
 // Acknowledgement contract: a response with wire.StatusOK is sent only
 // after the operation's commit point has persisted (Put/PutBatch return
@@ -45,6 +50,9 @@ const (
 	closeLinger = time.Second
 	// batchMax caps how many consecutive Puts one PutBatch coalesces.
 	batchMax = 256
+	// window is how many decoded requests a burst holds at once, and how
+	// many keys one core.Prefetch walks together.
+	window = 64
 	// outFlush is how many response bytes a burst buffers before writing
 	// them out early.
 	outFlush = 64 << 10
@@ -220,11 +228,13 @@ type conn struct {
 	s      *Server
 	nc     net.Conn
 	maxVal int
-	puts   []core.Record // the run of consecutive valid Puts not yet applied
-	val    []byte        // Get's value buffer
-	resp   []byte        // one response payload
-	out    []byte        // framed responses not yet written
-	werr   error         // the first write error, which ends the connection
+	reqs   []wire.Request // the window being executed
+	keys   [][]byte       // its Get, Put and Delete keys
+	puts   []core.Record  // the run of consecutive valid Puts not yet applied
+	val    []byte         // Get's value buffer
+	resp   []byte         // one response payload
+	out    []byte         // framed responses not yet written
+	werr   error          // the first write error, which ends the connection
 }
 
 // handleConn serves one connection until the peer closes it, a protocol
@@ -251,7 +261,13 @@ func (s *Server) handleConn(nc net.Conn) {
 		io.Copy(io.Discard, nc)
 	}()
 
-	c := &conn{s: s, nc: nc, maxVal: s.maxValueLen()}
+	c := &conn{
+		s:      s,
+		nc:     nc,
+		maxVal: s.maxValueLen(),
+		reqs:   make([]wire.Request, 0, window),
+		keys:   make([][]byte, 0, window),
+	}
 	in := make([]byte, 0, 64<<10)
 	for {
 		m, rerr := nc.Read(in[len(in):cap(in)])
@@ -299,35 +315,62 @@ func (s *Server) isCleanEOF(err error) bool {
 	return false
 }
 
-// burst executes every complete request in b in arrival order. It
-// returns how many bytes those took, how long the buffer must be to hold
-// the next frame whole, and the framing or decode error that ends the
-// connection, if any. A valid Put is held back to join a run of
-// consecutive valid Puts; anything else — an invalid Put or a decode
-// error included — ends the run, which is applied before it.
+// burst executes every complete request in b in arrival order, one
+// window at a time: it decodes up to window requests, hands their keys to
+// core.Prefetch so that their lookups' cache misses overlap, then runs
+// them in order. It returns how many bytes the decoded requests took, how
+// long the buffer must be to hold the next frame whole, and the framing
+// or decode error that ends the connection, if any; the requests before
+// that error still run. A valid Put is held back to join a run of
+// consecutive valid Puts, across windows; anything else — an invalid Put
+// included — ends the run, which is applied before it, and so does the
+// end of the burst.
 func (c *conn) burst(b []byte) (off, need int, err error) {
 	for c.werr == nil {
-		var p []byte
-		if p, need, err = wire.SplitFrame(b[off:]); err != nil || need > len(b)-off {
-			break
-		}
-		var req wire.Request
-		if req, err = wire.DecodeRequest(p); err != nil {
-			break
-		}
-		off += need
-		c.s.requests.Add(1)
-		if req.Op == wire.OpPut && c.validatePut(&req) == wire.StatusOK {
-			if c.puts = append(c.puts, core.Record{Key: req.Key, Value: req.Value}); len(c.puts) == batchMax {
-				c.applyPuts()
+		c.reqs, c.keys = c.reqs[:0], c.keys[:0]
+		for len(c.reqs) < window {
+			var p []byte
+			if p, need, err = wire.SplitFrame(b[off:]); err != nil || need > len(b)-off {
+				break
 			}
-			continue
+			var req wire.Request
+			if req, err = wire.DecodeRequest(p); err != nil {
+				break
+			}
+			off += need
+			c.reqs = append(c.reqs, req)
+			if req.Op == wire.OpGet || req.Op == wire.OpPut || req.Op == wire.OpDelete {
+				c.keys = append(c.keys, req.Key)
+			}
 		}
-		c.applyPuts()
-		c.respond(req.Op, c.execute(&req))
+		if len(c.keys) >= 2 {
+			c.s.h.Prefetch(c.keys)
+		}
+		for i := range c.reqs {
+			if c.werr != nil {
+				break
+			}
+			c.run(&c.reqs[i])
+		}
+		if len(c.reqs) < window { // out of complete frames, or an error
+			break
+		}
 	}
 	c.applyPuts()
 	return off, need, err
+}
+
+// run executes one request, or holds a valid Put back for its run.
+func (c *conn) run(req *wire.Request) {
+	c.s.requests.Add(1)
+	if req.Op == wire.OpPut && c.validatePut(req) == wire.StatusOK {
+		if c.puts = append(c.puts, core.Record{Key: req.Key, Value: req.Value}); len(c.puts) == batchMax {
+			c.applyPuts()
+		}
+		return
+	}
+	c.applyPuts()
+	c.respond(req.Op, c.execute(req))
 }
 
 // applyPuts applies the pending run of pre-validated Puts and responds

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -537,4 +538,87 @@ func TestPutBatchOp(t *testing.T) {
 	if got := readResp(t, br, wire.OpGet); got.Status != wire.StatusOK || string(got.Value) != "bv-07" {
 		t.Fatalf("get after batch: %s %q", got.Status, got.Value)
 	}
+}
+
+// TestBurstThenMalformedFrame sends one burst of valid requests, more than
+// a window of them, followed by a frame that does not decode: every valid
+// request executes and answers in order, then one BadRequest comes back,
+// then the connection closes.
+func TestBurstThenMalformedFrame(t *testing.T) {
+	_, h, l := startPipeServer(t)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("mf-%03d", i%40)) }
+	var steps []step
+	for i := 0; i < window+36; i++ {
+		switch i % 3 {
+		case 0:
+			steps = append(steps, step{req: wire.Request{Op: wire.OpPut, Key: key(i), Value: []byte{byte(i)}}, wantStatus: wire.StatusOK})
+		case 1:
+			steps = append(steps, step{req: wire.Request{Op: wire.OpGet, Key: key(i - 1)}, wantStatus: wire.StatusOK, wantValue: []byte{byte(i - 1)}})
+		default:
+			steps = append(steps, step{req: wire.Request{Op: wire.OpGet, Key: []byte("mf-absent")}, wantStatus: wire.StatusNotFound})
+		}
+	}
+	var stream []byte
+	for _, st := range steps {
+		stream = append(stream, frame(t, st.req)...)
+	}
+	stream = wire.AppendFrame(stream, []byte{wire.Version + 7, byte(wire.OpGet), 0, 1, 'k'})
+	c := l.dial(t)
+	go c.Write(stream) // a pipe Write returns once the server has read it all
+	br := bufio.NewReader(c)
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i, st := range steps {
+		resp := readResp(t, br, st.req.Op)
+		if resp.Status != st.wantStatus || (st.wantValue != nil && !bytes.Equal(resp.Value, st.wantValue)) {
+			t.Fatalf("step %d (%s %q): %s %q, want %s %q", i, st.req.Op, st.req.Key, resp.Status, resp.Value, st.wantStatus, st.wantValue)
+		}
+	}
+	if resp := readResp(t, br, wire.OpGet); resp.Status != wire.StatusBadRequest {
+		t.Fatalf("after the valid requests: %s, want %s", resp.Status, wire.StatusBadRequest)
+	}
+	if _, err := wire.ReadFrame(br, nil); !errors.Is(err, io.EOF) {
+		t.Fatalf("conn after the malformed frame: %v, want EOF", err)
+	}
+	if h.Len() != 34 {
+		t.Fatalf("store holds %d records, want 34", h.Len())
+	}
+}
+
+// TestBurstAcrossWindows sends one burst of 200 mixed Gets, Puts and
+// Deletes, four windows' worth, over a few keys, so most requests read
+// what an earlier one wrote; at every window boundary the last request
+// of a window writes a key and the first of the next reads it back.
+func TestBurstAcrossWindows(t *testing.T) {
+	_, _, l := startPipeServer(t)
+	rng := rand.New(rand.NewSource(7))
+	model := map[string][]byte{}
+	var steps []step
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("aw-%d", rng.Intn(6))
+		op := []wire.Op{wire.OpGet, wire.OpPut, wire.OpDelete}[rng.Intn(3)]
+		switch {
+		case i%window == window-1:
+			k, op = fmt.Sprintf("aw-edge-%d", i), wire.OpPut
+		case i%window == 0 && i > 0:
+			k, op = fmt.Sprintf("aw-edge-%d", i-1), wire.OpGet
+		}
+		st := step{req: wire.Request{Op: op, Key: []byte(k)}, wantStatus: wire.StatusOK}
+		switch op {
+		case wire.OpGet:
+			if st.wantValue = model[k]; st.wantValue == nil {
+				st.wantStatus = wire.StatusNotFound
+			}
+		case wire.OpPut:
+			st.req.Value = []byte(fmt.Sprintf("v%03d", i))
+			model[k] = st.req.Value
+		case wire.OpDelete:
+			if model[k] == nil {
+				st.wantStatus = wire.StatusNotFound
+			}
+			delete(model, k)
+		}
+		steps = append(steps, st)
+	}
+	c := l.dial(t)
+	runBurst(t, c, bufio.NewReader(c), steps)
 }

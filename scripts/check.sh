@@ -18,6 +18,9 @@ go test -race -count=1 $(go list ./... | grep -v /internal/modelcheck)
 # its interleavings differ run to run, and the races it has caught before
 # failed well under half the runs, so it gets three.
 go test -race -count=3 -run TestShardConcurrentChurn ./internal/core/
+# The same churn with two goroutines walking keys down the index beside
+# it: Prefetch takes no lock, so it gets as many runs.
+go test -race -count=3 -run TestPrefetchConcurrentChurn ./internal/core/
 # The model checker's whole sweep under -race exceeds the default timeout
 # (ROADMAP item C), so only its fixed value-shape histories run here: they
 # put every pair of value shapes through every recovery mode, parallel
@@ -32,9 +35,11 @@ go test -run='^$' -fuzz=FuzzARTDifferential -fuzztime=10s ./internal/art/
 go test -run='^$' -fuzz=FuzzModelCheck -fuzztime=10s ./internal/modelcheck/
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 
-# The directory's micro-benchmarks (shard creation, Get, bulk build), one
-# iteration each, so they keep compiling and running.
+# The directory's micro-benchmarks (shard creation, Get, bulk build) and
+# the burst lookup (serial vs prefetched), one iteration each, so they keep
+# compiling and running.
 go test -run '^$' -bench . -benchtime 1x ./internal/hashdir/
+go test -run '^$' -bench GetBurst -benchtime 1x ./internal/core/
 
 # The benchmark is a nested module (benchmark/go.mod), so nothing above
 # compiles it. Its smoke test runs every workload at toy scale against the
