@@ -89,7 +89,7 @@ var (
 // Options configures a DB.
 type Options struct {
 	// HashKeyLen is kh, the number of leading key bytes routed by the
-	// hash directory (default 2, the paper's setting).
+	// hash directory: 1 to 3 (default 2, the paper's setting).
 	HashKeyLen int
 	// ArenaSize is the simulated PM capacity in bytes (default 64 MiB).
 	ArenaSize int64

@@ -15,7 +15,9 @@ import (
 // RunAblationKH sweeps the hash-key length kh (the paper sets kh = 2 and
 // argues the overall complexity is k - kh + 1 while collisions stay low).
 // kh = 0 is approximated by kh = 1 over a single-byte space; larger kh
-// trades ART depth for hash-directory width and DRAM.
+// trades ART depth for hash-directory width and DRAM. The sweep stops at
+// hashdir.MaxKeyLen = 3: at kh = 4 the directory would need a page per
+// shard.
 func RunAblationKH(c Config) (Report, error) {
 	c = c.WithDefaults()
 	lat := latency.Config300x300()
@@ -24,7 +26,7 @@ func RunAblationKH(c Config) (Report, error) {
 	probe := shuffled(keys, c.Seed+13)
 	val := workload.Values(1, c.ValueSize, c.Seed+29)[0]
 	var report Report
-	for _, kh := range []int{1, 2, 3, 4} {
+	for _, kh := range []int{1, 2, 3} {
 		h, err := core.New(core.Options{
 			HashKeyLen: kh,
 			ArenaSize:  arenaSize("HART", c.Records+1),

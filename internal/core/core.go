@@ -12,9 +12,9 @@
 //
 // Concurrency extends Section III.A.3: writers still serialise per ART
 // (one RWMutex per shard, so writes to distinct ARTs proceed in parallel),
-// but the read path is lock-free. The hash directory is published as an
-// immutable snapshot behind an atomic pointer (copy-on-write on the rare
-// shard add/remove), each shard's ART is an immutable tree republished by
+// but the read path is lock-free. The hash directory publishes each change
+// as one immutable page behind an atomic pointer (on the rare shard
+// add/remove), each shard's ART is an immutable tree republished by
 // copy-on-write mutation, and a per-shard seqlock validates the PM-side
 // leaf and value reads. See DESIGN.md §11.
 package core
@@ -157,7 +157,8 @@ var (
 // Options configures a HART instance.
 type Options struct {
 	// HashKeyLen is kh, the number of leading key bytes consumed by the
-	// hash directory. Default DefaultHashKeyLen.
+	// hash directory, 1 to hashdir.MaxKeyLen (3). Default
+	// DefaultHashKeyLen.
 	HashKeyLen int
 	// ArenaSize is the simulated PM capacity in bytes. Default 64 MiB.
 	ArenaSize int64
@@ -252,7 +253,7 @@ type artShard struct {
 	// dead marks a shard removed from the directory after its ART
 	// emptied; waiters must re-resolve through the directory. Guarded by
 	// mu (the lock-free path never reads it — it revalidates through a
-	// fresh directory snapshot instead).
+	// fresh directory lookup instead).
 	dead bool
 	// pending, when non-nil, holds the shard's leaf list from a lazy
 	// recovery (Options.LazyRecovery): the published tree is empty and
@@ -293,14 +294,13 @@ type HART struct {
 	arena *pmem.Arena
 	alloc *epalloc.Allocator
 
-	// dir is the published directory snapshot, the paper's hash table
-	// from each key's first kh bytes to its shard. The table behind the
-	// pointer is immutable: shard insertion and removal clone it, mutate
-	// the clone and swap the pointer. Readers load it with no lock; dirMu
-	// serialises the writers performing the clone-and-swap. Lock
-	// ordering: shard mutexes before dirMu — removeShardIfEmpty publishes
-	// while holding its shard's lock, which is safe because getShard
-	// never waits on a shard while holding dirMu.
+	// dir is the paper's hash table from each key's first kh bytes to
+	// its shard. Readers use it with no lock; shard creation and removal
+	// are each one Put or Delete on it under dirMu, which publishes one
+	// page (hashdir). Recovery builds a table in private and swaps the
+	// pointer under dirMu. Lock ordering: shard mutexes before dirMu —
+	// removeShardIfEmpty publishes while holding its shard's lock, which
+	// is safe because getShard never waits on a shard while holding dirMu.
 	dirMu sync.Mutex
 	dir   atomic.Pointer[hashdir.Table[*artShard]]
 
@@ -382,8 +382,8 @@ func New(opts Options) (*HART, error) {
 // the sequence attaches as not-formatted, never as a half-formed store.
 func NewOnArena(arena *pmem.Arena, opts Options) (*HART, error) {
 	opts = opts.withDefaults()
-	if opts.HashKeyLen < 1 || opts.HashKeyLen >= MaxKeyLen {
-		return nil, fmt.Errorf("hart: invalid HashKeyLen %d", opts.HashKeyLen)
+	if opts.HashKeyLen < 1 || opts.HashKeyLen > hashdir.MaxKeyLen {
+		return nil, fmt.Errorf("hart: invalid HashKeyLen %d (1..%d)", opts.HashKeyLen, hashdir.MaxKeyLen)
 	}
 	if err := validateClasses(opts.ValueClasses); err != nil {
 		return nil, err
@@ -527,15 +527,13 @@ func (h *HART) validateWrite(key, value []byte) error {
 	return nil
 }
 
-// getShard looks key's hash key up in the current directory snapshot and
-// returns its shard plus the hash key, optionally creating the shard
-// (HashInsert, Algorithm 1 lines 3-5). Lookup is a lock-free read of the
-// snapshot; creation looks again under dirMu, since another writer may
-// have created the shard meanwhile, then clones the table and publishes
-// the clone, which copies the segment headers and the one segment the
-// entry lands in (hashdir.Clone). The returned shard is unlocked; a
-// caller that locks it must re-check shard.dead and retry, since an
-// emptied shard may have left the directory meanwhile.
+// getShard looks key's hash key up in the directory and returns its shard
+// plus the hash key, optionally creating the shard (HashInsert, Algorithm
+// 1 lines 3-5). Lookup is a lock-free read; creation looks again under
+// dirMu, since another writer may have created the shard meanwhile, then
+// publishes it with one Put. The returned shard is unlocked; a caller that
+// locks it must re-check shard.dead and retry, since an emptied shard may
+// have left the directory meanwhile.
 func (h *HART) getShard(key []byte, create bool) (*artShard, []byte) {
 	hk, _ := h.splitKey(key)
 	s, ok := h.dir.Load().Get(hk)
@@ -544,14 +542,12 @@ func (h *HART) getShard(key []byte, create bool) (*artShard, []byte) {
 	}
 	h.dirMu.Lock()
 	defer h.dirMu.Unlock()
-	cur := h.dir.Load()
-	if s, ok = cur.Get(hk); ok {
+	d := h.dir.Load()
+	if s, ok = d.Get(hk); ok {
 		return s, hk
 	}
 	s = newShard()
-	nu := cur.Clone()
-	nu.Put(hk, s)
-	h.dir.Store(nu)
+	d.Put(hk, s)
 	h.obs.dirPublish.Add(1)
 	return s, hk
 }
@@ -604,9 +600,10 @@ func (h *HART) lockShardR(key []byte) (*artShard, []byte) {
 
 // removeShardIfEmpty frees an ART whose last record was deleted
 // (Algorithm 5 lines 15-16). Caller holds s.mu and an open seqlock
-// section; publishing the shrunken directory happens inside it, so an
-// optimistic reader holding the old snapshot either validates against
-// the still-even seq of the (empty) dead shard or retries.
+// section; the Delete that publishes the entry's removal happens inside
+// it, so an optimistic reader that found the shard before it either
+// validates against the still-even seq of the (empty) dead shard or
+// retries.
 func (h *HART) removeShardIfEmpty(hashKey []byte, s *artShard) {
 	if !s.tree.Load().Empty() {
 		return
@@ -614,9 +611,7 @@ func (h *HART) removeShardIfEmpty(hashKey []byte, s *artShard) {
 	s.dead = true
 	h.dirMu.Lock()
 	defer h.dirMu.Unlock()
-	nu := h.dir.Load().Clone()
-	if nu.Delete(hashKey) {
-		h.dir.Store(nu)
+	if h.dir.Load().Delete(hashKey) {
 		h.obs.dirPublish.Add(1)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/casl-sdsu/hart/internal/hashdir"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
@@ -624,11 +625,11 @@ func TestScanReverse(t *testing.T) {
 	}
 }
 
-// TestHashKeyLenVariants runs basic workloads at several kh values; any
-// kh must produce an equivalent key-value map (only the DRAM layout
-// differs).
+// TestHashKeyLenVariants runs basic workloads at every kh the directory
+// holds; any kh must produce an equivalent key-value map (only the DRAM
+// layout differs).
 func TestHashKeyLenVariants(t *testing.T) {
-	for _, kh := range []int{1, 3, 6} {
+	for _, kh := range []int{1, 2, 3} {
 		h, err := New(Options{ArenaSize: 16 << 20, HashKeyLen: kh})
 		if err != nil {
 			t.Fatalf("kh=%d: %v", kh, err)
@@ -664,9 +665,12 @@ func TestHashKeyLenVariants(t *testing.T) {
 			t.Fatalf("kh=%d: %v", kh, err)
 		}
 	}
-	// Out-of-range kh rejected.
-	if _, err := New(Options{HashKeyLen: MaxKeyLen}); err == nil {
-		t.Fatal("kh == MaxKeyLen accepted")
+	// Out-of-range kh rejected: the directory holds hash keys of at most
+	// hashdir.MaxKeyLen bytes.
+	for _, kh := range []int{hashdir.MaxKeyLen + 1, MaxKeyLen} {
+		if _, err := New(Options{HashKeyLen: kh}); err == nil {
+			t.Fatalf("kh = %d accepted", kh)
+		}
 	}
 	if _, err := New(Options{HashKeyLen: -1}); err == nil {
 		t.Fatal("negative kh accepted")

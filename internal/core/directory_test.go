@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -29,11 +30,12 @@ func reopenCrash(t *testing.T, h *HART, opts Options) *HART {
 // in ascending order, and Check is clean.
 func checkStore(t *testing.T, h *HART, want map[string]string) {
 	t.Helper()
-	for _, ek := range h.dir.Load().SortedKeys() {
+	h.dir.Load().Range(func(ek []byte, _ *artShard) bool {
 		if len(ek) > h.opts.HashKeyLen {
 			t.Fatalf("directory entry %q is longer than kh = %d", ek, h.opts.HashKeyLen)
 		}
-	}
+		return true
+	})
 	for k, v := range want {
 		mustGet(t, h, k, v)
 	}
@@ -163,6 +165,41 @@ func TestElasticSplitSlotCapacity(t *testing.T) {
 	}
 	writeElasticEraSplits(h, 1<<40, slots)
 	checkStore(t, reopenCrash(t, h, Options{}), vals)
+}
+
+// TestDirectoryBytesMatchHeap creates the benchmark's 3 844 two-byte
+// shards on an empty store and holds the DRAM accounting to the runtime:
+// the heap growth must match what Stats adds to Size.DRAMBytes — the
+// directory's share (its pages and nodes, one shard struct per entry) and
+// each shard's empty tree — within 10 %.
+func TestDirectoryBytesMatchHeap(t *testing.T) {
+	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+	h := newHART(t)
+	var before, after runtime.MemStats
+	st0 := h.Stats()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < len(alphabet); i++ {
+		for j := 0; j < len(alphabet); j++ {
+			h.getShard([]byte{alphabet[i], alphabet[j]}, true)
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := h.Stats()
+	if st.ARTs != len(alphabet)*len(alphabet) {
+		t.Fatalf("%d shards, want %d", st.ARTs, len(alphabet)*len(alphabet))
+	}
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	counted := st.Size.DRAMBytes - st0.Size.DRAMBytes
+	t.Logf("heap +%d B, counted +%d B (directory %d B, of which the table %d B; empty trees %d B)",
+		held, counted, counted-st.ART.Bytes, h.dir.Load().DRAMBytes(), st.ART.Bytes)
+	if d := float64(counted-held) / float64(held); d < -0.10 || d > 0.10 {
+		t.Fatalf("Stats counts %d B for %d B of heap (%+.1f %%)", counted, held, 100*d)
+	}
+	runtime.KeepAlive(h)
 }
 
 // TestStatsHotShards verifies the per-shard write counts Stats exports:

@@ -21,8 +21,8 @@ type coreObs struct {
 	// took the shard read lock. Both stay zero on the clean lock-free hit.
 	seqRetries, lockedFallbacks obs.Counter
 
-	// dirPublish counts directory snapshot publications (every
-	// h.dir.Store after the constructor's initial one).
+	// dirPublish counts directory publications: every shard creation or
+	// removal, and every table recovery stores.
 	dirPublish obs.Counter
 
 	// timing gates the operation histograms below; pmem's persist/sync
@@ -71,7 +71,6 @@ func (h *HART) EmitEvent(kind, detail string, a, b uint64) {
 // global linearization point — counters advance independently while it
 // is taken, like any scrape.
 func (h *HART) Metrics() obs.Snapshot {
-	d := h.dir.Load()
 	am := h.alloc.Metrics()
 	ar := h.arena.Stats()
 
@@ -92,8 +91,7 @@ func (h *HART) Metrics() obs.Snapshot {
 		"read.locked_fallbacks": h.obs.lockedFallbacks.Value(),
 
 		"dir.republish": h.obs.dirPublish.Value(),
-		"dir.clones":    d.Clones(),
-		"dir.entries":   uint64(d.Len()),
+		"dir.entries":   uint64(h.dir.Load().Len()),
 
 		"alloc.chunk_reuses": am.ChunkReuses.Value(),
 		"alloc.steals":       am.Steals.Value(),

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/casl-sdsu/hart/internal/hashdir"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
@@ -98,6 +101,44 @@ func TestOpenRejectsGeometryMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Close()
+}
+
+// TestOpenRefusesHashKeyLenAboveDirectory hand-writes a kh the directory
+// cannot hold (builds before the radix directory accepted up to 23) into a
+// kh = 2 store's superblock, the way TestElasticReopen writes split slots.
+// Open must refuse it with ErrGeometryMismatch naming the limit, before
+// writing anything: the file's bytes stay as they were.
+func TestOpenRefusesHashKeyLenAboveDirectory(t *testing.T) {
+	for _, kh := range []uint64{hashdir.MaxKeyLen + 1, MaxKeyLen - 1} {
+		path := openStoreFile(t, Options{HashKeyLen: 2, ArenaSize: 4 << 20})
+		arena, _, err := pmem.OpenFileArena(path, pmem.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena.Write8(sbBase+sbOffHashKeyLen, kh)
+		arena.Persist(sbBase+sbOffHashKeyLen, 8)
+		if err := arena.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = reopen(t, path, Options{})
+		if !errors.Is(err, ErrGeometryMismatch) {
+			t.Fatalf("kh %d: err = %v, want ErrGeometryMismatch", kh, err)
+		}
+		if limit := fmt.Sprintf("at most %d bytes", hashdir.MaxKeyLen); !strings.Contains(err.Error(), limit) {
+			t.Fatalf("kh %d: error %q does not name the limit", kh, err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("kh %d: the refused Open changed the file", kh)
+		}
+	}
 }
 
 // TestOpenRejectsUnformattedArena verifies a raw arena with no HART

@@ -355,8 +355,8 @@ func (h *HART) Update(key, value []byte) error {
 
 // Get looks a key up (Algorithm 4) and returns a copy of its value.
 //
-// The fast path is lock-free: it resolves the shard through the current
-// directory snapshot, walks the shard's published (immutable) tree, and
+// The fast path is lock-free: it resolves the shard through the
+// directory, walks the shard's published (immutable) tree, and
 // validates the PM-side reads against the shard seqlock, retrying on
 // interference and falling back to the shard read lock after
 // optimisticAttempts tries. See DESIGN.md §11.
@@ -433,13 +433,13 @@ func (h *HART) Contains(key []byte) bool {
 // reports (value, found, conclusive); conclusive=false means a writer
 // interfered and the attempt tells us nothing. The protocol:
 //
-//  1. Load the current directory snapshot and resolve the shard of the
-//     key's first kh bytes. No shard → conclusively absent (the snapshot
-//     is the linearization point; snapshots are immutable).
+//  1. Resolve the shard of the key's first kh bytes in the directory. No
+//     shard → conclusively absent (the load of the directory page is the
+//     linearization point; a published page is immutable).
 //  2. Load the shard seqlock. Odd → a writer is mid-section; retry.
 //  3. Load the published tree and search it. The walk touches only
 //     immutable DRAM nodes, so it needs no validation; not-found is
-//     conclusive if seq is still unchanged (the snapshot was current).
+//     conclusive if seq is still unchanged (the tree was current).
 //  4. Read the value through the leaf (readValue: word 0, which is the
 //     value or names its object) — all atomic word loads, racing at
 //     worst with atomic word stores from writers reusing the slot. Before

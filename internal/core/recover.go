@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,20 +104,13 @@ func (h *HART) recover() error {
 
 	// Publish: one atomic store each for the directory and the size, so
 	// concurrent readers see the old index or the complete new one.
-	total := 0
+	var keys []string
+	var shards []*artShard
 	for _, p := range parts {
-		total += len(p)
-	}
-	all := make([]builtShard, 0, total)
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	slices.SortFunc(all, func(a, b builtShard) int { return strings.Compare(a.hk, b.hk) })
-	keys := make([]string, len(all))
-	shards := make([]*artShard, len(all))
-	for i, bs := range all {
-		keys[i] = bs.hk
-		shards[i] = bs.s
+		for _, bs := range p {
+			keys = append(keys, bs.hk)
+			shards = append(shards, bs.s)
+		}
 	}
 	h.dirMu.Lock()
 	h.dir.Store(hashdir.NewFromSorted(keys, shards))
@@ -126,7 +118,7 @@ func (h *HART) recover() error {
 	h.obs.dirPublish.Add(1)
 	h.size.Store(int64(scan.live))
 	if h.opts.LazyRecovery {
-		stats.PendingShards = len(all)
+		stats.PendingShards = len(keys)
 	}
 	h.pendingShards.Store(int64(stats.PendingShards))
 	h.recoveryStats = stats

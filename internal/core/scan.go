@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"sort"
-	"strings"
 	"time"
 )
 
@@ -20,13 +18,12 @@ import (
 // a proper prefix of another is a key shorter than kh, and it holds only
 // that key, so entry order is record order.
 //
-// The walk is cursor-based rather than a single directory-snapshot
-// iteration: each step re-resolves the cursor position against the
-// *current* snapshot, visits one entry under its read lock, and advances
-// the cursor past that entry's whole key range. A shard that empties,
-// leaves the directory and is created afresh between steps therefore
-// cannot hide records inserted into its successor: the fresh snapshot
-// finds them ahead of the cursor.
+// The walk is cursor-based rather than a single directory iteration: each
+// step finds the cursor's entry in the directory as it is now (Seek),
+// visits that entry under its read lock, and advances the cursor past the
+// entry's whole key range. A shard that empties, leaves the directory and
+// is created afresh between steps therefore cannot hide records inserted
+// into its successor: the next Seek finds them ahead of the cursor.
 func (h *HART) Scan(start, end []byte, fn func(key, value []byte) bool) {
 	if h.obs.timing.Enabled() {
 		t := time.Now()
@@ -58,31 +55,18 @@ func (h *HART) scanOp(start, end []byte, fn func(key, value []byte) bool) {
 	cursor := start // next key position to visit; nil = from the beginning
 	for {
 		d := h.dir.Load()
-		keys := d.SortedKeys()
 		var ek, artStart []byte
-		switch {
-		case cursor == nil:
-			if len(keys) == 0 {
-				return
-			}
-			ek = []byte(keys[0])
-		default:
-			hk, rest := h.splitKey(cursor)
-			if _, ok := d.Get(hk); ok && len(rest) > 0 {
-				// The cursor falls strictly inside the entry of its hash
-				// key: its remaining records start at cursor's ART key.
-				// No entry sorts between hk and cursor: it would extend
-				// hk, and no entry is longer than kh.
-				ek = hk
-				artStart = rest
-				break
-			}
-			i := sort.SearchStrings(keys, string(cursor))
-			if i >= len(keys) {
-				return
-			}
-			ek = []byte(keys[i]) // ek >= cursor, so every key in it qualifies
-		}
+		var s *artShard
+		hk, rest := h.splitKey(cursor)
+		if hs, ok := d.Get(hk); ok && len(rest) > 0 {
+			// The cursor falls strictly inside the entry of its hash key:
+			// its remaining records start at cursor's ART key. No entry
+			// sorts between hk and cursor: it would extend hk, and no entry
+			// is longer than kh.
+			ek, artStart, s = hk, rest, hs
+		} else if ek, s, ok = d.Seek(cursor); !ok {
+			return
+		} // else ek >= cursor, so every key in it qualifies
 		if end != nil && bytes.Compare(ek, end) >= 0 {
 			return // entries ahead only grow; nothing further qualifies
 		}
@@ -91,14 +75,12 @@ func (h *HART) scanOp(start, end []byte, fn func(key, value []byte) bool) {
 			artEnd = end[len(ek):]
 		}
 
-		s, _ := d.Get(ek)
 		if s.pending.Load() != nil {
 			h.drainShard(s)
 		}
 		s.mu.RLock()
 		if s.dead {
-			// Emptied since the snapshot: re-resolve the unchanged cursor
-			// against a fresh snapshot.
+			// Emptied since the lookup: re-resolve the unchanged cursor.
 			s.mu.RUnlock()
 			continue
 		}
@@ -119,21 +101,15 @@ func (h *HART) scanOp(start, end []byte, fn func(key, value []byte) bool) {
 		if stop {
 			return
 		}
-		// Advance past everything this entry held. An entry that is a
-		// proper prefix of its sorted successor is a key shorter than kh
-		// and holds just the key ek itself, so longer entries own the rest
-		// of ek's prefix range and the cursor must step into that range,
-		// not over it. Entries extending ek sort contiguously right after it, so
-		// checking the immediate successor suffices. Either advance is
+		// Advance past everything this entry held. An entry shorter than
+		// kh is a key shorter than kh and holds just that key, so the
+		// entries extending it own the rest of its prefix range and the
+		// cursor must step into that range, not over it. Either advance is
 		// strictly greater than the old cursor, so the walk terminates.
-		j := sort.SearchStrings(keys, string(ek))
-		if j+1 < len(keys) && strings.HasPrefix(keys[j+1], string(ek)) {
+		if len(ek) < h.opts.HashKeyLen {
 			cursor = append(append([]byte(nil), ek...), 0)
-		} else {
-			cursor = prefixSuccessor(ek)
-			if cursor == nil {
-				return // the entry's range extends to the top of the keyspace
-			}
+		} else if cursor = prefixSuccessor(ek); cursor == nil {
+			return // the entry's range extends to the top of the keyspace
 		}
 	}
 }
@@ -206,18 +182,12 @@ func (h *HART) scanReverseOp(start, end []byte, fn func(key, value []byte) bool)
 	}
 	cursorEnd := end // visit keys < cursorEnd next; nil = from the top
 	for {
-		d := h.dir.Load()
-		keys := d.SortedKeys()
 		// Highest entry that can hold a key < cursorEnd: entries at or
 		// above cursorEnd hold only keys >= themselves >= cursorEnd.
-		i := len(keys) - 1
-		if cursorEnd != nil {
-			i = sort.SearchStrings(keys, string(cursorEnd)) - 1
-		}
-		if i < 0 {
+		ek, s, ok := h.dir.Load().SeekBelow(cursorEnd)
+		if !ok {
 			return
 		}
-		ek := []byte(keys[i])
 		var artStart []byte
 		if start != nil {
 			switch {
@@ -237,7 +207,6 @@ func (h *HART) scanReverseOp(start, end []byte, fn func(key, value []byte) bool)
 			artEnd = cursorEnd[len(ek):]
 		}
 
-		s, _ := d.Get(ek)
 		if s.pending.Load() != nil {
 			h.drainShard(s)
 		}

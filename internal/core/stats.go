@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"unsafe"
 
 	"github.com/casl-sdsu/hart/internal/art"
 	"github.com/casl-sdsu/hart/internal/epalloc"
@@ -33,8 +34,8 @@ type SizeInfo struct {
 	PMBytes int64
 	// DRAMBytes is the volatile footprint: the ARTs as art.Stats counts
 	// them (inner nodes and the DRAM leaves that hold each key and its PM
-	// leaf's offset, at their heap size classes) plus an estimate of the
-	// hash directory.
+	// leaf's offset, at their heap size classes) plus the hash directory:
+	// its pages and nodes, and one shard struct per entry.
 	DRAMBytes int64
 }
 
@@ -81,12 +82,15 @@ type HotShard struct {
 	Records int
 }
 
-// hash-directory per-entry DRAM cost estimate: map bucket share + string
-// header + shard struct + sorted-slice entry.
-const dirEntryCost = 128
+// dirEntryCost is the heap cost of each directory entry's shard struct:
+// 64 B on amd64, which is a Go size class of its own, so nothing rounds
+// it up (TestDirectoryBytesMatchHeap holds it to the runtime). The
+// directory's pages and nodes are the table's DRAMBytes, and the shard's
+// tree is art.Stats' to count.
+const dirEntryCost = int64(unsafe.Sizeof(artShard{}))
 
-// Stats collects statistics. Lock-free: it walks the current directory
-// snapshot and each shard's published tree, both immutable. During a
+// Stats collects statistics. Lock-free: it walks the directory's pages and
+// each shard's published tree, all immutable. During a
 // lazy recovery (PendingShards > 0) unbuilt shards contribute empty
 // trees to the DRAM accounting; Records stays exact.
 func (h *HART) Stats() Stats {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/casl-sdsu/hart/internal/hashdir"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
@@ -154,10 +155,16 @@ func readSuperblock(arena *pmem.Arena) (superblock, error) {
 }
 
 // adoptGeometry merges the superblock geometry into opts: zero fields are
-// adopted from the store, non-zero fields must agree with it. Returns the
+// adopted from the store, non-zero fields must agree with it. A store
+// written with a kh the directory cannot hold (builds before the radix
+// directory accepted up to 23) is refused. Returns the
 // merged options (not yet defaulted — both sources are authoritative, so
 // nothing is left to default but scalars like ArenaSize).
 func adoptGeometry(opts Options, sb superblock) (Options, error) {
+	if sb.HashKeyLen > hashdir.MaxKeyLen {
+		return opts, fmt.Errorf("%w: store has HashKeyLen %d, the directory holds hash keys of at most %d bytes",
+			ErrGeometryMismatch, sb.HashKeyLen, hashdir.MaxKeyLen)
+	}
 	if opts.HashKeyLen == 0 {
 		opts.HashKeyLen = sb.HashKeyLen
 	} else if opts.HashKeyLen != sb.HashKeyLen {

@@ -1,37 +1,40 @@
 package hashdir
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // sink keeps benchmarked results alive.
 var sink int
 
 // BenchmarkCreateShards times building the 3 844-entry directory one entry
-// at a time, each a Clone+Put as HART's shard creation does it.
+// at a time, each a Put as HART's shard creation does it.
 func BenchmarkCreateShards(b *testing.B) {
-	keys := pairKeys(alphabet62)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tb, _ := createOneByOne(New[int](), keys)
-		sink += tb.Len()
-	}
-}
-
-// BenchmarkCreateShardsScanned is BenchmarkCreateShards with a scanner
-// that reads the sorted key list of every table published, as a Scan
-// running during the load does at each step.
-func BenchmarkCreateShardsScanned(b *testing.B) {
 	keys := pairKeys(alphabet62)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tb := New[int]()
 		for j, k := range keys {
-			nu := tb.Clone()
-			nu.Put(k, j)
-			tb = nu
-			sink += len(tb.SortedKeys())
+			tb.Put(k, j)
+		}
+		sink += tb.Len()
+	}
+}
+
+// BenchmarkSeek times a Scan step's lookup of the next entry in the
+// 3 844-entry directory: the first entry at or after each key's successor.
+func BenchmarkSeek(b *testing.B) {
+	keys := pairKeys(alphabet62)
+	tb := New[int]()
+	for i, k := range keys {
+		tb.Put(k, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, j := 0, 0; i < b.N; i++ {
+		k := keys[j]
+		_, v, _ := tb.Seek([]byte{k[0], k[1] + 1})
+		sink += v
+		if j++; j == len(keys) {
+			j = 0
 		}
 	}
 }
@@ -61,7 +64,6 @@ func BenchmarkNewFromSorted(b *testing.B) {
 	for i, k := range pairs {
 		keys[i] = string(k)
 	}
-	slices.Sort(keys)
 	vals := make([]int, len(keys))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,14 +3,41 @@ package hashdir
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// alphabet62 is the paper's key alphabet: every two-byte prefix of the
+// benchmark's keys is a pair over it, 62² = 3 844 directory entries.
+const alphabet62 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+
+// pairKeys returns every two-byte key over the alphabet, in order of the
+// first byte.
+func pairKeys(alphabet string) [][]byte {
+	keys := make([][]byte, 0, len(alphabet)*len(alphabet))
+	for i := 0; i < len(alphabet); i++ {
+		for j := 0; j < len(alphabet); j++ {
+			keys = append(keys, []byte{alphabet[i], alphabet[j]})
+		}
+	}
+	return keys
+}
+
+// rangeKeys returns the table's keys in the order Range visits them.
+func rangeKeys[V any](tb *Table[V]) []string {
+	var keys []string
+	tb.Range(func(k []byte, _ V) bool {
+		keys = append(keys, string(k))
+		return true
+	})
+	return keys
+}
 
 func TestPutGetDeleteBasic(t *testing.T) {
 	tb := New[int]()
-	if _, ok := tb.Get([]byte("absent")); ok {
+	if _, ok := tb.Get([]byte("abs")); ok {
 		t.Fatal("Get on empty table")
 	}
 	if !tb.Put([]byte("aa"), 1) {
@@ -21,6 +48,11 @@ func TestPutGetDeleteBasic(t *testing.T) {
 	}
 	if v, ok := tb.Get([]byte("aa")); !ok || v != 2 {
 		t.Fatalf("Get = (%d,%v)", v, ok)
+	}
+	for _, k := range []string{"", "a", "aaa", "aaaa"} {
+		if _, ok := tb.Get([]byte(k)); ok {
+			t.Fatalf("Get(%q) hit beside the only key %q", k, "aa")
+		}
 	}
 	if tb.Len() != 1 {
 		t.Fatalf("Len = %d", tb.Len())
@@ -36,39 +68,44 @@ func TestPutGetDeleteBasic(t *testing.T) {
 	}
 }
 
+// TestGrowthAndProbeBounds: the table grows by whole pages, one per
+// distinct prefix of its keys, and never probes — every key is found at
+// its own slot of its page.
 func TestGrowthAndProbeBounds(t *testing.T) {
 	tb := New[int]()
 	const n = 10000
+	key := func(i int) []byte { return []byte{byte(i >> 8), byte(i)} }
 	for i := 0; i < n; i++ {
-		tb.Put([]byte(fmt.Sprintf("%02x%02x", i>>8, i&0xff)), i)
+		tb.Put(key(i), i)
 	}
 	if tb.Len() != n {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	for i := 0; i < n; i += 97 {
-		v, ok := tb.Get([]byte(fmt.Sprintf("%02x%02x", i>>8, i&0xff)))
-		if !ok || v != i {
+	for i := 0; i < n; i++ {
+		if v, ok := tb.Get(key(i)); !ok || v != i {
 			t.Fatalf("Get(%d) = (%d,%v)", i, v, ok)
 		}
 	}
-	st := tb.Stats()
-	if st.Live != n {
-		t.Fatalf("Stats.Live = %d", st.Live)
+	if _, ok := tb.Get(key(n)); ok {
+		t.Fatal("Get hit past the last key")
 	}
-	// Load factor bounded => probes stay modest.
-	if st.MaxProbe > 64 {
-		t.Fatalf("MaxProbe = %d; load factor violated?", st.MaxProbe)
-	}
-	if (st.Live+st.Tombstones)*maxLoadDen >= st.Buckets*maxLoadNum {
-		t.Fatalf("load factor exceeded: %d live + %d dead in %d buckets",
-			st.Live, st.Tombstones, st.Buckets)
+	// 40 first bytes: 40 nodes and pages below one kids array.
+	const pages = (n + 255) / 256
+	var pg page[int]
+	var nd node[int]
+	want := int64(pages)*int64(unsafe.Sizeof(pg)+unsafe.Sizeof(nd)) + int64(unsafe.Sizeof(*tb)) + 256*8
+	if got := tb.DRAMBytes(); got != want {
+		t.Fatalf("DRAMBytes = %d, want %d for %d pages", got, want, pages)
 	}
 }
 
+// TestTombstoneReuseAndCompaction: Delete leaves no tombstone. A slot is
+// free again the moment its key goes, and a page whose last key goes is
+// dropped, so churning a small key set leaves the table as small as before.
 func TestTombstoneReuseAndCompaction(t *testing.T) {
 	tb := New[int]()
-	// Churn the same small key population far beyond the table size;
-	// tombstone compaction must keep the table from growing unboundedly.
+	tb.Put([]byte("zz"), 0)
+	base := tb.DRAMBytes()
 	for round := 0; round < 200; round++ {
 		for i := 0; i < 50; i++ {
 			tb.Put([]byte(fmt.Sprintf("k%02d", i)), round)
@@ -77,47 +114,50 @@ func TestTombstoneReuseAndCompaction(t *testing.T) {
 			tb.Delete([]byte(fmt.Sprintf("k%02d", i)))
 		}
 	}
-	st := tb.Stats()
-	if st.Buckets > 1024 {
-		t.Fatalf("table grew to %d buckets under churn of 50 keys", st.Buckets)
-	}
-	if tb.Len() != 0 {
+	if tb.Len() != 1 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	// Still fully functional.
-	tb.Put([]byte("final"), 42)
-	if v, ok := tb.Get([]byte("final")); !ok || v != 42 {
+	// The nodes on the churned keys' paths stay ("k", its kids array and
+	// "k0" to "k4"); their pages do not.
+	var nd node[int]
+	if got, want := tb.DRAMBytes(), base+256*8+6*int64(unsafe.Sizeof(nd)); got != want {
+		t.Fatalf("DRAMBytes = %d after churn, want %d", got, want)
+	}
+	tb.Put([]byte("k07"), 42)
+	if v, ok := tb.Get([]byte("k07")); !ok || v != 42 {
 		t.Fatal("table broken after churn")
 	}
 }
 
+// TestSortedKeysMaintained: Range visits keys in byte order, a key before
+// the keys it prefixes, and keeps that order across Put and Delete.
 func TestSortedKeysMaintained(t *testing.T) {
 	tb := New[string]()
-	keys := []string{"zz", "aa", "mm", "a", "zzz", "ab"}
+	keys := []string{"zz", "aa", "mm", "a", "zzz", "ab", "\x00", "\xff\xff\xff"}
 	for _, k := range keys {
 		tb.Put([]byte(k), k)
 	}
-	got := tb.SortedKeys()
-	want := append([]string(nil), keys...)
-	sort.Strings(want)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("SortedKeys = %v, want %v", got, want)
+	want := slices.Clone(keys)
+	slices.Sort(want)
+	if got := rangeKeys(tb); !slices.Equal(got, want) {
+		t.Fatalf("Range order = %q, want %q", got, want)
 	}
 	tb.Delete([]byte("mm"))
-	if fmt.Sprint(tb.SortedKeys()) != fmt.Sprint([]string{"a", "aa", "ab", "zz", "zzz"}) {
-		t.Fatalf("SortedKeys after delete = %v", tb.SortedKeys())
+	want = slices.DeleteFunc(want, func(k string) bool { return k == "mm" })
+	if got := rangeKeys(tb); !slices.Equal(got, want) {
+		t.Fatalf("Range order after delete = %q, want %q", got, want)
 	}
-	// Replacement must not duplicate the sorted entry.
+	// Replacement must not duplicate the entry.
 	tb.Put([]byte("aa"), "again")
-	if len(tb.SortedKeys()) != 5 {
-		t.Fatalf("sorted list grew on replacement: %v", tb.SortedKeys())
+	if got := rangeKeys(tb); !slices.Equal(got, want) {
+		t.Fatalf("Range after replacement = %q, want %q", got, want)
 	}
 }
 
 func TestRangeVisitsAll(t *testing.T) {
 	tb := New[int]()
 	for i := 0; i < 100; i++ {
-		tb.Put([]byte(fmt.Sprintf("r%03d", i)), i)
+		tb.Put([]byte(fmt.Sprintf("r%02d", i)), i)
 	}
 	seen := map[string]bool{}
 	tb.Range(func(k []byte, v int) bool {
@@ -135,13 +175,16 @@ func TestRangeVisitsAll(t *testing.T) {
 }
 
 func TestOversizeKeyPanics(t *testing.T) {
-	tb := New[int]()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversize key did not panic")
-		}
-	}()
-	tb.Put(make([]byte, MaxKeyLen+1), 1)
+	for _, k := range [][]byte{make([]byte, MaxKeyLen+1), {}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Put of a %d-byte key did not panic", len(k))
+				}
+			}()
+			New[int]().Put(k, 1)
+		}()
+	}
 }
 
 func TestQuickAgainstMap(t *testing.T) {
@@ -172,8 +215,8 @@ func TestQuickAgainstMap(t *testing.T) {
 		if tb.Len() != len(ref) {
 			return false
 		}
-		keys := tb.SortedKeys()
-		return len(keys) == len(ref) && sort.StringsAreSorted(keys)
+		keys := rangeKeys(tb)
+		return len(keys) == len(ref) && slices.IsSorted(keys)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -202,7 +245,7 @@ func TestDRAMBytesPositive(t *testing.T) {
 // directory holding keys shorter than its hash-key length next to full
 // hash keys produces.
 func TestNewFromSortedVariableDepth(t *testing.T) {
-	keys := []string{"a", "ab", "aba", "abz", "ac", "b", "zzzzzzz"}
+	keys := []string{"a", "ab", "aba", "abz", "ac", "b", "zzz"}
 	vals := make([]int, len(keys))
 	for i := range vals {
 		vals[i] = i + 1
@@ -220,11 +263,8 @@ func TestNewFromSortedVariableDepth(t *testing.T) {
 	if _, ok := tab.Get([]byte("abq")); ok {
 		t.Fatal("Get on absent mixed-length key succeeded")
 	}
-	got := tab.SortedKeys()
-	for i, k := range keys {
-		if got[i] != k {
-			t.Fatalf("SortedKeys[%d] = %q, want %q", i, got[i], k)
-		}
+	if got := rangeKeys(tab); !slices.Equal(got, keys) {
+		t.Fatalf("Range order = %q, want %q", got, keys)
 	}
 	// Mutations after bulk construction keep working across lengths.
 	tab.Put([]byte("abq"), 99)
@@ -243,36 +283,19 @@ func TestNewFromSortedVariableDepth(t *testing.T) {
 }
 
 func TestNewFromSortedVariableDepthLarge(t *testing.T) {
-	// A larger mixed-length set keeps Get/Range consistent after Clone.
+	// A larger mixed-length set, given in no particular order, keeps Get
+	// and Range consistent after Clone.
 	var keys []string
 	for i := 0; i < 64; i++ {
 		keys = append(keys, fmt.Sprintf("%02d", i))
+		keys = append(keys, fmt.Sprintf("a%c%c", 'a'+i/8, 'a'+i%8)) // 3-byte names under "a"
 	}
-	for i := 0; i < 64; i++ {
-		keys = append(keys, fmt.Sprintf("ab%02d", i)) // 4-byte names under "ab"
-	}
-	keys = append(keys, "ab") // a prefix of 64 other names
+	keys = append(keys, "a") // a prefix of 64 other names
 	vals := make([]string, len(keys))
 	for i, k := range keys {
 		vals[i] = "v" + k
 	}
-	// NewFromSorted requires ascending keys.
-	type pair struct{ k, v string }
-	pairs := make([]pair, len(keys))
-	for i := range keys {
-		pairs[i] = pair{keys[i], vals[i]}
-	}
-	for i := 1; i < len(pairs); i++ {
-		for j := i; j > 0 && pairs[j].k < pairs[j-1].k; j-- {
-			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
-		}
-	}
-	sk := make([]string, len(pairs))
-	sv := make([]string, len(pairs))
-	for i, p := range pairs {
-		sk[i], sv[i] = p.k, p.v
-	}
-	tab := NewFromSorted(sk, sv)
+	tab := NewFromSorted(keys, vals)
 	cl := tab.Clone()
 	for _, tt := range []*Table[string]{tab, cl} {
 		n := 0
@@ -283,8 +306,8 @@ func TestNewFromSortedVariableDepthLarge(t *testing.T) {
 			n++
 			return true
 		})
-		if n != len(sk) {
-			t.Fatalf("Range visited %d, want %d", n, len(sk))
+		if n != len(keys) {
+			t.Fatalf("Range visited %d, want %d", n, len(keys))
 		}
 	}
 }

@@ -1,23 +1,28 @@
 package hashdir
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 )
 
-// TestNewFromSorted: bulk construction is observably identical to
-// repeated Put — same lookups, same sorted key list — and keeps the load
-// factor below the grow threshold.
+// TestNewFromSorted: bulk construction, from keys in any order, is
+// observably identical to repeated Put — same lookups, same Range.
 func TestNewFromSorted(t *testing.T) {
 	for _, n := range []int{0, 1, 11, 1000} {
 		keys := make([]string, n)
 		vals := make([]int, n)
 		for i := range keys {
-			keys[i] = fmt.Sprintf("k%06d", i)
+			keys[i] = fmt.Sprintf("%c%c", 'A'+i/62, alphabet62[i%62])
 			vals[i] = i
 		}
+		rand.New(rand.NewSource(int64(n))).Shuffle(n, func(i, j int) {
+			keys[i], keys[j] = keys[j], keys[i]
+			vals[i], vals[j] = vals[j], vals[i]
+		})
 		bulk := NewFromSorted(keys, vals)
 		inc := New[int]()
 		for i, k := range keys {
@@ -31,39 +36,27 @@ func TestNewFromSorted(t *testing.T) {
 				t.Fatalf("n=%d: Get(%q) = (%d, %v)", n, k, v, ok)
 			}
 		}
-		if _, ok := bulk.Get([]byte("absent")); ok {
+		if _, ok := bulk.Get([]byte("abs")); ok {
 			t.Fatalf("n=%d: phantom key", n)
 		}
-		bs, is := bulk.SortedKeys(), inc.SortedKeys()
-		if len(bs) != len(is) {
-			t.Fatalf("n=%d: sorted lengths differ", n)
+		if bk, ik := rangeKeys(bulk), rangeKeys(inc); !slices.Equal(bk, ik) || !slices.IsSorted(bk) {
+			t.Fatalf("n=%d: Range %q vs %q", n, bk, ik)
 		}
-		for i := range bs {
-			if bs[i] != is[i] {
-				t.Fatalf("n=%d: sorted[%d] = %q vs %q", n, i, bs[i], is[i])
-			}
-		}
-		for i := range bulk.segs {
-			sg := &bulk.segs[i]
-			if sg.live > 0 && (int(sg.live)+1)*maxLoadDen >= len(sg.slots)*maxLoadNum {
-				t.Fatalf("n=%d: segment %d over load threshold: %d live in %d slots", n, i, sg.live, len(sg.slots))
-			}
-			if sg.live == 0 && sg.slots != nil {
-				t.Fatalf("n=%d: empty segment %d holds %d slots", n, i, len(sg.slots))
-			}
+		if bulk.DRAMBytes() != inc.DRAMBytes() {
+			t.Fatalf("n=%d: DRAMBytes %d vs %d", n, bulk.DRAMBytes(), inc.DRAMBytes())
 		}
 		// The table stays fully usable for subsequent mutation.
 		bulk.Put([]byte("zzz"), -1)
-		if !sort.StringsAreSorted(bulk.SortedKeys()) {
-			t.Fatalf("n=%d: sorted list broken after Put", n)
+		if ks := rangeKeys(bulk); len(ks) != n+1 || ks[n] != "zzz" {
+			t.Fatalf("n=%d: Range after Put ends %q", n, ks[len(ks)-1])
 		}
 	}
 }
 
-// TestNewFromSortedRejectsUnsorted: out-of-order and duplicate keys panic
-// (the caller contract recovery relies on).
-func TestNewFromSortedRejectsUnsorted(t *testing.T) {
-	for _, keys := range [][]string{{"b", "a"}, {"a", "a"}} {
+// TestNewFromSortedRejectsDuplicates: a key given twice panics (its
+// presence bit is already set), however far apart the two are.
+func TestNewFromSortedRejectsDuplicates(t *testing.T) {
+	for _, keys := range [][]string{{"a", "a"}, {"ab", "b", "ab"}, {"\xff\xff\xff", "\x00", "\xff\xff\xff"}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -75,45 +68,130 @@ func TestNewFromSortedRejectsUnsorted(t *testing.T) {
 	}
 }
 
-// TestSortedListKeptAcrossCreation: once any table of a lineage has been
-// asked for its sorted list, each clone → Put or Delete step hands the
-// next snapshot a ready list, so a scan that reads every snapshot of a
-// load never sorts again — also when the writer cloned before the scan's
-// first call.
-func TestSortedListKeptAcrossCreation(t *testing.T) {
-	keys := pairKeys(alphabet62)
-	tb := New[int]()
-	for i, k := range keys[:100] {
-		tb.Put(k, i)
+// model is the reference the table is checked against: a map plus its
+// keys in sorted order.
+type model map[string]int
+
+func (m model) sorted() []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if tb.sorted.Load() != nil {
-		t.Fatal("a lineage nobody scanned holds a sorted list")
-	}
-	nu := tb.Clone() // the writer's clone, taken before the scan
-	tb.SortedKeys()  // the scan, on the published table
-	nu.Put(keys[100], 100)
-	if nu.sorted.Load() == nil {
-		t.Fatal("a clone taken before the first SortedKeys has no list after its Put")
-	}
-	tb = nu
-	for i, k := range keys[101:] {
-		nu := tb.Clone()
-		nu.Put(k, i)
-		if i%3 == 0 {
-			nu.Delete(keys[i])
+	slices.Sort(keys)
+	return keys
+}
+
+// TestDifferentialAgainstSortedMap runs random Put, Delete, Get, Seek,
+// SeekBelow, Range and NewFromSorted on keys of one to three bytes, over an
+// alphabet that includes 0x00 and 0xff, against a sorted map. Bounds run
+// from the empty key to four bytes, so they fall between, on and past
+// every level of the table.
+func TestDifferentialAgainstSortedMap(t *testing.T) {
+	const alphabet = "\x00\x01a\x7f\x80\xfe\xff"
+	randKey := func(rng *rand.Rand, lo, hi int) []byte {
+		k := make([]byte, lo+rng.Intn(hi-lo+1))
+		for i := range k {
+			k[i] = alphabet[rng.Intn(len(alphabet))]
 		}
-		if nu.sorted.Load() == nil {
-			t.Fatalf("creation %d: the new snapshot has no sorted list", i)
-		}
-		tb = nu
+		return k
 	}
-	var want []string
-	tb.Range(func(k []byte, _ int) bool {
-		want = append(want, string(k))
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb, m := New[int](), model{}
+		for step := 0; step < 6000; step++ {
+			k := randKey(rng, 1, MaxKeyLen)
+			switch r := rng.Intn(100); {
+			case r < 35:
+				_, had := m[string(k)]
+				if added := tb.Put(k, step); added == had {
+					t.Fatalf("seed %d step %d: Put(%q) added=%v, model had=%v", seed, step, k, added, had)
+				}
+				m[string(k)] = step
+			case r < 55:
+				_, had := m[string(k)]
+				if got := tb.Delete(k); got != had {
+					t.Fatalf("seed %d step %d: Delete(%q) = %v, model had=%v", seed, step, k, got, had)
+				}
+				delete(m, string(k))
+			case r < 70:
+				want, had := m[string(k)]
+				if got, ok := tb.Get(k); ok != had || got != want {
+					t.Fatalf("seed %d step %d: Get(%q) = (%d, %v), model (%d, %v)", seed, step, k, got, ok, want, had)
+				}
+			case r < 95:
+				bound := randKey(rng, 0, MaxKeyLen+1)
+				if rng.Intn(8) == 0 {
+					bound = nil
+				}
+				checkSeek(t, tb, m, bound, fmt.Sprintf("seed %d step %d", seed, step))
+			case r < 98:
+				checkRange(t, tb, m, fmt.Sprintf("seed %d step %d", seed, step))
+			default:
+				keys := make([]string, 0, len(m))
+				vals := make([]int, 0, len(m))
+				for k, v := range m { // map order: unsorted
+					keys, vals = append(keys, k), append(vals, v)
+				}
+				tb = NewFromSorted(keys, vals)
+			}
+			if tb.Len() != len(m) {
+				t.Fatalf("seed %d step %d: Len = %d, model %d", seed, step, tb.Len(), len(m))
+			}
+		}
+		checkRange(t, tb, m, fmt.Sprintf("seed %d end", seed))
+	}
+}
+
+// checkSeek compares Seek and SeekBelow at bound with the model.
+func checkSeek(t *testing.T, tb *Table[int], m model, bound []byte, where string) {
+	t.Helper()
+	keys := m.sorted()
+	i := sort.SearchStrings(keys, string(bound))
+	k, v, ok := tb.Seek(bound)
+	if i < len(keys) {
+		if !ok || string(k) != keys[i] || v != m[keys[i]] {
+			t.Fatalf("%s: Seek(%q) = (%q, %d, %v), model %q", where, bound, k, v, ok, keys[i])
+		}
+	} else if ok {
+		t.Fatalf("%s: Seek(%q) = %q past the model's last key", where, bound, k)
+	}
+	if bound == nil {
+		i = len(keys) // nil is above every key for SeekBelow
+	}
+	k, v, ok = tb.SeekBelow(bound)
+	if i > 0 {
+		if !ok || string(k) != keys[i-1] || v != m[keys[i-1]] {
+			t.Fatalf("%s: SeekBelow(%q) = (%q, %d, %v), model %q", where, bound, k, v, ok, keys[i-1])
+		}
+	} else if ok {
+		t.Fatalf("%s: SeekBelow(%q) = %q below the model's first key", where, bound, k)
+	}
+}
+
+// checkRange compares a full Range, and one stopped part way, with the
+// model.
+func checkRange(t *testing.T, tb *Table[int], m model, where string) {
+	t.Helper()
+	keys := m.sorted()
+	var got []string
+	tb.Range(func(k []byte, v int) bool {
+		if mv, ok := m[string(k)]; !ok || mv != v {
+			t.Fatalf("%s: Range saw (%q, %d), model (%d, %v)", where, k, v, mv, ok)
+		}
+		got = append(got, string(k))
 		return true
 	})
-	slices.Sort(want)
-	if got := tb.SortedKeys(); !slices.Equal(got, want) {
-		t.Fatalf("derived list has %d keys, the table %d", len(got), len(want))
+	if !slices.Equal(got, keys) {
+		t.Fatalf("%s: Range visited %d keys, model %d", where, len(got), len(keys))
+	}
+	stop, n := len(keys)/2, 0
+	var last []byte
+	tb.Range(func(k []byte, _ int) bool {
+		last = bytes.Clone(k)
+		n++
+		return n <= stop
+	})
+	if len(keys) > 0 && (n != stop+1 || string(last) != keys[stop]) {
+		t.Fatalf("%s: Range stopped after %d keys at %q, want %d at %q", where, n, last, stop+1, keys[stop])
 	}
 }

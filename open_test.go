@@ -212,6 +212,10 @@ func TestOpenRefusesDamagedFiles(t *testing.T) {
 	if _, err := Open(path, Options{HashKeyLen: 7}); !errors.Is(err, ErrGeometryMismatch) {
 		t.Fatalf("geometry conflict: err = %v, want ErrGeometryMismatch", err)
 	}
+	// A new store with a kh the directory cannot hold is refused.
+	if _, err := Open(filepath.Join(dir, "kh4.hart"), Options{HashKeyLen: 4}); err == nil || !strings.Contains(err.Error(), "invalid HashKeyLen 4") {
+		t.Fatalf("kh 4: err = %v, want the invalid HashKeyLen error", err)
+	}
 
 	// A store of an earlier format version — 1 had 24-byte update-log
 	// slots, 2 kept every value in an object of its own — is refused as it

@@ -9,8 +9,8 @@ go vet ./...
 go test ./...
 
 # The race detector over every package but the model checker: the
-# lock-free reads (core's seqlock, hashdir's COW snapshots, obs's striped
-# counters), the striped allocator, the server's per-connection burst loop
+# lock-free reads (core's seqlock, hashdir's pages published by pointer,
+# obs's striped counters), the striped allocator, the server's per-connection burst loop
 # and the daemons' signal paths all have concurrent tests, and -race is
 # also what turns checkptr on for the unsafe casts in art/node.go.
 go test -race -count=1 $(go list ./... | grep -v /internal/modelcheck)
@@ -21,6 +21,9 @@ go test -race -count=3 -run TestShardConcurrentChurn ./internal/core/
 # The same churn with two goroutines walking keys down the index beside
 # it: Prefetch takes no lock, so it gets as many runs.
 go test -race -count=3 -run TestPrefetchConcurrentChurn ./internal/core/
+# The directory's own: one writer publishing pages while lock-free readers
+# Get, Seek and Range.
+go test -race -count=3 -run TestConcurrentReadersBesideWriter ./internal/hashdir/
 # The model checker's whole sweep under -race exceeds the default timeout
 # (ROADMAP item C), so only its fixed value-shape histories run here: they
 # put every pair of value shapes through every recovery mode, parallel
@@ -35,7 +38,7 @@ go test -run='^$' -fuzz=FuzzARTDifferential -fuzztime=10s ./internal/art/
 go test -run='^$' -fuzz=FuzzModelCheck -fuzztime=10s ./internal/modelcheck/
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 
-# The directory's micro-benchmarks (shard creation, Get, bulk build) and
+# The directory's micro-benchmarks (shard creation, Get, Seek, bulk build) and
 # the burst lookup (serial vs prefetched), one iteration each, so they keep
 # compiling and running.
 go test -run '^$' -bench . -benchtime 1x ./internal/hashdir/
