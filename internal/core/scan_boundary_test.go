@@ -38,12 +38,25 @@ func collectScan(h *HART, start, end []byte, reverse bool, limit int) [][]byte {
 }
 
 // TestScanBoundsExhaustive cross-checks Scan and ScanReverse against the
-// reference filter for every bound drawn from the key set, its neighbours
-// (one byte off, truncations, extensions), the shard hash keys themselves
-// (the ScanReverse end == hash-key regression), nil and empty slices —
-// crossed with truncating limits.
+// reference filter at every kh the directory supports, for every bound
+// drawn from the key set, its neighbours (one byte off, truncations,
+// extensions), the shard hash keys themselves (the ScanReverse end ==
+// hash-key regression), nil and empty slices — crossed with truncating
+// limits. The keys include keys shorter than kh (entries the ascending
+// walk steps into), keys holding 0x00 and 0xff, and an all-0xff key of
+// length kh, whose entry has no prefix successor.
 func TestScanBoundsExhaustive(t *testing.T) {
-	h := newHART(t)
+	for kh := 1; kh <= 3; kh++ {
+		t.Run(fmt.Sprintf("kh=%d", kh), func(t *testing.T) { testScanBounds(t, kh) })
+	}
+}
+
+func testScanBounds(t *testing.T, kh int) {
+	h, err := New(Options{ArenaSize: 16 << 20, HashKeyLen: kh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := bytes.Repeat([]byte{0xff}, kh)
 	keys := [][]byte{
 		// Shard "aa" with several suffixes, including the key that IS the
 		// hash key and keys longer than it.
@@ -52,27 +65,49 @@ func TestScanBoundsExhaustive(t *testing.T) {
 		[]byte("ab"), []byte("abb"),
 		// A distant shard.
 		[]byte("zz"), []byte("zzz"),
+		// Keys shorter than kh at kh = 2 or 3.
+		[]byte("a"), []byte("b"), []byte("q"), []byte("qq"),
+		// Keys holding 0x00 and 0xff.
+		{0}, {0, 0}, {0, 0, 0, 1}, []byte("a\x00"), []byte("a\x00\x00b"), []byte("aa\x00"),
+		[]byte("a\xff"), []byte("a\xff\xff"), []byte("a\xff\xffb"), {0xff}, {0xff, 0}, {0xff, 'a'},
+		// The all-0xff key of length kh and keys extending it.
+		top, append(bytes.Clone(top), 0), append(bytes.Clone(top), 0xff, 0xff),
 	}
+	seen := map[string]bool{}
+	var sorted [][]byte
 	for i, k := range keys {
+		if seen[string(k)] {
+			continue
+		}
+		seen[string(k)] = true
 		if err := h.Put(k, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
 		}
+		sorted = append(sorted, k)
 	}
-	sorted := append([][]byte(nil), keys...)
 	sort.Slice(sorted, func(i, j int) bool { return bytes.Compare(sorted[i], sorted[j]) < 0 })
 
-	var bounds [][]byte
-	bounds = append(bounds, nil, []byte{})
+	bounds := [][]byte{nil, {}}
+	seen = map[string]bool{}
+	add := func(b []byte) {
+		if !seen[string(b)] {
+			seen[string(b)] = true
+			bounds = append(bounds, b)
+		}
+	}
 	for _, k := range sorted {
-		bounds = append(bounds, k)
-		bounds = append(bounds, k[:len(k)-1]) // truncation (may hit the hash key)
-		bounds = append(bounds, append(k, 0)) // just above
-		kk := append([]byte(nil), k...)
+		add(k)
+		add(k[:len(k)-1])                 // truncation (may hit the hash key)
+		add(append(bytes.Clone(k), 0))    // just above
+		add(append(bytes.Clone(k), 0xff)) // above every one-byte extension
+		kk := bytes.Clone(k)
 		kk[len(kk)-1]++
-		bounds = append(bounds, kk) // sibling
+		add(kk) // sibling
 	}
 	// The hash keys themselves and near misses.
-	bounds = append(bounds, []byte("aa"), []byte("ab"), []byte("ac"), []byte("a"), []byte("b"), []byte("zz"), []byte("zzzz"))
+	for _, b := range []string{"aa", "ab", "ac", "a", "b", "zz", "zzzz", "\xff\xff\xff\xff"} {
+		add([]byte(b))
+	}
 
 	for _, start := range bounds {
 		for _, end := range bounds {
