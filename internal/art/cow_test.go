@@ -9,7 +9,7 @@ import (
 // dump materialises a tree's contents for snapshot comparison.
 func dump(t *Tree) map[string]uint64 {
 	m := make(map[string]uint64)
-	t.Ascend(func(k []byte, v uint64) bool {
+	t.Walk(nil, nil, false, func(k []byte, v uint64) bool {
 		m[string(k)] = v
 		return true
 	})

@@ -120,7 +120,7 @@ func runHistory(t *testing.T, data []byte) {
 			t.Fatalf("step %d: Len = %d, model has %d", step, cur.Len(), len(keys))
 		}
 		i := 0
-		cur.Ascend(func(k []byte, v uint64) bool {
+		cur.Walk(nil, nil, false, func(k []byte, v uint64) bool {
 			if i >= len(keys) || string(k) != keys[i] || v != model[keys[i]] {
 				t.Fatalf("step %d: Ascend record %d is %q=%d", step, i, k, v)
 			}
@@ -200,17 +200,17 @@ func checkRange(t *testing.T, tr *Tree, keys []string, start, end []byte) {
 		}
 	}
 	i := 0
-	finished := tr.AscendRange(start, end, func(k []byte, _ uint64) bool {
+	finished := tr.Walk(start, end, false, func(k []byte, _ uint64) bool {
 		if i >= len(want) || string(k) != want[i] {
-			t.Fatalf("AscendRange[%q, %q) record %d is %q, want %q", start, end, i, k, want)
+			t.Fatalf("ascending Walk[%q, %q) record %d is %q, want %q", start, end, i, k, want)
 		}
 		i++
 		return true
 	})
 	j := len(want)
-	finished = tr.DescendRange(start, end, func(k []byte, _ uint64) bool {
+	finished = tr.Walk(start, end, true, func(k []byte, _ uint64) bool {
 		if j--; j < 0 || string(k) != want[j] {
-			t.Fatalf("DescendRange[%q, %q) record %d is %q, want %q", start, end, j, k, want)
+			t.Fatalf("descending Walk[%q, %q) record %d is %q, want %q", start, end, j, k, want)
 		}
 		return true
 	}) && finished

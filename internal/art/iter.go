@@ -2,29 +2,12 @@ package art
 
 import "bytes"
 
-// Ascend visits every record in ascending key order until fn returns
-// false. It returns false if fn cut the iteration short.
-func (t *Tree) Ascend(fn func(key []byte, val uint64) bool) bool {
-	return walk(t.root, 0, nil, nil, false, fn)
-}
-
-// AscendRange visits records with start <= key < end in ascending order.
-// A nil start means "from the smallest key"; a nil end means "to the
-// largest". It returns false if fn cut the iteration short.
-func (t *Tree) AscendRange(start, end []byte, fn func(key []byte, val uint64) bool) bool {
-	return walk(t.root, 0, start, end, false, fn)
-}
-
-// Descend visits every record in descending key order until fn returns
-// false.
-func (t *Tree) Descend(fn func(key []byte, val uint64) bool) bool {
-	return walk(t.root, 0, nil, nil, true, fn)
-}
-
-// DescendRange visits records with start <= key < end in descending
-// order (the same half-open interval as AscendRange, reversed).
-func (t *Tree) DescendRange(start, end []byte, fn func(key []byte, val uint64) bool) bool {
-	return walk(t.root, 0, start, end, true, fn)
+// Walk visits the records with start <= key < end in ascending key order,
+// or descending when desc, until fn returns false. A nil start means from
+// the smallest key; a nil end means to the largest. It returns false if fn
+// cut the walk short.
+func (t *Tree) Walk(start, end []byte, desc bool, fn func(key []byte, val uint64) bool) bool {
+	return walk(t.root, 0, start, end, desc, fn)
 }
 
 // walk visits, in key order (reversed when desc), the records of the
@@ -115,35 +98,4 @@ func visit(l *leaf, start, end []byte, fn func(key []byte, val uint64) bool) boo
 		return true
 	}
 	return fn(k, l.val)
-}
-
-// Min returns the smallest key and its value.
-func (t *Tree) Min() (key []byte, val uint64, ok bool) {
-	return extreme(t.root, false)
-}
-
-// Max returns the largest key and its value.
-func (t *Tree) Max() (key []byte, val uint64, ok bool) {
-	return extreme(t.root, true)
-}
-
-// extreme descends to the smallest (max=false) or largest (max=true)
-// leaf. Every inner node has a child, and any child's keys are greater
-// than the node's terminator.
-func extreme(n *node, max bool) ([]byte, uint64, bool) {
-	for n != nil {
-		if n.isLeaf() {
-			l := n.leaf()
-			return l.k(), l.val, true
-		}
-		h := n.inner()
-		if !max && h.term != nil {
-			return h.term.k(), h.term.val, true
-		}
-		h.each(0, 255, max, func(_ byte, c *node) bool {
-			n = c
-			return false
-		})
-	}
-	return nil, 0, false
 }

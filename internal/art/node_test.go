@@ -258,11 +258,11 @@ func TestEmptyAndLongestKey(t *testing.T) {
 	if _, ok := tr.Get(append(longest, 0xff)); ok {
 		t.Fatal("found a key longer than MaxKeyLen")
 	}
-	if k, _, _ := tr.Min(); len(k) != 0 {
-		t.Fatalf("Min = %q, want the empty key", k)
-	}
-	if k, _, _ := tr.Max(); !bytes.Equal(k, longest) {
-		t.Fatalf("Max = %q", k)
+	var lo, hi []byte
+	tr.Walk(nil, nil, false, func(k []byte, _ uint64) bool { lo = k; return false })
+	tr.Walk(nil, nil, true, func(k []byte, _ uint64) bool { hi = k; return false })
+	if len(lo) != 0 || !bytes.Equal(hi, longest) {
+		t.Fatalf("walks start at %q and %q, want the empty key and the longest", lo, hi)
 	}
 	for _, k := range [][]byte{{}, longest} {
 		tr.Delete(k)

@@ -31,7 +31,7 @@ func BenchmarkSeek(b *testing.B) {
 	b.ResetTimer()
 	for i, j := 0, 0; i < b.N; i++ {
 		k := keys[j]
-		_, v, _ := tb.Seek([]byte{k[0], k[1] + 1})
+		_, v, _ := tb.Seek([]byte{k[0], k[1] + 1}, false)
 		sink += v
 		if j++; j == len(keys) {
 			j = 0

@@ -42,13 +42,13 @@ func TestConcurrentReadersBesideWriter(t *testing.T) {
 			}
 			return nil
 		},
-		func(rng *rand.Rand) error { // Seek and SeekBelow
+		func(rng *rand.Rand) error { // Seek both ways
 			b := keys[rng.Intn(len(keys))]
-			if k, v, ok := tb.Seek(b); ok && (bytes.Compare(k, b) < 0 || !valid(k, v)) {
-				return fmt.Errorf("Seek(%q) = (%q, %q)", b, k, v)
+			if k, v, ok := tb.Seek(b, false); ok && (bytes.Compare(k, b) < 0 || !valid(k, v)) {
+				return fmt.Errorf("Seek(%q, false) = (%q, %q)", b, k, v)
 			}
-			if k, v, ok := tb.SeekBelow(b); ok && (bytes.Compare(k, b) >= 0 || !valid(k, v)) {
-				return fmt.Errorf("SeekBelow(%q) = (%q, %q)", b, k, v)
+			if k, v, ok := tb.Seek(b, true); ok && (bytes.Compare(k, b) >= 0 || !valid(k, v)) {
+				return fmt.Errorf("Seek(%q, true) = (%q, %q)", b, k, v)
 			}
 			return nil
 		},

@@ -81,10 +81,10 @@ func (m model) sorted() []string {
 	return keys
 }
 
-// TestDifferentialAgainstSortedMap runs random Put, Delete, Get, Seek,
-// SeekBelow, Range and NewFromSorted on keys of one to three bytes, over an
-// alphabet that includes 0x00 and 0xff, against a sorted map. Bounds run
-// from the empty key to four bytes, so they fall between, on and past
+// TestDifferentialAgainstSortedMap runs random Put, Delete, Get, Seek
+// both ways, Range and NewFromSorted on keys of one to three bytes, over
+// an alphabet that includes 0x00 and 0xff, against a sorted map. Bounds
+// run from the empty key to four bytes, so they fall between, on and past
 // every level of the table.
 func TestDifferentialAgainstSortedMap(t *testing.T) {
 	const alphabet = "\x00\x01a\x7f\x80\xfe\xff"
@@ -142,29 +142,29 @@ func TestDifferentialAgainstSortedMap(t *testing.T) {
 	}
 }
 
-// checkSeek compares Seek and SeekBelow at bound with the model.
+// checkSeek compares Seek in both directions at bound with the model.
 func checkSeek(t *testing.T, tb *Table[int], m model, bound []byte, where string) {
 	t.Helper()
 	keys := m.sorted()
 	i := sort.SearchStrings(keys, string(bound))
-	k, v, ok := tb.Seek(bound)
+	k, v, ok := tb.Seek(bound, false)
 	if i < len(keys) {
 		if !ok || string(k) != keys[i] || v != m[keys[i]] {
-			t.Fatalf("%s: Seek(%q) = (%q, %d, %v), model %q", where, bound, k, v, ok, keys[i])
+			t.Fatalf("%s: Seek(%q, false) = (%q, %d, %v), model %q", where, bound, k, v, ok, keys[i])
 		}
 	} else if ok {
-		t.Fatalf("%s: Seek(%q) = %q past the model's last key", where, bound, k)
+		t.Fatalf("%s: Seek(%q, false) = %q past the model's last key", where, bound, k)
 	}
 	if bound == nil {
-		i = len(keys) // nil is above every key for SeekBelow
+		i = len(keys) // nil is above every key descending
 	}
-	k, v, ok = tb.SeekBelow(bound)
+	k, v, ok = tb.Seek(bound, true)
 	if i > 0 {
 		if !ok || string(k) != keys[i-1] || v != m[keys[i-1]] {
-			t.Fatalf("%s: SeekBelow(%q) = (%q, %d, %v), model %q", where, bound, k, v, ok, keys[i-1])
+			t.Fatalf("%s: Seek(%q, true) = (%q, %d, %v), model %q", where, bound, k, v, ok, keys[i-1])
 		}
 	} else if ok {
-		t.Fatalf("%s: SeekBelow(%q) = %q below the model's first key", where, bound, k)
+		t.Fatalf("%s: Seek(%q, true) = %q below the model's first key", where, bound, k)
 	}
 }
 
