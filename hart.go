@@ -209,11 +209,7 @@ func Open(path string, opts Options) (*DB, error) {
 // Open.
 func Restore(image []byte, opts Options) (*DB, error) {
 	co := opts.coreOptions()
-	arena, err := pmem.Attach(image, pmem.Config{
-		Size:     int64(len(image)),
-		Tracking: co.Tracking,
-		Latency:  co.Latency,
-	})
+	arena, err := pmem.Attach(image, co.ArenaConfig())
 	if err != nil {
 		return nil, err
 	}

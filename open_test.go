@@ -293,3 +293,40 @@ func TestRestoreAdoptsGeometry(t *testing.T) {
 		t.Fatalf("Restore with wrong table: err = %v, want ErrGeometryMismatch", err)
 	}
 }
+
+// TestRestoreModelsCache checks that a restored DB models the CPU cache
+// in front of PM as New does: repeated Gets of one key miss the cache
+// about once, not once per Get.
+func TestRestoreModelsCache(t *testing.T) {
+	opts := Options{ArenaSize: 2 << 20, CrashSimulation: true, PMReadNs: 300}
+	db, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Put([]byte("key"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	img, err := db.CrashImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(img, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	misses := func(db *DB) int64 {
+		before := db.Arena().Clock().Snapshot().PMReadMisses
+		for i := 0; i < 100; i++ {
+			if _, ok := db.Get([]byte("key")); !ok {
+				t.Fatal("key lost")
+			}
+		}
+		return db.Arena().Clock().Snapshot().PMReadMisses - before
+	}
+	fresh, got := misses(db), misses(restored)
+	if got > fresh+2 {
+		t.Fatalf("100 Gets after Restore missed the cache %d times, after New %d", got, fresh)
+	}
+}
