@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"cmp"
-	"errors"
 	"slices"
 	"time"
 
@@ -381,31 +380,4 @@ func (h *HART) persistRuns(ptrs []pmem.Ptr, size int64) {
 		h.arena.Persist(ptrs[i], int(size)*(j-i))
 		i = j
 	}
-}
-
-// DeleteBatch removes many keys in sorted order (for directory locality).
-// Locking is per record because a deletion may empty and retire its ART.
-// Missing keys are skipped; the count of actually deleted records is
-// returned.
-func (h *HART) DeleteBatch(keys [][]byte) (int, error) {
-	for _, k := range keys {
-		if err := h.validate(k, nil); err != nil {
-			return 0, err
-		}
-	}
-	sorted := slices.Clone(keys)
-	slices.SortFunc(sorted, bytes.Compare)
-
-	done := 0
-	for _, k := range sorted {
-		switch err := h.Delete(k); {
-		case err == nil:
-			done++
-		case errors.Is(err, ErrNotFound):
-			// skip
-		default:
-			return done, err
-		}
-	}
-	return done, nil
 }

@@ -253,27 +253,6 @@ func TestPutBatchAllocFailureAborts(t *testing.T) {
 	}
 }
 
-func TestDeleteBatch(t *testing.T) {
-	h := newHART(t)
-	var keys [][]byte
-	for i := 0; i < 300; i++ {
-		k := []byte(fmt.Sprintf("db%04d", i))
-		mustPut(t, h, string(k), "v")
-		keys = append(keys, k)
-	}
-	keys = append(keys, []byte("missing-key"))
-	n, err := h.DeleteBatch(keys)
-	if err != nil || n != 300 {
-		t.Fatalf("DeleteBatch = (%d,%v)", n, err)
-	}
-	if h.Len() != 0 {
-		t.Fatalf("Len = %d", h.Len())
-	}
-	if err := h.Check(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPutBatchDuplicateKeys pins the stable-sort contract: duplicates of
 // one key within a batch apply in submission order, so the batch nets out
 // to the last submitted value — including a duplicate of a key the same

@@ -49,18 +49,9 @@ func (h *HART) EnableMetrics(on bool) {
 	h.arena.EnableTiming(on)
 }
 
-// MetricsEnabled reports whether latency histograms are being collected.
-func (h *HART) MetricsEnabled() bool { return h.obs.timing.Enabled() }
-
 // Events returns the retained tail of the structured event ring, oldest
 // first (at most obs.RingSize events).
 func (h *HART) Events() []obs.Event { return h.obs.events.Snapshot() }
-
-// EmitEvent records a caller-originated event in the ring (benchmarks
-// mark phase boundaries with it).
-func (h *HART) EmitEvent(kind, detail string, a, b uint64) {
-	h.obs.events.Emit(kind, detail, a, b)
-}
 
 // Metrics assembles one observability snapshot across every layer:
 // operation and read-path counters from core, chunk/steal/ulog counters

@@ -75,9 +75,6 @@ func TestMetricsCounters(t *testing.T) {
 func TestMetricsHistogramsWhenEnabled(t *testing.T) {
 	h := newHART(t)
 	h.EnableMetrics(true)
-	if !h.MetricsEnabled() {
-		t.Fatal("MetricsEnabled should report true")
-	}
 	for i := 0; i < 64; i++ {
 		mustPut(t, h, fmt.Sprintf("he%04d", i), "v")
 	}
