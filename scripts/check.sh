@@ -6,6 +6,7 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test ./...
 
 # The race detector over every package but the model checker: the
