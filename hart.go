@@ -110,10 +110,11 @@ type Options struct {
 	// RecoveryWorkers parallelises recovery's leaf scan, sweeps and ART
 	// rebuild across that many goroutines (0 or 1 = serial).
 	RecoveryWorkers int
-	// LazyRecovery defers per-shard ART builds out of Restore: the store
-	// serves traffic immediately after the scan and consistency sweeps,
-	// and each shard's ART is built on first touch or by DrainRecovery
-	// (typically started in the background right after Restore).
+	// LazyRecovery defers per-shard ART builds out of Open and Restore:
+	// the store serves traffic immediately after the scan and consistency
+	// sweeps, and each shard's ART is built on first touch or by
+	// DrainRecovery (typically started in the background right after Open
+	// or Restore).
 	LazyRecovery bool
 }
 
@@ -123,9 +124,9 @@ type Record = core.Record
 
 // DB is a HART index. All methods are safe for concurrent use; writers to
 // different ARTs (different leading key bytes) run in parallel. Bulk
-// writes should prefer PutBatch, which groups records by ART and pays
-// the per-shard costs (write lock, allocator trips, persist barriers,
-// copy-on-write republication) once per group instead of once per key.
+// writes should prefer PutBatch, which groups records by ART and pays the
+// directory lookup, the write lock and the seqlock section once per group
+// instead of once per key; each record still commits by Put's protocol.
 type DB struct {
 	*core.HART
 }

@@ -20,8 +20,8 @@ import "sync/atomic"
 //
 // After Commit the produced tree is immutable like any CoW-published tree;
 // further Insert calls on the batch panic. A Batch is not safe for
-// concurrent use; HART drives one batch per shard under the shard's
-// writer lock.
+// concurrent use; HART's recovery drives one per shard it builds, before
+// the tree is published.
 type Batch struct {
 	root      *node
 	size      int
@@ -37,13 +37,6 @@ var lastBatch atomic.Uint64
 func (t *Tree) BeginBatch() *Batch {
 	return &Batch{root: t.root, size: t.size, id: lastBatch.Add(1)}
 }
-
-// Len returns the number of records in the batch's working state.
-func (b *Batch) Len() int { return b.size }
-
-// Get returns the value stored under key in the batch's working state
-// (base tree plus all inserts so far).
-func (b *Batch) Get(key []byte) (uint64, bool) { return lookup(b.root, key) }
 
 // Commit freezes the batch and returns its state as an immutable tree.
 // The batch cannot be used afterwards.

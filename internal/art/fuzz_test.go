@@ -106,9 +106,6 @@ func runHistory(t *testing.T, data []byte) {
 					t.Fatalf("step %d: Batch.Insert(%q) = %d,%v; model had %d,%v", step, key, old, updated, want, present)
 				}
 				model[string(key)] = step
-				if got, ok := b.Get(key); !ok || got != step || b.Len() != len(model) {
-					t.Fatalf("step %d: mid-batch Get(%q) = %d,%v, Len %d of %d", step, key, got, ok, b.Len(), len(model))
-				}
 				key = h.key()
 			}
 			cur = b.Commit()

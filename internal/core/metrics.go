@@ -87,8 +87,6 @@ func (h *HART) Metrics() obs.Snapshot {
 		"alloc.chunk_reuses": am.ChunkReuses.Value(),
 		"alloc.steals":       am.Steals.Value(),
 		"alloc.fresh_chunks": am.FreshChunks.Value(),
-		"alloc.batch_allocs": am.BatchAllocs.Value(),
-		"alloc.batch_objs":   am.BatchObjs.Value(),
 		"alloc.recycles":     am.Recycles.Value(),
 		"alloc.ulog_claims":  am.ULogClaims.Value(),
 

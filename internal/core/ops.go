@@ -34,15 +34,8 @@ func (h *HART) putOp(key, value []byte) error {
 		return err
 	}
 	s, hashKey := h.lockShardW(key, true) // lines 2-5: HashFind / NewART / HashInsert
-	artKey := key[len(hashKey):]
-	stripe := epalloc.StripeFor(hashKey)
 	s.beginWrite()
-	var err error
-	if w, found := s.tree.Load().Get(artKey); found { // line 6: SearchNode
-		err = h.updateAt(s, artKey, leafRef(w), value, stripe) // lines 7-8
-	} else {
-		err = h.insertNew(s, artKey, key, value, stripe) // lines 9-18
-	}
+	err := h.putLocked(s, key[len(hashKey):], key, value, epalloc.StripeFor(hashKey))
 	s.endWrite()
 	if err == nil {
 		s.ops.Add(1)
@@ -52,6 +45,16 @@ func (h *HART) putOp(key, value []byte) error {
 		h.obs.puts.Add(1)
 	}
 	return err
+}
+
+// putLocked inserts or updates one record — Algorithm 1 from line 6 —
+// in the shard s, the one protocol Put and PutBatch share. Caller holds
+// the shard write lock and an open seqlock section.
+func (h *HART) putLocked(s *artShard, artKey, key, value []byte, stripe int) error {
+	if w, found := s.tree.Load().Get(artKey); found { // line 6: SearchNode
+		return h.updateAt(s, artKey, leafRef(w), value, stripe) // lines 7-8
+	}
+	return h.insertNew(s, artKey, key, value, stripe) // lines 9-18
 }
 
 // insertNew performs Algorithm 1 lines 9-18 under the shard write lock,

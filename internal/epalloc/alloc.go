@@ -36,7 +36,9 @@ func (a *Allocator) AllocStripe(c Class, stripe int) (pmem.Ptr, error) {
 	for {
 		ss.mu.Lock()
 		if obj, ok := a.takeFromStripe(ss); ok {
-			a.runOnReuse(cs, obj)
+			if cs.spec.OnReuse != nil {
+				cs.spec.OnReuse(obj)
+			}
 			ss.mu.Unlock()
 			return obj, nil
 		}
@@ -47,45 +49,6 @@ func (a *Allocator) AllocStripe(c Class, stripe int) (pmem.Ptr, error) {
 			return pmem.Nil, err
 		}
 	}
-}
-
-// AllocBatch returns n free slots of the class from the stripe, draining
-// as many as possible per stripe-lock acquisition. Slots of one chunk are
-// returned adjacently in ascending slot order, so a caller committing them
-// in result order via SetBits pays one header persist per chunk run. On
-// error no slot stays in flight (partial allocations are aborted).
-func (a *Allocator) AllocBatch(c Class, stripe, n int) ([]pmem.Ptr, error) {
-	if a.failAlloc.tripped() {
-		return nil, ErrInjected
-	}
-	stripe &= NumStripes - 1
-	cs := &a.classes[c]
-	ss := &cs.stripes[stripe]
-	objs := make([]pmem.Ptr, 0, n)
-	for len(objs) < n {
-		ss.mu.Lock()
-		for len(objs) < n {
-			obj, ok := a.takeFromStripe(ss)
-			if !ok {
-				break
-			}
-			a.runOnReuse(cs, obj)
-			objs = append(objs, obj)
-		}
-		ss.mu.Unlock()
-		if len(objs) == n {
-			break
-		}
-		if _, err := a.allocChunk(c, stripe); err != nil {
-			for _, obj := range objs {
-				_ = a.Abort(obj)
-			}
-			return nil, err
-		}
-	}
-	a.metrics.BatchAllocs.AddStripe(stripe, 1)
-	a.metrics.BatchObjs.AddStripe(stripe, uint64(len(objs)))
-	return objs, nil
 }
 
 // takeFromStripe claims one free slot from the stripe's avail queue.
@@ -100,13 +63,6 @@ func (a *Allocator) takeFromStripe(ss *stripeState) (pmem.Ptr, bool) {
 		ss.avail = ss.avail[:len(ss.avail)-1]
 	}
 	return pmem.Nil, false
-}
-
-// runOnReuse invokes the class's reuse hook.
-func (a *Allocator) runOnReuse(cs *classState, obj pmem.Ptr) {
-	if cs.spec.OnReuse != nil {
-		cs.spec.OnReuse(obj)
-	}
 }
 
 // takeSlot claims one free slot of the chunk, preferring the persistent
@@ -290,44 +246,6 @@ func (a *Allocator) SetBit(obj pmem.Ptr) error {
 	a.writeHeader(m, packHeader(header(m.hdr.Load()).bitmap()|bit))
 	m.inFlight &^= bit
 	return nil
-}
-
-// SetBits commits a batch of allocated objects, coalescing consecutive
-// objects of one chunk into a single header write and persist — the
-// batched-insert commit path. Bits are committed in argument order, run by
-// run, so a crash exposes exactly a prefix of the batch (possibly jumping
-// a whole chunk run at once, which is still a prefix). Returns the number
-// of objects durably committed, which is len(objs) iff err is nil. An
-// empty batch commits nothing and cannot fail.
-func (a *Allocator) SetBits(objs []pmem.Ptr) (int, error) {
-	if len(objs) == 0 {
-		return 0, nil
-	}
-	if a.failSetBit.tripped() {
-		return 0, ErrInjected
-	}
-	i := 0
-	for i < len(objs) {
-		m, ss, err := a.lockStripeOf(objs[i])
-		if err != nil {
-			return i, err
-		}
-		var run uint64
-		j := i
-		for ; j < len(objs) && objs[j] >= m.start+chunkDataOff && objs[j] < m.end; j++ {
-			idx, err := a.slotIndex(m, objs[j])
-			if err != nil {
-				ss.mu.Unlock()
-				return i, err
-			}
-			run |= 1 << uint(idx)
-		}
-		a.writeHeader(m, packHeader(header(m.hdr.Load()).bitmap()|run))
-		m.inFlight &^= run
-		ss.mu.Unlock()
-		i = j
-	}
-	return i, nil
 }
 
 // ResetBit durably marks the slot free and immediately allocatable (the

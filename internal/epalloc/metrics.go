@@ -15,10 +15,6 @@ type Metrics struct {
 	ChunkReuses obs.Counter
 	Steals      obs.Counter
 	FreshChunks obs.Counter
-	// BatchAllocs counts AllocBatch calls; BatchObjs the slots they
-	// returned (BatchObjs/BatchAllocs is the realised amortisation).
-	BatchAllocs obs.Counter
-	BatchObjs   obs.Counter
 	// Recycles counts chunks pushed back onto a free list (Algorithm 6
 	// completions, not the has-live-objects early exits).
 	Recycles obs.Counter

@@ -107,108 +107,6 @@ func TestCrossStripeSteal(t *testing.T) {
 	}
 }
 
-// TestAllocBatchContiguousRuns checks AllocBatch's ordering contract: the
-// slots of one chunk come back adjacent and ascending, so SetBits can
-// commit each chunk run with a single header persist.
-func TestAllocBatchContiguousRuns(t *testing.T) {
-	_, al := newAlloc(t, 4<<20)
-	size := al.ObjSize(1)
-	n := ObjectsPerChunk + 10 // forces a second chunk mid-batch
-	objs, err := al.AllocBatch(1, 4, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(objs) != n {
-		t.Fatalf("AllocBatch returned %d slots, want %d", len(objs), n)
-	}
-	runs := 1
-	for i := 1; i < n; i++ {
-		if objs[i] == objs[i-1]+pmem.Ptr(size) {
-			continue
-		}
-		// Run break: must be a chunk boundary, never a gap inside a chunk.
-		ca, _ := al.ChunkOf(objs[i-1])
-		cb, _ := al.ChunkOf(objs[i])
-		if ca == cb {
-			t.Fatalf("slots %d and %d of one chunk not adjacent: %d then %d", i-1, i, objs[i-1], objs[i])
-		}
-		runs++
-	}
-	if runs != 2 {
-		t.Fatalf("batch split into %d chunk runs, want 2", runs)
-	}
-	if got, err := al.SetBits(objs); err != nil || got != n {
-		t.Fatalf("SetBits = (%d,%v)", got, err)
-	}
-	if used, err := al.CountUsed(1); err != nil || used != n {
-		t.Fatalf("CountUsed = (%d,%v), want %d", used, err, n)
-	}
-	if err := al.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSetBitsCommitsPrefixOnError checks SetBits' prefix contract: when a
-// later object fails (here: not a chunk object at all), the returned count
-// is exactly the number of durably committed bits, and everything after
-// stays uncommitted.
-func TestSetBitsCommitsPrefixOnError(t *testing.T) {
-	_, al := newAlloc(t, 4<<20)
-	objs, err := al.AllocBatch(0, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := []pmem.Ptr{objs[0], objs[1], pmem.Ptr(8), objs[2]}
-	n, err := al.SetBits(bad)
-	if !errors.Is(err, ErrNotChunkObject) || n != 2 {
-		t.Fatalf("SetBits = (%d,%v), want (2, ErrNotChunkObject)", n, err)
-	}
-	for i, want := range []bool{true, true, false} {
-		if set, _ := al.BitIsSet(objs[i]); set != want {
-			t.Fatalf("slot %d bit = %v, want %v", i, set, want)
-		}
-	}
-	// The uncommitted tail can be aborted and the prefix released.
-	if err := al.Abort(objs[2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := al.Release(objs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := al.Release(objs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := al.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAllocBatchAbortsOnInjectedFailure checks AllocBatch's no-partial
-// contract: when chunk acquisition fails mid-batch, the already-claimed
-// slots leave their in-flight state.
-func TestAllocBatchAbortsOnInjectedFailure(t *testing.T) {
-	_, al := newAlloc(t, 4<<20)
-	// Deterministic mid-batch failure: a batch larger than a tiny arena
-	// can ever serve, so chunk acquisition fails once the space runs out.
-	small, err := pmem.New(pmem.Config{Size: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sal, err := New(small, testSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sal.AllocBatch(0, 0, 100*ObjectsPerChunk); err == nil {
-		t.Fatal("AllocBatch succeeded beyond arena capacity")
-	}
-	if err := sal.CheckQuiescent(); err != nil {
-		t.Fatalf("in-flight slots leaked by failed batch: %v", err)
-	}
-	if err := al.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStripedULogClaims checks the lock-free update-log pool partition:
 // claims prefer the caller's stripe, spill to siblings when the stripe is
 // dry, and Reclaim returns slots to their home partition.

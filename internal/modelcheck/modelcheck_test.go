@@ -153,18 +153,18 @@ func TestModelCheckMixedWorstCase(t *testing.T) {
 }
 
 // TestModelCheckBigMultiShardBatch sweeps a history whose batches span
-// every hash-directory shard of the key universe at once — the batched
-// write path's grouped allocation, coalesced bit commits and single
-// publication cross several groups per call — including a duplicate key
-// (insert then update inside one batch) and an update-heavy follow-up
-// batch, with re-entrant recovery.
+// every hash-directory shard of the key universe at once — one call
+// crosses several groups, each committing its records one by one inside
+// one seqlock section — including a duplicate key (insert then update
+// inside one batch) and an update-heavy follow-up batch, with re-entrant
+// recovery.
 func TestModelCheckBigMultiShardBatch(t *testing.T) {
 	var big []core.Record
 	for i, k := range keyUniverse {
 		big = append(big, core.Record{Key: k, Value: []byte{byte('A' + i), 2}})
 	}
 	// Duplicate of a key inserted earlier in the same batch: the second
-	// record must update the first one's uncommitted leaf.
+	// record updates the leaf the first one committed.
 	big = append(big, core.Record{Key: keyUniverse[2], Value: []byte("dupwins")})
 
 	hist := History{Ops: []Op{

@@ -9,11 +9,11 @@
 // lookups overlap instead of queueing one behind another. A pipelining
 // client thus costs one read and one write per burst rather than per
 // request, and consecutive valid Puts of a burst are coalesced into a
-// single core.PutBatch call, so the wire path rides the batched
-// copy-on-write publication (DESIGN.md §12) instead of republishing the
-// shard tree once per request. Responses are always written in request
-// order — prefetching and coalescing change how work is applied, never
-// what the client observes.
+// single core.PutBatch call, which takes each shard's lock and seqlock
+// section once per group of records rather than once per request
+// (DESIGN.md §12). Responses are always written in request order —
+// prefetching and coalescing change how work is applied, never what the
+// client observes.
 //
 // A connection holds one input buffer (grown past 64 KiB only for a frame
 // that needs it, so at most MaxFrame+4 bytes), one window of decoded
@@ -375,7 +375,7 @@ func (c *conn) run(req *wire.Request) {
 
 // applyPuts applies the pending run of pre-validated Puts and responds
 // to each, in order. A single Put goes through h.Put; two or more become
-// one core.PutBatch — one shard-tree republication per shard group
+// one core.PutBatch — one shard lock and seqlock section per shard group
 // instead of one per record. Acks are encoded only after the call
 // returns, by which point every applied record is durable.
 func (c *conn) applyPuts() {

@@ -22,6 +22,10 @@ go test -race -count=3 -run TestShardConcurrentChurn ./internal/core/
 # The same churn with two goroutines walking keys down the index beside
 # it: Prefetch takes no lock, so it gets as many runs.
 go test -race -count=3 -run TestPrefetchConcurrentChurn ./internal/core/
+# PutBatch from six writers beside readers that check each value against
+# its key: a group holds one seqlock section open across several records'
+# commits.
+go test -race -count=3 -run TestPutBatchConcurrentMultiShard ./internal/core/
 # The directory's own: one writer publishing pages while lock-free readers
 # Get, Seek and Range.
 go test -race -count=3 -run TestConcurrentReadersBesideWriter ./internal/hashdir/
