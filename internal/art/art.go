@@ -17,13 +17,19 @@
 // other keys: every inner node carries an optional terminator leaf for the
 // key that ends exactly at that node.
 //
-// A Tree is immutable once published: CowInsert, CowDelete and
-// Batch.Commit return a new Tree that shares every untouched node with
-// the one it was made from. Any number of goroutines may read a Tree, and
-// derive new trees from it, with no synchronisation beyond the one that
-// handed them the pointer; HART publishes each shard's tree through an
-// atomic pointer and serialises that shard's writers.
+// A tree lives in one of two holders. A Root is one word that a tree is
+// published and edited in place through: its writers exclude each other,
+// and any number of goroutines may read it meanwhile with no lock, each
+// word they load being one that a writer changes only by an atomic store
+// (see edit.go). A reader may meet a tree mid-change — one step of an
+// insert or delete done, the next not yet — and must learn from elsewhere
+// whether a writer came between; HART's shard seqlock tells it. A Tree is
+// immutable: CowInsert and CowDelete return a new Tree that shares every
+// untouched node with the one it was made from, and a Batch builds one
+// from empty in private, committed as a Tree or published into a Root.
 package art
+
+import "sync/atomic"
 
 // Kind enumerates the adaptive node types, exported for stats.
 type Kind uint8
@@ -55,7 +61,7 @@ func (k Kind) String() string {
 	}
 }
 
-// Tree is a volatile adaptive radix tree.
+// Tree is an immutable adaptive radix tree.
 type Tree struct {
 	root *node
 	size int
@@ -73,8 +79,25 @@ func (t *Tree) Empty() bool { return t.size == 0 }
 // Get returns the value stored under key.
 func (t *Tree) Get(key []byte) (uint64, bool) { return lookup(t.root, key) }
 
+// Root is an adaptive radix tree edited in place, held in one word; the
+// zero Root is empty. Insert and Delete must be serialised by the caller;
+// Get and Prefetch may run beside them, and Walk and Stats beside each
+// other and Get, but not beside a writer.
+type Root struct {
+	p atomic.Pointer[node]
+}
+
+// Get returns the value stored under key. Beside a writer the answer,
+// hit or miss, may be one no single state of the tree held.
+func (r *Root) Get(key []byte) (uint64, bool) { return lookup(r.p.Load(), key) }
+
+// Empty reports whether the tree has no records.
+func (r *Root) Empty() bool { return r.p.Load() == nil }
+
 // lookup walks from n down key: an inner node's stored prefix is compared
-// on the way, the full key at the leaf.
+// on the way, the full key at the leaf. Every step checks the key's
+// length against the node it is at, so a walk over a tree mid-change
+// ends, in a leaf or a miss, whatever it meets.
 func lookup(n *node, key []byte) (uint64, bool) {
 	depth := 0
 	for n != nil {
@@ -127,8 +150,9 @@ type Stats struct {
 	Node4s, Node16s, Node48s, Node256s int
 	// Height is the maximum node depth (leaves included).
 	Height int
-	// Bytes is the DRAM the tree holds: every leaf, every inner node and
-	// the Tree itself, each at the size class the Go heap allocates it in.
+	// Bytes is the DRAM the tree holds: every leaf, every inner node and,
+	// for a Tree, the Tree itself, each at the size class the Go heap
+	// allocates it in.
 	Bytes int64
 	// LeafBytes is the leaves' share of Bytes.
 	LeafBytes int64
@@ -136,7 +160,18 @@ type Stats struct {
 
 // Stats walks the tree and returns shape statistics.
 func (t *Tree) Stats() Stats {
-	s := Stats{Bytes: treeBytes}
+	s := stats(t.root)
+	s.Bytes += treeBytes
+	return s
+}
+
+// Stats walks the tree and returns shape statistics; the Root's own word
+// is its holder's to count.
+func (r *Root) Stats() Stats { return stats(r.p.Load()) }
+
+// stats returns the shape statistics of the tree below root.
+func stats(root *node) Stats {
+	var s Stats
 	var kinds [Kind256 + 1]int
 	var walk func(n *node, depth int)
 	walk = func(n *node, depth int) {
@@ -154,8 +189,8 @@ func (t *Tree) Stats() Stats {
 			return true
 		})
 	}
-	if t.root != nil {
-		walk(t.root, 0)
+	if root != nil {
+		walk(root, 0)
 	}
 	s.Records = kinds[KindLeaf]
 	s.Node4s, s.Node16s, s.Node48s, s.Node256s = kinds[Kind4], kinds[Kind16], kinds[Kind48], kinds[Kind256]

@@ -10,19 +10,51 @@ import (
 )
 
 // editor threads a tree through CowInsert and CowDelete, so a test body
-// reads as the sequence of operations it checks.
-type editor struct{ *Tree }
+// reads as the sequence of operations it checks, and runs every operation
+// on a Root as well, edited in place, which checkAgainstRef holds to the
+// same shape.
+type editor struct {
+	*Tree
+	live Root
+}
 
-func newEditor() *editor { return &editor{New()} }
+func newEditor() *editor { return &editor{Tree: New()} }
 
 func (e *editor) Insert(key []byte, val uint64) (old uint64, updated bool) {
 	e.Tree, old, updated = e.CowInsert(key, val)
+	if o, u := e.live.Insert(key, val); o != old || u != updated {
+		panic(fmt.Sprintf("Insert(%q): in place (%d,%v), copied (%d,%v)", key, o, u, old, updated))
+	}
 	return old, updated
 }
 
 func (e *editor) Delete(key []byte) (old uint64, ok bool) {
 	e.Tree, old, ok = e.CowDelete(key)
+	if o, k := e.live.Delete(key); o != old || k != ok {
+		panic(fmt.Sprintf("Delete(%q): in place (%d,%v), copied (%d,%v)", key, o, k, old, ok))
+	}
 	return old, ok
+}
+
+// shape spells the tree below n: every node's kind, prefix, terminator
+// and edges, every leaf's key and value.
+func shape(n *node) string {
+	if n == nil {
+		return "-"
+	}
+	if n.isLeaf() {
+		return fmt.Sprintf("%q=%d", n.leaf().k(), n.leaf().val)
+	}
+	h := n.inner()
+	out := fmt.Sprintf("%v%q(", h.kind(), h.prefix[:h.plen])
+	if h.term != nil {
+		out += shape(&h.term.node)
+	}
+	h.each(0, 255, false, func(b byte, c *node) bool {
+		out += fmt.Sprintf(" %d:%s", b, shape(c))
+		return true
+	})
+	return out + ")"
 }
 
 // ref is a reference model for differential testing.
@@ -37,9 +69,16 @@ func (r ref) sortedKeys() []string {
 	return ks
 }
 
-func checkAgainstRef(t *testing.T, tr *Tree, r ref) {
+// checkAgainstRef checks the editor's tree against r, and its Root,
+// edited in place, against the tree.
+func checkAgainstRef(t *testing.T, e *editor, r ref) {
 	t.Helper()
+	tr := e.Tree
 	checkShape(t, tr)
+	checkNodes(t, e.live.p.Load())
+	if a, b := shape(tr.root), shape(e.live.p.Load()); a != b {
+		t.Fatalf("edited in place the tree is\n%s\ncopied it is\n%s", b, a)
+	}
 	if tr.Len() != len(r) {
 		t.Fatalf("Len = %d, ref has %d", tr.Len(), len(r))
 	}
@@ -124,14 +163,14 @@ func TestPrefixKeys(t *testing.T) {
 		tr.Insert([]byte(k), uint64(i+100))
 		r[k] = uint64(i + 100)
 	}
-	checkAgainstRef(t, tr.Tree, r)
+	checkAgainstRef(t, tr, r)
 	// Delete the middle of a prefix chain.
 	for _, k := range []string{"abc", "a", ""} {
 		if _, ok := tr.Delete([]byte(k)); !ok {
 			t.Fatalf("Delete(%q) failed", k)
 		}
 		delete(r, k)
-		checkAgainstRef(t, tr.Tree, r)
+		checkAgainstRef(t, tr, r)
 	}
 }
 
@@ -145,7 +184,7 @@ func TestNodeGrowthAllKinds(t *testing.T) {
 		r[k] = uint64(i)
 		// Validate at the growth boundaries.
 		if i == 3 || i == 4 || i == 15 || i == 16 || i == 47 || i == 48 || i == 255 {
-			checkAgainstRef(t, tr.Tree, r)
+			checkAgainstRef(t, tr, r)
 		}
 	}
 	st := tr.Stats()
@@ -172,7 +211,7 @@ func TestNodeShrinkAllKinds(t *testing.T) {
 		// Validate around the shrink boundaries and at the end.
 		left := 256 - n - 1
 		if left == 48 || left == 37 || left == 16 || left == 12 || left == 4 || left == 3 || left == 1 || left == 0 {
-			checkAgainstRef(t, tr.Tree, r)
+			checkAgainstRef(t, tr, r)
 		}
 	}
 	if tr.root != nil {
@@ -201,7 +240,7 @@ func TestPathCompressionSplit(t *testing.T) {
 		tr.Insert([]byte(k), uint64(i))
 		r[k] = uint64(i)
 	}
-	checkAgainstRef(t, tr.Tree, r)
+	checkAgainstRef(t, tr, r)
 }
 
 func TestAscendRange(t *testing.T) {
@@ -291,7 +330,7 @@ func TestRandomizedAgainstMap(t *testing.T) {
 			}
 		}
 	}
-	checkAgainstRef(t, tr.Tree, r)
+	checkAgainstRef(t, tr, r)
 }
 
 // randKey draws short keys from a small alphabet to maximise structural

@@ -7,21 +7,14 @@ import (
 )
 
 // TestBatchMatchesSequentialCow drives a batch and a per-key CowInsert
-// sequence with the same operations and requires identical results, while
-// the base tree stays bit-for-bit readable with its original contents.
+// sequence with the same operations and requires identical results, and
+// holds the batch's committed tree and the one it publishes in a Root to
+// the same shape.
 func TestBatchMatchesSequentialCow(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	base := New()
-	for i := 0; i < 500; i++ {
-		nu, _, _ := base.CowInsert([]byte(randKey(rng)), uint64(i))
-		base = nu
-	}
-	baseContents := dump(base)
-
 	for round := 0; round < 50; round++ {
-		b := base.BeginBatch()
-		ref := base
-		n := 1 + rng.Intn(64)
+		b, ref := New().BeginBatch(), New()
+		n := 1 + rng.Intn(600)
 		for i := 0; i < n; i++ {
 			k := []byte(randKey(rng))
 			v := rng.Uint64()
@@ -32,9 +25,18 @@ func TestBatchMatchesSequentialCow(t *testing.T) {
 				t.Fatalf("round %d: Insert(%q) = (%d,%v), CowInsert = (%d,%v)", round, k, bOld, bUpd, rOld, rUpd)
 			}
 		}
-		got := b.Commit()
+		var got *Tree
+		var r Root
+		if round%2 == 0 {
+			got = b.Commit()
+		} else {
+			b.Publish(&r)
+			got = &Tree{root: r.p.Load(), size: ref.Len()}
+		}
 		sameContents(t, dump(ref), got, fmt.Sprintf("round %d committed", round))
-		sameContents(t, baseContents, base, fmt.Sprintf("round %d base", round))
+		if a, c := shape(ref.root), shape(got.root); a != c {
+			t.Fatalf("round %d: batch built\n%s\ncopying built\n%s", round, c, a)
+		}
 	}
 }
 
@@ -42,12 +44,10 @@ func TestBatchMatchesSequentialCow(t *testing.T) {
 // that are prefixes of other keys (terminator leaves), prefix splits, and
 // in-batch updates of keys the same batch inserted.
 func TestBatchTerminatorAndSplitPaths(t *testing.T) {
-	base := New()
+	b := New().BeginBatch()
 	for _, k := range []string{"abcde", "abcdf", "abxyz"} {
-		nu, _, _ := base.CowInsert([]byte(k), 1)
-		base = nu
+		b.Insert([]byte(k), 1)
 	}
-	b := base.BeginBatch()
 	ops := []struct {
 		key     string
 		val     uint64
@@ -72,19 +72,28 @@ func TestBatchTerminatorAndSplitPaths(t *testing.T) {
 	want["abcde"] = 4
 	want["abc"] = 6
 	sameContents(t, want, b.Commit(), "committed")
-	sameContents(t, map[string]uint64{"abcde": 1, "abcdf": 1, "abxyz": 1}, base, "base")
 }
 
-// TestBatchPanicsAfterCommit pins the ownership rule: a committed batch's
-// tags no longer confer mutation rights, so Insert must refuse.
+// TestBatchPanicsAfterCommit pins the ownership rule: a batch edits in
+// place, so it refuses to begin on a tree that already has nodes, and to
+// go on once it has handed its tree over.
 func TestBatchPanicsAfterCommit(t *testing.T) {
 	b := New().BeginBatch()
 	b.Insert([]byte("k"), 1)
-	b.Commit()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Insert on committed batch did not panic")
-		}
-	}()
-	b.Insert([]byte("k2"), 2)
+	tr := b.Commit()
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Insert on committed batch", func() { b.Insert([]byte("k2"), 2) })
+	mustPanic("BeginBatch on a non-empty tree", func() { tr.BeginBatch() })
+	var r Root
+	b = New().BeginBatch()
+	b.Publish(&r)
+	mustPanic("Insert on published batch", func() { b.Insert([]byte("k2"), 2) })
 }

@@ -7,13 +7,16 @@ import (
 	"testing"
 )
 
-// FuzzARTDifferential reads its input as a history of CowInsert,
-// CowDelete and Batch operations, runs it beside a sorted-map model, and
-// after every step checks the new tree against the model (contents,
-// order, a range scan in both directions, shape invariants, Prefetch
-// against Get) and every tree published so far against the memory dump
-// taken when it was published. Run it under -race: that is what turns
-// checkptr on for every cast in node.go.
+// FuzzARTDifferential reads its input as a history of inserts, deletes
+// and batch builds and runs it beside a sorted-map model two ways: by
+// copying, CowInsert and CowDelete into a new Tree at every step, and in
+// place, Insert and Delete on one Root, into which each batch build — the
+// model's records and a run of new ones, from empty — is published. After
+// every step it checks both trees against the model (contents, order, a
+// range scan in both directions, shape invariants, Prefetch against Get)
+// and every copied tree made so far against the memory dump taken when it
+// was made: not one bit of it may have changed. Run it under -race: that
+// is what turns checkptr on for every cast in node.go.
 func FuzzARTDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x00\x03abc\x00\x02ab\x00\x05abcde\x03\x02ab\x05\x03\x01a\x01b\x02ab\x06\x00\x07\x01a"))
@@ -62,9 +65,18 @@ func (h *history) key() []byte {
 	return k
 }
 
+// rootOf returns a Root holding t's nodes, for Prefetch; it must not be
+// edited.
+func rootOf(t *Tree) *Root {
+	r := new(Root)
+	r.p.Store(t.root)
+	return r
+}
+
 func runHistory(t *testing.T, data []byte) {
 	h := &history{data}
 	cur := New()
+	var live Root
 	model := map[string]uint64{}
 	type snapshot struct {
 		tree *Tree
@@ -72,16 +84,22 @@ func runHistory(t *testing.T, data []byte) {
 	}
 	snaps := []snapshot{{cur, rawDump(cur)}}
 	prevKey := []byte(nil)
+	agree := func(step uint64, what string, key []byte, old, want uint64, ok, present bool) {
+		if ok != present || old != want {
+			t.Fatalf("step %d: %s(%q) = %d,%v; model had %d,%v", step, what, key, old, ok, want, present)
+		}
+	}
 
 	for step := uint64(1); len(h.data) > 0 && step <= 150; step++ {
 		op := h.byte() % 8
 		key := h.key()
 		switch {
 		case op <= 2:
+			want, present := model[string(key)]
 			nu, old, updated := cur.CowInsert(key, step)
-			if want, present := model[string(key)]; updated != present || old != want {
-				t.Fatalf("step %d: CowInsert(%q) = %d,%v; model had %d,%v", step, key, old, updated, want, present)
-			}
+			agree(step, "CowInsert", key, old, want, updated, present)
+			old, updated = live.Insert(key, step)
+			agree(step, "Insert", key, old, want, updated, present)
 			model[string(key)] = step
 			cur = nu
 		case op <= 4:
@@ -89,86 +107,97 @@ func runHistory(t *testing.T, data []byte) {
 				keys := sortedKeys(model)
 				key = []byte(keys[int(h.byte())%len(keys)])
 			}
+			want, present := model[string(key)]
 			nu, old, ok := cur.CowDelete(key)
-			if want, present := model[string(key)]; ok != present || old != want {
-				t.Fatalf("step %d: CowDelete(%q) = %d,%v; model had %d,%v", step, key, old, ok, want, present)
-			}
+			agree(step, "CowDelete", key, old, want, ok, present)
 			if !ok && nu != cur {
 				t.Fatalf("step %d: CowDelete of absent %q made a new tree", step, key)
 			}
+			old, ok = live.Delete(key)
+			agree(step, "Delete", key, old, want, ok, present)
 			delete(model, string(key))
 			cur = nu
 		default:
-			b := cur.BeginBatch()
+			b := New().BeginBatch()
+			for _, k := range sortedKeys(model) {
+				b.Insert([]byte(k), model[k])
+			}
 			for n := 1 + int(h.byte())%12; n > 0; n-- {
+				want, present := model[string(key)]
 				old, updated := b.Insert(key, step)
-				if want, present := model[string(key)]; updated != present || old != want {
-					t.Fatalf("step %d: Batch.Insert(%q) = %d,%v; model had %d,%v", step, key, old, updated, want, present)
-				}
+				agree(step, "Batch.Insert", key, old, want, updated, present)
+				nu, old, updated := cur.CowInsert(key, step)
+				agree(step, "CowInsert", key, old, want, updated, present)
 				model[string(key)] = step
+				cur = nu
 				key = h.key()
 			}
-			cur = b.Commit()
+			b.Publish(&live)
 		}
 
-		checkShape(t, cur)
 		keys := sortedKeys(model)
-		if cur.Len() != len(keys) {
-			t.Fatalf("step %d: Len = %d, model has %d", step, cur.Len(), len(keys))
-		}
-		i := 0
-		cur.Walk(nil, nil, false, func(k []byte, v uint64) bool {
-			if i >= len(keys) || string(k) != keys[i] || v != model[keys[i]] {
-				t.Fatalf("step %d: Ascend record %d is %q=%d", step, i, k, v)
-			}
-			if got, ok := cur.Get(k); !ok || got != v {
-				t.Fatalf("step %d: Get(%q) = %d,%v, want %d", step, k, got, ok, v)
-			}
-			i++
-			return true
-		})
-		if i != len(keys) {
-			t.Fatalf("step %d: Ascend visited %d of %d", step, i, len(keys))
-		}
 		_, present := model[string(key)]
-		if _, ok := cur.Get(key); ok != present {
-			t.Fatalf("step %d: Get(%q) found = %v", step, key, ok)
-		}
 		lo, hi := prevKey, key
 		if bytes.Compare(lo, hi) > 0 {
 			lo, hi = hi, lo
 		}
-		checkRange(t, cur, keys, lo, hi)
-		checkRange(t, cur, keys, hi, nil)
-		checkRange(t, cur, keys, nil, lo)
 		prevKey = key
+		// The Root is checked through a Tree over its nodes: the same
+		// walks as Root's, and checkShape's count against the model.
+		for _, tr := range []*Tree{cur, {root: live.p.Load(), size: len(keys)}} {
+			checkShape(t, tr)
+			if tr.Len() != len(keys) {
+				t.Fatalf("step %d: Len = %d, model has %d", step, tr.Len(), len(keys))
+			}
+			i := 0
+			tr.Walk(nil, nil, false, func(k []byte, v uint64) bool {
+				if i >= len(keys) || string(k) != keys[i] || v != model[keys[i]] {
+					t.Fatalf("step %d: Ascend record %d is %q=%d", step, i, k, v)
+				}
+				if got, ok := tr.Get(k); !ok || got != v {
+					t.Fatalf("step %d: Get(%q) = %d,%v, want %d", step, k, got, ok, v)
+				}
+				i++
+				return true
+			})
+			if i != len(keys) {
+				t.Fatalf("step %d: Ascend visited %d of %d", step, i, len(keys))
+			}
+			if _, ok := tr.Get(key); ok != present {
+				t.Fatalf("step %d: Get(%q) found = %v", step, key, ok)
+			}
+			checkRange(t, tr, keys, lo, hi)
+			checkRange(t, tr, keys, hi, nil)
+			checkRange(t, tr, keys, nil, lo)
+		}
 
 		// Prefetch walks the step's key and its near misses down every
-		// published tree, and every key's down the current one: it must
+		// copied tree, and every key's down both current ones: it must
 		// find what Get finds, and (checked next) change no bit anywhere.
-		var trees []*Tree
+		var roots []*Root
 		var probes [][]byte
 		var want uint64
-		probe := func(tr *Tree, k []byte) {
+		probe := func(r *Root, k []byte) {
 			for _, p := range nearMisses(k) {
-				trees, probes = append(trees, tr), append(probes, p)
-				v, _ := tr.Get(p)
+				roots, probes = append(roots, r), append(probes, p)
+				v, _ := r.Get(p)
 				want += v
 			}
 		}
 		for _, s := range snaps {
-			probe(s.tree, key)
+			probe(rootOf(s.tree), key)
 		}
 		for _, k := range keys {
-			probe(cur, []byte(k))
+			probe(rootOf(cur), []byte(k))
+			probe(&live, []byte(k))
 		}
-		if got := Prefetch(trees, probes); got != want {
+		if got := Prefetch(roots, probes); got != want {
 			t.Fatalf("step %d: Prefetch of %d probes = %d, Get sums to %d", step, len(probes), got, want)
 		}
 
 		for i, s := range snaps {
 			if !bytes.Equal(rawDump(s.tree), s.dump) {
-				t.Fatalf("step %d wrote to snapshot %d, published earlier", step, i)
+				t.Fatalf("step %d wrote to snapshot %d, made earlier", step, i)
 			}
 		}
 		if cur != snaps[len(snaps)-1].tree {

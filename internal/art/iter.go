@@ -10,6 +10,11 @@ func (t *Tree) Walk(start, end []byte, desc bool, fn func(key []byte, val uint64
 	return walk(t.root, 0, start, end, desc, fn)
 }
 
+// Walk is Tree.Walk over r's tree.
+func (r *Root) Walk(start, end []byte, desc bool, fn func(key []byte, val uint64) bool) bool {
+	return walk(r.p.Load(), 0, start, end, desc, fn)
+}
+
 // walk visits, in key order (reversed when desc), the records of the
 // subtree n whose keys lie in [start, end), and reports whether fn let it
 // finish. depth is the length of the path above n. A bound is passed down

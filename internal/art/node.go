@@ -1,10 +1,14 @@
 package art
 
-import "unsafe"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
 // Node layout. This is the only file of the package that imports unsafe:
 // every cast from the common first byte to a concrete node type is here,
-// behind a check of that byte's kind.
+// behind a check of that byte's kind, and so is every atomic access to a
+// child slot.
 //
 // A child slot is one 8-byte *node. The node it points at is a leaf or
 // one of the four inner kinds; all five start with the same byte, whose
@@ -14,11 +18,20 @@ import "unsafe"
 // allocated in, not from the static type of the pointer that reached it.
 //
 //	leaf     32 B  noscan  [klen<<3|kind][23 key bytes][8-byte value]
-//	header   24 B          [kind][plen][n:2][4 prefix bytes][term][owner]
-//	NODE4    64 B  header + 4 edge bytes (+4 pad) + 4 slots: one cache line
-//	NODE16  168 B  header + 16 edge bytes + 16 slots
-//	NODE48  664 B  header + 256-byte index + 48 slots
-//	NODE256 2072 B header + 256 slots
+//	header   16 B          [kind][plen][n:2][4 prefix bytes][term]
+//	NODE4    56 B  header + 4 edge bytes (+4 pad) + 4 slots: one cache line
+//	NODE16  160 B  header + 16 edge bytes + 16 slots
+//	NODE48  656 B  header + 256-byte index in 64 words + 48 slots
+//	NODE256 2064 B header + 256 slots
+//
+// Which words a reader may find changing (see edit.go): a child slot, and
+// a NODE48's index words, are written only by atomic stores once the node
+// is published, and every reader loads them atomically. Everything else
+// in a published node — kind, prefix, terminator, and a NODE4's or
+// NODE16's edge bytes and n — is written before the node is published
+// and never again. n of a NODE48 or NODE256 is the one exception: the
+// writer counts edges it adds and removes in place there, so no reader
+// may read it.
 
 const (
 	// MaxKeyLen is the longest key a tree stores: what fits a leaf beside
@@ -78,16 +91,13 @@ func (l *leaf) k() []byte { return l.key[:l.meta>>kindBits] }
 // inner is the header every inner node starts with. prefix[:plen] is the
 // compressed path between the parent's edge byte and this node's own
 // branching point; term is the record whose key ends exactly there; n
-// counts the children (term excluded). owner is the id of the Batch that
-// created or first copied the node and may therefore edit it in place, 0
-// for a node made by CowInsert or CowDelete (see Batch).
+// counts the children (term excluded).
 type inner struct {
 	node
 	plen   uint8
 	n      uint16
 	prefix [prefixCap]byte
 	term   *leaf
-	owner  uint64
 }
 
 type node4 struct {
@@ -104,8 +114,23 @@ type node16 struct {
 
 type node48 struct {
 	inner
-	index    [256]uint8 // edge byte -> child slot + 1; 0 means no child
+	// index maps an edge byte to its child slot + 1, 0 for no child: byte
+	// b of the map is byte b%4 of word b/4, so that it is read and written
+	// as a whole atomic word (see at and setAt).
+	index    [64]uint32
 	children [48]*node
+}
+
+// at returns the index entry of edge byte b.
+func (v *node48) at(b byte) int {
+	return int(atomic.LoadUint32(&v.index[b/4]) >> (b % 4 * 8) & 0xff)
+}
+
+// setAt stores entry s for edge byte b with one atomic store of its word.
+func (v *node48) setAt(b byte, s int) {
+	w := &v.index[b/4]
+	shift := b % 4 * 8
+	atomic.StoreUint32(w, atomic.LoadUint32(w)&^(0xff<<shift)|uint32(s)<<shift)
 }
 
 type node256 struct {
@@ -119,6 +144,16 @@ func (h *inner) n16() *node16   { return (*node16)(unsafe.Pointer(h)) }
 func (h *inner) n48() *node48   { return (*node48)(unsafe.Pointer(h)) }
 func (h *inner) n256() *node256 { return (*node256)(unsafe.Pointer(h)) }
 
+// load and store are the only accesses to a child slot of a node that may
+// be published.
+func load(slot **node) *node {
+	return (*node)(atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(slot))))
+}
+
+func store(slot **node, c *node) {
+	atomic.StorePointer((*unsafe.Pointer)(unsafe.Pointer(slot)), unsafe.Pointer(c))
+}
+
 // Per-kind limits, indexed by Kind: a node grows to the next kind when it
 // is asked to hold more than capacity children and shrinks to the
 // previous one when a removal leaves it with shrinkAt or fewer, so a
@@ -128,8 +163,8 @@ var (
 	shrinkAt = [...]int{Kind4: 0, Kind16: 3, Kind48: 12, Kind256: 37}
 )
 
-// newInner returns an empty node of kind k tagged owner.
-func newInner(k Kind, owner uint64) *inner {
+// newInner returns an empty node of kind k.
+func newInner(k Kind) *inner {
 	var h *inner
 	switch k {
 	case Kind4:
@@ -144,7 +179,6 @@ func newInner(k Kind, owner uint64) *inner {
 		panic("art: newInner of a leaf kind")
 	}
 	h.meta = uint8(k)
-	h.owner = owner
 	return h
 }
 
@@ -166,18 +200,6 @@ func (h *inner) clone() *inner {
 		return &c.inner
 	}
 	panic("art: clone of a node of no inner kind")
-}
-
-// own returns h itself if it carries owner's tag, otherwise a copy that
-// does. Owner 0 is never matched: every call copies, and the copy is
-// untagged.
-func own(h *inner, owner uint64) *inner {
-	if owner != 0 && h.owner == owner {
-		return h
-	}
-	c := h.clone()
-	c.owner = owner
-	return c
 }
 
 func (h *inner) setPrefix(p []byte) {
@@ -209,7 +231,7 @@ func (h *inner) slot(b byte) **node {
 		}
 	case Kind48:
 		v := h.n48()
-		if s := v.index[b]; s != 0 {
+		if s := v.at(b); s != 0 {
 			return &v.children[s-1]
 		}
 	case Kind256:
@@ -221,7 +243,7 @@ func (h *inner) slot(b byte) **node {
 // child returns the child under edge byte b, or nil.
 func (h *inner) child(b byte) *node {
 	if s := h.slot(b); s != nil {
-		return *s
+		return load(s)
 	}
 	return nil
 }
@@ -238,7 +260,7 @@ func (h *inner) each(lo, hi int, desc bool, fn func(b byte, c *node) bool) bool 
 			if desc {
 				j = n - 1 - i
 			}
-			if b := int(keys[j]); b >= lo && b <= hi && !fn(keys[j], children[j]) {
+			if b := int(keys[j]); b >= lo && b <= hi && !fn(keys[j], load(&children[j])) {
 				return false
 			}
 		}
@@ -249,7 +271,7 @@ func (h *inner) each(lo, hi int, desc bool, fn func(b byte, c *node) bool) bool 
 			if desc {
 				b = lo + hi - i
 			}
-			if s := v.index[b]; s != 0 && !fn(byte(b), v.children[s-1]) {
+			if s := v.at(byte(b)); s != 0 && !fn(byte(b), load(&v.children[s-1])) {
 				return false
 			}
 		}
@@ -260,7 +282,7 @@ func (h *inner) each(lo, hi int, desc bool, fn func(b byte, c *node) bool) bool 
 			if desc {
 				b = lo + hi - i
 			}
-			if c := v.children[b]; c != nil && !fn(byte(b), c) {
+			if c := load(&v.children[b]); c != nil && !fn(byte(b), c) {
 				return false
 			}
 		}
@@ -268,8 +290,11 @@ func (h *inner) each(lo, hi int, desc bool, fn func(b byte, c *node) bool) bool 
 	return true
 }
 
-// insertChild adds child under edge byte b. The caller owns h, b is not
-// present and h has room (see withRoom).
+// insertChild adds child under edge byte b, which is not present, to h,
+// which has room. A NODE4 or NODE16 must be one no reader can see; a
+// NODE48 or NODE256 may be published: its new edge appears to a reader
+// with one atomic store, of the slot in a NODE256 and of the index word
+// in a NODE48, whose slot is filled first.
 func (h *inner) insertChild(b byte, child *node) {
 	switch h.kind() {
 	case Kind4, Kind16:
@@ -288,16 +313,17 @@ func (h *inner) insertChild(b byte, child *node) {
 		for v.children[s] != nil {
 			s++
 		}
-		v.children[s] = child
-		v.index[b] = uint8(s + 1)
+		store(&v.children[s], child)
+		v.setAt(b, s+1)
 	case Kind256:
-		h.n256().children[b] = child
+		store(&h.n256().children[b], child)
 	}
 	h.n++
 }
 
-// removeChild deletes edge byte b, which must be present, from a node
-// the caller owns.
+// removeChild deletes edge byte b, which must be present, from h, under
+// the same rule as insertChild: a published NODE48 loses the edge when
+// its index word is cleared, and only then is the slot emptied for reuse.
 func (h *inner) removeChild(b byte) {
 	switch h.kind() {
 	case Kind4, Kind16:
@@ -312,33 +338,25 @@ func (h *inner) removeChild(b byte) {
 		children[n-1] = nil
 	case Kind48:
 		v := h.n48()
-		v.children[v.index[b]-1] = nil
-		v.index[b] = 0
+		s := v.at(b) - 1
+		v.setAt(b, 0)
+		store(&v.children[s], nil)
 	case Kind256:
-		h.n256().children[b] = nil
+		store(&h.n256().children[b], nil)
 	}
 	h.n--
 }
 
 // resized returns a copy of h as a node of kind k, which must have room
-// for h's children, tagged owner. h is not modified.
-func (h *inner) resized(k Kind, owner uint64) *inner {
-	d := newInner(k, owner)
+// for h's children. h is not modified.
+func (h *inner) resized(k Kind) *inner {
+	d := newInner(k)
 	d.plen, d.prefix, d.term = h.plen, h.prefix, h.term
 	h.each(0, 255, false, func(b byte, c *node) bool {
 		d.insertChild(b, c)
 		return true
 	})
 	return d
-}
-
-// withRoom returns a node that owner may edit and that can take one more
-// child: h itself, a copy, or — when h is full — a copy of the next kind.
-func withRoom(h *inner, owner uint64) *inner {
-	if int(h.n) < capacity[h.kind()] {
-		return own(h, owner)
-	}
-	return h.resized(h.kind()+1, owner)
 }
 
 // isLink reports whether h only carries path bytes: one child and no
@@ -361,20 +379,20 @@ func chainPath(path []byte, h *inner) ([]byte, *inner) {
 	for h.isLink() {
 		v := h.n4()
 		path = append(path, v.keys[0])
-		h = v.children[0].inner()
+		h = load(&v.children[0]).inner()
 		path = append(path, h.prefix[:h.plen]...)
 	}
 	return path, h
 }
 
-// chain stores path above end, a node the caller owns: each leading run
-// of prefixCap+1 bytes becomes a link tagged owner, and the at most
-// prefixCap bytes left become end's prefix. It returns the top node.
-func chain(path []byte, end *inner, owner uint64) *node {
+// chain stores path above end, a node no reader can see: each leading
+// run of prefixCap+1 bytes becomes a new link, and the at most prefixCap
+// bytes left become end's prefix. It returns the top node.
+func chain(path []byte, end *inner) *node {
 	var top *node
 	hole := &top
 	for len(path) > prefixCap {
-		l := newInner(Kind4, owner)
+		l := newInner(Kind4)
 		l.setPrefix(path[:prefixCap])
 		v := l.n4()
 		v.keys[0] = path[prefixCap]
@@ -386,34 +404,6 @@ func chain(path []byte, end *inner, owner uint64) *node {
 	end.setPrefix(path)
 	*hole = &end.node
 	return top
-}
-
-// compact restores the shape invariants of h, which the caller owns,
-// after a child or the terminator was removed from it: a node left with
-// only its terminator collapses to that leaf, a node left with one child
-// and no terminator merges into that child's path, and an underfull node
-// shrinks to the previous kind.
-func compact(h *inner) *node {
-	switch {
-	case h.n == 0:
-		return &h.term.node
-	case h.isLink():
-		v := h.n4() // fewer than 4 children: always a NODE4
-		b, child := v.keys[0], v.children[0]
-		if child.isLeaf() {
-			return child
-		}
-		if h.plen == prefixCap {
-			return &h.node // already a canonical link
-		}
-		var buf [MaxKeyLen]byte
-		path := append(append(buf[:0], h.prefix[:h.plen]...), b)
-		path, end := chainPath(path, child.inner())
-		return chain(path, own(end, 0), 0)
-	case int(h.n) <= shrinkAt[h.kind()]:
-		return &h.resized(h.kind()-1, 0).node
-	}
-	return &h.node
 }
 
 // sizeClasses are the Go allocator's small-object size classes up to the

@@ -3,9 +3,11 @@ package art
 // PrefetchWindow is how many walks Prefetch keeps in flight at once.
 const PrefetchWindow = 64
 
-// Prefetch looks keys[i] up in trees[i] for every i, PrefetchWindow keys
+// Prefetch looks keys[i] up in roots[i] for every i, PrefetchWindow keys
 // at a time, and returns the sum of the values it found: the sum of what
-// Get would return for the hits. A nil tree holds nothing.
+// Get would return for the hits. A nil root holds nothing. Like Get, it
+// may run beside a writer, and then the sum may be one no single state of
+// the trees held.
 //
 // Its purpose is the walk, not the sum. A lookup is a chain of dependent
 // cache misses, root to leaf, and Get runs one chain at a time. Prefetch
@@ -15,15 +17,15 @@ const PrefetchWindow = 64
 // 2004). A caller about to look the same keys up one by one finds their
 // nodes in cache. The sum is returned so that no load is dead code; a
 // caller that only wants the walk discards it.
-func Prefetch(trees []*Tree, keys [][]byte) uint64 {
-	if len(trees) != len(keys) {
-		panic("art: Prefetch trees/keys length mismatch")
+func Prefetch(roots []*Root, keys [][]byte) uint64 {
+	if len(roots) != len(keys) {
+		panic("art: Prefetch roots/keys length mismatch")
 	}
 	var sum uint64
 	for len(keys) > 0 {
 		n := min(len(keys), PrefetchWindow)
-		sum += prefetchWindow(trees[:n], keys[:n])
-		trees, keys = trees[n:], keys[n:]
+		sum += prefetchWindow(roots[:n], keys[:n])
+		roots, keys = roots[n:], keys[n:]
 	}
 	return sum
 }
@@ -33,16 +35,18 @@ func Prefetch(trees []*Tree, keys [][]byte) uint64 {
 // the walk with the full-key compare, an inner node checks its stored
 // prefix and hands over the child under the next key byte, or its
 // terminator where the key ends.
-func prefetchWindow(trees []*Tree, keys [][]byte) uint64 {
+func prefetchWindow(roots []*Root, keys [][]byte) uint64 {
 	var (
 		nodes [PrefetchWindow]*node
 		depth [PrefetchWindow]int
 		live  [PrefetchWindow]uint8 // the walks still going, by index
 	)
 	m := 0
-	for i, t := range trees {
-		if t != nil && t.root != nil {
-			nodes[i] = t.root
+	for i, r := range roots {
+		if r == nil {
+			continue
+		}
+		if nodes[i] = r.p.Load(); nodes[i] != nil {
 			live[m] = uint8(i)
 			m++
 		}

@@ -20,12 +20,12 @@ func nearMisses(key []byte) [][]byte {
 
 // prefetchTree holds a node of every kind, each with a terminator and
 // every child with one of its own, and a path chained through links.
-func prefetchTree(t *testing.T) (*Tree, [][]byte) {
-	tr := New()
+func prefetchTree(t *testing.T) (*Root, [][]byte) {
+	tr := new(Root)
 	var keys [][]byte
 	put := func(k []byte) {
 		keys = append(keys, k)
-		tr, _, _ = tr.CowInsert(k, uint64(len(keys))) // values from 1: a miss adds 0
+		tr.Insert(k, uint64(len(keys))) // values from 1: a miss adds 0
 	}
 	for _, fan := range []int{3, 16, 48, 256} {
 		stem := []byte{'f', byte(fan)}
@@ -47,7 +47,7 @@ func prefetchTree(t *testing.T) (*Tree, [][]byte) {
 
 // TestPrefetchMatchesGet walks every stored key and its near misses down
 // a tree with every node kind, alone and in one call with nil and empty
-// trees among them, and holds the sum to what Get finds.
+// roots among them, and holds the sum to what Get finds.
 func TestPrefetchMatchesGet(t *testing.T) {
 	tr, stored := prefetchTree(t)
 	var probes [][]byte
@@ -56,27 +56,27 @@ func TestPrefetchMatchesGet(t *testing.T) {
 	}
 	probes = append(probes, nil, []byte{})
 
-	var trees []*Tree
+	var roots []*Root
 	var keys [][]byte
 	var want uint64
 	for i, k := range probes {
 		v, _ := tr.Get(k)
-		if got := Prefetch([]*Tree{tr}, [][]byte{k}); got != v {
+		if got := Prefetch([]*Root{tr}, [][]byte{k}); got != v {
 			t.Fatalf("Prefetch(%q) = %d, Get = %d", k, got, v)
 		}
 		want += v
-		trees, keys = append(trees, tr), append(keys, k)
+		roots, keys = append(roots, tr), append(keys, k)
 		switch i % 7 {
 		case 3:
-			trees, keys = append(trees, nil), append(keys, k)
+			roots, keys = append(roots, nil), append(keys, k)
 		case 5:
-			trees, keys = append(trees, New()), append(keys, k)
+			roots, keys = append(roots, new(Root)), append(keys, k)
 		}
 	}
 	if len(keys) <= PrefetchWindow {
 		t.Fatalf("only %d probes, want more than one window", len(keys))
 	}
-	if got := Prefetch(trees, keys); got != want {
+	if got := Prefetch(roots, keys); got != want {
 		t.Fatalf("Prefetch of %d probes = %d, Get sums to %d", len(keys), got, want)
 	}
 	if got := Prefetch(nil, nil); got != 0 {

@@ -75,7 +75,7 @@ func (h *HART) Check() error {
 	for _, ns := range shards {
 		var shardErr error
 		ns.s.mu.RLock()
-		ns.s.tree.Load().Walk(nil, nil, false, func(artKey []byte, w uint64) bool {
+		ns.s.root.Walk(nil, nil, false, func(artKey []byte, w uint64) bool {
 			ref := leafRef(w)
 			leaf := ref.ptr()
 			indexed++

@@ -174,6 +174,9 @@ func TestElasticSplitSlotCapacity(t *testing.T) {
 // each shard's empty tree — within 10 %.
 func TestDirectoryBytesMatchHeap(t *testing.T) {
 	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+	if dirEntryCost != 64 {
+		t.Fatalf("a shard struct is %d B, want one 64-byte line", dirEntryCost)
+	}
 	h := newHART(t)
 	var before, after runtime.MemStats
 	st0 := h.Stats()

@@ -3,11 +3,11 @@ package core
 import "github.com/casl-sdsu/hart/internal/art"
 
 // Prefetch warms the CPU caches for operations on keys that are about to
-// run: it routes every key through the directory, loads every shard's
-// published tree, and walks every key down to its DRAM leaf, each stage
-// for up to art.PrefetchWindow keys before the next, so that the cache
-// misses of different keys overlap (art.Prefetch). The lookups that follow
-// then find the directory slot, the shard and the tree path in cache.
+// run: it routes every key through the directory, then loads every
+// shard's root and walks every key down to its DRAM leaf, each stage for
+// up to art.PrefetchWindow keys before the next, so that the cache misses
+// of different keys overlap (art.Prefetch). The lookups that follow then
+// find the directory slot, the shard and the tree path in cache.
 //
 // Prefetch is not a read. It takes no lock, reads no PM word, counts
 // nothing, allocates nothing and returns nothing; a key that is invalid,
@@ -23,13 +23,11 @@ func (h *HART) Prefetch(keys [][]byte) {
 	}
 }
 
-// prefetch runs Prefetch's three stages over at most art.PrefetchWindow
-// keys.
+// prefetch runs Prefetch's stages over at most art.PrefetchWindow keys.
 func (h *HART) prefetch(keys [][]byte) {
 	dir := h.dir.Load()
 	var (
-		shards  [art.PrefetchWindow]*artShard
-		trees   [art.PrefetchWindow]*art.Tree
+		roots   [art.PrefetchWindow]*art.Root
 		artKeys [art.PrefetchWindow][]byte
 	)
 	for i, key := range keys {
@@ -38,12 +36,9 @@ func (h *HART) prefetch(keys [][]byte) {
 		}
 		var hashKey []byte
 		hashKey, artKeys[i] = h.splitKey(key)
-		shards[i], _ = dir.Get(hashKey)
-	}
-	for i, s := range shards[:len(keys)] {
-		if s != nil {
-			trees[i] = s.tree.Load()
+		if s, ok := dir.Get(hashKey); ok {
+			roots[i] = &s.root
 		}
 	}
-	art.Prefetch(trees[:len(keys)], artKeys[:len(keys)])
+	art.Prefetch(roots[:len(keys)], artKeys[:len(keys)])
 }

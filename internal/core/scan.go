@@ -73,7 +73,7 @@ func (h *HART) scan(lo, hi []byte, desc bool, fn func(key, value []byte) bool) {
 			s.mu.RUnlock()
 			continue
 		}
-		finished := s.tree.Load().Walk(shardBound(ek, lo), shardBound(ek, hi), desc, func(_ []byte, w uint64) bool {
+		finished := s.root.Walk(shardBound(ek, lo), shardBound(ek, hi), desc, func(_ []byte, w uint64) bool {
 			key, value, ok := h.leafKeyValue(leafRef(w))
 			if !ok {
 				return true

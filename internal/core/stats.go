@@ -82,17 +82,18 @@ type HotShard struct {
 	Records int
 }
 
-// dirEntryCost is the heap cost of each directory entry's shard struct:
-// 64 B on amd64, which is a Go size class of its own, so nothing rounds
-// it up (TestDirectoryBytesMatchHeap holds it to the runtime). The
-// directory's pages and nodes are the table's DRAMBytes, and the shard's
-// tree is art.Stats' to count.
+// dirEntryCost is the heap cost of each directory entry's shard struct,
+// its tree's root word included: 64 B on amd64, which is a Go size class
+// of its own, so nothing rounds it up (TestDirectoryBytesMatchHeap holds
+// it to the runtime). The directory's pages and nodes are the table's
+// DRAMBytes, and the shard's tree is art.Stats' to count.
 const dirEntryCost = int64(unsafe.Sizeof(artShard{}))
 
-// Stats collects statistics. Lock-free: it walks the directory's pages and
-// each shard's published tree, all immutable. During a
-// lazy recovery (PendingShards > 0) unbuilt shards contribute empty
-// trees to the DRAM accounting; Records stays exact.
+// Stats collects statistics. It walks the directory's pages with no lock,
+// and each shard's tree under the shard's read lock, since writers edit
+// trees in place. During a lazy recovery (PendingShards > 0) unbuilt
+// shards contribute empty trees to the DRAM accounting; Records stays
+// exact.
 func (h *HART) Stats() Stats {
 	st := Stats{
 		Records: h.Len(),
@@ -123,7 +124,9 @@ func (h *HART) Stats() Stats {
 	st.Size.DRAMBytes = int64(st.ARTs)*dirEntryCost + d.DRAMBytes()
 	st.Dir.Entries = len(shards)
 	for _, ns := range shards {
-		ts := ns.s.tree.Load().Stats()
+		ns.s.mu.RLock()
+		ts := ns.s.root.Stats()
+		ns.s.mu.RUnlock()
 		st.ART.Records += ts.Records
 		st.ART.Node4s += ts.Node4s
 		st.ART.Node16s += ts.Node16s
