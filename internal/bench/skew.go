@@ -17,7 +17,7 @@ import (
 // zipfian over a small prefix universe, so a handful of hash-directory
 // shards absorb most of the writes, against the same inserts drawn
 // uniformly. The kh=2 directory serialises every writer on the hot
-// shard's lock and keeps growing one big COW ART there; the ratio of the
+// shard's lock and keeps growing one big ART there; the ratio of the
 // two is what the skew costs.
 //
 // Latency injection is off: the subject is directory contention, which
