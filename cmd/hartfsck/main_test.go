@@ -16,8 +16,9 @@ import (
 // TestRunChecksImageAndRefusesOldFormat runs hartfsck over a healthy store
 // file, which it must pass while naming the format it found and how many
 // records keep their value in the leaf, and over the same bytes relabelled
-// as each earlier format version, which it must refuse with the version
-// error and leave unmodified.
+// as each earlier format version, or holding a value-class table other
+// than {8, 16}, which it must refuse with the version or geometry error
+// and leave unmodified.
 func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.hart")
@@ -54,11 +55,12 @@ func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const versionOff = 72 // pmem.LabelBase + 8: the superblock's version word
-	for old := uint64(1); old < hart.FormatVersion; old++ {
-		binary.LittleEndian.PutUint64(img[versionOff:], old)
-		name := fmt.Sprintf("version-%d image", old)
-		path := filepath.Join(dir, fmt.Sprintf("v%d.hart", old))
+	// refused writes img to file, runs hartfsck over it and checks that it
+	// exits 1 with stderr naming every one of want, and that the file is
+	// unmodified.
+	refused := func(name, file string, want ...string) {
+		t.Helper()
+		path := filepath.Join(dir, file)
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -67,12 +69,25 @@ func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 		if code := run([]string{path}, &stdout, &stderr); code != 1 {
 			t.Fatalf("%s: exit %d, want 1\n%s%s", name, code, stdout.String(), stderr.String())
 		}
-		both := fmt.Sprintf("image version %d, this build reads %d", old, hart.FormatVersion)
-		if msg := stderr.String(); !strings.Contains(msg, hart.ErrVersionMismatch.Error()) || !strings.Contains(msg, both) {
-			t.Errorf("%s: stderr does not name the version mismatch: %s", name, msg)
+		for _, w := range want {
+			if !strings.Contains(stderr.String(), w) {
+				t.Errorf("%s: stderr lacks %q: %s", name, w, stderr.String())
+			}
 		}
 		if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, img) {
 			t.Errorf("%s was modified (read err %v)", name, err)
 		}
 	}
+	const versionOff = 72 // pmem.LabelBase + 8: the superblock's version word
+	for old := uint64(1); old < hart.FormatVersion; old++ {
+		binary.LittleEndian.PutUint64(img[versionOff:], old)
+		refused(fmt.Sprintf("version-%d image", old), fmt.Sprintf("v%d.hart", old),
+			hart.ErrVersionMismatch.Error(),
+			fmt.Sprintf("image version %d, this build reads %d", old, hart.FormatVersion))
+	}
+	binary.LittleEndian.PutUint64(img[versionOff:], hart.FormatVersion)
+	const class1Off = 120 // pmem.LabelBase + 56: the superblock's second class size
+	binary.LittleEndian.PutUint64(img[class1Off:], 32)
+	refused("{8, 32} class-table image", "classes.hart",
+		hart.ErrGeometryMismatch.Error(), "{8, 32}")
 }

@@ -1,7 +1,9 @@
 package hart_test
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	hart "github.com/casl-sdsu/hart"
 )
@@ -77,20 +79,26 @@ func ExampleOptions_latency() {
 	// Output: persists charged: true
 }
 
-// Larger value classes: the paper's two classes (8 B, 16 B) extend to any
-// ascending multiple-of-8 table.
-func ExampleOptions_valueClasses() {
-	db, err := hart.New(hart.Options{
-		ValueClasses: []int64{8, 16, 64},
-		ArenaSize:    4 << 20,
-	})
+// The store's superblock records HashKeyLen: a restore that leaves it
+// zero adopts it, and one that names another is refused.
+func ExampleOptions_hashKeyLen() {
+	db, err := hart.New(hart.Options{HashKeyLen: 3, CrashSimulation: true, ArenaSize: 4 << 20})
 	if err != nil {
 		panic(err)
 	}
-	long := make([]byte, 60)
-	for i := range long {
-		long[i] = 'x'
+	db.Put([]byte("key"), []byte("value"))
+	img, err := db.CrashImage()
+	if err != nil {
+		panic(err)
 	}
-	fmt.Println("60-byte value accepted:", db.Put([]byte("big"), long) == nil)
-	// Output: 60-byte value accepted: true
+	_, err = hart.Restore(slices.Clone(img), hart.Options{HashKeyLen: 2})
+	fmt.Println("HashKeyLen 2 refused:", errors.Is(err, hart.ErrGeometryMismatch))
+	db2, err := hart.Restore(img, hart.Options{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("adopted HashKeyLen:", db2.Options().HashKeyLen)
+	// Output:
+	// HashKeyLen 2 refused: true
+	// adopted HashKeyLen: 3
 }

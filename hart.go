@@ -52,10 +52,10 @@ import (
 const (
 	// MaxKeyLen is the maximum key length in bytes.
 	MaxKeyLen = core.MaxKeyLen
-	// MaxValueLen is the maximum value length in bytes under the default
-	// value classes. Values of up to 8 bytes are stored in the record's PM
+	// MaxValueLen is the maximum value length in bytes, the paper's larger
+	// value class. Values of up to 8 bytes are stored in the record's PM
 	// leaf (one PM object per record, one PM read per lookup, one persist
-	// per same-length update); longer ones in a separate value object.
+	// per same-length update); longer ones in a 16-byte value object.
 	MaxValueLen = core.MaxValueLen
 )
 
@@ -73,8 +73,9 @@ var (
 	ErrKeyTooLong = core.ErrKeyTooLong
 	// ErrValueTooLong reports a value above MaxValueLen bytes.
 	ErrValueTooLong = core.ErrValueTooLong
-	// ErrGeometryMismatch reports Options naming a HashKeyLen or
-	// ValueClasses different from the ones the store was created with.
+	// ErrGeometryMismatch reports Options naming a HashKeyLen other than
+	// the one the store was created with, or a store whose persisted
+	// value-class table is not this format's {8, 16}.
 	ErrGeometryMismatch = core.ErrGeometryMismatch
 	// ErrNotFormatted reports an arena or file holding no HART store.
 	ErrNotFormatted = core.ErrNotFormatted
@@ -100,13 +101,6 @@ type Options struct {
 	// CrashSimulation tracks a separate durable view so CrashImage and
 	// crash-point injection work (costs memory and write overhead).
 	CrashSimulation bool
-	// ValueClasses lists value-object sizes in bytes, ascending multiples
-	// of 8 (default [8, 16], the paper's two classes), for the values too
-	// long for the leaf (more than 8 bytes). The largest class bounds
-	// value length. The table is persisted in the store's
-	// superblock: Open and Restore adopt it when this field is left nil
-	// and fail with ErrGeometryMismatch when it names a different table.
-	ValueClasses []int64
 	// RecoveryWorkers parallelises recovery's leaf scan, sweeps and ART
 	// rebuild across that many goroutines (0 or 1 = serial).
 	RecoveryWorkers int
@@ -137,7 +131,6 @@ func (o Options) coreOptions() core.Options {
 		HashKeyLen:      o.HashKeyLen,
 		ArenaSize:       o.ArenaSize,
 		Tracking:        o.CrashSimulation,
-		ValueClasses:    o.ValueClasses,
 		RecoveryWorkers: o.RecoveryWorkers,
 		LazyRecovery:    o.LazyRecovery,
 	}
@@ -170,11 +163,11 @@ func New(opts Options) (*DB, error) {
 // (default 64 MiB) and formatted. An existing file is validated (arena
 // header, HART superblock) and recovered: interrupted updates are
 // completed from their micro-logs and the index is rebuilt from the
-// persistent leaves, exactly as after a crash. Geometry options
-// (HashKeyLen, ValueClasses) left zero adopt the values persisted in the
-// store's superblock; non-zero values must match them
-// (ErrGeometryMismatch). A file that is torn, truncated, or not a HART
-// store is refused — never silently reformatted.
+// persistent leaves, exactly as after a crash. A HashKeyLen left zero
+// adopts the one persisted in the store's superblock; a non-zero one must
+// match it, and the persisted value-class table must be this format's
+// (ErrGeometryMismatch, before anything is written). A file that is torn,
+// truncated, or not a HART store is refused — never silently reformatted.
 //
 // On Linux the file is mapped MAP_SHARED, so every completed operation
 // survives a process crash; Sync (and Close) flush the mapping so a

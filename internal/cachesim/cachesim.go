@@ -14,7 +14,6 @@ package cachesim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // LineSize is the modelled cache-line size in bytes.
@@ -37,9 +36,6 @@ type Cache struct {
 	// are offset by one line to keep real tags nonzero.
 	sets    []uint64
 	stripes [numStripes]sync.Mutex
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // New returns a cache of sizeBytes capacity with the given associativity.
@@ -91,12 +87,6 @@ func (c *Cache) Access(addr uint64, size int) int {
 		if c.touch(line) {
 			misses++
 		}
-	}
-	if misses > 0 {
-		c.misses.Add(int64(misses))
-	}
-	if hits := int(last-first) + 1 - misses; hits > 0 {
-		c.hits.Add(int64(hits))
 	}
 	return misses
 }
@@ -152,7 +142,7 @@ func (c *Cache) Flush(addr uint64, size int) {
 }
 
 // Contains reports whether the line holding addr is currently cached.
-// Intended for tests; it does not update recency or counters.
+// Intended for tests; it does not update recency.
 func (c *Cache) Contains(addr uint64) bool {
 	line := addr >> lineShift
 	tag := line + 1
@@ -169,7 +159,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Reset empties the cache and zeroes counters.
+// Reset empties the cache.
 func (c *Cache) Reset() {
 	for i := range c.stripes {
 		c.stripes[i].Lock()
@@ -178,12 +168,4 @@ func (c *Cache) Reset() {
 	for i := range c.stripes {
 		c.stripes[i].Unlock()
 	}
-	c.hits.Store(0)
-	c.misses.Store(0)
 }
-
-// Hits returns the cumulative hit count.
-func (c *Cache) Hits() int64 { return c.hits.Load() }
-
-// Misses returns the cumulative miss count.
-func (c *Cache) Misses() int64 { return c.misses.Load() }

@@ -75,23 +75,28 @@ func TestFlushEvicts(t *testing.T) {
 
 func TestFlushAbsentLineHarmless(t *testing.T) {
 	c := New(1<<14, 4)
+	c.Access(0, 1)
 	c.Flush(1<<20, 256) // nothing cached there
-	if h, m := c.Hits(), c.Misses(); h != 0 || m != 0 {
-		t.Fatalf("flush changed counters: hits=%d misses=%d", h, m)
+	if !c.Contains(0) {
+		t.Fatal("flush of absent lines evicted a cached one")
+	}
+	if m := c.Access(0, 1); m != 0 {
+		t.Fatalf("cached line after unrelated flush: %d misses, want 0", m)
 	}
 }
 
 func TestCounters(t *testing.T) {
 	c := New(1<<14, 4)
-	c.Access(0, 1)  // miss
-	c.Access(0, 1)  // hit
-	c.Access(64, 1) // miss
-	if c.Misses() != 2 || c.Hits() != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/2", c.Hits(), c.Misses())
+	misses := []int{c.Access(0, 1), c.Access(0, 1), c.Access(64, 1)}
+	if misses[0] != 1 || misses[1] != 0 || misses[2] != 1 {
+		t.Fatalf("miss, hit, miss: Access returned %v", misses)
 	}
 	c.Reset()
-	if c.Misses() != 0 || c.Hits() != 0 || c.Contains(0) {
-		t.Fatal("Reset incomplete")
+	if c.Contains(0) || c.Contains(64) {
+		t.Fatal("Reset left lines cached")
+	}
+	if m := c.Access(0, 1); m != 1 {
+		t.Fatalf("access after Reset: %d misses, want 1", m)
 	}
 }
 
@@ -119,15 +124,22 @@ func TestBadGeometryPanics(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess has eight goroutines each touch 10 000 lines of
+// their own, first touches all, while flushing lines of goroutine 0's
+// range. Every Access must report its miss, and since the 80 000 lines fill
+// at most 3 of any set's 8 ways, every line no goroutine flushed must
+// still be cached afterwards.
 func TestConcurrentAccess(t *testing.T) {
+	const workers, per = 8, 10000
 	c := Default()
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	misses := make([]int, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 10000; i++ {
-				c.Access(uint64((w*10000+i)*64), 8)
+			for i := 0; i < per; i++ {
+				misses[w] += c.Access(uint64((w*per+i)*64), 8)
 				if i%16 == 0 {
 					c.Flush(uint64(i*64), 64)
 				}
@@ -135,7 +147,14 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Hits()+c.Misses() < 80000 {
-		t.Fatalf("counters lost updates: hits+misses = %d", c.Hits()+c.Misses())
+	for w, m := range misses {
+		if m != per {
+			t.Errorf("goroutine %d: %d misses over %d first touches", w, m, per)
+		}
+	}
+	for line := 0; line < workers*per; line++ {
+		if flushed := line < per && line%16 == 0; !flushed && !c.Contains(uint64(line*64)) {
+			t.Fatalf("line %d lost without a flush", line)
+		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 type Record struct {
 	// Key is 1..MaxKeyLen bytes.
 	Key []byte
-	// Value is 1..maxValueLen bytes.
+	// Value is 1..MaxValueLen bytes.
 	Value []byte
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"github.com/casl-sdsu/hart/internal/epalloc"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
@@ -109,13 +108,13 @@ func (h *HART) Check() error {
 				return true
 			}
 			vp, n := unpackValue(word0)
-			if vp.IsNil() || n <= MaxInlineLen || n > h.maxValueLen() {
+			if vp.IsNil() || n <= MaxInlineLen || n > MaxValueLen {
 				shardErr = fmt.Errorf("hart: leaf %d has invalid value word (ptr=%d len=%d)", leaf, vp, n)
 				return false
 			}
-			if c, err := h.alloc.ClassOf(vp); err != nil || c != h.valueClass(n) {
+			if c, err := h.alloc.ClassOf(vp); err != nil || c != classValue16 {
 				shardErr = fmt.Errorf("hart: leaf %d value %d in class %v, want %v (err %v)",
-					leaf, vp, c, h.valueClass(n), err)
+					leaf, vp, c, classValue16, err)
 				return false
 			}
 			if set, err := h.alloc.BitIsSet(vp); err != nil || !set {
@@ -140,8 +139,7 @@ func (h *HART) Check() error {
 	}
 
 	// Value-object accounting: exactly one live reference.
-	for i := range h.opts.ValueClasses {
-		c := classValue0 + epalloc.Class(i)
+	for c := classValue8; c <= classValue16; c++ {
 		var classErr error
 		if err := h.alloc.IterateObjects(c, func(vp pmem.Ptr, used bool) bool {
 			if !used {

@@ -37,13 +37,9 @@ import (
 // "The maximal key length supported by HART is 24 bytes").
 const MaxKeyLen = 24
 
-// MaxValueLen is the largest value under the default class table. A
-// value of up to MaxInlineLen bytes is stored in its leaf; a longer one in
-// a value object of the smallest class that fits it. HART supports 8-byte
-// and 16-byte value classes (Section III.A.5) and is "easily extended ...
-// by implementing more singly linked-lists of value object memory chunks" —
-// Options.ValueClasses realises exactly that, growing the limit with the
-// largest configured class.
+// MaxValueLen is the longest value a record holds. A value of up to
+// MaxInlineLen bytes is stored in its leaf, a longer one in a 16-byte
+// value object: HART's value classes are 8 and 16 bytes (Section III.A.5).
 const MaxValueLen = 16
 
 // MaxInlineLen is the longest value a leaf holds in its own first word.
@@ -52,12 +48,15 @@ const MaxInlineLen = 8
 // DefaultHashKeyLen is the paper's kh: "the hash key length is set to 2".
 const DefaultHashKeyLen = 2
 
-// Object classes within the EPallocator. Leaves are class 0; value
-// classes follow in ascending size order (classValue0 = 8 B and
-// classValue0+1 = 16 B under the default table).
+// Object classes within the EPallocator, fixed by the format: leaves, then
+// the paper's 8-byte and 16-byte value classes. Every value object is a
+// 16-byte one, since a value of up to MaxInlineLen bytes lives in its leaf.
+// The 8-byte class is therefore always empty; it is kept because format 3
+// persists it, in the superblock and in the allocator's own header.
 const (
-	classLeaf   epalloc.Class = 0
-	classValue0 epalloc.Class = 1
+	classLeaf    epalloc.Class = 0
+	classValue8  epalloc.Class = 1
+	classValue16 epalloc.Class = 2
 )
 
 // Leaf node layout on PM (40 bytes, 8-aligned). Paper Fig. 3 puts every
@@ -170,12 +169,6 @@ type Options struct {
 	CacheModel bool
 	// Tracking enables crash simulation on the arena (tests).
 	Tracking bool
-	// ValueClasses lists the value-object sizes in bytes, each a multiple
-	// of 8 in ascending order (default [8, 16], the paper's two classes).
-	// A value of more than MaxInlineLen bytes lands in the smallest class
-	// that fits it (a shorter one in its leaf, so a class of 8 bytes stays
-	// empty and costs nothing); the largest class bounds the value length.
-	ValueClasses []int64
 	// RecoveryWorkers parallelises the Algorithm 7 rebuild across that
 	// many goroutines, partitioned by hash key (0 or 1 = the paper's
 	// serial recovery).
@@ -213,23 +206,7 @@ func (o Options) withDefaults() Options {
 	if o.ArenaSize == 0 {
 		o.ArenaSize = 64 << 20
 	}
-	if len(o.ValueClasses) == 0 {
-		o.ValueClasses = []int64{8, 16}
-	}
 	return o
-}
-
-// validateClasses rejects malformed value-class tables.
-func validateClasses(classes []int64) error {
-	for i, c := range classes {
-		if c <= 0 || c%8 != 0 {
-			return fmt.Errorf("hart: value class %d bytes is not a positive multiple of 8", c)
-		}
-		if i > 0 && c <= classes[i-1] {
-			return fmt.Errorf("hart: value classes must be strictly ascending (%d after %d)", c, classes[i-1])
-		}
-	}
-	return nil
 }
 
 // artShard is one ART plus its lock (paper Fig. 1: "a lock on each ART"),
@@ -321,32 +298,13 @@ type HART struct {
 }
 
 // classSpecs returns the allocator class table, binding the Algorithm 2
-// lines 12-16 leaf-reuse repair to h. One value class per configured
-// size, exactly the paper's "more singly linked-lists of value object
-// memory chunks" extension.
+// lines 12-16 leaf-reuse repair to h.
 func (h *HART) classSpecs() []epalloc.ClassSpec {
-	specs := make([]epalloc.ClassSpec, 0, 1+len(h.opts.ValueClasses))
-	specs = append(specs, epalloc.ClassSpec{Name: "leaf", ObjSize: leafSize, OnReuse: h.onLeafReuse})
-	for _, size := range h.opts.ValueClasses {
-		specs = append(specs, epalloc.ClassSpec{Name: fmt.Sprintf("value%d", size), ObjSize: size})
+	return []epalloc.ClassSpec{
+		classLeaf:    {Name: "leaf", ObjSize: leafSize, OnReuse: h.onLeafReuse},
+		classValue8:  {Name: "value8", ObjSize: 8},
+		classValue16: {Name: "value16", ObjSize: MaxValueLen},
 	}
-	return specs
-}
-
-// maxValueLen is the largest storable value under the class table.
-func (h *HART) maxValueLen() int {
-	return int(h.opts.ValueClasses[len(h.opts.ValueClasses)-1])
-}
-
-// valueClass returns the smallest class fitting an n-byte value.
-func (h *HART) valueClass(n int) epalloc.Class {
-	for i, size := range h.opts.ValueClasses {
-		if int64(n) <= size {
-			return classValue0 + epalloc.Class(i)
-		}
-	}
-	// validate() bounds n by maxValueLen, so this is unreachable.
-	panic(fmt.Sprintf("hart: no value class for %d bytes", n))
 }
 
 // ArenaConfig translates the options into the PM medium's configuration,
@@ -384,15 +342,10 @@ func NewOnArena(arena *pmem.Arena, opts Options) (*HART, error) {
 	if opts.HashKeyLen < 1 || opts.HashKeyLen > hashdir.MaxKeyLen {
 		return nil, fmt.Errorf("hart: invalid HashKeyLen %d (1..%d)", opts.HashKeyLen, hashdir.MaxKeyLen)
 	}
-	if err := validateClasses(opts.ValueClasses); err != nil {
-		return nil, err
-	}
 	h := &HART{opts: opts, arena: arena}
 	h.dir.Store(hashdir.New[*artShard]())
 	arena.SetPersistSite("format.superblock")
-	if err := writeSuperblockBody(arena, opts); err != nil {
-		return nil, err
-	}
+	writeSuperblockBody(arena, opts)
 	var err error
 	h.alloc, err = epalloc.New(arena, h.classSpecs())
 	if err != nil {
@@ -410,9 +363,10 @@ func NewOnArena(arena *pmem.Arena, opts Options) (*HART, error) {
 // interrupted update logs and rebuilds the hash directory and all ART
 // internal nodes from the persistent leaves (Algorithm 7).
 //
-// Geometry (HashKeyLen, ValueClasses) is read from the store's
-// superblock: options left zero adopt the persisted values, options set
-// to anything else must match them (ErrGeometryMismatch otherwise). The
+// The store's superblock fixes its geometry: a HashKeyLen left zero adopts
+// the persisted one, and one set to anything else, or a persisted
+// value-class table other than this build's, fails with
+// ErrGeometryMismatch before anything is written. The
 // store is marked dirty before recovery completes and stays dirty until
 // Close, so an image that skipped Close is identifiable as a crash image
 // (RecoveryStats.WasClean).
@@ -425,9 +379,6 @@ func Open(arena *pmem.Arena, opts Options) (*HART, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	if err := validateClasses(opts.ValueClasses); err != nil {
-		return nil, err
-	}
 	h := &HART{opts: opts, arena: arena}
 	h.dir.Store(hashdir.New[*artShard]())
 	alloc, err := epalloc.Attach(arena, h.classSpecs())
@@ -507,10 +458,8 @@ func (h *HART) validate(key, value []byte) error {
 	if len(key) > MaxKeyLen {
 		return fmt.Errorf("%w: %d > %d", ErrKeyTooLong, len(key), MaxKeyLen)
 	}
-	if value != nil {
-		if maxLen := h.maxValueLen(); len(value) > maxLen {
-			return fmt.Errorf("%w: %d > %d", ErrValueTooLong, len(value), maxLen)
-		}
+	if len(value) > MaxValueLen {
+		return fmt.Errorf("%w: %d > %d", ErrValueTooLong, len(value), MaxValueLen)
 	}
 	return nil
 }
@@ -666,7 +615,7 @@ func (h *HART) readValue(ref leafRef, dst []byte, want bool, stable func() bool)
 	var vp pmem.Ptr
 	if n == 0 {
 		vp, n = unpackValue(w)
-		if vp.IsNil() || n <= MaxInlineLen || n > h.maxValueLen() {
+		if vp.IsNil() || n <= MaxInlineLen || n > MaxValueLen {
 			return nil, false
 		}
 		if !want {
@@ -703,7 +652,7 @@ func (h *HART) readValue(ref leafRef, dst []byte, want bool, stable func() bool)
 // zeroes the word whatever this finds.
 func (h *HART) reclaimStale(w uint64, referenced func(pmem.Ptr) bool) error {
 	vp, _ := unpackValue(w)
-	if c, err := h.alloc.ClassOf(vp); err != nil || c < classValue0 {
+	if c, err := h.alloc.ClassOf(vp); err != nil || c == classLeaf {
 		return nil
 	}
 	if set, err := h.alloc.BitIsSet(vp); err != nil || !set || referenced(vp) {

@@ -470,74 +470,6 @@ func TestChurnHeavyMixedOps(t *testing.T) {
 	}
 }
 
-// TestCustomValueClasses exercises the paper's "easily extended to
-// support more sizes of values" claim: extra size classes raise the value
-// limit and survive recovery (the class table is validated against PM on
-// attach).
-func TestCustomValueClasses(t *testing.T) {
-	opts := Options{
-		ArenaSize:    16 << 20,
-		Tracking:     true,
-		ValueClasses: []int64{8, 16, 32, 64},
-	}
-	h, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big := bytes.Repeat([]byte("B"), 64)
-	mid := bytes.Repeat([]byte("m"), 20)
-	if err := h.Put([]byte("big-value"), big); err != nil {
-		t.Fatalf("64-byte value rejected: %v", err)
-	}
-	if err := h.Put([]byte("mid-value"), mid); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Put([]byte("too-big"), bytes.Repeat([]byte("x"), 65)); !errors.Is(err, ErrValueTooLong) {
-		t.Fatalf("65-byte value: %v", err)
-	}
-	if got, ok := h.Get([]byte("big-value")); !ok || !bytes.Equal(got, big) {
-		t.Fatalf("big value round trip failed: (%d bytes, %v)", len(got), ok)
-	}
-	if err := h.Check(); err != nil {
-		t.Fatal(err)
-	}
-	// Recovery with the same class table.
-	img, err := h.Arena().Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := Open(img, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := h2.Get([]byte("big-value")); !ok || !bytes.Equal(got, big) {
-		t.Fatalf("big value lost across recovery: (%d bytes, %v)", len(got), ok)
-	}
-	if err := h2.Check(); err != nil {
-		t.Fatal(err)
-	}
-	// Recovery with a mismatched class table must be rejected, not
-	// silently misinterpreted.
-	img2, _ := h2.Arena().Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
-	if _, err := Open(img2, Options{ValueClasses: []int64{8, 16}}); err == nil {
-		t.Fatal("Open accepted a mismatched value-class table")
-	}
-}
-
-func TestInvalidValueClassesRejected(t *testing.T) {
-	for _, classes := range [][]int64{
-		{7},     // not multiple of 8
-		{16, 8}, // not ascending
-		{8, 8},  // duplicate
-		{0},     // zero
-		{-8},    // negative
-	} {
-		if _, err := New(Options{ValueClasses: classes}); err == nil {
-			t.Fatalf("New accepted value classes %v", classes)
-		}
-	}
-}
-
 // TestParallelRecoveryEquivalence: recovery with workers produces exactly
 // the same index as serial recovery.
 func TestParallelRecoveryEquivalence(t *testing.T) {

@@ -899,7 +899,7 @@ func TestDeadSlotWordIsNeverTrusted(t *testing.T) {
 	objLeaf, _ := h.GetLeaf([]byte("tn-object"))
 	liveWord := h.arena.Read8(objLeaf + lfWord0)
 	liveVal, _ := unpackValue(liveWord)
-	if c, err := h.alloc.ClassOf(liveVal); err != nil || c < classValue0 {
+	if c, err := h.alloc.ClassOf(liveVal); err != nil || c != classValue16 {
 		t.Fatalf("fixture: %d is not a value object (class %v, err %v)", liveVal, c, err)
 	}
 

@@ -56,7 +56,7 @@ func checkStore(t *testing.T, h *HART, want map[string]string) {
 // elasticEraSplitsOff is where builds that had an elastic directory kept
 // their split prefixes: one 8-byte slot each from superblock offset +96,
 // up to the end of the label area, with the count at +40.
-const elasticEraSplitsOff = sbOffClasses + 8*sbMaxClasses
+const elasticEraSplitsOff = 96
 
 // writeElasticEraSplits writes a split-prefix table into h's superblock as
 // those builds laid it out: each slot word holds the prefix length in

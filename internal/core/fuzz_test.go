@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/casl-sdsu/hart/internal/hashdir"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
@@ -179,4 +182,55 @@ func TestDoubleCrashRecovery(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSuperblock feeds arbitrary bytes as the label area through
+// readSuperblock and adoptGeometry, the checks Open runs before it writes
+// anything. Neither may panic, and the pair may accept only a format-3
+// superblock with kh 1 to hashdir.MaxKeyLen and the value-class table
+// {8, 16}.
+func FuzzSuperblock(f *testing.F) {
+	h, err := New(Options{ArenaSize: 1 << 20, HashKeyLen: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fresh := make([]byte, pmem.LabelSize)
+	h.Arena().ReadAt(sbBase, fresh)
+	f.Add(fresh)
+	for _, poke := range []struct{ off, val int }{
+		{sbOffHashKeyLen, 0}, {sbOffHashKeyLen, 4}, {sbOffVersion, 2},
+		{sbOffNumClasses, 3}, {sbOffClasses, 16}, {sbOffClasses + 8, 32},
+	} {
+		b := slices.Clone(fresh)
+		binary.LittleEndian.PutUint64(b[poke.off:], uint64(poke.val))
+		f.Add(b)
+	}
+
+	arena, err := pmem.New(pmem.Config{Size: pmem.HeaderSize})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		label := make([]byte, pmem.LabelSize)
+		copy(label, data)
+		arena.WriteAt(sbBase, label)
+		sb, err := readSuperblock(arena)
+		if err != nil {
+			return
+		}
+		opts, err := adoptGeometry(Options{}, sb)
+		if err != nil {
+			return
+		}
+		word := func(off int) uint64 { return binary.LittleEndian.Uint64(label[off:]) }
+		if word(sbOffMagic) != sbMagic || word(sbOffVersion) != FormatVersion {
+			t.Fatalf("accepted magic %#x version %d", word(sbOffMagic), word(sbOffVersion))
+		}
+		if opts.HashKeyLen < 1 || opts.HashKeyLen > hashdir.MaxKeyLen || uint64(opts.HashKeyLen) != word(sbOffHashKeyLen) {
+			t.Fatalf("accepted kh %d from word %d", opts.HashKeyLen, word(sbOffHashKeyLen))
+		}
+		if n, c0, c1 := word(sbOffNumClasses), word(sbOffClasses), word(sbOffClasses+8); n != 2 || c0 != 8 || c1 != 16 {
+			t.Fatalf("accepted class table: count %d, sizes %d, %d", n, c0, c1)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -57,24 +58,19 @@ func reopen(t *testing.T, path string, opts Options) (*HART, error) {
 	return h, err
 }
 
-// TestOpenAdoptsGeometry verifies zero options inherit the superblock's
-// HashKeyLen and ValueClasses — reattaching needs no out-of-band record
-// of the creation options.
+// TestOpenAdoptsGeometry verifies a zero HashKeyLen inherits the
+// superblock's — reattaching needs no out-of-band record of the creation
+// options.
 func TestOpenAdoptsGeometry(t *testing.T) {
-	created := Options{HashKeyLen: 3, ValueClasses: []int64{8, 24, 40}, ArenaSize: 4 << 20}
-	path := openStoreFile(t, created)
+	path := openStoreFile(t, Options{HashKeyLen: 3, ArenaSize: 4 << 20})
 
 	h, err := reopen(t, path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	got := h.Options()
-	if got.HashKeyLen != 3 {
-		t.Fatalf("adopted HashKeyLen = %d, want 3", got.HashKeyLen)
-	}
-	if len(got.ValueClasses) != 3 || got.ValueClasses[1] != 24 {
-		t.Fatalf("adopted ValueClasses = %v, want [8 24 40]", got.ValueClasses)
+	if got := h.Options().HashKeyLen; got != 3 {
+		t.Fatalf("adopted HashKeyLen = %d, want 3", got)
 	}
 	if v, ok := h.Get([]byte("beta")); !ok || string(v) != "2" {
 		t.Fatalf("Get(beta) = %q, %v", v, ok)
@@ -84,23 +80,103 @@ func TestOpenAdoptsGeometry(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsGeometryMismatch verifies options that contradict the
-// superblock refuse the attach instead of silently misindexing the store.
-func TestOpenRejectsGeometryMismatch(t *testing.T) {
-	path := openStoreFile(t, Options{HashKeyLen: 2, ValueClasses: []int64{8, 16}, ArenaSize: 4 << 20})
+// TestSuperblockLayout pins the format-3 superblock's bytes in a fresh
+// store file: magic, version, kh, the value-class table and the clean
+// flag at their documented offsets from the label area, pmem.LabelBase.
+// Builds of format 3 with a configurable class table read this table, so
+// it must stay byte for byte what they wrote for their default.
+func TestSuperblockLayout(t *testing.T) {
+	path := openStoreFile(t, Options{HashKeyLen: 3, ArenaSize: 4 << 20})
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		name string
+		off  int
+		want uint64
+	}{
+		{"magic", 0, 0x48415254434f5245}, // "HARTCORE"
+		{"version", 8, 3},
+		{"kh", 16, 3},
+		{"class count", 24, 2},
+		{"flags (clean)", 32, 1},
+		{"reserved", 40, 0},
+		{"class 0 size", 48, 8},
+		{"class 1 size", 56, 16},
+	} {
+		if got := binary.LittleEndian.Uint64(img[pmem.LabelBase+w.off:]); got != w.want {
+			t.Errorf("superblock +%d (%s) = %#x, want %#x", w.off, w.name, got, w.want)
+		}
+	}
+}
 
-	if _, err := reopen(t, path, Options{HashKeyLen: 5}); !errors.Is(err, ErrGeometryMismatch) {
+// refusedOpen writes the given superblock words into the store file at
+// path, then opens it. The open must fail before writing anything: the
+// file's bytes, the clean-flag word included, stay as they were. Returns
+// the open's error.
+func refusedOpen(t *testing.T, path string, words map[pmem.Ptr]uint64) error {
+	t.Helper()
+	arena, _, err := pmem.OpenFileArena(path, pmem.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off, w := range words {
+		arena.Write8(sbBase+off, w)
+	}
+	arena.Persist(sbBase, int(pmem.LabelSize))
+	if err := arena.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := reopen(t, path, Options{})
+	if err == nil {
+		h.Close()
+		t.Fatalf("superblock words %v: Open succeeded", words)
+	}
+	after, err2 := os.ReadFile(path)
+	if err2 != nil {
+		t.Fatal(err2)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("superblock words %v: the refused Open changed the file", words)
+	}
+	return err
+}
+
+// TestOpenRejectsGeometryMismatch verifies a HashKeyLen that contradicts
+// the superblock, and a persisted class table other than the format's
+// {8, 16}, refuse the attach before writing anything instead of
+// misindexing the store.
+func TestOpenRejectsGeometryMismatch(t *testing.T) {
+	path := openStoreFile(t, Options{HashKeyLen: 2, ArenaSize: 4 << 20})
+
+	if _, err := reopen(t, path, Options{HashKeyLen: 3}); !errors.Is(err, ErrGeometryMismatch) {
 		t.Fatalf("HashKeyLen mismatch: err = %v, want ErrGeometryMismatch", err)
 	}
-	if _, err := reopen(t, path, Options{ValueClasses: []int64{8, 16, 32}}); !errors.Is(err, ErrGeometryMismatch) {
-		t.Fatalf("ValueClasses mismatch: err = %v, want ErrGeometryMismatch", err)
-	}
 	// Naming the store's own geometry explicitly is fine.
-	h, err := reopen(t, path, Options{HashKeyLen: 2, ValueClasses: []int64{8, 16}})
+	h, err := reopen(t, path, Options{HashKeyLen: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Close()
+
+	for _, table := range []struct {
+		name  string
+		words map[pmem.Ptr]uint64
+	}{
+		{"{8, 16, 32}", map[pmem.Ptr]uint64{sbOffNumClasses: 3, sbOffClasses + 16: 32}},
+		{"{8, 32}", map[pmem.Ptr]uint64{sbOffClasses + 8: 32}},
+		{"{16, 8}", map[pmem.Ptr]uint64{sbOffClasses: 16, sbOffClasses + 8: 8}},
+	} {
+		path := openStoreFile(t, Options{HashKeyLen: 2, ArenaSize: 4 << 20})
+		if err := refusedOpen(t, path, table.words); !errors.Is(err, ErrGeometryMismatch) {
+			t.Fatalf("class table %s: err = %v, want ErrGeometryMismatch", table.name, err)
+		}
+	}
 }
 
 // TestOpenRefusesHashKeyLenAboveDirectory hand-writes a kh the directory
@@ -111,32 +187,12 @@ func TestOpenRejectsGeometryMismatch(t *testing.T) {
 func TestOpenRefusesHashKeyLenAboveDirectory(t *testing.T) {
 	for _, kh := range []uint64{hashdir.MaxKeyLen + 1, MaxKeyLen - 1} {
 		path := openStoreFile(t, Options{HashKeyLen: 2, ArenaSize: 4 << 20})
-		arena, _, err := pmem.OpenFileArena(path, pmem.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		arena.Write8(sbBase+sbOffHashKeyLen, kh)
-		arena.Persist(sbBase+sbOffHashKeyLen, 8)
-		if err := arena.Close(); err != nil {
-			t.Fatal(err)
-		}
-		before, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = reopen(t, path, Options{})
+		err := refusedOpen(t, path, map[pmem.Ptr]uint64{sbOffHashKeyLen: kh})
 		if !errors.Is(err, ErrGeometryMismatch) {
 			t.Fatalf("kh %d: err = %v, want ErrGeometryMismatch", kh, err)
 		}
 		if limit := fmt.Sprintf("at most %d bytes", hashdir.MaxKeyLen); !strings.Contains(err.Error(), limit) {
 			t.Fatalf("kh %d: error %q does not name the limit", kh, err)
-		}
-		after, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(before, after) {
-			t.Fatalf("kh %d: the refused Open changed the file", kh)
 		}
 	}
 }

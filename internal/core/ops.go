@@ -79,7 +79,7 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 	if shape != 0 {
 		word0 = inlineWord(value)
 	} else {
-		val, err = h.alloc.AllocStripe(h.valueClass(len(value)), stripe) // line 11
+		val, err = h.alloc.AllocStripe(classValue16, stripe) // line 11
 		if err != nil {
 			h.alloc.Abort(leaf)
 			return err
@@ -256,7 +256,7 @@ func (h *HART) updateLogged(ref leafRef, value []byte, stripe int) (leafRef, err
 		word0 = inlineWord(value)
 	} else {
 		var err error
-		newV, err = h.alloc.AllocStripe(h.valueClass(len(value)), stripe) // line 4
+		newV, err = h.alloc.AllocStripe(classValue16, stripe) // line 4
 		if err != nil {
 			ulog.Reclaim()
 			return ref, err
@@ -364,8 +364,7 @@ func (h *HART) Update(key, value []byte) error {
 // to GetInto, whose dst parameter leaks only to its result: escape
 // analysis therefore heap-allocates it only when the caller lets the
 // returned value escape, making the common look-up-and-inspect pattern
-// allocation-free. Values longer than MaxValueLen (possible only with a
-// custom ValueClasses table) fall back to GetInto's internal growth.
+// allocation-free.
 func (h *HART) Get(key []byte) ([]byte, bool) {
 	return h.GetInto(key, make([]byte, 0, MaxValueLen))
 }
@@ -644,7 +643,7 @@ func (h *HART) GetLeaf(key []byte) (pmem.Ptr, bool) {
 func (h *HART) updateUnlogged(leaf pmem.Ptr, value []byte, stripe int) error {
 	oldV, _ := unpackValue(h.arena.Read8(leaf + lfWord0))
 
-	newV, err := h.alloc.AllocStripe(h.valueClass(len(value)), stripe)
+	newV, err := h.alloc.AllocStripe(classValue16, stripe)
 	if err != nil {
 		return err
 	}

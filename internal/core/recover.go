@@ -368,8 +368,7 @@ func (h *HART) sweepStaleAndOrphans(sc *leafScan, workers int, stats *RecoverySt
 	}
 
 	h.arena.SetPersistSite("recover.orphan-sweep")
-	for i := range h.opts.ValueClasses {
-		c := classValue0 + epalloc.Class(i)
+	for c := classValue8; c <= classValue16; c++ {
 		var orphans [epalloc.NumStripes][]pmem.Ptr
 		if err := h.alloc.IterateObjectsParallel(c, workers, func(st int, vp pmem.Ptr, used bool) bool {
 			if used && !ptrSetHas(sc.valSet, vp) {

@@ -105,7 +105,7 @@ func (h *HART) Stats() Stats {
 	// invariant 3), so the value classes' live counts say how many records
 	// are not inline.
 	st.InlineRecords = st.Records
-	for _, cs := range st.Alloc[classValue0:] {
+	for _, cs := range st.Alloc[classValue8:] {
 		st.InlineRecords -= cs.Used
 	}
 

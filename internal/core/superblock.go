@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/casl-sdsu/hart/internal/hashdir"
 	"github.com/casl-sdsu/hart/internal/pmem"
@@ -20,11 +19,13 @@ import (
 //	+8  format version (8B, FormatVersion); a file of any other version
 //	    is refused, never converted
 //	+16 HashKeyLen (8B) — kh, the hash directory's key length
-//	+24 number of value classes (8B)
+//	+24 number of value classes (8B), 2
 //	+32 flags (8B): bit 0 = clean shutdown (set by Close, cleared by
 //	    Open before serving traffic)
 //	+40 reserved (8B), written 0
-//	+48 value-class sizes (8B each, ascending; up to sbMaxClasses)
+//	+48 value-class sizes (8B each): 8, then 16
+//	+64 unused up to +96: builds with a configurable table kept longer
+//	    tables here
 //	+96 reserved up to pmem.LabelSize
 //
 // Builds that had an elastic directory kept a split-prefix count at +40
@@ -34,11 +35,13 @@ import (
 // of such an image. A new image writes 0 at +40, which those builds read
 // as no splits.
 //
-// Geometry (HashKeyLen, ValueClasses) is structural: keys were divided
-// into hash and ART keys and values were binned under it, so attaching with different geometry
-// would misindex every record. Open therefore adopts the superblock's
-// geometry when the caller left the options zero, and refuses the attach
-// when the caller named conflicting values.
+// Geometry is structural: keys were divided into hash and ART keys under
+// HashKeyLen and values were binned under the class table, so attaching
+// with different geometry would misindex every record. Open therefore
+// adopts the superblock's HashKeyLen when the caller left it zero, and
+// refuses the attach when the caller named another one. The class table
+// is fixed by the format (classLeaf, classValue8, classValue16): an image
+// persisting any other table is refused.
 //
 // The clean flag is diagnostic, not load-bearing: recovery always runs on
 // attach (it is cheap and idempotent), so a lost flag can never lose
@@ -59,11 +62,9 @@ const (
 
 	sbFlagClean = 1 << 0
 
-	// sbMaxClasses is the label area's capacity for class sizes: the
-	// table ends where the reserved bytes at +96 begin. Images with more
-	// than 6 classes were never writable through the public API, whose
-	// tests top out at 4 classes; epalloc.MaxClasses binds the rest.
-	sbMaxClasses = 6
+	// sbNumClasses and the two sizes at sbOffClasses are the value-class
+	// table: the object sizes of classValue8 and classValue16.
+	sbNumClasses = 2
 )
 
 // FormatVersion is the on-media format this build writes and the only one
@@ -83,37 +84,32 @@ var (
 	// ErrVersionMismatch reports a superblock written by an incompatible
 	// format version.
 	ErrVersionMismatch = errors.New("hart: superblock format version not supported")
-	// ErrGeometryMismatch reports options naming a geometry (HashKeyLen,
-	// ValueClasses) different from the one the store was created with.
+	// ErrGeometryMismatch reports options naming a HashKeyLen other than
+	// the store's, or a store whose geometry this build cannot serve: a kh
+	// the directory cannot hold, or a value-class table other than
+	// {8, 16}.
 	ErrGeometryMismatch = errors.New("hart: options conflict with the store's superblock geometry")
 )
 
 // superblock is the decoded persistent identity record.
 type superblock struct {
-	Version      int
-	HashKeyLen   int
-	ValueClasses []int64
-	Clean        bool
+	Version    int
+	HashKeyLen int
+	Clean      bool
 }
 
 // writeSuperblockBody persists every superblock field except the magic.
 // Format order is body → allocator format → magic (writeSuperblockMagic),
 // so a crash mid-format leaves an arena that attaches as not-formatted.
-func writeSuperblockBody(arena *pmem.Arena, opts Options) error {
-	if int64(len(opts.ValueClasses)) > sbMaxClasses {
-		return fmt.Errorf("hart: %d value classes exceed the superblock capacity %d",
-			len(opts.ValueClasses), sbMaxClasses)
-	}
+func writeSuperblockBody(arena *pmem.Arena, opts Options) {
 	arena.Write8(sbBase+sbOffVersion, FormatVersion)
 	arena.Write8(sbBase+sbOffHashKeyLen, uint64(opts.HashKeyLen))
-	arena.Write8(sbBase+sbOffNumClasses, uint64(len(opts.ValueClasses)))
+	arena.Write8(sbBase+sbOffNumClasses, sbNumClasses)
 	arena.Write8(sbBase+sbOffFlags, 0) // born dirty; Close marks clean
 	arena.Write8(sbBase+sbOffReserved, 0)
-	for i, c := range opts.ValueClasses {
-		arena.Write8(sbBase+sbOffClasses+pmem.Ptr(i*8), uint64(c))
-	}
+	arena.Write8(sbBase+sbOffClasses, 8)
+	arena.Write8(sbBase+sbOffClasses+8, MaxValueLen)
 	arena.Persist(sbBase, int(pmem.LabelSize))
-	return nil
 }
 
 // writeSuperblockMagic commits the superblock: after this persist the
@@ -139,27 +135,21 @@ func readSuperblock(arena *pmem.Arena) (superblock, error) {
 	if sb.HashKeyLen < 1 || sb.HashKeyLen >= MaxKeyLen {
 		return sb, fmt.Errorf("hart: superblock HashKeyLen %d out of range", sb.HashKeyLen)
 	}
-	n := int64(arena.Read8(sbBase + sbOffNumClasses))
-	if n < 1 || n > sbMaxClasses {
-		return sb, fmt.Errorf("hart: superblock class count %d out of range", n)
-	}
-	sb.ValueClasses = make([]int64, n)
-	for i := range sb.ValueClasses {
-		sb.ValueClasses[i] = int64(arena.Read8(sbBase + sbOffClasses + pmem.Ptr(i*8)))
-	}
-	if err := validateClasses(sb.ValueClasses); err != nil {
-		return sb, fmt.Errorf("hart: superblock class table invalid: %w", err)
+	n := arena.Read8(sbBase + sbOffNumClasses)
+	c0, c1 := arena.Read8(sbBase+sbOffClasses), arena.Read8(sbBase+sbOffClasses+8)
+	if n != sbNumClasses || c0 != 8 || c1 != MaxValueLen {
+		return sb, fmt.Errorf("%w: store has %d value classes starting {%d, %d}, this build serves {8, %d}",
+			ErrGeometryMismatch, n, c0, c1, MaxValueLen)
 	}
 	sb.Clean = arena.Read8(sbBase+sbOffFlags)&sbFlagClean != 0
 	return sb, nil
 }
 
-// adoptGeometry merges the superblock geometry into opts: zero fields are
-// adopted from the store, non-zero fields must agree with it. A store
+// adoptGeometry merges the superblock's HashKeyLen into opts: a zero one
+// is adopted from the store, a non-zero one must agree with it. A store
 // written with a kh the directory cannot hold (builds before the radix
-// directory accepted up to 23) is refused. Returns the
-// merged options (not yet defaulted — both sources are authoritative, so
-// nothing is left to default but scalars like ArenaSize).
+// directory accepted up to 23) is refused. Returns the merged options,
+// not yet defaulted.
 func adoptGeometry(opts Options, sb superblock) (Options, error) {
 	if sb.HashKeyLen > hashdir.MaxKeyLen {
 		return opts, fmt.Errorf("%w: store has HashKeyLen %d, the directory holds hash keys of at most %d bytes",
@@ -170,12 +160,6 @@ func adoptGeometry(opts Options, sb superblock) (Options, error) {
 	} else if opts.HashKeyLen != sb.HashKeyLen {
 		return opts, fmt.Errorf("%w: HashKeyLen %d, store has %d",
 			ErrGeometryMismatch, opts.HashKeyLen, sb.HashKeyLen)
-	}
-	if len(opts.ValueClasses) == 0 {
-		opts.ValueClasses = slices.Clone(sb.ValueClasses)
-	} else if !slices.Equal(opts.ValueClasses, sb.ValueClasses) {
-		return opts, fmt.Errorf("%w: ValueClasses %v, store has %v",
-			ErrGeometryMismatch, opts.ValueClasses, sb.ValueClasses)
 	}
 	return opts, nil
 }
@@ -204,10 +188,6 @@ func (h *HART) checkSuperblock() error {
 	if sb.HashKeyLen != h.opts.HashKeyLen {
 		return fmt.Errorf("hart: fsck superblock: HashKeyLen %d, instance runs %d",
 			sb.HashKeyLen, h.opts.HashKeyLen)
-	}
-	if !slices.Equal(sb.ValueClasses, h.opts.ValueClasses) {
-		return fmt.Errorf("hart: fsck superblock: ValueClasses %v, instance runs %v",
-			sb.ValueClasses, h.opts.ValueClasses)
 	}
 	return nil
 }

@@ -65,15 +65,6 @@ func (t *innerTree) Lookup(key []byte) uint64 {
 	return n.vals[upperBound(n.keys, key)]
 }
 
-// LookupRange returns the target covering key and, to support ordered
-// scans, whether it found one (always true for well-formed trees).
-func (t *innerTree) LookupRange(key []byte) (uint64, bool) {
-	if t.root == nil {
-		return 0, false
-	}
-	return t.Lookup(key), true
-}
-
 // Insert adds a new separator (the split key of a freshly split PM leaf)
 // routing to target. sep must not already be present.
 func (t *innerTree) Insert(sep []byte, target uint64) {

@@ -52,13 +52,6 @@ func (b *FileBackend) Bytes() []byte { return b.data }
 // be the flush+fence point.
 func (b *FileBackend) Persist(off, n int64) {}
 
-// Mapped reports whether the backend runs on a real shared mapping
-// (true) or the portable write-back fallback (false).
-func (b *FileBackend) Mapped() bool { return b.mapped }
-
-// Path returns the backing file path.
-func (b *FileBackend) Path() string { return b.path }
-
 // Sync implements Backend: msync for the mapping, atomic write-back for
 // the fallback.
 func (b *FileBackend) Sync() error {

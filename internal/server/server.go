@@ -225,16 +225,15 @@ func (s *Server) untrack(c net.Conn) {
 
 // conn is one connection's state, owned by its handleConn goroutine.
 type conn struct {
-	s      *Server
-	nc     net.Conn
-	maxVal int
-	reqs   []wire.Request // the window being executed
-	keys   [][]byte       // its Get, Put and Delete keys
-	puts   []core.Record  // the run of consecutive valid Puts not yet applied
-	val    []byte         // Get's value buffer
-	resp   []byte         // one response payload
-	out    []byte         // framed responses not yet written
-	werr   error          // the first write error, which ends the connection
+	s    *Server
+	nc   net.Conn
+	reqs []wire.Request // the window being executed
+	keys [][]byte       // its Get, Put and Delete keys
+	puts []core.Record  // the run of consecutive valid Puts not yet applied
+	val  []byte         // Get's value buffer
+	resp []byte         // one response payload
+	out  []byte         // framed responses not yet written
+	werr error          // the first write error, which ends the connection
 }
 
 // handleConn serves one connection until the peer closes it, a protocol
@@ -262,11 +261,10 @@ func (s *Server) handleConn(nc net.Conn) {
 	}()
 
 	c := &conn{
-		s:      s,
-		nc:     nc,
-		maxVal: s.maxValueLen(),
-		reqs:   make([]wire.Request, 0, window),
-		keys:   make([][]byte, 0, window),
+		s:    s,
+		nc:   nc,
+		reqs: make([]wire.Request, 0, window),
+		keys: make([][]byte, 0, window),
 	}
 	in := make([]byte, 0, 64<<10)
 	for {
@@ -363,7 +361,7 @@ func (c *conn) burst(b []byte) (off, need int, err error) {
 // run executes one request, or holds a valid Put back for its run.
 func (c *conn) run(req *wire.Request) {
 	c.s.requests.Add(1)
-	if req.Op == wire.OpPut && c.validatePut(req) == wire.StatusOK {
+	if req.Op == wire.OpPut && validatePut(req) == wire.StatusOK {
 		if c.puts = append(c.puts, core.Record{Key: req.Key, Value: req.Value}); len(c.puts) == batchMax {
 			c.applyPuts()
 		}
@@ -442,7 +440,7 @@ func (c *conn) execute(req *wire.Request) wire.Response {
 		c.val = v
 		return wire.Response{Status: wire.StatusOK, Value: v}
 	case wire.OpPut:
-		if st := c.validatePut(req); st != wire.StatusOK {
+		if st := validatePut(req); st != wire.StatusOK {
 			return wire.Response{Status: st, Msg: st.String()}
 		}
 		return responseFor(h.Put(req.Key, req.Value))
@@ -519,7 +517,7 @@ func (s *Server) execStats() wire.Response {
 // validatePut screens a Put before it may join a coalesced batch:
 // PutBatch validates all-or-nothing, so one bad record must not poison
 // its neighbours' acks.
-func (c *conn) validatePut(req *wire.Request) wire.Status {
+func validatePut(req *wire.Request) wire.Status {
 	switch {
 	case len(req.Key) == 0:
 		return wire.StatusBadRequest
@@ -527,16 +525,10 @@ func (c *conn) validatePut(req *wire.Request) wire.Status {
 		return wire.StatusKeyTooLong
 	case len(req.Value) == 0:
 		return wire.StatusBadRequest
-	case len(req.Value) > c.maxVal:
+	case len(req.Value) > core.MaxValueLen:
 		return wire.StatusValueTooLong
 	}
 	return wire.StatusOK
-}
-
-// maxValueLen is the store's largest storable value.
-func (s *Server) maxValueLen() int {
-	classes := s.h.Options().ValueClasses
-	return int(classes[len(classes)-1])
 }
 
 // responseFor maps a store error to its wire response.

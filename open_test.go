@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -260,18 +261,15 @@ func TestOpenRefusesDamagedFiles(t *testing.T) {
 }
 
 // TestRestoreAdoptsGeometry verifies the in-memory Restore path gets the
-// same superblock adopt-or-match behaviour as Open.
+// same superblock adopt-or-refuse behaviour as Open: a zero HashKeyLen
+// adopts the store's, and a different HashKeyLen or a persisted class
+// table other than {8, 16} is refused.
 func TestRestoreAdoptsGeometry(t *testing.T) {
-	db, err := New(Options{
-		HashKeyLen:      3,
-		ValueClasses:    []int64{8, 32},
-		ArenaSize:       2 << 20,
-		CrashSimulation: true,
-	})
+	db, err := New(Options{HashKeyLen: 3, ArenaSize: 2 << 20, CrashSimulation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Put([]byte("key"), []byte("value-that-needs-32")); err != nil {
+	if err := db.Put([]byte("key"), []byte("value-in-obj")); err != nil {
 		t.Fatal(err)
 	}
 	img, err := db.CrashImage()
@@ -280,17 +278,26 @@ func TestRestoreAdoptsGeometry(t *testing.T) {
 	}
 
 	// Zero options adopt the persisted geometry.
-	db2, err := Restore(img, Options{})
+	db2, err := Restore(slices.Clone(img), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := db2.Get([]byte("key")); !ok || string(v) != "value-that-needs-32" {
+	if kh := db2.Options().HashKeyLen; kh != 3 {
+		t.Fatalf("restored HashKeyLen = %d, want 3", kh)
+	}
+	if v, ok := db2.Get([]byte("key")); !ok || string(v) != "value-in-obj" {
 		t.Fatalf("restored Get = %q, %v", v, ok)
 	}
 
 	// Conflicting options are refused.
-	if _, err := Restore(img, Options{ValueClasses: []int64{8, 16}}); !errors.Is(err, ErrGeometryMismatch) {
-		t.Fatalf("Restore with wrong table: err = %v, want ErrGeometryMismatch", err)
+	if _, err := Restore(slices.Clone(img), Options{HashKeyLen: 2}); !errors.Is(err, ErrGeometryMismatch) {
+		t.Fatalf("Restore with another HashKeyLen: err = %v, want ErrGeometryMismatch", err)
+	}
+	// So is an image whose class table says 32 where the format has 16.
+	const class1Off = 64 + 56 // the superblock's second class size
+	binary.LittleEndian.PutUint64(img[class1Off:], 32)
+	if _, err := Restore(img, Options{}); !errors.Is(err, ErrGeometryMismatch) {
+		t.Fatalf("Restore of a {8, 32} table: err = %v, want ErrGeometryMismatch", err)
 	}
 }
 

@@ -46,11 +46,13 @@ go test -race -count=1 -run ModelCheckInline ./internal/modelcheck/
 # Fuzz smokes, 10 s each: the ART, edited in place and by copying,
 # against a sorted-map model after every step (every copied tree checked
 # for not one changed bit), the crash checker over decoded byte-string
-# histories, and the wire decoders over hostile lengths, counts and
-# truncations.
+# histories, the wire decoders over hostile lengths, counts and
+# truncations, and Open's superblock checks over arbitrary label areas
+# (only kh 1-3 with the {8, 16} class table may pass).
 go test -run='^$' -fuzz=FuzzARTDifferential -fuzztime=10s ./internal/art/
 go test -run='^$' -fuzz=FuzzModelCheck -fuzztime=10s ./internal/modelcheck/
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
+go test -run='^$' -fuzz=FuzzSuperblock -fuzztime=10s ./internal/core/
 
 # The directory's micro-benchmarks (shard creation, Get, Seek, bulk build) and
 # the burst lookup (serial vs prefetched), one iteration each, so they keep
