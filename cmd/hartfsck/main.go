@@ -68,12 +68,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rs.FormatVersion, epalloc.NumUpdateLogs, epalloc.ULogSlotSize)
 	fmt.Fprintf(stdout, "  recovery: %d live leaves, %d update logs completed, %d stale slots zeroed, %d orphan values reclaimed\n",
 		rs.LiveLeaves, rs.CompletedULogs, rs.StaleSlotsZeroed, rs.OrphanValues)
-	fmt.Fprintf(stdout, "  recovery phases (%d worker(s)): ulog replay %v, leaf scan %v, ART build %v, sweeps %v (build overlaps sweeps)\n",
+	fmt.Fprintf(stdout, "  recovery phases (%d worker(s)): ulog replay %v, leaf scan and ART build %v, sweeps %v, strays and publish %v\n",
 		rs.Workers,
 		time.Duration(rs.ULogNs).Round(time.Microsecond),
 		time.Duration(rs.ScanNs).Round(time.Microsecond),
-		time.Duration(rs.BuildNs).Round(time.Microsecond),
-		time.Duration(rs.SweepNs).Round(time.Microsecond))
+		time.Duration(rs.SweepNs).Round(time.Microsecond),
+		time.Duration(rs.BuildNs).Round(time.Microsecond))
 	dir := st.Dir
 	fmt.Fprintf(stdout, "  directory: %d entries, hash key %d bytes\n", dir.Entries, db.Options().HashKeyLen)
 	for i, hs := range dir.Hot {

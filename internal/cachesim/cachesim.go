@@ -158,14 +158,3 @@ func (c *Cache) Contains(addr uint64) bool {
 	}
 	return false
 }
-
-// Reset empties the cache.
-func (c *Cache) Reset() {
-	for i := range c.stripes {
-		c.stripes[i].Lock()
-	}
-	clear(c.sets)
-	for i := range c.stripes {
-		c.stripes[i].Unlock()
-	}
-}

@@ -91,13 +91,6 @@ func TestCounters(t *testing.T) {
 	if misses[0] != 1 || misses[1] != 0 || misses[2] != 1 {
 		t.Fatalf("miss, hit, miss: Access returned %v", misses)
 	}
-	c.Reset()
-	if c.Contains(0) || c.Contains(64) {
-		t.Fatal("Reset left lines cached")
-	}
-	if m := c.Access(0, 1); m != 1 {
-		t.Fatalf("access after Reset: %d misses, want 1", m)
-	}
 }
 
 func TestDefaultGeometry(t *testing.T) {

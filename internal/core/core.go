@@ -170,8 +170,8 @@ type Options struct {
 	// Tracking enables crash simulation on the arena (tests).
 	Tracking bool
 	// RecoveryWorkers parallelises the Algorithm 7 rebuild across that
-	// many goroutines, partitioned by hash key (0 or 1 = the paper's
-	// serial recovery).
+	// many goroutines, partitioned by allocator stripe, which holds all
+	// of a shard's leaves (0 or 1 = the paper's serial recovery).
 	RecoveryWorkers int
 	// LazyRecovery defers the per-shard ART builds out of Open: recovery
 	// completes after the update-log replay, leaf scan and consistency

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -22,28 +21,31 @@ import (
 // values are already on PM: only hash-directory entries and ART internal
 // nodes are created, and no PM write happens for the common case.
 //
-// The path is a pipeline of four phases (see DESIGN.md §13):
+// The path has three phases (see DESIGN.md §13):
 //
 //  1. Update-log replay — serial; must precede everything so the leaves'
 //     first words and shape bytes are final.
 //  2. Leaf scan — the allocator's stripes walked by up to RecoveryWorkers
-//     goroutines, each collecting its stripes' live leaves (with their
-//     shapes and keys, read from PM exactly once), live value references
-//     and stale dead slots into per-stripe sets; no shared map is touched.
-//  3. Bulk rebuild — workers partitioned by hash key sort their leaves
-//     and build whole ARTs with a one-clone-per-node batch insert into a
-//     private, unpublished directory (or, under Options.LazyRecovery,
-//     merely record per-shard pending leaf lists). Purely volatile, so it
-//     overlaps phase 4.
-//  4. Consistency sweeps — the stale-reference and orphan-value scans fan
+//     goroutines. Every write allocates its leaf on its shard's stripe
+//     (epalloc.StripeFor of the hash key), so the goroutine walking a
+//     stripe meets every leaf of that stripe's shards: it reads each live
+//     leaf's key from PM once, into a stack buffer, and inserts the leaf
+//     straight into its shard's private batch-built tree (or, under
+//     Options.LazyRecovery, appends it to the shard's pending list). It
+//     also collects live value references and stale dead slots per stripe.
+//     No shared state is touched.
+//  3. Consistency sweeps — the stale-reference and orphan-value scans fan
 //     out per stripe, but every PM write they decide on is applied by
 //     this goroutine in stripe order: recovery's persist sequence stays
 //     deterministic at any worker count (the property the differential
 //     crash checker replays against), and an injected crash always
 //     surfaces on the caller.
 //
-// The directory and the size counter are published once at the end, so a
-// Rebuild on a live store never exposes a partially rebuilt index.
+// Then the build is finished: leaves found on a stripe other than their
+// shard's (no writer leaves one, but an image may hold one) are inserted
+// into their shards, and the directory and the size counter are published
+// once, so a Rebuild on a live store never exposes a partially rebuilt
+// index.
 func (h *HART) recover() error {
 	var stats RecoveryStats
 	workers := h.opts.RecoveryWorkers
@@ -67,7 +69,7 @@ func (h *HART) recover() error {
 	stats.ULogNs = time.Since(t).Nanoseconds()
 	h.obs.events.Emit("recover.phase", "ulog", uint64(stats.CompletedULogs), uint64(stats.ULogNs))
 
-	// Phase 2: parallel leaf scan (Algorithm 7 lines 2-6).
+	// Phase 2: parallel leaf scan and shard build (Algorithm 7 lines 2-6).
 	t = time.Now()
 	scan, err := h.scanLeaves(workers)
 	if err != nil {
@@ -77,41 +79,20 @@ func (h *HART) recover() error {
 	stats.ScanNs = time.Since(t).Nanoseconds()
 	h.obs.events.Emit("recover.phase", "scan", uint64(stats.LiveLeaves), uint64(stats.ScanNs))
 
-	// Phase 3: launch the builders; they run concurrently with phase 4's
-	// sweeps (volatile builds and PM sweeps touch disjoint state).
+	// Phase 3: consistency sweeps, PM writes serial on this goroutine.
 	t = time.Now()
-	parts := make([][]builtShard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			parts[w] = h.buildPartition(scan.partition(w))
-		}(w)
-	}
-
-	// Phase 4: consistency sweeps, PM writes serial on this goroutine.
-	ts := time.Now()
-	sweepErr := h.sweepStaleAndOrphans(scan, workers, &stats)
-	stats.SweepNs = time.Since(ts).Nanoseconds()
-	wg.Wait()
-	stats.BuildNs = time.Since(t).Nanoseconds() // includes the sweep overlap
+	err = h.sweepStaleAndOrphans(scan, workers, &stats)
+	stats.SweepNs = time.Since(t).Nanoseconds()
 	h.obs.events.Emit("recover.phase", "sweep", uint64(stats.StaleSlotsZeroed+stats.OrphanValues), uint64(stats.SweepNs))
-	h.obs.events.Emit("recover.phase", "build", uint64(stats.LiveLeaves), uint64(stats.BuildNs))
-	if sweepErr != nil {
-		return sweepErr
+	if err != nil {
+		return err
 	}
 
-	// Publish: one atomic store each for the directory and the size, so
-	// concurrent readers see the old index or the complete new one.
-	var keys []string
-	var shards []*artShard
-	for _, p := range parts {
-		for _, bs := range p {
-			keys = append(keys, bs.hk)
-			shards = append(shards, bs.s)
-		}
-	}
+	// Strays, then publish: one atomic store each for the directory and
+	// the size, so concurrent readers see the old index or the complete
+	// new one.
+	t = time.Now()
+	keys, shards := scan.finish(h)
 	h.dirMu.Lock()
 	h.dir.Store(hashdir.NewFromSorted(keys, shards))
 	h.dirMu.Unlock()
@@ -121,18 +102,10 @@ func (h *HART) recover() error {
 		stats.PendingShards = len(keys)
 	}
 	h.pendingShards.Store(int64(stats.PendingShards))
+	stats.BuildNs = time.Since(t).Nanoseconds()
+	h.obs.events.Emit("recover.phase", "build", uint64(stats.LiveLeaves), uint64(stats.BuildNs))
 	h.recoveryStats = stats
 	return nil
-}
-
-// recLeaf is one live leaf carried through recovery's partition: shape
-// and key are read from PM once, during the scan, and reused for
-// partitioning, sorting and tree building. Under LazyRecovery only the
-// hash key is read (and stored here); the full key read is deferred to
-// the shard's first-touch build.
-type recLeaf struct {
-	ref leafRef
-	key []byte
 }
 
 // deadSlot is an unused leaf slot whose word 0 is not zero and needs
@@ -160,34 +133,57 @@ func (h *HART) classifyLeaf(leaf pmem.Ptr, used bool) (hdr, word0 uint64, vp pme
 	return hdr, word0, vp
 }
 
-// byteArena hands out small byte slices carved from large blocks, so a
-// million leaf keys cost a handful of allocations instead of one each.
-type byteArena struct{ buf []byte }
+// shardBuild is one shard under construction: eagerly, a batch inserting
+// into the shard's private tree; under LazyRecovery, its pending list.
+type shardBuild struct {
+	s     *artShard
+	batch *art.Batch
+	pend  []leafRef
+}
 
-func (a *byteArena) alloc(n int) []byte {
-	if len(a.buf)+n > cap(a.buf) {
-		block := 1 << 16
-		if n > block {
-			block = n
-		}
-		a.buf = make([]byte, 0, block)
+// add files one live leaf under its ART key (empty under LazyRecovery,
+// whose scan reads only the hash key).
+func (sb *shardBuild) add(ref leafRef, artKey []byte) {
+	if sb.batch == nil {
+		sb.pend = append(sb.pend, ref)
+		return
 	}
-	b := a.buf[len(a.buf) : len(a.buf)+n : len(a.buf)+n]
-	a.buf = a.buf[:len(a.buf)+n]
-	return b
+	sb.batch.Insert(artKey, uint64(ref))
+}
+
+// strayLeaf is a live leaf found on a stripe other than its shard's,
+// held with a copy of its key until the walk is over.
+type strayLeaf struct {
+	ref leafRef
+	key []byte
 }
 
 // stripeScan is one stripe's share of the leaf scan. Each stripe is
-// walked by exactly one goroutine, so none of this needs locking; the
-// coordinator merges the stripes in index order, which keeps every
-// derived sequence (dead-slot sweep order, partition contents)
-// deterministic regardless of worker count.
+// walked by exactly one goroutine, and a shard's builder lives in the
+// stripe of its hash key, so none of this needs locking; the coordinator
+// reads the stripes in index order, which keeps every derived sequence
+// (dead-slot sweep order, stray insertion) deterministic regardless of
+// worker count.
 type stripeScan struct {
-	keys    byteArena
-	dead    []deadSlot
-	vals    []pmem.Ptr
-	buckets [][]recLeaf // indexed by build worker
-	err     error
+	shards map[string]*shardBuild
+	strays []strayLeaf
+	dead   []deadSlot
+	vals   []pmem.Ptr
+	live   int
+	err    error
+}
+
+// builder returns the stripe's builder for hash key hk, creating it.
+func (ss *stripeScan) builder(hk []byte, lazy bool) *shardBuild {
+	if sb := ss.shards[string(hk)]; sb != nil {
+		return sb
+	}
+	sb := &shardBuild{s: newShard()}
+	if !lazy {
+		sb.batch = art.New().BeginBatch()
+	}
+	ss.shards[string(hk)] = sb
+	return sb
 }
 
 // leafScan is the merged result of the scan phase.
@@ -195,35 +191,19 @@ type leafScan struct {
 	stripes [epalloc.NumStripes]stripeScan
 	valSet  []pmem.Ptr // sorted live value references
 	live    int
-}
-
-// partition returns build worker w's leaves: the concatenation, in stripe
-// order, of every stripe's bucket for w. Leaves of one hash key always
-// share a partition (the bucket index is a hash of the hash key), so
-// build workers never touch the same shard.
-func (sc *leafScan) partition(w int) []recLeaf {
-	n := 0
-	for st := range sc.stripes {
-		n += len(sc.stripes[st].buckets[w])
-	}
-	out := make([]recLeaf, 0, n)
-	for st := range sc.stripes {
-		out = append(out, sc.stripes[st].buckets[w]...)
-	}
-	return out
+	lazy    bool
 }
 
 // scanLeaves walks every leaf chunk with up to `workers` goroutines (one
-// per allocator stripe), collecting per-stripe live/dead sets and
-// partitioning the live leaves by hash key for the build phase. Each live
+// per allocator stripe), filing each live leaf with its shard's builder
+// and collecting per-stripe dead slots and value references. Each live
 // leaf's key is read exactly once; under LazyRecovery only its hash key,
 // the leading kh bytes, which up to hdrKeyBytes come with the header word
 // classifyLeaf loaded anyway.
 func (h *HART) scanLeaves(workers int) (*leafScan, error) {
-	lazy := h.opts.LazyRecovery
-	sc := &leafScan{}
+	sc := &leafScan{lazy: h.opts.LazyRecovery}
 	for st := range sc.stripes {
-		sc.stripes[st].buckets = make([][]recLeaf, workers)
+		sc.stripes[st].shards = make(map[string]*shardBuild)
 	}
 	err := h.alloc.IterateObjectsParallel(classLeaf, workers, func(st int, leaf pmem.Ptr, used bool) bool {
 		ss := &sc.stripes[st]
@@ -237,19 +217,29 @@ func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 		if !vp.IsNil() {
 			ss.vals = append(ss.vals, vp)
 		}
-		n := min(hdrKeyLen(hdr), MaxKeyLen)
-		if n == 0 {
-			ss.err = fmt.Errorf("hart: recovery found live leaf %d with empty key", leaf)
+		n := hdrKeyLen(hdr)
+		if n == 0 || n > MaxKeyLen {
+			ss.err = fmt.Errorf("hart: recovery found live leaf %d with key length %d", leaf, n)
 			return false
 		}
-		if lazy {
+		if sc.lazy {
 			n = min(n, h.opts.HashKeyLen)
 		}
-		key := ss.keys.alloc(n)
+		var buf [MaxKeyLen]byte
+		key := buf[:n]
 		h.keyFromHeader(leaf, hdr, key)
-		hk, _ := h.splitKey(key)
-		w := int(fnv32(hk)) % workers
-		ss.buckets[w] = append(ss.buckets[w], recLeaf{ref: makeLeafRef(leaf, hdrShape(hdr)), key: key})
+		hk, artKey := h.splitKey(key)
+		ref := makeLeafRef(leaf, hdrShape(hdr))
+		ss.live++
+		sb := ss.shards[string(hk)]
+		if sb == nil {
+			if epalloc.StripeFor(hk) != st {
+				ss.strays = append(ss.strays, strayLeaf{ref: ref, key: slices.Clone(key)})
+				return true
+			}
+			sb = ss.builder(hk, sc.lazy)
+		}
+		sb.add(ref, artKey)
 		return true
 	})
 	if err != nil {
@@ -262,9 +252,7 @@ func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 			return nil, ss.err
 		}
 		nvals += len(ss.vals)
-		for _, b := range ss.buckets {
-			sc.live += len(b)
-		}
+		sc.live += ss.live
 	}
 	sc.valSet = make([]pmem.Ptr, 0, nvals)
 	for st := range sc.stripes {
@@ -274,66 +262,34 @@ func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 	return sc, nil
 }
 
+// finish files the strays with their shards' builders, in stripe order,
+// then completes every builder — publishing its tree, or storing its
+// pending list — and returns the shards with their hash keys.
+func (sc *leafScan) finish(h *HART) (keys []string, shards []*artShard) {
+	for st := range sc.stripes {
+		for _, sl := range sc.stripes[st].strays {
+			hk, artKey := h.splitKey(sl.key)
+			sc.stripes[epalloc.StripeFor(hk)].builder(hk, sc.lazy).add(sl.ref, artKey)
+		}
+	}
+	for st := range sc.stripes {
+		for hk, sb := range sc.stripes[st].shards {
+			if sc.lazy {
+				sb.s.pending.Store(&pendingLeaves{leaves: sb.pend})
+			} else {
+				sb.batch.Publish(&sb.s.root)
+			}
+			keys = append(keys, hk)
+			shards = append(shards, sb.s)
+		}
+	}
+	return keys, shards
+}
+
 // ptrSetHas reports membership in a sorted pointer slice.
 func ptrSetHas(set []pmem.Ptr, p pmem.Ptr) bool {
 	_, ok := slices.BinarySearch(set, p)
 	return ok
-}
-
-// builtShard is one rebuilt (or pending) shard awaiting publication.
-type builtShard struct {
-	hk string
-	s  *artShard
-}
-
-// buildPartition turns one worker's leaves into shards: one pass groups
-// by hash key and batch-inserts each record into its shard's private
-// tree — a batch edits every node in place (legal: the directory is
-// unpublished), with no per-leaf directory locking or size increment. Insertion order is irrelevant to
-// ART shape, so no sort is needed; the coordinator orders the finished
-// shards once for the bulk directory construction. Under LazyRecovery the
-// group becomes a pending leaf list and the tree build is deferred to the
-// shard's first touch.
-func (h *HART) buildPartition(recs []recLeaf) []builtShard {
-	if len(recs) == 0 {
-		return nil
-	}
-	lazy := h.opts.LazyRecovery
-	type shardBuild struct {
-		s     *artShard
-		batch *art.Batch
-		pend  []leafRef
-	}
-	byHK := make(map[string]*shardBuild)
-	var out []builtShard
-	for _, r := range recs {
-		// Under LazyRecovery the scan read only the hash key, so artKey is
-		// empty; eager records carry the full key.
-		hk, artKey := h.splitKey(r.key)
-		sb := byHK[string(hk)]
-		if sb == nil {
-			sb = &shardBuild{s: newShard()}
-			if !lazy {
-				sb.batch = art.New().BeginBatch()
-			}
-			byHK[string(hk)] = sb
-			out = append(out, builtShard{hk: string(hk), s: sb.s})
-		}
-		if lazy {
-			sb.pend = append(sb.pend, r.ref)
-		} else {
-			sb.batch.Insert(artKey, uint64(r.ref))
-		}
-	}
-	for _, bs := range out {
-		sb := byHK[bs.hk]
-		if lazy {
-			sb.s.pending.Store(&pendingLeaves{leaves: sb.pend})
-		} else {
-			sb.batch.Publish(&sb.s.root)
-		}
-	}
-	return out
 }
 
 // sweepStaleAndOrphans runs recovery's two PM-repair passes.
@@ -392,30 +348,24 @@ func (h *HART) sweepStaleAndOrphans(sc *leafScan, workers int, stats *RecoverySt
 
 // buildPending builds a lazily recovered shard's ART from its pending
 // leaf list: read each leaf's full key (the deferred read the scan phase
-// skipped), sort, and batch-insert into a fresh tree. The caller holds
-// s.mu exclusively. Ordering matters: the built tree is stored before
-// pending is cleared, so any goroutine observing pending == nil is
-// guaranteed to observe the complete tree.
+// skipped) and batch-insert it into a fresh tree; ART shape does not
+// depend on insertion order. The caller holds s.mu exclusively. Ordering
+// matters: the built tree is stored before pending is cleared, so any
+// goroutine observing pending == nil is guaranteed to observe the
+// complete tree.
 func (h *HART) buildPending(s *artShard) {
 	pp := s.pending.Load()
 	if pp == nil {
 		return
 	}
-	// One block that fits every key: the arena's default 64 KiB block would
-	// be zeroed for a shard whose keys take a few hundred bytes.
-	keys := byteArena{buf: make([]byte, 0, len(pp.leaves)*MaxKeyLen)}
-	recs := make([]recLeaf, 0, len(pp.leaves))
+	b := art.New().BeginBatch()
+	var buf [MaxKeyLen]byte
 	for _, ref := range pp.leaves {
 		hdr := h.arena.Read8(ref.ptr() + lfKeyLen)
-		key := keys.alloc(min(hdrKeyLen(hdr), MaxKeyLen))
+		key := buf[:hdrKeyLen(hdr)] // the scan refused any length above MaxKeyLen
 		h.keyFromHeader(ref.ptr(), hdr, key)
-		recs = append(recs, recLeaf{ref: ref, key: key})
-	}
-	slices.SortFunc(recs, func(a, b recLeaf) int { return bytes.Compare(a.key, b.key) })
-	b := art.New().BeginBatch()
-	for _, r := range recs {
-		_, artKey := h.splitKey(r.key)
-		b.Insert(artKey, uint64(r.ref))
+		_, artKey := h.splitKey(key)
+		b.Insert(artKey, uint64(ref))
 	}
 	b.Publish(&s.root)
 	s.pending.Store(nil)
@@ -514,9 +464,11 @@ type RecoveryStats struct {
 	// FormatVersion is the version word Open read from the superblock (0
 	// after New or Rebuild, which read none).
 	FormatVersion int
-	// Per-phase wall times: update-log replay, leaf scan, index build and
-	// consistency sweeps. The build overlaps the sweeps, so BuildNs
-	// includes the sweep window it ran concurrently with.
+	// Per-phase wall times, which do not overlap. ULogNs is the
+	// update-log replay; ScanNs the leaf scan, which builds the shards'
+	// trees (or pending lists) as it walks; SweepNs the consistency
+	// sweeps; BuildNs what is left of the build after them: inserting
+	// leaves found off their shard's stripe, and publishing the directory.
 	ULogNs  int64
 	ScanNs  int64
 	BuildNs int64
@@ -571,13 +523,4 @@ func (h *HART) recoverUpdate(ul epalloc.UpdateLogState) error {
 // an empty or partially filled intermediate.
 func (h *HART) Rebuild() error {
 	return h.recover()
-}
-
-// fnv32 hashes a hash key for worker partitioning.
-func fnv32(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return h & 0x7fffffff
 }

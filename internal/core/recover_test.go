@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/casl-sdsu/hart/internal/epalloc"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
@@ -384,5 +386,90 @@ func TestRecoveryStatsPhases(t *testing.T) {
 	st = lz.LastRecoveryStats()
 	if !st.Lazy || st.PendingShards == 0 || st.PendingShards != lz.PendingShards() {
 		t.Fatalf("lazy echo wrong: %+v (pending now %d)", st, lz.PendingShards())
+	}
+}
+
+// TestRecoveryStrayLeaves: recovery builds each shard while walking its
+// allocator stripe, but must not rest on every leaf sitting there. No
+// writer allocates a leaf off its shard's stripe, yet an image may hold
+// one, so this store commits a third of its leaves on other stripes —
+// spread over several, and for the "zz" shard every leaf — and every
+// recovery mode must still find every key.
+func TestRecoveryStrayLeaves(t *testing.T) {
+	h := newHART(t)
+	ref := map[string]string{}
+	for i := 0; i < 3000; i++ {
+		k := fmt.Sprintf("%c%c%04d", 'a'+i%7, 'a'+i%5, i)
+		if i%10 == 0 {
+			k = fmt.Sprintf("zz%04d", i)
+		}
+		key, v := []byte(k), mixedValue("s%05d", i)
+		stripe := epalloc.StripeFor(key[:DefaultHashKeyLen])
+		if i%3 == 0 || k[:2] == "zz" {
+			stripe = (stripe + 1 + i%(epalloc.NumStripes-1)) % epalloc.NumStripes
+		}
+		s, hk := h.lockShardW(key, true)
+		s.beginWrite()
+		err := h.putLocked(s, key[len(hk):], key, []byte(v), stripe)
+		s.endWrite()
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[k] = v
+	}
+	img, err := h.Arena().DurableImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{
+		{RecoveryWorkers: 1},
+		{RecoveryWorkers: 4},
+		{RecoveryWorkers: 1, LazyRecovery: true},
+		{RecoveryWorkers: 4, LazyRecovery: true},
+	} {
+		mode := fmt.Sprintf("workers=%d lazy=%v", opts.RecoveryWorkers, opts.LazyRecovery)
+		h2 := openImage(t, img, opts)
+		if got := h2.LastRecoveryStats().LiveLeaves; got != len(ref) {
+			t.Fatalf("%s: LiveLeaves = %d, want %d", mode, got, len(ref))
+		}
+		assertContents(t, h2, ref, nil, mode)
+		if err := h2.Check(); err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+	}
+}
+
+// TestRecoveryAllocBudget holds an eager recovery's heap traffic to the
+// index it builds: the bytes allocated across a Rebuild of 60 000 records
+// may be at most 1.5× the DRAM the rebuilt index holds. Leaves go from PM
+// straight into their shards' trees, so nothing but the index and a
+// little bookkeeping should be allocated. Not parallel: TotalAlloc counts
+// every goroutine's allocations.
+func TestRecoveryAllocBudget(t *testing.T) {
+	const n = 60000
+	h, err := New(Options{ArenaSize: 32 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(38))
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("%c%c%08x", 'A'+rng.Intn(26), 'a'+rng.Intn(26), rng.Uint32())
+		if err := h.Put([]byte(k), []byte("v8bytes!")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := h.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	dram := h.Stats().Size.DRAMBytes
+	t.Logf("Rebuild of %d records allocated %d B for an index of %d B (%.2f×)", h.Len(), alloc, dram, float64(alloc)/float64(dram))
+	if float64(alloc) > 1.5*float64(dram) {
+		t.Fatalf("Rebuild allocated %d B, over 1.5× the index's %d B", alloc, dram)
 	}
 }

@@ -53,10 +53,6 @@ func (r *EventRing) Emit(kind, detail string, a, b uint64) {
 	r.slots[(e.Seq-1)&(RingSize-1)].Store(e)
 }
 
-// Emitted returns the total number of events ever emitted (≥ the number
-// still held).
-func (r *EventRing) Emitted() uint64 { return r.seq.Load() }
-
 // Snapshot returns the events currently held, oldest first.
 func (r *EventRing) Snapshot() []Event {
 	out := make([]Event, 0, RingSize)

@@ -337,8 +337,6 @@ type NodeAlloc struct {
 	// meta is the allocator's persistent metadata cell (redo-log slot +
 	// heap-state word), lazily reserved.
 	meta pmem.Ptr
-	// Live tracks net allocated bytes for the memory experiment.
-	live int64
 }
 
 // NewNodeAlloc returns an allocator over the arena.
@@ -367,7 +365,6 @@ func (na *NodeAlloc) chargeMeta(p pmem.Ptr, persists int) {
 func (na *NodeAlloc) Alloc(size int64) (pmem.Ptr, error) {
 	na.mu.Lock()
 	defer na.mu.Unlock()
-	na.live += size
 	if lst := na.free[size]; len(lst) > 0 {
 		p := lst[len(lst)-1]
 		na.free[size] = lst[:len(lst)-1]
@@ -387,14 +384,6 @@ func (na *NodeAlloc) Alloc(size int64) (pmem.Ptr, error) {
 func (na *NodeAlloc) Free(p pmem.Ptr, size int64) {
 	na.mu.Lock()
 	defer na.mu.Unlock()
-	na.live -= size
 	na.free[size] = append(na.free[size], p)
 	na.chargeMeta(p, 1)
-}
-
-// LiveBytes returns net allocated bytes.
-func (na *NodeAlloc) LiveBytes() int64 {
-	na.mu.Lock()
-	defer na.mu.Unlock()
-	return na.live
 }

@@ -337,3 +337,39 @@ func TestRestoreModelsCache(t *testing.T) {
 		t.Fatalf("100 Gets after Restore missed the cache %d times, after New %d", got, fresh)
 	}
 }
+
+// TestRestoreRefusesBadKeyLength: a live leaf whose header claims a key
+// length of 0, or one above MaxKeyLen, cannot have been written by Put,
+// so recovery refuses the image and names the leaf instead of indexing
+// it under an empty or truncated key — eager and lazy alike.
+func TestRestoreRefusesBadKeyLength(t *testing.T) {
+	db, err := New(Options{ArenaSize: 2 << 20, CrashSimulation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("poked-key-0042")
+	for _, k := range [][]byte{[]byte("before"), key, []byte("after")} {
+		if err := db.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img, err := db.CrashImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The key starts at byte 10 of its leaf; the key length is byte 8.
+	leaf := bytes.Index(img, key) - 10
+	if leaf < 0 || int(img[leaf+8]) != len(key) {
+		t.Fatalf("leaf of %q not found in the image", key)
+	}
+	for _, n := range []byte{0, MaxKeyLen + 1} {
+		for _, lazy := range []bool{false, true} {
+			poked := slices.Clone(img)
+			poked[leaf+8] = n
+			_, err := Restore(poked, Options{LazyRecovery: lazy})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("leaf %d with key length %d", leaf, n)) {
+				t.Fatalf("key length %d, lazy %v: Restore err = %v, want one naming leaf %d", n, lazy, err, leaf)
+			}
+		}
+	}
+}

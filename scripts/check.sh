@@ -31,6 +31,10 @@ go test -race -count=3 -run TestPutBatchConcurrentMultiShard ./internal/core/
 # linearization: the checks above see races and invariants, these see a
 # stale or lost value built from atomics.
 go test -race -count=3 -run Linearizable ./internal/core/
+# Recovery's scan builds every stripe's shards on its own goroutine and
+# files stray leaves after the walk: the modes compared, a Rebuild beside
+# readers, and leaves placed off their shard's stripe, three times each.
+go test -race -count=3 -run 'TestRecoveryModeEquivalence|TestRebuildVisibility|TestRecoveryStrayLeaves' ./internal/core/
 # The ART's own: one writer editing a tree in place, taking one node
 # through every kind and back, beside lock-free Get and Prefetch readers.
 go test -race -count=3 -run TestReadersBesideInPlaceWriter ./internal/art/
