@@ -2,16 +2,16 @@
 // daemon. It speaks the length-prefixed binary protocol from
 // internal/wire over one TCP connection and pipelines naturally: a
 // request is written and enqueued under a short lock, then the caller
-// waits on its own response slot while other goroutines write theirs —
+// waits for its own pending entry while other goroutines write theirs —
 // many requests stay in flight at once, and the connection's reader
 // goroutine matches responses back in FIFO order (the protocol has no
 // request IDs; ordering is the contract).
 //
 // For explicit batching — the client-side half of the server's Put
 // coalescing — use Pipeline: queue requests locally, Exec writes them
-// as one burst (one syscall, one flush), and the server reads them as
-// one burst of its own, whose consecutive Puts it coalesces into one
-// PutBatch.
+// as one burst (one write, one pending entry, one wake-up), and the
+// server reads them as one burst of its own, whose consecutive Puts it
+// coalesces into one PutBatch.
 //
 // An acknowledged write (nil error from Put, PutBatch, Delete) is
 // durable on the server at the time the call returns; a connection or
@@ -20,7 +20,6 @@
 package client
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,16 +79,76 @@ type Stats struct {
 	Server   map[string]uint64 `json:"server,omitempty"`
 }
 
-// call is one in-flight request: the op its response decodes under and
-// the slot its result lands in.
-type call struct {
-	op   wire.Op
-	done chan result
+// entry is one pending burst of n ≥ 1 requests, written back to back:
+// their ops and the slots their responses decode into. The connection's
+// reader fills the slots in order and signals done once — after the last
+// response, or on a transport failure — and touches the entry no more.
+type entry struct {
+	ops   []wire.Op
+	resps []wire.Response
+	got   int   // responses decoded so far
+	err   error // the transport failure that cut the entry short
+	// arena holds every byte of the entry's responses that outlives the
+	// read buffer: values, Scan keys, the Stats document. A full arena is
+	// replaced, never copied, so slices already handed out stay valid.
+	arena []byte
+	kept  int // bytes copied into the arena, over all its chunks
+	done  chan struct{}
+
+	op   [1]wire.Op // the backing of an entry of one
+	resp [1]wire.Response
 }
 
-type result struct {
-	resp wire.Response
-	err  error
+// single returns an entry of one request.
+func single(op wire.Op) *entry {
+	e := &entry{done: make(chan struct{}, 1)}
+	e.op[0] = op
+	e.ops, e.resps = e.op[:], e.resp[:]
+	return e
+}
+
+// decode resolves the entry's next slot from one response payload and
+// copies what the response keeps into the arena, in one chunk.
+func (e *entry) decode(p []byte) error {
+	resp, err := wire.DecodeResponse(p, e.ops[e.got])
+	if err != nil {
+		return err
+	}
+	n := len(resp.Value)
+	for _, r := range resp.Records {
+		n += len(r.Key) + len(r.Value)
+	}
+	if cap(e.arena)-len(e.arena) < n {
+		e.arena = make([]byte, 0, max(n, 2*cap(e.arena)))
+	}
+	e.kept += n
+	resp.Value = e.keep(resp.Value)
+	for i := range resp.Records {
+		resp.Records[i].Key = e.keep(resp.Records[i].Key)
+		resp.Records[i].Value = e.keep(resp.Records[i].Value)
+	}
+	e.resps[e.got] = resp
+	e.got++
+	return nil
+}
+
+// keep copies b into the arena, which has room for it.
+func (e *entry) keep(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	i := len(e.arena)
+	e.arena = append(e.arena, b...)
+	return e.arena[i:len(e.arena):len(e.arena)]
+}
+
+// result returns a resolved entry's response i and its error: the
+// status's, or the transport failure for a response that never arrived.
+func (e *entry) result(i int) (wire.Response, error) {
+	if i >= e.got {
+		return wire.Response{}, e.err
+	}
+	return e.resps[i], statusErr(&e.resps[i])
 }
 
 // Client is one pipelined connection to a hartd server. Safe for
@@ -100,9 +159,11 @@ type Client struct {
 	// mu serializes frame writes and pending enqueues so the FIFO of
 	// written requests matches the FIFO the reader consumes.
 	mu      sync.Mutex
-	bw      *bufio.Writer
-	pending chan *call
-	encBuf  []byte
+	pending chan *entry
+	enc     []byte // one request's payload
+	out     []byte // its frame
+
+	cur *entry // the entry whose responses are arriving; the reader's own
 
 	closeOnce sync.Once
 	readerWG  sync.WaitGroup
@@ -111,10 +172,14 @@ type Client struct {
 	err   error // sticky: first connection-level failure
 }
 
-// maxInFlight bounds pipelined requests awaiting responses; a caller
-// exceeding it blocks (briefly — the reader is always draining) rather
-// than growing without bound.
+// maxInFlight bounds the entries awaiting responses — a single call or a
+// whole Pipeline.Exec, however long, is one entry. A caller exceeding it
+// blocks (briefly — the reader is always draining) rather than growing
+// the queue without bound.
 const maxInFlight = 4096
+
+// errUnsolicited reports a response frame with no request pending.
+var errUnsolicited = errors.New("unsolicited response")
 
 // Dial connects to a hartd server.
 func Dial(addr string) (*Client, error) {
@@ -132,53 +197,70 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	}
 	c := &Client{
 		conn:    conn,
-		bw:      bufio.NewWriterSize(conn, 64<<10),
-		pending: make(chan *call, maxInFlight),
+		pending: make(chan *entry, maxInFlight),
 	}
 	c.readerWG.Add(1)
 	go c.readLoop()
 	return c, nil
 }
 
-// readLoop is the connection's single reader: each arriving frame
-// resolves the oldest pending call. On any read error every in-flight
-// and future call fails with the sticky error.
+// readLoop is the connection's single reader. Each pass reads what the
+// socket has into one reused buffer, resolves every complete frame in it
+// and compacts the rest, which the server's connection loop does too. On
+// any failure it fails the connection and resolves every pending entry.
 func (c *Client) readLoop() {
 	defer c.readerWG.Done()
-	br := bufio.NewReaderSize(c.conn, 64<<10)
-	var buf []byte
+	buf := make([]byte, 0, 64<<10)
 	for {
-		payload, err := wire.ReadFrame(br, buf)
+		m, rerr := c.conn.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+m]
+		off, need, err := c.deliver(buf)
+		buf = buf[:copy(buf, buf[off:])]
+		if need > cap(buf) {
+			buf = append(make([]byte, 0, need), buf...)
+		}
+		if err == nil {
+			err = rerr
+		}
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
-			return
-		}
-		buf = payload
-		select {
-		case ca := <-c.pending:
-			resp, derr := wire.DecodeResponse(payload, ca.op)
-			if derr != nil {
-				ca.done <- result{err: fmt.Errorf("%w: %v", ErrConnClosed, derr)}
-				c.fail(fmt.Errorf("%w: response decode: %v", ErrConnClosed, derr))
-				return
-			}
-			// The response payload aliases the read buffer; copy what
-			// outlives this iteration.
-			resp.Value = append([]byte(nil), resp.Value...)
-			for i := range resp.Records {
-				resp.Records[i].Key = append([]byte(nil), resp.Records[i].Key...)
-				resp.Records[i].Value = append([]byte(nil), resp.Records[i].Value...)
-			}
-			ca.done <- result{resp: resp}
-		default:
-			c.fail(fmt.Errorf("%w: unsolicited response", ErrConnClosed))
+			c.drain()
 			return
 		}
 	}
 }
 
-// fail records the sticky error, closes the transport and drains every
-// pending call with the failure.
+// deliver splits every complete frame off b in place and decodes each into
+// the next slot of the oldest pending entry, signalling the entry once its
+// last slot is filled. It returns how many bytes the frames took, how long
+// the buffer must be to hold the next frame whole, and the framing or
+// decode error that ends the connection, if any.
+func (c *Client) deliver(b []byte) (off, need int, err error) {
+	for {
+		var p []byte
+		if p, need, err = wire.SplitFrame(b[off:]); err != nil || need > len(b)-off {
+			return off, need, err
+		}
+		off += need
+		if c.cur == nil {
+			select {
+			case c.cur = <-c.pending:
+			default:
+				return off, need, errUnsolicited
+			}
+		}
+		if err := c.cur.decode(p); err != nil {
+			return off, need, fmt.Errorf("response decode: %v", err)
+		}
+		if c.cur.got == len(c.cur.ops) {
+			c.cur.done <- struct{}{}
+			c.cur = nil
+		}
+	}
+}
+
+// fail records the sticky error, if it is the first, and closes the
+// transport, which ends the reader's next Read.
 func (c *Client) fail(err error) {
 	c.errMu.Lock()
 	if c.err == nil {
@@ -186,10 +268,33 @@ func (c *Client) fail(err error) {
 	}
 	c.errMu.Unlock()
 	c.conn.Close()
+}
+
+// drain resolves the entry in progress and every queued one with the
+// sticky error; the reader runs it once, on its way out. The queue is
+// emptied once without c.mu, so that a writer blocked on a full queue
+// under c.mu can finish, and once more under it: every later writer sees
+// the sticky error before it can enqueue.
+func (c *Client) drain() {
+	err := c.stickyErr()
+	if c.cur != nil {
+		c.cur.err = err
+		c.cur.done <- struct{}{}
+		c.cur = nil
+	}
+	c.drainPending(err)
+	c.mu.Lock()
+	c.drainPending(err)
+	c.mu.Unlock()
+}
+
+// drainPending resolves every entry now queued with err.
+func (c *Client) drainPending(err error) {
 	for {
 		select {
-		case ca := <-c.pending:
-			ca.done <- result{err: err}
+		case e := <-c.pending:
+			e.err = err
+			e.done <- struct{}{}
 		default:
 			return
 		}
@@ -206,67 +311,43 @@ func (c *Client) stickyErr() error {
 // Close shuts the connection down. In-flight calls fail with
 // ErrConnClosed; their server-side fate is unknown.
 func (c *Client) Close() error {
-	c.closeOnce.Do(func() {
-		c.errMu.Lock()
-		if c.err == nil {
-			c.err = ErrConnClosed
-		}
-		c.errMu.Unlock()
-		c.conn.Close()
-	})
+	c.closeOnce.Do(func() { c.fail(ErrConnClosed) })
 	c.readerWG.Wait()
 	return nil
 }
 
-// send writes one request frame and registers its response slot. The
-// enqueue happens under the write lock so pending order always equals
-// wire order.
-func (c *Client) send(req *wire.Request) (*call, error) {
-	ca := &call{op: req.Op, done: make(chan result, 1)}
-	c.mu.Lock()
+// sendLocked registers e and writes its frames; c.mu is held. The enqueue
+// precedes the write so pending order always equals wire order; it blocks
+// while maxInFlight entries are pending, until the reader, which takes no
+// lock to resolve one, drains an entry. A write failure fails the
+// connection, and the reader then resolves e with it.
+func (c *Client) sendLocked(e *entry, frames []byte) error {
 	if err := c.stickyErr(); err != nil {
-		c.mu.Unlock()
-		return nil, err
+		return err
 	}
-	p, err := req.AppendRequest(c.encBuf[:0])
-	if err != nil {
-		c.mu.Unlock()
-		return nil, err
+	c.pending <- e
+	if _, err := c.conn.Write(frames); err != nil {
+		c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
 	}
-	c.encBuf = p[:0]
-	c.pending <- ca
-	// The frame is built in the writer's free buffer, so Write copies
-	// nothing unless the frame outgrows it.
-	_, werr := c.bw.Write(wire.AppendFrame(c.bw.AvailableBuffer(), p))
-	if werr == nil {
-		werr = c.bw.Flush()
+	return nil
+}
+
+// roundTrip is the synchronous path: send an entry of one, then wait.
+func (c *Client) roundTrip(req *wire.Request) (wire.Response, error) {
+	e := single(req.Op)
+	c.mu.Lock()
+	p, err := req.AppendRequest(c.enc[:0])
+	if err == nil {
+		c.enc = p
+		c.out = wire.AppendFrame(c.out[:0], p)
+		err = c.sendLocked(e, c.out)
 	}
 	c.mu.Unlock()
-	if werr != nil {
-		c.fail(fmt.Errorf("%w: %v", ErrConnClosed, werr))
-	}
-	return ca, nil
-}
-
-// wait blocks for a call's result and maps its status to an error.
-func wait(ca *call) (wire.Response, error) {
-	res := <-ca.done
-	if res.err != nil {
-		return wire.Response{}, res.err
-	}
-	if err := statusErr(&res.resp); err != nil {
-		return res.resp, err
-	}
-	return res.resp, nil
-}
-
-// roundTrip is the synchronous path: send, then wait.
-func (c *Client) roundTrip(req *wire.Request) (wire.Response, error) {
-	ca, err := c.send(req)
 	if err != nil {
 		return wire.Response{}, err
 	}
-	return wait(ca)
+	<-e.done
+	return e.result(0)
 }
 
 // statusErr maps a non-OK status to its exported error, keeping the
@@ -384,23 +465,31 @@ func (c *Client) Stats() (Stats, error) {
 
 // Pipeline queues requests locally and ships them as one burst. It is
 // for single-goroutine use (the Client itself already pipelines across
-// goroutines); Exec writes every queued frame with one flush and then
-// collects every response, in order.
+// goroutines); Exec writes every queued frame with one write, as one
+// pending entry, and wakes once, when the burst's last response is in.
 type Pipeline struct {
-	c     *Client
-	enc   []byte // one request's payload
-	buf   []byte // the burst's frames
-	calls []*call
+	c   *Client
+	enc []byte // one request's payload
+	buf []byte // the burst's frames
+	ops []wire.Op
+	// e is reused by every Exec: the reader is done with it once Exec
+	// has its signal, and what Exec returns owns no part of it but the
+	// arena, which each Exec replaces.
+	e    entry
+	hint int // the last Exec's arena bytes: the size of the next one's
 }
 
 // Pipeline starts an empty pipeline on this connection.
 func (c *Client) Pipeline() *Pipeline {
-	return &Pipeline{c: c}
+	p := &Pipeline{c: c}
+	p.e.done = make(chan struct{}, 1)
+	return p
 }
 
 // Result is one queued request's outcome after Exec.
 type Result struct {
-	// Value is the Get payload (nil for writes).
+	// Value is the Get payload (nil for writes). It belongs to the
+	// caller: later Execs do not reuse it.
 	Value []byte
 	// Err is the per-request error, nil on success.
 	Err error
@@ -414,7 +503,7 @@ func (p *Pipeline) queue(req *wire.Request) error {
 	}
 	p.enc = payload
 	p.buf = wire.AppendFrame(p.buf, payload)
-	p.calls = append(p.calls, &call{op: req.Op, done: make(chan result, 1)})
+	p.ops = append(p.ops, req.Op)
 	return nil
 }
 
@@ -434,50 +523,47 @@ func (p *Pipeline) Delete(key []byte) error {
 }
 
 // Len reports how many requests are queued.
-func (p *Pipeline) Len() int { return len(p.calls) }
+func (p *Pipeline) Len() int { return len(p.ops) }
 
 // Exec ships the queued burst in one write and waits for all responses,
 // returned in request order. The pipeline is reset and reusable after.
 // The returned error reports transport failure only; per-request
-// failures are in the Results.
+// failures are in the Results. If the connection fails partway through
+// the burst, the responses that arrived keep their outcomes, the rest
+// fail with ErrConnClosed, and so does Exec.
 func (p *Pipeline) Exec() ([]Result, error) {
-	if len(p.calls) == 0 {
+	n := len(p.ops)
+	if n == 0 {
 		return nil, nil
+	}
+	defer p.reset()
+	e := &p.e
+	if cap(e.resps) < n {
+		e.resps = make([]wire.Response, n)
+	}
+	e.ops, e.resps, e.got, e.err, e.arena, e.kept = p.ops, e.resps[:n], 0, nil, nil, 0
+	if p.hint > 0 {
+		e.arena = make([]byte, 0, p.hint)
 	}
 	c := p.c
 	c.mu.Lock()
-	if err := c.stickyErr(); err != nil {
-		c.mu.Unlock()
-		p.reset()
+	err := c.sendLocked(e, p.buf)
+	c.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	for _, ca := range p.calls {
-		c.pending <- ca
-	}
-	_, werr := c.bw.Write(p.buf)
-	if werr == nil {
-		werr = c.bw.Flush()
-	}
-	c.mu.Unlock()
-	if werr != nil {
-		c.fail(fmt.Errorf("%w: %v", ErrConnClosed, werr))
-	}
-
-	results := make([]Result, len(p.calls))
-	var transportErr error
-	for i, ca := range p.calls {
-		resp, err := wait(ca)
+	<-e.done
+	p.hint = e.kept
+	results := make([]Result, n)
+	for i := range results {
+		resp, err := e.result(i)
 		results[i] = Result{Value: resp.Value, Err: err}
-		if errors.Is(err, ErrConnClosed) && transportErr == nil {
-			transportErr = err
-		}
 	}
-	p.reset()
-	return results, transportErr
+	return results, e.err
 }
 
 // reset clears the queue for reuse.
 func (p *Pipeline) reset() {
 	p.buf = p.buf[:0]
-	p.calls = p.calls[:0]
+	p.ops = p.ops[:0]
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	hart "github.com/casl-sdsu/hart"
 	"github.com/casl-sdsu/hart/internal/server"
@@ -339,19 +342,157 @@ func TestClientAfterServerGone(t *testing.T) {
 	}
 }
 
-// TestPipelinePutAllocs pins Pipeline.Put encoding into the pipeline's
-// reused buffers: per request it allocates the call and its result
-// channel (three objects), and nothing for the payload or the frame.
-func TestPipelinePutAllocs(t *testing.T) {
-	p := (&Client{}).Pipeline()
-	key, val := []byte("alloc-key"), []byte("value-08")
-	allocs := testing.AllocsPerRun(1000, func() {
-		if p.Len() == 64 {
-			p.reset()
+// TestPipelineExecAllocs pins the cost of a burst: a 64-request Exec,
+// half Gets and half Puts, allocates one pending entry's worth — the
+// results and one value arena — plus what the in-process server's side of
+// the round trip allocates, at most 16 objects in all; queueing a request
+// allocates nothing.
+func TestPipelineExecAllocs(t *testing.T) {
+	c := dialT(t, newMemServer(t))
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("alloc-%02d", i))
+		if err := c.Put(keys[i], []byte("value-08")); err != nil {
+			t.Fatalf("Put: %v", err)
 		}
-		p.Put(key, val)
-	})
-	if allocs > 3 {
-		t.Fatalf("Pipeline.Put: %v allocations per request, want 3", allocs)
 	}
+	p := c.Pipeline()
+	allocs := testing.AllocsPerRun(200, func() {
+		for i, k := range keys {
+			if i%2 == 0 {
+				p.Get(k)
+			} else {
+				p.Put(k, []byte("value-08"))
+			}
+		}
+		res, err := p.Exec()
+		if err != nil || len(res) != len(keys) || string(res[0].Value) != "value-08" {
+			t.Fatalf("Exec: %d results, %v", len(res), err)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("64-request Exec: %v allocations, want at most 16", allocs)
+	}
+	t.Logf("64-request Exec: %v allocations", allocs)
+
+	q := (&Client{}).Pipeline()
+	key, val := []byte("alloc-key"), []byte("value-08")
+	for _, op := range []struct {
+		name  string
+		queue func() error
+	}{
+		{"Get", func() error { return q.Get(key) }},
+		{"Put", func() error { return q.Put(key, val) }},
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if q.Len() == 64 {
+				q.reset()
+			}
+			op.queue()
+		})
+		if allocs != 0 {
+			t.Fatalf("Pipeline.%s: %v allocations per request, want 0", op.name, allocs)
+		}
+	}
+}
+
+// TestPipelineLargerThanInFlight ships one Exec of more requests than the
+// client keeps in flight: an Exec is one pending entry however long it is,
+// so the reader drains its responses while the burst is still being written.
+func TestPipelineLargerThanInFlight(t *testing.T) {
+	c := dialT(t, newMemServer(t))
+	const N = maxInFlight + 904
+	p := c.Pipeline()
+	for i := 0; i < N; i++ {
+		p.Put([]byte(fmt.Sprintf("big-%05d", i)), []byte(fmt.Sprintf("v%05d", i)))
+	}
+	type outcome struct {
+		res []Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := p.Exec()
+		done <- outcome{res, err}
+	}()
+	var o outcome
+	select {
+	case o = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("Exec of %d requests still blocked after 30 s", N)
+	}
+	if o.err != nil || len(o.res) != N {
+		t.Fatalf("Exec = %d results, %v", len(o.res), o.err)
+	}
+	for i, r := range o.res {
+		if r.Err != nil {
+			t.Fatalf("put %d: %v", i, r.Err)
+		}
+	}
+	if v, err := c.Get([]byte(fmt.Sprintf("big-%05d", N-1))); err != nil || string(v) != fmt.Sprintf("v%05d", N-1) {
+		t.Fatalf("Get last = %q, %v", v, err)
+	}
+}
+
+// TestSharedClientBursts has 8 goroutines share one Client, each mixing
+// single Gets with Pipelines of 1–200 Gets and Puts, and checking every
+// value against its own key: pending entries of every size interleave on
+// the connection, and a response matched to the wrong entry or slot shows
+// as a value for another key. Run under -race.
+func TestSharedClientBursts(t *testing.T) {
+	c := dialT(t, newMemServer(t))
+	const keys = 512
+	key := func(i int) []byte { return []byte(fmt.Sprintf("shared-%03d", i)) }
+	// Values differ in length as well as content, 6 to 14 bytes.
+	val := func(i int) []byte { return []byte(fmt.Sprintf("v%04d%s", i, strings.Repeat(".", i%9))) }
+	recs := make([]Record, keys)
+	for i := range recs {
+		recs[i] = Record{Key: key(i), Value: val(i)}
+	}
+	if n, err := c.PutBatch(recs); err != nil || n != keys {
+		t.Fatalf("PutBatch = %d, %v", n, err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			p := c.Pipeline()
+			idx := make([]int, 0, 200)
+			for iter := 0; iter < 40; iter++ {
+				if rng.Intn(3) == 0 {
+					i := rng.Intn(keys)
+					if v, err := c.Get(key(i)); err != nil || !bytes.Equal(v, val(i)) {
+						t.Errorf("goroutine %d: Get %q = %q, %v", g, key(i), v, err)
+						return
+					}
+					continue
+				}
+				idx = idx[:0]
+				for n := 1 + rng.Intn(200); len(idx) < n; {
+					i := rng.Intn(keys)
+					if rng.Intn(2) == 0 {
+						p.Get(key(i))
+						idx = append(idx, i)
+					} else {
+						p.Put(key(i), val(i))
+						idx = append(idx, -1)
+					}
+				}
+				res, err := p.Exec()
+				if err != nil || len(res) != len(idx) {
+					t.Errorf("goroutine %d: Exec = %d results, %v", g, len(res), err)
+					return
+				}
+				for j, i := range idx {
+					if res[j].Err != nil || (i >= 0 && !bytes.Equal(res[j].Value, val(i))) {
+						t.Errorf("goroutine %d: slot %d of %d (key %d) = %q, %v", g, j, len(idx), i, res[j].Value, res[j].Err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

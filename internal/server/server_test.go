@@ -117,10 +117,32 @@ func frame(t *testing.T, req wire.Request) []byte {
 	return wire.AppendFrame(nil, p)
 }
 
+// readFrame reads one frame's payload from r: io.EOF if the stream ends
+// between frames, wire.ErrTruncated if it ends inside one.
+func readFrame(r io.Reader) ([]byte, error) {
+	b := make([]byte, 4)
+	if _, err := io.ReadFull(r, b); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = wire.ErrTruncated
+		}
+		return nil, err
+	}
+	_, n, err := wire.SplitFrame(b)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, make([]byte, n-len(b))...)
+	if _, err := io.ReadFull(r, b[4:]); err != nil {
+		return nil, wire.ErrTruncated
+	}
+	p, _, err := wire.SplitFrame(b)
+	return p, err
+}
+
 // readResp reads and decodes one response for op.
 func readResp(t *testing.T, br *bufio.Reader, op wire.Op) wire.Response {
 	t.Helper()
-	p, err := wire.ReadFrame(br, nil)
+	p, err := readFrame(br)
 	if err != nil {
 		t.Fatalf("read %s response frame: %v", op, err)
 	}
@@ -276,7 +298,7 @@ func TestProtocolErrorClosesConn(t *testing.T) {
 				t.Fatalf("write: %v", err)
 			}
 			br := bufio.NewReader(c)
-			p, err := wire.ReadFrame(br, nil)
+			p, err := readFrame(br)
 			if err != nil {
 				t.Fatalf("want an error response before close, got %v", err)
 			}
@@ -288,7 +310,7 @@ func TestProtocolErrorClosesConn(t *testing.T) {
 				t.Fatalf("status %s, want %s", resp.Status, wire.StatusBadRequest)
 			}
 			c.SetReadDeadline(time.Now().Add(2 * time.Second))
-			if _, err := wire.ReadFrame(br, nil); !errors.Is(err, io.EOF) {
+			if _, err := readFrame(br); !errors.Is(err, io.EOF) {
 				t.Fatalf("conn after protocol error: %v, want EOF", err)
 			}
 		})
@@ -303,7 +325,7 @@ func TestProtocolErrorClosesConn(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 		br := bufio.NewReader(c)
-		p, err := wire.ReadFrame(br, nil)
+		p, err := readFrame(br)
 		if err != nil {
 			t.Fatalf("want an error response before close, got %v", err)
 		}
@@ -311,7 +333,7 @@ func TestProtocolErrorClosesConn(t *testing.T) {
 			t.Fatalf("status %s, want %s", resp.Status, wire.StatusBadRequest)
 		}
 		c.SetReadDeadline(time.Now().Add(2 * time.Second))
-		if _, err := wire.ReadFrame(br, nil); !errors.Is(err, io.EOF) {
+		if _, err := readFrame(br); !errors.Is(err, io.EOF) {
 			t.Fatalf("conn after oversized frame: %v, want EOF", err)
 		}
 	})
@@ -354,7 +376,7 @@ func TestShutdownDrains(t *testing.T) {
 		br := bufio.NewReader(c)
 		c.SetReadDeadline(time.Now().Add(5 * time.Second))
 		for {
-			p, err := wire.ReadFrame(br, nil)
+			p, err := readFrame(br)
 			if err != nil {
 				if !errors.Is(err, io.EOF) {
 					t.Errorf("read during drain: %v", err)
@@ -576,7 +598,7 @@ func TestBurstThenMalformedFrame(t *testing.T) {
 	if resp := readResp(t, br, wire.OpGet); resp.Status != wire.StatusBadRequest {
 		t.Fatalf("after the valid requests: %s, want %s", resp.Status, wire.StatusBadRequest)
 	}
-	if _, err := wire.ReadFrame(br, nil); !errors.Is(err, io.EOF) {
+	if _, err := readFrame(br); !errors.Is(err, io.EOF) {
 		t.Fatalf("conn after the malformed frame: %v, want EOF", err)
 	}
 	if h.Len() != 34 {

@@ -44,7 +44,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Version is the protocol version byte. A peer speaking a different
@@ -125,8 +124,8 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", byte(s))
 }
 
-// Decoder errors. ErrFrameTooLarge is also returned by SplitFrame and
-// ReadFrame for a length prefix above MaxFrame.
+// Decoder errors. ErrFrameTooLarge is also returned by SplitFrame for a
+// length prefix above MaxFrame.
 var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 	ErrTruncated     = errors.New("wire: truncated message")
@@ -222,37 +221,6 @@ func SplitFrame(b []byte) (payload []byte, n int, err error) {
 		return nil, n, nil
 	}
 	return b[4:n:n], n, nil
-}
-
-// ReadFrame reads one frame's payload from r, reusing buf when it is
-// large enough. It returns ErrFrameTooLarge for a length prefix above
-// MaxFrame (the connection is then unusable — framing is lost) and the
-// underlying read error otherwise, io.EOF only when the stream ends
-// cleanly between frames.
-func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
-		return nil, err
-	}
-	_, n, err := SplitFrame(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	n -= len(hdr)
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
-		return nil, err
-	}
-	return buf, nil
 }
 
 // reader walks a payload with bounds-checked cursor reads; all take-

@@ -26,6 +26,10 @@ go test -race -count=3 -run TestPrefetchConcurrentChurn ./internal/core/
 # its key: a group holds one seqlock section open across several records'
 # commits.
 go test -race -count=3 -run TestPutBatchConcurrentMultiShard ./internal/core/
+# Eight goroutines share one client connection, single Gets beside
+# Pipelines of 1-200 requests, each value checked against its key: the
+# reader matches responses to pending entries of every size in FIFO order.
+go test -race -count=3 -run TestSharedClientBursts ./client/
 # Every Get, Put, Delete and PutBatch record of shard churn at kh = 1,
 # shape cycling and overlapping PutBatch groups checked for a per-key
 # linearization: the checks above see races and invariants, these see a
