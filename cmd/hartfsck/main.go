@@ -85,8 +85,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  PM:   %.2f MB reserved of %.2f MB\n",
 		float64(st.Size.PMBytes)/(1<<20), float64(st.Arena.Capacity)/(1<<20))
 	for _, cs := range st.Alloc {
-		fmt.Fprintf(stdout, "  class %-8s: %6d used, %4d chunks, %4d free chunks, %d B of allocator DRAM\n",
-			cs.Name, cs.Used, cs.Chunks, cs.FreeChunks, cs.VolatileBytes)
+		fmt.Fprintf(stdout, "  class %-8s (%2d B slots): %6d used, %4d chunks, %4d free chunks, %.2f MB PM, %d B of allocator DRAM\n",
+			cs.Name, cs.ObjSize, cs.Used, cs.Chunks, cs.FreeChunks, float64(cs.PMBytes)/(1<<20), cs.VolatileBytes)
 	}
 	if *events {
 		fmt.Fprintln(stdout, "  events:")

@@ -14,11 +14,13 @@ import (
 )
 
 // TestRunChecksImageAndRefusesOldFormat runs hartfsck over a healthy store
-// file, which it must pass while naming the format it found and how many
-// records keep their value in the leaf, and over the same bytes relabelled
-// as each earlier format version, or holding a value-class table other
-// than {8, 16}, which it must refuse with the version or geometry error
-// and leave unmodified.
+// file, which it must pass while naming the format it found, how many
+// records keep their value in the leaf and how many records each object
+// class holds, and over the same bytes relabelled as each earlier format
+// version, holding an object-class table other than {24, 40, 16}, or
+// holding a 24-byte leaf whose header claims a 15-byte key, which it must
+// refuse with the version, geometry or key-length error and leave
+// unmodified.
 func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.hart")
@@ -31,7 +33,11 @@ func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 		if i < 30 {
 			value = []byte("value-in-object")
 		}
-		if err := db.Put([]byte(fmt.Sprintf("key%03d", i)), value); err != nil {
+		key := fmt.Sprintf("key%03d", i)
+		if i%4 == 0 {
+			key += "-in-a-40B-leaf" // 20 bytes
+		}
+		if err := db.Put([]byte(key), value); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +51,11 @@ func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 	}
 	format := fmt.Sprintf("format: version %d (%d update-log slots of %d B)",
 		hart.FormatVersion, epalloc.NumUpdateLogs, epalloc.ULogSlotSize)
-	for _, want := range []string{"100 records", "70 inline, 30 out of line", "clean shutdown", format, "fsck: ok"} {
+	for _, want := range []string{
+		"100 records", "70 inline, 30 out of line", "clean shutdown", format, "fsck: ok",
+		"class leaf24   (24 B slots):     75 used", "class leaf40   (40 B slots):     25 used",
+		"class value16  (16 B slots):     30 used",
+	} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("healthy store: output lacks %q:\n%s", want, stdout.String())
 		}
@@ -88,6 +98,16 @@ func TestRunChecksImageAndRefusesOldFormat(t *testing.T) {
 	binary.LittleEndian.PutUint64(img[versionOff:], hart.FormatVersion)
 	const class1Off = 120 // pmem.LabelBase + 56: the superblock's second class size
 	binary.LittleEndian.PutUint64(img[class1Off:], 32)
-	refused("{8, 32} class-table image", "classes.hart",
-		hart.ErrGeometryMismatch.Error(), "{8, 32}")
+	refused("{24, 32, 16} class-table image", "classes.hart",
+		hart.ErrGeometryMismatch.Error(), "{24, 32, 16}")
+	binary.LittleEndian.PutUint64(img[class1Off:], 40)
+
+	// The key starts at byte 10 of its leaf; the key length is byte 8.
+	leaf := bytes.Index(img, []byte("key001")) - 10
+	if leaf < 0 || img[leaf+8] != 6 {
+		t.Fatal("leaf of key001 not found in the image")
+	}
+	img[leaf+8] = 15
+	refused("15-byte key in a 24-byte leaf", "keylen.hart",
+		fmt.Sprintf("leaf %d with key length 15; its 24-byte slot holds keys of 1 to 14 bytes", leaf))
 }

@@ -61,8 +61,9 @@ const (
 
 // FormatVersion is the on-media format version this build writes and the
 // only one it opens (ErrVersionMismatch otherwise). Version 3 moved values
-// of up to 8 bytes into the leaf; stores written by earlier builds are
-// refused.
+// of up to 8 bytes into the leaf; version 4 gives a key of up to 14 bytes
+// a 24-byte leaf instead of a 40-byte one. Stores written by earlier
+// builds are refused, never converted.
 const FormatVersion = core.FormatVersion
 
 // Errors re-exported from the core implementation.
@@ -75,7 +76,8 @@ var (
 	ErrValueTooLong = core.ErrValueTooLong
 	// ErrGeometryMismatch reports Options naming a HashKeyLen other than
 	// the one the store was created with, or a store whose persisted
-	// value-class table is not this format's {8, 16}.
+	// object-class table is not this format's {24, 40, 16}: 24- and
+	// 40-byte leaves and 16-byte value objects.
 	ErrGeometryMismatch = core.ErrGeometryMismatch
 	// ErrNotFormatted reports an arena or file holding no HART store.
 	ErrNotFormatted = core.ErrNotFormatted
@@ -165,7 +167,7 @@ func New(opts Options) (*DB, error) {
 // completed from their micro-logs and the index is rebuilt from the
 // persistent leaves, exactly as after a crash. A HashKeyLen left zero
 // adopts the one persisted in the store's superblock; a non-zero one must
-// match it, and the persisted value-class table must be this format's
+// match it, and the persisted object-class table must be this format's
 // (ErrGeometryMismatch, before anything is written). A file that is torn,
 // truncated, or not a HART store is refused — never silently reformatted.
 //

@@ -22,6 +22,9 @@ import (
 //     leaf. Anything else is a persistent leak.
 //  4. Every dead leaf slot has word 0 == 0: nothing an allocation could
 //     misread (reclaimStale) survives a scrub or a recovery.
+//  5. Every committed leaf's key fits its slot: 1 to 14 bytes in a 24-byte
+//     leaf, 1 to MaxKeyLen in a 40-byte one. Checked before any key is
+//     read, since a longer one would be read out of the neighbouring slot.
 //
 // Check takes every shard's read lock, so it excludes writers. It demands
 // full allocator quiescence (epalloc.CheckQuiescent): callers run fsck
@@ -38,22 +41,30 @@ func (h *HART) Check() error {
 	// pending shards' trees are empty); finish the builds first.
 	h.DrainRecovery()
 
-	// PM side: committed leaves, and dead slots' first words.
+	// PM side: committed leaves, their key lengths, and dead slots' first
+	// words.
 	liveLeaf := make(map[pmem.Ptr]bool)
-	var slotErr error
-	if err := h.alloc.IterateObjects(classLeaf, func(leaf pmem.Ptr, used bool) bool {
-		if used {
-			liveLeaf[leaf] = true
-		} else if w := h.arena.Read8(leaf + lfWord0); w != 0 {
-			slotErr = fmt.Errorf("hart: dead leaf slot %d holds stale word %#x", leaf, w)
-			return false
+	for _, c := range leafClasses {
+		keyCap := leafKeyCap(c)
+		var slotErr error
+		if err := h.alloc.IterateObjects(c, func(leaf pmem.Ptr, used bool) bool {
+			if !used {
+				if w := h.arena.Read8(leaf + lfWord0); w != 0 {
+					slotErr = fmt.Errorf("hart: dead leaf slot %d holds stale word %#x", leaf, w)
+				}
+			} else if n := hdrKeyLen(h.arena.Read8(leaf + lfKeyLen)); n == 0 || n > keyCap {
+				slotErr = fmt.Errorf("hart: leaf %d has key length %d; its %d-byte slot holds keys of 1 to %d bytes",
+					leaf, n, classSizes[c], keyCap)
+			} else {
+				liveLeaf[leaf] = true
+			}
+			return slotErr == nil
+		}); err != nil {
+			return err
 		}
-		return true
-	}); err != nil {
-		return err
-	}
-	if slotErr != nil {
-		return slotErr
+		if slotErr != nil {
+			return slotErr
+		}
 	}
 
 	// Volatile side: every tree entry must be a committed leaf whose
@@ -139,26 +150,21 @@ func (h *HART) Check() error {
 	}
 
 	// Value-object accounting: exactly one live reference.
-	for c := classValue8; c <= classValue16; c++ {
-		var classErr error
-		if err := h.alloc.IterateObjects(c, func(vp pmem.Ptr, used bool) bool {
-			if !used {
-				return true
-			}
-			switch refs := valueRefs[vp]; {
-			case refs == 1:
-			case refs > 1:
-				classErr = fmt.Errorf("hart: value %d referenced by %d leaves", vp, refs)
-			default:
-				classErr = fmt.Errorf("hart: value %d is committed but unreachable — persistent leak", vp)
-			}
-			return classErr == nil
-		}); err != nil {
-			return err
+	var valErr error
+	if err := h.alloc.IterateObjects(classValue16, func(vp pmem.Ptr, used bool) bool {
+		if !used {
+			return true
 		}
-		if classErr != nil {
-			return classErr
+		switch refs := valueRefs[vp]; {
+		case refs == 1:
+		case refs > 1:
+			valErr = fmt.Errorf("hart: value %d referenced by %d leaves", vp, refs)
+		default:
+			valErr = fmt.Errorf("hart: value %d is committed but unreachable — persistent leak", vp)
 		}
+		return valErr == nil
+	}); err != nil {
+		return err
 	}
-	return nil
+	return valErr
 }

@@ -39,7 +39,8 @@ const MaxKeyLen = 24
 
 // MaxValueLen is the longest value a record holds. A value of up to
 // MaxInlineLen bytes is stored in its leaf, a longer one in a 16-byte
-// value object: HART's value classes are 8 and 16 bytes (Section III.A.5).
+// value object (the paper's value classes are 8 and 16 bytes, Section
+// III.A.5; an 8-byte value fits the leaf).
 const MaxValueLen = 16
 
 // MaxInlineLen is the longest value a leaf holds in its own first word.
@@ -48,21 +49,22 @@ const MaxInlineLen = 8
 // DefaultHashKeyLen is the paper's kh: "the hash key length is set to 2".
 const DefaultHashKeyLen = 2
 
-// Object classes within the EPallocator, fixed by the format: leaves, then
-// the paper's 8-byte and 16-byte value classes. Every value object is a
-// 16-byte one, since a value of up to MaxInlineLen bytes lives in its leaf.
-// The 8-byte class is therefore always empty; it is kept because format 3
-// persists it, in the superblock and in the allocator's own header.
+// Object classes within the EPallocator, fixed by the format: two leaf
+// classes, chosen by key length when a record is inserted (leafClassFor),
+// and the paper's 16-byte value class. A record never changes class. The
+// paper's 8-byte value class has no counterpart: a value of up to
+// MaxInlineLen bytes lives in its leaf, so every value object is a 16-byte
+// one.
 const (
-	classLeaf    epalloc.Class = 0
-	classValue8  epalloc.Class = 1
+	classLeaf24  epalloc.Class = 0
+	classLeaf40  epalloc.Class = 1
 	classValue16 epalloc.Class = 2
 )
 
-// Leaf node layout on PM (40 bytes, 8-aligned). Paper Fig. 3 puts every
-// value behind p_value "to support variable-size values"; here a value
-// that fits the word p_value occupies is stored in it, so the common
-// record is one PM object, not two.
+// Leaf node layout on PM (8-aligned). Paper Fig. 3 puts every value behind
+// p_value "to support variable-size values"; here a value that fits the
+// word p_value occupies is stored in it, so the common record is one PM
+// object, not two.
 //
 //	+0  word 0 (8B), read by the shape byte. Shape 1-8: the value itself,
 //	    zero-padded to the word. Shape 0: bits 0-55 value-object offset,
@@ -70,24 +72,49 @@ const (
 //	    that an out-of-line update stays a single failure-atomic store.
 //	+8  keyLen (1B)
 //	+9  shape (1B): the inline value's length, or 0 for a value object
-//	+10 key (MaxKeyLen bytes)
+//	+10 key, to the end of the slot
+//
+// Both leaf classes share the layout and differ only in where the slot
+// ends: a 24-byte leaf holds a key of up to maxKey24 (14) bytes, a 40-byte
+// one a key of up to MaxKeyLen. A record whose key fits the short slot
+// takes 24 B of leaf instead of 40.
 //
 // keyLen, shape and the first hdrKeyBytes key bytes share the aligned word
 // at +8 (the header word): recovery learns a record's shape from the load
 // that gives it the key's length and routing prefix. Word 0 and the header
-// word lie on different cache lines in one slot of eight, so the pair is
-// never assumed to change atomically: the only operation that rewrites
-// both on a live leaf runs under the update log (updateLogged).
+// word lie on different cache lines in one slot of eight, in either class
+// (slots start at 8-byte offsets that cycle through a line's eight words),
+// so the pair is never assumed to change atomically: the only operation
+// that rewrites both on a live leaf runs under the update log
+// (updateLogged).
 const (
-	leafSize    = 40
+	leaf24Size  = 24
+	leaf40Size  = 40
 	lfWord0     = 0
 	lfKeyLen    = 8
 	lfShape     = 9
 	lfKey       = 10
+	maxKey24    = leaf24Size - lfKey
 	hdrKeyBytes = 16 - lfKey
 	ptrMask     = (uint64(1) << 56) - 1
 	valLenShift = 56
 )
+
+// leafClassFor is the leaf class of a record whose key is n bytes long.
+func leafClassFor(n int) epalloc.Class {
+	if n <= maxKey24 {
+		return classLeaf24
+	}
+	return classLeaf40
+}
+
+// leafKeyCap is the longest key a leaf of class c holds.
+func leafKeyCap(c epalloc.Class) int {
+	if c == classLeaf24 {
+		return maxKey24
+	}
+	return MaxKeyLen
+}
 
 // packValue encodes a value pointer and its length into word 0.
 func packValue(p pmem.Ptr, n int) uint64 {
@@ -298,11 +325,11 @@ type HART struct {
 }
 
 // classSpecs returns the allocator class table, binding the Algorithm 2
-// lines 12-16 leaf-reuse repair to h.
+// lines 12-16 leaf-reuse repair to h for both leaf classes.
 func (h *HART) classSpecs() []epalloc.ClassSpec {
 	return []epalloc.ClassSpec{
-		classLeaf:    {Name: "leaf", ObjSize: leafSize, OnReuse: h.onLeafReuse},
-		classValue8:  {Name: "value8", ObjSize: 8},
+		classLeaf24:  {Name: "leaf24", ObjSize: leaf24Size, OnReuse: h.onLeafReuse},
+		classLeaf40:  {Name: "leaf40", ObjSize: leaf40Size, OnReuse: h.onLeafReuse},
 		classValue16: {Name: "value16", ObjSize: MaxValueLen},
 	}
 }
@@ -365,7 +392,7 @@ func NewOnArena(arena *pmem.Arena, opts Options) (*HART, error) {
 //
 // The store's superblock fixes its geometry: a HashKeyLen left zero adopts
 // the persisted one, and one set to anything else, or a persisted
-// value-class table other than this build's, fails with
+// object-class table other than this build's, fails with
 // ErrGeometryMismatch before anything is written. The
 // store is marked dirty before recovery completes and stays dirty until
 // Close, so an image that skipped Close is identifiable as a crash image
@@ -652,7 +679,7 @@ func (h *HART) readValue(ref leafRef, dst []byte, want bool, stable func() bool)
 // zeroes the word whatever this finds.
 func (h *HART) reclaimStale(w uint64, referenced func(pmem.Ptr) bool) error {
 	vp, _ := unpackValue(w)
-	if c, err := h.alloc.ClassOf(vp); err != nil || c == classLeaf {
+	if c, err := h.alloc.ClassOf(vp); err != nil || c != classValue16 {
 		return nil
 	}
 	if set, err := h.alloc.BitIsSet(vp); err != nil || !set || referenced(vp) {

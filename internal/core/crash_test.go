@@ -90,7 +90,8 @@ func sameStripePrefixes(t *testing.T, n int) [][]byte {
 // TestCrashDuringInsertEveryPersist verifies Algorithm 1's failure
 // atomicity: at every persist boundary of an insert, recovery yields
 // either "key absent" (and no leak) or "key present with the new value".
-// Pre-existing records are never damaged.
+// Pre-existing records are never damaged. It sweeps both leaf classes:
+// "victim" takes a 24-byte leaf, the 20-byte victim a 40-byte one.
 func TestCrashDuringInsertEveryPersist(t *testing.T) {
 	setup := func(h *HART) {
 		for i := 0; i < 10; i++ {
@@ -99,12 +100,17 @@ func TestCrashDuringInsertEveryPersist(t *testing.T) {
 			}
 		}
 	}
-	// One sweep per shape: a value the leaf holds, a value in an object.
-	for _, vnew := range []string{"vnew", "vnew-in-object"} {
+	// One sweep per class and shape: a value the leaf holds, a value in an
+	// object.
+	for _, c := range []struct{ victim, vnew string }{
+		{"victim", "vnew"}, {"victim", "vnew-in-object"},
+		{"victim-in-a-40B-leaf", "vnew"}, {"victim-in-a-40B-leaf", "vnew-in-object"},
+	} {
+		victim, vnew := c.victim, c.vnew
 		points := 0
 		for fail := int64(0); ; fail++ {
 			h2, crashed := crashHarness(t, fail, setup, func(h *HART) {
-				if err := h.Put([]byte("victim"), []byte(vnew)); err != nil {
+				if err := h.Put([]byte(victim), []byte(vnew)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -115,28 +121,28 @@ func TestCrashDuringInsertEveryPersist(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				got, ok := h2.Get([]byte(fmt.Sprintf("pre%03d", i)))
 				if !ok || string(got) != "stable" {
-					t.Fatalf("%q fail=%d: pre-existing record damaged: (%q,%v)", vnew, fail, got, ok)
+					t.Fatalf("%s %q fail=%d: pre-existing record damaged: (%q,%v)", victim, vnew, fail, got, ok)
 				}
 			}
-			if got, ok := h2.Get([]byte("victim")); ok && string(got) != vnew {
-				t.Fatalf("%q fail=%d: torn insert visible: %q", vnew, fail, got)
+			if got, ok := h2.Get([]byte(victim)); ok && string(got) != vnew {
+				t.Fatalf("%s %q fail=%d: torn insert visible: %q", victim, vnew, fail, got)
 			}
 			if err := h2.Check(); err != nil {
-				t.Fatalf("%q fail=%d: fsck after insert crash: %v", vnew, fail, err)
+				t.Fatalf("%s %q fail=%d: fsck after insert crash: %v", victim, vnew, fail, err)
 			}
 			// The index must remain fully writable; the in-limbo leaf slot
 			// is among the first to be reused.
 			for i := 0; i < 60; i++ {
 				if err := h2.Put([]byte(fmt.Sprintf("post%03d", i)), []byte("p")); err != nil {
-					t.Fatalf("%q fail=%d: post-crash put: %v", vnew, fail, err)
+					t.Fatalf("%s %q fail=%d: post-crash put: %v", victim, vnew, fail, err)
 				}
 			}
 			if err := h2.Check(); err != nil {
-				t.Fatalf("%q fail=%d: fsck after refill: %v", vnew, fail, err)
+				t.Fatalf("%s %q fail=%d: fsck after refill: %v", victim, vnew, fail, err)
 			}
 		}
 		if points < 5 {
-			t.Fatalf("insert of %q exercised only %d crash points; expected several persists", vnew, points)
+			t.Fatalf("insert of %s %q exercised only %d crash points; expected several persists", victim, vnew, points)
 		}
 	}
 }
@@ -159,53 +165,67 @@ var updateShapes = []struct {
 // inline update: after a crash at any persist boundary of an update,
 // whatever shapes it goes between, recovery leaves the key mapped to
 // either the old or the new value, with no leak and no torn state.
+//
+// Each pair of shapes is swept in both leaf classes: "upkey" has a 24-byte
+// leaf, the 23-byte key a 40-byte one.
 func TestCrashDuringUpdateEveryPersist(t *testing.T) {
-	for _, c := range updateShapes {
-		setup := func(h *HART) {
-			if err := h.Put([]byte("upkey"), []byte(c.old)); err != nil {
+	for _, upkey := range []string{"upkey", "upkey-in-a-40-byte-leaf"} {
+		for _, c := range updateShapes {
+			crashUpdateCase(t, upkey, c.name, c.old, c.new, c.persists)
+		}
+	}
+}
+
+// crashUpdateCase is one TestCrashDuringUpdateEveryPersist sweep: the
+// update of upkey from one value to another, which issues at least
+// persists persists.
+func crashUpdateCase(t *testing.T, upkey, name, from, to string, persists int) {
+	t.Helper()
+	name = fmt.Sprintf("%s (%s)", name, upkey)
+	setup := func(h *HART) {
+		if err := h.Put([]byte(upkey), []byte(from)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if err := h.Put([]byte(fmt.Sprintf("other%d", i)), []byte("keep")); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 5; i++ {
-				if err := h.Put([]byte(fmt.Sprintf("other%d", i)), []byte("keep")); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
-		points := 0
-		for fail := int64(0); ; fail++ {
-			h2, crashed := crashHarness(t, fail, setup, func(h *HART) {
-				if err := h.Update([]byte("upkey"), []byte(c.new)); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if !crashed {
-				break
+	}
+	points := 0
+	for fail := int64(0); ; fail++ {
+		h2, crashed := crashHarness(t, fail, setup, func(h *HART) {
+			if err := h.Update([]byte(upkey), []byte(to)); err != nil {
+				t.Fatal(err)
 			}
-			points++
-			got, ok := h2.Get([]byte("upkey"))
-			if !ok {
-				t.Fatalf("%s fail=%d: key vanished during update", c.name, fail)
-			}
-			if s := string(got); s != c.old && s != c.new {
-				t.Fatalf("%s fail=%d: torn update value %q", c.name, fail, s)
-			}
-			if err := h2.Check(); err != nil {
-				t.Fatalf("%s fail=%d: fsck after update crash: %v", c.name, fail, err)
-			}
-			// Updating again post-recovery must work and converge.
-			if err := h2.Update([]byte("upkey"), []byte("final!")); err != nil {
-				t.Fatalf("%s fail=%d: post-crash update: %v", c.name, fail, err)
-			}
-			if got, _ := h2.Get([]byte("upkey")); string(got) != "final!" {
-				t.Fatalf("%s fail=%d: post-crash update lost: %q", c.name, fail, got)
-			}
-			if err := h2.Check(); err != nil {
-				t.Fatalf("%s fail=%d: fsck after post-crash update: %v", c.name, fail, err)
-			}
+		})
+		if !crashed {
+			break
 		}
-		if points < c.persists {
-			t.Fatalf("%s: update exercised only %d crash points, want at least %d", c.name, points, c.persists)
+		points++
+		got, ok := h2.Get([]byte(upkey))
+		if !ok {
+			t.Fatalf("%s fail=%d: key vanished during update", name, fail)
 		}
+		if s := string(got); s != from && s != to {
+			t.Fatalf("%s fail=%d: torn update value %q", name, fail, s)
+		}
+		if err := h2.Check(); err != nil {
+			t.Fatalf("%s fail=%d: fsck after update crash: %v", name, fail, err)
+		}
+		// Updating again post-recovery must work and converge.
+		if err := h2.Update([]byte(upkey), []byte("final!")); err != nil {
+			t.Fatalf("%s fail=%d: post-crash update: %v", name, fail, err)
+		}
+		if got, _ := h2.Get([]byte(upkey)); string(got) != "final!" {
+			t.Fatalf("%s fail=%d: post-crash update lost: %q", name, fail, got)
+		}
+		if err := h2.Check(); err != nil {
+			t.Fatalf("%s fail=%d: fsck after post-crash update: %v", name, fail, err)
+		}
+	}
+	if points < persists {
+		t.Fatalf("%s: update exercised only %d crash points, want at least %d", name, points, persists)
 	}
 }
 
@@ -215,14 +235,24 @@ func TestCrashDuringUpdateEveryPersist(t *testing.T) {
 // value's bytes still in the dead slot's word 0) must be cleaned up by
 // recovery — no leak, nothing left for the slot's next owner to misread.
 func TestCrashDuringDeleteEveryPersist(t *testing.T) {
-	// One sweep per shape. Deleting one of several records in shared chunks
-	// performs exactly two persists for a record the leaf holds whole (leaf
-	// bit, scrub) and three when its value is an object (leaf bit, value
-	// bit, scrub); every boundary must have been exercised.
-	for dv, persists := range map[string]int{"dv": 2, "dv-in-an-object": 3} {
+	// One sweep per shape and leaf class ("del%03d" keys take 24-byte
+	// leaves, the 21-byte ones 40-byte leaves). Deleting one of several
+	// records in shared chunks performs exactly two persists for a record
+	// the leaf holds whole (leaf bit, scrub) and three when its value is an
+	// object (leaf bit, value bit, scrub); every boundary must have been
+	// exercised.
+	for _, c := range []struct {
+		key, dv  string
+		persists int
+	}{
+		{"del%03d", "dv", 2}, {"del%03d", "dv-in-an-object", 3},
+		{"del-in-a-40B-leaf%03d", "dv", 2}, {"del-in-a-40B-leaf%03d", "dv-in-an-object", 3},
+	} {
+		dv, persists := c.dv, c.persists
+		key := func(i int) []byte { return []byte(fmt.Sprintf(c.key, i)) }
 		setup := func(h *HART) {
 			for i := 0; i < 8; i++ {
-				if err := h.Put([]byte(fmt.Sprintf("del%03d", i)), []byte(dv)); err != nil {
+				if err := h.Put(key(i), []byte(dv)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -230,7 +260,7 @@ func TestCrashDuringDeleteEveryPersist(t *testing.T) {
 		points := 0
 		for fail := int64(0); ; fail++ {
 			h2, crashed := crashHarness(t, fail, setup, func(h *HART) {
-				if err := h.Delete([]byte("del003")); err != nil {
+				if err := h.Delete(key(3)); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -238,32 +268,33 @@ func TestCrashDuringDeleteEveryPersist(t *testing.T) {
 				break
 			}
 			points++
-			if got, ok := h2.Get([]byte("del003")); ok && string(got) != dv {
-				t.Fatalf("%q fail=%d: half-deleted key visible with value %q", dv, fail, got)
+			if got, ok := h2.Get(key(3)); ok && string(got) != dv {
+				t.Fatalf("%s %q fail=%d: half-deleted key visible with value %q", c.key, dv, fail, got)
 			}
 			for i := 0; i < 8; i++ {
 				if i == 3 {
 					continue
 				}
-				if got, ok := h2.Get([]byte(fmt.Sprintf("del%03d", i))); !ok || string(got) != dv {
-					t.Fatalf("%q fail=%d: sibling del%03d damaged", dv, fail, i)
+				if got, ok := h2.Get(key(i)); !ok || string(got) != dv {
+					t.Fatalf("%s %q fail=%d: sibling %d damaged", c.key, dv, fail, i)
 				}
 			}
 			if err := h2.Check(); err != nil {
-				t.Fatalf("%q fail=%d: fsck after delete crash: %v", dv, fail, err)
+				t.Fatalf("%s %q fail=%d: fsck after delete crash: %v", c.key, dv, fail, err)
 			}
-			// Fill enough records to force reuse of the victim slot.
+			// Fill enough records to force reuse of the victim slot: same
+			// shard, so same stripe, and same leaf class.
 			for i := 0; i < 60; i++ {
-				if err := h2.Put([]byte(fmt.Sprintf("re%04d", i)), []byte("r")); err != nil {
-					t.Fatalf("%q fail=%d: refill: %v", dv, fail, err)
+				if err := h2.Put(key(100+i), []byte("r")); err != nil {
+					t.Fatalf("%s %q fail=%d: refill: %v", c.key, dv, fail, err)
 				}
 			}
 			if err := h2.Check(); err != nil {
-				t.Fatalf("%q fail=%d: fsck after refill: %v", dv, fail, err)
+				t.Fatalf("%s %q fail=%d: fsck after refill: %v", c.key, dv, fail, err)
 			}
 		}
 		if points != persists {
-			t.Fatalf("delete of %q exercised %d crash points, want %d", dv, points, persists)
+			t.Fatalf("delete of %s %q exercised %d crash points, want %d", c.key, dv, points, persists)
 		}
 	}
 }
@@ -292,6 +323,9 @@ func TestCrashDuringMixedWorkload(t *testing.T) {
 			for i := 0; ; i++ {
 				seed = seed*6364136223846793005 + 1442695040888963407
 				k := fmt.Sprintf("%c%c%04d", 'a'+byte(seed>>8%4), 'a'+byte(seed>>16%4), (seed>>24)%500)
+				if seed>>40%3 == 0 {
+					k += "-in-a-40B-leaf" // 20 bytes: the long leaf class
+				}
 				v := mixedValue("v%06d", i)
 				// The op below may crash mid-flight: record intent first.
 				switch {
@@ -485,7 +519,9 @@ func TestWritePathBudgets(t *testing.T) {
 			setup: steady(short),
 			op:    func(h *HART) error { return h.Put([]byte("wp-new"), short) },
 			sites: sites("insert", "leaf", "leaf-bit"),
-			lines: 2,
+			// The new 24-byte leaf starts 8 bytes before a line boundary,
+			// so its 16-byte run (header and key) flushes two lines.
+			lines: 3,
 			reads: 1, // onLeafReuse: the reused leaf slot's word 0
 		},
 		{
@@ -958,74 +994,91 @@ func TestDeadSlotWordIsNeverTrusted(t *testing.T) {
 
 // TestTornShapeSwingReplays covers the one place a live leaf's word 0 and
 // shape byte are rewritten together. They share a cache line in seven
-// slots of eight and straddle two in the eighth, so a crash between the
-// swing's stores and its persist can leave either word new beside the
-// other old — a state no persist-boundary sweep produces, because the
-// simulated medium drops every unpersisted line. Both halves are built by
-// hand here, for every change of shape, on a slot whose header does
-// straddle; the armed update log must put the record right in every
-// recovery mode.
+// slots of eight and straddle two in the eighth, in either leaf class, so
+// a crash between the swing's stores and its persist can leave either word
+// new beside the other old — a state no persist-boundary sweep produces,
+// because the simulated medium drops every unpersisted line. Both halves
+// are built by hand here, for every change of shape and both leaf classes,
+// on a slot whose header does straddle; the armed update log must put the
+// record right in every recovery mode.
 func TestTornShapeSwingReplays(t *testing.T) {
-	for _, c := range updateShapes {
-		if len(c.old) == len(c.new) {
-			continue // no change of shape: the swing is one word
+	for _, class := range []struct {
+		fill, key string // key formats: fill takes the filler's index
+		slot      pmem.Ptr
+	}{
+		{"sw-fill%d", "sw-key", leaf24Size},
+		{"sw-fill-long-key-%d", "sw-key-of-the-long-class", leaf40Size},
+	} {
+		for _, c := range updateShapes {
+			if len(c.old) == len(c.new) {
+				continue // no change of shape: the swing is one word
+			}
+			tornSwingCase(t, class.fill, class.key, class.slot, c.name, c.old, c.new)
 		}
-		// fixture puts sw-key in a slot whose header word opens a cache
-		// line: same shard, same stripe, so consecutive slots of one chunk,
-		// filled until the next one is such a slot.
-		ref := map[string]string{"sw-key": c.new}
-		fixture := func() (*HART, pmem.Ptr) {
-			h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; ; i++ {
-				k := fmt.Sprintf("sw-fill%d", i)
-				mustPut(t, h, k, "filler")
-				ref[k] = "filler"
-				if last, _ := h.GetLeaf([]byte(k)); (last+leafSize+lfKeyLen)%64 == 0 {
-					break
-				}
-			}
-			mustPut(t, h, "sw-key", c.old)
-			leaf, _ := h.GetLeaf([]byte("sw-key"))
-			if (leaf+lfKeyLen)%64 != 0 {
-				t.Fatalf("fixture: leaf %d keeps word 0 and its header word on one line", leaf)
-			}
-			return h, leaf
-		}
-		// Crash the update at each boundary in turn, on a fresh store, until
-		// the one at the swing is found.
-		var h *HART
-		var leaf pmem.Ptr
-		for k := int64(0); ; k++ {
-			h, leaf = fixture()
-			site, crashed := runToCrash(h, k, func() { mustPut(t, h, "sw-key", c.new) })
-			if !crashed {
-				t.Fatalf("%s: update completed without reaching update.swing", c.name)
-			}
-			if site == "update.swing" {
-				break
-			}
-		}
-		durable, err := h.Arena().DurableImage()
+	}
+}
+
+// tornSwingCase is one TestTornShapeSwingReplays case: the update of key
+// from one value to another, in a leaf class whose slots are slot bytes
+// apart (the fillers' keys, made by fill, are of the same class).
+func tornSwingCase(t *testing.T, fill, key string, slot pmem.Ptr, name, from, to string) {
+	t.Helper()
+	name = fmt.Sprintf("%s, %d-byte leaf", name, slot)
+	// fixture puts key in a slot whose header word opens a cache line: same
+	// shard, same stripe, same class, so consecutive slots of one chunk,
+	// filled until the next one is such a slot.
+	ref := map[string]string{key: to}
+	fixture := func() (*HART, pmem.Ptr) {
+		h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, half := range []pmem.Ptr{lfWord0, lfKeyLen} {
-			img := append([]byte(nil), durable...)
-			// The line holding this half was evicted before the crash.
-			h.arena.ReadAt(leaf+half, img[leaf+half:leaf+half+8])
-			for _, m := range recoveryModes {
-				name := fmt.Sprintf("%s, new word at +%d, %s", c.name, half, m.name)
-				h2 := openImage(t, img, m.opts)
-				if n := h2.LastRecoveryStats().CompletedULogs; n != 1 {
-					t.Fatalf("%s: recovery completed %d update logs, want 1", name, n)
-				}
-				assertContents(t, h2, ref, nil, name)
-				if err := h2.Check(); err != nil {
-					t.Fatalf("%s: fsck: %v", name, err)
-				}
+		for i := 0; ; i++ {
+			k := fmt.Sprintf(fill, i)
+			mustPut(t, h, k, "filler")
+			ref[k] = "filler"
+			if last, _ := h.GetLeaf([]byte(k)); (last+slot+lfKeyLen)%64 == 0 {
+				break
+			}
+		}
+		mustPut(t, h, key, from)
+		leaf, _ := h.GetLeaf([]byte(key))
+		if (leaf+lfKeyLen)%64 != 0 {
+			t.Fatalf("%s: fixture: leaf %d keeps word 0 and its header word on one line", name, leaf)
+		}
+		return h, leaf
+	}
+	// Crash the update at each boundary in turn, on a fresh store, until
+	// the one at the swing is found.
+	var h *HART
+	var leaf pmem.Ptr
+	for k := int64(0); ; k++ {
+		h, leaf = fixture()
+		site, crashed := runToCrash(h, k, func() { mustPut(t, h, key, to) })
+		if !crashed {
+			t.Fatalf("%s: update completed without reaching update.swing", name)
+		}
+		if site == "update.swing" {
+			break
+		}
+	}
+	durable, err := h.Arena().DurableImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, half := range []pmem.Ptr{lfWord0, lfKeyLen} {
+		img := append([]byte(nil), durable...)
+		// The line holding this half was evicted before the crash.
+		h.arena.ReadAt(leaf+half, img[leaf+half:leaf+half+8])
+		for _, m := range recoveryModes {
+			name := fmt.Sprintf("%s, new word at +%d, %s", name, half, m.name)
+			h2 := openImage(t, img, m.opts)
+			if n := h2.LastRecoveryStats().CompletedULogs; n != 1 {
+				t.Fatalf("%s: recovery completed %d update logs, want 1", name, n)
+			}
+			assertContents(t, h2, ref, nil, name)
+			if err := h2.Check(); err != nil {
+				t.Fatalf("%s: fsck: %v", name, err)
 			}
 		}
 	}

@@ -186,9 +186,9 @@ func TestDoubleCrashRecovery(t *testing.T) {
 
 // FuzzSuperblock feeds arbitrary bytes as the label area through
 // readSuperblock and adoptGeometry, the checks Open runs before it writes
-// anything. Neither may panic, and the pair may accept only a format-3
-// superblock with kh 1 to hashdir.MaxKeyLen and the value-class table
-// {8, 16}.
+// anything. Neither may panic, and the pair may accept only a format-4
+// superblock with kh 1 to hashdir.MaxKeyLen and the object-class table
+// {24, 40, 16}.
 func FuzzSuperblock(f *testing.F) {
 	h, err := New(Options{ArenaSize: 1 << 20, HashKeyLen: 3})
 	if err != nil {
@@ -198,8 +198,8 @@ func FuzzSuperblock(f *testing.F) {
 	h.Arena().ReadAt(sbBase, fresh)
 	f.Add(fresh)
 	for _, poke := range []struct{ off, val int }{
-		{sbOffHashKeyLen, 0}, {sbOffHashKeyLen, 4}, {sbOffVersion, 2},
-		{sbOffNumClasses, 3}, {sbOffClasses, 16}, {sbOffClasses + 8, 32},
+		{sbOffHashKeyLen, 0}, {sbOffHashKeyLen, 4}, {sbOffVersion, 3},
+		{sbOffNumClasses, 2}, {sbOffClasses, 40}, {sbOffClasses + 16, 8},
 	} {
 		b := slices.Clone(fresh)
 		binary.LittleEndian.PutUint64(b[poke.off:], uint64(poke.val))
@@ -229,8 +229,8 @@ func FuzzSuperblock(f *testing.F) {
 		if opts.HashKeyLen < 1 || opts.HashKeyLen > hashdir.MaxKeyLen || uint64(opts.HashKeyLen) != word(sbOffHashKeyLen) {
 			t.Fatalf("accepted kh %d from word %d", opts.HashKeyLen, word(sbOffHashKeyLen))
 		}
-		if n, c0, c1 := word(sbOffNumClasses), word(sbOffClasses), word(sbOffClasses+8); n != 2 || c0 != 8 || c1 != 16 {
-			t.Fatalf("accepted class table: count %d, sizes %d, %d", n, c0, c1)
+		if n, c0, c1, c2 := word(sbOffNumClasses), word(sbOffClasses), word(sbOffClasses+8), word(sbOffClasses+16); n != 3 || c0 != 24 || c1 != 40 || c2 != 16 {
+			t.Fatalf("accepted class table: count %d, sizes %d, %d, %d", n, c0, c1, c2)
 		}
 	})
 }

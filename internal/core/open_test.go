@@ -80,11 +80,10 @@ func TestOpenAdoptsGeometry(t *testing.T) {
 	}
 }
 
-// TestSuperblockLayout pins the format-3 superblock's bytes in a fresh
-// store file: magic, version, kh, the value-class table and the clean
-// flag at their documented offsets from the label area, pmem.LabelBase.
-// Builds of format 3 with a configurable class table read this table, so
-// it must stay byte for byte what they wrote for their default.
+// TestSuperblockLayout pins the format-4 superblock's bytes in a fresh
+// store file: magic, version, kh, the object-class table — 24- and 40-byte
+// leaves, 16-byte values — the clean flag at their documented offsets from
+// the label area, pmem.LabelBase, and zeros in the words after the table.
 func TestSuperblockLayout(t *testing.T) {
 	path := openStoreFile(t, Options{HashKeyLen: 3, ArenaSize: 4 << 20})
 	img, err := os.ReadFile(path)
@@ -97,13 +96,17 @@ func TestSuperblockLayout(t *testing.T) {
 		want uint64
 	}{
 		{"magic", 0, 0x48415254434f5245}, // "HARTCORE"
-		{"version", 8, 3},
+		{"version", 8, 4},
 		{"kh", 16, 3},
-		{"class count", 24, 2},
+		{"class count", 24, 3},
 		{"flags (clean)", 32, 1},
 		{"reserved", 40, 0},
-		{"class 0 size", 48, 8},
-		{"class 1 size", 56, 16},
+		{"class 0 size (leaf24)", 48, 24},
+		{"class 1 size (leaf40)", 56, 40},
+		{"class 2 size (value16)", 64, 16},
+		{"unused", 72, 0},
+		{"unused", 80, 0},
+		{"unused", 88, 0},
 	} {
 		if got := binary.LittleEndian.Uint64(img[pmem.LabelBase+w.off:]); got != w.want {
 			t.Errorf("superblock +%d (%s) = %#x, want %#x", w.off, w.name, got, w.want)
@@ -149,7 +152,7 @@ func refusedOpen(t *testing.T, path string, words map[pmem.Ptr]uint64) error {
 
 // TestOpenRejectsGeometryMismatch verifies a HashKeyLen that contradicts
 // the superblock, and a persisted class table other than the format's
-// {8, 16}, refuse the attach before writing anything instead of
+// {24, 40, 16}, refuse the attach before writing anything instead of
 // misindexing the store.
 func TestOpenRejectsGeometryMismatch(t *testing.T) {
 	path := openStoreFile(t, Options{HashKeyLen: 2, ArenaSize: 4 << 20})
@@ -168,9 +171,11 @@ func TestOpenRejectsGeometryMismatch(t *testing.T) {
 		name  string
 		words map[pmem.Ptr]uint64
 	}{
-		{"{8, 16, 32}", map[pmem.Ptr]uint64{sbOffNumClasses: 3, sbOffClasses + 16: 32}},
-		{"{8, 32}", map[pmem.Ptr]uint64{sbOffClasses + 8: 32}},
-		{"{16, 8}", map[pmem.Ptr]uint64{sbOffClasses: 16, sbOffClasses + 8: 8}},
+		{"{24, 40, 16, 32}", map[pmem.Ptr]uint64{sbOffNumClasses: 4, sbOffClasses + 24: 32}},
+		{"{24, 40}", map[pmem.Ptr]uint64{sbOffNumClasses: 2}},
+		{"{40, 24, 16}", map[pmem.Ptr]uint64{sbOffClasses: 40, sbOffClasses + 8: 24}},
+		{"{24, 40, 32}", map[pmem.Ptr]uint64{sbOffClasses + 16: 32}},
+		{"format 3's {40, 8, 16}", map[pmem.Ptr]uint64{sbOffClasses: 40, sbOffClasses + 8: 8}},
 	} {
 		path := openStoreFile(t, Options{HashKeyLen: 2, ArenaSize: 4 << 20})
 		if err := refusedOpen(t, path, table.words); !errors.Is(err, ErrGeometryMismatch) {
@@ -210,10 +215,10 @@ func TestOpenRejectsUnformattedArena(t *testing.T) {
 }
 
 // TestOpenRefusesOlderFormatVersions verifies an image whose superblock
-// names an earlier format — version 2 laid every value out behind a
-// pointer, so its leaves would be misread, not merely slow — is refused
-// with ErrVersionMismatch naming both versions, before recovery writes
-// anything.
+// names an earlier format — version 3 had one 40-byte leaf class, version
+// 2 laid every value out behind a pointer, so their leaves would be
+// misread, not merely slow — is refused with ErrVersionMismatch naming
+// both versions, before recovery writes anything.
 func TestOpenRefusesOlderFormatVersions(t *testing.T) {
 	h := newHART(t)
 	if err := h.Put([]byte("alpha"), []byte("1")); err != nil {

@@ -58,7 +58,8 @@ func (h *HART) putLocked(s *artShard, artKey, key, value []byte, stripe int) err
 }
 
 // insertNew performs Algorithm 1 lines 9-18 under the shard write lock,
-// allocating from the shard's allocator stripe. One protocol per shape:
+// allocating from the shard's allocator stripe, the leaf from the class
+// its key's length picks (leafClassFor). One protocol per shape:
 //
 // Inline (value of at most MaxInlineLen bytes), two ordered persists: leaf,
 // leaf bit. The record is one object; it is dead until its bit commits.
@@ -71,7 +72,7 @@ func (h *HART) putLocked(s *artShard, artKey, key, value []byte, stripe int) err
 // bit; the leaf's fields need no order among themselves because the leaf is
 // dead until its bit commits.
 func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) error {
-	leaf, err := h.alloc.AllocStripe(classLeaf, stripe) // line 10 (OnReuse repair may run)
+	leaf, err := h.alloc.AllocStripe(leafClassFor(len(key)), stripe) // line 10 (OnReuse repair may run)
 	if err != nil {
 		return err
 	}
@@ -148,9 +149,10 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 // loading the reused slot (see insertNew), the rest because a neighbour
 // leaf's persist flushes — and the tracked arena's shadow copy reads — the
 // whole cache line, this leaf's words included. The final partial word is
-// zero-padded, which stays inside the leaf's own 40 bytes.
+// zero-padded, which stays inside the leaf's own slot: the key's class
+// (leafClassFor) ends the slot at a word boundary at or past the key.
 func (h *HART) writeLeaf(leaf pmem.Ptr, word0 uint64, shape int, key []byte) {
-	var buf [leafSize]byte
+	var buf [leaf40Size]byte
 	binary.LittleEndian.PutUint64(buf[lfWord0:], word0)
 	buf[lfKeyLen] = byte(len(key))
 	buf[lfShape] = byte(shape)

@@ -194,63 +194,76 @@ type leafScan struct {
 	lazy    bool
 }
 
+// leafClasses are the classes recovery's leaf scan walks, in walk order.
+var leafClasses = [...]epalloc.Class{classLeaf24, classLeaf40}
+
 // scanLeaves walks every leaf chunk with up to `workers` goroutines (one
 // per allocator stripe), filing each live leaf with its shard's builder
-// and collecting per-stripe dead slots and value references. Each live
-// leaf's key is read exactly once; under LazyRecovery only its hash key,
-// the leading kh bytes, which up to hdrKeyBytes come with the header word
-// classifyLeaf loaded anyway.
+// and collecting per-stripe dead slots and value references. The two leaf
+// classes are walked one after the other into the same per-stripe state:
+// a shard's leaves of both classes sit on its stripe, so one builder takes
+// them all, and each stripe's dead slots and strays keep walk order. Each
+// live leaf's key is read exactly once; under LazyRecovery only its hash
+// key, the leading kh bytes, which up to hdrKeyBytes come with the header
+// word classifyLeaf loaded anyway. A live leaf whose header claims a key
+// its slot cannot hold is refused before any key byte is read.
 func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 	sc := &leafScan{lazy: h.opts.LazyRecovery}
 	for st := range sc.stripes {
 		sc.stripes[st].shards = make(map[string]*shardBuild)
 	}
-	err := h.alloc.IterateObjectsParallel(classLeaf, workers, func(st int, leaf pmem.Ptr, used bool) bool {
-		ss := &sc.stripes[st]
-		hdr, word0, vp := h.classifyLeaf(leaf, used)
-		if !used {
-			if word0 != 0 {
-				ss.dead = append(ss.dead, deadSlot{leaf: leaf, word0: word0})
-			}
-			return true
-		}
-		if !vp.IsNil() {
-			ss.vals = append(ss.vals, vp)
-		}
-		n := hdrKeyLen(hdr)
-		if n == 0 || n > MaxKeyLen {
-			ss.err = fmt.Errorf("hart: recovery found live leaf %d with key length %d", leaf, n)
-			return false
-		}
-		if sc.lazy {
-			n = min(n, h.opts.HashKeyLen)
-		}
-		var buf [MaxKeyLen]byte
-		key := buf[:n]
-		h.keyFromHeader(leaf, hdr, key)
-		hk, artKey := h.splitKey(key)
-		ref := makeLeafRef(leaf, hdrShape(hdr))
-		ss.live++
-		sb := ss.shards[string(hk)]
-		if sb == nil {
-			if epalloc.StripeFor(hk) != st {
-				ss.strays = append(ss.strays, strayLeaf{ref: ref, key: slices.Clone(key)})
+	for _, c := range leafClasses {
+		keyCap := leafKeyCap(c)
+		err := h.alloc.IterateObjectsParallel(c, workers, func(st int, leaf pmem.Ptr, used bool) bool {
+			ss := &sc.stripes[st]
+			hdr, word0, vp := h.classifyLeaf(leaf, used)
+			if !used {
+				if word0 != 0 {
+					ss.dead = append(ss.dead, deadSlot{leaf: leaf, word0: word0})
+				}
 				return true
 			}
-			sb = ss.builder(hk, sc.lazy)
+			if !vp.IsNil() {
+				ss.vals = append(ss.vals, vp)
+			}
+			n := hdrKeyLen(hdr)
+			if n == 0 || n > keyCap {
+				ss.err = fmt.Errorf("hart: recovery found live leaf %d with key length %d; its %d-byte slot holds keys of 1 to %d bytes",
+					leaf, n, classSizes[c], keyCap)
+				return false
+			}
+			if sc.lazy {
+				n = min(n, h.opts.HashKeyLen)
+			}
+			var buf [MaxKeyLen]byte
+			key := buf[:n]
+			h.keyFromHeader(leaf, hdr, key)
+			hk, artKey := h.splitKey(key)
+			ref := makeLeafRef(leaf, hdrShape(hdr))
+			ss.live++
+			sb := ss.shards[string(hk)]
+			if sb == nil {
+				if epalloc.StripeFor(hk) != st {
+					ss.strays = append(ss.strays, strayLeaf{ref: ref, key: slices.Clone(key)})
+					return true
+				}
+				sb = ss.builder(hk, sc.lazy)
+			}
+			sb.add(ref, artKey)
+			return true
+		})
+		if err != nil {
+			return nil, err
 		}
-		sb.add(ref, artKey)
-		return true
-	})
-	if err != nil {
-		return nil, err
+		for st := range sc.stripes {
+			if err := sc.stripes[st].err; err != nil {
+				return nil, err
+			}
+		}
 	}
 	nvals := 0
 	for st := range sc.stripes {
 		ss := &sc.stripes[st]
-		if ss.err != nil {
-			return nil, ss.err
-		}
 		nvals += len(ss.vals)
 		sc.live += ss.live
 	}
@@ -308,7 +321,7 @@ func ptrSetHas(set []pmem.Ptr, p pmem.Ptr) bool {
 // referenced by no live leaf is unreachable forever — the residue of an
 // unlogged update (Options.UnloggedUpdates) or of a baseline-style crash
 // window — and is reclaimed. The value-chunk walk fans out per stripe; the
-// releases land here, in class and stripe order. With Algorithm 3 updates
+// releases land here, in stripe order. With Algorithm 3 updates
 // this finds nothing; either way, a recovered HART starts leak-free.
 func (h *HART) sweepStaleAndOrphans(sc *leafScan, workers int, stats *RecoveryStats) error {
 	h.arena.SetPersistSite("recover.stale-sweep")
@@ -324,23 +337,21 @@ func (h *HART) sweepStaleAndOrphans(sc *leafScan, workers int, stats *RecoverySt
 	}
 
 	h.arena.SetPersistSite("recover.orphan-sweep")
-	for c := classValue8; c <= classValue16; c++ {
-		var orphans [epalloc.NumStripes][]pmem.Ptr
-		if err := h.alloc.IterateObjectsParallel(c, workers, func(st int, vp pmem.Ptr, used bool) bool {
-			if used && !ptrSetHas(sc.valSet, vp) {
-				orphans[st] = append(orphans[st], vp)
-			}
-			return true
-		}); err != nil {
-			return err
+	var orphans [epalloc.NumStripes][]pmem.Ptr
+	if err := h.alloc.IterateObjectsParallel(classValue16, workers, func(st int, vp pmem.Ptr, used bool) bool {
+		if used && !ptrSetHas(sc.valSet, vp) {
+			orphans[st] = append(orphans[st], vp)
 		}
-		for st := range orphans {
-			for _, vp := range orphans[st] {
-				if err := h.alloc.Release(vp); err != nil {
-					return err
-				}
-				stats.OrphanValues++
+		return true
+	}); err != nil {
+		return err
+	}
+	for st := range orphans {
+		for _, vp := range orphans[st] {
+			if err := h.alloc.Release(vp); err != nil {
+				return err
 			}
+			stats.OrphanValues++
 		}
 	}
 	return nil
@@ -362,7 +373,7 @@ func (h *HART) buildPending(s *artShard) {
 	var buf [MaxKeyLen]byte
 	for _, ref := range pp.leaves {
 		hdr := h.arena.Read8(ref.ptr() + lfKeyLen)
-		key := buf[:hdrKeyLen(hdr)] // the scan refused any length above MaxKeyLen
+		key := buf[:hdrKeyLen(hdr)] // the scan refused any length its slot cannot hold
 		h.keyFromHeader(ref.ptr(), hdr, key)
 		_, artKey := h.splitKey(key)
 		b.Insert(artKey, uint64(ref))

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,8 @@ import (
 )
 
 // recoveryFixture builds a store with inserts, updates and deletes, and
-// returns its durable image plus the reference contents.
+// returns its durable image plus the reference contents. A third of its
+// keys are long enough for a 40-byte leaf, the rest take 24-byte ones.
 func recoveryFixture(t *testing.T, n int) ([]byte, map[string]string) {
 	t.Helper()
 	h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
@@ -27,6 +29,9 @@ func recoveryFixture(t *testing.T, n int) ([]byte, map[string]string) {
 	keys := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("%c%c%05d", 'a'+rng.Intn(6), 'a'+rng.Intn(6), rng.Intn(10*n))
+		if i%3 == 1 {
+			k += "-in-a-40B-leaf" // 21 bytes
+		}
 		v := fmt.Sprintf("v%06d", i) // 7 bytes: in the leaf
 		if i%4 == 0 {
 			v += "-wide" // 12: in a value object
@@ -394,7 +399,9 @@ func TestRecoveryStatsPhases(t *testing.T) {
 // writer allocates a leaf off its shard's stripe, yet an image may hold
 // one, so this store commits a third of its leaves on other stripes —
 // spread over several, and for the "zz" shard every leaf — and every
-// recovery mode must still find every key.
+// recovery mode must still find every key. Half the keys are long enough
+// for a 40-byte leaf, so shards hold leaves of both classes, strays
+// included, and a shard's first stray may be met in either class's walk.
 func TestRecoveryStrayLeaves(t *testing.T) {
 	h := newHART(t)
 	ref := map[string]string{}
@@ -402,6 +409,9 @@ func TestRecoveryStrayLeaves(t *testing.T) {
 		k := fmt.Sprintf("%c%c%04d", 'a'+i%7, 'a'+i%5, i)
 		if i%10 == 0 {
 			k = fmt.Sprintf("zz%04d", i)
+		}
+		if i%4 >= 2 {
+			k += "-in-a-40B-leaf" // 20 bytes
 		}
 		key, v := []byte(k), mixedValue("s%05d", i)
 		stripe := epalloc.StripeFor(key[:DefaultHashKeyLen])
@@ -436,6 +446,125 @@ func TestRecoveryStrayLeaves(t *testing.T) {
 		assertContents(t, h2, ref, nil, mode)
 		if err := h2.Check(); err != nil {
 			t.Fatalf("%s: %v", mode, err)
+		}
+	}
+}
+
+// TestLeafClassBoundary pins the leaf class a key's length picks — a
+// 24-byte leaf for a key of up to 14 bytes, a 40-byte one above — through
+// a record's life: insert, updates that change its value's shape (the
+// record keeps its leaf), delete and reinsert, and recovery in every mode,
+// which must file each record from its class's walk. Three shards hold a
+// key of every length from 1 to MaxKeyLen. Last, Check must refuse a live
+// leaf whose header claims a key longer than its slot holds.
+func TestLeafClassBoundary(t *testing.T) {
+	h := newHART(t)
+	ref := map[string]string{}
+	var keys []string
+	for _, p := range "abc" {
+		for n := 1; n <= MaxKeyLen; n++ {
+			k := fmt.Sprintf("%c%c-key-of-length-%02d-bytes", p, p, n)[:n]
+			keys = append(keys, k)
+			ref[k] = mixedValue("v%02d", n)
+			mustPut(t, h, k, ref[k])
+		}
+	}
+	wantClass := func(k string) epalloc.Class {
+		if len(k) <= 14 {
+			return classLeaf24
+		}
+		return classLeaf40
+	}
+	// checkClasses verifies every record's leaf class and the allocator's
+	// per-class live counts, and returns each record's leaf.
+	checkClasses := func(h *HART, mode string) map[string]pmem.Ptr {
+		t.Helper()
+		leaves := map[string]pmem.Ptr{}
+		var used [3]int
+		for k, v := range ref {
+			leaf, ok := h.GetLeaf([]byte(k))
+			if !ok {
+				t.Fatalf("%s: no leaf for %q", mode, k)
+			}
+			if c, err := h.alloc.ClassOf(leaf); err != nil || c != wantClass(k) {
+				t.Fatalf("%s: %d-byte key %q in class %v, want %v (err %v)", mode, len(k), k, c, wantClass(k), err)
+			}
+			leaves[k] = leaf
+			used[wantClass(k)]++
+			if len(v) > MaxInlineLen {
+				used[classValue16]++
+			}
+		}
+		st := h.Stats()
+		for c, n := range used {
+			if st.Alloc[c].Used != n {
+				t.Fatalf("%s: class %s holds %d objects, want %d", mode, st.Alloc[c].Name, st.Alloc[c].Used, n)
+			}
+		}
+		return leaves
+	}
+	leaves := checkClasses(h, "after insert")
+
+	// Every value changes shape; every third record is deleted and put
+	// back. A record keeps its leaf through an update.
+	for i, k := range keys {
+		v := "in-a-value-object"[:9+i%8]
+		if len(ref[k]) > MaxInlineLen {
+			v = v[:1+i%8]
+		}
+		mustPut(t, h, k, v)
+		ref[k] = v
+		if leaf, _ := h.GetLeaf([]byte(k)); leaf != leaves[k] {
+			t.Fatalf("update of %q moved its leaf from %d to %d", k, leaves[k], leaf)
+		}
+		if i%3 == 0 {
+			if err := h.Delete([]byte(k)); err != nil {
+				t.Fatal(err)
+			}
+			mustPut(t, h, k, "again")
+			ref[k] = "again"
+		}
+	}
+	checkClasses(h, "after updates")
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
+	}
+
+	img, err := h.Arena().DurableImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range recoveryModes {
+		h2 := openImage(t, img, m.opts)
+		assertContents(t, h2, ref, nil, m.name)
+		checkClasses(h2, m.name)
+		if err := h2.Check(); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+	}
+
+	// A key length the slot cannot hold: Check names the leaf, and passes
+	// again once the header is put back.
+	for _, c := range []struct {
+		key  string
+		poke int
+		slot int
+	}{
+		{keys[13], 15, leaf24Size},                     // a 14-byte key's leaf
+		{keys[13], 0, leaf24Size},                      // an empty key
+		{keys[MaxKeyLen-1], MaxKeyLen + 1, leaf40Size}, // a 24-byte key's leaf
+	} {
+		leaf := leaves[c.key]
+		hdr := h.arena.Read8(leaf + lfKeyLen)
+		h.arena.Write8(leaf+lfKeyLen, hdr&^0xff|uint64(c.poke))
+		err := h.Check()
+		want := fmt.Sprintf("leaf %d has key length %d; its %d-byte slot", leaf, c.poke, c.slot)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("key length %d poked into %q's leaf: Check err = %v, want one containing %q", c.poke, c.key, err, want)
+		}
+		h.arena.Write8(leaf+lfKeyLen, hdr)
+		if err := h.Check(); err != nil {
+			t.Fatalf("header of %q put back: %v", c.key, err)
 		}
 	}
 }

@@ -102,12 +102,9 @@ func (h *HART) Stats() Stats {
 	}
 	st.Size.PMBytes = st.Arena.Reserved
 	// Every live value object belongs to exactly one record (Check's
-	// invariant 3), so the value classes' live counts say how many records
+	// invariant 3), so the value class's live count says how many records
 	// are not inline.
-	st.InlineRecords = st.Records
-	for _, cs := range st.Alloc[classValue8:] {
-		st.InlineRecords -= cs.Used
-	}
+	st.InlineRecords = st.Records - st.Alloc[classValue16].Used
 
 	d := h.dir.Load()
 	type namedShard struct {

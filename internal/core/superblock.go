@@ -19,29 +19,28 @@ import (
 //	+8  format version (8B, FormatVersion); a file of any other version
 //	    is refused, never converted
 //	+16 HashKeyLen (8B) — kh, the hash directory's key length
-//	+24 number of value classes (8B), 2
+//	+24 number of object classes (8B), 3
 //	+32 flags (8B): bit 0 = clean shutdown (set by Close, cleared by
 //	    Open before serving traffic)
 //	+40 reserved (8B), written 0
-//	+48 value-class sizes (8B each): 8, then 16
-//	+64 unused up to +96: builds with a configurable table kept longer
-//	    tables here
+//	+48 object-class sizes (8B each), in class order: 24 (classLeaf24),
+//	    40 (classLeaf40), 16 (classValue16)
+//	+72 unused up to +96
 //	+96 reserved up to pmem.LabelSize
 //
-// Builds that had an elastic directory kept a split-prefix count at +40
-// and the prefixes from +96, under the same format version. Open ignores
-// both: a split only ever moved DRAM nodes, never a PM leaf, so
-// regrouping the leaves on their first kh bytes rebuilds an exact index
-// of such an image. A new image writes 0 at +40, which those builds read
-// as no splits.
+// Format-3 builds that had an elastic directory kept a split-prefix count
+// at +40 and the prefixes from +96. Open ignores both areas: a split only
+// ever moved DRAM nodes, never a PM leaf, so grouping the leaves on their
+// first kh bytes rebuilds an exact index whatever those words hold. A new
+// image writes 0 at +40.
 //
 // Geometry is structural: keys were divided into hash and ART keys under
-// HashKeyLen and values were binned under the class table, so attaching
+// HashKeyLen and records were binned under the class table, so attaching
 // with different geometry would misindex every record. Open therefore
 // adopts the superblock's HashKeyLen when the caller left it zero, and
 // refuses the attach when the caller named another one. The class table
-// is fixed by the format (classLeaf, classValue8, classValue16): an image
-// persisting any other table is refused.
+// is fixed by the format (classSizes): an image persisting any other table
+// is refused.
 //
 // The clean flag is diagnostic, not load-bearing: recovery always runs on
 // attach (it is cheap and idempotent), so a lost flag can never lose
@@ -61,11 +60,15 @@ const (
 	sbOffClasses    = 48
 
 	sbFlagClean = 1 << 0
-
-	// sbNumClasses and the two sizes at sbOffClasses are the value-class
-	// table: the object sizes of classValue8 and classValue16.
-	sbNumClasses = 2
 )
+
+// classSizes is the object-class table the superblock persists: the slot
+// sizes of classLeaf24, classLeaf40 and classValue16, in class order.
+var classSizes = [...]uint64{
+	classLeaf24:  leaf24Size,
+	classLeaf40:  leaf40Size,
+	classValue16: MaxValueLen,
+}
 
 // FormatVersion is the on-media format this build writes and the only one
 // it opens. Version 2 widened the allocator's update-log slots from 24 to
@@ -73,7 +76,10 @@ const (
 // stores values of up to MaxInlineLen bytes in the leaf's first word: the
 // leaf gained a shape byte at +9 (the key moved to +10) and the update-log
 // record the leaf's new shape in what was the slot's padding word.
-const FormatVersion = 3
+// Version 4 adds a 24-byte leaf class, for keys of up to 14 bytes, beside
+// the 40-byte one, and drops the 8-byte value class, which version 3
+// persisted but never filled.
+const FormatVersion = 4
 
 // Superblock attach errors.
 var (
@@ -86,8 +92,8 @@ var (
 	ErrVersionMismatch = errors.New("hart: superblock format version not supported")
 	// ErrGeometryMismatch reports options naming a HashKeyLen other than
 	// the store's, or a store whose geometry this build cannot serve: a kh
-	// the directory cannot hold, or a value-class table other than
-	// {8, 16}.
+	// the directory cannot hold, or an object-class table other than the
+	// format's {24, 40, 16}.
 	ErrGeometryMismatch = errors.New("hart: options conflict with the store's superblock geometry")
 )
 
@@ -104,11 +110,12 @@ type superblock struct {
 func writeSuperblockBody(arena *pmem.Arena, opts Options) {
 	arena.Write8(sbBase+sbOffVersion, FormatVersion)
 	arena.Write8(sbBase+sbOffHashKeyLen, uint64(opts.HashKeyLen))
-	arena.Write8(sbBase+sbOffNumClasses, sbNumClasses)
+	arena.Write8(sbBase+sbOffNumClasses, uint64(len(classSizes)))
 	arena.Write8(sbBase+sbOffFlags, 0) // born dirty; Close marks clean
 	arena.Write8(sbBase+sbOffReserved, 0)
-	arena.Write8(sbBase+sbOffClasses, 8)
-	arena.Write8(sbBase+sbOffClasses+8, MaxValueLen)
+	for i, size := range classSizes {
+		arena.Write8(sbBase+sbOffClasses+pmem.Ptr(8*i), size)
+	}
 	arena.Persist(sbBase, int(pmem.LabelSize))
 }
 
@@ -128,21 +135,29 @@ func readSuperblock(arena *pmem.Arena) (superblock, error) {
 	}
 	sb.Version = int(arena.Read8(sbBase + sbOffVersion))
 	if sb.Version != FormatVersion {
-		return sb, fmt.Errorf("%w: image version %d, this build reads %d (values of up to %d bytes in the leaf; version 2 kept every value in an object of its own, version 1 had 24-byte update-log slots)",
-			ErrVersionMismatch, sb.Version, FormatVersion, MaxInlineLen)
+		return sb, fmt.Errorf("%w: image version %d, this build reads %d (24- and 40-byte leaves; version 3 had one 40-byte leaf class, version 2 kept every value in an object of its own, version 1 had 24-byte update-log slots)",
+			ErrVersionMismatch, sb.Version, FormatVersion)
 	}
 	sb.HashKeyLen = int(arena.Read8(sbBase + sbOffHashKeyLen))
 	if sb.HashKeyLen < 1 || sb.HashKeyLen >= MaxKeyLen {
 		return sb, fmt.Errorf("hart: superblock HashKeyLen %d out of range", sb.HashKeyLen)
 	}
 	n := arena.Read8(sbBase + sbOffNumClasses)
-	c0, c1 := arena.Read8(sbBase+sbOffClasses), arena.Read8(sbBase+sbOffClasses+8)
-	if n != sbNumClasses || c0 != 8 || c1 != MaxValueLen {
-		return sb, fmt.Errorf("%w: store has %d value classes starting {%d, %d}, this build serves {8, %d}",
-			ErrGeometryMismatch, n, c0, c1, MaxValueLen)
+	var sizes [len(classSizes)]uint64
+	for i := range sizes {
+		sizes[i] = arena.Read8(sbBase + sbOffClasses + pmem.Ptr(8*i))
+	}
+	if n != uint64(len(classSizes)) || sizes != classSizes {
+		return sb, fmt.Errorf("%w: store has %d object classes starting %s, this build serves %s",
+			ErrGeometryMismatch, n, classTable(sizes), classTable(classSizes))
 	}
 	sb.Clean = arena.Read8(sbBase+sbOffFlags)&sbFlagClean != 0
 	return sb, nil
+}
+
+// classTable spells a class table as "{24, 40, 16}".
+func classTable(sizes [len(classSizes)]uint64) string {
+	return fmt.Sprintf("{%d, %d, %d}", sizes[0], sizes[1], sizes[2])
 }
 
 // adoptGeometry merges the superblock's HashKeyLen into opts: a zero one

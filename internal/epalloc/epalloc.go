@@ -175,7 +175,7 @@ type Class int
 
 // ClassSpec describes an object class.
 type ClassSpec struct {
-	// Name labels the class in diagnostics ("leaf", "value8", ...).
+	// Name labels the class in diagnostics ("leaf24", "value16", ...).
 	Name string
 	// ObjSize is the slot size in bytes; must be a positive multiple of 8.
 	ObjSize int64

@@ -56,13 +56,18 @@ type History struct {
 // that updates and deletes hit live keys often, spread across several
 // hash-directory shards (2-byte hash keys), and including keys that are
 // exactly a hash key ("aa", "ab") and keys shorter than one ("a") to
-// exercise the scan boundary cases.
+// exercise the scan boundary cases. Both leaf classes are drawn: the
+// 14-byte "aab-class-edge" is the longest key a 24-byte leaf holds, the
+// 15-byte key after it the shortest in a 40-byte leaf, and the last key
+// is MaxKeyLen long.
 var keyUniverse = [][]byte{
 	[]byte("a"),
 	[]byte("aa"), []byte("aab"), []byte("aac"), []byte("aabcd"),
+	[]byte("aab-class-edge"), []byte("aab-class-edge!"),
 	[]byte("ab"), []byte("abb"),
 	[]byte("ba"), []byte("bab"),
 	[]byte("ca"), []byte("cab"), []byte("cabinetry-key"),
+	[]byte("cabinetry-key-of-24-byte"),
 }
 
 // genValue builds a deterministic value of 1..MaxValueLen bytes.

@@ -300,18 +300,22 @@ func inlineShapeHistories() map[string]History {
 	each(&inOut, in5)
 
 	// One leaf slot, and one value slot, under records of both shapes in
-	// turn: all keys share a directory prefix, so a delete's slot is the
-	// next insert's.
-	slot := History{Ops: []Op{
-		put("sr-a", in8a), put("sr-b", out16),
-		del("sr-a"), put("sr-c", out16), // a's leaf slot now holds a pointer
-		del("sr-b"), put("sr-d", in5), // b's leaf slot an inline value; b's value slot is free
-		del("sr-c"), put("sr-a", in8zero), // c's leaf slot zeros; c's value slot is free
-		put("sr-e", out9), // takes a freed value slot
-		del("sr-d"), del("sr-a"), del("sr-e"),
-		put("sr-f", in1),
-		{Kind: OpScan},
-	}}
+	// turn: all keys share a directory prefix and a leaf class, so a
+	// delete's slot is the next insert's. The suffix picks the class: none
+	// for 24-byte leaves, a long one for 40-byte leaves.
+	slot := func(sfx string) History {
+		k := func(name string) string { return name + sfx }
+		return History{Ops: []Op{
+			put(k("sr-a"), in8a), put(k("sr-b"), out16),
+			del(k("sr-a")), put(k("sr-c"), out16), // a's leaf slot now holds a pointer
+			del(k("sr-b")), put(k("sr-d"), in5), // b's leaf slot an inline value; b's value slot is free
+			del(k("sr-c")), put(k("sr-a"), in8zero), // c's leaf slot zeros; c's value slot is free
+			put(k("sr-e"), out9), // takes a freed value slot
+			del(k("sr-d")), del(k("sr-a")), del(k("sr-e")),
+			put(k("sr-f"), in1),
+			{Kind: OpScan},
+		}}
+	}
 
 	// Duplicate keys inside one PutBatch whose occurrences differ in shape:
 	// the first is an insert, the later ones update the leaf it settles —
@@ -339,11 +343,12 @@ func inlineShapeHistories() map[string]History {
 	}}
 
 	return map[string]History{
-		"same length":         same,
-		"length change":       length,
-		"in and out":          inOut,
-		"slot across shapes":  slot,
-		"batch of duplicates": batch,
+		"same length":                        same,
+		"length change":                      length,
+		"in and out":                         inOut,
+		"slot across shapes":                 slot(""),
+		"slot across shapes, 40-byte leaves": slot("-in-a-40B-leaf"),
+		"batch of duplicates":                batch,
 	}
 }
 

@@ -74,16 +74,20 @@ const (
 	OpStats    Op = 6
 )
 
-// opNames doubles as the valid-opcode set for the decoder.
-var opNames = map[Op]string{
+// opNames is indexed by opcode; the opcodes are dense from OpGet, so a
+// range check is the valid-opcode test the codec runs on every message.
+var opNames = [...]string{
 	OpGet: "Get", OpPut: "Put", OpDelete: "Delete",
 	OpScan: "Scan", OpPutBatch: "PutBatch", OpStats: "Stats",
 }
 
+// valid reports whether o is a request opcode.
+func (o Op) valid() bool { return o >= OpGet && int(o) < len(opNames) }
+
 // String returns the op's wire name.
 func (o Op) String() string {
-	if n, ok := opNames[o]; ok {
-		return n
+	if o.valid() {
+		return opNames[o]
 	}
 	return fmt.Sprintf("Op(%d)", byte(o))
 }
@@ -110,16 +114,20 @@ const (
 	StatusServerError Status = 6
 )
 
-var statusNames = map[Status]string{
+// statusNames is indexed by status; the statuses are dense from StatusOK.
+var statusNames = [...]string{
 	StatusOK: "ok", StatusNotFound: "not found", StatusBadRequest: "bad request",
 	StatusKeyTooLong: "key too long", StatusValueTooLong: "value too long",
 	StatusClosed: "store closed", StatusServerError: "server error",
 }
 
+// valid reports whether s is a response status.
+func (s Status) valid() bool { return int(s) < len(statusNames) }
+
 // String returns the status's description.
 func (s Status) String() string {
-	if n, ok := statusNames[s]; ok {
-		return n
+	if s.valid() {
+		return statusNames[s]
 	}
 	return fmt.Sprintf("Status(%d)", byte(s))
 }
@@ -331,7 +339,7 @@ const (
 // It returns an error for keys or values longer than their length
 // fields can carry, and for a message that would exceed MaxFrame.
 func (req *Request) AppendRequest(dst []byte) ([]byte, error) {
-	if _, ok := opNames[req.Op]; !ok {
+	if !req.Op.valid() {
 		return nil, ErrBadOp
 	}
 	start := len(dst)
@@ -402,7 +410,7 @@ func DecodeRequest(p []byte) (Request, error) {
 		return Request{}, err
 	}
 	req := Request{Op: Op(opB)}
-	if _, ok := opNames[req.Op]; !ok {
+	if !req.Op.valid() {
 		return Request{}, fmt.Errorf("%w: %d", ErrBadOp, opB)
 	}
 	switch req.Op {
@@ -475,7 +483,7 @@ func DecodeRequest(p []byte) (Request, error) {
 // AppendResponse appends resp's encoded payload (no frame prefix) to
 // dst. op is the request op the response answers.
 func (resp *Response) AppendResponse(dst []byte, op Op) ([]byte, error) {
-	if _, ok := statusNames[resp.Status]; !ok {
+	if !resp.Status.valid() {
 		return nil, ErrBadStatus
 	}
 	start := len(dst)
@@ -523,7 +531,7 @@ func (resp *Response) AppendResponse(dst []byte, op Op) ([]byte, error) {
 // DecodeResponse decodes one response payload answering op. The
 // returned slices alias p.
 func DecodeResponse(p []byte, op Op) (Response, error) {
-	if _, ok := opNames[op]; !ok {
+	if !op.valid() {
 		return Response{}, ErrBadOp
 	}
 	r := reader{p: p}
@@ -532,7 +540,7 @@ func DecodeResponse(p []byte, op Op) (Response, error) {
 		return Response{}, err
 	}
 	resp := Response{Status: Status(stB)}
-	if _, ok := statusNames[resp.Status]; !ok {
+	if !resp.Status.valid() {
 		return Response{}, fmt.Errorf("%w: %d", ErrBadStatus, stB)
 	}
 	if resp.Status != StatusOK {

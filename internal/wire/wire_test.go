@@ -290,3 +290,52 @@ func TestRequestEncodeRefusals(t *testing.T) {
 		t.Fatalf("bad op: err = %v, want ErrBadOp", err)
 	}
 }
+
+// TestCodeNames pins every opcode's and status's name and the codec's
+// answer to a code outside the table: the name is the numeric form, and
+// each of the four entry points refuses it with ErrBadOp or ErrBadStatus.
+func TestCodeNames(t *testing.T) {
+	ops := map[Op]string{
+		0: "Op(0)", OpGet: "Get", OpPut: "Put", OpDelete: "Delete", OpScan: "Scan",
+		OpPutBatch: "PutBatch", OpStats: "Stats", 7: "Op(7)", 255: "Op(255)",
+	}
+	for op, want := range ops {
+		if got := op.String(); got != want {
+			t.Errorf("Op(%d).String() = %q, want %q", byte(op), got, want)
+		}
+	}
+	statuses := map[Status]string{
+		StatusOK: "ok", StatusNotFound: "not found", StatusBadRequest: "bad request",
+		StatusKeyTooLong: "key too long", StatusValueTooLong: "value too long",
+		StatusClosed: "store closed", StatusServerError: "server error",
+		7: "Status(7)", 255: "Status(255)",
+	}
+	for st, want := range statuses {
+		if got := st.String(); got != want {
+			t.Errorf("Status(%d).String() = %q, want %q", byte(st), got, want)
+		}
+	}
+
+	for _, op := range []Op{0, 7, 255} {
+		if _, err := (&Request{Op: op}).AppendRequest(nil); !errors.Is(err, ErrBadOp) {
+			t.Errorf("AppendRequest(Op(%d)): err = %v, want ErrBadOp", byte(op), err)
+		}
+		if _, err := DecodeRequest([]byte{Version, byte(op)}); !errors.Is(err, ErrBadOp) {
+			t.Errorf("DecodeRequest(Op(%d)): err = %v, want ErrBadOp", byte(op), err)
+		}
+		if _, err := (&Response{}).AppendResponse(nil, op); !errors.Is(err, ErrBadOp) {
+			t.Errorf("AppendResponse(Op(%d)): err = %v, want ErrBadOp", byte(op), err)
+		}
+		if _, err := DecodeResponse([]byte{Version, byte(StatusOK)}, op); !errors.Is(err, ErrBadOp) {
+			t.Errorf("DecodeResponse(Op(%d)): err = %v, want ErrBadOp", byte(op), err)
+		}
+	}
+	for _, st := range []Status{7, 255} {
+		if _, err := (&Response{Status: st}).AppendResponse(nil, OpGet); !errors.Is(err, ErrBadStatus) {
+			t.Errorf("AppendResponse(Status(%d)): err = %v, want ErrBadStatus", byte(st), err)
+		}
+		if _, err := DecodeResponse([]byte{Version, byte(st)}, OpGet); !errors.Is(err, ErrBadStatus) {
+			t.Errorf("DecodeResponse(Status(%d)): err = %v, want ErrBadStatus", byte(st), err)
+		}
+	}
+}

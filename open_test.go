@@ -219,9 +219,9 @@ func TestOpenRefusesDamagedFiles(t *testing.T) {
 	}
 
 	// A store of an earlier format version — 1 had 24-byte update-log
-	// slots, 2 kept every value in an object of its own — is refused as it
-	// stands, by an error naming both versions: not converted, not
-	// reformatted.
+	// slots, 2 kept every value in an object of its own, 3 had one 40-byte
+	// leaf class — is refused as it stands, by Open and by Restore, with
+	// an error naming both versions: not converted, not reformatted.
 	for v := uint64(1); v < FormatVersion; v++ {
 		name := fmt.Sprintf("version-%d file", v)
 		path := filepath.Join(dir, fmt.Sprintf("v%d.hart", v))
@@ -239,6 +239,13 @@ func TestOpenRefusesDamagedFiles(t *testing.T) {
 		}
 		if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, old) {
 			t.Fatalf("refused %s was modified (read err %v)", name, err)
+		}
+		restored := bytes.Clone(old)
+		if _, err := Restore(restored, Options{}); !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("%s: Restore err = %v, want ErrVersionMismatch", name, err)
+		}
+		if !bytes.Equal(restored, old) {
+			t.Fatalf("the refused Restore of a %s modified its image", name)
 		}
 	}
 
@@ -263,7 +270,7 @@ func TestOpenRefusesDamagedFiles(t *testing.T) {
 // TestRestoreAdoptsGeometry verifies the in-memory Restore path gets the
 // same superblock adopt-or-refuse behaviour as Open: a zero HashKeyLen
 // adopts the store's, and a different HashKeyLen or a persisted class
-// table other than {8, 16} is refused.
+// table other than {24, 40, 16} is refused.
 func TestRestoreAdoptsGeometry(t *testing.T) {
 	db, err := New(Options{HashKeyLen: 3, ArenaSize: 2 << 20, CrashSimulation: true})
 	if err != nil {
@@ -293,11 +300,11 @@ func TestRestoreAdoptsGeometry(t *testing.T) {
 	if _, err := Restore(slices.Clone(img), Options{HashKeyLen: 2}); !errors.Is(err, ErrGeometryMismatch) {
 		t.Fatalf("Restore with another HashKeyLen: err = %v, want ErrGeometryMismatch", err)
 	}
-	// So is an image whose class table says 32 where the format has 16.
+	// So is an image whose class table says 32 where the format has 40.
 	const class1Off = 64 + 56 // the superblock's second class size
 	binary.LittleEndian.PutUint64(img[class1Off:], 32)
 	if _, err := Restore(img, Options{}); !errors.Is(err, ErrGeometryMismatch) {
-		t.Fatalf("Restore of a {8, 32} table: err = %v, want ErrGeometryMismatch", err)
+		t.Fatalf("Restore of a {24, 32, 16} table: err = %v, want ErrGeometryMismatch", err)
 	}
 }
 
@@ -339,16 +346,19 @@ func TestRestoreModelsCache(t *testing.T) {
 }
 
 // TestRestoreRefusesBadKeyLength: a live leaf whose header claims a key
-// length of 0, or one above MaxKeyLen, cannot have been written by Put,
-// so recovery refuses the image and names the leaf instead of indexing
-// it under an empty or truncated key — eager and lazy alike.
+// length of 0, or one longer than its slot holds — above 14 bytes in a
+// 24-byte leaf, above MaxKeyLen in a 40-byte one — cannot have been
+// written by Put, so recovery refuses the image and names the leaf instead
+// of indexing it under an empty or truncated key, or reading the rest of
+// its key out of the next slot — eager and lazy alike.
 func TestRestoreRefusesBadKeyLength(t *testing.T) {
 	db, err := New(Options{ArenaSize: 2 << 20, CrashSimulation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := []byte("poked-key-0042")
-	for _, k := range [][]byte{[]byte("before"), key, []byte("after")} {
+	short := []byte("poked-key-0042")          // 14 bytes: a 24-byte leaf
+	long := []byte("poked-key-0042-long-key!") // 24 bytes: a 40-byte leaf
+	for _, k := range [][]byte{[]byte("before"), short, long, []byte("after")} {
 		if err := db.Put(k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
@@ -357,18 +367,29 @@ func TestRestoreRefusesBadKeyLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The key starts at byte 10 of its leaf; the key length is byte 8.
-	leaf := bytes.Index(img, key) - 10
-	if leaf < 0 || int(img[leaf+8]) != len(key) {
-		t.Fatalf("leaf of %q not found in the image", key)
-	}
-	for _, n := range []byte{0, MaxKeyLen + 1} {
-		for _, lazy := range []bool{false, true} {
-			poked := slices.Clone(img)
-			poked[leaf+8] = n
-			_, err := Restore(poked, Options{LazyRecovery: lazy})
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("leaf %d with key length %d", leaf, n)) {
-				t.Fatalf("key length %d, lazy %v: Restore err = %v, want one naming leaf %d", n, lazy, err, leaf)
+	for _, c := range []struct {
+		key    []byte
+		pokes  []byte
+		leafOf string
+	}{
+		{short, []byte{0, 15, MaxKeyLen, MaxKeyLen + 1}, "24-byte"},
+		{long, []byte{0, MaxKeyLen + 1}, "40-byte"},
+	} {
+		// The key starts at byte 10 of its leaf; the key length is byte 8.
+		leaf := bytes.Index(img, c.key) - 10
+		if leaf < 0 || int(img[leaf+8]) != len(c.key) {
+			t.Fatalf("leaf of %q not found in the image", c.key)
+		}
+		for _, n := range c.pokes {
+			for _, lazy := range []bool{false, true} {
+				poked := slices.Clone(img)
+				poked[leaf+8] = n
+				_, err := Restore(poked, Options{LazyRecovery: lazy})
+				want := fmt.Sprintf("leaf %d with key length %d; its %s slot", leaf, n, c.leafOf)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("key length %d in a %s leaf, lazy %v: Restore err = %v, want one containing %q",
+						n, c.leafOf, lazy, err, want)
+				}
 			}
 		}
 	}

@@ -37,8 +37,10 @@ go test -race -count=3 -run TestSharedClientBursts ./client/
 go test -race -count=3 -run Linearizable ./internal/core/
 # Recovery's scan builds every stripe's shards on its own goroutine and
 # files stray leaves after the walk: the modes compared, a Rebuild beside
-# readers, and leaves placed off their shard's stripe, three times each.
-go test -race -count=3 -run 'TestRecoveryModeEquivalence|TestRebuildVisibility|TestRecoveryStrayLeaves' ./internal/core/
+# readers, leaves placed off their shard's stripe, and keys on both sides
+# of the 14-byte leaf-class boundary (one walk per leaf class into the same
+# builders), three times each.
+go test -race -count=3 -run 'TestRecoveryModeEquivalence|TestRebuildVisibility|TestRecoveryStrayLeaves|TestLeafClassBoundary' ./internal/core/
 # The ART's own: one writer editing a tree in place, taking one node
 # through every kind and back, beside lock-free Get and Prefetch readers.
 go test -race -count=3 -run TestReadersBesideInPlaceWriter ./internal/art/
@@ -56,7 +58,7 @@ go test -race -count=1 -run ModelCheckInline ./internal/modelcheck/
 # for not one changed bit), the crash checker over decoded byte-string
 # histories, the wire decoders over hostile lengths, counts and
 # truncations, and Open's superblock checks over arbitrary label areas
-# (only kh 1-3 with the {8, 16} class table may pass).
+# (only kh 1-3 with the {24, 40, 16} class table may pass).
 go test -run='^$' -fuzz=FuzzARTDifferential -fuzztime=10s ./internal/art/
 go test -run='^$' -fuzz=FuzzModelCheck -fuzztime=10s ./internal/modelcheck/
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
