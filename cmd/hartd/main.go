@@ -15,7 +15,9 @@
 // The store file is created (with -size bytes) if missing; an existing
 // file is attached with full recovery, exactly as hart.Open documents.
 // -metrics-addr additionally serves Prometheus /metrics and expvar
-// /debug/vars for live scraping.
+// /debug/vars for live scraping: the store's counters and histograms, and
+// the server's own counters (connections, requests, coalesced Puts,
+// protocol errors) under "server.".
 package main
 
 import (
@@ -88,18 +90,23 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	}
 	fmt.Fprintf(stdout, "hartd: opened %s: %d records (%s)\n", *dbPath, db.Len(), how)
 
-	if *mAddr != "" {
-		msrv := obs.Serve(*mAddr, "hart", db.Metrics, func(err error) {
-			fmt.Fprintf(stderr, "hartd: metrics server: %v\n", err)
-		})
-		defer msrv.Close()
-	}
-
 	srv := server.New(db.HART, server.Options{
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(stderr, format+"\n", a...)
 		},
 	})
+	if *mAddr != "" {
+		msrv := obs.Serve(*mAddr, "hart", func() obs.Snapshot {
+			snap := db.Metrics()
+			for name, v := range srv.Metrics().Counters() {
+				snap.Counters["server."+name] = v
+			}
+			return snap
+		}, func(err error) {
+			fmt.Fprintf(stderr, "hartd: metrics server: %v\n", err)
+		})
+		defer msrv.Close()
+	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "hartd: listen %s: %v\n", *addr, err)

@@ -3,6 +3,9 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -308,24 +311,47 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 }
 
-// TestRunInProcessServes exercises run() end to end in-process via the
-// ready channel: open, serve, one client round trip, SIGTERM-equivalent
-// shutdown through the real signal handler.
-func TestRunInProcessServes(t *testing.T) {
+// runInProcess starts run() in-process with args beside a fresh store and
+// returns the address it serves on and a stop that delivers SIGTERM and
+// waits for a clean exit: the real handler listens for os.Interrupt and
+// SIGTERM, so signalling ourselves drives the production shutdown path.
+func runInProcess(t *testing.T, args ...string) (addr string, stop func()) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "inproc.hart")
 	ready := make(chan string, 1)
 	exit := make(chan int, 1)
 	var out strings.Builder
-	go func() {
-		exit <- run([]string{"-db", path, "-addr", "127.0.0.1:0", "-size", fmt.Sprint(16 << 20)},
-			&out, os.Stderr, ready)
-	}()
-	var addr string
+	args = append([]string{"-db", path, "-addr", "127.0.0.1:0", "-size", fmt.Sprint(16 << 20)}, args...)
+	go func() { exit <- run(args, &out, os.Stderr, ready) }()
 	select {
 	case addr = <-ready:
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon not ready")
 	}
+	return addr, func() {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatalf("self-signal: %v", err)
+		}
+		select {
+		case code := <-exit:
+			if code != 0 {
+				t.Fatalf("run exited %d\n%s", code, out.String())
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("run did not exit after SIGTERM")
+		}
+		if !strings.Contains(out.String(), "clean shutdown") {
+			t.Fatalf("output missing clean shutdown: %q", out.String())
+		}
+	}
+}
+
+// TestRunInProcessServes exercises run() end to end in-process via the
+// ready channel: open, serve, one client round trip, SIGTERM-equivalent
+// shutdown through the real signal handler.
+func TestRunInProcessServes(t *testing.T) {
+	addr, stop := runInProcess(t)
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -337,21 +363,88 @@ func TestRunInProcessServes(t *testing.T) {
 		t.Fatalf("get = %q, %v", v, err)
 	}
 	c.Close()
+	stop()
+}
 
-	// The real handler listens for os.Interrupt/SIGTERM; deliver one to
-	// ourselves to drive the production shutdown path.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatalf("self-signal: %v", err)
+// TestMetricsAddrExportsServerCounters scrapes -metrics-addr's /metrics
+// after a client's Puts and Gets and finds the server's own counters
+// beside the store's, with the values the Stats op reports.
+func TestMetricsAddrExportsServerCounters(t *testing.T) {
+	// A free port for the metrics listener, which reports no address.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	select {
-	case code := <-exit:
-		if code != 0 {
-			t.Fatalf("run exited %d\n%s", code, out.String())
+	mAddr := ln.Addr().String()
+	ln.Close()
+	addr, stop := runInProcess(t, "-metrics-addr", mAddr)
+	defer stop()
+
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	p := c.Pipeline()
+	for i := 0; i < 10; i++ {
+		p.Put([]byte(fmt.Sprintf("m%02d", i)), []byte("v"))
+	}
+	for i := 0; i < 10; i++ {
+		p.Get([]byte(fmt.Sprintf("m%02d", i)))
+	}
+	if _, err := p.Exec(); err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+
+	var body string
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get("http://" + mAddr + "/metrics")
+		if err == nil {
+			b, rerr := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if rerr == nil && resp.StatusCode == http.StatusOK {
+				body = string(b)
+				break
+			}
+			err = fmt.Errorf("status %s, read %v", resp.Status, rerr)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("run did not exit after SIGTERM")
+		if time.Now().After(deadline) {
+			t.Fatalf("scrape /metrics: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	if !strings.Contains(out.String(), "clean shutdown") {
-		t.Fatalf("output missing clean shutdown: %q", out.String())
+	got := map[string]uint64{}
+	for _, line := range strings.Split(body, "\n") {
+		var name string
+		var v uint64
+		if _, err := fmt.Sscanf(line, "%s %d", &name, &v); err == nil {
+			got[name] = v
+		}
+	}
+	// The Stats document counts its own request: 21.
+	for name, want := range map[string]uint64{
+		"hart_server_conns_accepted":  1,
+		"hart_server_conns_active":    1,
+		"hart_server_requests":        21,
+		"hart_server_puts_coalesced":  st.Server["puts_coalesced"],
+		"hart_server_batches_formed":  st.Server["batches_formed"],
+		"hart_server_protocol_errors": 0,
+		"hart_ops_get":                10,
+		"hart_ops_put_batch_records":  10, // the coalesced Puts
+	} {
+		if v, ok := got[name]; !ok || v != want {
+			t.Errorf("/metrics %s = %d (present %v), want %d", name, v, ok, want)
+		}
+	}
+	if st.Server["puts_coalesced"] == 0 {
+		t.Errorf("no Put of the pipeline was coalesced: %v", st.Server)
+	}
+	if t.Failed() {
+		t.Logf("/metrics:\n%s", body)
 	}
 }

@@ -36,13 +36,14 @@ func TestReadersBesideInPlaceWriter(t *testing.T) {
 	for b := 1; b < 255; b += 37 {
 		absent = append(absent, []byte{'c', 'h', 'u', 'r', 'n', byte(b), 'z'})
 	}
-	var want uint64
 	probes := make([][]byte, 0, len(stable)+len(absent))
+	want := make([]uint64, 0, cap(probes))
 	for k, v := range stable {
-		probes = append(probes, []byte(k))
-		want += v
+		probes, want = append(probes, []byte(k)), append(want, v)
 	}
-	probes = append(probes, absent...)
+	for _, k := range absent {
+		probes, want = append(probes, k), append(want, 0)
+	}
 	roots := make([]*Root, len(probes))
 	for i := range roots {
 		roots[i] = &r
@@ -57,6 +58,7 @@ func TestReadersBesideInPlaceWriter(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			started.Done()
+			got := make([]uint64, len(probes))
 			for !done.Load() {
 				walks.Add(1)
 				for k, v := range stable {
@@ -71,9 +73,12 @@ func TestReadersBesideInPlaceWriter(t *testing.T) {
 						return
 					}
 				}
-				if got := Prefetch(roots, probes); got != want {
-					t.Errorf("Prefetch beside the writer sums to %d, want %d", got, want)
-					return
+				Prefetch(roots, probes, got)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("Prefetch(%q) beside the writer = %d, want %d", probes[i], got[i], want[i])
+						return
+					}
 				}
 			}
 		}()

@@ -176,12 +176,11 @@ func runHistory(t *testing.T, data []byte) {
 		// find what Get finds, and (checked next) change no bit anywhere.
 		var roots []*Root
 		var probes [][]byte
-		var want uint64
+		var want []uint64
 		probe := func(r *Root, k []byte) {
 			for _, p := range nearMisses(k) {
-				roots, probes = append(roots, r), append(probes, p)
 				v, _ := r.Get(p)
-				want += v
+				roots, probes, want = append(roots, r), append(probes, p), append(want, v)
 			}
 		}
 		for _, s := range snaps {
@@ -191,8 +190,12 @@ func runHistory(t *testing.T, data []byte) {
 			probe(rootOf(cur), []byte(k))
 			probe(&live, []byte(k))
 		}
-		if got := Prefetch(roots, probes); got != want {
-			t.Fatalf("step %d: Prefetch of %d probes = %d, Get sums to %d", step, len(probes), got, want)
+		got := make([]uint64, len(probes))
+		Prefetch(roots, probes, got)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: Prefetch of %d probes: %q = %d, Get = %d", step, len(probes), probes[i], got[i], want[i])
+			}
 		}
 
 		for i, s := range snaps {

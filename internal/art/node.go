@@ -3,12 +3,14 @@ package art
 import (
 	"sync/atomic"
 	"unsafe"
+
+	"github.com/casl-sdsu/hart/internal/cpu"
 )
 
 // Node layout. This is the only file of the package that imports unsafe:
 // every cast from the common first byte to a concrete node type is here,
 // behind a check of that byte's kind, and so is every atomic access to a
-// child slot.
+// child slot and every cache-line hint.
 //
 // A child slot is one 8-byte *node. The node it points at is a leaf or
 // one of the four inner kinds; all five start with the same byte, whose
@@ -153,6 +155,14 @@ func load(slot **node) *node {
 func store(slot **node, c *node) {
 	atomic.StorePointer((*unsafe.Pointer)(unsafe.Pointer(slot)), unsafe.Pointer(c))
 }
+
+// The hints Prefetch's walk issues: each asks the CPU for the line
+// holding a node's first byte, a child slot, a NODE48's index word for
+// edge byte b or a Root's word, and loads nothing (cpu.Prefetch).
+func (n *node) hint()              { cpu.Prefetch(unsafe.Pointer(n)) }
+func hintSlot(s **node)            { cpu.Prefetch(unsafe.Pointer(s)) }
+func (v *node48) hintIndex(b byte) { cpu.Prefetch(unsafe.Pointer(&v.index[b/4])) }
+func (r *Root) hint()              { cpu.Prefetch(unsafe.Pointer(r)) }
 
 // Per-kind limits, indexed by Kind: a node grows to the next kind when it
 // is asked to hold more than capacity children and shrinks to the

@@ -25,7 +25,7 @@ func prefetchTree(t *testing.T) (*Root, [][]byte) {
 	var keys [][]byte
 	put := func(k []byte) {
 		keys = append(keys, k)
-		tr.Insert(k, uint64(len(keys))) // values from 1: a miss adds 0
+		tr.Insert(k, uint64(len(keys))) // values from 1: a miss reads 0
 	}
 	for _, fan := range []int{3, 16, 48, 256} {
 		stem := []byte{'f', byte(fan)}
@@ -47,7 +47,7 @@ func prefetchTree(t *testing.T) (*Root, [][]byte) {
 
 // TestPrefetchMatchesGet walks every stored key and its near misses down
 // a tree with every node kind, alone and in one call with nil and empty
-// roots among them, and holds the sum to what Get finds.
+// roots among them, and holds each key's value to what Get finds.
 func TestPrefetchMatchesGet(t *testing.T) {
 	tr, stored := prefetchTree(t)
 	var probes [][]byte
@@ -58,28 +58,33 @@ func TestPrefetchMatchesGet(t *testing.T) {
 
 	var roots []*Root
 	var keys [][]byte
-	var want uint64
+	var want []uint64
 	for i, k := range probes {
 		v, _ := tr.Get(k)
-		if got := Prefetch([]*Root{tr}, [][]byte{k}); got != v {
-			t.Fatalf("Prefetch(%q) = %d, Get = %d", k, got, v)
+		got := []uint64{12345}
+		if Prefetch([]*Root{tr}, [][]byte{k}, got); got[0] != v {
+			t.Fatalf("Prefetch(%q) = %d, Get = %d", k, got[0], v)
 		}
-		want += v
-		roots, keys = append(roots, tr), append(keys, k)
+		roots, keys, want = append(roots, tr), append(keys, k), append(want, v)
 		switch i % 7 {
 		case 3:
-			roots, keys = append(roots, nil), append(keys, k)
+			roots, keys, want = append(roots, nil), append(keys, k), append(want, 0)
 		case 5:
-			roots, keys = append(roots, new(Root)), append(keys, k)
+			roots, keys, want = append(roots, new(Root)), append(keys, k), append(want, 0)
 		}
 	}
 	if len(keys) <= PrefetchWindow {
 		t.Fatalf("only %d probes, want more than one window", len(keys))
 	}
-	if got := Prefetch(roots, keys); got != want {
-		t.Fatalf("Prefetch of %d probes = %d, Get sums to %d", len(keys), got, want)
+	got := make([]uint64, len(keys))
+	for i := range got {
+		got[i] = ^uint64(0) // a miss must overwrite it
 	}
-	if got := Prefetch(nil, nil); got != 0 {
-		t.Fatalf("Prefetch of nothing = %d", got)
+	Prefetch(roots, keys, got)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("Prefetch of %d probes: key %d (%q) = %d, Get = %d", len(keys), i, keys[i], got[i], want[i])
+		}
 	}
+	Prefetch(nil, nil, nil)
 }

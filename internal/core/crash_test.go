@@ -449,23 +449,39 @@ func TestCrashDuringUnloggedUpdateEveryPersist(t *testing.T) {
 // protocols' recovery arguments are made persist by persist there, and
 // persists and PM reads are what the medium charges for, so a change to
 // any of these numbers is a change of protocol and must be made on purpose.
+//
+// A leaf slot starts at one of a line's eight words, and a persisted run
+// of the leaf longer than a word flushes one line more where it crosses
+// the line's end. So every row runs in both leaf classes with the written
+// leaf at each of the eight offsets, and pins the lines at each; the
+// persists, sites and reads are the same at all of them.
 func TestWritePathBudgets(t *testing.T) {
-	key := func(i int) []byte { return []byte(fmt.Sprintf("wp%03d", i)) }
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Each class's records share one directory prefix — one shard, one
+	// allocator stripe — and take keys of 5 bytes (leaf24) or 16 (leaf40).
+	classes := []struct {
+		name string
+		key  func(i int) []byte
+	}{
+		{"leaf24", func(i int) []byte { return []byte(fmt.Sprintf("wp%03d", i)) }},
+		{"leaf40", func(i int) []byte { return []byte(fmt.Sprintf("wp%03d-leaf40-key", i)) }},
+	}
 	// Values by shape. short2 is short's length, so replacing one by the
 	// other is the same-length inline update.
 	short, short2, eight, five := []byte("v1"), []byte("v2"), []byte("eight-by"), []byte("five!")
 	wide, wide2 := []byte("sixteen-bytes-ok"), []byte("now-twelve-b")
-	// fill puts n records under one directory prefix — one shard, one
-	// allocator stripe — so 56 of them fill the stripe's first leaf chunk
-	// and, with values of the 16-byte class, its first value chunk exactly.
-	fill := func(h *HART, n int, v []byte) {
-		for i := 0; i < n; i++ {
+	// fill puts records from to n-1, so 56 of them fill the stripe's first
+	// leaf chunk and, with values of the 16-byte class, its first value
+	// chunk exactly. The pad records, from 800 on, are put before a
+	// fixture's own so that those sit pad slots further on in their chunks.
+	const padFrom = 800
+	fill := func(h *HART, key func(int) []byte, from, n int, v []byte) {
+		for i := from; i < n; i++ {
 			must(h.Put(key(i), v))
 		}
 	}
@@ -474,17 +490,45 @@ func TestWritePathBudgets(t *testing.T) {
 	// slots are reused ones, and one record in the 16-byte class whatever v
 	// is, so an update that moves a value out of its leaf finds a linked
 	// chunk there.
-	steady := func(v []byte) func(h *HART) {
-		return func(h *HART) {
-			fill(h, 60, v)
+	steady := func(v []byte) func(*HART, func(int) []byte, int) {
+		return func(h *HART, key func(int) []byte, pad int) {
+			fill(h, key, padFrom, padFrom+pad, v)
+			fill(h, key, 0, 60, v)
 			must(h.Put([]byte("wp-wide"), wide))
 			for i := 57; i < 60; i++ {
 				must(h.Delete(key(i)))
 			}
-			for i := 57; i < 60; i++ {
-				must(h.Put(key(i), v))
+			fill(h, key, 57, 60, v)
+		}
+	}
+	// alone leaves record 56 the only one in the stripe's second chunks,
+	// at slot pad.
+	alone := func(v []byte) func(*HART, func(int) []byte, int) {
+		return func(h *HART, key func(int) []byte, pad int) {
+			fill(h, key, 0, 56, v)
+			fill(h, key, padFrom, padFrom+pad, v)
+			fill(h, key, 56, 57, v)
+			for i := padFrom; i < padFrom+pad; i++ {
+				must(h.Delete(key(i)))
 			}
 		}
+	}
+	put := func(i int, v []byte) func(*HART, func(int) []byte) error {
+		return func(h *HART, key func(int) []byte) error { return h.Put(key(i), v) }
+	}
+	update := func(i int, v []byte) func(*HART, func(int) []byte) error {
+		return func(h *HART, key func(int) []byte) error { return h.Update(key(i), v) }
+	}
+	del := func(i int) func(*HART, func(int) []byte) error {
+		return func(h *HART, key func(int) []byte) error { return h.Delete(key(i)) }
+	}
+	// Lines by the written leaf's offset in its line, a word at a time,
+	// for leaf24 and leaf40: flat where every leaf run persisted is one
+	// word; the rows that persist a leaf's header run (insert: 10 bytes
+	// and the key; a shape change: word 0 and the shape byte, 10 bytes)
+	// flush one more line where that run crosses the line's end.
+	flat := func(n int64) [2][8]int64 {
+		return [2][8]int64{{n, n, n, n, n, n, n, n}, {n, n, n, n, n, n, n, n}}
 	}
 
 	// sites spells a persist-site sequence: "step" is one persist labelled
@@ -504,102 +548,112 @@ func TestWritePathBudgets(t *testing.T) {
 		}
 		return out
 	}
+	const newRecord = 999 // the record an insert adds
 	cases := []struct {
 		name     string
 		unlogged bool
-		setup    func(h *HART)
-		op       func(h *HART) error
+		setup    func(h *HART, key func(int) []byte, pad int)
+		target   int // the record whose leaf the operation writes
+		op       func(h *HART, key func(int) []byte) error
 		sites    []string
-		lines    int64
+		lines    [2][8]int64
 		reads    int64
 	}{
 		// The record that is one PM object: value in the leaf.
 		{
-			name:  "inline insert",
-			setup: steady(short),
-			op:    func(h *HART) error { return h.Put([]byte("wp-new"), short) },
-			sites: sites("insert", "leaf", "leaf-bit"),
-			// The new 24-byte leaf starts 8 bytes before a line boundary,
-			// so its 16-byte run (header and key) flushes two lines.
-			lines: 3,
-			reads: 1, // onLeafReuse: the reused leaf slot's word 0
+			name:   "inline insert",
+			setup:  steady(short),
+			target: newRecord,
+			op:     put(newRecord, short),
+			sites:  sites("insert", "leaf", "leaf-bit"),
+			lines:  [2][8]int64{{2, 2, 2, 2, 2, 2, 2, 3}, {2, 2, 2, 2, 2, 3, 3, 3}},
+			reads:  1, // onLeafReuse: the reused leaf slot's word 0
 		},
 		{
-			name:  "inline update, same length",
-			setup: steady(short),
-			op:    func(h *HART) error { return h.Update(key(58), short2) },
-			sites: sites("update", "inline"),
-			lines: 1,
-			reads: 0, // the ART entry says where the value is and how long
+			name:   "inline update, same length",
+			setup:  steady(short),
+			target: 58,
+			op:     update(58, short2),
+			sites:  sites("update", "inline"),
+			lines:  flat(1),
+			reads:  0, // the ART entry says where the value is and how long
 		},
 		{
-			name:  "inline delete",
-			setup: steady(short),
-			op:    func(h *HART) error { return h.Delete(key(58)) },
-			sites: sites("delete", "leaf-bit", "scrub-pvalue"),
-			lines: 2,
-			reads: 0,
+			name:   "inline delete",
+			setup:  steady(short),
+			target: 58,
+			op:     del(58),
+			sites:  sites("delete", "leaf-bit", "scrub-pvalue"),
+			lines:  flat(2),
+			reads:  0,
 		},
 		{
 			// Alone in its leaf chunk, which the delete empties and
 			// recycles (inside Free) under the stripe's recycle log.
-			name:  "inline delete that empties the chunk",
-			setup: func(h *HART) { fill(h, 57, short) },
-			op:    func(h *HART) error { return h.Delete(key(56)) },
-			sites: sites("delete", "leaf-bit", "scrub-pvalue", "recycle*7"),
-			lines: 9,
-			reads: 5, // five list words per recycle
+			name:   "inline delete that empties the chunk",
+			setup:  alone(short),
+			target: 56,
+			op:     del(56),
+			sites:  sites("delete", "leaf-bit", "scrub-pvalue", "recycle*7"),
+			lines:  flat(9),
+			reads:  5, // five list words per recycle
 		},
 		// Every change of shape is the logged update, less the steps of the
 		// side that has no value object.
 		{
-			name:  "inline update, 8 to 5 B",
-			setup: func(h *HART) { steady(short)(h); must(h.Put(key(58), eight)) },
-			op:    func(h *HART) error { return h.Update(key(58), five) },
-			sites: sites("update", "log", "swing", "reclaim"),
-			lines: 3,
-			reads: 1, // the header word the shape byte is set in
+			name:   "inline update, 8 to 5 B",
+			setup:  func(h *HART, key func(int) []byte, pad int) { steady(short)(h, key, pad); must(h.Put(key(58), eight)) },
+			target: 58,
+			op:     update(58, five),
+			sites:  sites("update", "log", "swing", "reclaim"),
+			lines:  [2][8]int64{{3, 3, 3, 3, 3, 3, 3, 4}, {3, 3, 3, 3, 3, 3, 3, 4}},
+			reads:  1, // the header word the shape byte is set in
 		},
 		{
-			name:  "logged update, class-changing 8 to 16 B",
-			setup: func(h *HART) { steady(short)(h); must(h.Put(key(58), eight)) },
-			op:    func(h *HART) error { return h.Update(key(58), wide) },
-			sites: sites("update", "value", "log", "value-bit", "swing", "reclaim"),
-			lines: 5,
-			reads: 1,
+			name:   "logged update, class-changing 8 to 16 B",
+			setup:  func(h *HART, key func(int) []byte, pad int) { steady(short)(h, key, pad); must(h.Put(key(58), eight)) },
+			target: 58,
+			op:     update(58, wide),
+			sites:  sites("update", "value", "log", "value-bit", "swing", "reclaim"),
+			lines:  [2][8]int64{{5, 5, 5, 5, 5, 5, 5, 6}, {5, 5, 5, 5, 5, 5, 5, 6}},
+			reads:  1,
 		},
 		{
-			name:  "logged update, 16 B to inline",
-			setup: steady(wide),
-			op:    func(h *HART) error { return h.Update(key(58), eight) },
-			sites: sites("update", "log", "swing", "release-old", "reclaim"),
-			lines: 4,
-			reads: 2, // word 0 for the old value's address, then the header word
+			name:   "logged update, 16 B to inline",
+			setup:  steady(wide),
+			target: 58,
+			op:     update(58, eight),
+			sites:  sites("update", "log", "swing", "release-old", "reclaim"),
+			lines:  [2][8]int64{{4, 4, 4, 4, 4, 4, 4, 5}, {4, 4, 4, 4, 4, 4, 4, 5}},
+			reads:  2, // word 0 for the old value's address, then the header word
 		},
 		// The record that is two: value of 9 bytes and up in an object.
 		{
-			name:  "insert",
-			setup: steady(wide),
-			op:    func(h *HART) error { return h.Put([]byte("wp-new"), wide) },
-			sites: sites("insert", "value", "leaf", "value-bit", "leaf-bit"),
-			lines: 4,
-			reads: 1, // onLeafReuse: the reused leaf slot's word 0
+			name:   "insert",
+			setup:  steady(wide),
+			target: newRecord,
+			op:     put(newRecord, wide),
+			sites:  sites("insert", "value", "leaf", "value-bit", "leaf-bit"),
+			lines:  [2][8]int64{{4, 4, 4, 4, 4, 4, 4, 5}, {4, 4, 4, 4, 4, 5, 5, 5}},
+			reads:  1, // onLeafReuse: the reused leaf slot's word 0
 		},
 		{
-			name:  "logged update",
-			setup: steady(wide),
-			op:    func(h *HART) error { return h.Update(key(58), wide2) },
-			sites: sites("update", "value", "log", "value-bit", "swing", "release-old", "reclaim"),
-			lines: 6,
-			reads: 1, // the leaf's word 0
+			name:   "logged update",
+			setup:  steady(wide),
+			target: 58,
+			op:     update(58, wide2),
+			sites:  sites("update", "value", "log", "value-bit", "swing", "release-old", "reclaim"),
+			lines:  flat(6),
+			reads:  1, // the leaf's word 0
 		},
 		{
 			name:     "unlogged update",
 			unlogged: true,
 			setup:    steady(wide),
-			op:       func(h *HART) error { return h.Update(key(58), wide2) },
+			target:   58,
+			op:       update(58, wide2),
 			sites:    sites("uupdate", "value", "value-bit", "swing", "release-old"),
-			lines:    4,
+			lines:    flat(4),
 			reads:    1,
 		},
 		{
@@ -608,70 +662,107 @@ func TestWritePathBudgets(t *testing.T) {
 			name:     "inline update, same length, unlogged option",
 			unlogged: true,
 			setup:    steady(short),
-			op:       func(h *HART) error { return h.Update(key(58), short2) },
+			target:   58,
+			op:       update(58, short2),
 			sites:    sites("update", "inline"),
-			lines:    1,
+			lines:    flat(1),
 			reads:    0,
 		},
 		{
-			name:  "delete",
-			setup: steady(wide),
-			op:    func(h *HART) error { return h.Delete(key(58)) },
-			sites: sites("delete", "leaf-bit", "value-bit", "scrub-pvalue"),
-			lines: 3,
-			reads: 1,
+			name:   "delete",
+			setup:  steady(wide),
+			target: 58,
+			op:     del(58),
+			sites:  sites("delete", "leaf-bit", "value-bit", "scrub-pvalue"),
+			lines:  flat(3),
+			reads:  1,
 		},
 		{
-			// The 57th record is alone in both classes' second chunks:
-			// deleting it empties and recycles first the value chunk (inside
+			// Record 56 is alone in both classes' second chunks: deleting
+			// it empties and recycles first the value chunk (inside
 			// Release), then the leaf chunk (inside Free) — seven persists
 			// each under the stripe's recycle log.
-			name:  "delete that empties both chunks",
-			setup: func(h *HART) { fill(h, 57, wide) },
-			op:    func(h *HART) error { return h.Delete(key(56)) },
-			sites: sites("delete", "leaf-bit", "value-bit", "value-bit*7", "scrub-pvalue", "recycle*7"),
-			lines: 17,
-			reads: 11, // word 0, then five list words per recycle
+			name:   "delete that empties both chunks",
+			setup:  alone(wide),
+			target: 56,
+			op:     del(56),
+			sites:  sites("delete", "leaf-bit", "value-bit", "value-bit*7", "scrub-pvalue", "recycle*7"),
+			lines:  flat(17),
+			reads:  11, // word 0, then five list words per recycle
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			opts := Options{ArenaSize: 16 << 20, Tracking: true, UnloggedUpdates: c.unlogged}
-			h, err := New(opts)
-			must(err)
-			c.setup(h)
-			before := h.Arena().Stats()
-			must(c.op(h))
-			after := h.Arena().Stats()
-			if got := after.Persists - before.Persists; got != int64(len(c.sites)) {
-				t.Errorf("%d persists, want %d", got, len(c.sites))
-			}
-			if got := after.PersistedLines - before.PersistedLines; got != c.lines {
-				t.Errorf("%d persisted lines, want %d", got, c.lines)
-			}
-			if got := after.Reads - before.Reads; got != c.reads {
-				t.Errorf("%d PM reads, want %d", got, c.reads)
-			}
-			must(h.Check())
-
-			// The sites, one crash per boundary: the label current when the
-			// k-th persist of the operation is about to be issued.
-			var got []string
-			for k := int64(0); ; k++ {
-				h, err := New(opts)
-				must(err)
-				c.setup(h)
-				site, crashed := runToCrash(h, k, func() { must(c.op(h)) })
-				if !crashed {
-					break
+			for ci, class := range classes {
+				// One pad more moves the written leaf one slot on; a line
+				// holds eight word offsets, so eight pads see them all
+				// unless the allocator skips, and 16 are allowed for that.
+				var seen [8]bool
+				for pad, nseen := 0, 0; nseen < 8; pad++ {
+					if pad == 16 {
+						t.Fatalf("%s: the written leaf met only offsets %v of a line in 16 fixtures", class.name, seen)
+					}
+					h, err := New(opts)
+					must(err)
+					c.setup(h, class.key, pad)
+					leaf := leafAt(h, class.key(c.target))
+					before := h.Arena().Stats()
+					must(c.op(h, class.key))
+					after := h.Arena().Stats()
+					if leaf.IsNil() {
+						leaf = leafAt(h, class.key(c.target))
+					}
+					at := fmt.Sprintf("%s, leaf at line offset %d", class.name, leaf%64)
+					if got := after.Persists - before.Persists; got != int64(len(c.sites)) {
+						t.Errorf("%s: %d persists, want %d", at, got, len(c.sites))
+					}
+					if got, want := after.PersistedLines-before.PersistedLines, c.lines[ci][leaf%64/8]; got != want {
+						t.Errorf("%s: %d persisted lines, want %d", at, got, want)
+					}
+					if got := after.Reads - before.Reads; got != c.reads {
+						t.Errorf("%s: %d PM reads, want %d", at, got, c.reads)
+					}
+					must(h.Check())
+					if !seen[leaf%64/8] {
+						seen[leaf%64/8] = true
+						nseen++
+					}
 				}
-				got = append(got, site)
-			}
-			if fmt.Sprint(got) != fmt.Sprint(c.sites) {
-				t.Errorf("persist sites\n got  %v\n want %v", got, c.sites)
+
+				// The sites, one crash per boundary: the label current when
+				// the k-th persist of the operation is about to be issued.
+				var got []string
+				for k := int64(0); ; k++ {
+					h, err := New(opts)
+					must(err)
+					c.setup(h, class.key, 0)
+					site, crashed := runToCrash(h, k, func() { must(c.op(h, class.key)) })
+					if !crashed {
+						break
+					}
+					got = append(got, site)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(c.sites) {
+					t.Errorf("%s: persist sites\n got  %v\n want %v", class.name, got, c.sites)
+				}
 			}
 		})
 	}
+}
+
+// leafAt returns the PM leaf the index holds for key, Nil if none.
+func leafAt(h *HART, key []byte) pmem.Ptr {
+	hashKey, artKey := h.splitKey(key)
+	s, ok := h.dir.Load().Get(hashKey)
+	if !ok {
+		return pmem.Nil
+	}
+	w, ok := s.root.Get(artKey)
+	if !ok {
+		return pmem.Nil
+	}
+	return leafRef(w).ptr()
 }
 
 // TestCrashDuringDeleteRecycleEveryPersist sweeps the delete path where

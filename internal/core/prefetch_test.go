@@ -7,6 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/casl-sdsu/hart/internal/cachesim"
+	"github.com/casl-sdsu/hart/internal/latency"
+	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
 // prefetchProbes returns n keys drawn from stored, from absent keys under
@@ -133,22 +137,56 @@ func prefetchChurn(t *testing.T, h *HART, stored []string) {
 }
 
 // TestPrefetchCountsNothing: a Prefetch of 10 k keys leaves every counter
-// where it was, PM reads included, and builds no pending shard.
+// where it was, PM reads included, and builds no pending shard. On an
+// arena that emulates PM latency through a cache model, the hints it gives
+// the leaf lines of its hits are not accesses either: the latency clock
+// charges nothing and the model caches none of those lines, so the loads
+// that follow pay what they would have paid without the Prefetch.
 func TestPrefetchCountsNothing(t *testing.T) {
+	storeOf := func(h *HART) []string {
+		var stored []string
+		for i := 0; i < 3000; i++ {
+			stored = append(stored, fmt.Sprintf("%c%c-%05d", 'a'+i%26, 'a'+i/26%26, i))
+			mustPut(t, h, stored[i], mixedValue("v%05d", i))
+		}
+		return stored
+	}
 	live := newHART(t)
-	var stored []string
-	for i := 0; i < 3000; i++ {
-		stored = append(stored, fmt.Sprintf("%c%c-%05d", 'a'+i%26, 'a'+i/26%26, i))
-		mustPut(t, live, stored[i], mixedValue("v%05d", i))
+	cache := cachesim.Default()
+	arena, err := pmem.New(pmem.Config{Size: 16 << 20, Latency: latency.Config300x300(), Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emulated, err := NewOnArena(arena, Options{Latency: latency.Config300x300()})
+	if err != nil {
+		t.Fatal(err)
 	}
 	lazy, lazyKeys := loadPending(t, 3000)
 	for _, c := range []struct {
 		name   string
 		h      *HART
 		stored []string
-	}{{"live", live, stored}, {"lazy", lazy, lazyKeys}} {
+	}{{"live", live, storeOf(live)}, {"emulated", emulated, storeOf(emulated)}, {"lazy", lazy, lazyKeys}} {
 		keys := prefetchProbes(rand.New(rand.NewSource(1)), c.stored, 10_000)
-		before, pending := c.h.Metrics().Counters, c.h.PendingShards()
+		if c.h == emulated {
+			// Persists evict what they flush: a read of every other
+			// record brings its leaf line back into the model.
+			for i := 0; i < len(c.stored); i += 2 {
+				mustGet(t, c.h, c.stored[i], mixedValue("v%05d", i))
+			}
+		}
+		// The leaf line of every hit, and whether the model holds it.
+		var lines []pmem.Ptr
+		var cached []bool
+		for _, k := range keys {
+			if len(k) > 0 && len(k) <= MaxKeyLen {
+				if p := leafAt(c.h, k); !p.IsNil() {
+					lines = append(lines, p)
+					cached = append(cached, cache.Contains(uint64(p)))
+				}
+			}
+		}
+		before, pending, clock := c.h.Metrics().Counters, c.h.PendingShards(), c.h.Arena().Clock().Snapshot()
 		c.h.Prefetch(keys)
 		if after := c.h.Metrics().Counters; !maps.Equal(before, after) {
 			for k, v := range after {
@@ -160,6 +198,24 @@ func TestPrefetchCountsNothing(t *testing.T) {
 		}
 		if got := c.h.PendingShards(); got != pending {
 			t.Fatalf("%s: pending shards %d → %d", c.name, pending, got)
+		}
+		if got := c.h.Arena().Clock().Snapshot(); got != clock {
+			t.Fatalf("%s: latency clock %+v → %+v", c.name, clock, got)
+		}
+		if c.h != emulated {
+			continue
+		}
+		uncached := 0
+		for i, p := range lines {
+			if !cached[i] {
+				uncached++
+			}
+			if got := cache.Contains(uint64(p)); got != cached[i] {
+				t.Fatalf("%s: leaf line of %d: cached %v → %v", c.name, p, cached[i], got)
+			}
+		}
+		if uncached == 0 || uncached == len(lines) {
+			t.Fatalf("%s: %d of %d hinted leaf lines were out of the cache model; want some of each", c.name, uncached, len(lines))
 		}
 	}
 }
@@ -181,8 +237,9 @@ func TestPrefetchAllocatesNothing(t *testing.T) {
 
 // BenchmarkGetBurst looks up bursts of 64 random present keys over a
 // 250 k-record store, the shape of a pipelined wire burst: one GetInto per
-// key (serial), or one Prefetch of the burst first (prefetched). ns/get
-// is the whole burst's time over its 64 keys.
+// key (serial), or one Prefetch of the burst first (prefetched); ns/get is
+// the whole burst's time over its 64 keys. The walk case runs the Prefetch
+// alone, in ns/key: the part of prefetched that is not GetInto.
 func BenchmarkGetBurst(b *testing.B) {
 	const records, burst, bursts = 250_000, 64, 4096
 	h, err := New(Options{ArenaSize: 64 << 20})
@@ -214,17 +271,23 @@ func BenchmarkGetBurst(b *testing.B) {
 			windows[i][j] = keys[rng.Intn(records)]
 		}
 	}
-	for _, prefetch := range []bool{false, true} {
-		name := "serial"
-		if prefetch {
-			name = "prefetched"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name, unit    string
+		prefetch, get bool
+	}{
+		{"serial", "ns/get", false, true},
+		{"prefetched", "ns/get", true, true},
+		{"walk", "ns/key", true, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			val := make([]byte, 0, MaxValueLen)
 			for i := 0; i < b.N; i++ {
 				w := windows[i%bursts]
-				if prefetch {
+				if c.prefetch {
 					h.Prefetch(w)
+				}
+				if !c.get {
+					continue
 				}
 				for _, k := range w {
 					if _, ok := h.GetInto(k, val); !ok {
@@ -232,7 +295,7 @@ func BenchmarkGetBurst(b *testing.B) {
 					}
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), "ns/get")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*burst), c.unit)
 		})
 	}
 }

@@ -1,0 +1,9 @@
+//go:build !amd64 && !arm64
+
+package cpu
+
+import "unsafe"
+
+// Prefetch hints the cache line holding p into the L1 data cache; on this
+// architecture it does nothing.
+func Prefetch(p unsafe.Pointer) {}

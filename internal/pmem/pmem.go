@@ -43,8 +43,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/casl-sdsu/hart/internal/cachesim"
+	"github.com/casl-sdsu/hart/internal/cpu"
 	"github.com/casl-sdsu/hart/internal/latency"
 	"github.com/casl-sdsu/hart/internal/obs"
 )
@@ -490,6 +492,18 @@ func (a *Arena) WriteWords(p Ptr, data []byte) {
 		atomic.StoreUint64(a.word(p+Ptr(i*8)), le64(w))
 	}
 	a.markDirty(p, words*8)
+}
+
+// Prefetch hints the CPU to bring the line holding p toward its cache, so
+// that a load or store of it soon after does not wait for the medium. It
+// is not an access: it counts nothing, charges no emulated latency and
+// leaves the cachesim model alone, so Reads and the emulated read charge
+// stay what the access that follows pays. A p outside the arena is
+// ignored, since a hint may come from a walk that raced a writer.
+func (a *Arena) Prefetch(p Ptr) {
+	if p >= LabelBase && uint64(p) < uint64(len(a.data)) {
+		cpu.Prefetch(unsafe.Pointer(&a.data[p]))
+	}
 }
 
 // ReadPtr loads a persistent pointer stored at p.

@@ -396,6 +396,37 @@ func TestLatencyAccounting(t *testing.T) {
 	}
 }
 
+// TestPrefetchIsNotAnAccess: a hint anywhere in the arena, or outside it,
+// counts nothing, charges nothing and leaves the cache model as it was,
+// so the read after it still misses and pays.
+func TestPrefetchIsNotAnAccess(t *testing.T) {
+	cache := cachesim.New(1<<14, 4)
+	a, err := New(Config{Size: 1 << 16, Latency: latency.Config300x300(), Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := a.Reserve(256, 64)
+	a.Write8(p, 7)
+	a.Persist(p, 8) // evicts the line from the model
+	stats, clock := a.Stats(), a.Clock().Snapshot()
+	for _, q := range []Ptr{p, p + 3, p + 255, Nil, LabelBase - 1, LabelBase, Ptr(a.Capacity()) - 1, Ptr(a.Capacity()), ^Ptr(0)} {
+		a.Prefetch(q)
+	}
+	if got := a.Stats(); got != stats {
+		t.Fatalf("stats %+v → %+v", stats, got)
+	}
+	if got := a.Clock().Snapshot(); got != clock {
+		t.Fatalf("clock %+v → %+v", clock, got)
+	}
+	if cache.Contains(uint64(p)) {
+		t.Fatal("a hinted line entered the cache model")
+	}
+	a.Read8(p)
+	if got := a.Clock().Snapshot().PMReadMisses; got != clock.PMReadMisses+1 {
+		t.Fatalf("the read after a hint: %d misses, want %d", got, clock.PMReadMisses+1)
+	}
+}
+
 func TestStats(t *testing.T) {
 	a := newTracked(t, 8192)
 	p, _ := a.Reserve(128, 8)

@@ -65,7 +65,7 @@ type Options struct {
 }
 
 // Metrics are the server's own counters, exposed through the Stats op
-// beside the store's obs snapshot.
+// beside the store's obs snapshot, and by hartd's /metrics.
 type Metrics struct {
 	ConnsAccepted  uint64
 	ConnsActive    uint64
@@ -120,6 +120,19 @@ func (s *Server) Metrics() Metrics {
 		PutsCoalesced:  s.putsCoalesced.Load(),
 		BatchesFormed:  s.batchesFormed.Load(),
 		ProtocolErrors: s.protocolErrors.Load(),
+	}
+}
+
+// Counters returns m by name: the Stats op's server map, and what hartd's
+// /metrics exports under "server.".
+func (m Metrics) Counters() map[string]uint64 {
+	return map[string]uint64{
+		"conns_accepted":  m.ConnsAccepted,
+		"conns_active":    m.ConnsActive,
+		"requests":        m.Requests,
+		"puts_coalesced":  m.PutsCoalesced,
+		"batches_formed":  m.BatchesFormed,
+		"protocol_errors": m.ProtocolErrors,
 	}
 }
 
@@ -498,15 +511,7 @@ func (s *Server) execStats() wire.Response {
 			P50Ns: h.P50Ns, P95Ns: h.P95Ns, P99Ns: h.P99Ns, MaxNs: h.MaxNs,
 		}
 	}
-	sm := s.Metrics()
-	p.Server = map[string]uint64{
-		"conns_accepted":  sm.ConnsAccepted,
-		"conns_active":    sm.ConnsActive,
-		"requests":        sm.Requests,
-		"puts_coalesced":  sm.PutsCoalesced,
-		"batches_formed":  sm.BatchesFormed,
-		"protocol_errors": sm.ProtocolErrors,
-	}
+	p.Server = s.Metrics().Counters()
 	js, err := json.Marshal(p)
 	if err != nil {
 		return wire.Response{Status: wire.StatusServerError, Msg: err.Error()}
