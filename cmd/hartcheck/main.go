@@ -8,11 +8,12 @@
 // internal/modelcheck — run it for minutes or hours to push the sweep
 // far past what CI affords:
 //
-//	hartcheck -duration 10m -unlogged -recovery
+//	hartcheck -duration 10m -recovery
 //	hartcheck -seed 42 -histories 500 -ops 60
 //
-// Any violation prints the failing seed and history so the run can be
-// replayed exactly with: hartcheck -seed <seed> -histories 1.
+// Any violation prints the failing seed and history, and the command that
+// replays exactly that run: hartcheck -seed <seed> -histories 1 with the
+// run's own -ops, -recovery, -file and -arena.
 package main
 
 import (
@@ -30,7 +31,6 @@ func main() {
 		histories = flag.Int("histories", 100, "number of histories to sweep (0 = unlimited, use -duration)")
 		ops       = flag.Int("ops", 40, "operations per history")
 		duration  = flag.Duration("duration", 0, "stop after this wall time (0 = run all -histories)")
-		unlogged  = flag.Bool("unlogged", false, "use the unlogged pointer-swing update path")
 		recovery  = flag.Bool("recovery", false, "also crash recovery at every one of its own persist boundaries (slower)")
 		file      = flag.Bool("file", false, "also reopen every crash image through the file backend (slower)")
 		arena     = flag.Int64("arena", 0, "simulated PM arena bytes (0 = checker default)")
@@ -45,7 +45,6 @@ func main() {
 
 	cfg := modelcheck.Config{
 		ArenaSize:         *arena,
-		UnloggedUpdates:   *unlogged,
 		ReentrantRecovery: *recovery,
 		FileReattach:      *file,
 	}
@@ -59,9 +58,10 @@ func main() {
 			break
 		}
 		if err := modelcheck.RunSeed(s, *ops, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "hartcheck: VIOLATION at seed %d (ops=%d unlogged=%v recovery=%v):\n%v\n",
-				s, *ops, *unlogged, *recovery, err)
-			fmt.Fprintf(os.Stderr, "replay with: hartcheck -seed %d -histories 1 -ops %d\n", s, *ops)
+			fmt.Fprintf(os.Stderr, "hartcheck: VIOLATION at seed %d (ops=%d recovery=%v file=%v):\n%v\n",
+				s, *ops, *recovery, *file, err)
+			fmt.Fprintf(os.Stderr, "replay with: hartcheck -seed %d -histories 1 -ops %d -recovery=%v -file=%v -arena %d\n",
+				s, *ops, *recovery, *file, *arena)
 			os.Exit(1)
 		}
 		done++

@@ -13,7 +13,8 @@
 //	hartd -db /var/lib/hart/store.pm -addr :7070 -metrics-addr :9090
 //
 // The store file is created (with -size bytes) if missing; an existing
-// file is attached with full recovery, exactly as hart.Open documents.
+// file is attached with full recovery, exactly as hart.Open documents,
+// eagerly and on GOMAXPROCS workers.
 // -metrics-addr additionally serves Prometheus /metrics and expvar
 // /debug/vars for live scraping: the store's counters and histograms, and
 // the server's own counters (connections, requests, coalesced Puts,
@@ -47,13 +48,11 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs := flag.NewFlagSet("hartd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dbPath  = fs.String("db", "", "PM image file (required; created if missing)")
-		addr    = fs.String("addr", "127.0.0.1:7070", "TCP listen address (\":0\" picks a free port)")
-		mAddr   = fs.String("metrics-addr", "", "serve Prometheus /metrics and expvar /debug/vars (e.g. :9090)")
-		size    = fs.Int64("size", 64<<20, "arena size for a fresh store")
-		lazy    = fs.Bool("lazy", false, "lazy per-shard recovery on attach")
-		workers = fs.Int("recovery-workers", 0, "parallel recovery workers (0 = GOMAXPROCS)")
-		hists   = fs.Bool("latency-hists", false, "collect latency histograms (small hot-path cost)")
+		dbPath = fs.String("db", "", "PM image file (required; created if missing)")
+		addr   = fs.String("addr", "127.0.0.1:7070", "TCP listen address (\":0\" picks a free port)")
+		mAddr  = fs.String("metrics-addr", "", "serve Prometheus /metrics and expvar /debug/vars (e.g. :9090)")
+		size   = fs.Int64("size", 64<<20, "arena size for a fresh store")
+		hists  = fs.Bool("latency-hists", false, "collect latency histograms (small hot-path cost)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -63,13 +62,9 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 2
 	}
 
-	if *workers == 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
 	db, err := hart.Open(*dbPath, hart.Options{
 		ArenaSize:       *size,
-		LazyRecovery:    *lazy,
-		RecoveryWorkers: *workers,
+		RecoveryWorkers: runtime.GOMAXPROCS(0),
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "hartd: cannot open %s: %v\n", *dbPath, err)

@@ -262,9 +262,8 @@ func TestKillMidTrafficDurability(t *testing.T) {
 	}
 }
 
-// TestRecoveryWorkersDefault reopens a dirty image with no
-// -recovery-workers flag: recovery must run on GOMAXPROCS workers, as the
-// flag's help says, not serially.
+// TestRecoveryWorkersDefault reopens a dirty image: recovery must run on
+// GOMAXPROCS workers, as the package documentation says, not serially.
 func TestRecoveryWorkersDefault(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "dirty.hart")
 	db, err := hart.Open(path, hart.Options{ArenaSize: 16 << 20})

@@ -6,7 +6,10 @@
 //
 // Usage:
 //
-//	hartfsck [-workers N] [-events] /tmp/store.pm
+//	hartfsck [-events] /tmp/store.pm
+//
+// Recovery runs eagerly on GOMAXPROCS workers; its persist sequence, and so
+// the verdict, is the same at any worker count.
 package main
 
 import (
@@ -14,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	hart "github.com/casl-sdsu/hart"
@@ -30,13 +34,12 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("hartfsck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	workers := fs.Int("workers", 0, "recovery worker count (0 or 1 = serial)")
 	events := fs.Bool("events", false, "print the recovery's event trail (open, ulog replays, phase timings)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: hartfsck [-workers N] [-events] <image-file>")
+		fmt.Fprintln(stderr, "usage: hartfsck [-events] <image-file>")
 		return 2
 	}
 	fail := func(format string, args ...any) int {
@@ -50,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// An image of another format version stops here, with
 	// hart.ErrVersionMismatch naming both versions; it is only read.
-	db, err := hart.Restore(img, hart.Options{CrashSimulation: true, RecoveryWorkers: *workers})
+	db, err := hart.Restore(img, hart.Options{CrashSimulation: true, RecoveryWorkers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		return fail("recovery: %v", err)
 	}

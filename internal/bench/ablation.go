@@ -250,68 +250,11 @@ func RunAblationDistribution(c Config) (Report, error) {
 	return report, nil
 }
 
-// RunAblationUpdateLog compares HART's two update mechanisms: the full
-// Algorithm 3 micro-log (immediately leak-free) against the unlogged
-// pointer swing the paper's evaluation measured (Section IV.B; leak
-// window bounded by the recovery orphan sweep).
-func RunAblationUpdateLog(c Config) (Report, error) {
-	c = c.WithDefaults()
-	lat := latency.Config300x300()
-	lat.Mode = c.Mode
-	keys := workload.Random(c.Records, c.Seed)
-	probe := shuffled(keys, c.Seed+13)
-	val := workload.Values(1, c.ValueSize, c.Seed+29)[0]
-	var report Report
-	for _, unlogged := range []bool{false, true} {
-		h, err := core.New(core.Options{
-			ArenaSize:       arenaSize("HART", c.Records+1),
-			Latency:         lat,
-			CacheModel:      lat.ReadDeltaNs() > 0,
-			UnloggedUpdates: unlogged,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range keys {
-			if err := h.Put(k, val); err != nil {
-				return nil, err
-			}
-		}
-		persistsBefore := h.Arena().Persists()
-		d := measureHART(h, c.Mode, func() error {
-			for _, k := range probe {
-				if err := h.Update(k, val); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, &err)
-		if err != nil {
-			return nil, err
-		}
-		perOp := float64(h.Arena().Persists()-persistsBefore) / float64(len(probe))
-		h.Close()
-		name := "Algorithm-3 log"
-		if unlogged {
-			name = "unlogged (paper IV.B)"
-		}
-		report = append(report, Row{
-			Figure: "A5", Workload: name, Latency: lat.Name(), Tree: "HART",
-			Op: "update", Records: len(probe), Threads: 1,
-			NsPerOp: float64(d.Nanoseconds()) / float64(len(probe)),
-		})
-		fmt.Fprintf(c.Out, "ablation update-log %-22s %8.3f us/op (%.1f persists/op)\n",
-			name, float64(d.Nanoseconds())/float64(len(probe))/1000, perOp)
-	}
-	return report, nil
-}
-
 // RunAblations executes every ablation.
 func RunAblations(c Config) (Report, error) {
 	var all Report
 	for _, fn := range []func(Config) (Report, error){
 		RunAblationKH, RunAblationScan, RunAblationValueSize, RunAblationDistribution,
-		RunAblationUpdateLog,
 	} {
 		rep, err := fn(c)
 		if err != nil {

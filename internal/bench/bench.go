@@ -126,11 +126,7 @@ func NewIndex(tree string, lat latency.Config, mode latency.Mode, records int) (
 	cacheModel := lat.ReadDeltaNs() > 0
 	switch tree {
 	case "HART":
-		// UnloggedUpdates selects the update mechanism the paper measured
-		// (Section IV.B); RunAblationUpdateLog compares it against the full
-		// Algorithm 3 log.
-		return core.New(core.Options{ArenaSize: size, Latency: lat, CacheModel: cacheModel,
-			UnloggedUpdates: true})
+		return core.New(core.Options{ArenaSize: size, Latency: lat, CacheModel: cacheModel})
 	case "WOART":
 		return woart.New(woart.Options{ArenaSize: size, Latency: lat, CacheModel: cacheModel})
 	case "ART+CoW":

@@ -381,8 +381,7 @@ func RunFig10d(c Config) (Report, error) {
 	val := workload.Values(1, c.ValueSize, c.Seed+29)[0]
 	for _, threads := range c.Threads {
 		for _, op := range []string{"insert", "search", "update", "delete"} {
-			h, err := core.New(core.Options{ArenaSize: arenaSize("HART", c.Records+1), Latency: lat,
-				UnloggedUpdates: true})
+			h, err := core.New(core.Options{ArenaSize: arenaSize("HART", c.Records+1), Latency: lat})
 			if err != nil {
 				return nil, err
 			}

@@ -209,20 +209,6 @@ type Options struct {
 	// store size; durable state is untouched by the deferred builds, so a
 	// crash mid-drain recovers exactly like a crash before it.
 	LazyRecovery bool
-	// UnloggedUpdates selects, for the update that replaces one value
-	// object by another (both values longer than MaxInlineLen), the update
-	// mechanism the paper *measured* (Section IV.B: "a pointer to that new
-	// value is updated as the last step") instead of the full Algorithm 3
-	// micro-log. It is four persists per update instead of the logged
-	// protocol's six, but can strand one old value object if a crash lands
-	// between the pointer swing and the old value's bit reset; the
-	// recovery orphan sweep reclaims such strays on the next restart, so
-	// the leak is bounded by one recovery period (the baselines leak the
-	// same window unboundedly). Default false: Algorithm 3, immediately
-	// leak-free. No other update consults it: a value the leaf holds is
-	// replaced by one of its own length in a single failure-atomic store,
-	// and an update that changes a record's shape is always logged.
-	UnloggedUpdates bool
 }
 
 // withDefaults fills unset fields.

@@ -373,71 +373,64 @@ func TestCrashDuringMixedWorkload(t *testing.T) {
 	}
 }
 
-// TestCrashDuringUnloggedUpdateEveryPersist exercises the paper's
-// measured update path (Section IV.B), which Options.UnloggedUpdates
-// selects between value objects: the pointer swing is atomic, so the key
-// always reads old-or-new; any stranded value object must be reclaimed by
-// the recovery orphan sweep so the recovered store is leak-free.
-func TestCrashDuringUnloggedUpdateEveryPersist(t *testing.T) {
-	opts := Options{ArenaSize: 16 << 20, Tracking: true, UnloggedUpdates: true}
-	points := 0
-	for fail := int64(0); ; fail++ {
-		h, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Put([]byte("unlog"), []byte("oldval-in-object")); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			if err := h.Put([]byte(fmt.Sprintf("ul%d", i)), []byte("keep")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		h.Arena().FailAfterPersists(fail)
-		crashed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(pmem.CrashError); !ok {
-						panic(r)
-					}
-					crashed = true
-				}
-			}()
-			if err := h.Update([]byte("unlog"), []byte("newval-in-object")); err != nil {
-				t.Fatal(err)
-			}
-		}()
-		h.Arena().DisarmCrash()
-		if !crashed {
-			break
-		}
-		points++
-		img, err := h.Arena().Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h2, err := Open(img, opts)
-		if err != nil {
-			t.Fatalf("fail=%d: %v", fail, err)
-		}
-		got, ok := h2.Get([]byte("unlog"))
-		if !ok {
-			t.Fatalf("fail=%d: key vanished", fail)
-		}
-		if s := string(got); s != "oldval-in-object" && s != "newval-in-object" {
-			t.Fatalf("fail=%d: torn unlogged update: %q", fail, s)
-		}
-		// The orphan sweep must leave the store leak-free immediately.
-		if err := h2.Check(); err != nil {
-			t.Fatalf("fail=%d: fsck after unlogged-update crash: %v", fail, err)
-		}
+// TestRecoveryReclaimsStrandedValues crashes an out-of-line insert between
+// its value bit and its leaf bit, and a delete between its leaf bit and its
+// value bit. Each strands a committed value object that no live leaf
+// references; the dead leaf's stale word 0 still names it, so the
+// stale-word sweep reclaims it and zeroes the word, leaving the orphan
+// sweep nothing. Each image is recovered in every mode: the key must be
+// absent, the counts exact, and the store leak-free. (A value named by no
+// word at all, which only the orphan sweep finds, is left by a failed
+// release: see TestDeleteReleaseFailureStillDeletes.)
+func TestRecoveryReclaimsStrandedValues(t *testing.T) {
+	const key, val = "strand", "value-in-object!"
+	cases := []struct {
+		name    string
+		withKey bool // the key is put before the operation
+		site    string
+		op      func(h *HART)
+	}{
+		{"insert crashed before its leaf bit", false, "insert.leaf-bit", func(h *HART) { h.Put([]byte(key), []byte(val)) }},
+		{"delete crashed before its value bit", true, "delete.value-bit", func(h *HART) { h.Delete([]byte(key)) }},
 	}
-	// Unlogged updates do 4 persists (value, value bit, swing, old reset);
-	// with allocator-internal persists the sweep must cover at least 4.
-	if points < 4 {
-		t.Fatalf("unlogged update exercised only %d crash points", points)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// Crash at the first persist labelled c.site.
+			var img []byte
+			for k := int64(0); img == nil; k++ {
+				h := newHART(t)
+				for i := 0; i < 5; i++ {
+					mustPut(t, h, fmt.Sprintf("st%d", i), "bystander-object")
+				}
+				if c.withKey {
+					mustPut(t, h, key, val)
+				}
+				site, crashed := runToCrash(h, k, func() { c.op(h) })
+				if !crashed {
+					t.Fatalf("the operation finished without reaching %s", c.site)
+				}
+				if site != c.site {
+					continue
+				}
+				var err error
+				if img, err = h.Arena().DurableImage(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, m := range recoveryModes {
+				h := openImage(t, img, m.opts)
+				if rs := h.LastRecoveryStats(); rs.StaleSlotsZeroed != 1 || rs.OrphanValues != 0 {
+					t.Fatalf("%s: %d stale slots zeroed, %d orphan values; want 1 and 0",
+						m.name, rs.StaleSlotsZeroed, rs.OrphanValues)
+				}
+				if _, ok := h.Get([]byte(key)); ok {
+					t.Fatalf("%s: %q present after recovery", m.name, key)
+				}
+				if err := h.Check(); err != nil {
+					t.Fatalf("%s: fsck after recovery: %v", m.name, err)
+				}
+			}
+		})
 	}
 }
 
@@ -550,14 +543,13 @@ func TestWritePathBudgets(t *testing.T) {
 	}
 	const newRecord = 999 // the record an insert adds
 	cases := []struct {
-		name     string
-		unlogged bool
-		setup    func(h *HART, key func(int) []byte, pad int)
-		target   int // the record whose leaf the operation writes
-		op       func(h *HART, key func(int) []byte) error
-		sites    []string
-		lines    [2][8]int64
-		reads    int64
+		name   string
+		setup  func(h *HART, key func(int) []byte, pad int)
+		target int // the record whose leaf the operation writes
+		op     func(h *HART, key func(int) []byte) error
+		sites  []string
+		lines  [2][8]int64
+		reads  int64
 	}{
 		// The record that is one PM object: value in the leaf.
 		{
@@ -647,28 +639,6 @@ func TestWritePathBudgets(t *testing.T) {
 			reads:  1, // the leaf's word 0
 		},
 		{
-			name:     "unlogged update",
-			unlogged: true,
-			setup:    steady(wide),
-			target:   58,
-			op:       update(58, wide2),
-			sites:    sites("uupdate", "value", "value-bit", "swing", "release-old"),
-			lines:    flat(4),
-			reads:    1,
-		},
-		{
-			// UnloggedUpdates selects between value objects only: a value
-			// the leaf holds is updated in place, option or no option.
-			name:     "inline update, same length, unlogged option",
-			unlogged: true,
-			setup:    steady(short),
-			target:   58,
-			op:       update(58, short2),
-			sites:    sites("update", "inline"),
-			lines:    flat(1),
-			reads:    0,
-		},
-		{
 			name:   "delete",
 			setup:  steady(wide),
 			target: 58,
@@ -693,7 +663,7 @@ func TestWritePathBudgets(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			opts := Options{ArenaSize: 16 << 20, Tracking: true, UnloggedUpdates: c.unlogged}
+			opts := Options{ArenaSize: 16 << 20, Tracking: true}
 			for ci, class := range classes {
 				// One pad more moves the written leaf one slot on; a line
 				// holds eight word offsets, so eight pads see them all

@@ -159,6 +159,9 @@ func TestUpdateReleaseFailureLeaksVisiblyThenRecovers(t *testing.T) {
 			if err := h.Rebuild(); err != nil {
 				t.Fatalf("Rebuild: %v", err)
 			}
+			if n := h.LastRecoveryStats().OrphanValues; n != 1 {
+				t.Fatalf("recovery reclaimed %d orphan values, want 1", n)
+			}
 			if err := h.Check(); err != nil {
 				t.Fatalf("Check after recovery: %v", err)
 			}
@@ -166,32 +169,6 @@ func TestUpdateReleaseFailureLeaksVisiblyThenRecovers(t *testing.T) {
 				t.Fatalf("value lost across recovery: %q", v)
 			}
 		})
-	}
-}
-
-func TestUnloggedUpdateSetBitFailure(t *testing.T) {
-	h, err := New(Options{ArenaSize: 16 << 20, Tracking: true, UnloggedUpdates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Put([]byte("alpha"), longOld); err != nil {
-		t.Fatal(err)
-	}
-	h.alloc.FailSetBitAfter(0)
-	if err := h.Put([]byte("alpha"), longNew); !errors.Is(err, epalloc.ErrInjected) {
-		t.Fatalf("update = %v, want ErrInjected", err)
-	}
-	if v, _ := h.Get([]byte("alpha")); !bytes.Equal(v, longOld) {
-		t.Fatalf("old value lost: %q", v)
-	}
-	if err := h.Check(); err != nil {
-		t.Fatalf("Check after failed unlogged update: %v", err)
-	}
-	if err := h.Put([]byte("alpha"), longNew); err != nil {
-		t.Fatalf("retry: %v", err)
-	}
-	if err := h.Check(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -246,9 +223,14 @@ func TestDeleteReleaseFailureStillDeletes(t *testing.T) {
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", h.Len())
 	}
-	// The value bit leaked; recovery reclaims it.
+	// The value bit leaked, and the scrubbed leaf no longer names it: only
+	// recovery's orphan sweep can reclaim it.
 	if err := h.Rebuild(); err != nil {
 		t.Fatalf("Rebuild: %v", err)
+	}
+	if rs := h.LastRecoveryStats(); rs.OrphanValues != 1 || rs.StaleSlotsZeroed != 0 {
+		t.Fatalf("recovery reclaimed %d orphan values and zeroed %d stale slots, want 1 and 0",
+			rs.OrphanValues, rs.StaleSlotsZeroed)
 	}
 	if err := h.Check(); err != nil {
 		t.Fatalf("Check after recovery: %v", err)

@@ -209,20 +209,15 @@ func (h *HART) updateAt(s *artShard, artKey []byte, ref leafRef, value []byte, s
 //   - Inline to inline of the same length: one atomic store of word 0 and
 //     one persist. Failure-atomic by width — the pointer swing the paper
 //     measured (Section IV.B), with nothing behind the pointer to leak.
-//   - Value object to value object with Options.UnloggedUpdates: the
-//     paper's measured four-persist swing (updateUnlogged).
-//   - Everything else — value object to value object by default, and any
-//     change of shape, which has two words to rewrite: Algorithm 3's
-//     logged protocol (updateLogged).
+//   - Everything else — value object to value object, and any change of
+//     shape, which has two words to rewrite: Algorithm 3's logged
+//     protocol (updateLogged).
 func (h *HART) update(ref leafRef, value []byte, stripe int) (leafRef, error) {
-	switch old := ref.shape(); {
-	case old != 0 && old == len(value):
+	if old := ref.shape(); old != 0 && old == len(value) {
 		h.arena.SetPersistSite("update.inline")
 		h.swing(ref.ptr(), inlineWord(value))
 		h.obs.updates.Add(1)
 		return ref, nil
-	case old == 0 && len(value) > MaxInlineLen && h.opts.UnloggedUpdates:
-		return ref, h.updateUnlogged(ref.ptr(), value, stripe)
 	}
 	return h.updateLogged(ref, value, stripe)
 }
@@ -634,41 +629,4 @@ func (h *HART) GetLeaf(key []byte) (pmem.Ptr, bool) {
 		return pmem.Nil, false
 	}
 	return leaf, true
-}
-
-// updateUnlogged is the update mechanism the paper's evaluation ran
-// (Section IV.B), shared in structure with WOART and ART+CoW, for a record
-// that keeps its value out of line: write the new value object, commit its
-// bit, swing the leaf's word 0 atomically, release the old object. Four
-// persists instead of the logged protocol's six; crash exposure is the old
-// object in the final window, reclaimed by the recovery orphan sweep.
-func (h *HART) updateUnlogged(leaf pmem.Ptr, value []byte, stripe int) error {
-	oldV, _ := unpackValue(h.arena.Read8(leaf + lfWord0))
-
-	newV, err := h.alloc.AllocStripe(classValue16, stripe)
-	if err != nil {
-		return err
-	}
-	h.arena.SetPersistSite("uupdate.value")
-	h.arena.WriteWords(newV, value)
-	h.arena.Persist(newV, len(value))
-	h.arena.SetPersistSite("uupdate.value-bit")
-	if err := h.alloc.SetBit(newV); err != nil {
-		h.alloc.Abort(newV)
-		return err
-	}
-
-	// The atomic pointer swing is the commit point ("updated as the last
-	// step to ensure consistency").
-	h.arena.SetPersistSite("uupdate.swing")
-	h.swing(leaf, packValue(newV, len(value)))
-
-	h.arena.SetPersistSite("uupdate.release-old")
-	if !oldV.IsNil() {
-		if err := h.alloc.Release(oldV); err != nil {
-			return err
-		}
-	}
-	h.obs.updates.Add(1)
-	return nil
 }

@@ -317,12 +317,18 @@ func ptrSetHas(set []pmem.Ptr, p pmem.Ptr) bool {
 // for the runtime side). The candidates were collected by the scan phase;
 // the writes land here, in stripe order.
 //
-// Orphan value sweep (mark-and-sweep): any committed value object
-// referenced by no live leaf is unreachable forever — the residue of an
-// unlogged update (Options.UnloggedUpdates) or of a baseline-style crash
-// window — and is reclaimed. The value-chunk walk fans out per stripe; the
-// releases land here, in stripe order. With Algorithm 3 updates
-// this finds nothing; either way, a recovered HART starts leak-free.
+// An out-of-line insert that crashes between its value bit and its leaf
+// bit, and a delete that crashes between its leaf bit and its value bit,
+// strand a committed value object; the dead leaf's word 0 names it, so the
+// stale-word sweep reclaims it.
+//
+// Orphan value sweep (mark-and-sweep): any committed value object still
+// referenced by no live leaf is unreachable forever — left by an update
+// whose release of the old value failed after its commit point, or by a
+// delete whose value release failed, the dead leaf being scrubbed all the
+// same — and is reclaimed. The value-chunk walk fans out per stripe; the
+// releases land here, in stripe order. After a crash alone this finds
+// nothing; either way, a recovered HART starts leak-free.
 func (h *HART) sweepStaleAndOrphans(sc *leafScan, workers int, stats *RecoveryStats) error {
 	h.arena.SetPersistSite("recover.stale-sweep")
 	referenced := func(vp pmem.Ptr) bool { return ptrSetHas(sc.valSet, vp) }

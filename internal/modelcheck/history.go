@@ -21,8 +21,8 @@ import (
 // OpKind enumerates history operations.
 type OpKind int
 
-// History operation kinds. Put covers both insert and (logged or
-// unlogged, per Config) update depending on whether the key exists.
+// History operation kinds. Put covers both insert and update depending on
+// whether the key exists.
 const (
 	OpPut OpKind = iota
 	OpDelete

@@ -15,9 +15,6 @@ type Config struct {
 	// ArenaSize is the simulated PM capacity (default 4 MiB — small, so
 	// histories stay cheap to replay hundreds of times).
 	ArenaSize int64
-	// UnloggedUpdates selects the store's unlogged update mechanism, so
-	// the sweep covers both Algorithm 3 and the paper's measured variant.
-	UnloggedUpdates bool
 	// RecoveryWorkers parallelises the store's recovery, so the sweep
 	// covers the fanned-out scan and build (recovery's persist sequence
 	// is deterministic at any worker count — exactly what this checks).
@@ -58,7 +55,6 @@ func (c Config) options() core.Options {
 	return core.Options{
 		ArenaSize:       c.ArenaSize,
 		Tracking:        true,
-		UnloggedUpdates: c.UnloggedUpdates,
 		RecoveryWorkers: c.RecoveryWorkers,
 		LazyRecovery:    c.LazyRecovery,
 	}
