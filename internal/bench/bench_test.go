@@ -2,6 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -20,6 +23,44 @@ func tinyConfig() Config {
 		ScaleSweep:   []int{500, 1000},
 		Threads:      []int{1, 2},
 	}.WithDefaults()
+}
+
+// rowKey is a row's identity: every field but the measurements.
+func rowKey(r Row) string {
+	return fmt.Sprintf("%s|%s|%s|%s|%s|%d", r.Figure, r.Workload, r.Latency, r.Tree, r.Op, r.Threads)
+}
+
+// checkRows fails unless rep holds exactly the rows keyed by want, in
+// any order.
+func checkRows(t *testing.T, rep Report, want []string) {
+	t.Helper()
+	got := make([]string, len(rep))
+	for i, r := range rep {
+		got[i] = rowKey(r)
+	}
+	sort.Strings(got)
+	want = slices.Clone(want)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("row keys:\n got %q\nwant %q", got, want)
+	}
+}
+
+// paperLatencies are the paper's three PM configurations.
+var paperLatencies = []string{"300/100", "300/300", "600/300"}
+
+// basicGrid keys the rows of one of Figs. 4-7: the three key sets, each a
+// sub-figure, × the three latencies × trees.
+func basicGrid(fig, op string, trees ...string) []string {
+	var keys []string
+	for _, wl := range []struct{ letter, name string }{{"a", "Dictionary"}, {"b", "Sequential"}, {"c", "Random"}} {
+		for _, lat := range paperLatencies {
+			for _, tree := range trees {
+				keys = append(keys, fmt.Sprintf("%s%s|%s|%s|%s|%s|1", fig, wl.letter, wl.name, lat, tree, op))
+			}
+		}
+	}
+	return keys
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -55,10 +96,7 @@ func TestFig4SmokeAndPenaltyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 workloads × 3 latencies × 2 trees.
-	if len(rep) != 18 {
-		t.Fatalf("fig4 rows = %d, want 18", len(rep))
-	}
+	checkRows(t, rep, basicGrid("4", "insert", "HART", "WOART"))
 	// Per-op latency should grow with the PM write latency for the pure-PM
 	// tree (more persists => more penalty). On a shared machine the smoke
 	// sizes are too small for that ordering to hold every run, so the ratio
@@ -85,14 +123,15 @@ func TestFig4SmokeAndPenaltyOrdering(t *testing.T) {
 func TestFig5Through7Smoke(t *testing.T) {
 	c := tinyConfig()
 	c.Trees = []string{"HART", "FPTree"}
-	for _, fn := range []func(Config) (Report, error){RunFig5, RunFig6, RunFig7} {
-		rep, err := fn(c)
+	for _, f := range []struct {
+		fig, op string
+		run     func(Config) (Report, error)
+	}{{"5", "search", RunFig5}, {"6", "update", RunFig6}, {"7", "delete", RunFig7}} {
+		rep, err := f.run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rep) != 18 {
-			t.Fatalf("rows = %d, want 18", len(rep))
-		}
+		checkRows(t, rep, basicGrid(f.fig, f.op, "HART", "FPTree"))
 		for _, r := range rep {
 			if r.NsPerOp <= 0 {
 				t.Fatalf("non-positive ns/op: %+v", r)
@@ -108,10 +147,15 @@ func TestFig8Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 sweep points × 1 tree × 4 ops.
-	if len(rep) != 8 {
-		t.Fatalf("fig8 rows = %d, want 8", len(rep))
+	// 2 sweep points × 1 tree × 4 ops, each op a sub-figure.
+	var want []string
+	for range c.ScaleSweep {
+		for _, sub := range []string{"a|insert", "b|search", "c|update", "d|delete"} {
+			letter, op, _ := strings.Cut(sub, "|")
+			want = append(want, "8"+letter+"|Random|300/100|HART|"+op+"|1")
+		}
 	}
+	checkRows(t, rep, want)
 	for _, r := range rep {
 		if r.TotalSec <= 0 {
 			t.Fatalf("non-positive total: %+v", r)
@@ -126,9 +170,15 @@ func TestFig9Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep) != 3*3*2 {
-		t.Fatalf("fig9 rows = %d", len(rep))
+	var want []string
+	for _, mix := range []string{"9a|Read-Intensive", "9b|Read-Modified-Write", "9c|Write-Intensive"} {
+		for _, lat := range paperLatencies {
+			for _, tree := range c.Trees {
+				want = append(want, mix+"|"+lat+"|"+tree+"|mixed|1")
+			}
+		}
 	}
+	checkRows(t, rep, want)
 }
 
 func TestFig10aSmoke(t *testing.T) {
@@ -138,9 +188,13 @@ func TestFig10aSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3 latencies × (4 trees + HART-scan extra).
-	if len(rep) != 15 {
-		t.Fatalf("fig10a rows = %d, want 15", len(rep))
+	var want []string
+	for _, lat := range paperLatencies {
+		for _, tree := range []string{"HART", "HART-scan", "WOART", "ART+CoW", "FPTree"} {
+			want = append(want, "10a|Sequential|"+lat+"|"+tree+"|range|1")
+		}
 	}
+	checkRows(t, rep, want)
 }
 
 func TestFig10bSmoke(t *testing.T) {
@@ -149,9 +203,10 @@ func TestFig10bSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep) != 4 {
-		t.Fatalf("fig10b rows = %d", len(rep))
-	}
+	checkRows(t, rep, []string{
+		"10b|Sequential||HART|memory|1", "10b|Sequential||WOART|memory|1",
+		"10b|Sequential||ART+CoW|memory|1", "10b|Sequential||FPTree|memory|1",
+	})
 	var hartDRAM, woartDRAM int64 = -1, -1
 	for _, r := range rep {
 		if r.PMBytes <= 0 {
@@ -180,9 +235,13 @@ func TestFig10cSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2 sweep points × 2 trees × {build, recovery}.
-	if len(rep) != 8 {
-		t.Fatalf("fig10c rows = %d", len(rep))
+	var want []string
+	for range c.ScaleSweep {
+		for _, tree := range []string{"HART", "FPTree"} {
+			want = append(want, "10c|Random|300/100|"+tree+"|build|1", "10c|Random|300/100|"+tree+"|recovery|1")
+		}
 	}
+	checkRows(t, rep, want)
 	// The paper has recovery beat build for both hybrid trees ("their
 	// recovery times are shorter than their build times"). At 1 000
 	// records both take about a millisecond, too little for the ordering
@@ -209,9 +268,13 @@ func TestFig10dSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep) != 2*4 {
-		t.Fatalf("fig10d rows = %d", len(rep))
+	var want []string
+	for _, threads := range c.Threads {
+		for _, op := range []string{"insert", "search", "update", "delete"} {
+			want = append(want, fmt.Sprintf("10d|Random|300/100|HART|%s|%d", op, threads))
+		}
 	}
+	checkRows(t, rep, want)
 	for _, r := range rep {
 		if r.MIOPS <= 0 {
 			t.Fatalf("non-positive MIOPS: %+v", r)
@@ -262,19 +325,28 @@ func TestAblationsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	figs := map[string]int{}
 	for _, r := range rep {
-		figs[r.Figure]++
 		if r.NsPerOp <= 0 {
 			t.Fatalf("non-positive ns/op: %+v", r)
 		}
 	}
-	if figs["A1"] != 6 { // 3 kh values × {insert, search}
-		t.Fatalf("A1 rows = %d", figs["A1"])
+	var want []string
+	// A1: 3 kh values × {insert, search}; the ART counts are those of
+	// 2 000 Random keys at the default seed.
+	for _, kh := range []string{"kh=1 (62 ARTs)", "kh=2 (1563 ARTs)", "kh=3 (1987 ARTs)"} {
+		want = append(want, "A1|"+kh+"|300/300|HART|insert|1", "A1|"+kh+"|300/300|HART|search|1")
 	}
-	if figs["A2"] == 0 || figs["A3"] != 4 || figs["A4"] != 2 {
-		t.Fatalf("ablation coverage: %v", figs)
+	// A2: the spans that fit in 2 000 records.
+	for _, span := range []string{"span=100", "span=1000"} {
+		want = append(want, "A2|"+span+"|300/300|HART|per-key|1", "A2|"+span+"|300/300|HART|native-scan|1")
 	}
+	for _, vs := range []string{"value=8B", "value=16B"} {
+		want = append(want, "A3|"+vs+"|300/300|HART|insert|1", "A3|"+vs+"|300/300|HART|update|1")
+	}
+	want = append(want,
+		"A4|Read-Modified-Write/uniform|300/300|HART|mixed|1",
+		"A4|Read-Modified-Write/zipfian|300/300|HART|mixed|1")
+	checkRows(t, rep, want)
 }
 
 func TestSummariseHeadline(t *testing.T) {

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -19,8 +21,12 @@ func TestRunSkewSmoke(t *testing.T) {
 	if rep.Records != 6000 || rep.Theta != SkewTheta || rep.RankUniverse != SkewRankUniverse {
 		t.Fatalf("header wrong: %+v", rep)
 	}
-	if len(rep.Results) != 2 {
-		t.Fatalf("results = %d, want 2", len(rep.Results))
+	var keys []string
+	for _, r := range rep.Results {
+		keys = append(keys, fmt.Sprintf("%s|%s|%d", r.Mode, r.Op, r.Threads))
+	}
+	if want := []string{"uniform|Put|2", "zipfian|Put|2"}; !slices.Equal(keys, want) {
+		t.Fatalf("cells %q, want %q", keys, want)
 	}
 	cells := map[string]SkewResult{}
 	for _, r := range rep.Results {
