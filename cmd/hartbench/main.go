@@ -6,47 +6,84 @@
 // Record counts default to a laptop-scale 100,000 (the paper uses 1 M to
 // 100 M on a two-socket Xeon); pass -records to scale up. Shapes — who
 // wins, by what factor, where the crossovers fall — are the reproduction
-// target, not absolute times.
+// target, not absolute times. Each figure picks how PM penalties are
+// charged (see package internal/bench): added to the wall time for the
+// single-threaded figures, spun for Fig. 10d.
 //
 // Usage:
 //
 //	hartbench -fig all
 //	hartbench -fig 4 -records 1000000
 //	hartbench -fig 10d -threads 1,2,4,8,16
-//	hartbench -fig summary -mode spin
+//	hartbench -fig 9 -dist zipf -trees HART
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"github.com/casl-sdsu/hart/internal/bench"
-	"github.com/casl-sdsu/hart/internal/latency"
 	"github.com/casl-sdsu/hart/internal/workload"
 )
 
-func main() {
-	var (
-		fig     = flag.String("fig", "all", "figure to run: all, 4, 5, 6, 7, 8, 9, 10a, 10b, 10c, 10d, summary, ablation, skew")
-		dist    = flag.String("dist", "uniform", "mixed-workload request distribution: uniform (the paper's) or zipf")
-		theta   = flag.Float64("theta", 0.99, "zipfian skew parameter for -dist zipf, in (0, 1)")
-		records = flag.Int("records", 100000, "Sequential/Random record count")
-		valsize = flag.Int("valuesize", 0, "record payload bytes (default 8; max 16)")
-		dict    = flag.Int("dict", 0, "Dictionary size (default min(records, 466544); pass 466544 for the paper's corpus)")
-		mixed   = flag.Int("mixedops", 0, "mixed-workload operation count (default records)")
-		mode    = flag.String("mode", "spin", "latency injection: spin (wall-clock) or account (added offline, the paper's method)")
-		trees   = flag.String("trees", "", "comma-separated subset of HART,WOART,ART+CoW,FPTree")
-		sweep   = flag.String("sweep", "", "comma-separated record counts for figs 8/10c (default records/10,records/2,records)")
-		threads = flag.String("threads", "1,2,4,8,16", "thread counts for fig 10d")
-		quiet   = flag.Bool("quiet", false, "suppress progress lines, print only the final tables")
-		chart   = flag.Bool("chart", false, "render ASCII bar charts after the tables")
-	)
-	flag.Parse()
+// figures maps each -fig value to its runner.
+var figures = map[string]func(bench.Config) (bench.Report, error){
+	"all":      bench.RunAll,
+	"4":        bench.RunFig4,
+	"5":        bench.RunFig5,
+	"6":        bench.RunFig6,
+	"7":        bench.RunFig7,
+	"8":        bench.RunFig8,
+	"9":        bench.RunFig9,
+	"10a":      bench.RunFig10a,
+	"10b":      bench.RunFig10b,
+	"10c":      bench.RunFig10c,
+	"10d":      bench.RunFig10d,
+	"summary":  runBasics,
+	"ablation": bench.RunAblations,
+	"skew":     bench.RunSkew,
+}
 
-	cfg := bench.Config{Records: *records, MixedOps: *mixed, ValueSize: *valsize, Out: os.Stderr}
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it runs the figure args name, prints
+// progress to stderr and the tables to stdout, and returns the exit
+// status (0 ok, 1 a run failed, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hartbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig     = fs.String("fig", "all", "figure to run: all, 4, 5, 6, 7, 8, 9, 10a, 10b, 10c, 10d, summary, ablation, skew")
+		dist    = fs.String("dist", "uniform", "mixed-workload request distribution: uniform (the paper's) or zipf")
+		theta   = fs.Float64("theta", 0.99, "zipfian skew parameter for -dist zipf, in (0, 1)")
+		records = fs.Int("records", 100000, "Sequential/Random record count")
+		valsize = fs.Int("valuesize", 0, "record payload bytes (default 8; max 16)")
+		dict    = fs.Int("dict", 0, "Dictionary size (default min(records, 466544); pass 466544 for the paper's corpus)")
+		mixed   = fs.Int("mixedops", 0, "mixed-workload operation count (default records)")
+		trees   = fs.String("trees", "", "comma-separated subset of HART,WOART,ART+CoW,FPTree")
+		sweep   = fs.String("sweep", "", "comma-separated record counts for figs 8/10c (default records/10,records/2,records)")
+		threads = fs.String("threads", "1,2,4,8,16", "thread counts for fig 10d and skew")
+		quiet   = fs.Bool("quiet", false, "suppress progress lines, print only the final tables")
+		chart   = fs.Bool("chart", false, "render ASCII bar charts after the tables")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "hartbench: "+format+"\n", args...)
+		return 2
+	}
+	runFig, ok := figures[*fig]
+	if !ok {
+		return usage("unknown -fig %q", *fig)
+	}
+	cfg := bench.Config{Records: *records, MixedOps: *mixed, ValueSize: *valsize, Out: stderr}
 	if *quiet {
 		cfg.Out = nil
 	}
@@ -54,97 +91,45 @@ func main() {
 	if cfg.DictRecords == 0 {
 		cfg.DictRecords = min(*records, 466544)
 	}
-	switch *mode {
-	case "spin":
-		cfg.Mode = latency.ModeSpin
-	case "account":
-		cfg.Mode = latency.ModeAccount
-	default:
-		fatalf("unknown -mode %q", *mode)
-	}
 	switch *dist {
 	case "uniform":
 		cfg.Dist = workload.Uniform()
 	case "zipf":
+		if *theta <= 0 || *theta >= 1 {
+			return usage("-theta %v outside (0, 1)", *theta)
+		}
 		cfg.Dist = workload.ZipfTheta(*theta)
 	default:
-		fatalf("unknown -dist %q", *dist)
+		return usage("unknown -dist %q", *dist)
 	}
 	if *trees != "" {
 		cfg.Trees = strings.Split(*trees, ",")
 	}
+	var err error
 	if *sweep != "" {
-		cfg.ScaleSweep = parseInts(*sweep)
+		if cfg.ScaleSweep, err = parseInts(*sweep); err != nil {
+			return usage("-sweep: %v", err)
+		}
 	}
 	if *threads != "" {
-		cfg.Threads = parseInts(*threads)
-	}
-	// The skew comparison keeps its 1/4/8 matrix unless the user passed
-	// -threads explicitly (the flag's default serves fig 10d).
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "threads" {
-			cfg.PathThreads = cfg.Threads
+		if cfg.Threads, err = parseInts(*threads); err != nil {
+			return usage("-threads: %v", err)
 		}
-	})
-	cfg = cfg.WithDefaults()
+	}
 
-	var (
-		rep bench.Report
-		err error
-	)
-	switch *fig {
-	case "all":
-		rep, err = bench.RunAll(cfg)
-	case "4":
-		rep, err = bench.RunFig4(cfg)
-	case "5":
-		rep, err = bench.RunFig5(cfg)
-	case "6":
-		rep, err = bench.RunFig6(cfg)
-	case "7":
-		rep, err = bench.RunFig7(cfg)
-	case "8":
-		rep, err = bench.RunFig8(cfg)
-	case "9":
-		rep, err = bench.RunFig9(cfg)
-	case "10a":
-		rep, err = bench.RunFig10a(cfg)
-	case "10b":
-		rep, err = bench.RunFig10b(cfg)
-	case "10c":
-		rep, err = bench.RunFig10c(cfg)
-	case "10d":
-		rep, err = bench.RunFig10d(cfg)
-	case "skew":
-		runSkew(cfg)
-		return
-	case "summary":
-		rep, err = runBasics(cfg)
-	case "ablation":
-		rep, err = bench.RunAblations(cfg)
-	default:
-		fatalf("unknown -fig %q", *fig)
-	}
+	rep, err := runFig(cfg.WithDefaults())
 	if err != nil {
-		fatalf("%v", err)
+		fmt.Fprintf(stderr, "hartbench: %v\n", err)
+		return 1
 	}
-	rep.FprintTable(os.Stdout)
+	rep.FprintTable(stdout)
 	if *chart {
-		rep.FprintCharts(os.Stdout)
+		rep.FprintCharts(stdout)
 	}
 	if *fig == "all" || *fig == "summary" {
-		bench.FprintSummary(os.Stdout, bench.Summarise(rep))
+		bench.FprintSummary(stdout, bench.Summarise(rep))
 	}
-}
-
-// runSkew runs the zipfian vs uniform insert comparison: what a skewed
-// key stream costs the directory's per-shard write locks.
-func runSkew(cfg bench.Config) {
-	rep, err := bench.RunSkew(cfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rep.FprintTable(os.Stdout)
+	return 0
 }
 
 // runBasics runs Figs. 4-7, the inputs of the headline summary.
@@ -162,21 +147,15 @@ func runBasics(cfg bench.Config) (bench.Report, error) {
 	return all, nil
 }
 
-// parseInts parses a comma-separated integer list.
-func parseInts(s string) []int {
+// parseInts parses a comma-separated list of positive integers.
+func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			fatalf("bad integer %q", part)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad count %q", part)
 		}
 		out = append(out, n)
 	}
-	return out
-}
-
-// fatalf prints an error and exits.
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "hartbench: "+format+"\n", args...)
-	os.Exit(1)
+	return out, nil
 }

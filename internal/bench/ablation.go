@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/casl-sdsu/hart/internal/core"
 	"github.com/casl-sdsu/hart/internal/latency"
@@ -21,7 +20,6 @@ import (
 func RunAblationKH(c Config) (Report, error) {
 	c = c.WithDefaults()
 	lat := latency.Config300x300()
-	lat.Mode = c.Mode
 	keys := workload.Random(c.Records, c.Seed)
 	probe := shuffled(keys, c.Seed+13)
 	val := workload.Values(1, c.ValueSize, c.Seed+29)[0]
@@ -36,27 +34,13 @@ func RunAblationKH(c Config) (Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		dIns := measureHART(h, c.Mode, func() error {
-			for _, k := range keys {
-				if err := h.Put(k, val); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, &err)
+		dIns, err := timeOp(h, "insert", keys, val, 1)
 		if err != nil {
 			return nil, err
 		}
-		dGet := measureHART(h, c.Mode, func() error {
-			for _, k := range probe {
-				if _, ok := h.Get(k); !ok {
-					return fmt.Errorf("kh=%d lost key %q", kh, k)
-				}
-			}
-			return nil
-		}, &err)
+		dGet, err := timeOp(h, "search-into", probe, nil, 1)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("kh=%d: %w", kh, err)
 		}
 		st := h.Stats()
 		h.Close()
@@ -76,19 +60,6 @@ func RunAblationKH(c Config) (Report, error) {
 	return report, nil
 }
 
-// measureHART mirrors measure for the concrete HART type.
-func measureHART(h *core.HART, mode latency.Mode, fn func() error, errOut *error) time.Duration {
-	clock := h.Arena().Clock()
-	before := clock.PenaltyNs()
-	start := time.Now()
-	*errOut = fn()
-	d := time.Since(start)
-	if mode == latency.ModeAccount {
-		d += time.Duration(clock.PenaltyNs() - before)
-	}
-	return d
-}
-
 // RunAblationScan compares the paper's per-key range query against HART's
 // native ordered scan across range sizes — quantifying what the hash
 // split actually costs for ranges (Section IV.D's "very limited").
@@ -97,7 +68,7 @@ func RunAblationScan(c Config) (Report, error) {
 	lat := latency.Config300x300()
 	keys := workload.Sequential(c.Records)
 	var report Report
-	ix, err := NewIndex("HART", lat, c.Mode, c.Records+1)
+	ix, err := NewIndex("HART", lat, c.Records+1)
 	if err != nil {
 		return nil, err
 	}
@@ -108,23 +79,11 @@ func RunAblationScan(c Config) (Report, error) {
 		if span > len(keys) {
 			break
 		}
-		start, end := keys[0], keys[span-1]
-		var got int
-		dPerKey := measure(ix, c.Mode, func() {
-			got = 0
-			for _, k := range keys[:span] {
-				if _, ok := ix.Get(k); ok {
-					got++
-				}
-			}
-		})
-		if got != span {
-			return nil, fmt.Errorf("ablation scan: per-key got %d/%d", got, span)
+		dPerKey, err := timeOp(ix, "search", keys[:span], nil, 1)
+		if err != nil {
+			return nil, fmt.Errorf("ablation scan: per-key: %w", err)
 		}
-		dScan := measure(ix, c.Mode, func() {
-			got = 0
-			ix.Scan(start, append(end, 0), func(k, v []byte) bool { got++; return true })
-		})
+		dScan, got := timeScan(ix, keys[0], keys[span-1])
 		if got != span {
 			return nil, fmt.Errorf("ablation scan: native got %d/%d", got, span)
 		}
@@ -154,31 +113,18 @@ func RunAblationValueSize(c Config) (Report, error) {
 	keys := workload.Random(c.Records, c.Seed)
 	var report Report
 	for _, vs := range []int{8, 16} {
-		ix, err := NewIndex("HART", lat, c.Mode, c.Records+1)
+		ix, err := NewIndex("HART", lat, c.Records+1)
 		if err != nil {
 			return nil, err
 		}
 		val := workload.Values(1, vs, c.Seed+31)[0]
-		var opErr error
-		dIns := measure(ix, c.Mode, func() {
-			for _, k := range keys {
-				if opErr = ix.Put(k, val); opErr != nil {
-					return
-				}
-			}
-		})
-		if opErr != nil {
-			return nil, opErr
+		dIns, err := timeOp(ix, "insert", keys, val, 1)
+		if err != nil {
+			return nil, err
 		}
-		dUpd := measure(ix, c.Mode, func() {
-			for _, k := range keys {
-				if opErr = ix.Update(k, val); opErr != nil {
-					return
-				}
-			}
-		})
-		if opErr != nil {
-			return nil, opErr
+		dUpd, err := timeOp(ix, "update", keys, val, 1)
+		if err != nil {
+			return nil, err
 		}
 		si := ix.SizeInfo()
 		ix.Close()
@@ -198,63 +144,12 @@ func RunAblationValueSize(c Config) (Report, error) {
 	return report, nil
 }
 
-// RunAblationDistribution extends Fig. 9 beyond the paper: the same mixes
-// under a Zipfian request distribution, which concentrates updates on hot
-// ARTs and stresses the per-ART write lock.
-func RunAblationDistribution(c Config) (Report, error) {
-	c = c.WithDefaults()
-	lat := latency.Config300x300()
-	pre := workload.Random(c.Records, c.Seed)
-	fresh := workload.Random(c.Records+c.MixedOps, c.Seed+101)[c.Records:]
-	var report Report
-	for _, dist := range []workload.Distribution{workload.Uniform(), workload.Zipfian(1.1)} {
-		mix := workload.ReadModifiedWrite()
-		ops := mix.GenerateDist(c.MixedOps, pre, fresh, c.ValueSize, c.Seed+3, dist)
-		ix, err := NewIndex("HART", lat, c.Mode, c.Records+c.MixedOps+1)
-		if err != nil {
-			return nil, err
-		}
-		if err := preload(c, ix, pre); err != nil {
-			return nil, err
-		}
-		var opErr error
-		d := measure(ix, c.Mode, func() {
-			for _, op := range ops {
-				switch op.Kind {
-				case workload.OpInsert:
-					opErr = ix.Put(op.Key, op.Value)
-				case workload.OpSearch:
-					ix.Get(op.Key)
-				case workload.OpUpdate:
-					opErr = ix.Update(op.Key, op.Value)
-				case workload.OpDelete:
-					opErr = ix.Delete(op.Key)
-				}
-				if opErr != nil {
-					return
-				}
-			}
-		})
-		if opErr != nil {
-			return nil, opErr
-		}
-		ix.Close()
-		report = append(report, Row{
-			Figure: "A4", Workload: mix.Name + "/" + dist.Name, Latency: lat.Name(),
-			Tree: "HART", Op: "mixed", Records: len(ops), Threads: 1,
-			NsPerOp: float64(d.Nanoseconds()) / float64(len(ops)),
-		})
-		fmt.Fprintf(c.Out, "ablation dist=%-10s %8.3f us/op\n",
-			dist.Name, float64(d.Nanoseconds())/float64(len(ops))/1000)
-	}
-	return report, nil
-}
-
-// RunAblations executes every ablation.
+// RunAblations executes every ablation. Fig. 9's mixes under skew are
+// `hartbench -fig 9 -dist zipf`.
 func RunAblations(c Config) (Report, error) {
 	var all Report
 	for _, fn := range []func(Config) (Report, error){
-		RunAblationKH, RunAblationScan, RunAblationValueSize, RunAblationDistribution,
+		RunAblationKH, RunAblationScan, RunAblationValueSize,
 	} {
 		rep, err := fn(c)
 		if err != nil {

@@ -3,19 +3,28 @@
 // function reproduces one figure's rows; cmd/hartbench drives them and
 // prints the same series the paper plots.
 //
-// Latency methodology: by default the harness runs the trees in
-// latency.ModeSpin, so PM write penalties (per persistent()) and PM read
-// penalties (per simulated-LLC-miss load) are injected into wall-clock
-// time — multi-threaded results then need no correction. In
-// latency.ModeAccount the harness instead adds the accounted penalty to
-// the measured wall time, which is exactly the paper's offline-adding
-// method; both modes agree for single-threaded runs.
+// Latency methodology: each figure picks how its trees pay the PM
+// penalties (per persistent() and per stalled PM load), and no option
+// overrides it. Every single-threaded figure and ablation builds its
+// trees in latency.ModeAccount and adds the accounted penalty to the
+// measured wall time: the paper's own offline-adding method (Eq. 1-2),
+// exact per charge. Fig. 10d runs its workers concurrently, where a sum
+// of penalties is not a wall time, so it builds in latency.ModeSpin and
+// busy-waits each penalty. A spin overshoots by the cost of reading the
+// clock: on a 2-vCPU guest spinning a 285 ns write penalty took 412-487
+// ns (BenchmarkSpin in internal/latency reads it on any host). The
+// skew figure measures directory contention with latency off.
 package bench
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"github.com/casl-sdsu/hart/internal/artcow"
@@ -46,17 +55,12 @@ type Config struct {
 	ValueSize int
 	// Seed feeds the workload generators.
 	Seed int64
-	// Mode selects latency injection (ModeSpin or ModeAccount).
-	Mode latency.Mode
 	// Trees restricts which trees run (nil = all four).
 	Trees []string
 	// ScaleSweep lists the Fig. 8 / Fig. 10c record counts.
 	ScaleSweep []int
-	// Threads lists the Fig. 10d thread counts.
+	// Threads lists the thread counts of Fig. 10d and the skew figure.
 	Threads []int
-	// PathThreads lists the thread counts of the skew comparison (nil =
-	// 1/4/8).
-	PathThreads []int
 	// Dist is the request distribution the mixed workloads draw
 	// search/update/delete targets from (zero value = Uniform, the
 	// paper's setting; cmd/hartbench's -dist zipf selects
@@ -85,9 +89,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 20190520 // IPDPS'19 week
-	}
-	if c.Mode == latency.ModeOff {
-		c.Mode = latency.ModeSpin
 	}
 	if len(c.Trees) == 0 {
 		c.Trees = TreeNames
@@ -118,9 +119,9 @@ func arenaSize(tree string, n int) int64 {
 	return size
 }
 
-// NewIndex builds one tree under the given latency configuration.
-func NewIndex(tree string, lat latency.Config, mode latency.Mode, records int) (kv.Index, error) {
-	lat.Mode = mode
+// NewIndex builds one tree under the given latency configuration, in
+// its Mode.
+func NewIndex(tree string, lat latency.Config, records int) (kv.Index, error) {
 	size := arenaSize(tree, records)
 	// The CPU cache model only matters when reads carry a PM penalty.
 	cacheModel := lat.ReadDeltaNs() > 0
@@ -164,17 +165,98 @@ type Row struct {
 	PMBytes, DRAMBytes int64
 }
 
-// measure runs fn and returns its duration including latency penalties.
-func measure(ix kv.Index, mode latency.Mode, fn func()) time.Duration {
+// measure runs fn and returns its duration including latency penalties:
+// spun ones are in the wall time already, and under ModeAccount the
+// penalties ix's clock charged meanwhile are added.
+func measure(ix kv.Index, fn func()) time.Duration {
 	clock := ix.Arena().Clock()
 	before := clock.PenaltyNs()
 	start := time.Now()
 	fn()
 	d := time.Since(start)
-	if mode == latency.ModeAccount {
+	if clock.Config().Mode == latency.ModeAccount {
 		d += time.Duration(clock.PenaltyNs() - before)
 	}
 	return d
+}
+
+// timeOp applies op ("insert", "search", "search-into", "update" or
+// "delete"; see applyOp) to every key on ix and returns how long it took,
+// by measure. threads > 1 deals the keys round-robin to that many
+// concurrent workers. A search that misses is an error, and a worker
+// stops at its first error.
+func timeOp(ix kv.Index, op string, keys [][]byte, val []byte, threads int) (time.Duration, error) {
+	parts := [][][]byte{keys}
+	if threads > 1 {
+		parts = make([][][]byte, threads)
+		for i, k := range keys {
+			parts[i%threads] = append(parts[i%threads], k)
+		}
+	}
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	d := measure(ix, func() {
+		for w, part := range parts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[w] = applyOp(ix, op, part, val)
+			}()
+		}
+		wg.Wait()
+	})
+	return d, errors.Join(errs...)
+}
+
+// applyOp applies op to every key on ix, stopping at the first error.
+// "search" calls kv.Index.Get, the one lookup every tree offers, which
+// returns a fresh copy of the value: the figures that compare trees
+// charge each tree that copy. "search-into" is HART's GetInto into one
+// reused buffer, which allocates nothing, as the paper's C lookups do: the
+// figures that run HART alone (10d, A1) search that way. On a 2-vCPU
+// guest the copy added about 75 ns to a 480 ns search at 300/100 on one
+// thread, and 110 ns to 330 ns on two.
+func applyOp(ix kv.Index, op string, keys [][]byte, val []byte) error {
+	h, isHART := ix.(*core.HART)
+	if op == "search-into" && !isHART {
+		return fmt.Errorf("bench: %s has no GetInto", ix.Name())
+	}
+	buf := make([]byte, 0, core.MaxValueLen)
+	for _, k := range keys {
+		var err error
+		found := true
+		switch op {
+		case "insert":
+			err = ix.Put(k, val)
+		case "search":
+			_, found = ix.Get(k)
+		case "search-into":
+			_, found = h.GetInto(k, buf)
+		case "update":
+			err = ix.Update(k, val)
+		case "delete":
+			err = ix.Delete(k)
+		default:
+			err = fmt.Errorf("bench: unknown op %q", op)
+		}
+		if !found {
+			err = fmt.Errorf("%s search lost key %q", ix.Name(), k)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// timeScan times an ordered scan of [start, end] on ix, by measure, and
+// returns how long it took and how many records it visited.
+func timeScan(ix kv.Index, start, end []byte) (time.Duration, int) {
+	got := 0
+	d := measure(ix, func() {
+		ix.Scan(start, append(end, 0), func(k, v []byte) bool { got++; return true })
+	})
+	return d, got
 }
 
 // keysFor returns the named workload's key set.
@@ -234,7 +316,7 @@ func (r Report) FprintTable(w io.Writer) {
 		}
 		byFig[row.Figure] = append(byFig[row.Figure], row)
 	}
-	sort.Strings(figs)
+	slices.SortFunc(figs, compareFigures)
 	for _, fig := range figs {
 		fmt.Fprintf(w, "\n== Figure %s ==\n", fig)
 		rows := byFig[fig]
@@ -244,6 +326,9 @@ func (r Report) FprintTable(w io.Writer) {
 			for _, row := range rows {
 				fmt.Fprintf(w, "%-12s %-10s %-8s %-8d %10.3f\n",
 					row.Workload, row.Op, row.Latency, row.Threads, row.MIOPS)
+			}
+			if fig == "skew" {
+				fprintSkewRatios(w, rows)
 			}
 		case rows[0].PMBytes > 0 || rows[0].DRAMBytes > 0:
 			fmt.Fprintf(w, "%-12s %-10s %12s %12s\n", "workload", "tree", "PM MB", "DRAM MB")
@@ -265,4 +350,28 @@ func (r Report) FprintTable(w io.Writer) {
 			}
 		}
 	}
+}
+
+// compareFigures orders figure ids as the paper does: numbered figures
+// by number, then sub-figure letter (4a … 9c, 10a … 10d); then the
+// ablations A1, A2, …; then any other id (skew) by name.
+func compareFigures(a, b string) int {
+	ga, na, ra := figureRank(a)
+	gb, nb, rb := figureRank(b)
+	return cmp.Or(cmp.Compare(ga, gb), cmp.Compare(na, nb), strings.Compare(ra, rb))
+}
+
+// figureRank splits a figure id into its group (0 a paper figure, 1 an
+// ablation, 2 any other id), its number and what follows the number.
+func figureRank(id string) (group, n int, rest string) {
+	body := strings.TrimPrefix(id, "A")
+	if body != id {
+		group = 1
+	}
+	digits := len(body) - len(strings.TrimLeft(body, "0123456789"))
+	n, err := strconv.Atoi(body[:digits])
+	if err != nil {
+		return 2, 0, id
+	}
+	return group, n, body[digits:]
 }

@@ -11,15 +11,13 @@ import (
 	"github.com/casl-sdsu/hart/internal/latency"
 )
 
-// tinyConfig keeps harness smoke tests fast: latency accounting instead of
-// spinning, small record counts.
+// tinyConfig keeps harness smoke tests fast: small record counts.
 func tinyConfig() Config {
 	return Config{
 		Records:      2000,
 		DictRecords:  2000,
 		RangeRecords: 1000,
 		MixedOps:     2000,
-		Mode:         latency.ModeAccount,
 		ScaleSweep:   []int{500, 1000},
 		Threads:      []int{1, 2},
 	}.WithDefaults()
@@ -65,14 +63,14 @@ func basicGrid(fig, op string, trees ...string) []string {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.WithDefaults()
-	if c.Records == 0 || c.ValueSize != 8 || len(c.Trees) != 4 || c.Mode != latency.ModeSpin {
+	if c.Records == 0 || c.ValueSize != 8 || len(c.Trees) != 4 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 }
 
 func TestNewIndexAllTrees(t *testing.T) {
 	for _, tree := range TreeNames {
-		ix, err := NewIndex(tree, latency.Config300x300(), latency.ModeAccount, 1000)
+		ix, err := NewIndex(tree, latency.Config300x300(), 1000)
 		if err != nil {
 			t.Fatalf("%s: %v", tree, err)
 		}
@@ -84,7 +82,7 @@ func TestNewIndexAllTrees(t *testing.T) {
 		}
 		ix.Close()
 	}
-	if _, err := NewIndex("nope", latency.Off(), latency.ModeOff, 10); err == nil {
+	if _, err := NewIndex("nope", latency.Off(), 10); err == nil {
 		t.Fatal("unknown tree accepted")
 	}
 }
@@ -284,18 +282,30 @@ func TestFig10dSmoke(t *testing.T) {
 
 func TestReportTableRendering(t *testing.T) {
 	rep := Report{
-		{Figure: "4a", Workload: "Dictionary", Latency: "300/100", Tree: "HART", Op: "insert", NsPerOp: 1234},
+		{Figure: "skew", Workload: "zipfian", Tree: "HART", Op: "insert", Threads: 2, MIOPS: 1},
 		{Figure: "10b", Workload: "Sequential", Tree: "HART", PMBytes: 1 << 20, DRAMBytes: 2 << 20},
+		{Figure: "A1", Workload: "kh=2", Latency: "300/300", Tree: "HART", Op: "insert", NsPerOp: 900},
 		{Figure: "10d", Workload: "Random", Latency: "300/100", Tree: "HART", Op: "search", Threads: 8, MIOPS: 12.5},
+		{Figure: "4a", Workload: "Dictionary", Latency: "300/100", Tree: "HART", Op: "insert", NsPerOp: 1234},
 		{Figure: "8a", Workload: "Random", Latency: "300/100", Tree: "HART", Op: "insert", Records: 100, TotalSec: 1.5},
 	}
 	var buf bytes.Buffer
 	rep.FprintTable(&buf)
 	out := buf.String()
-	for _, want := range []string{"Figure 4a", "Figure 10b", "Figure 10d", "Figure 8a", "MIOPS", "PM MB", "us/op", "total s"} {
+	for _, want := range []string{"MIOPS", "PM MB", "us/op", "total s"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
+	}
+	// Figures print in the paper's order, not as strings sort.
+	var figs []string
+	for _, line := range strings.Split(out, "\n") {
+		if fig, ok := strings.CutPrefix(line, "== Figure "); ok {
+			figs = append(figs, strings.TrimSuffix(fig, " =="))
+		}
+	}
+	if want := []string{"4a", "8a", "10b", "10d", "A1", "skew"}; !slices.Equal(figs, want) {
+		t.Fatalf("figure order %q, want %q", figs, want)
 	}
 }
 
@@ -343,9 +353,6 @@ func TestAblationsSmoke(t *testing.T) {
 	for _, vs := range []string{"value=8B", "value=16B"} {
 		want = append(want, "A3|"+vs+"|300/300|HART|insert|1", "A3|"+vs+"|300/300|HART|update|1")
 	}
-	want = append(want,
-		"A4|Read-Modified-Write/uniform|300/300|HART|mixed|1",
-		"A4|Read-Modified-Write/zipfian|300/300|HART|mixed|1")
 	checkRows(t, rep, want)
 }
 

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"github.com/casl-sdsu/hart/internal/core"
 	"github.com/casl-sdsu/hart/internal/kv"
 	"github.com/casl-sdsu/hart/internal/latency"
 	"github.com/casl-sdsu/hart/internal/workload"
@@ -14,14 +12,16 @@ import (
 // figLetter maps workloads to the paper's sub-figure letters.
 var figLetter = map[string]string{"Dictionary": "a", "Sequential": "b", "Random": "c"}
 
-// preload fills ix with keys; values come from the config's generator.
+// basicOps are the four basic operations in the paper's order.
+var basicOps = []string{"insert", "search", "update", "delete"}
+
+// preloadValue is the value the figures insert their key sets with.
+func preloadValue(c Config) []byte { return workload.Values(1, c.ValueSize, c.Seed+7)[0] }
+
+// preload fills ix with keys, untimed.
 func preload(c Config, ix kv.Index, keys [][]byte) error {
-	vals := workload.Values(1, c.ValueSize, c.Seed+7)
-	v := vals[0]
-	for _, k := range keys {
-		if err := ix.Put(k, v); err != nil {
-			return fmt.Errorf("preload %s: %w", ix.Name(), err)
-		}
+	if _, err := timeOp(ix, "insert", keys, preloadValue(c), 1); err != nil {
+		return fmt.Errorf("preload %s: %w", ix.Name(), err)
 	}
 	return nil
 }
@@ -29,64 +29,27 @@ func preload(c Config, ix kv.Index, keys [][]byte) error {
 // basicOpFig runs one of Figs. 4-7: every workload × latency × tree.
 func basicOpFig(c Config, fig, op string) (Report, error) {
 	var report Report
+	newVal := workload.Values(1, c.ValueSize, c.Seed+29)[0]
 	for _, wl := range Workloads {
 		keys := keysFor(c, wl)
 		phase := shuffled(keys, c.Seed+13)
-		newVals := workload.Values(1, c.ValueSize, c.Seed+29)
 		for _, lat := range latency.PaperConfigs() {
 			for _, tree := range c.Trees {
-				ix, err := NewIndex(tree, lat, c.Mode, len(keys)+1)
+				ix, err := NewIndex(tree, lat, len(keys)+1)
 				if err != nil {
 					return nil, err
 				}
 				var d time.Duration
-				n := len(keys)
-				switch op {
-				case "insert":
-					d = measure(ix, c.Mode, func() {
-						if err = preload(c, ix, keys); err != nil {
-							return
-						}
-					})
-				case "search":
-					if err = preload(c, ix, keys); err == nil {
-						found := 0
-						d = measure(ix, c.Mode, func() {
-							for _, k := range phase {
-								if _, ok := ix.Get(k); ok {
-									found++
-								}
-							}
-						})
-						if found != n {
-							err = fmt.Errorf("%s search found %d/%d", tree, found, n)
-						}
-					}
-				case "update":
-					if err = preload(c, ix, keys); err == nil {
-						d = measure(ix, c.Mode, func() {
-							for _, k := range phase {
-								if err = ix.Update(k, newVals[0]); err != nil {
-									return
-								}
-							}
-						})
-					}
-				case "delete":
-					if err = preload(c, ix, keys); err == nil {
-						d = measure(ix, c.Mode, func() {
-							for _, k := range phase {
-								if err = ix.Delete(k); err != nil {
-									return
-								}
-							}
-						})
-					}
+				if op == "insert" {
+					d, err = timeOp(ix, op, keys, preloadValue(c), 1)
+				} else if err = preload(c, ix, keys); err == nil {
+					d, err = timeOp(ix, op, phase, newVal, 1)
 				}
 				if err != nil {
 					return nil, fmt.Errorf("fig %s %s/%s/%s: %w", fig, wl, lat.Name(), tree, err)
 				}
 				ix.Close()
+				n := len(keys)
 				report = append(report, Row{
 					Figure: fig + figLetter[wl], Workload: wl, Latency: lat.Name(),
 					Tree: tree, Op: op, Records: n, Threads: 1,
@@ -118,53 +81,33 @@ func RunFig8(c Config) (Report, error) {
 	c = c.WithDefaults()
 	lat := latency.Config300x100()
 	var report Report
-	sub := map[string]string{"insert": "a", "search": "b", "update": "c", "delete": "d"}
 	for _, n := range c.ScaleSweep {
 		keys := workload.Random(n, c.Seed)
 		phase := shuffled(keys, c.Seed+13)
 		val := workload.Values(1, c.ValueSize, c.Seed+29)[0]
 		for _, tree := range c.Trees {
-			ix, err := NewIndex(tree, lat, c.Mode, n+1)
+			ix, err := NewIndex(tree, lat, n+1)
 			if err != nil {
 				return nil, err
 			}
-			dIns := measure(ix, c.Mode, func() { err = preload(c, ix, keys) })
-			if err != nil {
-				return nil, fmt.Errorf("fig 8 %s n=%d: %w", tree, n, err)
-			}
-			dSearch := measure(ix, c.Mode, func() {
-				for _, k := range phase {
-					ix.Get(k)
+			fmt.Fprintf(c.Out, "fig8 n=%-9d %-8s", n, tree)
+			for i, op := range basicOps {
+				opKeys, opVal := phase, val
+				if op == "insert" {
+					opKeys, opVal = keys, preloadValue(c)
 				}
-			})
-			dUpdate := measure(ix, c.Mode, func() {
-				for _, k := range phase {
-					if err = ix.Update(k, val); err != nil {
-						return
-					}
+				d, err := timeOp(ix, op, opKeys, opVal, 1)
+				if err != nil {
+					return nil, fmt.Errorf("fig 8 %s n=%d: %w", tree, n, err)
 				}
-			})
-			dDelete := measure(ix, c.Mode, func() {
-				for _, k := range phase {
-					if err = ix.Delete(k); err != nil {
-						return
-					}
-				}
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig 8 %s n=%d: %w", tree, n, err)
-			}
-			ix.Close()
-			for op, d := range map[string]time.Duration{
-				"insert": dIns, "search": dSearch, "update": dUpdate, "delete": dDelete,
-			} {
 				report = append(report, Row{
-					Figure: "8" + sub[op], Workload: "Random", Latency: lat.Name(),
+					Figure: "8" + string(rune('a'+i)), Workload: "Random", Latency: lat.Name(),
 					Tree: tree, Op: op, Records: n, Threads: 1, TotalSec: d.Seconds(),
 				})
+				fmt.Fprintf(c.Out, " %s %.3fs", op, d.Seconds())
 			}
-			fmt.Fprintf(c.Out, "fig8 n=%-9d %-8s ins %.3fs search %.3fs upd %.3fs del %.3fs\n",
-				n, tree, dIns.Seconds(), dSearch.Seconds(), dUpdate.Seconds(), dDelete.Seconds())
+			fmt.Fprintln(c.Out)
+			ix.Close()
 		}
 	}
 	return report, nil
@@ -193,7 +136,7 @@ func RunFig9(c Config) (Report, error) {
 		ops := mix.GenerateDist(c.MixedOps, pre, fresh, c.ValueSize, c.Seed+3, c.Dist)
 		for _, lat := range latency.PaperConfigs() {
 			for _, tree := range c.Trees {
-				ix, err := NewIndex(tree, lat, c.Mode, c.Records+c.MixedOps+1)
+				ix, err := NewIndex(tree, lat, c.Records+c.MixedOps+1)
 				if err != nil {
 					return nil, err
 				}
@@ -201,7 +144,7 @@ func RunFig9(c Config) (Report, error) {
 					return nil, err
 				}
 				var opErr error
-				d := measure(ix, c.Mode, func() {
+				d := measure(ix, func() {
 					for _, op := range ops {
 						switch op.Kind {
 						case workload.OpInsert:
@@ -247,30 +190,25 @@ func RunFig10a(c Config) (Report, error) {
 	start, end := keys[0], keys[qn-1]
 	for _, lat := range latency.PaperConfigs() {
 		for _, tree := range c.Trees {
-			ix, err := NewIndex(tree, lat, c.Mode, c.Records+1)
+			ix, err := NewIndex(tree, lat, c.Records+1)
 			if err != nil {
 				return nil, err
 			}
 			if err := preload(c, ix, keys); err != nil {
 				return nil, err
 			}
-			got := 0
 			var d time.Duration
+			got := qn
 			if tree == "FPTree" {
-				d = measure(ix, c.Mode, func() {
-					ix.Scan(start, append(end, 0), func(k, v []byte) bool { got++; return true })
-				})
+				d, got = timeScan(ix, start, end)
 			} else {
-				d = measure(ix, c.Mode, func() {
-					for _, k := range keys[:qn] {
-						if _, ok := ix.Get(k); ok {
-							got++
-						}
-					}
-				})
+				d, err = timeOp(ix, "search", keys[:qn], nil, 1)
 			}
-			if got != qn {
-				return nil, fmt.Errorf("fig 10a %s: ranged %d/%d records", tree, got, qn)
+			if err == nil && got != qn {
+				err = fmt.Errorf("ranged %d/%d records", got, qn)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("fig 10a %s: %w", tree, err)
 			}
 			report = append(report, Row{
 				Figure: "10a", Workload: "Sequential", Latency: lat.Name(),
@@ -281,11 +219,7 @@ func RunFig10a(c Config) (Report, error) {
 				lat.Name(), tree, float64(d.Nanoseconds())/float64(qn)/1000)
 			// Extra series: HART's native ordered scan (design extension).
 			if tree == "HART" {
-				got = 0
-				d = measure(ix, c.Mode, func() {
-					ix.Scan(start, append(end, 0), func(k, v []byte) bool { got++; return true })
-				})
-				if got != qn {
+				if d, got = timeScan(ix, start, end); got != qn {
 					return nil, fmt.Errorf("fig 10a HART-scan: %d/%d records", got, qn)
 				}
 				report = append(report, Row{
@@ -306,7 +240,7 @@ func RunFig10b(c Config) (Report, error) {
 	var report Report
 	keys := workload.Sequential(c.Records)
 	for _, tree := range c.Trees {
-		ix, err := NewIndex(tree, latency.Off(), c.Mode, c.Records+1)
+		ix, err := NewIndex(tree, latency.Off(), c.Records+1)
 		if err != nil {
 			return nil, err
 		}
@@ -337,11 +271,11 @@ func RunFig10c(c Config) (Report, error) {
 			if !contains(c.Trees, tree) {
 				continue
 			}
-			ix, err := NewIndex(tree, lat, c.Mode, n+1)
+			ix, err := NewIndex(tree, lat, n+1)
 			if err != nil {
 				return nil, err
 			}
-			dBuild := measure(ix, c.Mode, func() { err = preload(c, ix, keys) })
+			dBuild, err := timeOp(ix, "insert", keys, preloadValue(c), 1)
 			if err != nil {
 				return nil, err
 			}
@@ -349,7 +283,7 @@ func RunFig10c(c Config) (Report, error) {
 			if !ok {
 				return nil, fmt.Errorf("fig 10c: %s is not recoverable", tree)
 			}
-			dRecover := measure(ix, c.Mode, func() { err = rec.Rebuild() })
+			dRecover := measure(ix, func() { err = rec.Rebuild() })
 			if err != nil {
 				return nil, err
 			}
@@ -371,58 +305,35 @@ func RunFig10c(c Config) (Report, error) {
 }
 
 // RunFig10d reproduces Fig. 10d: HART MIOPS for the four basic operations
-// as the thread count grows, under Random at 300/100.
+// as the thread count grows, under Random at 300/100. Its workers run
+// concurrently, so the penalties are spun into their wall time.
 func RunFig10d(c Config) (Report, error) {
 	c = c.WithDefaults()
 	lat := latency.Config300x100()
-	lat.Mode = c.Mode
+	lat.Mode = latency.ModeSpin
 	var report Report
 	keys := workload.Random(c.Records, c.Seed)
 	val := workload.Values(1, c.ValueSize, c.Seed+29)[0]
 	for _, threads := range c.Threads {
-		for _, op := range []string{"insert", "search", "update", "delete"} {
-			h, err := core.New(core.Options{ArenaSize: arenaSize("HART", c.Records+1), Latency: lat})
+		for _, op := range basicOps {
+			ix, err := NewIndex("HART", lat, c.Records+1)
 			if err != nil {
 				return nil, err
 			}
 			if op != "insert" {
-				if err := preloadHART(h, keys, val); err != nil {
+				if _, err := timeOp(ix, "insert", keys, val, 1); err != nil {
 					return nil, err
 				}
 			}
-			shards := shardKeys(keys, threads)
-			var wg sync.WaitGroup
-			errs := make([]error, threads)
-			start := time.Now()
-			for w := 0; w < threads; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for _, k := range shards[w] {
-						switch op {
-						case "insert":
-							errs[w] = h.Put(k, val)
-						case "search":
-							h.Get(k)
-						case "update":
-							errs[w] = h.Update(k, val)
-						case "delete":
-							errs[w] = h.Delete(k)
-						}
-						if errs[w] != nil {
-							return
-						}
-					}
-				}(w)
+			run := op
+			if op == "search" {
+				run = "search-into"
 			}
-			wg.Wait()
-			d := time.Since(start)
-			for _, e := range errs {
-				if e != nil {
-					return nil, fmt.Errorf("fig 10d %s x%d: %w", op, threads, e)
-				}
+			d, err := timeOp(ix, run, keys, val, threads)
+			if err != nil {
+				return nil, fmt.Errorf("fig 10d %s x%d: %w", op, threads, err)
 			}
-			h.Close()
+			ix.Close()
 			miops := float64(len(keys)) / d.Seconds() / 1e6
 			report = append(report, Row{
 				Figure: "10d", Workload: "Random", Latency: lat.Name(), Tree: "HART",
@@ -432,25 +343,6 @@ func RunFig10d(c Config) (Report, error) {
 		}
 	}
 	return report, nil
-}
-
-// preloadHART mirrors preload for the concrete HART type.
-func preloadHART(h *core.HART, keys [][]byte, val []byte) error {
-	for _, k := range keys {
-		if err := h.Put(k, val); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// shardKeys splits keys round-robin across n workers.
-func shardKeys(keys [][]byte, n int) [][][]byte {
-	out := make([][][]byte, n)
-	for i, k := range keys {
-		out[i%n] = append(out[i%n], k)
-	}
-	return out
 }
 
 // contains reports whether list holds s.

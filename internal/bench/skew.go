@@ -5,11 +5,9 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
-	"github.com/casl-sdsu/hart/internal/core"
+	"github.com/casl-sdsu/hart/internal/latency"
 	"github.com/casl-sdsu/hart/internal/workload"
 )
 
@@ -35,189 +33,95 @@ const SkewTheta = 0.99
 // kept (the usual wall-clock discipline on shared machines).
 const SkewReps = 3
 
-// SkewResult is one measured cell of the skew comparison.
-type SkewResult struct {
-	// Mode is "uniform" (uniform ranks — the ceiling) or "zipfian"
-	// (zipfian ranks).
-	Mode string
-	// Op is always "Put": a bulk insert of Records fresh keys.
-	Op string
-	// Threads is the writer-goroutine / GOMAXPROCS count.
-	Threads int
-	// NsPerOp is the mean wall-clock cost per inserted record.
-	NsPerOp float64
-	// MOPS is millions of inserts per second (all writers combined).
-	MOPS float64
-}
-
-// SkewReport is what RunSkew measured: one result per mode and thread
-// count, and the ratio the comparison is read by.
-type SkewReport struct {
-	// Records is the number of keys each cell inserts.
-	Records   int
-	ValueSize int
-	// Theta and RankUniverse parameterise the zipfian key stream.
-	Theta        float64
-	RankUniverse int
-	NumCPU       int
-	Results      []SkewResult
-	// ZipfianFrac maps "t<threads>" to zipfian MOPS ÷ uniform MOPS: the
-	// share of the unskewed throughput left under zipfian skew.
-	ZipfianFrac map[string]float64
-}
-
-// skewKeys generates each writer's insert stream: the first two bytes
-// encode a rank drawn from dist over [0, SkewRankUniverse), the third
-// byte tags the writer, and a fixed-width counter makes the key unique.
-// Writers share a shard exactly when they draw the same rank.
-func skewKeys(n, threads int, dist workload.Distribution, seed int64) [][][]byte {
+// skewKeys generates n insert keys for threads writers, key j for writer
+// j % threads as timeOp deals them. The first two bytes encode a rank
+// the writer's own generator draws from dist over [0, SkewRankUniverse),
+// the third byte tags the writer, and the writer's fixed-width counter
+// makes the key unique. Writers share a shard exactly when they draw the
+// same rank.
+func skewKeys(n, threads int, dist workload.Distribution, seed int64) [][]byte {
 	const alpha = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-	per := (n + threads - 1) / threads
-	out := make([][][]byte, threads)
-	for w := 0; w < threads; w++ {
-		cnt := min(per, n-w*per)
-		if cnt <= 0 {
-			break
+	rngs := make([]*rand.Rand, threads)
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(seed + int64(w)*7919))
+	}
+	keys := make([][]byte, n)
+	for j := range keys {
+		w, i := j%threads, j/threads
+		r := dist.Pick(rngs[w], SkewRankUniverse)
+		k := make([]byte, 7)
+		k[0] = alpha[r/len(alpha)]
+		k[1] = alpha[r%len(alpha)]
+		k[2] = alpha[w%len(alpha)]
+		for p := 6; p >= 3; p-- {
+			k[p] = alpha[i%len(alpha)]
+			i /= len(alpha)
 		}
-		rng := rand.New(rand.NewSource(seed + int64(w)*7919))
-		keys := make([][]byte, cnt)
-		for i := 0; i < cnt; i++ {
-			r := dist.Pick(rng, SkewRankUniverse)
-			k := make([]byte, 7)
-			k[0] = alpha[r/len(alpha)]
-			k[1] = alpha[r%len(alpha)]
-			k[2] = alpha[w%len(alpha)]
-			v := i
-			for j := 6; j >= 3; j-- {
-				k[j] = alpha[v%len(alpha)]
-				v /= len(alpha)
-			}
-			keys[i] = k
-		}
-		out[w] = keys
+		keys[j] = k
 	}
-	return out
-}
-
-// skewCell times one mode at one thread count: a fresh store, the
-// pre-generated per-writer key streams, manual wall-clock over the
-// partitioned writers (the generator cost stays outside the timed
-// region).
-func skewCell(c Config, mode string, parts [][][]byte, threads int) (SkewResult, error) {
-	h, err := core.New(core.Options{ArenaSize: arenaSize("HART", c.Records)})
-	if err != nil {
-		return SkewResult{}, err
-	}
-	defer h.Close()
-	val := make([]byte, c.ValueSize)
-	for i := range val {
-		val[i] = byte('A' + i%26)
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	runtime.GC()
-	prev := runtime.GOMAXPROCS(threads)
-	defer runtime.GOMAXPROCS(prev)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, threads)
-	start := time.Now()
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(part [][]byte) {
-			defer wg.Done()
-			for _, k := range part {
-				if err := h.Put(k, val); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(part)
-	}
-	wg.Wait()
-	d := time.Since(start)
-	close(errs)
-	for err := range errs {
-		return SkewResult{}, err
-	}
-	if got := h.Len(); got != total {
-		return SkewResult{}, fmt.Errorf("skew %s left %d records, want %d", mode, got, total)
-	}
-	ns := float64(d.Nanoseconds()) / float64(total)
-	return SkewResult{Mode: mode, Op: "Put", Threads: threads, NsPerOp: ns, MOPS: 1e3 / ns}, nil
-}
-
-// RunSkew measures the skew comparison and returns the report.
-func RunSkew(c Config) (*SkewReport, error) {
-	c = c.WithDefaults()
-	threads := c.PathThreads
-	if len(threads) == 0 {
-		threads = []int{1, 4, 8}
-	}
-	rep := &SkewReport{
-		Records:      c.Records,
-		ValueSize:    c.ValueSize,
-		Theta:        SkewTheta,
-		RankUniverse: SkewRankUniverse,
-		NumCPU:       runtime.NumCPU(),
-		ZipfianFrac:  map[string]float64{},
-	}
-	uniformMOPS := map[int]float64{}
-	for _, mode := range []string{"uniform", "zipfian"} {
-		dist := workload.ZipfTheta(SkewTheta)
-		if mode == "uniform" {
-			dist = workload.Uniform()
-		}
-		for _, t := range threads {
-			fmt.Fprintf(c.Out, "skew: %s insert threads=%d...\n", mode, t)
-			parts := skewKeys(c.Records, t, dist, c.Seed+int64(t))
-			var r SkewResult
-			for rep := 0; rep < SkewReps; rep++ {
-				rr, err := skewCell(c, mode, parts, t)
-				if err != nil {
-					return nil, err
-				}
-				if rep == 0 || rr.NsPerOp < r.NsPerOp {
-					r = rr
-				}
-			}
-			rep.Results = append(rep.Results, r)
-			if mode == "uniform" {
-				uniformMOPS[t] = r.MOPS
-			} else if base := uniformMOPS[t]; base > 0 {
-				rep.ZipfianFrac[fmt.Sprintf("t%d", t)] = r.MOPS / base
-			}
-		}
-	}
-	return rep, nil
-}
-
-// sortedKeys returns the map's "t<threads>" keys in numeric order.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return len(keys[i]) < len(keys[j]) || (len(keys[i]) == len(keys[j]) && keys[i] < keys[j])
-	})
 	return keys
 }
 
-// FprintTable renders the report for the terminal.
-func (r *SkewReport) FprintTable(w io.Writer) {
-	fmt.Fprintf(w, "\n== Skew: zipfian(theta=%.2f, ranks=%d) vs uniform inserts (records=%d, NumCPU=%d) ==\n",
-		r.Theta, r.RankUniverse, r.Records, r.NumCPU)
-	fmt.Fprintf(w, "%-10s %-6s %-8s %12s %10s\n", "mode", "op", "threads", "ns/op", "Mops/s")
-	for _, res := range r.Results {
-		fmt.Fprintf(w, "%-10s %-6s %-8d %12.1f %10.3f\n", res.Mode, res.Op, res.Threads, res.NsPerOp, res.MOPS)
+// skewInsert times one bulk insert of keys by threads writers into a
+// fresh store, with GOMAXPROCS set to threads.
+func skewInsert(keys [][]byte, val []byte, threads int) (time.Duration, error) {
+	ix, err := NewIndex("HART", latency.Off(), len(keys))
+	if err != nil {
+		return 0, err
 	}
-	for _, t := range sortedKeys(r.ZipfianFrac) {
-		fmt.Fprintf(w, "zipfian/uniform %s: %.2f\n", t, r.ZipfianFrac[t])
+	defer ix.Close()
+	runtime.GC()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(threads))
+	d, err := timeOp(ix, "insert", keys, val, threads)
+	if err == nil && ix.Len() != len(keys) {
+		err = fmt.Errorf("skew left %d records, want %d", ix.Len(), len(keys))
+	}
+	return d, err
+}
+
+// RunSkew measures the skew comparison: for the uniform and the zipfian
+// key stream at each thread count of c.Threads, the fastest of SkewReps
+// bulk inserts of c.Records fresh keys.
+func RunSkew(c Config) (Report, error) {
+	c = c.WithDefaults()
+	val := workload.Values(1, c.ValueSize, c.Seed+29)[0]
+	var report Report
+	for _, dist := range []workload.Distribution{workload.Uniform(), workload.ZipfTheta(SkewTheta)} {
+		for _, t := range c.Threads {
+			fmt.Fprintf(c.Out, "skew: %s insert threads=%d...\n", dist.Name, t)
+			keys := skewKeys(c.Records, t, dist, c.Seed+int64(t))
+			var best time.Duration
+			for rep := 0; rep < SkewReps; rep++ {
+				d, err := skewInsert(keys, val, t)
+				if err != nil {
+					return nil, fmt.Errorf("skew %s x%d: %w", dist.Name, t, err)
+				}
+				if rep == 0 || d < best {
+					best = d
+				}
+			}
+			ns := float64(best.Nanoseconds()) / float64(len(keys))
+			report = append(report, Row{
+				Figure: "skew", Workload: dist.Name, Tree: "HART", Op: "insert",
+				Records: len(keys), Threads: t, NsPerOp: ns, MIOPS: 1e3 / ns,
+			})
+		}
+	}
+	return report, nil
+}
+
+// fprintSkewRatios prints, per writer count, the share of the uniform
+// insert throughput left under zipfian skew.
+func fprintSkewRatios(w io.Writer, rows Report) {
+	uniform := map[int]float64{}
+	for _, r := range rows {
+		if r.Workload == "uniform" {
+			uniform[r.Threads] = r.MIOPS
+		}
+	}
+	for _, r := range rows {
+		if base := uniform[r.Threads]; r.Workload == "zipfian" && base > 0 {
+			fmt.Fprintf(w, "zipfian/uniform t%d: %.2f\n", r.Threads, r.MIOPS/base)
+		}
 	}
 }

@@ -2,51 +2,30 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
-	"slices"
 	"strings"
 	"testing"
 )
 
 // TestRunSkewSmoke runs the skew comparison at toy scale and checks the
-// report's shape: every mode × thread cell present and the fraction map
-// filled.
+// report's shape: one row per distribution × thread count, rendered with
+// the zipfian/uniform ratio.
 func TestRunSkewSmoke(t *testing.T) {
-	c := Config{Records: 6000, PathThreads: []int{2}}.WithDefaults()
+	c := Config{Records: 6000, Threads: []int{2}}.WithDefaults()
 	c.Out = nil
 	rep, err := RunSkew(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Records != 6000 || rep.Theta != SkewTheta || rep.RankUniverse != SkewRankUniverse {
-		t.Fatalf("header wrong: %+v", rep)
-	}
-	var keys []string
-	for _, r := range rep.Results {
-		keys = append(keys, fmt.Sprintf("%s|%s|%d", r.Mode, r.Op, r.Threads))
-	}
-	if want := []string{"uniform|Put|2", "zipfian|Put|2"}; !slices.Equal(keys, want) {
-		t.Fatalf("cells %q, want %q", keys, want)
-	}
-	cells := map[string]SkewResult{}
-	for _, r := range rep.Results {
-		if r.NsPerOp <= 0 || r.MOPS <= 0 || r.Op != "Put" || r.Threads != 2 {
-			t.Fatalf("bad cell: %+v", r)
+	checkRows(t, rep, []string{"skew|uniform||HART|insert|2", "skew|zipfian||HART|insert|2"})
+	for _, r := range rep {
+		if r.NsPerOp <= 0 || r.MIOPS <= 0 || r.Records != 6000 {
+			t.Fatalf("bad row: %+v", r)
 		}
-		cells[r.Mode] = r
-	}
-	for _, mode := range []string{"uniform", "zipfian"} {
-		if _, ok := cells[mode]; !ok {
-			t.Fatalf("missing cell %s", mode)
-		}
-	}
-	if rep.ZipfianFrac["t2"] <= 0 {
-		t.Fatalf("fraction map missing: %v", rep.ZipfianFrac)
 	}
 
 	var tbl bytes.Buffer
 	rep.FprintTable(&tbl)
-	for _, want := range []string{"zipfian", "uniform", "zipfian/uniform t2"} {
+	for _, want := range []string{"Figure skew", "zipfian", "uniform", "zipfian/uniform t2"} {
 		if !strings.Contains(tbl.String(), want) {
 			t.Fatalf("table missing %q:\n%s", want, tbl.String())
 		}

@@ -145,3 +145,27 @@ func TestOnPersistPerLineCharging(t *testing.T) {
 		t.Errorf("zero-line persist charged %d ns, want 285", got)
 	}
 }
+
+// BenchmarkSpin reports the wall time of one spun write penalty (one
+// persisted line) and one spun read penalty at 300/300, whose charges are
+// 285 and 200 ns: ns/op above those is what each spin overshoots on this
+// host, the cost of reading the clock that ends it.
+func BenchmarkSpin(b *testing.B) {
+	cfg := Config300x300()
+	cfg.Mode = ModeSpin
+	for _, c := range []struct {
+		name   string
+		charge func(*Clock)
+	}{
+		{"write", func(c *Clock) { c.OnPersist(1) }},
+		{"read", (*Clock).OnReadMiss},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			clock := NewClock(cfg)
+			for i := 0; i < b.N; i++ {
+				c.charge(clock)
+			}
+			b.ReportMetric(float64(clock.PenaltyNs())/float64(b.N), "charged-ns/op")
+		})
+	}
+}

@@ -234,7 +234,7 @@ func (m Mix) Generate(n int, preloaded, fresh [][]byte, valueSize int, seed int6
 }
 
 // Distribution selects which live record a search/update/delete targets.
-// The paper's evaluation uses Uniform only; Zipfian is provided as an
+// The paper's evaluation uses Uniform only; ZipfTheta is provided as an
 // extension for skew studies (hot ARTs stress HART's per-ART locks).
 type Distribution struct {
 	// Name labels the distribution in reports.
@@ -257,29 +257,11 @@ func Uniform() Distribution {
 	}
 }
 
-// Zipfian returns a Zipf-skewed request distribution with exponent s > 1;
-// lower indexes are exponentially hotter.
-func Zipfian(s float64) Distribution {
-	var z *rand.Zipf
-	zn := 0
-	return Distribution{
-		Name: "zipfian",
-		pick: func(rng *rand.Rand, n int) int {
-			if z == nil || zn != n {
-				z = rand.NewZipf(rng, s, 1, uint64(n-1))
-				zn = n
-			}
-			return int(z.Uint64())
-		},
-	}
-}
-
 // ZipfTheta returns the YCSB-style zipfian request distribution with
 // skew parameter theta in (0, 1) — the Gray et al. "Quickly generating
 // billion-record synthetic databases" generator YCSB popularised, where
-// theta = 0.99 is the standard "zipfian" setting. It covers the skew
-// range Go's rand.Zipf cannot (rand.NewZipf requires s > 1). Rank 0 is
-// the hottest item; popularity decays as 1/rank^theta.
+// theta = 0.99 is the standard "zipfian" setting. Rank 0 is the hottest
+// item; popularity decays as 1/rank^theta.
 func ZipfTheta(theta float64) Distribution {
 	if theta <= 0 || theta >= 1 {
 		panic(fmt.Sprintf("workload: ZipfTheta skew %v outside (0, 1)", theta))

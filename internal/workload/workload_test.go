@@ -195,7 +195,7 @@ func TestGenerateBadMixPanics(t *testing.T) {
 
 func TestZipfianSkew(t *testing.T) {
 	pre := Sequential(1000)
-	ops := ReadModifiedWrite().GenerateDist(20000, pre, nil, 8, 11, Zipfian(1.2))
+	ops := ReadModifiedWrite().GenerateDist(20000, pre, nil, 8, 11, ZipfTheta(0.99))
 	counts := map[string]int{}
 	for _, op := range ops {
 		counts[string(op.Key)]++
@@ -236,7 +236,7 @@ func TestGenerateDistDeleteConsistency(t *testing.T) {
 		live[string(k)] = true
 	}
 	mix := Mix{Name: "churn", InsertPct: 20, SearchPct: 20, UpdatePct: 20, DeletePct: 40}
-	for _, op := range mix.GenerateDist(5000, pre, Random(5000, 21), 8, 13, Zipfian(1.5)) {
+	for _, op := range mix.GenerateDist(5000, pre, Random(5000, 21), 8, 13, ZipfTheta(0.99)) {
 		switch op.Kind {
 		case OpInsert:
 			if live[string(op.Key)] {

@@ -70,11 +70,13 @@ go test -run='^$' -fuzz=FuzzModelCheck -fuzztime=10s ./internal/modelcheck/
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz=FuzzSuperblock -fuzztime=10s ./internal/core/
 
-# The directory's micro-benchmarks (shard creation, Get, Seek, bulk build) and
-# the burst lookup (serial, prefetched, and the prefetch walk alone), one
+# The directory's micro-benchmarks (shard creation, Get, Seek, bulk build),
+# the burst lookup (serial, prefetched, and the prefetch walk alone) and the
+# root range and recovery benchmarks (Figs. 10a and 10c's paths), one
 # iteration each, so they keep compiling and running.
 go test -run '^$' -bench . -benchtime 1x ./internal/hashdir/
 go test -run '^$' -bench GetBurst -benchtime 1x ./internal/core/
+go test -run '^$' -bench Fig10 -benchtime 1x .
 
 # The benchmark is a nested module (benchmark/go.mod), so nothing above
 # compiles it. Its smoke test runs every workload at toy scale against the
