@@ -39,9 +39,10 @@ func BenchmarkFig10aRange(b *testing.B) {
 		b.Run(tree+"/per-key", func(b *testing.B) {
 			ix := loadedTree(b, tree, keys)
 			defer ix.Close()
+			buf := make([]byte, 0, 16)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix.Get(keys[i%n])
+				ix.GetInto(keys[i%n], buf)
 			}
 		})
 	}

@@ -38,7 +38,7 @@ func RunAblationKH(c Config) (Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		dGet, err := timeOp(h, "search-into", probe, nil, 1)
+		dGet, err := timeOp(h, "search", probe, nil, 1)
 		if err != nil {
 			return nil, fmt.Errorf("kh=%d: %w", kh, err)
 		}

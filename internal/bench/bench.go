@@ -27,12 +27,11 @@ import (
 	"sync"
 	"time"
 
-	"github.com/casl-sdsu/hart/internal/artcow"
 	"github.com/casl-sdsu/hart/internal/core"
 	"github.com/casl-sdsu/hart/internal/fptree"
 	"github.com/casl-sdsu/hart/internal/kv"
 	"github.com/casl-sdsu/hart/internal/latency"
-	"github.com/casl-sdsu/hart/internal/woart"
+	"github.com/casl-sdsu/hart/internal/pmart"
 	"github.com/casl-sdsu/hart/internal/workload"
 )
 
@@ -120,20 +119,24 @@ func arenaSize(tree string, n int) int64 {
 }
 
 // NewIndex builds one tree under the given latency configuration, in
-// its Mode.
+// its Mode. All four trees get the same arena configuration, derived from
+// (size, latency) as HART derives its own.
 func NewIndex(tree string, lat latency.Config, records int) (kv.Index, error) {
-	size := arenaSize(tree, records)
-	// The CPU cache model only matters when reads carry a PM penalty.
-	cacheModel := lat.ReadDeltaNs() > 0
+	opts := core.Options{
+		ArenaSize: arenaSize(tree, records),
+		Latency:   lat,
+		// The CPU cache model only matters when reads carry a PM penalty.
+		CacheModel: lat.ReadDeltaNs() > 0,
+	}
 	switch tree {
 	case "HART":
-		return core.New(core.Options{ArenaSize: size, Latency: lat, CacheModel: cacheModel})
+		return core.New(opts)
 	case "WOART":
-		return woart.New(woart.Options{ArenaSize: size, Latency: lat, CacheModel: cacheModel})
+		return pmart.NewWOART(opts.ArenaConfig())
 	case "ART+CoW":
-		return artcow.New(artcow.Options{ArenaSize: size, Latency: lat, CacheModel: cacheModel})
+		return pmart.NewCoW(opts.ArenaConfig())
 	case "FPTree":
-		return fptree.New(fptree.Options{ArenaSize: size, Latency: lat, CacheModel: cacheModel})
+		return fptree.New(opts.ArenaConfig())
 	default:
 		return nil, fmt.Errorf("bench: unknown tree %q", tree)
 	}
@@ -180,11 +183,10 @@ func measure(ix kv.Index, fn func()) time.Duration {
 	return d
 }
 
-// timeOp applies op ("insert", "search", "search-into", "update" or
-// "delete"; see applyOp) to every key on ix and returns how long it took,
-// by measure. threads > 1 deals the keys round-robin to that many
-// concurrent workers. A search that misses is an error, and a worker
-// stops at its first error.
+// timeOp applies op ("insert", "search", "update" or "delete"; see
+// applyOp) to every key on ix and returns how long it took, by measure.
+// threads > 1 deals the keys round-robin to that many concurrent workers.
+// A search that misses is an error, and a worker stops at its first error.
 func timeOp(ix kv.Index, op string, keys [][]byte, val []byte, threads int) (time.Duration, error) {
 	parts := [][][]byte{keys}
 	if threads > 1 {
@@ -209,18 +211,10 @@ func timeOp(ix kv.Index, op string, keys [][]byte, val []byte, threads int) (tim
 }
 
 // applyOp applies op to every key on ix, stopping at the first error.
-// "search" calls kv.Index.Get, the one lookup every tree offers, which
-// returns a fresh copy of the value: the figures that compare trees
-// charge each tree that copy. "search-into" is HART's GetInto into one
-// reused buffer, which allocates nothing, as the paper's C lookups do: the
-// figures that run HART alone (10d, A1) search that way. On a 2-vCPU
-// guest the copy added about 75 ns to a 480 ns search at 300/100 on one
-// thread, and 110 ns to 330 ns on two.
+// "search" is kv.Index.GetInto into one buffer per call, reused for every
+// key, so no tree's search allocates a copy of the value: the paper's C
+// lookups make none.
 func applyOp(ix kv.Index, op string, keys [][]byte, val []byte) error {
-	h, isHART := ix.(*core.HART)
-	if op == "search-into" && !isHART {
-		return fmt.Errorf("bench: %s has no GetInto", ix.Name())
-	}
 	buf := make([]byte, 0, core.MaxValueLen)
 	for _, k := range keys {
 		var err error
@@ -229,9 +223,7 @@ func applyOp(ix kv.Index, op string, keys [][]byte, val []byte) error {
 		case "insert":
 			err = ix.Put(k, val)
 		case "search":
-			_, found = ix.Get(k)
-		case "search-into":
-			_, found = h.GetInto(k, buf)
+			_, found = ix.GetInto(k, buf)
 		case "update":
 			err = ix.Update(k, val)
 		case "delete":
@@ -339,7 +331,7 @@ func (r Report) FprintTable(w io.Writer) {
 		case rows[0].TotalSec > 0:
 			fmt.Fprintf(w, "%-12s %-10s %-10s %-8s %10s %12s\n", "workload", "tree", "op", "latency", "records", "total s")
 			for _, row := range rows {
-				fmt.Fprintf(w, "%-12s %-10s %-10s %-8s %10d %12.4f\n",
+				fmt.Fprintf(w, "%-12s %-10s %-10s %-8s %10d %12.6f\n",
 					row.Workload, row.Tree, row.Op, row.Latency, row.Records, row.TotalSec)
 			}
 		default:

@@ -364,16 +364,23 @@ func TestSummariseHeadline(t *testing.T) {
 		{Workload: "Dictionary", Latency: "300/100", Tree: "WOART", Op: "insert", NsPerOp: 220},
 		{Workload: "Random", Latency: "300/300", Tree: "HART", Op: "search", NsPerOp: 100},
 		{Workload: "Random", Latency: "300/300", Tree: "WOART", Op: "search", NsPerOp: 90},
+		{Workload: "Write-Intensive", Latency: "300/100", Tree: "HART", Op: "mixed", NsPerOp: 100},
+		{Workload: "Write-Intensive", Latency: "300/100", Tree: "WOART", Op: "mixed", NsPerOp: 250},
+		{Workload: "Sequential", Latency: "300/100", Tree: "HART", Op: "range", NsPerOp: 100},
+		{Workload: "Sequential", Latency: "300/100", Tree: "WOART", Op: "range", NsPerOp: 300},
 	}
 	sps := Summarise(rep)
-	if len(sps) != 2 {
-		t.Fatalf("speedups = %d, want 2", len(sps))
+	if len(sps) != 3 {
+		t.Fatalf("speedups = %d, want 3 (insert, search, mixed; no range)", len(sps))
 	}
 	if sps[0].Op != "insert" || sps[0].Best != 4.1 || sps[0].Worst != 1.1 {
 		t.Fatalf("insert summary = %+v", sps[0])
 	}
 	if sps[1].Op != "search" || sps[1].Best != 0.9 {
 		t.Fatalf("search summary = %+v", sps[1])
+	}
+	if sps[2].Op != "mixed" || sps[2].Best != 2.5 || sps[2].BestAt != "mixed/Write-Intensive/300/100" {
+		t.Fatalf("mixed summary = %+v", sps[2])
 	}
 }
 

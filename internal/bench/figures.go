@@ -144,13 +144,14 @@ func RunFig9(c Config) (Report, error) {
 					return nil, err
 				}
 				var opErr error
+				buf := make([]byte, 0, c.ValueSize)
 				d := measure(ix, func() {
 					for _, op := range ops {
 						switch op.Kind {
 						case workload.OpInsert:
 							opErr = ix.Put(op.Key, op.Value)
 						case workload.OpSearch:
-							ix.Get(op.Key)
+							ix.GetInto(op.Key, buf)
 						case workload.OpUpdate:
 							opErr = ix.Update(op.Key, op.Value)
 						case workload.OpDelete:
@@ -325,11 +326,7 @@ func RunFig10d(c Config) (Report, error) {
 					return nil, err
 				}
 			}
-			run := op
-			if op == "search" {
-				run = "search-into"
-			}
-			d, err := timeOp(ix, run, keys, val, threads)
+			d, err := timeOp(ix, op, keys, val, threads)
 			if err != nil {
 				return nil, fmt.Errorf("fig 10d %s x%d: %w", op, threads, err)
 			}

@@ -22,12 +22,13 @@ type Speedup struct {
 	BestAt string
 }
 
-// Summarise derives the Section I headline ratios from Figs. 4-7 rows.
+// Summarise derives the Section I headline ratios from the per-op rows of
+// Figs. 4-9: each cell compares trees on one op, workload and latency.
 func Summarise(rep Report) []Speedup {
 	// cell key: op/workload/latency -> tree -> ns/op
 	cells := map[string]map[string]float64{}
 	for _, r := range rep {
-		if r.NsPerOp <= 0 || r.Op == "mixed" || r.Op == "range" {
+		if r.NsPerOp <= 0 || r.Op == "range" {
 			continue
 		}
 		key := r.Op + "/" + r.Workload + "/" + r.Latency

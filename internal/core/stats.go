@@ -14,10 +14,7 @@ import (
 func (h *HART) Name() string { return "HART" }
 
 // SizeInfo implements kv.Index (PM/DRAM split, paper Fig. 10b).
-func (h *HART) SizeInfo() kv.SizeInfo {
-	st := h.Stats()
-	return kv.SizeInfo{PMBytes: st.Size.PMBytes, DRAMBytes: st.Size.DRAMBytes}
-}
+func (h *HART) SizeInfo() kv.SizeInfo { return h.Stats().Size }
 
 // Compile-time interface checks.
 var (
@@ -25,19 +22,6 @@ var (
 	_ kv.Recoverable = (*HART)(nil)
 	_ kv.Checkable   = (*HART)(nil)
 )
-
-// SizeInfo reports the PM and DRAM footprint of the index, the quantities
-// compared in the paper's memory-consumption experiment (Fig. 10b).
-type SizeInfo struct {
-	// PMBytes is the persistent footprint: every byte reserved from the
-	// arena (superblock, chunk lists, free lists).
-	PMBytes int64
-	// DRAMBytes is the volatile footprint: the ARTs as art.Stats counts
-	// them (inner nodes and the DRAM leaves that hold each key and its PM
-	// leaf's offset, at their heap size classes) plus the hash directory:
-	// its pages and nodes, and one shard struct per entry.
-	DRAMBytes int64
-}
 
 // Stats aggregates the state of a HART instance.
 type Stats struct {
@@ -47,8 +31,13 @@ type Stats struct {
 	InlineRecords int
 	// ARTs is the number of ARTs in the hash directory.
 	ARTs int
-	// Size is the PM/DRAM footprint.
-	Size SizeInfo
+	// Size is the PM/DRAM footprint. PMBytes is every byte reserved from
+	// the arena (superblock, chunk lists, free lists). DRAMBytes is the
+	// ARTs as art.Stats counts them (inner nodes and the DRAM leaves that
+	// hold each key and its PM leaf's offset, at their heap size classes)
+	// plus the hash directory: its pages and nodes, and one shard struct
+	// per entry.
+	Size kv.SizeInfo
 	// ART aggregates node counts over all ARTs.
 	ART art.Stats
 	// Arena is the PM device's counters.

@@ -28,11 +28,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
-	"github.com/casl-sdsu/hart/internal/cachesim"
 	"github.com/casl-sdsu/hart/internal/kv"
-	"github.com/casl-sdsu/hart/internal/latency"
 	"github.com/casl-sdsu/hart/internal/pmart"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
@@ -83,19 +82,8 @@ var (
 	ErrBadValue = errors.New("fptree: invalid value")
 )
 
-// Options configures a tree.
-type Options struct {
-	// ArenaSize is the simulated PM capacity (default 64 MiB).
-	ArenaSize int64
-	// InnerOrder is the DRAM B+-tree fanout (default 64).
-	InnerOrder int
-	// Latency selects PM latency emulation.
-	Latency latency.Config
-	// CacheModel attaches a simulated CPU cache.
-	CacheModel bool
-	// Tracking enables crash simulation.
-	Tracking bool
-}
+// innerOrder is the fanout of the DRAM inner B+-tree.
+const innerOrder = 64
 
 // Tree is one FPTree instance.
 type Tree struct {
@@ -104,7 +92,6 @@ type Tree struct {
 	na    *pmart.NodeAlloc
 	sb    pmem.Ptr
 	inner *innerTree
-	order int
 	size  int
 }
 
@@ -124,20 +111,8 @@ func fingerprint(key []byte) byte {
 }
 
 // New creates an FPTree over a fresh arena.
-func New(opts Options) (*Tree, error) {
-	if opts.ArenaSize == 0 {
-		opts.ArenaSize = 64 << 20
-	}
-	if opts.InnerOrder == 0 {
-		opts.InnerOrder = 64
-	}
-	var cache *cachesim.Cache
-	if opts.CacheModel {
-		cache = cachesim.Default()
-	}
-	arena, err := pmem.New(pmem.Config{
-		Size: opts.ArenaSize, Tracking: opts.Tracking, Latency: opts.Latency, Cache: cache,
-	})
+func New(cfg pmem.Config) (*Tree, error) {
+	arena, err := pmem.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +120,7 @@ func New(opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{arena: arena, na: pmart.NewNodeAlloc(arena), sb: sb, order: opts.InnerOrder}
+	t := &Tree{arena: arena, na: pmart.NewNodeAlloc(arena), sb: sb}
 	head, err := t.na.Alloc(LeafSize)
 	if err != nil {
 		return nil, err
@@ -156,21 +131,18 @@ func New(opts Options) (*Tree, error) {
 	arena.Write8(sb+sbLogNew, 0)
 	arena.Write8(sb+sbMagicOff, fptMagic)
 	arena.Persist(sb, sbSize)
-	t.inner = newInnerTree(t.order, uint64(head))
+	t.inner = newInnerTree(innerOrder, uint64(head))
 	return t, nil
 }
 
 // Open attaches to an existing arena, completes any interrupted split and
 // rebuilds the DRAM inner tree from the persistent leaf chain.
-func Open(arena *pmem.Arena, opts Options) (*Tree, error) {
-	if opts.InnerOrder == 0 {
-		opts.InnerOrder = 64
-	}
+func Open(arena *pmem.Arena) (*Tree, error) {
 	sb := pmem.Ptr(pmem.HeaderSize)
 	if arena.Reserved() < pmem.HeaderSize+sbSize || arena.Read8(sb+sbMagicOff) != fptMagic {
 		return nil, errors.New("fptree: no tree in arena")
 	}
-	t := &Tree{arena: arena, na: pmart.NewNodeAlloc(arena), sb: sb, order: opts.InnerOrder}
+	t := &Tree{arena: arena, na: pmart.NewNodeAlloc(arena), sb: sb}
 	if err := t.recoverSplitLog(); err != nil {
 		return nil, err
 	}
@@ -237,16 +209,14 @@ func (t *Tree) readEntryKey(leaf pmem.Ptr, i int) []byte {
 	return k
 }
 
-// readEntryValue loads slot i's value.
-func (t *Tree) readEntryValue(leaf pmem.Ptr, i int) []byte {
+// readEntryValue copies slot i's value into dst, grown only if its
+// capacity is short.
+func (t *Tree) readEntryValue(leaf pmem.Ptr, i int, dst []byte) []byte {
 	e := t.entryAddr(leaf, i)
-	n := int(t.arena.Read1(e + enValLen))
-	if n > MaxValueLen {
-		n = MaxValueLen
-	}
-	v := make([]byte, n)
-	t.arena.ReadAt(e+enVal, v)
-	return v
+	n := min(int(t.arena.Read1(e+enValLen)), MaxValueLen)
+	dst = slices.Grow(dst[:0], n)[:n]
+	t.arena.ReadAt(e+enVal, dst)
+	return dst
 }
 
 // writeEntry fills slot i (entry + fingerprint) and persists both.

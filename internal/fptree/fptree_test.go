@@ -10,7 +10,7 @@ import (
 )
 
 func factory(t *testing.T) kv.Index {
-	tr, err := New(Options{ArenaSize: 64 << 20})
+	tr, err := New(pmem.Config{Size: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFingerprintDistribution(t *testing.T) {
 }
 
 func TestSplitChainsLeavesInOrder(t *testing.T) {
-	tr, err := New(Options{ArenaSize: 64 << 20})
+	tr, err := New(pmem.Config{Size: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSplitChainsLeavesInOrder(t *testing.T) {
 }
 
 func TestRecoveryRebuildsInner(t *testing.T) {
-	tr, err := New(Options{ArenaSize: 64 << 20, Tracking: true})
+	tr, err := New(pmem.Config{Size: 64 << 20, Tracking: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRecoveryRebuildsInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := Open(img, Options{})
+	tr2, err := Open(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRecoveryRebuildsInner(t *testing.T) {
 		t.Fatalf("recovered Len = %d, want %d", tr2.Len(), want)
 	}
 	for i := 0; i < n; i++ {
-		v, ok := tr2.Get([]byte(fmt.Sprintf("rc%06d", i)))
+		v, ok := tr2.GetInto([]byte(fmt.Sprintf("rc%06d", i)), nil)
 		if wantOK := i%5 != 0; ok != wantOK {
 			t.Fatalf("rc%06d present=%v want=%v", i, ok, wantOK)
 		} else if ok && string(v) != fmt.Sprintf("%08d", i) {
@@ -108,7 +108,7 @@ func TestRecoveryRebuildsInner(t *testing.T) {
 // boundary; recovery must end with every record present exactly once.
 func TestCrashDuringSplitEveryPersist(t *testing.T) {
 	for fail := int64(0); ; fail++ {
-		tr, err := New(Options{ArenaSize: 64 << 20, Tracking: true})
+		tr, err := New(pmem.Config{Size: 64 << 20, Tracking: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestCrashDuringSplitEveryPersist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr2, err := Open(img, Options{})
+		tr2, err := Open(img)
 		if err != nil {
 			t.Fatalf("fail=%d: %v", fail, err)
 		}
@@ -154,11 +154,11 @@ func TestCrashDuringSplitEveryPersist(t *testing.T) {
 		}
 		for i := 0; i < LeafCapacity; i++ {
 			k := fmt.Sprintf("sp%04d", i)
-			if v, ok := tr2.Get([]byte(k)); !ok || string(v) != "v" {
+			if v, ok := tr2.GetInto([]byte(k), nil); !ok || string(v) != "v" {
 				t.Fatalf("fail=%d: committed key %q = (%q,%v)", fail, k, v, ok)
 			}
 		}
-		if _, ok := tr2.Get([]byte("sp9999")); ok && tr2.Len() != LeafCapacity+1 {
+		if _, ok := tr2.GetInto([]byte("sp9999"), nil); ok && tr2.Len() != LeafCapacity+1 {
 			t.Fatalf("fail=%d: inconsistent size after torn insert", fail)
 		}
 		// The tree keeps absorbing writes.
@@ -174,7 +174,7 @@ func TestCrashDuringSplitEveryPersist(t *testing.T) {
 }
 
 func TestEmptyLeavesAreNotCoalesced(t *testing.T) {
-	tr, err := New(Options{ArenaSize: 64 << 20})
+	tr, err := New(pmem.Config{Size: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestInnerTreeRouting(t *testing.T) {
 // TestUpdateInFullLeafSplits: an update that finds no free slot must
 // split first and still swap atomically.
 func TestUpdateInFullLeafSplits(t *testing.T) {
-	tr, err := New(Options{ArenaSize: 16 << 20})
+	tr, err := New(pmem.Config{Size: 16 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +251,11 @@ func TestUpdateInFullLeafSplits(t *testing.T) {
 	if err := tr.Update([]byte("uf0000"), []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := tr.Get([]byte("uf0000")); !ok || string(v) != "new" {
+	if v, ok := tr.GetInto([]byte("uf0000"), nil); !ok || string(v) != "new" {
 		t.Fatalf("updated value = (%q,%v)", v, ok)
 	}
 	for i := 1; i < LeafCapacity; i++ {
-		if v, ok := tr.Get([]byte(fmt.Sprintf("uf%04d", i))); !ok || string(v) != "old" {
+		if v, ok := tr.GetInto([]byte(fmt.Sprintf("uf%04d", i)), nil); !ok || string(v) != "old" {
 			t.Fatalf("sibling uf%04d damaged: (%q,%v)", i, v, ok)
 		}
 	}
@@ -272,7 +272,7 @@ func TestUpdateInFullLeafSplits(t *testing.T) {
 // two values visible.
 func TestUpdateAtomicityAcrossCrash(t *testing.T) {
 	for fail := int64(0); ; fail++ {
-		tr, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
+		tr, err := New(pmem.Config{Size: 16 << 20, Tracking: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,11 +307,11 @@ func TestUpdateAtomicityAcrossCrash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr2, err := Open(img, Options{})
+		tr2, err := Open(img)
 		if err != nil {
 			t.Fatalf("fail=%d: %v", fail, err)
 		}
-		v, ok := tr2.Get([]byte("ua03"))
+		v, ok := tr2.GetInto([]byte("ua03"), nil)
 		if !ok {
 			t.Fatalf("fail=%d: key vanished mid-update", fail)
 		}
@@ -327,7 +327,7 @@ func TestUpdateAtomicityAcrossCrash(t *testing.T) {
 // TestScanFromMidLeafStart: a scan whose start key routes into the middle
 // of a leaf skips that leaf's smaller entries.
 func TestScanFromMidLeafStart(t *testing.T) {
-	tr, err := New(Options{ArenaSize: 16 << 20})
+	tr, err := New(pmem.Config{Size: 16 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,9 +36,6 @@ func (n *inode) isBottom() bool { return n.kids == nil }
 // newInnerTree returns a routing tree with a single target covering the
 // whole key space.
 func newInnerTree(order int, firstTarget uint64) *innerTree {
-	if order < 4 {
-		order = 4
-	}
 	return &innerTree{
 		root:   &inode{keys: [][]byte{{}}, vals: []uint64{firstTarget}},
 		order:  order,

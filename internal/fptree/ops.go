@@ -103,8 +103,8 @@ func (t *Tree) Delete(key []byte) error {
 	return nil
 }
 
-// Get implements kv.Index.
-func (t *Tree) Get(key []byte) ([]byte, bool) {
+// GetInto implements kv.Index.
+func (t *Tree) GetInto(key, dst []byte) ([]byte, bool) {
 	if validate(key, nil, false) != nil {
 		return nil, false
 	}
@@ -115,7 +115,7 @@ func (t *Tree) Get(key []byte) ([]byte, bool) {
 	if i < 0 {
 		return nil, false
 	}
-	return t.readEntryValue(leaf, i), true
+	return t.readEntryValue(leaf, i, dst), true
 }
 
 // split divides a full leaf at its median key: the new right sibling is
@@ -147,7 +147,7 @@ func (t *Tree) split(leaf pmem.Ptr) error {
 	var movedBits uint64
 	var newBM uint64
 	for j, r := range upper {
-		v := t.readEntryValue(leaf, r.slot)
+		v := t.readEntryValue(leaf, r.slot, nil)
 		e := t.entryAddr(newLeaf, j)
 		t.arena.Write1(e+enKeyLen, byte(len(r.key)))
 		t.arena.Write1(e+enValLen, byte(len(v)))
@@ -216,7 +216,7 @@ func (t *Tree) Rebuild() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	head := t.head()
-	t.inner = newInnerTree(t.order, uint64(head))
+	t.inner = newInnerTree(innerOrder, uint64(head))
 	t.size = 0
 	first := true
 	for leaf := head; !leaf.IsNil(); leaf = t.arena.ReadPtr(leaf + lfNext) {
@@ -264,7 +264,7 @@ func (t *Tree) Scan(start, end []byte, fn func(key, value []byte) bool) {
 			if bm&(1<<uint(i)) == 0 {
 				continue
 			}
-			recs = append(recs, rec{t.readEntryKey(leaf, i), t.readEntryValue(leaf, i)})
+			recs = append(recs, rec{t.readEntryKey(leaf, i), t.readEntryValue(leaf, i, nil)})
 		}
 		sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i].k, recs[j].k) < 0 })
 		for _, r := range recs {

@@ -22,8 +22,10 @@ type Index interface {
 	Name() string
 	// Put inserts a new record or updates an existing one (Algorithm 1).
 	Put(key, value []byte) error
-	// Get returns a copy of the value stored under key.
-	Get(key []byte) ([]byte, bool)
+	// GetInto copies the value stored under key into dst, grown only if
+	// its capacity is short, and returns the filled prefix, so a search
+	// with a reused buffer allocates no copy of the value.
+	GetInto(key, dst []byte) ([]byte, bool)
 	// Update overwrites an existing record, failing if absent.
 	Update(key, value []byte) error
 	// Delete removes a record, failing if absent.

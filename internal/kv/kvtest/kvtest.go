@@ -43,8 +43,8 @@ func check(t *testing.T, ix kv.Index) {
 func Basic(t *testing.T, f Factory) {
 	ix := f(t)
 	defer ix.Close()
-	if _, ok := ix.Get([]byte("absent")); ok {
-		t.Fatal("Get on empty index succeeded")
+	if _, ok := ix.GetInto([]byte("absent"), nil); ok {
+		t.Fatal("GetInto on empty index succeeded")
 	}
 	keys := []string{"apple", "application", "banana", "band", "bandana", "can"}
 	for i, k := range keys {
@@ -55,10 +55,16 @@ func Basic(t *testing.T, f Factory) {
 	if ix.Len() != len(keys) {
 		t.Fatalf("Len = %d, want %d", ix.Len(), len(keys))
 	}
+	buf := make([]byte, 0, 16)
 	for i, k := range keys {
-		v, ok := ix.Get([]byte(k))
+		v, ok := ix.GetInto([]byte(k), nil)
 		if !ok || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("Get(%q) = (%q,%v)", k, v, ok)
+			t.Fatalf("GetInto(%q) = (%q,%v)", k, v, ok)
+		}
+		// A buffer with room receives the value in place.
+		v, ok = ix.GetInto([]byte(k), buf)
+		if !ok || string(v) != fmt.Sprintf("v%d", i) || &v[0] != &buf[:1][0] {
+			t.Fatalf("GetInto(%q, buf) = (%q,%v), not in buf", k, v, ok)
 		}
 	}
 	check(t, ix)
@@ -78,13 +84,13 @@ func UpdateSemantics(t *testing.T, f Factory) {
 	if err := ix.Put([]byte("key"), []byte("second")); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := ix.Get([]byte("key")); string(v) != "second" {
+	if v, _ := ix.GetInto([]byte("key"), nil); string(v) != "second" {
 		t.Fatalf("after Put-update: %q", v)
 	}
 	if err := ix.Update([]byte("key"), []byte("0123456789abcdef")); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := ix.Get([]byte("key")); string(v) != "0123456789abcdef" {
+	if v, _ := ix.GetInto([]byte("key"), nil); string(v) != "0123456789abcdef" {
 		t.Fatalf("after class-crossing update: %q", v)
 	}
 	if ix.Len() != 1 {
@@ -114,7 +120,7 @@ func DeleteSemantics(t *testing.T, f Factory) {
 		t.Fatal("double delete succeeded")
 	}
 	for i := 0; i < 200; i++ {
-		_, ok := ix.Get([]byte(fmt.Sprintf("d%04d", i)))
+		_, ok := ix.GetInto([]byte(fmt.Sprintf("d%04d", i)), nil)
 		if want := i%2 == 1; ok != want {
 			t.Fatalf("d%04d present=%v want %v", i, ok, want)
 		}
@@ -214,10 +220,10 @@ func Randomized(t *testing.T, f Factory) {
 			model[k] = v
 		default:
 			k := randKey()
-			got, ok := ix.Get([]byte(k))
+			got, ok := ix.GetInto([]byte(k), nil)
 			want, existed := model[k]
 			if ok != existed || (ok && string(got) != want) {
-				t.Fatalf("op %d: Get(%q) = (%q,%v), want (%q,%v)", i, k, got, ok, want, existed)
+				t.Fatalf("op %d: GetInto(%q) = (%q,%v), want (%q,%v)", i, k, got, ok, want, existed)
 			}
 		}
 	}
@@ -225,9 +231,9 @@ func Randomized(t *testing.T, f Factory) {
 		t.Fatalf("final Len = %d, model %d", ix.Len(), len(model))
 	}
 	for k, v := range model {
-		got, ok := ix.Get([]byte(k))
+		got, ok := ix.GetInto([]byte(k), nil)
 		if !ok || string(got) != v {
-			t.Fatalf("final Get(%q) = (%q,%v), want %q", k, got, ok, v)
+			t.Fatalf("final GetInto(%q) = (%q,%v), want %q", k, got, ok, v)
 		}
 	}
 	check(t, ix)
@@ -248,9 +254,9 @@ func ValueSizes(t *testing.T, f Factory) {
 		}
 	}
 	for n := 1; n <= 16; n++ {
-		v, ok := ix.Get([]byte(fmt.Sprintf("vs%02d", n)))
+		v, ok := ix.GetInto([]byte(fmt.Sprintf("vs%02d", n)), nil)
 		if !ok || len(v) != n {
-			t.Fatalf("Get %d-byte value: (%d bytes, %v)", n, len(v), ok)
+			t.Fatalf("GetInto %d-byte value: (%d bytes, %v)", n, len(v), ok)
 		}
 		for _, b := range v {
 			if b != byte('A'+n) {
@@ -288,9 +294,9 @@ func DenseFanout(t *testing.T, f Factory) {
 		}
 	}
 	for i, k := range keys {
-		v, ok := ix.Get([]byte(k))
+		v, ok := ix.GetInto([]byte(k), nil)
 		if !ok || string(v) != fmt.Sprintf("%03d", i%1000) {
-			t.Fatalf("Get(%q) after fanout growth = (%q,%v)", k, v, ok)
+			t.Fatalf("GetInto(%q) after fanout growth = (%q,%v)", k, v, ok)
 		}
 	}
 	// Delete in random order to walk back down through shrink thresholds.
@@ -302,7 +308,7 @@ func DenseFanout(t *testing.T, f Factory) {
 		if n%64 == 0 {
 			// Spot-check a surviving key.
 			for _, jj := range perm[n+1:] {
-				if _, ok := ix.Get([]byte(keys[jj])); !ok {
+				if _, ok := ix.GetInto([]byte(keys[jj]), nil); !ok {
 					t.Fatalf("key %q lost after %d deletions", keys[jj], n+1)
 				}
 				break
@@ -335,9 +341,9 @@ func SharedPrefixes(t *testing.T, f Factory) {
 		}
 	}
 	for i, k := range keys {
-		v, ok := ix.Get([]byte(k))
+		v, ok := ix.GetInto([]byte(k), nil)
 		if !ok || string(v) != fmt.Sprintf("p%d", i) {
-			t.Fatalf("Get(%q) = (%q,%v)", k, v, ok)
+			t.Fatalf("GetInto(%q) = (%q,%v)", k, v, ok)
 		}
 	}
 	// Remove middle links of the prefix chain.
@@ -347,7 +353,7 @@ func SharedPrefixes(t *testing.T, f Factory) {
 		}
 	}
 	for _, k := range []string{"prefixprefixprefixA", "prefixprefixprefixB", "prefixP", "prefiA", "q"} {
-		if _, ok := ix.Get([]byte(k)); !ok {
+		if _, ok := ix.GetInto([]byte(k), nil); !ok {
 			t.Fatalf("key %q lost after prefix-chain deletions", k)
 		}
 	}

@@ -210,13 +210,6 @@ func (c *Clock) Snapshot() Stats {
 	}
 }
 
-// Reset zeroes all counters.
-func (c *Clock) Reset() {
-	c.pmReadMisses.Store(0)
-	c.writePenalty.Store(0)
-	c.readPenalty.Store(0)
-}
-
 // spin busy-waits for approximately ns nanoseconds. time.Sleep cannot hit
 // sub-microsecond targets, so we poll the monotonic clock; the per-call
 // overhead of time.Since (tens of ns) is small relative to the 185-585 ns

@@ -64,10 +64,6 @@ func TestClockAccounting(t *testing.T) {
 	if c.PenaltyNs() != s.PenaltyNs() {
 		t.Error("PenaltyNs mismatch between clock and snapshot")
 	}
-	c.Reset()
-	if c.Snapshot() != (Stats{}) {
-		t.Error("Reset did not zero counters")
-	}
 }
 
 func TestModeOffChargesNothing(t *testing.T) {
@@ -139,7 +135,7 @@ func TestOnPersistPerLineCharging(t *testing.T) {
 	if got, want := c.Snapshot().WritePenaltyNs, int64(32*285); got != want {
 		t.Errorf("32-line persist charged %d ns, want %d", got, want)
 	}
-	c.Reset()
+	c = NewClock(Config300x300())
 	c.OnPersist(0) // defensive: clamps to one line
 	if got := c.Snapshot().WritePenaltyNs; got != 285 {
 		t.Errorf("zero-line persist charged %d ns, want 285", got)

@@ -94,18 +94,6 @@ type HistSnapshot struct {
 	Max     uint64
 }
 
-// Merge folds other into s (bucket-wise addition, max of maxes).
-func (s *HistSnapshot) Merge(other HistSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += other.Buckets[i]
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
-}
-
 // Quantile returns an upper estimate of the q-quantile (0 < q ≤ 1): the
 // upper bound of the bucket in which the cumulative count crosses
 // q·Count. The exact Max replaces the open last bucket's bound.

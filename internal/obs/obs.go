@@ -17,8 +17,8 @@
 //     every type is ready to use, so packages below core (epalloc, pmem)
 //     embed instruments directly in their structs without constructors
 //     or import cycles.
-//  3. Mergeable snapshots. Histograms and counters snapshot into plain
-//     values that add across shards/instances, and Snapshot renders to
+//  3. Plain snapshots. Histograms and counters snapshot into plain
+//     values, and Snapshot renders them to
 //     JSON (hartd's Stats reply, the benchmark's ledger), Prometheus text
 //     (WriteProm) and expvar.
 //
@@ -88,21 +88,6 @@ func (c *Counter) Value() uint64 {
 	}
 	return t
 }
-
-// Gauge is a lock-free instantaneous value (a level, not a rate). The
-// zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // SampleShift fixes the sampling ratio of the hot gated timing paths:
 // with the Gate on, Get/Put and arena Persist/Sync clock one call in

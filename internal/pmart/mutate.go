@@ -7,8 +7,8 @@ import (
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
-// This file holds the two mutation styles the baselines use over the
-// shared layouts:
+// This file holds the two mutation styles of the trees over the shared
+// layouts:
 //
 //   - In-place, failure-ordered mutations (WOART, Section II.C of the HART
 //     paper / Lee et al. FAST'17): each node kind commits an insertion
@@ -18,12 +18,12 @@ import (
 //   - Whole-node construction (ART+CoW): new nodes are fully written and
 //     persisted before a single atomic pointer swap publishes them.
 
-// AddChildInPlace inserts (b -> child) into n using the kind's
+// addChildInPlace inserts (b -> child) into n using the kind's
 // failure-atomic publish protocol. It returns false when the node is full
 // and must be grown. child must already be persistent.
-func AddChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte, child pmem.Ptr) bool {
-	switch NodeType(a, n) {
-	case TypeNode4:
+func addChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte, child pmem.Ptr) bool {
+	switch nodeType(a, n) {
+	case typeNode4:
 		w := a.Read8(n + n4SlotWord)
 		valid := byte(w >> 32)
 		slot := -1
@@ -48,7 +48,7 @@ func AddChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte, child pmem.Ptr) bool {
 		a.Persist(n+n4SlotWord, 8)
 		return true
 
-	case TypeNode16:
+	case typeNode16:
 		bm := a.Read8(n + n16Bitmap)
 		slot := -1
 		for i := 0; i < 16; i++ {
@@ -71,7 +71,7 @@ func AddChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte, child pmem.Ptr) bool {
 		a.Persist(n+n16Bitmap, 8)
 		return true
 
-	case TypeNode48:
+	case typeNode48:
 		bm := a.Read8(n + n48Bitmap)
 		slot := bits.TrailingZeros64(^bm & ((1 << 48) - 1))
 		if slot >= 48 {
@@ -88,21 +88,21 @@ func AddChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte, child pmem.Ptr) bool {
 		a.Persist(n+n48Index+pmem.Ptr(b), 1)
 		return true
 
-	case TypeNode256:
+	case typeNode256:
 		// A single atomic pointer store publishes the child.
 		addr := n + n256Children + pmem.Ptr(int(b)*8)
 		a.WritePtr(addr, child)
 		a.Persist(addr, 8)
 		return true
 	}
-	panic("pmart: AddChildInPlace on unknown node type")
+	panic("pmart: addChildInPlace on unknown node type")
 }
 
-// RemoveChildInPlace removes edge b from n with the kind's atomic
+// removeChildInPlace removes edge b from n with the kind's atomic
 // unpublish store. It reports whether the edge existed.
-func RemoveChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte) bool {
-	switch NodeType(a, n) {
-	case TypeNode4:
+func removeChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte) bool {
+	switch nodeType(a, n) {
+	case typeNode4:
 		w := a.Read8(n + n4SlotWord)
 		valid := byte(w >> 32)
 		for i := 0; i < 4; i++ {
@@ -113,7 +113,7 @@ func RemoveChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte) bool {
 				return true
 			}
 		}
-	case TypeNode16:
+	case typeNode16:
 		bm := a.Read8(n + n16Bitmap)
 		var keys [16]byte
 		a.ReadAt(n+n16Keys, keys[:])
@@ -124,7 +124,7 @@ func RemoveChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte) bool {
 				return true
 			}
 		}
-	case TypeNode48:
+	case typeNode48:
 		if s := a.Read1(n + n48Index + pmem.Ptr(b)); s != 0 {
 			// Unpublish via the index byte, then release the slot.
 			a.Write1(n+n48Index+pmem.Ptr(b), 0)
@@ -134,7 +134,7 @@ func RemoveChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte) bool {
 			a.Persist(n+n48Bitmap, 8)
 			return true
 		}
-	case TypeNode256:
+	case typeNode256:
 		addr := n + n256Children + pmem.Ptr(int(b)*8)
 		if !a.ReadPtr(addr).IsNil() {
 			a.WritePtr(addr, pmem.Nil)
@@ -145,55 +145,55 @@ func RemoveChildInPlace(a *pmem.Arena, n pmem.Ptr, b byte) bool {
 	return false
 }
 
-// ReplaceChildAt atomically swaps the child pointer stored at slotAddr.
-func ReplaceChildAt(a *pmem.Arena, slotAddr, child pmem.Ptr) {
+// replaceChildAt atomically swaps the child pointer stored at slotAddr.
+func replaceChildAt(a *pmem.Arena, slotAddr, child pmem.Ptr) {
 	a.WritePtr(slotAddr, child)
 	a.Persist(slotAddr, 8)
 }
 
-// GrownType returns the next larger node kind.
-func GrownType(typ byte) byte {
+// grownType returns the next larger node kind.
+func grownType(typ byte) byte {
 	switch typ {
-	case TypeNode4:
-		return TypeNode16
-	case TypeNode16:
-		return TypeNode48
-	case TypeNode48:
-		return TypeNode256
+	case typeNode4:
+		return typeNode16
+	case typeNode16:
+		return typeNode48
+	case typeNode48:
+		return typeNode256
 	}
 	panic(fmt.Sprintf("pmart: cannot grow node type %d", typ))
 }
 
-// ShrunkType returns the next smaller kind and the occupancy at which a
+// shrunkType returns the next smaller kind and the occupancy at which a
 // node should shrink into it (mirroring package art's thresholds).
-func ShrunkType(typ byte) (byte, int) {
+func shrunkType(typ byte) (byte, int) {
 	switch typ {
-	case TypeNode16:
-		return TypeNode4, 3
-	case TypeNode48:
-		return TypeNode16, 12
-	case TypeNode256:
-		return TypeNode48, 37
+	case typeNode16:
+		return typeNode4, 3
+	case typeNode48:
+		return typeNode16, 12
+	case typeNode256:
+		return typeNode48, 37
 	}
 	return 0, -1
 }
 
-// BuildNode constructs a fully formed node of the given kind with the
+// buildNode constructs a fully formed node of the given kind with the
 // given prefix and edges, persists it, and returns it. Both WOART (for
 // grow/shrink/split) and ART+CoW (for every mutation) publish such nodes
 // with a single subsequent pointer swap.
-func BuildNode(a *pmem.Arena, na *NodeAlloc, typ byte, prefix []byte, edges []Edge) (pmem.Ptr, error) {
+func buildNode(a *pmem.Arena, na *NodeAlloc, typ byte, prefix []byte, edges []edge) (pmem.Ptr, error) {
 	if want := minTypeFor(len(edges)); typ < want {
 		typ = want
 	}
-	size := SizeOf(typ)
+	size := sizeOf(typ)
 	n, err := na.Alloc(size)
 	if err != nil {
 		return pmem.Nil, err
 	}
-	WriteHeader(a, n, typ, prefix)
+	writeHeader(a, n, typ, prefix)
 	switch typ {
-	case TypeNode4:
+	case typeNode4:
 		var w uint64
 		for i, e := range edges {
 			a.WritePtr(n+n4Children+pmem.Ptr(i*8), e.Child)
@@ -201,7 +201,7 @@ func BuildNode(a *pmem.Arena, na *NodeAlloc, typ byte, prefix []byte, edges []Ed
 			w |= uint64(1) << (32 + uint(i))
 		}
 		a.Write8(n+n4SlotWord, w)
-	case TypeNode16:
+	case typeNode16:
 		var bm uint64
 		for i, e := range edges {
 			a.Write1(n+n16Keys+pmem.Ptr(i), e.Byte)
@@ -209,7 +209,7 @@ func BuildNode(a *pmem.Arena, na *NodeAlloc, typ byte, prefix []byte, edges []Ed
 			bm |= 1 << uint(i)
 		}
 		a.Write8(n+n16Bitmap, bm)
-	case TypeNode48:
+	case typeNode48:
 		var bm uint64
 		for i, e := range edges {
 			a.WritePtr(n+n48Children+pmem.Ptr(i*8), e.Child)
@@ -217,7 +217,7 @@ func BuildNode(a *pmem.Arena, na *NodeAlloc, typ byte, prefix []byte, edges []Ed
 			bm |= 1 << uint(i)
 		}
 		a.Write8(n+n48Bitmap, bm)
-	case TypeNode256:
+	case typeNode256:
 		for _, e := range edges {
 			a.WritePtr(n+n256Children+pmem.Ptr(int(e.Byte)*8), e.Child)
 		}
@@ -230,29 +230,29 @@ func BuildNode(a *pmem.Arena, na *NodeAlloc, typ byte, prefix []byte, edges []Ed
 func minTypeFor(n int) byte {
 	switch {
 	case n <= 4:
-		return TypeNode4
+		return typeNode4
 	case n <= 16:
-		return TypeNode16
+		return typeNode16
 	case n <= 48:
-		return TypeNode48
+		return typeNode48
 	default:
-		return TypeNode256
+		return typeNode256
 	}
 }
 
-// BuildLeaf allocates and persists a leaf holding key and the given packed
+// buildLeaf allocates and persists a leaf holding key and the given packed
 // value word.
-func BuildLeaf(a *pmem.Arena, na *NodeAlloc, key []byte, valueWord uint64) (pmem.Ptr, error) {
-	if len(key) > MaxKeyLen {
-		return pmem.Nil, fmt.Errorf("pmart: key length %d exceeds %d", len(key), MaxKeyLen)
+func buildLeaf(a *pmem.Arena, na *NodeAlloc, key []byte, valueWord uint64) (pmem.Ptr, error) {
+	if len(key) > maxKeyLen {
+		return pmem.Nil, fmt.Errorf("pmart: key length %d exceeds %d", len(key), maxKeyLen)
 	}
-	leaf, err := na.Alloc(LeafSize)
+	leaf, err := na.Alloc(leafSize)
 	if err != nil {
 		return pmem.Nil, err
 	}
-	a.Write8(leaf+LeafValueWord, valueWord)
-	a.Write1(leaf+LeafKeyLen, byte(len(key)))
-	a.WriteAt(leaf+LeafKey, key)
-	a.Persist(leaf, LeafSize)
+	a.Write8(leaf+leafValueWord, valueWord)
+	a.Write1(leaf+leafKeyLen, byte(len(key)))
+	a.WriteAt(leaf+leafKey, key)
+	a.Persist(leaf, leafSize)
 	return leaf, nil
 }

@@ -1,7 +1,8 @@
-// Package pmart provides the persistent-memory node layer shared by the
-// two pure-PM radix-tree baselines, WOART (internal/woart) and ART+CoW
-// (internal/artcow), both from Lee et al., FAST 2017, as re-implemented by
-// the HART paper for its evaluation.
+// Package pmart holds the two pure-PM radix-tree baselines of the HART
+// paper's evaluation, WOART and ART+CoW (both from Lee et al., FAST 2017),
+// over one shared node layer and one shared tree type. The two trees
+// differ only in how a structural change commits: WOART with ordered
+// in-place stores, ART+CoW with a path copy and one root swap.
 //
 // Unlike HART — which keeps internal nodes in DRAM — these trees place
 // every node on PM, addressed by pmem.Ptr offsets. The node layouts mirror
@@ -25,6 +26,11 @@
 // implementations the paper builds on (which index C strings), the trees
 // append a terminating zero byte internally so no key is a prefix of
 // another.
+//
+// Neither tree needs a rebuild after a crash (the paper's Fig. 10c notes
+// pure-PM trees skip recovery), but NodeAlloc cannot tell which freed or
+// in-flight blocks were lost, so a crash can leak PM: the exposure the
+// paper contrasts with EPallocator's bitmaps.
 package pmart
 
 import (
@@ -37,26 +43,26 @@ import (
 
 // Node types stored in the first header byte.
 const (
-	TypeNode4 byte = iota + 1
-	TypeNode16
-	TypeNode48
-	TypeNode256
+	typeNode4 byte = iota + 1
+	typeNode16
+	typeNode48
+	typeNode256
 )
 
-// MaxStoredPrefix is the number of prefix bytes kept in the node header.
-const MaxStoredPrefix = 6
+// maxStoredPrefix is the number of prefix bytes kept in the node header.
+const maxStoredPrefix = 6
 
-// MaxKeyLen mirrors HART's 24-byte key bound; with the internal
-// terminator a traversal consumes at most MaxKeyLen+1 bytes.
-const MaxKeyLen = 24
+// maxKeyLen mirrors HART's 24-byte key bound; with the internal
+// terminator a traversal consumes at most maxKeyLen+1 bytes.
+const maxKeyLen = 24
 
 // Node sizes in bytes.
 const (
-	Node4Size   = 8 + 8 + 4*8        // 48
-	Node16Size  = 8 + 8 + 16 + 16*8  // 160
-	Node48Size  = 8 + 8 + 256 + 48*8 // 656
-	Node256Size = 8 + 256*8          // 2056
-	LeafSize    = 40                 // valueWord(8) + keyLen(1) + key(24) + pad
+	node4Size   = 8 + 8 + 4*8        // 48
+	node16Size  = 8 + 8 + 16 + 16*8  // 160
+	node48Size  = 8 + 8 + 256 + 48*8 // 656
+	node256Size = 8 + 256*8          // 2056
+	leafSize    = 40                 // valueWord(8) + keyLen(1) + key(24) + pad
 )
 
 // Header field offsets.
@@ -82,81 +88,81 @@ const (
 // Leaf field offsets (same packing as HART's leaf: bits 0-55 of the value
 // word are the value-object offset, bits 56-63 its length).
 const (
-	LeafValueWord = 0
-	LeafKeyLen    = 8
-	LeafKey       = 9
+	leafValueWord = 0
+	leafKeyLen    = 8
+	leafKey       = 9
 )
 
-// PackValue encodes a value pointer and length into a leaf value word.
-func PackValue(p pmem.Ptr, n int) uint64 {
+// packValue encodes a value pointer and length into a leaf value word.
+func packValue(p pmem.Ptr, n int) uint64 {
 	return uint64(p)&((1<<56)-1) | uint64(n)<<56
 }
 
-// UnpackValue decodes a leaf value word.
-func UnpackValue(w uint64) (pmem.Ptr, int) {
+// unpackValue decodes a leaf value word.
+func unpackValue(w uint64) (pmem.Ptr, int) {
 	return pmem.Ptr(w & ((1 << 56) - 1)), int(w >> 56)
 }
 
-// TagLeaf marks a pointer as referencing a leaf.
-func TagLeaf(p pmem.Ptr) pmem.Ptr { return p | 1 }
+// tagLeaf marks a pointer as referencing a leaf.
+func tagLeaf(p pmem.Ptr) pmem.Ptr { return p | 1 }
 
-// IsLeaf reports whether a tagged pointer references a leaf.
-func IsLeaf(p pmem.Ptr) bool { return p&1 != 0 }
+// isLeaf reports whether a tagged pointer references a leaf.
+func isLeaf(p pmem.Ptr) bool { return p&1 != 0 }
 
-// Untag strips the leaf tag.
-func Untag(p pmem.Ptr) pmem.Ptr { return p &^ 1 }
+// untag strips the leaf tag.
+func untag(p pmem.Ptr) pmem.Ptr { return p &^ 1 }
 
-// NodeType reads an inner node's type byte.
-func NodeType(a *pmem.Arena, n pmem.Ptr) byte { return a.Read1(n + offType) }
+// nodeType reads an inner node's type byte.
+func nodeType(a *pmem.Arena, n pmem.Ptr) byte { return a.Read1(n + offType) }
 
-// SizeOf returns the byte size of the node kind.
-func SizeOf(typ byte) int64 {
+// sizeOf returns the byte size of the node kind.
+func sizeOf(typ byte) int64 {
 	switch typ {
-	case TypeNode4:
-		return Node4Size
-	case TypeNode16:
-		return Node16Size
-	case TypeNode48:
-		return Node48Size
-	case TypeNode256:
-		return Node256Size
+	case typeNode4:
+		return node4Size
+	case typeNode16:
+		return node16Size
+	case typeNode48:
+		return node48Size
+	case typeNode256:
+		return node256Size
 	default:
 		panic(fmt.Sprintf("pmart: unknown node type %d", typ))
 	}
 }
 
-// WriteHeader initialises a node's header (caller persists).
-func WriteHeader(a *pmem.Arena, n pmem.Ptr, typ byte, prefix []byte) {
+// writeHeader initialises a node's header (caller persists).
+func writeHeader(a *pmem.Arena, n pmem.Ptr, typ byte, prefix []byte) {
 	a.Write1(n+offType, typ)
 	a.Write1(n+offPrefixLen, byte(len(prefix)))
 	stored := prefix
-	if len(stored) > MaxStoredPrefix {
-		stored = stored[:MaxStoredPrefix]
+	if len(stored) > maxStoredPrefix {
+		stored = stored[:maxStoredPrefix]
 	}
-	var buf [MaxStoredPrefix]byte
+	var buf [maxStoredPrefix]byte
 	copy(buf[:], stored)
 	a.WriteAt(n+offPrefix, buf[:])
 }
 
-// ReadPrefix returns a node's full prefix length and the stored prefix
-// bytes (at most MaxStoredPrefix of them).
-func ReadPrefix(a *pmem.Arena, n pmem.Ptr) (full int, stored []byte) {
+// readPrefix returns a node's full prefix length and the stored prefix
+// bytes (at most maxStoredPrefix of them).
+func readPrefix(a *pmem.Arena, n pmem.Ptr) (full int, stored []byte) {
 	full = int(a.Read1(n + offPrefixLen))
 	m := full
-	if m > MaxStoredPrefix {
-		m = MaxStoredPrefix
+	if m > maxStoredPrefix {
+		m = maxStoredPrefix
 	}
 	stored = make([]byte, m)
 	a.ReadAt(n+offPrefix, stored)
 	return full, stored
 }
 
-// FindChild locates the child under edge byte b. It returns the PM address
+// findChild locates the child under edge byte b. It returns the PM address
 // of the child-pointer slot (for atomic replacement) and the tagged child
 // pointer, or (Nil, Nil) when absent.
-func FindChild(a *pmem.Arena, n pmem.Ptr, b byte) (slotAddr, child pmem.Ptr) {
-	switch NodeType(a, n) {
-	case TypeNode4:
+func findChild(a *pmem.Arena, n pmem.Ptr, b byte) (slotAddr, child pmem.Ptr) {
+	switch nodeType(a, n) {
+	case typeNode4:
 		w := a.Read8(n + n4SlotWord)
 		valid := byte(w >> 32)
 		for i := 0; i < 4; i++ {
@@ -165,7 +171,7 @@ func FindChild(a *pmem.Arena, n pmem.Ptr, b byte) (slotAddr, child pmem.Ptr) {
 				return addr, a.ReadPtr(addr)
 			}
 		}
-	case TypeNode16:
+	case typeNode16:
 		bm := a.Read8(n + n16Bitmap)
 		var keys [16]byte
 		a.ReadAt(n+n16Keys, keys[:])
@@ -175,12 +181,12 @@ func FindChild(a *pmem.Arena, n pmem.Ptr, b byte) (slotAddr, child pmem.Ptr) {
 				return addr, a.ReadPtr(addr)
 			}
 		}
-	case TypeNode48:
+	case typeNode48:
 		if s := a.Read1(n + n48Index + pmem.Ptr(b)); s != 0 {
 			addr := n + n48Children + pmem.Ptr(int(s-1)*8)
 			return addr, a.ReadPtr(addr)
 		}
-	case TypeNode256:
+	case typeNode256:
 		addr := n + n256Children + pmem.Ptr(int(b)*8)
 		if c := a.ReadPtr(addr); !c.IsNil() {
 			return addr, c
@@ -189,36 +195,36 @@ func FindChild(a *pmem.Arena, n pmem.Ptr, b byte) (slotAddr, child pmem.Ptr) {
 	return pmem.Nil, pmem.Nil
 }
 
-// Edge pairs an edge byte with its tagged child pointer.
-type Edge struct {
+// edge pairs an edge byte with its tagged child pointer.
+type edge struct {
 	Byte  byte
 	Child pmem.Ptr
 }
 
-// Edges returns a node's populated edges in ascending key-byte order.
-func Edges(a *pmem.Arena, n pmem.Ptr) []Edge {
-	var out []Edge
-	switch NodeType(a, n) {
-	case TypeNode4:
+// edgesOf returns a node's populated edges in ascending key-byte order.
+func edgesOf(a *pmem.Arena, n pmem.Ptr) []edge {
+	var out []edge
+	switch nodeType(a, n) {
+	case typeNode4:
 		w := a.Read8(n + n4SlotWord)
 		valid := byte(w >> 32)
 		for i := 0; i < 4; i++ {
 			if valid&(1<<uint(i)) != 0 {
-				out = append(out, Edge{byte(w >> (8 * uint(i))), a.ReadPtr(n + n4Children + pmem.Ptr(i*8))})
+				out = append(out, edge{byte(w >> (8 * uint(i))), a.ReadPtr(n + n4Children + pmem.Ptr(i*8))})
 			}
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Byte < out[j].Byte })
-	case TypeNode16:
+	case typeNode16:
 		bm := a.Read8(n + n16Bitmap)
 		var keys [16]byte
 		a.ReadAt(n+n16Keys, keys[:])
 		for i := 0; i < 16; i++ {
 			if bm&(1<<uint(i)) != 0 {
-				out = append(out, Edge{keys[i], a.ReadPtr(n + n16Children + pmem.Ptr(i*8))})
+				out = append(out, edge{keys[i], a.ReadPtr(n + n16Children + pmem.Ptr(i*8))})
 			}
 		}
 		sort.Slice(out, func(i, j int) bool { return out[i].Byte < out[j].Byte })
-	case TypeNode48:
+	case typeNode48:
 		var idx [256]byte
 		a.ReadAt(n+n48Index, idx[:])
 		var kids [48 * 8]byte
@@ -226,15 +232,15 @@ func Edges(a *pmem.Arena, n pmem.Ptr) []Edge {
 		for kb := 0; kb < 256; kb++ {
 			if s := idx[kb]; s != 0 {
 				c := pmem.Ptr(le64(kids[int(s-1)*8:]))
-				out = append(out, Edge{byte(kb), c})
+				out = append(out, edge{byte(kb), c})
 			}
 		}
-	case TypeNode256:
+	case typeNode256:
 		var kids [256 * 8]byte
 		a.ReadAt(n+n256Children, kids[:])
 		for kb := 0; kb < 256; kb++ {
 			if c := pmem.Ptr(le64(kids[kb*8:])); !c.IsNil() {
-				out = append(out, Edge{byte(kb), c})
+				out = append(out, edge{byte(kb), c})
 			}
 		}
 	}
@@ -247,10 +253,10 @@ func le64(b []byte) uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// CountChildren returns the number of populated edges.
-func CountChildren(a *pmem.Arena, n pmem.Ptr) int {
-	switch NodeType(a, n) {
-	case TypeNode4:
+// countChildren returns the number of populated edges.
+func countChildren(a *pmem.Arena, n pmem.Ptr) int {
+	switch nodeType(a, n) {
+	case typeNode4:
 		w := a.Read8(n + n4SlotWord)
 		c := 0
 		for i := 0; i < 4; i++ {
@@ -259,21 +265,21 @@ func CountChildren(a *pmem.Arena, n pmem.Ptr) int {
 			}
 		}
 		return c
-	case TypeNode16:
+	case typeNode16:
 		bm := a.Read8(n+n16Bitmap) & 0xffff
 		c := 0
 		for ; bm != 0; bm &= bm - 1 {
 			c++
 		}
 		return c
-	case TypeNode48:
+	case typeNode48:
 		bm := a.Read8(n+n48Bitmap) & ((1 << 48) - 1)
 		c := 0
 		for ; bm != 0; bm &= bm - 1 {
 			c++
 		}
 		return c
-	case TypeNode256:
+	case typeNode256:
 		var kids [256 * 8]byte
 		a.ReadAt(n+n256Children, kids[:])
 		c := 0
@@ -287,14 +293,14 @@ func CountChildren(a *pmem.Arena, n pmem.Ptr) int {
 	return 0
 }
 
-// LeafMatches reports whether the leaf stores exactly key.
-func LeafMatches(a *pmem.Arena, leaf pmem.Ptr, key []byte) bool {
-	n := int(a.Read1(leaf + LeafKeyLen))
-	if n != len(key) || n > MaxKeyLen {
+// leafMatches reports whether the leaf stores exactly key.
+func leafMatches(a *pmem.Arena, leaf pmem.Ptr, key []byte) bool {
+	n := int(a.Read1(leaf + leafKeyLen))
+	if n != len(key) || n > maxKeyLen {
 		return false
 	}
 	buf := make([]byte, n)
-	a.ReadAt(leaf+LeafKey, buf)
+	a.ReadAt(leaf+leafKey, buf)
 	for i := range buf {
 		if buf[i] != key[i] {
 			return false
@@ -303,14 +309,14 @@ func LeafMatches(a *pmem.Arena, leaf pmem.Ptr, key []byte) bool {
 	return true
 }
 
-// LeafKeyBytes reads a leaf's full key.
-func LeafKeyBytes(a *pmem.Arena, leaf pmem.Ptr) []byte {
-	n := int(a.Read1(leaf + LeafKeyLen))
-	if n > MaxKeyLen {
-		n = MaxKeyLen
+// leafKeyBytes reads a leaf's full key.
+func leafKeyBytes(a *pmem.Arena, leaf pmem.Ptr) []byte {
+	n := int(a.Read1(leaf + leafKeyLen))
+	if n > maxKeyLen {
+		n = maxKeyLen
 	}
 	buf := make([]byte, n)
-	a.ReadAt(leaf+LeafKey, buf)
+	a.ReadAt(leaf+leafKey, buf)
 	return buf
 }
 
