@@ -69,9 +69,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// version lays out (only this build's version gets this far).
 	fmt.Fprintf(stdout, "  format: version %d (%d update-log slots of %d B)\n",
 		rs.FormatVersion, epalloc.NumUpdateLogs, epalloc.ULogSlotSize)
-	fmt.Fprintf(stdout, "  recovery: %d live leaves, %d update logs completed, %d stale slots zeroed, %d orphan values reclaimed\n",
-		rs.LiveLeaves, rs.CompletedULogs, rs.StaleSlotsZeroed, rs.OrphanValues)
-	fmt.Fprintf(stdout, "  recovery phases (%d worker(s)): ulog replay %v, leaf scan and ART build %v, sweeps %v, strays and publish %v\n",
+	fmt.Fprintf(stdout, "  recovery: %d live leaves, %d update logs completed, %d orphan values reclaimed\n",
+		rs.LiveLeaves, rs.CompletedULogs, rs.OrphanValues)
+	fmt.Fprintf(stdout, "  recovery phases (%d worker(s)): ulog replay %v, leaf scan and ART build %v, orphan sweep %v, strays and publish %v\n",
 		rs.Workers,
 		time.Duration(rs.ULogNs).Round(time.Microsecond),
 		time.Duration(rs.ScanNs).Round(time.Microsecond),

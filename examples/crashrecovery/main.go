@@ -89,15 +89,14 @@ func main() {
 		log.Fatal("torn insert became visible!")
 	}
 	fmt.Printf("phase 6: torn insert invisible after recovery (%d records, %d orphan value reclaimed)\n",
-		db3.Len(), db3.LastRecoveryStats().StaleSlotsZeroed)
+		db3.Len(), db3.LastRecoveryStats().OrphanValues)
 
-	// The orphaned value object is back in the pool already: recovery
-	// sweeps every dead leaf slot, reclaims the committed value such a
-	// slot's stale word leads to (EPMalloc's repair, Algorithm 2 lines
-	// 12-16, done before any allocation can meet the slot) and zeroes the
-	// word. The fsck rejects any committed value no live leaf references,
-	// so a clean check — before and after the slot is refilled — proves the
-	// space came back.
+	// The orphaned value object is back in the pool already: recovery's
+	// orphan sweep releases every committed value that no live leaf
+	// references (the job of EPMalloc's repair, Algorithm 2 lines 12-16,
+	// done once at Open instead of at each slot's reuse). The fsck rejects
+	// any such value, so a clean check — before and after the slot is
+	// refilled — proves the space came back.
 	if err := db3.Check(); err != nil {
 		log.Fatalf("leak check failed: %v", err)
 	}

@@ -103,12 +103,12 @@ type Options struct {
 	// CrashSimulation tracks a separate durable view so CrashImage and
 	// crash-point injection work (costs memory and write overhead).
 	CrashSimulation bool
-	// RecoveryWorkers parallelises recovery's leaf scan, sweeps and ART
+	// RecoveryWorkers parallelises recovery's leaf scan, orphan sweep and ART
 	// rebuild across that many goroutines (0 or 1 = serial).
 	RecoveryWorkers int
 	// LazyRecovery defers per-shard ART builds out of Open and Restore:
-	// the store serves traffic immediately after the scan and consistency
-	// sweeps, and each shard's ART is built on first touch or by
+	// the store serves traffic immediately after the scan and orphan
+	// sweep, and each shard's ART is built on first touch or by
 	// DrainRecovery (typically started in the background right after Open
 	// or Restore).
 	LazyRecovery bool

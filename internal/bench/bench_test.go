@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/casl-sdsu/hart/internal/latency"
+	"github.com/casl-sdsu/hart/internal/workload"
 )
 
 // tinyConfig keeps harness smoke tests fast: small record counts.
@@ -415,5 +416,41 @@ func TestChartsRender(t *testing.T) {
 	}
 	if !strings.Contains(hartLine, "*") {
 		t.Fatalf("winner not starred: %s", hartLine)
+	}
+}
+
+// TestPMTrafficPinned replays one fixed history on each tree through
+// NewIndex with PM latency off — 20 000 Random keys (seed 20190520)
+// inserted with 8-byte values, searched, updated to 16-byte values and
+// deleted, each phase in key order — and pins the arena's counters. Every
+// figure's PM charge is a function of these counts, so a change to any
+// tree's PM traffic fails here and must say why.
+func TestPMTrafficPinned(t *testing.T) {
+	type traffic struct{ persists, lines, reads, bytes int64 }
+	want := map[string]traffic{
+		"HART":    {189275, 196936, 83158, 3052543},
+		"WOART":   {428888, 451242, 1521234, 3874450},
+		"ART+CoW": {802103, 3184457, 2325483, 195700665},
+		"FPTree":  {148233, 190658, 518063, 1879233},
+	}
+	keys := workload.Random(20000, 20190520)
+	for _, tree := range TreeNames {
+		ix, err := NewIndex(tree, latency.Off(), len(keys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []struct {
+			op  string
+			val []byte
+		}{{"insert", []byte("8 bytes!")}, {"search", nil}, {"update", []byte("sixteen bytes!!!")}, {"delete", nil}} {
+			if err := applyOp(ix, p.op, keys, p.val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := ix.Arena().Stats()
+		if got := (traffic{s.Persists, s.PersistedLines, s.Reads, s.BytesWritten}); got != want[tree] {
+			t.Errorf("%s: persists, persisted lines, reads, bytes written = %v, want %v", tree, got, want[tree])
+		}
+		ix.Close()
 	}
 }

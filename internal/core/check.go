@@ -20,9 +20,7 @@ import (
 //     is never out of line.
 //  3. Every committed value object is referenced by exactly one committed
 //     leaf. Anything else is a persistent leak.
-//  4. Every dead leaf slot has word 0 == 0: nothing an allocation could
-//     misread (reclaimStale) survives a scrub or a recovery.
-//  5. Every committed leaf's key fits its slot: 1 to 14 bytes in a 24-byte
+//  4. Every committed leaf's key fits its slot: 1 to 14 bytes in a 24-byte
 //     leaf, 1 to MaxKeyLen in a 40-byte one. Checked before any key is
 //     read, since a longer one would be read out of the neighbouring slot.
 //
@@ -41,24 +39,23 @@ func (h *HART) Check() error {
 	// pending shards' trees are empty); finish the builds first.
 	h.DrainRecovery()
 
-	// PM side: committed leaves, their key lengths, and dead slots' first
-	// words.
+	// PM side: committed leaves and their key lengths. A dead slot's
+	// words are never read, here or anywhere.
 	liveLeaf := make(map[pmem.Ptr]bool)
 	for _, c := range leafClasses {
 		keyCap := leafKeyCap(c)
 		var slotErr error
 		if err := h.alloc.IterateObjects(c, func(leaf pmem.Ptr, used bool) bool {
 			if !used {
-				if w := h.arena.Read8(leaf + lfWord0); w != 0 {
-					slotErr = fmt.Errorf("hart: dead leaf slot %d holds stale word %#x", leaf, w)
-				}
-			} else if n := hdrKeyLen(h.arena.Read8(leaf + lfKeyLen)); n == 0 || n > keyCap {
+				return true
+			}
+			if n := hdrKeyLen(h.arena.Read8(leaf + lfKeyLen)); n == 0 || n > keyCap {
 				slotErr = fmt.Errorf("hart: leaf %d has key length %d; its %d-byte slot holds keys of 1 to %d bytes",
 					leaf, n, classSizes[c], keyCap)
-			} else {
-				liveLeaf[leaf] = true
+				return false
 			}
-			return slotErr == nil
+			liveLeaf[leaf] = true
+			return true
 		}); err != nil {
 			return err
 		}

@@ -388,9 +388,9 @@ func TestEmptyShardRemovalRace(t *testing.T) {
 // shard, whose four directory prefixes all map to one allocator stripe.
 // The writers share no shard lock, only the stripe's slot lists, so a
 // leaf or value slot that an operation makes allocatable before it is
-// done with it is handed to a sibling mid-operation — a delete's p_value
-// scrub then zeroes the sibling's fresh leaf, and the sibling's own
-// acknowledged Put reads as not found.
+// done with it is handed to a sibling mid-operation — a write the
+// operation still makes to the slot then lands on the sibling's fresh
+// record, and the sibling's own acknowledged Put reads as not found.
 func TestSameStripeSiblingShards(t *testing.T) {
 	h, err := New(Options{ArenaSize: 16 << 20})
 	if err != nil {
@@ -507,6 +507,92 @@ func TestShapeCyclingReadersSeeWholeValues(t *testing.T) {
 	for i := 0; i < nkeys; i++ {
 		if v, ok := h.Get(key(i)); !ok || !bytes.Equal(v, value(i, 0)) {
 			t.Fatalf("key %d = (%x, %v) after the last cycle, want %x", i, v, ok, value(i, 0))
+		}
+	}
+	if err := h.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestImmediateSlotReuse races lock-free readers against writers that hand
+// leaf and value slots straight back to each other. The four writers own
+// different hash keys whose prefixes all map to one allocator stripe, so
+// they share its chunks: each deletes and re-inserts its keys round after
+// round, and every delete leaves its leaf slot allocatable at once with
+// the old word 0 in place — a packed pointer to a value slot that a
+// sibling may already have re-committed, or an inline value's bytes. No
+// write path reads that word, so none may act on it: every value a reader
+// returns must be one written to its key, and fsck must be clean at the
+// end. Values alternate between the leaf and a value object, so both kinds
+// of stale word 0 are left behind.
+func TestImmediateSlotReuse(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	h, err := New(Options{ArenaSize: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, keysPer, rounds = 4, 8, 300
+	prefixes := sameStripePrefixes(t, writers)
+	key := func(w, i int) []byte { return fmt.Appendf(nil, "%s-%02d", prefixes[w], i) }
+	// value spells its key and round, 16 bytes on even rounds, 8 on odd.
+	value := func(w, i, round int) []byte {
+		v := make([]byte, 16-8*(round%2))
+		v[0], v[1], v[2], v[3] = byte(w), byte(i), byte(round), byte(round>>8)
+		for j := 4; j < len(v); j++ {
+			v[j] = byte(w*61 + i*31 + round*17 + j)
+		}
+		return v
+	}
+
+	var stop atomic.Bool
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			buf := make([]byte, 0, MaxValueLen)
+			for n := r; !stop.Load(); n++ {
+				w, i := n%writers, n/writers%keysPer
+				v, ok := h.GetInto(key(w, i), buf)
+				if !ok {
+					continue // between its delete and its re-insert
+				}
+				if len(v) < 4 || !bytes.Equal(v, value(w, i, int(v[2])|int(v[3])<<8)) || int(v[0]) != w || int(v[1]) != i {
+					t.Errorf("%s: read %x, which was never written to it", key(w, i), v)
+					return
+				}
+			}
+		}(r)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for i := 0; i < keysPer; i++ {
+					if round > 0 {
+						if err := h.Delete(key(w, i)); err != nil {
+							t.Errorf("writer %d: Delete: %v", w, err)
+							return
+						}
+					}
+					if err := h.Put(key(w, i), value(w, i, round)); err != nil {
+						t.Errorf("writer %d: Put: %v", w, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	stop.Store(true)
+	readers.Wait()
+	for w := 0; w < writers; w++ {
+		for i := 0; i < keysPer; i++ {
+			if v, ok := h.Get(key(w, i)); !ok || !bytes.Equal(v, value(w, i, rounds-1)) {
+				t.Errorf("%s = (%x, %v) after the last round, want %x", key(w, i), v, ok, value(w, i, rounds-1))
+			}
 		}
 	}
 	if err := h.Check(); err != nil {

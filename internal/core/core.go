@@ -201,8 +201,8 @@ type Options struct {
 	// of a shard's leaves (0 or 1 = the paper's serial recovery).
 	RecoveryWorkers int
 	// LazyRecovery defers the per-shard ART builds out of Open: recovery
-	// completes after the update-log replay, leaf scan and consistency
-	// sweeps, publishing a directory whose shards hold pending leaf lists
+	// completes after the update-log replay, leaf scan and orphan
+	// sweep, publishing a directory whose shards hold pending leaf lists
 	// instead of trees. A shard's ART is built on its first locked touch,
 	// or by DrainRecovery, which callers typically start in the background
 	// right after Open. Time-to-first-read becomes nearly independent of
@@ -310,14 +310,11 @@ type HART struct {
 	obs coreObs
 }
 
-// classSpecs returns the allocator class table, binding the Algorithm 2
-// lines 12-16 leaf-reuse repair to h for both leaf classes.
-func (h *HART) classSpecs() []epalloc.ClassSpec {
-	return []epalloc.ClassSpec{
-		classLeaf24:  {Name: "leaf24", ObjSize: leaf24Size, OnReuse: h.onLeafReuse},
-		classLeaf40:  {Name: "leaf40", ObjSize: leaf40Size, OnReuse: h.onLeafReuse},
-		classValue16: {Name: "value16", ObjSize: MaxValueLen},
-	}
+// classSpecs is the allocator's class table, in class order.
+var classSpecs = []epalloc.ClassSpec{
+	classLeaf24:  {Name: "leaf24", ObjSize: leaf24Size},
+	classLeaf40:  {Name: "leaf40", ObjSize: leaf40Size},
+	classValue16: {Name: "value16", ObjSize: MaxValueLen},
 }
 
 // ArenaConfig translates the options into the PM medium's configuration,
@@ -360,7 +357,7 @@ func NewOnArena(arena *pmem.Arena, opts Options) (*HART, error) {
 	arena.SetPersistSite("format.superblock")
 	writeSuperblockBody(arena, opts)
 	var err error
-	h.alloc, err = epalloc.New(arena, h.classSpecs())
+	h.alloc, err = epalloc.New(arena, classSpecs)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +391,7 @@ func Open(arena *pmem.Arena, opts Options) (*HART, error) {
 	opts = opts.withDefaults()
 	h := &HART{opts: opts, arena: arena}
 	h.dir.Store(hashdir.New[*artShard]())
-	alloc, err := epalloc.Attach(arena, h.classSpecs())
+	alloc, err := epalloc.Attach(arena, classSpecs)
 	if err != nil {
 		return nil, err
 	}
@@ -651,44 +648,4 @@ func (h *HART) readValue(ref leafRef, dst []byte, want bool, stable func() bool)
 		h.arena.ReadWords(vp, v)
 	}
 	return v, true
-}
-
-// reclaimStale is the one place a dead leaf slot's word 0 is followed. The
-// word is never trusted: since values live in it, a torn insert or an
-// unscrubbed delete leaves user bytes there, beside a shape byte that may
-// be a previous occupant's, and BitIsSet/ResetBit accept any slot base of
-// any class. So w is followed only if, read as a packed pointer, it names
-// a slot base of a value class whose bit is set and which no live leaf
-// references — then it is what Algorithm 2 lines 12-16 look for, a value
-// committed by an insert that never committed its leaf (or left behind by
-// a delete between its two bit resets), and is reclaimed. The caller
-// zeroes the word whatever this finds.
-func (h *HART) reclaimStale(w uint64, referenced func(pmem.Ptr) bool) error {
-	vp, _ := unpackValue(w)
-	if c, err := h.alloc.ClassOf(vp); err != nil || c != classValue16 {
-		return nil
-	}
-	if set, err := h.alloc.BitIsSet(vp); err != nil || !set || referenced(vp) {
-		return nil
-	}
-	if err := h.alloc.ResetBit(vp); err != nil {
-		return err
-	}
-	return h.alloc.RecycleIfPresent(vp)
-}
-
-// onLeafReuse is the Algorithm 2 lines 12-16 repair hook, run on a leaf
-// slot as it is handed out. An allocatable leaf slot durably has word 0
-// == 0 — the delete scrub, the failure-path scrubs and recovery's sweep
-// of every dead slot keep that invariant (DESIGN.md §7 item 3) — so the
-// load below is all this does; the repair is kept for the slot that
-// escapes the invariant, where it can only run against a value object
-// with no way to tell whether a live leaf references it.
-func (h *HART) onLeafReuse(leaf pmem.Ptr) {
-	w := h.arena.Read8(leaf + lfWord0)
-	if w == 0 {
-		return
-	}
-	_ = h.reclaimStale(w, func(pmem.Ptr) bool { return false })
-	h.scrubLeaf(leaf)
 }

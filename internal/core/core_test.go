@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/casl-sdsu/hart/internal/epalloc"
 	"github.com/casl-sdsu/hart/internal/hashdir"
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
@@ -410,24 +411,38 @@ func TestStatsAndSizeInfo(t *testing.T) {
 	}
 }
 
-// TestDeleteDoesNotPoisonReusedValueSlot is a regression test for a
-// subtle aliasing bug: after Delete, the dead leaf's stale p_value must
-// not be interpreted by the Algorithm 2 repair once the value slot has
-// been legitimately reallocated to another record.
+// TestDeleteDoesNotPoisonReusedValueSlot: a deleted record's value slot
+// and leaf slot are both handed out again, the leaf slot with the dead
+// record's word 0 still naming the value slot's new owner. Nothing may act
+// on that stale word: the new owner keeps its value and Check stays clean.
+// All three keys hash to one allocator stripe ("xx" and "zz"), and k2's
+// 16-byte key takes a leaf40, so k2 reuses only the value slot and k3 only
+// the leaf slot.
 func TestDeleteDoesNotPoisonReusedValueSlot(t *testing.T) {
 	h := newHART(t)
-	// k1's value occupies a value slot; delete k1 frees it.
+	if epalloc.StripeFor([]byte("xx")) != epalloc.StripeFor([]byte("zz")) {
+		t.Fatal("fixture: xx and zz no longer share a stripe")
+	}
+	// k1's value occupies a value slot; delete k1 frees it and its leaf.
 	mustPut(t, h, "xx-one", "willfree-object")
+	oldLeaf, _ := h.GetLeaf([]byte("xx-one"))
+	oldVal, _ := unpackValue(h.arena.Read8(oldLeaf + lfWord0))
 	if err := h.Delete([]byte("xx-one")); err != nil {
 		t.Fatal(err)
 	}
-	// k2 reuses the freed value slot (same class, same chunk hint).
-	mustPut(t, h, "yy-two", "newowner-object")
-	// k3 reuses k1's leaf slot, firing the OnReuse repair hook. Before
-	// the fix, the hook saw k1's stale p_value -> k2's live value and
-	// reset its bit.
+	// k2 reuses the freed value slot.
+	mustPut(t, h, "zz-two-long-key!", "newowner-object")
+	k2Leaf, _ := h.GetLeaf([]byte("zz-two-long-key!"))
+	if v, _ := unpackValue(h.arena.Read8(k2Leaf + lfWord0)); v != oldVal {
+		t.Fatalf("fixture: k2's value took slot %d, not the freed %d", v, oldVal)
+	}
+	// k3 reuses k1's leaf slot, whose word 0 still names k2's live value.
 	mustPut(t, h, "zz-three", "fresh")
-	mustGet(t, h, "yy-two", "newowner-object")
+	if leaf, _ := h.GetLeaf([]byte("zz-three")); leaf != oldLeaf {
+		t.Fatalf("fixture: k3 took leaf slot %d, not the freed %d", leaf, oldLeaf)
+	}
+	mustGet(t, h, "zz-two-long-key!", "newowner-object")
+	mustGet(t, h, "zz-three", "fresh")
 	if err := h.Check(); err != nil {
 		t.Fatalf("aliasing regression: %v", err)
 	}

@@ -231,22 +231,21 @@ func crashUpdateCase(t *testing.T, upkey, name, from, to string, persists int) {
 
 // TestCrashDuringDeleteEveryPersist verifies Algorithm 5: a crash during
 // deletion leaves the key either present with its value or fully absent;
-// a half-deleted record (leaf bit cleared; value bit still set, or the
-// value's bytes still in the dead slot's word 0) must be cleaned up by
-// recovery — no leak, nothing left for the slot's next owner to misread.
+// a half-deleted record (leaf bit cleared, value bit still set) must be
+// cleaned up by recovery — no leak — and the dead slot, its old word 0 in
+// place, must take a new record.
 func TestCrashDuringDeleteEveryPersist(t *testing.T) {
 	// One sweep per shape and leaf class ("del%03d" keys take 24-byte
 	// leaves, the 21-byte ones 40-byte leaves). Deleting one of several
-	// records in shared chunks performs exactly two persists for a record
-	// the leaf holds whole (leaf bit, scrub) and three when its value is an
-	// object (leaf bit, value bit, scrub); every boundary must have been
-	// exercised.
+	// records in shared chunks performs exactly one persist for a record
+	// the leaf holds whole (leaf bit) and two when its value is an object
+	// (leaf bit, value bit); every boundary must have been exercised.
 	for _, c := range []struct {
 		key, dv  string
 		persists int
 	}{
-		{"del%03d", "dv", 2}, {"del%03d", "dv-in-an-object", 3},
-		{"del-in-a-40B-leaf%03d", "dv", 2}, {"del-in-a-40B-leaf%03d", "dv-in-an-object", 3},
+		{"del%03d", "dv", 1}, {"del%03d", "dv-in-an-object", 2},
+		{"del-in-a-40B-leaf%03d", "dv", 1}, {"del-in-a-40B-leaf%03d", "dv-in-an-object", 2},
 	} {
 		dv, persists := c.dv, c.persists
 		key := func(i int) []byte { return []byte(fmt.Sprintf(c.key, i)) }
@@ -376,12 +375,11 @@ func TestCrashDuringMixedWorkload(t *testing.T) {
 // TestRecoveryReclaimsStrandedValues crashes an out-of-line insert between
 // its value bit and its leaf bit, and a delete between its leaf bit and its
 // value bit. Each strands a committed value object that no live leaf
-// references; the dead leaf's stale word 0 still names it, so the
-// stale-word sweep reclaims it and zeroes the word, leaving the orphan
-// sweep nothing. Each image is recovered in every mode: the key must be
-// absent, the counts exact, and the store leak-free. (A value named by no
-// word at all, which only the orphan sweep finds, is left by a failed
-// release: see TestDeleteReleaseFailureStillDeletes.)
+// references, which the orphan sweep reclaims; the dead leaf's stale word 0
+// still names it, and is not read. Each image is recovered in every mode:
+// the key must be absent, the count exact, and the store leak-free. (A
+// failed release strands one at run time: see
+// TestDeleteReleaseFailureStillDeletes.)
 func TestRecoveryReclaimsStrandedValues(t *testing.T) {
 	const key, val = "strand", "value-in-object!"
 	cases := []struct {
@@ -419,9 +417,8 @@ func TestRecoveryReclaimsStrandedValues(t *testing.T) {
 			}
 			for _, m := range recoveryModes {
 				h := openImage(t, img, m.opts)
-				if rs := h.LastRecoveryStats(); rs.StaleSlotsZeroed != 1 || rs.OrphanValues != 0 {
-					t.Fatalf("%s: %d stale slots zeroed, %d orphan values; want 1 and 0",
-						m.name, rs.StaleSlotsZeroed, rs.OrphanValues)
+				if n := h.LastRecoveryStats().OrphanValues; n != 1 {
+					t.Fatalf("%s: %d orphan values reclaimed, want 1", m.name, n)
 				}
 				if _, ok := h.Get([]byte(key)); ok {
 					t.Fatalf("%s: %q present after recovery", m.name, key)
@@ -559,7 +556,7 @@ func TestWritePathBudgets(t *testing.T) {
 			op:     put(newRecord, short),
 			sites:  sites("insert", "leaf", "leaf-bit"),
 			lines:  [2][8]int64{{2, 2, 2, 2, 2, 2, 2, 3}, {2, 2, 2, 2, 2, 3, 3, 3}},
-			reads:  1, // onLeafReuse: the reused leaf slot's word 0
+			reads:  0, // the reused leaf slot is written, not read
 		},
 		{
 			name:   "inline update, same length",
@@ -575,19 +572,19 @@ func TestWritePathBudgets(t *testing.T) {
 			setup:  steady(short),
 			target: 58,
 			op:     del(58),
-			sites:  sites("delete", "leaf-bit", "scrub-pvalue"),
-			lines:  flat(2),
+			sites:  sites("delete", "leaf-bit"),
+			lines:  flat(1),
 			reads:  0,
 		},
 		{
 			// Alone in its leaf chunk, which the delete empties and
-			// recycles (inside Free) under the stripe's recycle log.
+			// recycles under the stripe's recycle log.
 			name:   "inline delete that empties the chunk",
 			setup:  alone(short),
 			target: 56,
 			op:     del(56),
-			sites:  sites("delete", "leaf-bit", "scrub-pvalue", "recycle*7"),
-			lines:  flat(9),
+			sites:  sites("delete", "leaf-bit", "recycle*7"),
+			lines:  flat(8),
 			reads:  5, // five list words per recycle
 		},
 		// Every change of shape is the logged update, less the steps of the
@@ -627,7 +624,7 @@ func TestWritePathBudgets(t *testing.T) {
 			op:     put(newRecord, wide),
 			sites:  sites("insert", "value", "leaf", "value-bit", "leaf-bit"),
 			lines:  [2][8]int64{{4, 4, 4, 4, 4, 4, 4, 5}, {4, 4, 4, 4, 4, 5, 5, 5}},
-			reads:  1, // onLeafReuse: the reused leaf slot's word 0
+			reads:  0, // the reused leaf slot is written, not read
 		},
 		{
 			name:   "logged update",
@@ -643,21 +640,21 @@ func TestWritePathBudgets(t *testing.T) {
 			setup:  steady(wide),
 			target: 58,
 			op:     del(58),
-			sites:  sites("delete", "leaf-bit", "value-bit", "scrub-pvalue"),
-			lines:  flat(3),
+			sites:  sites("delete", "leaf-bit", "value-bit"),
+			lines:  flat(2),
 			reads:  1,
 		},
 		{
 			// Record 56 is alone in both classes' second chunks: deleting
 			// it empties and recycles first the value chunk (inside
-			// Release), then the leaf chunk (inside Free) — seven persists
-			// each under the stripe's recycle log.
+			// Release), then the leaf chunk — seven persists each under the
+			// stripe's recycle log.
 			name:   "delete that empties both chunks",
 			setup:  alone(wide),
 			target: 56,
 			op:     del(56),
-			sites:  sites("delete", "leaf-bit", "value-bit", "value-bit*7", "scrub-pvalue", "recycle*7"),
-			lines:  flat(17),
+			sites:  sites("delete", "leaf-bit", "value-bit", "value-bit*7", "recycle*7"),
+			lines:  flat(16),
 			reads:  11, // word 0, then five list words per recycle
 		},
 	}
@@ -797,7 +794,7 @@ func TestCrashDuringDeleteRecycleEveryPersist(t *testing.T) {
 // first crash lands at every boundary of an update (the op whose recovery
 // does the most PM writes: completing the ulog — for an update that
 // changes the record's shape, rewriting two words of its leaf — resetting
-// it, sweeping stale slots), then recovery itself is crashed at every one
+// it, sweeping orphan values), then recovery itself is crashed at every one
 // of its own persist boundaries, and recovery-after-recovery must still
 // produce the old or new value with a clean fsck.
 func TestCrashDuringRecoveryEveryPersist(t *testing.T) {
@@ -947,7 +944,7 @@ func TestUpdateLogReplaySparesReusedSlot(t *testing.T) {
 }
 
 // recoveryModes is every way Open rebuilds the index: the four modes share
-// classifyLeaf and reclaimStale, and a test of what recovery may trust
+// classifyLeaf and the orphan sweep, and a test of what recovery may trust
 // runs under each.
 var recoveryModes = []struct {
 	name string
@@ -966,12 +963,11 @@ var recoveryModes = []struct {
 // sits beside the previous occupant's shape byte of 0, "value object" — with
 // the value's bytes spelling, in turn, the address of a live leaf and that
 // of a live value object, bare and as the packed word the live leaf itself
-// holds. Following such a word as recovery followed every dead slot's
-// word before (BitIsSet and ResetBit accept any slot base of any class)
-// clears the bit of the live leaf or of the live value. Every recovery
-// mode must instead zero the word and nothing else: every record present,
-// fsck clean, and — the dead slot being the next one allocated — still so
-// after the slot is reused.
+// holds. Following such a word as a pointer (BitIsSet and ResetBit accept
+// any slot base of any class) clears the bit of the live leaf or of the
+// live value. Every recovery mode must leave it unread and reclaim
+// nothing: every record present, fsck clean, and — the dead slot being the
+// next one allocated — still so after the slot is reused.
 func TestDeadSlotWordIsNeverTrusted(t *testing.T) {
 	h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
 	if err != nil {
@@ -986,7 +982,7 @@ func TestDeadSlotWordIsNeverTrusted(t *testing.T) {
 		mustPut(t, h, k, v)
 	}
 	// The slot a torn insert dies in: last held a record with a value
-	// object (stale shape byte 0), deleted and scrubbed since.
+	// object (stale shape byte 0), deleted since.
 	mustPut(t, h, "tn-victim", "victim-in-object")
 	dead, _ := h.GetLeaf([]byte("tn-victim"))
 	if err := h.Delete([]byte("tn-victim")); err != nil {
@@ -1017,8 +1013,8 @@ func TestDeadSlotWordIsNeverTrusted(t *testing.T) {
 		for _, m := range recoveryModes {
 			name := torn.name + ", " + m.name
 			h2 := openImage(t, img, m.opts)
-			if n := h2.LastRecoveryStats().StaleSlotsZeroed; n != 1 {
-				t.Fatalf("%s: recovery zeroed %d stale slots, want the torn one", name, n)
+			if n := h2.LastRecoveryStats().OrphanValues; n != 0 {
+				t.Fatalf("%s: recovery reclaimed %d orphan values, want none", name, n)
 			}
 			assertContents(t, h2, ref, nil, name)
 			if err := h2.Check(); err != nil {
@@ -1040,9 +1036,8 @@ func TestDeadSlotWordIsNeverTrusted(t *testing.T) {
 		}
 	}
 
-	// The same word met at run time, by the Algorithm 2 hook of the
-	// allocation that reuses the slot: a leaf's address is no value object,
-	// so it is zeroed and nothing follows it.
+	// The same word met at run time, by the allocation that reuses the
+	// slot: the insert overwrites it without reading it.
 	h.arena.Write8(dead+lfWord0, uint64(liveLeaf))
 	h.arena.Persist(dead+lfWord0, 8)
 	mustPut(t, h, "tn-victim", "again")

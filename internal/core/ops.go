@@ -66,13 +66,14 @@ func (h *HART) putLocked(s *artShard, artKey, key, value []byte, stripe int) err
 //
 // Out of line, four: value, leaf, value bit, leaf bit. Algorithm 1 persists
 // p_value, key and key_len separately (six persists), but the only
-// orderings recovery rests on are p_value durable before the value bit — so
-// a value committed by a torn insert is always found through its dead leaf
-// (Algorithm 2 lines 12-16) — and the whole leaf durable before the leaf
-// bit; the leaf's fields need no order among themselves because the leaf is
-// dead until its bit commits.
+// orderings recovery rests on are the value object committed, and the whole
+// leaf durable, before the leaf bit; the leaf's fields need no order among
+// themselves because the leaf is dead until its bit commits. A value
+// committed by a torn insert is referenced by no live leaf, so recovery's
+// orphan sweep reclaims it (Algorithm 2 lines 12-16 find it through the
+// dead leaf's p_value instead, which here is never read).
 func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) error {
-	leaf, err := h.alloc.AllocStripe(leafClassFor(len(key)), stripe) // line 10 (OnReuse repair may run)
+	leaf, err := h.alloc.AllocStripe(leafClassFor(len(key)), stripe) // line 10
 	if err != nil {
 		return err
 	}
@@ -103,15 +104,12 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 	h.arena.Persist(leaf, lfKey+len(key))
 
 	// Line 14: set and persist the value bit. On failure neither bit is
-	// set: release both slots from their volatile in-flight state and
-	// scrub the dead leaf's word 0, so a later reuse of the leaf slot
-	// cannot run the Algorithm 2 repair against whoever owns the value
-	// slot by then.
+	// set: release both slots from their volatile in-flight state. The
+	// dead leaf keeps its word 0, which nothing reads.
 	if !val.IsNil() {
 		h.arena.SetPersistSite("insert.value-bit")
 		if err := h.alloc.SetBit(val); err != nil {
 			h.alloc.Abort(val)
-			h.scrubLeaf(leaf)
 			h.alloc.Abort(leaf)
 			return err
 		}
@@ -124,18 +122,16 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 
 	// Line 18: set and persist the leaf bit. This is the commit point: a
 	// crash anywhere above leaves the leaf bit clear, so the slot reads as
-	// free and recovery's sweep of dead slots reclaims the value object, if
-	// there is one. On failure the insert must unwind completely: unpublish
-	// the leaf, release the committed value object, and scrub the dead leaf
-	// as above (an inline value's bytes are as unwelcome in a dead slot as
-	// a stale pointer: see reclaimStale).
+	// free, and a committed value object that no live leaf references is
+	// reclaimed by recovery's orphan sweep. On failure the insert must
+	// unwind completely: unpublish the leaf and release the committed value
+	// object.
 	h.arena.SetPersistSite("insert.leaf-bit")
 	if err := h.alloc.SetBit(leaf); err != nil {
 		s.root.Delete(artKey)
 		if !val.IsNil() {
 			h.alloc.Release(val)
 		}
-		h.scrubLeaf(leaf)
 		h.alloc.Abort(leaf)
 		return err
 	}
@@ -158,16 +154,6 @@ func (h *HART) writeLeaf(leaf pmem.Ptr, word0 uint64, shape int, key []byte) {
 	buf[lfShape] = byte(shape)
 	copy(buf[lfKey:], key)
 	h.arena.WriteWords(leaf, buf[:lfKey+len(key)])
-}
-
-// scrubLeaf durably zeroes a dead leaf's word 0, restoring the invariant
-// that an allocatable leaf slot has nothing there to misread: a stale
-// pointer would alias the value slot once that slot belongs to another
-// record, and an inline value's bytes may spell any address at all (see
-// reclaimStale).
-func (h *HART) scrubLeaf(leaf pmem.Ptr) {
-	h.arena.Write8(leaf+lfWord0, 0)
-	h.arena.Persist(leaf+lfWord0, 8)
 }
 
 // swing gives a live leaf its new word 0 by one failure-atomic store and
@@ -551,30 +537,27 @@ func (h *HART) deleteLocked(key []byte) (bool, error) {
 	leaf := ref.ptr()
 
 	// Line 9: remove from the (volatile) tree first; a crash after this
-	// point leaves the PM bits to the reset/repair protocol below.
+	// point leaves the PM bits to the reset protocol below.
 	s.root.Delete(artKey)
 
 	// Line 10. A record that is one object — its ref says so — has no
-	// value to find and skips lines 12-13: leaf bit and scrub are all of
-	// its delete.
+	// value to find and skips lines 12-13: the leaf bit is all of its
+	// delete.
 	var val pmem.Ptr
 	if ref.shape() == 0 {
 		val, _ = unpackValue(h.arena.Read8(leaf + lfWord0))
 	}
 
 	// Line 11: reset and persist the leaf bit. From here the leaf is dead
-	// even across a crash; its stale word 0 leads recovery's sweep to the
-	// value if the value-bit reset below never lands. The slot is retired, not
-	// freed: it stays unallocatable until the scrub below is durable, or a
-	// writer on the same allocator stripe could be handed it in between
-	// and have its fresh word 0 zeroed by that scrub (and its onLeafReuse
-	// would clear the value's bit a second time, after this delete's
-	// Release, possibly under a new owner). On failure the record is still
-	// fully committed on PM, so republish it and report the error —
-	// dropping it from the tree alone would lose the key for readers while
-	// recovery would resurrect it.
+	// even across a crash, and its slot is allocatable at once: its word 0
+	// stays as it was, and nothing reads a dead slot's word 0. A crash
+	// before the value-bit reset below strands the value object, which no
+	// live leaf references, so recovery's orphan sweep reclaims it. On
+	// failure the record is still fully committed on PM, so republish it
+	// and report the error — dropping it from the tree alone would lose
+	// the key for readers while recovery would resurrect it.
 	h.arena.SetPersistSite("delete.leaf-bit")
-	if err := h.alloc.Retire(leaf); err != nil {
+	if err := h.alloc.ResetBit(leaf); err != nil {
 		s.root.Insert(artKey, uint64(ref))
 		return false, err
 	}
@@ -593,16 +576,11 @@ func (h *HART) deleteLocked(key []byte) (bool, error) {
 		}
 	}
 
-	// Hardening beyond Algorithm 5: scrub the dead leaf (see scrubLeaf). A
-	// crash before this store lands is repaired by the recovery sweep (see
-	// recover).
-	h.arena.SetPersistSite("delete.scrub-pvalue")
-	h.scrubLeaf(leaf)
-
-	// Line 14: hand the leaf slot back and recycle its chunk if it
-	// emptied.
+	// Line 14: recycle the leaf's chunk if it emptied. A writer on the
+	// same stripe may have taken the slot, or recycled the chunk, since the
+	// reset above; either leaves nothing to do here.
 	h.arena.SetPersistSite("delete.recycle")
-	if err := h.alloc.Free(leaf); err != nil && firstErr == nil {
+	if err := h.alloc.RecycleIfPresent(leaf); err != nil && firstErr == nil {
 		firstErr = err
 	}
 

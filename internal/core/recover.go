@@ -32,14 +32,13 @@ import (
 //     leaf's key from PM once, into a stack buffer, and inserts the leaf
 //     straight into its shard's private batch-built tree (or, under
 //     Options.LazyRecovery, appends it to the shard's pending list). It
-//     also collects live value references and stale dead slots per stripe.
-//     No shared state is touched.
-//  3. Consistency sweeps — the stale-reference and orphan-value scans fan
-//     out per stripe, but every PM write they decide on is applied by
-//     this goroutine in stripe order: recovery's persist sequence stays
-//     deterministic at any worker count (the property the differential
-//     crash checker replays against), and an injected crash always
-//     surfaces on the caller.
+//     also collects the live value references per stripe. Dead slots are
+//     skipped unread. No shared state is touched.
+//  3. Orphan sweep — the value-chunk walk fans out per stripe, but every
+//     release it decides on is applied by this goroutine in stripe order:
+//     recovery's persist sequence stays deterministic at any worker count
+//     (the property the differential crash checker replays against), and
+//     an injected crash always surfaces on the caller.
 //
 // Then the build is finished: leaves found on a stripe other than their
 // shard's (no writer leaves one, but an image may hold one) are inserted
@@ -79,11 +78,11 @@ func (h *HART) recover() error {
 	stats.ScanNs = time.Since(t).Nanoseconds()
 	h.obs.events.Emit("recover.phase", "scan", uint64(stats.LiveLeaves), uint64(stats.ScanNs))
 
-	// Phase 3: consistency sweeps, PM writes serial on this goroutine.
+	// Phase 3: orphan sweep, PM writes serial on this goroutine.
 	t = time.Now()
-	err = h.sweepStaleAndOrphans(scan, workers, &stats)
+	err = h.sweepOrphans(scan, workers, &stats)
 	stats.SweepNs = time.Since(t).Nanoseconds()
-	h.obs.events.Emit("recover.phase", "sweep", uint64(stats.StaleSlotsZeroed+stats.OrphanValues), uint64(stats.SweepNs))
+	h.obs.events.Emit("recover.phase", "sweep", uint64(stats.OrphanValues), uint64(stats.SweepNs))
 	if err != nil {
 		return err
 	}
@@ -108,29 +107,16 @@ func (h *HART) recover() error {
 	return nil
 }
 
-// deadSlot is an unused leaf slot whose word 0 is not zero and needs
-// scrubbing. The word is kept raw: what it may be trusted to mean is
-// reclaimStale's decision.
-type deadSlot struct {
-	leaf  pmem.Ptr
-	word0 uint64
-}
-
-// classifyLeaf is recovery's one look at a leaf slot, the same in every
-// mode. Of a dead slot it reads word 0, which is all a dead slot has to
-// say. Of a live leaf it reads the header word — shape, key length and the
-// first hdrKeyBytes key bytes in one load — and word 0 only when the shape
-// says it names a value object, returned as vp (Nil otherwise).
-func (h *HART) classifyLeaf(leaf pmem.Ptr, used bool) (hdr, word0 uint64, vp pmem.Ptr) {
-	if !used {
-		return 0, h.arena.Read8(leaf + lfWord0), pmem.Nil
-	}
+// classifyLeaf is recovery's one look at a live leaf, the same in every
+// mode: it reads the header word — shape, key length and the first
+// hdrKeyBytes key bytes in one load — and word 0 only when the shape says
+// it names a value object, returned as vp (Nil otherwise).
+func (h *HART) classifyLeaf(leaf pmem.Ptr) (hdr uint64, vp pmem.Ptr) {
 	hdr = h.arena.Read8(leaf + lfKeyLen)
 	if hdrShape(hdr) == 0 {
-		word0 = h.arena.Read8(leaf + lfWord0)
-		vp, _ = unpackValue(word0)
+		vp, _ = unpackValue(h.arena.Read8(leaf + lfWord0))
 	}
-	return hdr, word0, vp
+	return hdr, vp
 }
 
 // shardBuild is one shard under construction: eagerly, a batch inserting
@@ -161,13 +147,11 @@ type strayLeaf struct {
 // stripeScan is one stripe's share of the leaf scan. Each stripe is
 // walked by exactly one goroutine, and a shard's builder lives in the
 // stripe of its hash key, so none of this needs locking; the coordinator
-// reads the stripes in index order, which keeps every derived sequence
-// (dead-slot sweep order, stray insertion) deterministic regardless of
-// worker count.
+// reads the stripes in index order, which keeps stray insertion
+// deterministic regardless of worker count.
 type stripeScan struct {
 	shards map[string]*shardBuild
 	strays []strayLeaf
-	dead   []deadSlot
 	vals   []pmem.Ptr
 	live   int
 	err    error
@@ -199,13 +183,13 @@ var leafClasses = [...]epalloc.Class{classLeaf24, classLeaf40}
 
 // scanLeaves walks every leaf chunk with up to `workers` goroutines (one
 // per allocator stripe), filing each live leaf with its shard's builder
-// and collecting per-stripe dead slots and value references. The two leaf
-// classes are walked one after the other into the same per-stripe state:
-// a shard's leaves of both classes sit on its stripe, so one builder takes
-// them all, and each stripe's dead slots and strays keep walk order. Each
-// live leaf's key is read exactly once; under LazyRecovery only its hash
-// key, the leading kh bytes, which up to hdrKeyBytes come with the header
-// word classifyLeaf loaded anyway. A live leaf whose header claims a key
+// and collecting per-stripe value references; a dead slot is skipped
+// without a load. The two leaf classes are walked one after the other into
+// the same per-stripe state: a shard's leaves of both classes sit on its
+// stripe, so one builder takes them all, and each stripe's strays keep
+// walk order. Each live leaf's key is read exactly once; under
+// LazyRecovery only its hash key, the leading kh bytes, which up to
+// hdrKeyBytes come with the header word classifyLeaf loaded anyway. A live leaf whose header claims a key
 // its slot cannot hold is refused before any key byte is read.
 func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 	sc := &leafScan{lazy: h.opts.LazyRecovery}
@@ -215,14 +199,11 @@ func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 	for _, c := range leafClasses {
 		keyCap := leafKeyCap(c)
 		err := h.alloc.IterateObjectsParallel(c, workers, func(st int, leaf pmem.Ptr, used bool) bool {
-			ss := &sc.stripes[st]
-			hdr, word0, vp := h.classifyLeaf(leaf, used)
 			if !used {
-				if word0 != 0 {
-					ss.dead = append(ss.dead, deadSlot{leaf: leaf, word0: word0})
-				}
 				return true
 			}
+			ss := &sc.stripes[st]
+			hdr, vp := h.classifyLeaf(leaf)
 			if !vp.IsNil() {
 				ss.vals = append(ss.vals, vp)
 			}
@@ -305,43 +286,19 @@ func ptrSetHas(set []pmem.Ptr, p pmem.Ptr) bool {
 	return ok
 }
 
-// sweepStaleAndOrphans runs recovery's two PM-repair passes.
-//
-// Stale-word sweep: a dead leaf slot whose word 0 is not zero was left by
-// an interrupted insertion, deletion or scrub. The word may name a
-// reclaimable orphan (value bit set, value owned by nobody), be a harmless
-// stale pointer, or be an inline value's bytes — which can spell anything,
-// the address of a live leaf or a live value included. reclaimStale
-// follows it only where that is safe, and every such word is then zeroed,
-// so that no later reuse of the slot finds anything to misread (see Delete
-// for the runtime side). The candidates were collected by the scan phase;
-// the writes land here, in stripe order.
-//
-// An out-of-line insert that crashes between its value bit and its leaf
-// bit, and a delete that crashes between its leaf bit and its value bit,
-// strand a committed value object; the dead leaf's word 0 names it, so the
-// stale-word sweep reclaims it.
-//
-// Orphan value sweep (mark-and-sweep): any committed value object still
-// referenced by no live leaf is unreachable forever — left by an update
-// whose release of the old value failed after its commit point, or by a
-// delete whose value release failed, the dead leaf being scrubbed all the
-// same — and is reclaimed. The value-chunk walk fans out per stripe; the
-// releases land here, in stripe order. After a crash alone this finds
-// nothing; either way, a recovered HART starts leak-free.
-func (h *HART) sweepStaleAndOrphans(sc *leafScan, workers int, stats *RecoveryStats) error {
-	h.arena.SetPersistSite("recover.stale-sweep")
-	referenced := func(vp pmem.Ptr) bool { return ptrSetHas(sc.valSet, vp) }
-	for st := range sc.stripes {
-		for _, d := range sc.stripes[st].dead {
-			if err := h.reclaimStale(d.word0, referenced); err != nil {
-				return err
-			}
-			h.scrubLeaf(d.leaf)
-			stats.StaleSlotsZeroed++
-		}
-	}
-
+// sweepOrphans is recovery's one PM repair, a mark-and-sweep: any
+// committed value object that no live leaf references is unreachable
+// forever, and is released. An out-of-line insert that crashed between its
+// value bit and its leaf bit leaves one, and so does a delete that crashed
+// between its leaf bit and its value bit; so do an update whose release of
+// the old value failed after its commit point and a delete whose value
+// release failed. No dead leaf slot is read: its word 0 may be a stale
+// pointer or an inline value's bytes, which can spell any address, and the
+// mark set of live references already decides every case. The value-chunk
+// walk fans out per stripe; the releases land here, in stripe order. A
+// crash outside those windows leaves nothing to find; either way, a
+// recovered HART starts leak-free.
+func (h *HART) sweepOrphans(sc *leafScan, workers int, stats *RecoveryStats) error {
 	h.arena.SetPersistSite("recover.orphan-sweep")
 	var orphans [epalloc.NumStripes][]pmem.Ptr
 	if err := h.alloc.IterateObjectsParallel(classValue16, workers, func(st int, vp pmem.Ptr, used bool) bool {
@@ -462,9 +419,6 @@ type RecoveryStats struct {
 	CompletedULogs int
 	// LiveLeaves counts committed leaves rebuilt into the index.
 	LiveLeaves int
-	// StaleSlotsZeroed counts dead leaf slots whose stale word 0 was
-	// scrubbed (orphan values reclaimed along the way).
-	StaleSlotsZeroed int
 	// OrphanValues counts committed but unreachable value objects
 	// reclaimed by the mark-and-sweep pass.
 	OrphanValues int
@@ -483,8 +437,8 @@ type RecoveryStats struct {
 	FormatVersion int
 	// Per-phase wall times, which do not overlap. ULogNs is the
 	// update-log replay; ScanNs the leaf scan, which builds the shards'
-	// trees (or pending lists) as it walks; SweepNs the consistency
-	// sweeps; BuildNs what is left of the build after them: inserting
+	// trees (or pending lists) as it walks; SweepNs the orphan
+	// sweep; BuildNs what is left of the build after it: inserting
 	// leaves found off their shard's stripe, and publishing the directory.
 	ULogNs  int64
 	ScanNs  int64

@@ -117,7 +117,6 @@ func assertContents(t *testing.T, h *HART, ref map[string]string, wantKeys [][]b
 func sameInventory(a, b RecoveryStats) bool {
 	return a.CompletedULogs == b.CompletedULogs &&
 		a.LiveLeaves == b.LiveLeaves &&
-		a.StaleSlotsZeroed == b.StaleSlotsZeroed &&
 		a.OrphanValues == b.OrphanValues
 }
 
@@ -179,7 +178,7 @@ func TestRecoveryModeEquivalence(t *testing.T) {
 
 // TestRecoveryStatsCrashEquivalence: recovery from a mid-operation crash
 // image yields one of the states the interrupted history allows, and finds
-// and repairs the same inventory (ulogs, stale slots, orphan values) at
+// and repairs the same inventory (ulogs, orphan values) at
 // every worker count, eager or lazy.
 func TestRecoveryStatsCrashEquivalence(t *testing.T) {
 	for fail := int64(0); ; fail++ {

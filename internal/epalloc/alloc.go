@@ -21,11 +21,7 @@ func (a *Allocator) Alloc(c Class) (pmem.Ptr, error) {
 // initialised and linked into the index (Algorithm 1 line 18). Until then
 // the slot is reserved only in volatile memory, so a crash makes it
 // allocatable again, which is exactly the leak-prevention property of
-// Section III.A.6.
-//
-// If the class has an OnReuse hook it runs on the returned slot before
-// AllocStripe returns, mirroring Algorithm 2 lines 12-16 (reclaiming a
-// value object left behind by an incomplete insertion or deletion).
+// Section III.A.6. A reused slot is handed out as its last owner left it.
 func (a *Allocator) AllocStripe(c Class, stripe int) (pmem.Ptr, error) {
 	if a.failAlloc.tripped() {
 		return pmem.Nil, ErrInjected
@@ -36,9 +32,6 @@ func (a *Allocator) AllocStripe(c Class, stripe int) (pmem.Ptr, error) {
 	for {
 		ss.mu.Lock()
 		if obj, ok := a.takeFromStripe(ss); ok {
-			if cs.spec.OnReuse != nil {
-				cs.spec.OnReuse(obj)
-			}
 			ss.mu.Unlock()
 			return obj, nil
 		}
@@ -248,20 +241,19 @@ func (a *Allocator) SetBit(obj pmem.Ptr) error {
 	return nil
 }
 
-// ResetBit durably marks the slot free and immediately allocatable (the
-// OnReuse repair path and recovery, where nothing else refers to the
-// slot) and refreshes hint and indicator. An operation that still has
-// writes or a log record outstanding against the slot uses Retire.
+// ResetBit durably marks the slot free and immediately allocatable, and
+// refreshes hint and indicator: for a caller with no write and no log
+// record outstanding against the slot — a delete's leaf, recovery. One
+// that still has either uses Retire.
 func (a *Allocator) ResetBit(obj pmem.Ptr) error {
 	return a.clearBit(obj, false, false)
 }
 
 // Retire durably clears the slot's bit but keeps the slot in flight — not
-// allocatable — until the caller hands it back with Free. A delete retires
-// its leaf before scrubbing it, and a logged update retires the old value
-// before reclaiming its micro-log: handing the slot to a concurrent writer
-// on the same stripe any earlier lets the retiring operation's remaining
-// writes (or a crash replay of its log) land on the new owner's object.
+// allocatable — until the caller hands it back with Free. A logged update
+// retires the old value before reclaiming its micro-log: handing the slot
+// to a concurrent writer on the same stripe any earlier lets a crash
+// replay of the log clear the new owner's bit.
 func (a *Allocator) Retire(obj pmem.Ptr) error {
 	return a.clearBit(obj, true, false)
 }

@@ -47,7 +47,7 @@
 // clears the bit durably but leaves the slot in flight; Free makes it
 // allocatable once the retiring operation has no write and no log record
 // outstanding against it. ResetBit and Release do both at once, for
-// callers — the repair paths, recovery — that hold the last reference.
+// callers — a delete, recovery — that hold the last reference.
 //
 // # Header mirror
 //
@@ -179,13 +179,6 @@ type ClassSpec struct {
 	Name string
 	// ObjSize is the slot size in bytes; must be a positive multiple of 8.
 	ObjSize int64
-	// OnReuse, if non-nil, runs under the owning stripe's lock whenever
-	// Alloc hands out a slot (fresh or reused). HART registers the
-	// Algorithm 2 lines 12-16 check here: a leaf slot whose bit is clear
-	// but whose first word still references a committed value object is
-	// the residue of an incomplete insertion or deletion, and the value
-	// must be reclaimed before the slot is reused.
-	OnReuse func(obj pmem.Ptr)
 }
 
 // chunkMeta is the volatile record of one chunk: its extent and class
@@ -344,8 +337,7 @@ func newAllocator(arena *pmem.Arena, sb pmem.Ptr, specs []ClassSpec) *Allocator 
 // rebuilds all volatile state by walking every stripe's persistent chunk
 // lists and completes any interrupted recycle or transfer operation
 // recorded in the per-stripe micro-logs. specs must match the specs the
-// allocator was formatted with (OnReuse hooks are taken from specs; sizes
-// are validated against PM).
+// allocator was formatted with (sizes are validated against PM).
 func Attach(arena *pmem.Arena, specs []ClassSpec) (*Allocator, error) {
 	sb := pmem.Ptr(pmem.HeaderSize)
 	if arena.Reserved() < pmem.HeaderSize+sbSize || arena.Read8(sb+sbMagicOff) != epMagic {

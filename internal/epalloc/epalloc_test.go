@@ -132,24 +132,6 @@ func TestChunkOfAndClassOf(t *testing.T) {
 	}
 }
 
-func TestOnReuseHookRuns(t *testing.T) {
-	arena, err := pmem.New(pmem.Config{Size: 1 << 20, Tracking: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hooked []pmem.Ptr
-	specs := testSpecs()
-	specs[0].OnReuse = func(obj pmem.Ptr) { hooked = append(hooked, obj) }
-	al, err := New(arena, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obj, _ := al.Alloc(0)
-	if len(hooked) != 1 || hooked[0] != obj {
-		t.Fatalf("OnReuse calls = %v, want [%d]", hooked, obj)
-	}
-}
-
 func TestNextFreeHintConsistency(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
 	var objs []pmem.Ptr

@@ -22,9 +22,10 @@ func (a *Allocator) Recycle(obj pmem.Ptr) error {
 }
 
 // RecycleIfPresent behaves like Recycle but silently succeeds when the
-// chunk is no longer on its stripe's chunk list. Recovery and repair paths
-// use it: replaying an interrupted operation may re-recycle a chunk the
-// crashed run already unlinked.
+// chunk is no longer on its stripe's chunk list. Recovery uses it, since
+// replaying an interrupted operation may re-recycle a chunk the crashed
+// run already unlinked, and so does a delete after its ResetBit, since a
+// writer on the same stripe may have recycled the chunk in between.
 func (a *Allocator) RecycleIfPresent(obj pmem.Ptr) error {
 	return a.recycleChunkMode(obj, true)
 }

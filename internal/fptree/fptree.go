@@ -197,16 +197,14 @@ func (t *Tree) entryAddr(leaf pmem.Ptr, i int) pmem.Ptr {
 	return leaf + lfEntry0 + pmem.Ptr(i*entrySize)
 }
 
-// readEntryKey loads slot i's key.
-func (t *Tree) readEntryKey(leaf pmem.Ptr, i int) []byte {
+// readEntryKey copies slot i's key into dst, grown only if its capacity
+// is short.
+func (t *Tree) readEntryKey(leaf pmem.Ptr, i int, dst []byte) []byte {
 	e := t.entryAddr(leaf, i)
-	n := int(t.arena.Read1(e + enKeyLen))
-	if n > MaxKeyLen {
-		n = MaxKeyLen
-	}
-	k := make([]byte, n)
-	t.arena.ReadAt(e+enKey, k)
-	return k
+	n := min(int(t.arena.Read1(e+enKeyLen)), MaxKeyLen)
+	dst = slices.Grow(dst[:0], n)[:n]
+	t.arena.ReadAt(e+enKey, dst)
+	return dst
 }
 
 // readEntryValue copies slot i's value into dst, grown only if its
@@ -232,7 +230,8 @@ func (t *Tree) writeEntry(leaf pmem.Ptr, i int, key, value []byte) {
 }
 
 // findInLeaf scans fingerprints first (the FPTree trick), comparing keys
-// only on fingerprint hits. Returns the slot index or -1.
+// only on fingerprint hits, through a stack buffer. Returns the slot index
+// or -1.
 func (t *Tree) findInLeaf(leaf pmem.Ptr, key []byte) int {
 	bm := t.arena.Read8(leaf + lfBitmap)
 	if bm == 0 {
@@ -241,11 +240,12 @@ func (t *Tree) findInLeaf(leaf pmem.Ptr, key []byte) int {
 	fp := fingerprint(key)
 	var fps [LeafCapacity]byte
 	t.arena.ReadAt(leaf+lfFPs, fps[:])
+	var buf [MaxKeyLen]byte
 	for i := 0; i < LeafCapacity; i++ {
 		if bm&(1<<uint(i)) == 0 || fps[i] != fp {
 			continue
 		}
-		if bytes.Equal(t.readEntryKey(leaf, i), key) {
+		if bytes.Equal(t.readEntryKey(leaf, i, buf[:0]), key) {
 			return i
 		}
 	}

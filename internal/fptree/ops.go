@@ -131,7 +131,7 @@ func (t *Tree) split(leaf pmem.Ptr) error {
 	bm := t.arena.Read8(leaf + lfBitmap)
 	for i := 0; i < LeafCapacity; i++ {
 		if bm&(1<<uint(i)) != 0 {
-			recs = append(recs, rec{i, t.readEntryKey(leaf, i)})
+			recs = append(recs, rec{i, t.readEntryKey(leaf, i, nil)})
 		}
 	}
 	if len(recs) < 2 {
@@ -193,7 +193,7 @@ func (t *Tree) recoverSplitLog() error {
 			if bm&(1<<uint(i)) == 0 {
 				continue
 			}
-			if t.findInLeaf(newLeaf, t.readEntryKey(leaf, i)) >= 0 {
+			if t.findInLeaf(newLeaf, t.readEntryKey(leaf, i, nil)) >= 0 {
 				bm &^= 1 << uint(i)
 			}
 		}
@@ -227,7 +227,7 @@ func (t *Tree) Rebuild() error {
 				continue
 			}
 			t.size++
-			k := t.readEntryKey(leaf, i)
+			k := t.readEntryKey(leaf, i, nil)
 			if minKey == nil || bytes.Compare(k, minKey) < 0 {
 				minKey = k
 			}
@@ -264,7 +264,7 @@ func (t *Tree) Scan(start, end []byte, fn func(key, value []byte) bool) {
 			if bm&(1<<uint(i)) == 0 {
 				continue
 			}
-			recs = append(recs, rec{t.readEntryKey(leaf, i), t.readEntryValue(leaf, i, nil)})
+			recs = append(recs, rec{t.readEntryKey(leaf, i, nil), t.readEntryValue(leaf, i, nil)})
 		}
 		sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i].k, recs[j].k) < 0 })
 		for _, r := range recs {
@@ -296,7 +296,7 @@ func (t *Tree) Check() error {
 			if bm&(1<<uint(i)) == 0 {
 				continue
 			}
-			k := t.readEntryKey(leaf, i)
+			k := t.readEntryKey(leaf, i, nil)
 			if got, want := t.arena.Read1(leaf+lfFPs+pmem.Ptr(i)), fingerprint(k); got != want {
 				return fmt.Errorf("fptree: leaf %d slot %d fingerprint %#x, want %#x", leaf, i, got, want)
 			}

@@ -67,6 +67,19 @@ func Basic(t *testing.T, f Factory) {
 			t.Fatalf("GetInto(%q, buf) = (%q,%v), not in buf", k, v, ok)
 		}
 	}
+	// Nor does the search allocate: every tree searches as the paper's C
+	// does, so a figure charges none of them Go heap allocations.
+	bkeys := make([][]byte, len(keys))
+	for i, k := range keys {
+		bkeys[i] = []byte(k)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for _, k := range bkeys {
+			ix.GetInto(k, buf)
+		}
+	}); n != 0 {
+		t.Fatalf("%d searches into a buffer with room made %v heap allocations, want 0", len(bkeys), n)
+	}
 	check(t, ix)
 }
 

@@ -34,6 +34,7 @@
 package pmart
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -145,14 +146,10 @@ func writeHeader(a *pmem.Arena, n pmem.Ptr, typ byte, prefix []byte) {
 }
 
 // readPrefix returns a node's full prefix length and the stored prefix
-// bytes (at most maxStoredPrefix of them).
-func readPrefix(a *pmem.Arena, n pmem.Ptr) (full int, stored []byte) {
+// bytes (at most maxStoredPrefix of them), read into buf.
+func readPrefix(a *pmem.Arena, n pmem.Ptr, buf *[maxStoredPrefix]byte) (full int, stored []byte) {
 	full = int(a.Read1(n + offPrefixLen))
-	m := full
-	if m > maxStoredPrefix {
-		m = maxStoredPrefix
-	}
-	stored = make([]byte, m)
+	stored = buf[:min(full, maxStoredPrefix)]
 	a.ReadAt(n+offPrefix, stored)
 	return full, stored
 }
@@ -299,14 +296,9 @@ func leafMatches(a *pmem.Arena, leaf pmem.Ptr, key []byte) bool {
 	if n != len(key) || n > maxKeyLen {
 		return false
 	}
-	buf := make([]byte, n)
-	a.ReadAt(leaf+leafKey, buf)
-	for i := range buf {
-		if buf[i] != key[i] {
-			return false
-		}
-	}
-	return true
+	var buf [maxKeyLen]byte
+	a.ReadAt(leaf+leafKey, buf[:n])
+	return bytes.Equal(buf[:n], key)
 }
 
 // leafKeyBytes reads a leaf's full key.

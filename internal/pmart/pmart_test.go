@@ -49,7 +49,8 @@ func TestHeaderPrefixRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, stored := readPrefix(a, n)
+		var buf [maxStoredPrefix]byte
+		full, stored := readPrefix(a, n, &buf)
 		if full != len(prefix) {
 			t.Fatalf("prefix %q: full = %d", prefix, full)
 		}
@@ -305,7 +306,8 @@ func TestLongPrefixRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, stored := readPrefix(a, root)
+	var buf [maxStoredPrefix]byte
+	full, stored := readPrefix(a, root, &buf)
 	if full != 12 || len(stored) != maxStoredPrefix {
 		t.Fatalf("full=%d stored=%d", full, len(stored))
 	}

@@ -238,9 +238,17 @@ func terminated(key []byte) []byte {
 }
 
 // lookup descends from root to the leaf holding key, or Nil. The final
-// leaf comparison also covers optimistically skipped prefix bytes.
+// leaf comparison also covers optimistically skipped prefix bytes. It
+// allocates nothing: the terminated key and each node's prefix are read
+// into stack buffers.
 func lookup(a *pmem.Arena, root pmem.Ptr, key []byte) pmem.Ptr {
-	tk := terminated(key)
+	if len(key) > maxKeyLen {
+		return pmem.Nil
+	}
+	var tkBuf [maxKeyLen + 1]byte
+	tk := tkBuf[:len(key)+1]
+	copy(tk, key)
+	var prefix [maxStoredPrefix]byte
 	n := root
 	depth := 0
 	for !n.IsNil() {
@@ -251,7 +259,7 @@ func lookup(a *pmem.Arena, root pmem.Ptr, key []byte) pmem.Ptr {
 			}
 			return pmem.Nil
 		}
-		full, stored := readPrefix(a, n)
+		full, stored := readPrefix(a, n, &prefix)
 		if len(tk)-depth < full {
 			return pmem.Nil
 		}
@@ -302,9 +310,10 @@ func realPrefix(a *pmem.Arena, n pmem.Ptr, depth, full int) []byte {
 // fullPrefix returns a node's complete prefix bytes, reading the header
 // when it fits and falling back to realPrefix when it does not.
 func fullPrefix(a *pmem.Arena, n pmem.Ptr, depth int) []byte {
-	full, stored := readPrefix(a, n)
+	var buf [maxStoredPrefix]byte
+	full, stored := readPrefix(a, n, &buf)
 	if full <= len(stored) {
-		return stored
+		return bytes.Clone(stored)
 	}
 	return realPrefix(a, n, depth, full)
 }

@@ -186,7 +186,8 @@ func (t *WOART) remove(slot, n pmem.Ptr, tk []byte, depth int, key []byte) (bool
 		return true, nil
 	}
 
-	full, stored := readPrefix(t.arena, n)
+	var prefix [maxStoredPrefix]byte
+	full, stored := readPrefix(t.arena, n, &prefix)
 	if len(tk)-depth < full || !bytes.Equal(stored, tk[depth:depth+len(stored)]) {
 		return false, nil
 	}

@@ -24,6 +24,10 @@ go test -race -count=1 $(go list ./... | grep -v /internal/modelcheck)
 # its interleavings differ run to run, and the races it has caught before
 # failed well under half the runs, so it gets three.
 go test -race -count=3 -run TestShardConcurrentChurn ./internal/core/
+# Writers whose shards share one allocator stripe delete and re-insert,
+# so freed leaf and value slots change hands at once with their old word 0
+# in place, beside readers that check each value against its key.
+go test -race -count=3 -run TestImmediateSlotReuse ./internal/core/
 # The same churn with two goroutines walking keys down the index beside
 # it: Prefetch takes no lock, so it gets as many runs.
 go test -race -count=3 -run TestPrefetchConcurrentChurn ./internal/core/
