@@ -583,7 +583,7 @@ func TestWritePathBudgets(t *testing.T) {
 			setup:  alone(short),
 			target: 56,
 			op:     del(56),
-			sites:  sites("delete", "leaf-bit", "recycle*7"),
+			sites:  sites("delete", "leaf-bit*8"),
 			lines:  flat(8),
 			reads:  5, // five list words per recycle
 		},
@@ -646,14 +646,14 @@ func TestWritePathBudgets(t *testing.T) {
 		},
 		{
 			// Record 56 is alone in both classes' second chunks: deleting
-			// it empties and recycles first the value chunk (inside
-			// Release), then the leaf chunk — seven persists each under the
-			// stripe's recycle log.
+			// it empties and recycles first the leaf chunk, then the value
+			// chunk, each inside its Release — seven persists each under
+			// the stripe's recycle log.
 			name:   "delete that empties both chunks",
 			setup:  alone(wide),
 			target: 56,
 			op:     del(56),
-			sites:  sites("delete", "leaf-bit", "value-bit", "value-bit*7", "recycle*7"),
+			sites:  sites("delete", "leaf-bit*8", "value-bit*8"),
 			lines:  flat(16),
 			reads:  11, // word 0, then five list words per recycle
 		},
@@ -797,21 +797,91 @@ func TestCrashDuringDeleteRecycleEveryPersist(t *testing.T) {
 // it, sweeping orphan values), then recovery itself is crashed at every one
 // of its own persist boundaries, and recovery-after-recovery must still
 // produce the old or new value with a clean fsck.
+//
+// One more setup puts the updated record's old value alone in a value
+// chunk that is not its stripe's only one and moves the value into the
+// leaf, so the update — or the log's replay — empties and recycles that
+// chunk. A recovery crashed after the replay's recycle and before the log
+// is reset replays the log again, and that second replay must not offer
+// the recycled chunk for allocation: it would be handed out twice, which
+// the 210 out-of-line records put on the stripe afterwards would show.
 func TestCrashDuringRecoveryEveryPersist(t *testing.T) {
+	type recoveryCase struct {
+		name   string
+		setup  func(h *HART)
+		update func(h *HART)
+		verify func(h *HART, at string) // after recovery after a recovery crash
+	}
+	var cases []recoveryCase
 	for _, c := range updateShapes {
+		cases = append(cases, recoveryCase{
+			name: c.name,
+			setup: func(h *HART) {
+				if err := h.Put([]byte("upkey"), []byte(c.old)); err != nil {
+					t.Fatal(err)
+				}
+			},
+			update: func(h *HART) {
+				if err := h.Update([]byte("upkey"), []byte(c.new)); err != nil {
+					t.Fatal(err)
+				}
+			},
+			verify: func(h *HART, at string) {
+				got, ok := h.Get([]byte("upkey"))
+				if !ok {
+					t.Fatalf("%s: key vanished", at)
+				}
+				if s := string(got); s != c.old && s != c.new {
+					t.Fatalf("%s: torn value %q", at, s)
+				}
+			},
+		})
+	}
+	// Keys of one directory prefix share a shard and an allocator stripe;
+	// every value is 16 bytes, one value object.
+	rqKey := func(i int) []byte { return []byte(fmt.Sprintf("rq%04d", i)) }
+	rqVal := func(i int) []byte { return []byte(fmt.Sprintf("out-of-line-%04d", i)) }
+	const alone, inline, refill = epalloc.ObjectsPerChunk, "inline!!", 210
+	cases = append(cases, recoveryCase{
+		name: "object alone in a chunk to inline",
+		setup: func(h *HART) {
+			for i := 0; i <= alone; i++ {
+				if err := h.Put(rqKey(i), rqVal(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		update: func(h *HART) {
+			if err := h.Update(rqKey(alone), []byte(inline)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		verify: func(h *HART, at string) {
+			n := alone + 1 + refill
+			for i := alone + 1; i < n; i++ {
+				if err := h.Put(rqKey(i), rqVal(i)); err != nil {
+					t.Fatalf("%s: refill: %v", at, err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				got, ok := h.Get(rqKey(i))
+				if i == alone && ok && string(got) == inline {
+					continue
+				}
+				if !ok || string(got) != string(rqVal(i)) {
+					t.Fatalf("%s: %s reads %q (found %v), want %q", at, rqKey(i), got, ok, rqVal(i))
+				}
+			}
+		},
+	})
+	for _, c := range cases {
 		for fail := int64(0); ; fail++ {
 			h, err := New(Options{ArenaSize: 16 << 20, Tracking: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := h.Put([]byte("upkey"), []byte(c.old)); err != nil {
-				t.Fatal(err)
-			}
-			_, crashed := runToCrash(h, fail, func() {
-				if err := h.Update([]byte("upkey"), []byte(c.new)); err != nil {
-					t.Fatal(err)
-				}
-			})
+			c.setup(h)
+			_, crashed := runToCrash(h, fail, func() { c.update(h) })
 			if !crashed {
 				break
 			}
@@ -820,6 +890,7 @@ func TestCrashDuringRecoveryEveryPersist(t *testing.T) {
 				t.Fatal(err)
 			}
 			for rfail := int64(0); ; rfail++ {
+				at := fmt.Sprintf("%s fail=%d rfail=%d", c.name, fail, rfail)
 				if rfail > 256 {
 					t.Fatalf("%s fail=%d: recovery persisted more than 256 times", c.name, fail)
 				}
@@ -847,23 +918,20 @@ func TestCrashDuringRecoveryEveryPersist(t *testing.T) {
 						t.Fatal(cerr)
 					}
 					if h2, err = Open(img2, Options{}); err != nil {
-						t.Fatalf("%s fail=%d rfail=%d: recovery after recovery crash: %v", c.name, fail, rfail, err)
+						t.Fatalf("%s: recovery after recovery crash: %v", at, err)
 					}
 				} else if err != nil {
-					t.Fatalf("%s fail=%d rfail=%d: open: %v", c.name, fail, rfail, err)
+					t.Fatalf("%s: open: %v", at, err)
 				} else {
 					// Recovery finished before the second injection: sweep done.
 					break
 				}
-				got, ok := h2.Get([]byte("upkey"))
-				if !ok {
-					t.Fatalf("%s fail=%d rfail=%d: key vanished", c.name, fail, rfail)
-				}
-				if s := string(got); s != c.old && s != c.new {
-					t.Fatalf("%s fail=%d rfail=%d: torn value %q", c.name, fail, rfail, s)
-				}
 				if err := h2.Check(); err != nil {
-					t.Fatalf("%s fail=%d rfail=%d: fsck: %v", c.name, fail, rfail, err)
+					t.Fatalf("%s: fsck after recovery: %v", at, err)
+				}
+				c.verify(h2, at)
+				if err := h2.Check(); err != nil {
+					t.Fatalf("%s: fsck: %v", at, err)
 				}
 			}
 		}
@@ -963,7 +1031,7 @@ var recoveryModes = []struct {
 // sits beside the previous occupant's shape byte of 0, "value object" — with
 // the value's bytes spelling, in turn, the address of a live leaf and that
 // of a live value object, bare and as the packed word the live leaf itself
-// holds. Following such a word as a pointer (BitIsSet and ResetBit accept
+// holds. Following such a word as a pointer (BitIsSet and Release accept
 // any slot base of any class) clears the bit of the live leaf or of the
 // live value. Every recovery mode must leave it unread and reclaim
 // nothing: every record present, fsck clean, and — the dead slot being the

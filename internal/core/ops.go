@@ -83,7 +83,7 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 	} else {
 		val, err = h.alloc.AllocStripe(classValue16, stripe) // line 11
 		if err != nil {
-			h.alloc.Abort(leaf)
+			h.alloc.Free(leaf)
 			return err
 		}
 		word0 = packValue(val, len(value))
@@ -109,8 +109,8 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 	if !val.IsNil() {
 		h.arena.SetPersistSite("insert.value-bit")
 		if err := h.alloc.SetBit(val); err != nil {
-			h.alloc.Abort(val)
-			h.alloc.Abort(leaf)
+			h.alloc.Free(val)
+			h.alloc.Free(leaf)
 			return err
 		}
 	}
@@ -132,7 +132,7 @@ func (h *HART) insertNew(s *artShard, artKey, key, value []byte, stripe int) err
 		if !val.IsNil() {
 			h.alloc.Release(val)
 		}
-		h.alloc.Abort(leaf)
+		h.alloc.Free(leaf)
 		return err
 	}
 	h.size.Add(1)
@@ -266,7 +266,7 @@ func (h *HART) updateLogged(ref leafRef, value []byte, stripe int) (leafRef, err
 	if !newV.IsNil() {
 		h.arena.SetPersistSite("update.value-bit")
 		if err := h.alloc.SetBit(newV); err != nil {
-			h.alloc.Abort(newV)
+			h.alloc.Free(newV)
 			ulog.Reclaim()
 			return ref, err
 		}
@@ -548,46 +548,38 @@ func (h *HART) deleteLocked(key []byte) (bool, error) {
 		val, _ = unpackValue(h.arena.Read8(leaf + lfWord0))
 	}
 
-	// Line 11: reset and persist the leaf bit. From here the leaf is dead
-	// even across a crash, and its slot is allocatable at once: its word 0
+	// Lines 11 and 14: reset and persist the leaf bit, and recycle the
+	// leaf's chunk if that emptied it. From here the leaf is dead even
+	// across a crash, and its slot is allocatable at once: its word 0
 	// stays as it was, and nothing reads a dead slot's word 0. A crash
 	// before the value-bit reset below strands the value object, which no
 	// live leaf references, so recovery's orphan sweep reclaims it. On
-	// failure the record is still fully committed on PM, so republish it
-	// and report the error — dropping it from the tree alone would lose
-	// the key for readers while recovery would resurrect it.
+	// failure the bit was not cleared and the record is still fully
+	// committed on PM, so republish it and report the error — dropping it
+	// from the tree alone would lose the key for readers while recovery
+	// would resurrect it.
 	h.arena.SetPersistSite("delete.leaf-bit")
-	if err := h.alloc.ResetBit(leaf); err != nil {
+	if err := h.alloc.Release(leaf); err != nil {
 		s.root.Insert(artKey, uint64(ref))
 		return false, err
 	}
 
 	// The leaf-bit reset above is the commit point: from here the delete
-	// has happened, so later failures must not abandon the remaining
-	// cleanup or the size/shard accounting — finish everything and report
-	// the first error (any leaked value bit is then visible to Check).
-	var firstErr error
-
+	// has happened, so a failure below must not abandon the size/shard
+	// accounting — finish it and report the error (the leaked value bit
+	// is then visible to Check, and recovery's orphan sweep reclaims it).
+	//
 	// Lines 12-13: reset the value bit and recycle its chunk if emptied.
+	var err error
 	if !val.IsNil() {
 		h.arena.SetPersistSite("delete.value-bit")
-		if err := h.alloc.Release(val); err != nil {
-			firstErr = err
-		}
-	}
-
-	// Line 14: recycle the leaf's chunk if it emptied. A writer on the
-	// same stripe may have taken the slot, or recycled the chunk, since the
-	// reset above; either leaves nothing to do here.
-	h.arena.SetPersistSite("delete.recycle")
-	if err := h.alloc.RecycleIfPresent(leaf); err != nil && firstErr == nil {
-		firstErr = err
+		err = h.alloc.Release(val)
 	}
 
 	h.size.Add(-1)
 	// Lines 15-16: free the ART if it became empty.
 	h.removeShardIfEmpty(hashKey, s)
-	return true, firstErr
+	return true, err
 }
 
 // GetLeaf returns the PM address of a key's leaf (tests and fsck).

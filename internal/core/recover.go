@@ -475,15 +475,17 @@ func (h *HART) recoverUpdate(ul epalloc.UpdateLogState) error {
 		}
 	}
 	h.reshape(ul.PLeaf, ul.NewWord, int(ul.Shape)) // line 8
-	if !ul.POldV.IsNil() && ul.POldV != newV {
-		if err := h.alloc.ResetBit(ul.POldV); err != nil { // line 9
-			return err
-		}
-		if err := h.alloc.RecycleIfPresent(ul.POldV); err != nil { // line 10
-			return err
-		}
+	if ul.POldV.IsNil() || ul.POldV == newV {
+		return nil
 	}
-	return nil
+	// Lines 9-10, once: a set bit means the old value is still a used
+	// object of a chunk on its list. A clear one means a crashed run got
+	// past line 9 — and its Release may have recycled the chunk, which
+	// a second clear would offer for allocation from the free list.
+	if set, err := h.alloc.BitIsSet(ul.POldV); err != nil || !set {
+		return err
+	}
+	return h.alloc.Release(ul.POldV)
 }
 
 // Rebuild discards the volatile index and reruns recovery in place; it

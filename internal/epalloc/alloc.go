@@ -7,15 +7,10 @@ import (
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
-// Alloc implements EPMalloc (Algorithm 2) on stripe 0. Callers with a
-// stripe affinity (HART's write path maps each shard to a stripe) should
-// use AllocStripe so writers to different shards do not share a lock.
-func (a *Allocator) Alloc(c Class) (pmem.Ptr, error) {
-	return a.AllocStripe(c, 0)
-}
-
-// AllocStripe returns a free object slot of the class from the given
-// stripe, allocating (or stealing from a sibling stripe) a new memory
+// AllocStripe implements EPMalloc (Algorithm 2): it returns a free object
+// slot of the class from the given stripe — HART's write path maps each
+// shard to a stripe, so writers to different shards do not share a lock —
+// allocating (or stealing from a sibling stripe) a new memory
 // chunk if no chunk of the stripe has room. The slot's persistent bit is
 // NOT set — the caller commits the object with SetBit once it is fully
 // initialised and linked into the index (Algorithm 1 line 18). Until then
@@ -241,12 +236,15 @@ func (a *Allocator) SetBit(obj pmem.Ptr) error {
 	return nil
 }
 
-// ResetBit durably marks the slot free and immediately allocatable, and
-// refreshes hint and indicator: for a caller with no write and no log
-// record outstanding against the slot — a delete's leaf, recovery. One
-// that still has either uses Retire.
-func (a *Allocator) ResetBit(obj pmem.Ptr) error {
-	return a.clearBit(obj, false, false)
+// Release durably clears the slot's bit, makes the slot allocatable and,
+// if that empties its chunk, recycles the chunk (Algorithm 5 lines 11-14 /
+// Algorithm 6), all under one stripe-lock acquisition: for a caller with
+// no write and no log record outstanding against the slot — a delete, the
+// insert's unwind, recovery. One that still has either uses Retire. The
+// recycle is lenient (a chunk already off its list is left alone), so an
+// error means the bit was not cleared.
+func (a *Allocator) Release(obj pmem.Ptr) error {
+	return a.clearBit(obj, false)
 }
 
 // Retire durably clears the slot's bit but keeps the slot in flight — not
@@ -255,21 +253,13 @@ func (a *Allocator) ResetBit(obj pmem.Ptr) error {
 // to a concurrent writer on the same stripe any earlier lets a crash
 // replay of the log clear the new owner's bit.
 func (a *Allocator) Retire(obj pmem.Ptr) error {
-	return a.clearBit(obj, true, false)
+	return a.clearBit(obj, true)
 }
 
-// Release clears the slot's persistent bit, makes the slot allocatable
-// and, if that empties its chunk, recycles the chunk — ResetBit plus
-// Recycle (Algorithm 5 lines 12-13 / Algorithm 3 lines 9-10) fused under
-// one stripe-lock acquisition.
-func (a *Allocator) Release(obj pmem.Ptr) error {
-	return a.clearBit(obj, false, true)
-}
-
-// clearBit implements ResetBit, Retire and Release: one header persist
-// clearing obj's bit, after which the slot is either held in flight or
-// offered for allocation, and the chunk optionally recycled if it emptied.
-func (a *Allocator) clearBit(obj pmem.Ptr, hold, recycle bool) error {
+// clearBit implements Release and Retire: one header persist clearing
+// obj's bit, after which the slot is either held in flight or offered for
+// allocation with its chunk recycled if it emptied.
+func (a *Allocator) clearBit(obj pmem.Ptr, hold bool) error {
 	if a.failResetBit.tripped() {
 		return ErrInjected
 	}
@@ -290,29 +280,14 @@ func (a *Allocator) clearBit(obj pmem.Ptr, hold, recycle bool) error {
 	}
 	m.inFlight &^= bit
 	ss.queueAvail(m)
-	if recycle {
-		return a.recycleLocked(m, ss, true)
-	}
-	return nil
+	return a.recycleLocked(m, ss, true)
 }
 
 // Free hands back a slot that is in flight with its bit clear — retired by
-// Retire — making it allocatable again and recycling its chunk if that left
-// the chunk empty, in one stripe-lock acquisition. Nothing is written to PM
-// unless the chunk is recycled.
+// Retire, or allocated and never committed — making it allocatable again
+// and recycling its chunk if that left the chunk empty, in one stripe-lock
+// acquisition. Nothing is written to PM unless the chunk is recycled.
 func (a *Allocator) Free(obj pmem.Ptr) error {
-	return a.handBack(obj, true)
-}
-
-// Abort releases a slot obtained from Alloc whose object will never be
-// committed (volatile only; nothing to undo on PM).
-func (a *Allocator) Abort(obj pmem.Ptr) error {
-	return a.handBack(obj, false)
-}
-
-// handBack takes obj out of its chunk's in-flight mask and offers the
-// chunk for allocation again, optionally recycling it if it is now empty.
-func (a *Allocator) handBack(obj pmem.Ptr, recycle bool) error {
 	m, ss, err := a.lockStripeOf(obj)
 	if err != nil {
 		return err
@@ -324,10 +299,7 @@ func (a *Allocator) handBack(obj pmem.Ptr, recycle bool) error {
 	}
 	m.inFlight &^= 1 << uint(idx)
 	ss.queueAvail(m)
-	if recycle {
-		return a.recycleLocked(m, ss, false)
-	}
-	return nil
+	return a.recycleLocked(m, ss, false)
 }
 
 // BitIsSet reports whether the slot's persistent bit is set (the validity

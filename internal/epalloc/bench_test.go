@@ -27,7 +27,7 @@ func BenchmarkEPMallocVsRegular(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			obj, err := al.Alloc(0)
+			obj, err := al.AllocStripe(0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -70,13 +70,13 @@ func BenchmarkAllocFreeCycle(b *testing.B) {
 	// Steady-state population.
 	var live []pmem.Ptr
 	for i := 0; i < 1000; i++ {
-		obj, _ := al.Alloc(0)
+		obj, _ := al.AllocStripe(0, 0)
 		al.SetBit(obj)
 		live = append(live, obj)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		obj, err := al.Alloc(0)
+		obj, err := al.AllocStripe(0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -172,6 +172,8 @@ func (a *Allocator) Stats() []ClassStats {
 //     with its bitmap;
 //   - every chunk's DRAM header mirror equals its PM header (the hot paths
 //     trust the mirror; a divergence means a header write bypassed it);
+//   - every free-list chunk's header is zero and the chunk is not queued
+//     for allocation;
 //   - no armed micro-log remains on any stripe (a quiescent allocator has
 //     none).
 //
@@ -221,24 +223,8 @@ func (a *Allocator) Check() error {
 					}
 				}
 			}
-			steps = 0
-			for chunk := a.freeHead(c, s); !chunk.IsNil(); chunk = a.arena.ReadPtr(chunk + 8) {
-				if steps++; steps > limit {
-					return fmt.Errorf("%w: class %s stripe %d free list cycle", ErrCorrupt, cs.spec.Name, s)
-				}
-				if prev, dup := seen[chunk]; dup {
-					return fmt.Errorf("%w: class %s chunk %d reachable twice (stripe %d free list and stripe %d list %d)",
-						ErrCorrupt, cs.spec.Name, chunk, s, (prev-1)/2, (prev-1)%2)
-				}
-				seen[chunk] = s*2 + 2
-				// A free chunk's mirror is zero (Attach leaves it unread);
-				// so must its PM header be, or the chunk was recycled with
-				// live slots.
-				if m, ok := a.lookupChunk(chunk + chunkDataOff); ok {
-					if _, err := a.auditHeader(m); err != nil {
-						return err
-					}
-				}
+			if err := a.checkFreeList(c, s, limit, seen); err != nil {
+				return err
 			}
 		}
 		// Coverage: the stripe partition must account for every registered
@@ -264,6 +250,39 @@ func (a *Allocator) Check() error {
 	return nil
 }
 
+// checkFreeList walks one stripe's free list for Check under the stripe's
+// lock, which every push and pop of that list holds, so the walk sees the
+// list whole. A free chunk's header is zero on PM and in its mirror —
+// only an empty chunk is recycled, and Attach leaves a free chunk's mirror
+// unread — and the chunk is not queued for allocation: a free chunk that
+// hands out slots is handed out twice, once more when it is transferred.
+func (a *Allocator) checkFreeList(c Class, s, limit int, seen map[pmem.Ptr]int) error {
+	name := a.classes[c].spec.Name
+	ss := &a.classes[c].stripes[s]
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	steps := 0
+	for chunk := a.freeHead(c, s); !chunk.IsNil(); chunk = a.arena.ReadPtr(chunk + 8) {
+		if steps++; steps > limit {
+			return fmt.Errorf("%w: class %s stripe %d free list cycle", ErrCorrupt, name, s)
+		}
+		if prev, dup := seen[chunk]; dup {
+			return fmt.Errorf("%w: class %s chunk %d reachable twice (stripe %d free list and stripe %d list %d)",
+				ErrCorrupt, name, chunk, s, (prev-1)/2, (prev-1)%2)
+		}
+		seen[chunk] = s*2 + 2
+		m, ok := a.lookupChunk(chunk + chunkDataOff)
+		if !ok || m.start != chunk || m.class != c {
+			return fmt.Errorf("%w: class %s free chunk %d not a registered reservation", ErrCorrupt, name, chunk)
+		}
+		if h, mh := a.readHeader(chunk), header(m.hdr.Load()); h != 0 || mh != 0 || m.inAvail {
+			return fmt.Errorf("%w: class %s free chunk %d on stripe %d: header %#x, mirror %#x, queued %t",
+				ErrCorrupt, name, chunk, s, uint64(h), uint64(mh), m.inAvail)
+		}
+	}
+	return nil
+}
+
 // auditHeader reads a chunk's PM header and compares it with the mirror,
 // under the chunk's stripe lock so that a concurrent header write is seen
 // on both sides or on neither.
@@ -281,10 +300,9 @@ func (a *Allocator) auditHeader(m *chunkMeta) (header, error) {
 // CheckQuiescent runs Check plus the invariants that only hold when no
 // operation is in flight:
 //
-//   - no slot is volatile-in-flight (every Alloc was followed by SetBit,
-//     Abort or ResetBit, every Retire by Free — a lingering
-//     in-flight bit is a volatile leak that makes the slot unallocatable
-//     until restart);
+//   - no slot is volatile-in-flight (every AllocStripe was followed by
+//     SetBit or Free, every Retire by Free — a lingering in-flight bit is
+//     a volatile leak that makes the slot unallocatable until restart);
 //   - no persistent update log is armed and no volatile ulog slot is busy
 //     (an armed ulog between operations means an update error path forgot
 //     to Reclaim, permanently shrinking the pool).
@@ -303,7 +321,7 @@ func (a *Allocator) CheckQuiescent() error {
 		inFlight := m.inFlight
 		ss.mu.Unlock()
 		if inFlight != 0 {
-			return fmt.Errorf("%w: class %s stripe %d chunk %d has in-flight slots %#x (leaked Alloc, or Retire without Free?)",
+			return fmt.Errorf("%w: class %s stripe %d chunk %d has in-flight slots %#x (leaked AllocStripe, or Retire without Free?)",
 				ErrCorrupt, a.classes[m.class].spec.Name, m.stripe.Load(), m.start, inFlight)
 		}
 	}

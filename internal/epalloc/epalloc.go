@@ -38,16 +38,20 @@
 // registered chunks).
 //
 // The commit protocol is split between allocator and caller exactly as in
-// Algorithm 1: Alloc hands out a slot *without* setting its bit (marking it
-// volatile-in-flight so concurrent allocations skip it); the caller calls
-// SetBit only after the object is fully initialised and linked. A crash in
-// between leaves the bit clear and the slot reusable.
+// Algorithm 1: AllocStripe hands out a slot *without* setting its bit
+// (marking it volatile-in-flight so concurrent allocations skip it); the
+// caller calls SetBit only after the object is fully initialised and
+// linked. A crash in between leaves the bit clear and the slot reusable,
+// and an operation that gives up before SetBit hands the slot back with
+// Free.
 //
-// Giving a slot up has the same two halves, in the other order. Retire
-// clears the bit durably but leaves the slot in flight; Free makes it
-// allocatable once the retiring operation has no write and no log record
-// outstanding against it. ResetBit and Release do both at once, for
-// callers — a delete, recovery — that hold the last reference.
+// A committed slot leaves through one of two doors. Release clears the
+// bit, makes the slot allocatable and recycles its chunk if that emptied
+// it, under one stripe lock — for callers (a delete, the insert's unwind,
+// recovery) that hold the last reference. Retire then Free is the same
+// in two halves, for a logged update's old value: Retire clears the bit
+// durably but leaves the slot in flight, and Free makes it allocatable
+// once the update has no write and no log record outstanding against it.
 //
 // # Header mirror
 //
@@ -204,9 +208,9 @@ type chunkMeta struct {
 	// Check asserts mirror == PM for every chunk.
 	hdr atomic.Uint64
 	// inFlight marks slots that are neither allocatable nor committed:
-	// handed out by Alloc and not yet bit-committed, or retired (bit
-	// cleared) by an operation that is not done with them yet (Retire —
-	// released by Free). Guarded by the stripe lock.
+	// handed out by AllocStripe and not yet bit-committed, or retired
+	// (bit cleared) by an operation that is not done with them yet
+	// (Retire). Free hands either back. Guarded by the stripe lock.
 	inFlight uint64
 	inAvail  bool // chunk is queued in stripeState.avail; stripe lock
 }

@@ -43,7 +43,7 @@ func TestNewValidatesSpecs(t *testing.T) {
 
 func TestAllocCommitAndBit(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
-	obj, err := al.Alloc(0)
+	obj, err := al.AllocStripe(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +57,11 @@ func TestAllocCommitAndBit(t *testing.T) {
 	if set, _ := al.BitIsSet(obj); !set {
 		t.Fatal("bit not set after SetBit")
 	}
-	if err := al.ResetBit(obj); err != nil {
+	if err := al.Release(obj); err != nil {
 		t.Fatal(err)
 	}
 	if set, _ := al.BitIsSet(obj); set {
-		t.Fatal("bit still set after ResetBit")
+		t.Fatal("bit still set after Release")
 	}
 	if err := al.Check(); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestAllocDistinctSlots(t *testing.T) {
 	seen := map[pmem.Ptr]bool{}
 	// More than 2 chunks worth, committing every other object.
 	for i := 0; i < 3*ObjectsPerChunk; i++ {
-		obj, err := al.Alloc(1)
+		obj, err := al.AllocStripe(1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,21 +101,32 @@ func TestAllocDistinctSlots(t *testing.T) {
 	}
 }
 
-func TestAbortMakesSlotReusable(t *testing.T) {
+// TestFreeMakesSlotReusable: a slot handed out and never committed goes
+// back through Free and is the next one handed out.
+func TestFreeMakesSlotReusable(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
-	a1, _ := al.Alloc(0)
-	if err := al.Abort(a1); err != nil {
+	a1, _ := al.AllocStripe(0, 0)
+	if err := al.Free(a1); err != nil {
 		t.Fatal(err)
 	}
-	a2, _ := al.Alloc(0)
+	a2, _ := al.AllocStripe(0, 0)
 	if a1 != a2 {
-		t.Fatalf("aborted slot not reused: %d then %d", a1, a2)
+		t.Fatalf("freed slot not reused: %d then %d", a1, a2)
+	}
+	if err := al.CheckQuiescent(); err == nil {
+		t.Fatal("CheckQuiescent missed the slot in flight again")
+	}
+	if err := al.Free(a2); err != nil {
+		t.Fatal(err)
+	}
+	if err := al.CheckQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestChunkOfAndClassOf(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
-	obj, _ := al.Alloc(2)
+	obj, _ := al.AllocStripe(2, 0)
 	chunk, err := al.ChunkOf(obj)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +147,7 @@ func TestNextFreeHintConsistency(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
 	var objs []pmem.Ptr
 	for i := 0; i < ObjectsPerChunk; i++ {
-		obj, _ := al.Alloc(1)
+		obj, _ := al.AllocStripe(1, 0)
 		al.SetBit(obj)
 		objs = append(objs, obj)
 	}
@@ -145,13 +156,13 @@ func TestNextFreeHintConsistency(t *testing.T) {
 		t.Fatalf("full chunk indicator = %d, want %d", h.fullIndicator(), fullFull)
 	}
 	// Free slot 17: indicator returns to available and the hint points at it.
-	al.ResetBit(objs[17])
+	al.Release(objs[17])
 	h := al.readHeader(chunk)
 	if h.fullIndicator() != fullAvailable || h.nextFree() != 17 {
 		t.Fatalf("after free: indicator=%d hint=%d, want %d/17", h.fullIndicator(), h.nextFree(), fullAvailable)
 	}
 	// Next alloc takes the hinted slot.
-	obj, _ := al.Alloc(1)
+	obj, _ := al.AllocStripe(1, 0)
 	if obj != objs[17] {
 		t.Fatalf("hinted alloc = %d, want %d", obj, objs[17])
 	}
@@ -165,19 +176,18 @@ func TestRecycleAndFreeListReuse(t *testing.T) {
 	// Fill two chunks.
 	var objs []pmem.Ptr
 	for i := 0; i < 2*ObjectsPerChunk; i++ {
-		obj, _ := al.Alloc(0)
+		obj, _ := al.AllocStripe(0, 0)
 		al.SetBit(obj)
 		objs = append(objs, obj)
 	}
 	chunk0, _ := al.ChunkOf(objs[0])
-	// Empty the first-filled chunk and recycle it.
+	// Empty the first-filled chunk: the last Release recycles it.
 	for _, o := range objs {
 		if c, _ := al.ChunkOf(o); c == chunk0 {
-			al.ResetBit(o)
+			if err := al.Release(o); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if err := al.Recycle(objs[0]); err != nil {
-		t.Fatal(err)
 	}
 	if al.FreeChunks(0) != 1 {
 		t.Fatalf("FreeChunks = %d, want 1", al.FreeChunks(0))
@@ -189,7 +199,7 @@ func TestRecycleAndFreeListReuse(t *testing.T) {
 	// Filling a chunk's worth again must reuse the recycled chunk, not
 	// reserve new space.
 	for i := 0; i < ObjectsPerChunk; i++ {
-		obj, err := al.Alloc(0)
+		obj, err := al.AllocStripe(0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,24 +216,45 @@ func TestRecycleAndFreeListReuse(t *testing.T) {
 	}
 }
 
+// TestRecycleSkipsNonEmptyChunk: a Release that leaves a used or
+// in-flight slot in its chunk recycles nothing, whether the chunk is the
+// older one or the list's head.
 func TestRecycleSkipsNonEmptyChunk(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
-	obj, _ := al.Alloc(0)
-	al.SetBit(obj)
-	if err := al.Recycle(obj); err != nil {
+	var objs []pmem.Ptr
+	for i := 0; i < ObjectsPerChunk+2; i++ {
+		obj, _ := al.AllocStripe(0, 0)
+		al.SetBit(obj)
+		objs = append(objs, obj)
+	}
+	held, _ := al.AllocStripe(0, 0) // in flight in the head chunk
+	for _, o := range []pmem.Ptr{objs[0], objs[ObjectsPerChunk], objs[ObjectsPerChunk+1]} {
+		if err := al.Release(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := al.FreeChunks(0); n != 0 {
+		t.Fatalf("FreeChunks = %d, want 0: a non-empty chunk was recycled", n)
+	}
+	if n, _ := al.CountUsed(0); n != ObjectsPerChunk-1 {
+		t.Fatalf("CountUsed = %d, want %d", n, ObjectsPerChunk-1)
+	}
+	if err := al.Free(held); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := al.CountUsed(0); n != 1 {
-		t.Fatal("non-empty chunk was recycled")
+	if n := al.FreeChunks(0); n != 1 {
+		t.Fatalf("FreeChunks = %d after Free emptied the head chunk, want 1", n)
+	}
+	if err := al.CheckQuiescent(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestRecycleKeepsLastChunk(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
-	obj, _ := al.Alloc(0)
+	obj, _ := al.AllocStripe(0, 0)
 	al.SetBit(obj)
-	al.ResetBit(obj)
-	if err := al.Recycle(obj); err != nil {
+	if err := al.Release(obj); err != nil {
 		t.Fatal(err)
 	}
 	// The sole chunk stays linked to avoid thrash.
@@ -239,7 +270,7 @@ func TestIterateObjects(t *testing.T) {
 	_, al := newAlloc(t, 1<<22)
 	want := map[pmem.Ptr]bool{}
 	for i := 0; i < ObjectsPerChunk+10; i++ {
-		obj, _ := al.Alloc(0)
+		obj, _ := al.AllocStripe(0, 0)
 		if i%3 != 0 {
 			al.SetBit(obj)
 			want[obj] = true
@@ -269,14 +300,14 @@ func TestAttachRebuildsState(t *testing.T) {
 	arena, al := newAlloc(t, 1<<22)
 	var live []pmem.Ptr
 	for i := 0; i < ObjectsPerChunk+20; i++ {
-		obj, _ := al.Alloc(0)
+		obj, _ := al.AllocStripe(0, 0)
 		al.SetBit(obj)
 		live = append(live, obj)
 	}
 	// Free a few and leave some in flight (in-flight must vanish on crash).
-	al.ResetBit(live[3])
-	al.ResetBit(live[5])
-	al.Alloc(0) // in-flight, never committed
+	al.Release(live[3])
+	al.Release(live[5])
+	al.AllocStripe(0, 0) // in-flight, never committed
 	crashed, err := arena.Crash(pmem.Config{Tracking: true}, pmem.CrashOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +326,7 @@ func TestAttachRebuildsState(t *testing.T) {
 	// Freed and in-flight slots are allocatable again.
 	seen := map[pmem.Ptr]bool{}
 	for i := 0; i < 3; i++ {
-		obj, err := al2.Alloc(0)
+		obj, err := al2.AllocStripe(0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,24 +433,25 @@ func TestUpdateLogSurvivesCrash(t *testing.T) {
 	}
 }
 
-// TestCrashDuringRecycleEveryPersist drives Recycle into a crash at every
-// persist boundary and verifies the allocator recovers to a consistent
-// state with the chunk either still linked or on the free list — never
-// lost, never on both lists.
+// TestCrashDuringRecycleEveryPersist drives the Release that empties a
+// chunk — its bit clear, then the recycle — into a crash at every persist
+// boundary and verifies the allocator recovers to a consistent state with
+// the chunk either still linked or on the free list — never lost, never on
+// both lists.
 func TestCrashDuringRecycleEveryPersist(t *testing.T) {
 	for fail := int64(0); ; fail++ {
 		arena, al := newAlloc(t, 1<<22)
 		// Two chunks; empty the older one so it is recyclable.
 		var objs []pmem.Ptr
 		for i := 0; i < 2*ObjectsPerChunk; i++ {
-			obj, _ := al.Alloc(0)
+			obj, _ := al.AllocStripe(0, 0)
 			al.SetBit(obj)
 			objs = append(objs, obj)
 		}
 		victim, _ := al.ChunkOf(objs[0])
-		for _, o := range objs {
+		for _, o := range objs[1:] {
 			if c, _ := al.ChunkOf(o); c == victim {
-				al.ResetBit(o)
+				al.Release(o)
 			}
 		}
 		arena.FailAfterPersists(fail)
@@ -433,16 +465,16 @@ func TestCrashDuringRecycleEveryPersist(t *testing.T) {
 					crashed = true
 				}
 			}()
-			if err := al.Recycle(objs[0]); err != nil {
+			if err := al.Release(objs[0]); err != nil {
 				t.Fatal(err)
 			}
 		}()
 		arena.DisarmCrash()
 		if !crashed {
-			// Recycle completed without reaching the crash point: the
+			// Release completed without reaching the crash point: the
 			// protocol has fewer persists than `fail`. Done.
-			if fail == 0 {
-				t.Fatal("recycle performed zero persists")
+			if fail < 2 {
+				t.Fatal("release recycled nothing")
 			}
 			return
 		}
@@ -457,10 +489,14 @@ func TestCrashDuringRecycleEveryPersist(t *testing.T) {
 		if err := al2.Check(); err != nil {
 			t.Fatalf("fail=%d: Check: %v", fail, err)
 		}
-		// The surviving chunk's objects must all still be live.
-		n, _ := al2.CountUsed(0)
-		if n != ObjectsPerChunk {
-			t.Fatalf("fail=%d: used = %d, want %d", fail, n, ObjectsPerChunk)
+		// The surviving chunk's objects must all still be live, and so
+		// must the released one if the crash beat its bit clear.
+		want := ObjectsPerChunk
+		if fail == 0 {
+			want++
+		}
+		if n, _ := al2.CountUsed(0); n != want {
+			t.Fatalf("fail=%d: used = %d, want %d", fail, n, want)
 		}
 		// The victim chunk must be fully accounted: linked or free on
 		// exactly one stripe.
@@ -492,7 +528,7 @@ func TestCrashDuringChunkAllocEveryPersist(t *testing.T) {
 		// Fill the first chunk completely so the next alloc must create a
 		// second chunk.
 		for i := 0; i < ObjectsPerChunk; i++ {
-			obj, _ := al.Alloc(0)
+			obj, _ := al.AllocStripe(0, 0)
 			al.SetBit(obj)
 		}
 		arena.FailAfterPersists(fail)
@@ -506,7 +542,7 @@ func TestCrashDuringChunkAllocEveryPersist(t *testing.T) {
 					crashed = true
 				}
 			}()
-			obj, err := al.Alloc(0)
+			obj, err := al.AllocStripe(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -539,7 +575,7 @@ func TestCrashDuringChunkAllocEveryPersist(t *testing.T) {
 		// reachable chunk (chunk list or free list).
 		assertNoChunkLeak(t, al2, fail)
 		// And the allocator still works.
-		obj, err := al2.Alloc(0)
+		obj, err := al2.AllocStripe(0, 0)
 		if err != nil {
 			t.Fatalf("fail=%d: post-recovery alloc: %v", fail, err)
 		}

@@ -6,8 +6,8 @@ import (
 )
 
 // ErrInjected is the error returned by a tripped fault injector. The
-// write-path error branches in package core (SetBit/ResetBit/Alloc
-// failures) are unreachable under normal operation — the allocator only
+// write-path error branches in package core (AllocStripe, SetBit,
+// Release and Retire failures) are unreachable under normal operation — the allocator only
 // fails on corruption or exhaustion — so tests use these injectors to
 // prove the cleanup paths neither strand PM objects nor leave a micro-log
 // slot permanently busy.
@@ -28,11 +28,11 @@ func (f *faultCounter) tripped() bool {
 // itself once tripped. Pass a negative n to disarm explicitly.
 func (a *Allocator) FailSetBitAfter(n int64) { a.failSetBit.arm(n) }
 
-// FailResetBitAfter arms ResetBit and Release to return ErrInjected after
-// n successful calls, one-shot like FailSetBitAfter.
+// FailResetBitAfter arms the bit clear of Release and Retire to return
+// ErrInjected after n successful calls, one-shot like FailSetBitAfter.
 func (a *Allocator) FailResetBitAfter(n int64) { a.failResetBit.arm(n) }
 
-// FailAllocAfter arms Alloc to return ErrInjected after n successful
+// FailAllocAfter arms AllocStripe to return ErrInjected after n successful
 // calls, one-shot like FailSetBitAfter.
 func (a *Allocator) FailAllocAfter(n int64) { a.failAlloc.arm(n) }
 

@@ -10,14 +10,14 @@ func TestFaultInjectorsCountdown(t *testing.T) {
 
 	// n=1: one success, then the injected fault, then disarmed again.
 	al.FailAllocAfter(1)
-	p, err := al.Alloc(0)
+	p, err := al.AllocStripe(0, 0)
 	if err != nil {
-		t.Fatalf("first Alloc under FailAllocAfter(1): %v", err)
+		t.Fatalf("first AllocStripe under FailAllocAfter(1): %v", err)
 	}
-	if _, err := al.Alloc(0); !errors.Is(err, ErrInjected) {
-		t.Fatalf("second Alloc = %v, want ErrInjected", err)
+	if _, err := al.AllocStripe(0, 0); !errors.Is(err, ErrInjected) {
+		t.Fatalf("second AllocStripe = %v, want ErrInjected", err)
 	}
-	if _, err := al.Alloc(0); err != nil {
+	if _, err := al.AllocStripe(0, 0); err != nil {
 		t.Fatalf("injector not one-shot: %v", err)
 	}
 
@@ -30,8 +30,8 @@ func TestFaultInjectorsCountdown(t *testing.T) {
 	}
 
 	al.FailResetBitAfter(0)
-	if err := al.ResetBit(p); !errors.Is(err, ErrInjected) {
-		t.Fatalf("ResetBit = %v, want ErrInjected", err)
+	if err := al.Retire(p); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Retire = %v, want ErrInjected", err)
 	}
 	al.FailResetBitAfter(0)
 	if err := al.Release(p); !errors.Is(err, ErrInjected) {
@@ -47,11 +47,11 @@ func TestFaultInjectorsCountdown(t *testing.T) {
 
 func TestCheckQuiescentCatchesInFlightSlot(t *testing.T) {
 	_, al := newAlloc(t, 1<<20)
-	p, err := al.Alloc(0)
+	p, err := al.AllocStripe(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Between Alloc and SetBit the allocator is not quiescent (the slot is
+	// Between AllocStripe and SetBit the allocator is not quiescent (the slot is
 	// volatile-in-flight), but plain Check must still pass.
 	if err := al.Check(); err != nil {
 		t.Fatalf("Check with in-flight slot: %v", err)

@@ -78,7 +78,7 @@ func TestQuickAllocFreeSequences(t *testing.T) {
 		for step := 0; step < 3000; step++ {
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3: // alloc
-				obj, err := al.Alloc(0)
+				obj, err := al.AllocStripe(0, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,13 +111,13 @@ func TestQuickAllocFreeSequences(t *testing.T) {
 				}
 				slots[obj] = free
 				committedList = append(committedList[:i], committedList[i+1:]...)
-			default: // abort an in-flight slot
+			default: // hand back an in-flight slot
 				if len(inflightList) == 0 {
 					continue
 				}
 				i := rng.Intn(len(inflightList))
 				obj := inflightList[i]
-				if err := al.Abort(obj); err != nil {
+				if err := al.Free(obj); err != nil {
 					t.Fatal(err)
 				}
 				slots[obj] = free
@@ -152,13 +152,13 @@ func TestQuickAllocFreeSequences(t *testing.T) {
 	}
 }
 
-// TestReleaseRecyclesEmptiedChunk: Release alone (without an explicit
-// Recycle call) pushes an emptied chunk onto the free list.
+// TestReleaseRecyclesEmptiedChunk: the Release that empties a chunk
+// pushes it onto the free list.
 func TestReleaseRecyclesEmptiedChunk(t *testing.T) {
 	_, al := newAlloc(t, 1<<22)
 	var objs []pmem.Ptr
 	for i := 0; i < 2*ObjectsPerChunk; i++ {
-		obj, _ := al.Alloc(0)
+		obj, _ := al.AllocStripe(0, 0)
 		al.SetBit(obj)
 		objs = append(objs, obj)
 	}

@@ -6,52 +6,27 @@ import (
 	"github.com/casl-sdsu/hart/internal/pmem"
 )
 
-// Recycle implements EPRecycle (Algorithm 6): if the chunk holding obj has
-// no live or in-flight object, it is unlinked from its stripe's chunk list
-// under the stripe's persistent recycle log and pushed onto the stripe's
-// free list for reuse (the paper's pfree). Recycle is a no-op when the
-// chunk still has used objects (Algorithm 6 lines 1-2).
+// recycleLocked implements EPRecycle (Algorithm 6) with the chunk's stripe
+// lock held, for Release and Free: if the chunk has no live or in-flight
+// object, it is unlinked from its stripe's chunk list under the stripe's
+// persistent recycle log and pushed onto the stripe's free list for reuse
+// (the paper's pfree). It is a no-op when the chunk still has used objects
+// (Algorithm 6 lines 1-2). Lenient mode treats "chunk not on the list" as
+// success instead of corruption. The operation is local to the chunk's
+// current stripe: its lock, its lists, its recycle-log slot.
 //
 // The log protocol hardens Algorithm 6 slightly: PPrev records the PM
 // address of the *link field* pointing at the chunk (the stripe's head
 // field or the predecessor's PNext field) and is armed before PCurrent, so
 // recovery never has to guess whether the chunk was the head. See
 // recoverLogs for the case analysis.
-func (a *Allocator) Recycle(obj pmem.Ptr) error {
-	return a.recycleChunkMode(obj, false)
-}
-
-// RecycleIfPresent behaves like Recycle but silently succeeds when the
-// chunk is no longer on its stripe's chunk list. Recovery uses it, since
-// replaying an interrupted operation may re-recycle a chunk the crashed
-// run already unlinked, and so does a delete after its ResetBit, since a
-// writer on the same stripe may have recycled the chunk in between.
-func (a *Allocator) RecycleIfPresent(obj pmem.Ptr) error {
-	return a.recycleChunkMode(obj, true)
-}
-
-// recycleChunkMode locks the stripe owning obj's chunk and recycles the
-// chunk if it is empty.
-func (a *Allocator) recycleChunkMode(obj pmem.Ptr, lenient bool) error {
-	m, ss, err := a.lockStripeOf(obj)
-	if err != nil {
-		return err
-	}
-	defer ss.mu.Unlock()
-	return a.recycleLocked(m, ss, lenient)
-}
-
-// recycleLocked implements Recycle with the chunk's stripe lock held;
-// lenient mode treats "chunk not on the list" as success instead of
-// corruption. The operation is local to the chunk's current stripe: its
-// lock, its lists, its recycle-log slot.
 func (a *Allocator) recycleLocked(m *chunkMeta, ss *stripeState, lenient bool) error {
 	chunk, c, stripe := m.start, m.class, int(m.stripe.Load())
 	if header(m.hdr.Load()).bitmap() != 0 || m.inFlight != 0 {
 		return nil // chunk has a used object (Algorithm 6 lines 1-2)
 	}
 	// Keep at least one chunk per stripe linked: recycling the only chunk
-	// just to re-reserve one on the next Alloc would thrash.
+	// just to re-reserve one on the next AllocStripe would thrash.
 	if a.head(c, stripe) == chunk && a.arena.ReadPtr(chunk+8).IsNil() {
 		return nil
 	}

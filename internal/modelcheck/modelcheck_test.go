@@ -85,7 +85,9 @@ func TestModelCheckChunkRecycle(t *testing.T) {
 // log and committing it; the second lands in that chunk; the third takes
 // the value into the leaf, leaving a slot in the chunk; then back out into
 // it, and — after two deletes have opened slots in the full chunk — a batch
-// whose updates stay out of line and move in around an insert.
+// whose updates stay out of line and move in around an insert. Last, the
+// values left in the second chunk move into their leaves, the final move
+// emptying the chunk under a logged update.
 func TestModelCheckUpdateAcrossChunks(t *testing.T) {
 	var hist History
 	key := func(i int) []byte { return []byte(fmt.Sprintf("up%03d", i)) }
@@ -106,6 +108,14 @@ func TestModelCheckUpdateAcrossChunks(t *testing.T) {
 			{Key: key(11), Value: []byte("b-inline")},
 		}},
 		Op{Kind: OpDelete, Key: key(11)},
+		// Every value left in the second chunk moves into its leaf; the
+		// last move empties the chunk, so the logged update recycles it
+		// and so does its log's replay, crashed in turn.
+		Op{Kind: OpPut, Key: key(9), Value: []byte("in-9")},
+		Op{Kind: OpPut, Key: key(8), Value: []byte("in-8")},
+		Op{Kind: OpPut, Key: key(10), Value: []byte("in-10")},
+		Op{Kind: OpPut, Key: key(56), Value: []byte("in-56")},
+		Op{Kind: OpPut, Key: key(7), Value: []byte("in-7")},
 	)
 	if err := RunHistory(hist, Config{ReentrantRecovery: true}); err != nil {
 		t.Fatal(err)

@@ -624,7 +624,10 @@ func (a *Arena) DisarmCrash() { a.crashBudget.Store(-1) }
 // SetPersistSite labels the persist boundaries executed from here until
 // the next SetPersistSite call, so an injected crash can report *which*
 // algorithm step it interrupted (CrashError.Site). Call sites pass short
-// static strings ("insert.value-bit", "delete.leaf-bit", ...). The label
+// static strings ("insert.value-bit", "delete.leaf-bit", ...), one per
+// step, and the persists a step triggers beneath it carry its label: the
+// seven of a chunk recycle inside a delete's Release are "delete.leaf-bit"
+// or "delete.value-bit", as the bit clear before them is. The label
 // is only recorded on Tracking arenas — crash injection requires Tracking
 // anyway — so production and benchmark arenas pay a single branch. The
 // store lives in a noinline helper: with it inlined here, escape analysis

@@ -75,10 +75,12 @@ go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz=FuzzSuperblock -fuzztime=10s ./internal/core/
 
 # The directory's micro-benchmarks (shard creation, Get, Seek, bulk build),
-# the burst lookup (serial, prefetched, and the prefetch walk alone) and the
-# root range and recovery benchmarks (Figs. 10a and 10c's paths), one
-# iteration each, so they keep compiling and running.
+# the allocator's (EPallocator against a per-object PM allocator, slot
+# turnover), the burst lookup (serial, prefetched, and the prefetch walk
+# alone) and the root range and recovery benchmarks (Figs. 10a and 10c's
+# paths), one iteration each, so they keep compiling and running.
 go test -run '^$' -bench . -benchtime 1x ./internal/hashdir/
+go test -run '^$' -bench . -benchtime 1x ./internal/epalloc/
 go test -run '^$' -bench GetBurst -benchtime 1x ./internal/core/
 go test -run '^$' -bench Fig10 -benchtime 1x .
 
