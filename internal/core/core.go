@@ -202,12 +202,16 @@ type Options struct {
 	RecoveryWorkers int
 	// LazyRecovery defers the per-shard ART builds out of Open: recovery
 	// completes after the update-log replay, leaf scan and orphan
-	// sweep, publishing a directory whose shards hold pending leaf lists
-	// instead of trees. A shard's ART is built on its first locked touch,
-	// or by DrainRecovery, which callers typically start in the background
-	// right after Open. Time-to-first-read becomes nearly independent of
-	// store size; durable state is untouched by the deferred builds, so a
-	// crash mid-drain recovers exactly like a crash before it.
+	// sweep, publishing a directory whose shards point at their
+	// stripe's log of leaves instead of holding trees. A shard's ART is
+	// built on its first locked touch, or by DrainRecovery, which callers
+	// typically start in the background right after Open. Open still
+	// loads every live leaf's header word (and a value-object leaf's word
+	// 0) and keeps 16 B of DRAM per live leaf until its stripe is built,
+	// so time to first read grows with the store; what it skips is every
+	// full-key read and tree insert. Durable state is untouched by the
+	// deferred builds, so a crash mid-drain recovers exactly like a crash
+	// before it.
 	LazyRecovery bool
 }
 
@@ -248,13 +252,14 @@ type artShard struct {
 	// mu (the lock-free path never reads it — it revalidates through a
 	// fresh directory lookup instead).
 	dead bool
-	// pending, when non-nil, holds the shard's leaf list from a lazy
-	// recovery (Options.LazyRecovery): the tree is empty and must not be
-	// consulted until the first-touch build publishes the real tree and
-	// clears pending — in that order, so pending == nil implies the tree
-	// is complete. Transitions non-nil → nil exactly once, under mu held
-	// exclusively. Optimistic readers treat a non-nil pending as
-	// inconclusive and fall back to the locked path, which builds.
+	// pending, when non-nil, names the shard's run of its stripe's log
+	// from a lazy recovery (Options.LazyRecovery): the tree is empty and
+	// must not be consulted until the first-touch build publishes the
+	// real tree and clears pending — in that order, so pending == nil
+	// implies the tree is complete. Transitions non-nil → nil exactly
+	// once, under mu held exclusively. Optimistic readers treat a non-nil
+	// pending as inconclusive and fall back to the locked path, which
+	// builds.
 	pending atomic.Pointer[pendingLeaves]
 	// ops is the shard's cumulative count of records written by Put,
 	// Update and PutBatch (stats only). Bumped while mu is held; an atomic
@@ -262,10 +267,11 @@ type artShard struct {
 	ops atomic.Uint64
 }
 
-// pendingLeaves is a lazily recovered shard's to-do list: the live leaves
-// the recovery scan assigned to it, awaiting the first-touch ART build.
+// pendingLeaves is a lazily recovered shard's to-do: its hash key's run
+// of its stripe's log, awaiting the first-touch ART build.
 type pendingLeaves struct {
-	leaves []leafRef
+	log *stripeLog
+	run int // the shard's rank among the stripe's hash keys
 }
 
 // newShard returns a live shard with an empty tree.

@@ -140,7 +140,7 @@ func TestUpdateReleaseFailureLeaksVisiblyThenRecovers(t *testing.T) {
 			if err := h.Put([]byte("alpha"), longOld); err != nil {
 				t.Fatal(err)
 			}
-			h.alloc.FailResetBitAfter(0) // trips Retire of the old value
+			h.alloc.FailClearBitAfter(0) // trips Retire of the old value
 			err := h.Put([]byte("alpha"), c.new)
 			if !errors.Is(err, epalloc.ErrInjected) {
 				t.Fatalf("update = %v, want ErrInjected", err)
@@ -172,13 +172,13 @@ func TestUpdateReleaseFailureLeaksVisiblyThenRecovers(t *testing.T) {
 	}
 }
 
-func TestDeleteResetBitFailureRepublishes(t *testing.T) {
+func TestDeleteReleaseFailureRepublishes(t *testing.T) {
 	for _, value := range [][]byte{shortOld, longOld} {
 		h := newHART(t)
 		if err := h.Put([]byte("alpha"), value); err != nil {
 			t.Fatal(err)
 		}
-		h.alloc.FailResetBitAfter(0) // trips ResetBit of the leaf
+		h.alloc.FailClearBitAfter(0) // trips the leaf's Release
 		if err := h.Delete([]byte("alpha")); !errors.Is(err, epalloc.ErrInjected) {
 			t.Fatalf("Delete = %v, want ErrInjected", err)
 		}
@@ -211,7 +211,7 @@ func TestDeleteReleaseFailureStillDeletes(t *testing.T) {
 	if err := h.Put([]byte("alpha"), longOld); err != nil {
 		t.Fatal(err)
 	}
-	h.alloc.FailResetBitAfter(1) // leaf reset succeeds, value release fails
+	h.alloc.FailClearBitAfter(1) // leaf reset succeeds, value release fails
 	if err := h.Delete([]byte("alpha")); !errors.Is(err, epalloc.ErrInjected) {
 		t.Fatalf("Delete = %v, want ErrInjected", err)
 	}

@@ -529,16 +529,15 @@ func (h *HART) deleteLocked(key []byte) (bool, error) {
 	s.beginWrite()
 	defer s.endWrite()
 
-	w, found := s.root.Get(artKey) // line 5
+	// Lines 5 and 9 in one walk: find the record and remove it from the
+	// (volatile) tree first; a crash after this point leaves the PM bits
+	// to the reset protocol below.
+	w, found := s.root.Delete(artKey)
 	if !found {
 		return false, ErrNotFound // lines 6-7
 	}
 	ref := leafRef(w)
 	leaf := ref.ptr()
-
-	// Line 9: remove from the (volatile) tree first; a crash after this
-	// point leaves the PM bits to the reset protocol below.
-	s.root.Delete(artKey)
 
 	// Line 10. A record that is one object — its ref says so — has no
 	// value to find and skips lines 12-13: the leaf bit is all of its

@@ -235,6 +235,29 @@ func TestPrefetchAllocatesNothing(t *testing.T) {
 	}
 }
 
+// putAlphabetKeys stores n random 11-byte keys over the paper's
+// 62-character alphabet in h with PutBatch, 256 records a batch, and
+// returns them.
+func putAlphabetKeys(tb testing.TB, h *HART, rng *rand.Rand, n int) [][]byte {
+	const alphabet = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+	keys := make([][]byte, n)
+	recs := make([]Record, 0, 256)
+	for i := range keys {
+		k := make([]byte, 11)
+		for j := range k {
+			k[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		keys[i] = k
+		if recs = append(recs, Record{Key: k, Value: []byte("value-08")}); len(recs) == cap(recs) || i == n-1 {
+			if _, err := h.PutBatch(recs); err != nil {
+				tb.Fatal(err)
+			}
+			recs = recs[:0]
+		}
+	}
+	return keys
+}
+
 // BenchmarkGetBurst looks up bursts of 64 random present keys over a
 // 250 k-record store, the shape of a pipelined wire burst: one GetInto per
 // key (serial), or one Prefetch of the burst first (prefetched); ns/get is
@@ -247,23 +270,8 @@ func BenchmarkGetBurst(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer h.Close()
-	const alphabet = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 	rng := rand.New(rand.NewSource(1))
-	keys := make([][]byte, records)
-	recs := make([]Record, 0, 256)
-	for i := range keys {
-		k := make([]byte, 11)
-		for j := range k {
-			k[j] = alphabet[rng.Intn(len(alphabet))]
-		}
-		keys[i] = k
-		if recs = append(recs, Record{Key: k, Value: []byte("value-08")}); len(recs) == cap(recs) || i == records-1 {
-			if _, err := h.PutBatch(recs); err != nil {
-				b.Fatal(err)
-			}
-			recs = recs[:0]
-		}
-	}
+	keys := putAlphabetKeys(b, h, rng, records)
 	windows := make([][][]byte, bursts)
 	for i := range windows {
 		windows[i] = make([][]byte, burst)

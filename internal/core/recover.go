@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -31,9 +32,10 @@ import (
 //     stripe meets every leaf of that stripe's shards: it reads each live
 //     leaf's key from PM once, into a stack buffer, and inserts the leaf
 //     straight into its shard's private batch-built tree (or, under
-//     Options.LazyRecovery, appends it to the shard's pending list). It
-//     also collects the live value references per stripe. Dead slots are
-//     skipped unread. No shared state is touched.
+//     Options.LazyRecovery, appends one record of its hash key and ref to
+//     the stripe's log). It also collects the live value references per
+//     stripe. Dead slots are skipped unread. Nothing is shared but a lazy
+//     scan's set of hash keys that have a shard.
 //  3. Orphan sweep — the value-chunk walk fans out per stripe, but every
 //     release it decides on is applied by this goroutine in stripe order:
 //     recovery's persist sequence stays deterministic at any worker count
@@ -119,38 +121,30 @@ func (h *HART) classifyLeaf(leaf pmem.Ptr) (hdr uint64, vp pmem.Ptr) {
 	return hdr, vp
 }
 
-// shardBuild is one shard under construction: eagerly, a batch inserting
-// into the shard's private tree; under LazyRecovery, its pending list.
+// shardBuild is one shard under an eager recovery's construction: a
+// batch inserting into the shard's private tree.
 type shardBuild struct {
 	s     *artShard
 	batch *art.Batch
-	pend  []leafRef
-}
-
-// add files one live leaf under its ART key (empty under LazyRecovery,
-// whose scan reads only the hash key).
-func (sb *shardBuild) add(ref leafRef, artKey []byte) {
-	if sb.batch == nil {
-		sb.pend = append(sb.pend, ref)
-		return
-	}
-	sb.batch.Insert(artKey, uint64(ref))
 }
 
 // strayLeaf is a live leaf found on a stripe other than its shard's,
-// held with a copy of its key until the walk is over.
+// held with a copy of its key (its hash key alone under LazyRecovery)
+// until the walk is over.
 type strayLeaf struct {
 	ref leafRef
 	key []byte
 }
 
 // stripeScan is one stripe's share of the leaf scan. Each stripe is
-// walked by exactly one goroutine, and a shard's builder lives in the
-// stripe of its hash key, so none of this needs locking; the coordinator
-// reads the stripes in index order, which keeps stray insertion
-// deterministic regardless of worker count.
+// walked by exactly one goroutine, and a shard's builder (eagerly) or log
+// records (lazily) live in the stripe of its hash key, so none of this
+// needs locking; the coordinator reads the stripes in index order, which
+// keeps stray filing deterministic regardless of worker count.
 type stripeScan struct {
-	shards map[string]*shardBuild
+	shards map[string]*shardBuild // eager
+	log    *stripeLog             // lazy: every live leaf of the stripe's shards
+	hks    []uint64               // lazy: the stripe's shards' packed hash keys
 	strays []strayLeaf
 	vals   []pmem.Ptr
 	live   int
@@ -158,14 +152,11 @@ type stripeScan struct {
 }
 
 // builder returns the stripe's builder for hash key hk, creating it.
-func (ss *stripeScan) builder(hk []byte, lazy bool) *shardBuild {
+func (ss *stripeScan) builder(hk []byte) *shardBuild {
 	if sb := ss.shards[string(hk)]; sb != nil {
 		return sb
 	}
-	sb := &shardBuild{s: newShard()}
-	if !lazy {
-		sb.batch = art.New().BeginBatch()
-	}
+	sb := &shardBuild{s: newShard(), batch: art.New().BeginBatch()}
 	ss.shards[string(hk)] = sb
 	return sb
 }
@@ -173,28 +164,58 @@ func (ss *stripeScan) builder(hk []byte, lazy bool) *shardBuild {
 // leafScan is the merged result of the scan phase.
 type leafScan struct {
 	stripes [epalloc.NumStripes]stripeScan
+	seen    hashKeySet // lazy: the hash keys that have a shard
 	valSet  []pmem.Ptr // sorted live value references
 	live    int
 	lazy    bool
+}
+
+// fileLazy appends one live leaf to stripe st's log, which is its hash
+// key's, and makes hk a shard of the stripe on its first sighting.
+func (sc *leafScan) fileLazy(st int, hk []byte, ref leafRef) {
+	ss := &sc.stripes[st]
+	p := packHashKey(hk)
+	if sc.seen.add(p) {
+		ss.hks = append(ss.hks, p)
+	}
+	ss.log.recs = append(ss.log.recs, leafRec{hk: p, ref: ref})
 }
 
 // leafClasses are the classes recovery's leaf scan walks, in walk order.
 var leafClasses = [...]epalloc.Class{classLeaf24, classLeaf40}
 
 // scanLeaves walks every leaf chunk with up to `workers` goroutines (one
-// per allocator stripe), filing each live leaf with its shard's builder
-// and collecting per-stripe value references; a dead slot is skipped
-// without a load. The two leaf classes are walked one after the other into
-// the same per-stripe state: a shard's leaves of both classes sit on its
-// stripe, so one builder takes them all, and each stripe's strays keep
-// walk order. Each live leaf's key is read exactly once; under
-// LazyRecovery only its hash key, the leading kh bytes, which up to
-// hdrKeyBytes come with the header word classifyLeaf loaded anyway. A live leaf whose header claims a key
-// its slot cannot hold is refused before any key byte is read.
+// per allocator stripe), filing each live leaf with its shard and
+// collecting per-stripe value references; a dead slot is skipped without
+// a load. The two leaf classes are walked one after the other into the
+// same per-stripe state: a shard's leaves of both classes sit on its
+// stripe, and each stripe's strays keep walk order. Each live leaf's key
+// is read exactly once. Eagerly it goes into its shard's batch-built
+// tree. Under LazyRecovery only its hash key is read, the leading kh
+// bytes, which come with the header word classifyLeaf loaded anyway, and
+// the leaf is one record appended to its stripe's log, presized from the
+// allocator's header mirrors. A live leaf whose header claims a key its
+// slot cannot hold is refused before any key byte is read.
 func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 	sc := &leafScan{lazy: h.opts.LazyRecovery}
-	for st := range sc.stripes {
-		sc.stripes[st].shards = make(map[string]*shardBuild)
+	if sc.lazy {
+		kh := h.opts.HashKeyLen
+		sc.seen = make(hashKeySet, (hashKeyBase[kh+1]+63)/64)
+		keyBits := bits.Len64(hashKeyBase[kh+1] - 1)
+		var used [epalloc.NumStripes]int
+		for _, c := range leafClasses {
+			u := h.alloc.UsedPerStripe(c)
+			for st := range used {
+				used[st] += u[st]
+			}
+		}
+		for st := range sc.stripes {
+			sc.stripes[st].log = &stripeLog{recs: make([]leafRec, 0, used[st]), keyBits: keyBits}
+		}
+	} else {
+		for st := range sc.stripes {
+			sc.stripes[st].shards = make(map[string]*shardBuild)
+		}
 	}
 	for _, c := range leafClasses {
 		keyCap := leafKeyCap(c)
@@ -222,15 +243,19 @@ func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 			hk, artKey := h.splitKey(key)
 			ref := makeLeafRef(leaf, hdrShape(hdr))
 			ss.live++
-			sb := ss.shards[string(hk)]
-			if sb == nil {
-				if epalloc.StripeFor(hk) != st {
-					ss.strays = append(ss.strays, strayLeaf{ref: ref, key: slices.Clone(key)})
+			if sc.lazy {
+				if epalloc.StripeFor(hk) == st {
+					sc.fileLazy(st, hk, ref)
 					return true
 				}
-				sb = ss.builder(hk, sc.lazy)
+			} else if sb := ss.shards[string(hk)]; sb != nil {
+				sb.batch.Insert(artKey, uint64(ref))
+				return true
+			} else if epalloc.StripeFor(hk) == st {
+				ss.builder(hk).batch.Insert(artKey, uint64(ref))
+				return true
 			}
-			sb.add(ref, artKey)
+			ss.strays = append(ss.strays, strayLeaf{ref: ref, key: slices.Clone(key)})
 			return true
 		})
 		if err != nil {
@@ -256,28 +281,193 @@ func (h *HART) scanLeaves(workers int) (*leafScan, error) {
 	return sc, nil
 }
 
-// finish files the strays with their shards' builders, in stripe order,
-// then completes every builder — publishing its tree, or storing its
-// pending list — and returns the shards with their hash keys.
+// finish files the strays with their shards, in stripe order, then
+// completes every shard — publishing its tree, or pointing it at its
+// stripe's log — and returns the shards with their hash keys.
 func (sc *leafScan) finish(h *HART) (keys []string, shards []*artShard) {
 	for st := range sc.stripes {
 		for _, sl := range sc.stripes[st].strays {
 			hk, artKey := h.splitKey(sl.key)
-			sc.stripes[epalloc.StripeFor(hk)].builder(hk, sc.lazy).add(sl.ref, artKey)
+			home := epalloc.StripeFor(hk)
+			if sc.lazy {
+				sc.fileLazy(home, hk, sl.ref)
+			} else {
+				sc.stripes[home].builder(hk).batch.Insert(artKey, uint64(sl.ref))
+			}
 		}
 	}
 	for st := range sc.stripes {
-		for hk, sb := range sc.stripes[st].shards {
-			if sc.lazy {
-				sb.s.pending.Store(&pendingLeaves{leaves: sb.pend})
-			} else {
-				sb.batch.Publish(&sb.s.root)
+		ss := &sc.stripes[st]
+		if sc.lazy {
+			// Shard i of the stripe is the i-th run of its grouped log.
+			slices.Sort(ss.hks)
+			ss.log.left.Store(int64(len(ss.hks)))
+			pend := make([]pendingLeaves, len(ss.hks))
+			for i, p := range ss.hks {
+				pend[i] = pendingLeaves{log: ss.log, run: i}
+				s := newShard()
+				s.pending.Store(&pend[i])
+				keys = append(keys, unpackHashKey(p))
+				shards = append(shards, s)
 			}
+			continue
+		}
+		for hk, sb := range ss.shards {
+			sb.batch.Publish(&sb.s.root)
 			keys = append(keys, hk)
 			shards = append(shards, sb.s)
 		}
 	}
 	return keys, shards
+}
+
+// hashKeyBase[n] is where the n-byte hash keys start in the packed space:
+// one range per length, so a key shorter than kh never packs like a
+// longer one, and hashKeyBase[kh+1] is the size of the space.
+var hashKeyBase = [hashdir.MaxKeyLen + 2]uint64{0, 0, 1 << 8, 1<<8 + 1<<16, 1<<8 + 1<<16 + 1<<24}
+
+// packHashKey packs a hash key of 1 to hashdir.MaxKeyLen bytes into one
+// word: its bytes, little-endian, offset by its length's base.
+func packHashKey(hk []byte) uint64 {
+	var v uint64
+	for i, b := range hk {
+		v |= uint64(b) << (8 * uint(i))
+	}
+	return hashKeyBase[len(hk)] + v
+}
+
+// unpackHashKey is packHashKey's inverse.
+func unpackHashKey(p uint64) string {
+	n := 1
+	for p >= hashKeyBase[n+1] {
+		n++
+	}
+	p -= hashKeyBase[n]
+	var buf [hashdir.MaxKeyLen]byte
+	for i := range n {
+		buf[i] = byte(p >> (8 * uint(i)))
+	}
+	return string(buf[:n])
+}
+
+// hashKeySet is a lazy scan's set of the packed hash keys that have a
+// shard: one bit each, 32 B at kh = 1, 8 KB at kh = 2 and 2.1 MB at
+// kh = 3. Only the walk of a key's own stripe sets its bit, but the keys
+// of all stripes share words, so every access is atomic.
+type hashKeySet []atomic.Uint64
+
+// add sets p's bit and reports whether it was clear.
+func (s hashKeySet) add(p uint64) bool {
+	w, bit := &s[p/64], uint64(1)<<(p%64)
+	if w.Load()&bit != 0 {
+		return false
+	}
+	w.Or(bit)
+	return true
+}
+
+// leafRec is a lazy scan's record of one live leaf: its packed hash key
+// and its ref, 16 bytes.
+type leafRec struct {
+	hk  uint64
+	ref leafRef
+}
+
+// stripeLog holds a lazy recovery's live leaves of one allocator stripe's
+// shards, in walk order until the first build that needs them groups them
+// by hash key; then each of the stripe's pending shards builds from its
+// own run, and the last one frees the log.
+type stripeLog struct {
+	recs    []leafRec
+	runs    []int32 // after grouping: run i is recs[runs[i]:runs[i+1]]
+	keyBits int     // significant bits of a packed hash key
+	grouped sync.Once
+	left    atomic.Int64 // the stripe's shards not yet built
+}
+
+// radixBits is the widest digit of the radix sort that groups a log.
+const radixBits = 9
+
+// group orders the log by packed hash key, once, and notes where each
+// key's run starts. The sort is a most-significant-digit radix sort in
+// place, digits of at most radixBits bits (two at kh = 2): it costs
+// O(records) per digit, no comparison, and no allocation beyond the run
+// table, so a grouping never pays the collector for a scratch copy of
+// the log.
+func (lg *stripeLog) group() {
+	lg.grouped.Do(func() {
+		if len(lg.recs) > 0 {
+			passes := (lg.keyBits + radixBits - 1) / radixBits
+			width := (lg.keyBits + passes - 1) / passes
+			radixGroup(lg.recs, uint((passes-1)*width), uint(width))
+		}
+		for i, r := range lg.recs {
+			if i == 0 || r.hk != lg.recs[i-1].hk {
+				lg.runs = append(lg.runs, int32(i))
+			}
+		}
+		lg.runs = append(lg.runs, int32(len(lg.recs)))
+	})
+}
+
+// radixGroup orders recs by the hash-key bits below shift+width in place:
+// it permutes them into one bucket per digit at shift (each record moved
+// straight to its bucket, American-flag style), then orders each bucket by
+// the next lower digit.
+func radixGroup(recs []leafRec, shift, width uint) {
+	mask := uint64(1)<<width - 1
+	var next, end [1 << radixBits]int32
+	for _, r := range recs {
+		end[r.hk>>shift&mask]++
+	}
+	if int(end[recs[0].hk>>shift&mask]) == len(recs) {
+		// One digit: nothing to move at this level.
+		if shift > 0 {
+			radixGroup(recs, shift-width, width)
+		}
+		return
+	}
+	var sum int32
+	for d, n := range end {
+		next[d] = sum
+		sum += n
+		end[d] = sum
+	}
+	for d := range next {
+		for next[d] < end[d] {
+			r := recs[next[d]]
+			for e := r.hk >> shift & mask; e != uint64(d); e = r.hk >> shift & mask {
+				recs[next[e]], r = r, recs[next[e]]
+				next[e]++
+			}
+			recs[next[d]] = r
+			next[d]++
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	start := int32(0)
+	for _, e := range end {
+		if e-start > 1 {
+			radixGroup(recs[start:e], shift-width, width)
+		}
+		start = e
+	}
+}
+
+// run returns the log's i-th run of one hash key, grouping it first.
+func (lg *stripeLog) run(i int) []leafRec {
+	lg.group()
+	return lg.recs[lg.runs[i]:lg.runs[i+1]]
+}
+
+// built counts one of the stripe's shards as built, freeing the log with
+// the last: every other build has read its run before its own count.
+func (lg *stripeLog) built() {
+	if lg.left.Add(-1) == 0 {
+		lg.recs, lg.runs = nil, nil
+	}
 }
 
 // ptrSetHas reports membership in a sorted pointer slice.
@@ -320,9 +510,9 @@ func (h *HART) sweepOrphans(sc *leafScan, workers int, stats *RecoveryStats) err
 	return nil
 }
 
-// buildPending builds a lazily recovered shard's ART from its pending
-// leaf list: read each leaf's full key (the deferred read the scan phase
-// skipped) and batch-insert it into a fresh tree; ART shape does not
+// buildPending builds a lazily recovered shard's ART from its run of its
+// stripe's log: read each leaf's full key (the deferred read the scan
+// phase skipped) and batch-insert it into a fresh tree; ART shape does not
 // depend on insertion order. The caller holds s.mu exclusively. Ordering
 // matters: the built tree is stored before pending is cleared, so any
 // goroutine observing pending == nil is guaranteed to observe the
@@ -334,16 +524,17 @@ func (h *HART) buildPending(s *artShard) {
 	}
 	b := art.New().BeginBatch()
 	var buf [MaxKeyLen]byte
-	for _, ref := range pp.leaves {
-		hdr := h.arena.Read8(ref.ptr() + lfKeyLen)
+	for _, r := range pp.log.run(pp.run) {
+		hdr := h.arena.Read8(r.ref.ptr() + lfKeyLen)
 		key := buf[:hdrKeyLen(hdr)] // the scan refused any length its slot cannot hold
-		h.keyFromHeader(ref.ptr(), hdr, key)
+		h.keyFromHeader(r.ref.ptr(), hdr, key)
 		_, artKey := h.splitKey(key)
-		b.Insert(artKey, uint64(ref))
+		b.Insert(artKey, uint64(r.ref))
 	}
 	b.Publish(&s.root)
 	s.pending.Store(nil)
 	h.pendingShards.Add(-1)
+	pp.log.built()
 }
 
 // drainShard builds one shard if it is still pending.
@@ -359,47 +550,49 @@ func (h *HART) drainShard(s *artShard) {
 }
 
 // DrainRecovery completes a lazy recovery (Options.LazyRecovery) by
-// building every still-pending shard's ART, fanning the builds across
-// Options.RecoveryWorkers goroutines. It is idempotent, cheap when
-// nothing is pending, purely volatile (no PM write — the durable state
-// is identical before and after, so a crash mid-drain recovers exactly
-// like a crash before it), and safe to run concurrently with readers and
-// writers: each build holds its shard's write lock. Open does not wait
-// for it; callers wanting eager behaviour in the background can run
-// `go h.DrainRecovery()` right after Open.
+// grouping each stripe's log once and then building every still-pending
+// shard's ART, fanning both across Options.RecoveryWorkers goroutines. It
+// is idempotent, cheap when nothing is pending, purely volatile (no PM
+// write — the durable state is identical before and after, so a crash
+// mid-drain recovers exactly like a crash before it), and safe to run
+// concurrently with readers and writers: each build holds its shard's
+// write lock. Open does not wait for it; callers wanting eager behaviour
+// in the background can run `go h.DrainRecovery()` right after Open.
 func (h *HART) DrainRecovery() {
 	if h.pendingShards.Load() <= 0 {
 		return
 	}
 	var pend []*artShard
+	var logs []*stripeLog
 	h.dir.Load().Range(func(_ []byte, s *artShard) bool {
-		if s.pending.Load() != nil {
+		if pp := s.pending.Load(); pp != nil {
 			pend = append(pend, s)
+			if !slices.Contains(logs, pp.log) {
+				logs = append(logs, pp.log)
+			}
 		}
 		return true
 	})
-	workers := h.opts.RecoveryWorkers
-	if workers > len(pend) {
-		workers = len(pend)
-	}
-	if workers <= 1 {
-		for _, s := range pend {
-			h.drainShard(s)
+	fanOut(h.opts.RecoveryWorkers, len(logs), func(i int) { logs[i].group() })
+	fanOut(h.opts.RecoveryWorkers, len(pend), func(i int) { h.drainShard(pend[i]) })
+}
+
+// fanOut calls fn(0) to fn(n-1) on up to workers goroutines.
+func fanOut(workers, n int, fn func(i int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := range n {
+			fn(i)
 		}
 		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= int64(len(pend)) {
-					return
-				}
-				h.drainShard(pend[i])
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
 			}
 		}()
 	}
@@ -437,7 +630,7 @@ type RecoveryStats struct {
 	FormatVersion int
 	// Per-phase wall times, which do not overlap. ULogNs is the
 	// update-log replay; ScanNs the leaf scan, which builds the shards'
-	// trees (or pending lists) as it walks; SweepNs the orphan
+	// trees (or fills the stripes' logs) as it walks; SweepNs the orphan
 	// sweep; BuildNs what is left of the build after it: inserting
 	// leaves found off their shard's stripe, and publishing the directory.
 	ULogNs  int64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -301,6 +302,159 @@ func TestLazyRecoveryFirstTouch(t *testing.T) {
 	}
 }
 
+// stripeShards groups the fixture's keys by hash key and returns, for
+// stripe st, one key of each of its shards, in hash-key order.
+func stripeShards(h *HART, ref map[string]string, st int) []string {
+	one := map[string]string{}
+	for k := range ref {
+		if hk, _ := h.splitKey([]byte(k)); epalloc.StripeFor(hk) == st {
+			one[string(hk)] = k
+		}
+	}
+	keys := make([]string, 0, len(one))
+	for _, k := range one {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// busiestStripe returns the stripe that holds the most of the fixture's
+// shards.
+func busiestStripe(h *HART, ref map[string]string) int {
+	best, most := 0, 0
+	for st := 0; st < epalloc.NumStripes; st++ {
+		if n := len(stripeShards(h, ref, st)); n > most {
+			best, most = st, n
+		}
+	}
+	return best
+}
+
+// TestLazyRecoveryStripeGrouping: a lazy open files every live leaf in its
+// allocator stripe's log, and the first touch of any shard groups that
+// log by hash key, once. That touch builds its own shard and no other:
+// the rest of the stripe stays pending and builds one by one from the
+// grouped log, and a drain then finishes the other stripes. Four
+// goroutines first-touching four shards of one stripe at once race on
+// the grouping (run it under -race).
+func TestLazyRecoveryStripeGrouping(t *testing.T) {
+	img, ref := recoveryFixture(t, 3000)
+	t.Run("one by one", func(t *testing.T) {
+		h := openImage(t, img, Options{LazyRecovery: true, RecoveryWorkers: 4})
+		keys := stripeShards(h, ref, busiestStripe(h, ref))
+		if len(keys) < 2 {
+			t.Fatalf("busiest stripe holds %d shards", len(keys))
+		}
+		for i, k := range keys {
+			before := h.PendingShards()
+			if got, ok := h.Get([]byte(k)); !ok || string(got) != ref[k] {
+				t.Fatalf("Get(%q) = (%q, %v), want %q", k, got, ok, ref[k])
+			}
+			if after := h.PendingShards(); after != before-1 {
+				t.Fatalf("touch %d of the stripe (%q): PendingShards %d -> %d, want one fewer", i, k, before, after)
+			}
+		}
+		h.DrainRecovery()
+		if p := h.PendingShards(); p != 0 {
+			t.Fatalf("%d shards pending after drain", p)
+		}
+		assertContents(t, h, ref, nil, "drained")
+		if err := h.Check(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("concurrent first touches", func(t *testing.T) {
+		h := openImage(t, img, Options{LazyRecovery: true, RecoveryWorkers: 4})
+		keys := stripeShards(h, ref, busiestStripe(h, ref))
+		if len(keys) < 4 {
+			t.Fatalf("busiest stripe holds %d shards, want 4", len(keys))
+		}
+		before := h.PendingShards()
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		errs := make(chan string, 4)
+		for _, k := range keys[:4] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				start.Wait()
+				if got, ok := h.Get([]byte(k)); !ok || string(got) != ref[k] {
+					errs <- fmt.Sprintf("Get(%q) = (%q, %v), want %q", k, got, ok, ref[k])
+				}
+			}()
+		}
+		start.Done()
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+		if after := h.PendingShards(); after != before-4 {
+			t.Fatalf("four first touches: PendingShards %d -> %d", before, after)
+		}
+		h.DrainRecovery()
+		assertContents(t, h, ref, nil, "drained")
+		if err := h.Check(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestRecoveryHashKeyLens reopens a store eagerly and lazily at every kh
+// the directory holds, with keys shorter than kh (1- and 2-byte keys at
+// kh = 3) and hash keys at the ends of the byte range, so a lazy scan's
+// packed hash keys must keep every shard apart: each mode must rebuild
+// the same shards and the same contents.
+func TestRecoveryHashKeyLens(t *testing.T) {
+	for _, kh := range []int{1, 2, 3} {
+		h, err := New(Options{ArenaSize: 16 << 20, HashKeyLen: kh, Tracking: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := map[string]string{}
+		put := func(k string, i int) {
+			v := mixedValue("v%d", i)
+			mustPut(t, h, k, v)
+			ref[k] = v
+		}
+		for i, k := range []string{"a", "b", "ab", "ba", "\x00", "\xff", "\x00\x00", "\xff\xff", "\x00\x00\x00", "\xff\xff\xff", "a\x00", "\x00a"} {
+			put(k, i)
+		}
+		for i := 0; i < 1500; i++ {
+			k := fmt.Sprintf("%c%c%c%d", 'a'+i%4, 'a'+i/4%4, 'a'+i/16%3, i)
+			if i%3 == 0 {
+				k += "-in-a-40B-leaf"
+			}
+			put(k[:1+i%len(k)], i)
+		}
+		img, err := h.Arena().DurableImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := h.NumARTs()
+		for _, opts := range []Options{
+			{RecoveryWorkers: 1},
+			{RecoveryWorkers: 4},
+			{RecoveryWorkers: 1, LazyRecovery: true},
+			{RecoveryWorkers: 4, LazyRecovery: true},
+		} {
+			mode := fmt.Sprintf("kh=%d workers=%d lazy=%v", kh, opts.RecoveryWorkers, opts.LazyRecovery)
+			h2 := openImage(t, img, opts)
+			if got := h2.NumARTs(); got != shards {
+				t.Fatalf("%s: %d shards, want %d", mode, got, shards)
+			}
+			if opts.LazyRecovery && h2.PendingShards() != shards {
+				t.Fatalf("%s: %d shards pending, want %d", mode, h2.PendingShards(), shards)
+			}
+			assertContents(t, h2, ref, nil, mode)
+			if err := h2.Check(); err != nil {
+				t.Fatalf("%s: %v", mode, err)
+			}
+		}
+	}
+}
+
 // TestLazyRecoveryCrashMidDrain: the deferred builds write nothing to PM,
 // so a durable image captured with shards still pending recovers exactly
 // like one captured before (or after) the drain.
@@ -572,8 +726,9 @@ func TestLeafClassBoundary(t *testing.T) {
 // index it builds: the bytes allocated across a Rebuild of 60 000 records
 // may be at most 1.5× the DRAM the rebuilt index holds. Leaves go from PM
 // straight into their shards' trees, so nothing but the index and a
-// little bookkeeping should be allocated. Not parallel: TotalAlloc counts
-// every goroutine's allocations.
+// little bookkeeping should be allocated. A lazy Rebuild of the same
+// records is held to 16 B per record and a constant per shard. Not
+// parallel: TotalAlloc counts every goroutine's allocations.
 func TestRecoveryAllocBudget(t *testing.T) {
 	const n = 60000
 	h, err := New(Options{ArenaSize: 32 << 20})
@@ -600,4 +755,78 @@ func TestRecoveryAllocBudget(t *testing.T) {
 	if float64(alloc) > 1.5*float64(dram) {
 		t.Fatalf("Rebuild allocated %d B, over 1.5× the index's %d B", alloc, dram)
 	}
+
+	// Lazy arm: a lazy Rebuild builds no tree. It files each live leaf as
+	// one 16-byte record in its stripe's log, presized, and makes each
+	// shard and its directory entry.
+	h.opts.LazyRecovery = true
+	shards := h.NumARTs()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := h.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc = after.TotalAlloc - before.TotalAlloc
+	t.Logf("lazy Rebuild of %d records in %d shards allocated %d B (%.1f B per record, %.1f per shard beyond 16 per record)",
+		h.Len(), shards, alloc, float64(alloc)/float64(h.Len()), float64(int(alloc)-16*h.Len())/float64(shards))
+	if h.PendingShards() != shards {
+		t.Fatalf("lazy Rebuild left %d shards pending, want %d", h.PendingShards(), shards)
+	}
+	// 16 B per record plus 512 B per shard and 16 KB for the hash-key set:
+	// 1 322 496 B here, which held 1 182 384. Per-shard pending lists grown
+	// by append took 1 646 672.
+	if bound := 16*h.Len() + 512*shards + 16<<10; alloc > uint64(bound) {
+		t.Fatalf("lazy Rebuild allocated %d B, over its bound of %d", alloc, bound)
+	}
+}
+
+// BenchmarkLazyOpen times a lazy Open of a file-backed store of 250 000
+// records up to its first read, the cycle the restart workload's
+// lat_p50_us times, and reports it per live leaf: the lazy scan loads
+// every live leaf's header word, so the time grows with the store. Each
+// iteration's drain and Close run off the clock.
+func BenchmarkLazyOpen(b *testing.B) {
+	const records = 250_000
+	path := filepath.Join(b.TempDir(), "lazy.pm")
+	cfg := Options{ArenaSize: 64 << 20}.ArenaConfig()
+	arena, _, err := pmem.OpenFileArena(path, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := NewOnArena(arena, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	keys := putAlphabetKeys(b, h, rng, records)
+	if err := h.Close(); err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{LazyRecovery: true, RecoveryWorkers: runtime.NumCPU()}
+	val := make([]byte, 0, MaxValueLen)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		k := keys[rng.Intn(records)]
+		runtime.GC()
+		b.StartTimer()
+		arena, _, err := pmem.OpenFileArena(path, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := Open(arena, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := h.GetInto(k, val); !ok {
+			b.Fatalf("key %q missing", k)
+		}
+		b.StopTimer()
+		if err := h.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/leaf")
 }

@@ -260,7 +260,7 @@ func (a *Allocator) Retire(obj pmem.Ptr) error {
 // obj's bit, after which the slot is either held in flight or offered for
 // allocation with its chunk recycled if it emptied.
 func (a *Allocator) clearBit(obj pmem.Ptr, hold bool) error {
-	if a.failResetBit.tripped() {
+	if a.failClearBit.tripped() {
 		return ErrInjected
 	}
 	m, ss, err := a.lockStripeOf(obj)

@@ -2,6 +2,7 @@ package epalloc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"github.com/casl-sdsu/hart/internal/pmem"
@@ -109,6 +110,20 @@ func (a *Allocator) CountUsed(c Class) (int, error) {
 		return true
 	})
 	return n, err
+}
+
+// UsedPerStripe counts each stripe's live objects of the class from the
+// header mirrors, with no PM load: a size hint for a walk about to read
+// the PM headers themselves (recovery presizes its per-stripe state with
+// it). A free-list chunk's mirror is zero, so only chunk-list chunks
+// count.
+func (a *Allocator) UsedPerStripe(c Class) (n [NumStripes]int) {
+	for _, r := range a.rangeSnapshot() {
+		if m := r.meta; m.class == c {
+			n[m.stripe.Load()] += bits.OnesCount64(header(m.hdr.Load()).bitmap())
+		}
+	}
+	return n
 }
 
 // ClassStats summarises one class for diagnostics and the memory-

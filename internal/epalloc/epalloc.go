@@ -268,7 +268,7 @@ type Allocator struct {
 	ranges  atomic.Pointer[[]chunkRange] // sorted by start
 
 	// Fault injectors (inject.go); disarmed by New/Attach.
-	failSetBit, failResetBit, failAlloc faultCounter
+	failSetBit, failClearBit, failAlloc faultCounter
 
 	// metrics is the always-on counter set (metrics.go); events, when
 	// non-nil (SetEventRing), receives rare structured events.

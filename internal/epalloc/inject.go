@@ -28,9 +28,9 @@ func (f *faultCounter) tripped() bool {
 // itself once tripped. Pass a negative n to disarm explicitly.
 func (a *Allocator) FailSetBitAfter(n int64) { a.failSetBit.arm(n) }
 
-// FailResetBitAfter arms the bit clear of Release and Retire to return
+// FailClearBitAfter arms the bit clear of Release and Retire to return
 // ErrInjected after n successful calls, one-shot like FailSetBitAfter.
-func (a *Allocator) FailResetBitAfter(n int64) { a.failResetBit.arm(n) }
+func (a *Allocator) FailClearBitAfter(n int64) { a.failClearBit.arm(n) }
 
 // FailAllocAfter arms AllocStripe to return ErrInjected after n successful
 // calls, one-shot like FailSetBitAfter.
@@ -39,6 +39,6 @@ func (a *Allocator) FailAllocAfter(n int64) { a.failAlloc.arm(n) }
 // DisarmFaults disarms every fault injector.
 func (a *Allocator) DisarmFaults() {
 	a.failSetBit.disarm()
-	a.failResetBit.disarm()
+	a.failClearBit.disarm()
 	a.failAlloc.disarm()
 }

@@ -29,11 +29,11 @@ func TestFaultInjectorsCountdown(t *testing.T) {
 		t.Fatalf("SetBit after trip: %v", err)
 	}
 
-	al.FailResetBitAfter(0)
+	al.FailClearBitAfter(0)
 	if err := al.Retire(p); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Retire = %v, want ErrInjected", err)
 	}
-	al.FailResetBitAfter(0)
+	al.FailClearBitAfter(0)
 	if err := al.Release(p); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Release = %v, want ErrInjected", err)
 	}
