@@ -428,7 +428,7 @@ func TestChartsRender(t *testing.T) {
 func TestPMTrafficPinned(t *testing.T) {
 	type traffic struct{ persists, lines, reads, bytes int64 }
 	want := map[string]traffic{
-		"HART":    {189275, 196936, 83158, 3052543},
+		"HART":    {189275, 196936, 60000, 3052543},
 		"WOART":   {428888, 451242, 1521234, 3874450},
 		"ART+CoW": {802103, 3184457, 2325483, 195700665},
 		"FPTree":  {148233, 190658, 518063, 1879233},

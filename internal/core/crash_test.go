@@ -585,7 +585,7 @@ func TestWritePathBudgets(t *testing.T) {
 			op:     del(56),
 			sites:  sites("delete", "leaf-bit*8"),
 			lines:  flat(8),
-			reads:  5, // five list words per recycle
+			reads:  0, // the recycle follows the chunk's DRAM links
 		},
 		// Every change of shape is the logged update, less the steps of the
 		// side that has no value object.
@@ -655,7 +655,7 @@ func TestWritePathBudgets(t *testing.T) {
 			op:     del(56),
 			sites:  sites("delete", "leaf-bit*8", "value-bit*8"),
 			lines:  flat(16),
-			reads:  11, // word 0, then five list words per recycle
+			reads:  1, // word 0; the recycles follow DRAM links
 		},
 	}
 	for _, c := range cases {

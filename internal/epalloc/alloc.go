@@ -93,25 +93,24 @@ func (a *Allocator) allocChunk(c Class, dst int) (pmem.Ptr, error) {
 
 	// Own free list first.
 	dstSS.mu.Lock()
-	if !a.freeHead(c, dst).IsNil() {
+	if dstSS.freeHead.Load() != nil {
 		defer dstSS.mu.Unlock()
 		a.metrics.ChunkReuses.AddStripe(dst, 1)
 		return a.transferLocked(c, dst, dst, false)
 	}
 	dstSS.mu.Unlock()
 
-	// Steal from a sibling stripe. The unlocked freeHead peek is an atomic
-	// word read and merely a hint; ownership is re-checked under both
-	// locks.
+	// Steal from a sibling stripe. The unlocked freeHead peek is merely a
+	// hint; ownership is re-checked under both locks.
 	for off := 1; off < NumStripes; off++ {
 		src := (dst + off) & (NumStripes - 1)
-		if a.freeHead(c, src).IsNil() {
+		if cs.stripes[src].freeHead.Load() == nil {
 			continue
 		}
 		lo, hi := &cs.stripes[min(src, dst)], &cs.stripes[max(src, dst)]
 		lo.mu.Lock()
 		hi.mu.Lock()
-		if a.freeHead(c, src).IsNil() {
+		if cs.stripes[src].freeHead.Load() == nil {
 			hi.mu.Unlock()
 			lo.mu.Unlock()
 			continue
@@ -142,9 +141,11 @@ func (a *Allocator) allocChunk(c Class, dst int) (pmem.Ptr, error) {
 // under the destination's transfer log: a free-list pop from stripe src
 // (src may equal dst), or a fresh arena reservation when fresh is set.
 // Caller holds dst's stripe lock, src's stripe lock when src != dst, and
-// chunkMu when fresh.
+// chunkMu when fresh. The lists' heads and links come from their DRAM
+// mirrors, so the transfer loads nothing from PM.
 func (a *Allocator) transferLocked(c Class, src, dst int, fresh bool) (pmem.Ptr, error) {
 	ar := a.arena
+	dstSS := &a.classes[c].stripes[dst]
 	var chunk pmem.Ptr
 	var m *chunkMeta
 	if fresh {
@@ -154,12 +155,8 @@ func (a *Allocator) transferLocked(c Class, src, dst int, fresh bool) (pmem.Ptr,
 		// so the prediction is exact.
 		chunk = pmem.Ptr((ar.Reserved() + 7) &^ 7)
 	} else {
-		chunk = a.freeHead(c, src)
-		var ok bool
-		if m, ok = a.lookupChunk(chunk + chunkDataOff); !ok || m.start != chunk || m.class != c {
-			return pmem.Nil, fmt.Errorf("%w: class %d stripe %d free-list head %d is not a chunk of the class",
-				ErrCorrupt, c, src, chunk)
-		}
+		m = a.classes[c].stripes[src].freeHead.Load()
+		chunk = m.start
 	}
 
 	// Arm the transfer log: "chunk is moving onto class c, stripe dst's
@@ -183,34 +180,37 @@ func (a *Allocator) transferLocked(c Class, src, dst int, fresh bool) (pmem.Ptr,
 		if got != chunk {
 			return pmem.Nil, fmt.Errorf("%w: predicted chunk %d, reserved %d", ErrCorrupt, chunk, got)
 		}
+		if m, err = a.fileChunk(chunk, c, dst); err != nil {
+			return pmem.Nil, err
+		}
 	} else {
 		// Unlink from the source free list.
-		next := ar.ReadPtr(chunk + 8)
-		ar.WritePtr(a.freeHeadAddr(c, src), next)
+		ar.WritePtr(a.freeHeadAddr(c, src), m.next.ptr())
 		ar.Persist(a.freeHeadAddr(c, src), 8)
+		a.classes[c].stripes[src].freeHead.Store(m.next)
 	}
 
 	// Initialise: empty bitmap, hint 0, available; PNext = current head.
 	ar.Write8(chunk, uint64(makeHeader(0, 0, fullAvailable)))
-	ar.WritePtr(chunk+8, a.head(c, dst))
+	ar.WritePtr(chunk+8, dstSS.head.ptr())
 	ar.Persist(chunk, 16)
+	m.next = dstSS.head
 
 	// Link at the destination head, then disarm the log.
 	ar.WritePtr(a.headAddr(c, dst), chunk)
 	ar.Persist(a.headAddr(c, dst), 8)
+	if dstSS.head != nil {
+		dstSS.head.prev = m
+	}
+	dstSS.head = m
 	ar.WritePtr(t+tlChunkOff, pmem.Nil)
 	ar.Persist(t+tlChunkOff, 8)
 
 	// Volatile bookkeeping: the chunk now offers 56 slots on dst.
-	if fresh {
-		a.classes[c].nchunks.Add(1)
-		m = a.registerChunk(chunk, c, dst)
-	} else {
-		m.stripe.Store(int32(dst))
-	}
+	m.stripe.Store(int32(dst))
 	m.hdr.Store(uint64(makeHeader(0, 0, fullAvailable)))
 	m.inFlight = 0
-	a.classes[c].stripes[dst].queueAvail(m)
+	dstSS.queueAvail(m)
 	return chunk, nil
 }
 
@@ -221,16 +221,12 @@ func (a *Allocator) SetBit(obj pmem.Ptr) error {
 	if a.failSetBit.tripped() {
 		return ErrInjected
 	}
-	m, ss, err := a.lockStripeOf(obj)
+	m, bit, err := a.slotOf(obj)
 	if err != nil {
 		return err
 	}
+	ss := a.lockChunk(m)
 	defer ss.mu.Unlock()
-	idx, err := a.slotIndex(m, obj)
-	if err != nil {
-		return err
-	}
-	bit := uint64(1) << uint(idx)
 	a.writeHeader(m, packHeader(header(m.hdr.Load()).bitmap()|bit))
 	m.inFlight &^= bit
 	return nil
@@ -263,16 +259,12 @@ func (a *Allocator) clearBit(obj pmem.Ptr, hold bool) error {
 	if a.failClearBit.tripped() {
 		return ErrInjected
 	}
-	m, ss, err := a.lockStripeOf(obj)
+	m, bit, err := a.slotOf(obj)
 	if err != nil {
 		return err
 	}
+	ss := a.lockChunk(m)
 	defer ss.mu.Unlock()
-	idx, err := a.slotIndex(m, obj)
-	if err != nil {
-		return err
-	}
-	bit := uint64(1) << uint(idx)
 	a.writeHeader(m, packHeader(header(m.hdr.Load()).bitmap()&^bit))
 	if hold {
 		m.inFlight |= bit
@@ -288,16 +280,13 @@ func (a *Allocator) clearBit(obj pmem.Ptr, hold bool) error {
 // and recycling its chunk if that left the chunk empty, in one stripe-lock
 // acquisition. Nothing is written to PM unless the chunk is recycled.
 func (a *Allocator) Free(obj pmem.Ptr) error {
-	m, ss, err := a.lockStripeOf(obj)
+	m, bit, err := a.slotOf(obj)
 	if err != nil {
 		return err
 	}
+	ss := a.lockChunk(m)
 	defer ss.mu.Unlock()
-	idx, err := a.slotIndex(m, obj)
-	if err != nil {
-		return err
-	}
-	m.inFlight &^= 1 << uint(idx)
+	m.inFlight &^= bit
 	ss.queueAvail(m)
 	return a.recycleLocked(m, ss, false)
 }
@@ -306,15 +295,11 @@ func (a *Allocator) Free(obj pmem.Ptr) error {
 // check search performs on leaves, Algorithm 4 line 9). Lock-free, served
 // from the header mirror: a bit reads as set only once it is durable.
 func (a *Allocator) BitIsSet(obj pmem.Ptr) (bool, error) {
-	m, ok := a.lookupChunk(obj)
-	if !ok {
-		return false, ErrNotChunkObject
-	}
-	idx, err := a.slotIndex(m, obj)
+	m, bit, err := a.slotOf(obj)
 	if err != nil {
 		return false, err
 	}
-	return header(m.hdr.Load()).bitmap()&(1<<uint(idx)) != 0, nil
+	return header(m.hdr.Load()).bitmap()&bit != 0, nil
 }
 
 // packHeader derives hint and indicator from a bitmap and packs the header.

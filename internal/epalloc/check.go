@@ -39,20 +39,13 @@ func (a *Allocator) IterateStripeObjects(c Class, stripe int, fn func(obj pmem.P
 // order is stripe order, then list order within a stripe (most recently
 // linked chunk first) — deterministic for a deterministic history.
 func (a *Allocator) IterateObjects(c Class, fn func(obj pmem.Ptr, used bool) bool) error {
-	stopped := false
-	wrapped := func(obj pmem.Ptr, used bool) bool {
-		if !fn(obj, used) {
-			stopped = true
-			return false
-		}
-		return true
-	}
-	for s := 0; s < NumStripes; s++ {
-		if err := a.IterateStripeObjects(c, s, wrapped); err != nil {
+	more := true
+	for s := 0; s < NumStripes && more; s++ {
+		if err := a.IterateStripeObjects(c, s, func(obj pmem.Ptr, used bool) bool {
+			more = fn(obj, used)
+			return more
+		}); err != nil {
 			return err
-		}
-		if stopped {
-			return nil
 		}
 	}
 	return nil
@@ -118,8 +111,8 @@ func (a *Allocator) CountUsed(c Class) (int, error) {
 // it). A free-list chunk's mirror is zero, so only chunk-list chunks
 // count.
 func (a *Allocator) UsedPerStripe(c Class) (n [NumStripes]int) {
-	for _, r := range a.rangeSnapshot() {
-		if m := r.meta; m.class == c {
+	for m := range a.chunks {
+		if m.class == c {
 			n[m.stripe.Load()] += bits.OnesCount64(header(m.hdr.Load()).bitmap())
 		}
 	}
@@ -142,8 +135,8 @@ type ClassStats struct {
 	// PMBytes is the PM footprint of all the class's chunks (both lists).
 	PMBytes int64
 	// VolatileBytes is the DRAM the allocator keeps for the class's chunks
-	// (both lists): per chunk one record with the header mirror and slot
-	// bookkeeping, one extent-index entry and one avail-queue slot.
+	// (both lists): per chunk one record and one avail-queue slot, plus the
+	// chunk-table pages that filing the class's chunks made.
 	VolatileBytes int64
 }
 
@@ -159,8 +152,7 @@ func (a *Allocator) Stats() []ClassStats {
 			steps := 0
 			for chunk := a.head(c, s); !chunk.IsNil(); chunk = a.arena.ReadPtr(chunk + 8) {
 				st.Chunks++
-				h := a.readHeader(chunk)
-				st.Used += ObjectsPerChunk - h.free()
+				st.Used += bits.OnesCount64(a.readHeader(chunk).bitmap())
 				if steps++; steps > limit {
 					break
 				}
@@ -168,7 +160,7 @@ func (a *Allocator) Stats() []ClassStats {
 		}
 		st.FreeChunks = a.FreeChunks(c)
 		st.PMBytes = int64(st.Chunks+st.FreeChunks) * chunkSize(cs.spec.ObjSize)
-		st.VolatileBytes = int64(st.Chunks+st.FreeChunks) * chunkMetaBytes
+		st.VolatileBytes = int64(st.Chunks+st.FreeChunks)*chunkMetaBytes + cs.tableBytes.Load()
 		out[i] = st
 	}
 	return out
@@ -176,17 +168,17 @@ func (a *Allocator) Stats() []ClassStats {
 
 // Check is EPallocator's fsck. It validates, for every class:
 //
-//   - every stripe's chunk list and free list is acyclic, and the lists of
-//     all stripes are pairwise disjoint (no chunk reachable twice — in
-//     particular, never from two stripes);
+//   - no chunk is reachable twice: the lists are acyclic and pairwise
+//     disjoint, in particular across stripes;
 //   - every chunk is a known reservation of the right class, registered to
 //     the stripe whose list carries it;
 //   - the stripe lists' union covers every registered chunk of the class
 //     (no chunk has fallen off the partition);
 //   - every chunk-list header's full indicator and next-free hint agree
 //     with its bitmap;
-//   - every chunk's DRAM header mirror equals its PM header (the hot paths
-//     trust the mirror; a divergence means a header write bypassed it);
+//   - every chunk's DRAM header mirror, next link and list head equals its
+//     PM word, and every prev link names the chunk-list predecessor (the
+//     hot paths trust the mirrors; a divergence means a write bypassed one);
 //   - every free-list chunk's header is zero and the chunk is not queued
 //     for allocation;
 //   - no armed micro-log remains on any stripe (a quiescent allocator has
@@ -198,59 +190,25 @@ func (a *Allocator) Check() error {
 		c := Class(i)
 		cs := &a.classes[i]
 		seen := make(map[pmem.Ptr]int) // stripe*2 + list (0 chunk, 1 free), +1
-		limit := int(cs.nchunks.Load()) + 1
-		for s := 0; s < NumStripes; s++ {
-			steps := 0
-			for chunk := a.head(c, s); !chunk.IsNil(); chunk = a.arena.ReadPtr(chunk + 8) {
-				if steps++; steps > limit {
-					return fmt.Errorf("%w: class %s stripe %d chunk list cycle", ErrCorrupt, cs.spec.Name, s)
-				}
-				if prev, dup := seen[chunk]; dup {
-					return fmt.Errorf("%w: class %s chunk %d reachable twice (stripe %d chunk list and stripe %d list %d)",
-						ErrCorrupt, cs.spec.Name, chunk, s, (prev-1)/2, (prev-1)%2)
-				}
-				seen[chunk] = s*2 + 1
-				m, ok := a.lookupChunk(chunk + chunkDataOff)
-				if !ok || m.start != chunk || m.class != c {
-					return fmt.Errorf("%w: class %s chunk %d not a registered reservation", ErrCorrupt, cs.spec.Name, chunk)
-				}
-				if st := int(m.stripe.Load()); st != s {
-					return fmt.Errorf("%w: class %s chunk %d on stripe %d's list but registered to stripe %d",
-						ErrCorrupt, cs.spec.Name, chunk, s, st)
-				}
-				h, err := a.auditHeader(m)
-				if err != nil {
-					return err
-				}
-				if h.bitmap() == bitmapMask {
-					if h.fullIndicator() != fullFull {
-						return fmt.Errorf("%w: class %s chunk %d full but indicator %d",
-							ErrCorrupt, cs.spec.Name, chunk, h.fullIndicator())
-					}
-				} else {
-					if h.fullIndicator() != fullAvailable {
-						return fmt.Errorf("%w: class %s chunk %d has free slots but indicator %d",
-							ErrCorrupt, cs.spec.Name, chunk, h.fullIndicator())
-					}
-					if nf := h.nextFree(); nf < ObjectsPerChunk && h.bitmap()&(1<<uint(nf)) != 0 {
-						return fmt.Errorf("%w: class %s chunk %d next-free hint %d points at a used slot",
-							ErrCorrupt, cs.spec.Name, chunk, nf)
-					}
-				}
-			}
-			if err := a.checkFreeList(c, s, limit, seen); err != nil {
+		for s := range cs.stripes {
+			if err := a.checkStripe(c, s, seen); err != nil {
 				return err
 			}
 		}
-		// Coverage: the stripe partition must account for every registered
-		// chunk of the class — a chunk on no list is a persistent leak.
-		for _, r := range a.rangeSnapshot() {
-			if r.meta.class != c {
-				continue
-			}
-			if seen[r.start] == 0 {
-				return fmt.Errorf("%w: class %s chunk %d registered but on no stripe's lists (leaked)",
-					ErrCorrupt, cs.spec.Name, r.start)
+		// Coverage: every registered chunk of the class is on a list (one on
+		// none is a persistent leak); each chunk seen is a distinct one.
+		if n := int(cs.nchunks.Load()); len(seen) != n {
+			return fmt.Errorf("%w: class %s has %d chunks registered but %d on its stripes' lists (leaked)",
+				ErrCorrupt, cs.spec.Name, n, len(seen))
+		}
+		for s := range cs.stripes {
+			ss := &cs.stripes[s]
+			ss.mu.Lock()
+			h, fh, pmH, pmFH := ss.head.ptr(), ss.freeHead.Load().ptr(), a.head(c, s), a.freeHead(c, s)
+			ss.mu.Unlock()
+			if h != pmH || fh != pmFH {
+				return fmt.Errorf("%w: class %s stripe %d DRAM heads %d (chunk list) and %d (free list), PM holds %d and %d",
+					ErrCorrupt, cs.spec.Name, s, h, fh, pmH, pmFH)
 			}
 		}
 	}
@@ -265,51 +223,72 @@ func (a *Allocator) Check() error {
 	return nil
 }
 
-// checkFreeList walks one stripe's free list for Check under the stripe's
-// lock, which every push and pop of that list holds, so the walk sees the
-// list whole. A free chunk's header is zero on PM and in its mirror —
-// only an empty chunk is recycled, and Attach leaves a free chunk's mirror
-// unread — and the chunk is not queued for allocation: a free chunk that
-// hands out slots is handed out twice, once more when it is transferred.
-func (a *Allocator) checkFreeList(c Class, s, limit int, seen map[pmem.Ptr]int) error {
+// checkStripe walks one stripe's chunk list and free list for Check under
+// the stripe's lock, which every edit of either list, header or link
+// holds, so the walk sees both whole and each mirror in step with its PM
+// word. A cycle ends the walk as a chunk reachable twice, a wild pointer
+// as one not registered. A free chunk's header is zero on PM and in its
+// mirror (only an empty chunk is recycled; Attach leaves its mirror
+// unread) and it is not queued for allocation, which would hand out its
+// slots twice, once more when it is transferred.
+func (a *Allocator) checkStripe(c Class, s int, seen map[pmem.Ptr]int) error {
 	name := a.classes[c].spec.Name
 	ss := &a.classes[c].stripes[s]
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	steps := 0
-	for chunk := a.freeHead(c, s); !chunk.IsNil(); chunk = a.arena.ReadPtr(chunk + 8) {
-		if steps++; steps > limit {
-			return fmt.Errorf("%w: class %s stripe %d free list cycle", ErrCorrupt, name, s)
-		}
-		if prev, dup := seen[chunk]; dup {
-			return fmt.Errorf("%w: class %s chunk %d reachable twice (stripe %d free list and stripe %d list %d)",
-				ErrCorrupt, name, chunk, s, (prev-1)/2, (prev-1)%2)
-		}
-		seen[chunk] = s*2 + 2
-		m, ok := a.lookupChunk(chunk + chunkDataOff)
-		if !ok || m.start != chunk || m.class != c {
-			return fmt.Errorf("%w: class %s free chunk %d not a registered reservation", ErrCorrupt, name, chunk)
-		}
-		if h, mh := a.readHeader(chunk), header(m.hdr.Load()); h != 0 || mh != 0 || m.inAvail {
-			return fmt.Errorf("%w: class %s free chunk %d on stripe %d: header %#x, mirror %#x, queued %t",
-				ErrCorrupt, name, chunk, s, uint64(h), uint64(mh), m.inAvail)
+	for listNo, head := range [2]pmem.Ptr{a.head(c, s), a.freeHead(c, s)} {
+		list := [2]string{"chunk list", "free list"}[listNo]
+		var pred *chunkMeta // the chunk-list predecessor; nil on the free list
+		for chunk := head; !chunk.IsNil(); chunk = a.arena.ReadPtr(chunk + 8) {
+			if prev, dup := seen[chunk]; dup {
+				return fmt.Errorf("%w: class %s chunk %d reachable twice (stripe %d %s and stripe %d list %d)",
+					ErrCorrupt, name, chunk, s, list, (prev-1)/2, (prev-1)%2)
+			}
+			seen[chunk] = s*2 + 1 + listNo
+			m, err := a.lookupChunk(chunk + chunkDataOff)
+			if err != nil || m.start != chunk || m.class != c {
+				return fmt.Errorf("%w: class %s chunk %d on stripe %d's %s not a registered reservation",
+					ErrCorrupt, name, chunk, s, list)
+			}
+			if st := int(m.stripe.Load()); st != s {
+				return fmt.Errorf("%w: class %s chunk %d on stripe %d's %s but registered to stripe %d",
+					ErrCorrupt, name, chunk, s, list, st)
+			}
+			h, mh, next := a.readHeader(chunk), header(m.hdr.Load()), a.arena.ReadPtr(chunk+8)
+			if listNo == 1 && (h != 0 || mh != 0 || m.inAvail) {
+				return fmt.Errorf("%w: class %s free chunk %d on stripe %d: header %#x, mirror %#x, queued %t",
+					ErrCorrupt, name, chunk, s, uint64(h), uint64(mh), m.inAvail)
+			}
+			if mh != h {
+				return fmt.Errorf("%w: class %s chunk %d header mirror %#x, PM holds %#x",
+					ErrCorrupt, name, chunk, uint64(mh), uint64(h))
+			}
+			if m.next.ptr() != next || m.prev != pred {
+				return fmt.Errorf("%w: class %s chunk %d on stripe %d's %s: DRAM links prev %d, next %d; PM has %d, %d",
+					ErrCorrupt, name, chunk, s, list, m.prev.ptr(), m.next.ptr(), pred.ptr(), next)
+			}
+			if listNo == 1 {
+				continue
+			}
+			pred = m
+			if h.bitmap() == bitmapMask {
+				if h.fullIndicator() != fullFull {
+					return fmt.Errorf("%w: class %s chunk %d full but indicator %d",
+						ErrCorrupt, name, chunk, h.fullIndicator())
+				}
+			} else {
+				if h.fullIndicator() != fullAvailable {
+					return fmt.Errorf("%w: class %s chunk %d has free slots but indicator %d",
+						ErrCorrupt, name, chunk, h.fullIndicator())
+				}
+				if nf := h.nextFree(); nf < ObjectsPerChunk && h.bitmap()&(1<<uint(nf)) != 0 {
+					return fmt.Errorf("%w: class %s chunk %d next-free hint %d points at a used slot",
+						ErrCorrupt, name, chunk, nf)
+				}
+			}
 		}
 	}
 	return nil
-}
-
-// auditHeader reads a chunk's PM header and compares it with the mirror,
-// under the chunk's stripe lock so that a concurrent header write is seen
-// on both sides or on neither.
-func (a *Allocator) auditHeader(m *chunkMeta) (header, error) {
-	ss := a.lockChunk(m)
-	defer ss.mu.Unlock()
-	h := a.readHeader(m.start)
-	if mh := header(m.hdr.Load()); mh != h {
-		return h, fmt.Errorf("%w: class %s chunk %d header mirror %#x, PM holds %#x",
-			ErrCorrupt, a.classes[m.class].spec.Name, m.start, uint64(mh), uint64(h))
-	}
-	return h, nil
 }
 
 // CheckQuiescent runs Check plus the invariants that only hold when no
@@ -330,8 +309,7 @@ func (a *Allocator) CheckQuiescent() error {
 	if err := a.Check(); err != nil {
 		return err
 	}
-	for _, r := range a.rangeSnapshot() {
-		m := r.meta
+	for m := range a.chunks {
 		ss := a.lockChunk(m)
 		inFlight := m.inFlight
 		ss.mu.Unlock()

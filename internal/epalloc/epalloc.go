@@ -53,22 +53,23 @@
 // durably but leaves the slot in flight, and Free makes it allocatable
 // once the update has no write and no log record outstanding against it.
 //
-// # Header mirror
+// # DRAM mirrors
 //
-// The allocator is the only writer of a chunk header and writes it under
-// the stripe lock, so each chunk's volatile record (chunkMeta) keeps a
-// copy of the word, filled by Attach's one header read per chunk and at
-// chunk initialisation, and updated after every header persist. The
-// allocation, commit and release paths and BitIsSet read the copy, never
-// the PM word — which the previous header persist has just flushed out of
-// the CPU cache. The PM header stays the durable truth: recovery's
-// iterators, Stats and Check read it, and Check asserts the two agree.
+// The allocator is the only writer of chunk headers, PNext words and list
+// heads, and writes each under the stripe lock, so each chunk's volatile
+// record (chunkMeta) keeps a copy of its header and links, and each stripe
+// of its two heads: filled by Attach's walk, updated after every persist
+// of the word. A chunk table indexed by arena offset finds an object's
+// record. After Attach, allocation, commit, release, recycle, transfer
+// and BitIsSet read only the copies, never PM. The PM words stay the
+// durable truth: recovery, Stats and Check read them; Check asserts the
+// copies agree.
 package epalloc
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -186,17 +187,16 @@ type ClassSpec struct {
 }
 
 // chunkMeta is the volatile record of one chunk: its extent and class
-// (immutable), its owning stripe, a DRAM mirror of its PM header and the
-// slot bookkeeping that never reaches PM. One record exists per chunk for
-// the allocator's lifetime — chunks move between lists and stripes but are
-// never destroyed — and the extent index (Allocator.ranges) points at it,
-// so resolving an object to its chunk state is one binary search.
+// (immutable), its owning stripe, DRAM mirrors of its PM header and list
+// links, and the slot bookkeeping that never reaches PM. One record exists
+// per chunk for the allocator's lifetime — chunks move between lists and
+// stripes but are never destroyed — and the chunk table points at it.
 type chunkMeta struct {
 	start, end pmem.Ptr
 	class      Class
 	// stripe is the chunk's current owner. It changes only in a
 	// cross-stripe free-list steal, which holds both stripes' locks, so it
-	// is stable under the lock of the stripe it names (see lockStripeOf);
+	// is stable under the lock of the stripe it names (see lockChunk);
 	// atomic because lookups read it before taking that lock.
 	stripe atomic.Int32
 	// hdr mirrors the chunk's 8-byte PM header. The allocator is the
@@ -207,6 +207,10 @@ type chunkMeta struct {
 	// lock-free BitIsSet never reports a bit that is not yet durable.
 	// Check asserts mirror == PM for every chunk.
 	hdr atomic.Uint64
+	// next mirrors the PNext word; prev is the chunk-list predecessor (nil
+	// at the head and on the free list), so a recycle finds its link field
+	// without walking PM. Written under the stripe lock once PM is.
+	prev, next *chunkMeta
 	// inFlight marks slots that are neither allocatable nor committed:
 	// handed out by AllocStripe and not yet bit-committed, or retired
 	// (bit cleared) by an operation that is not done with them yet
@@ -215,15 +219,27 @@ type chunkMeta struct {
 	inAvail  bool // chunk is queued in stripeState.avail; stripe lock
 }
 
-// chunkMetaBytes is the volatile cost of one chunk: its record, its
-// extent-index entry and its avail-queue slot.
-const chunkMetaBytes = int64(unsafe.Sizeof(chunkMeta{}) + unsafe.Sizeof(chunkRange{}) + unsafe.Sizeof((*chunkMeta)(nil)))
+// ptr returns the chunk's address, Nil for no chunk.
+func (m *chunkMeta) ptr() pmem.Ptr {
+	if m == nil {
+		return pmem.Nil
+	}
+	return m.start
+}
+
+// chunkMetaBytes is the volatile cost of one chunk besides its share of
+// the chunk table: its record and its avail-queue slot.
+const chunkMetaBytes = int64(unsafe.Sizeof(chunkMeta{}) + unsafe.Sizeof((*chunkMeta)(nil)))
 
 // stripeState is the volatile state of one allocation stripe of a class.
 type stripeState struct {
 	mu sync.Mutex
 	// avail queues chunks believed to have a free slot.
 	avail []*chunkMeta
+	// head and freeHead mirror the PM list heads, written under mu once PM
+	// is; freeHead is atomic for a dry sibling's unlocked peek.
+	head     *chunkMeta
+	freeHead atomic.Pointer[chunkMeta]
 }
 
 // classState is volatile per-class state.
@@ -233,15 +249,20 @@ type classState struct {
 	// nchunks counts chunks ever created for the class across all stripes
 	// (cycle guard for list walks; chunks move stripes but are never
 	// destroyed).
-	nchunks atomic.Int64
+	nchunks    atomic.Int64
+	tableBytes atomic.Int64 // chunk-table pages the class's chunks made
 }
 
-// chunkRange is one extent-index entry: the chunk's start address (kept
-// inline so the binary search touches only the index) and its record.
-type chunkRange struct {
-	start pmem.Ptr
-	meta  *chunkMeta
-}
+// tableEntry is the chunk table's record of one span of the arena: the
+// chunk that began before the span and runs into it, and the one that
+// begins inside it. No span is longer than a chunk, so no span holds two
+// chunk starts.
+type tableEntry struct{ before, within atomic.Pointer[chunkMeta] }
+
+// tablePage is the chunk table's unit of growth.
+type tablePage [tablePageEntries]tableEntry
+
+const tablePageEntries = 256
 
 // Allocator is one EPallocator instance over one arena.
 type Allocator struct {
@@ -256,16 +277,14 @@ type Allocator struct {
 
 	ulogs ulogPool
 
-	// ranges is the chunk-extent index, published as an immutable
-	// snapshot: registerChunk extends and re-publishes it under rangeMu
-	// (chunk creation is rare), while lookups — including the lock-free
-	// BitIsSet — load the snapshot with a single atomic read and
-	// binary-search it with no lock at all. Chunk extents are never
-	// removed (recycled chunks keep their reservation), so a stale
-	// snapshot is merely short, never wrong; the owning stripe lives in
-	// the record and is re-checked under the stripe lock by lockStripeOf.
-	rangeMu sync.Mutex
-	ranges  atomic.Pointer[[]chunkRange] // sorted by start
+	// table is the chunk table: entry i covers [i, i+1)<<tableShift, the
+	// span being the largest power of two no longer than the smallest
+	// chunk. A page is made when a chunk is first filed in it and
+	// published by atomic pointer. Entries are written under chunkMu (or by
+	// Attach) before the chunk hands out an object and never change after,
+	// so lookups, the lock-free BitIsSet among them, take no lock.
+	table      []atomic.Pointer[tablePage]
+	tableShift uint
 
 	// Fault injectors (inject.go); disarmed by New/Attach.
 	failSetBit, failClearBit, failAlloc faultCounter
@@ -331,9 +350,12 @@ func newAllocator(arena *pmem.Arena, sb pmem.Ptr, specs []ClassSpec) *Allocator 
 		a.ulogs.slots[i] = ULog{a: a, idx: i, base: a.ulogAddr(i)}
 	}
 	a.DisarmFaults()
+	a.tableShift = 63
 	for i, s := range specs {
 		a.classes[i].spec = s
+		a.tableShift = min(a.tableShift, uint(bits.Len64(uint64(chunkSize(s.ObjSize))))-1)
 	}
+	a.table = make([]atomic.Pointer[tablePage], arena.Capacity()>>a.tableShift/tablePageEntries+1)
 	return a
 }
 
@@ -366,53 +388,45 @@ func Attach(arena *pmem.Arena, specs []ClassSpec) (*Allocator, error) {
 	if err := a.recoverLogs(); err != nil {
 		return nil, err
 	}
-	// Rebuild volatile indexes from the persistent per-stripe lists. One
-	// seen-set per class spans every stripe, so a chunk reachable from two
-	// stripes (or twice from one) is caught here. The extent index is
-	// accumulated locally and published once, sorted — the walk visits
-	// chunks in list order, not address order, and per-chunk registerChunk
-	// would rebuild the sorted snapshot on every out-of-order insert
-	// (quadratic in chunk count, the dominant cost of attaching a large
-	// image before recovery proper even starts). Each chunk-list chunk's
-	// header is read once, filling its mirror; a free-list chunk's header
-	// is zero by construction (only an empty chunk is recycled, and every
-	// header write is packHeader of its bitmap) and is rewritten when the
-	// chunk is next transferred, so its mirror starts at zero unread.
-	var ranges []chunkRange
+	// Rebuild the volatile state from the persistent per-stripe lists.
+	// Filing each chunk in the table refuses a wild pointer and a chunk met
+	// twice, so every walk ends. Each chunk-list chunk's header is read
+	// once, filling its mirror; a free-list chunk's header is zero by
+	// construction (only an empty chunk is recycled, and every header write
+	// is packHeader of its bitmap), so its mirror starts at zero unread.
 	for i := range a.classes {
 		c := Class(i)
 		cs := &a.classes[i]
-		seen := make(map[pmem.Ptr]bool)
-		size := chunkSize(cs.spec.ObjSize)
 		for st := 0; st < NumStripes; st++ {
 			ss := &cs.stripes[st]
 			for listNo, head := range []pmem.Ptr{a.head(c, st), a.freeHead(c, st)} {
 				inFree := listNo == 1
+				var prev *chunkMeta
 				for p := head; !p.IsNil(); p = a.arena.ReadPtr(p + 8) {
-					if seen[p] {
-						return nil, fmt.Errorf("%w: class %s chunk %d reachable twice across stripe lists",
-							ErrCorrupt, cs.spec.Name, p)
+					m, err := a.fileChunk(p, c, st)
+					if err != nil {
+						return nil, err
 					}
-					seen[p] = true
-					cs.nchunks.Add(1)
-					m := &chunkMeta{start: p, end: p + pmem.Ptr(size), class: c}
-					m.stripe.Store(int32(st))
-					ranges = append(ranges, chunkRange{start: p, meta: m})
-					if inFree {
-						continue
+					if prev != nil {
+						prev.next = m
+					} else if inFree {
+						ss.freeHead.Store(m)
+					} else {
+						ss.head = m
 					}
-					h := a.readHeader(p)
-					m.hdr.Store(uint64(h))
-					if h.free() > 0 {
-						m.inAvail = true
-						ss.avail = append(ss.avail, m)
+					if !inFree {
+						m.prev = prev
+						h := a.readHeader(p)
+						m.hdr.Store(uint64(h))
+						if h.free() > 0 {
+							ss.queueAvail(m)
+						}
 					}
+					prev = m
 				}
 			}
 		}
 	}
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].start < ranges[j].start })
-	a.ranges.Store(&ranges)
 	return a, nil
 }
 
@@ -469,13 +483,7 @@ func (h header) nextFree() int { return int(uint64(h) >> 56 & 0x3f) }
 func (h header) fullIndicator() int { return int(uint64(h) >> 62) }
 
 // free returns the number of clear bitmap bits.
-func (h header) free() int {
-	n := 0
-	for bm := h.bitmap() ^ bitmapMask; bm != 0; bm &= bm - 1 {
-		n++
-	}
-	return n
-}
+func (h header) free() int { return ObjectsPerChunk - bits.OnesCount64(h.bitmap()) }
 
 // makeHeader packs a header.
 func makeHeader(bitmap uint64, nextFree, full int) header {
@@ -499,77 +507,98 @@ func (a *Allocator) writeHeader(m *chunkMeta, h header) {
 	m.hdr.Store(uint64(h))
 }
 
-// registerChunk creates the record of a freshly reserved chunk and
-// publishes it in the extent index (copy-on-write; see the ranges field).
-func (a *Allocator) registerChunk(chunk pmem.Ptr, c Class, stripe int) *chunkMeta {
-	m := &chunkMeta{start: chunk, end: chunk + pmem.Ptr(chunkSize(a.classes[c].spec.ObjSize)), class: c}
+// fileChunk creates the record of the chunk of class c at p, owned by the
+// stripe, and files it in the chunk table. It refuses a pointer that
+// cannot be a chunk: unaligned, outside [end of superblock, Reserved()),
+// or over a chunk already filed. Caller holds chunkMu, or is Attach.
+func (a *Allocator) fileChunk(p pmem.Ptr, c Class, stripe int) (*chunkMeta, error) {
+	cs := &a.classes[c]
+	end := p + pmem.Ptr(chunkSize(cs.spec.ObjSize))
+	if reserved := pmem.Ptr(a.arena.Reserved()); p < a.sb+sbSize || p%8 != 0 || end < p || end > reserved {
+		return nil, fmt.Errorf("%w: class %s chunk pointer %d is not 8-aligned within the chunk area [%d,%d)",
+			ErrCorrupt, cs.spec.Name, p, a.sb+sbSize, reserved)
+	}
+	first, last := uint64(p)>>a.tableShift, uint64(end-1)>>a.tableShift
+	for i := first; i <= last; i++ {
+		e := a.entry(i)
+		for _, q := range [2]*chunkMeta{e.before.Load(), e.within.Load()} {
+			if q == nil || q.start >= end || q.end <= p {
+				continue
+			}
+			if q.start == p {
+				return nil, fmt.Errorf("%w: class %s chunk %d reachable twice across stripe lists",
+					ErrCorrupt, cs.spec.Name, p)
+			}
+			return nil, fmt.Errorf("%w: class %s chunk %d overlaps %s chunk %d",
+				ErrCorrupt, cs.spec.Name, p, a.classes[q.class].spec.Name, q.start)
+		}
+	}
+	m := &chunkMeta{start: p, end: end, class: c}
 	m.stripe.Store(int32(stripe))
-	a.rangeMu.Lock()
-	defer a.rangeMu.Unlock()
-	old := a.rangeSnapshot()
-	i := sort.Search(len(old), func(i int) bool { return old[i].start >= chunk })
-	if i == len(old) && cap(old) > len(old) {
-		// Fresh chunks come from the arena's bump reservation, so runtime
-		// registrations append in address order; reuse the spare capacity
-		// grown below. Readers of the old snapshot never index past their
-		// slice length, and the atomic Store orders the element write
-		// before the new length becomes visible, so sharing the backing
-		// array with published snapshots is safe.
-		nu := append(old, chunkRange{start: chunk, meta: m})
-		a.ranges.Store(&nu)
-		return m
+	cs.nchunks.Add(1)
+	for i := first; i <= last; i++ {
+		pg := &a.table[i/tablePageEntries]
+		if pg.Load() == nil {
+			pg.Store(new(tablePage))
+			cs.tableBytes.Add(int64(unsafe.Sizeof(tablePage{})))
+		}
+		if e := &pg.Load()[i%tablePageEntries]; i == first {
+			e.within.Store(m)
+		} else {
+			e.before.Store(m)
+		}
 	}
-	// Out-of-order insert or exhausted capacity: rebuild with doubling
-	// headroom so runtime appends stay amortised O(1) instead of copying
-	// the whole index per chunk.
-	nu := make([]chunkRange, 0, 2*len(old)+8)
-	nu = append(nu, old[:i]...)
-	nu = append(nu, chunkRange{start: chunk, meta: m})
-	nu = append(nu, old[i:]...)
-	a.ranges.Store(&nu)
-	return m
+	return m, nil
 }
 
-// rangeSnapshot loads the current extent snapshot (possibly empty).
-func (a *Allocator) rangeSnapshot() []chunkRange {
-	if p := a.ranges.Load(); p != nil {
-		return *p
+// noEntry stands for every entry of a page not made; it is never written.
+var noEntry tableEntry
+
+// entry returns chunk-table entry i.
+func (a *Allocator) entry(i uint64) *tableEntry {
+	if i/tablePageEntries < uint64(len(a.table)) {
+		if pg := a.table[i/tablePageEntries].Load(); pg != nil {
+			return &pg[i%tablePageEntries]
+		}
 	}
-	return nil
+	return &noEntry
 }
 
-// lookupChunk finds the record of the chunk containing obj. Lock-free: it
-// binary-searches the current immutable snapshot, so the validity check
-// HART's locked Get performs on a leaf (BitIsSet, Algorithm 4 line 9)
-// costs no shared-lock round trip.
-func (a *Allocator) lookupChunk(obj pmem.Ptr) (*chunkMeta, bool) {
-	ranges := a.rangeSnapshot()
-	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].start > obj })
-	if i == 0 {
-		return nil, false
+// chunks yields every filed chunk's record, in address order.
+func (a *Allocator) chunks(yield func(*chunkMeta) bool) {
+	for i := range a.table {
+		if pg := a.table[i].Load(); pg != nil {
+			for j := range pg {
+				if m := pg[j].within.Load(); m != nil && !yield(m) {
+					return
+				}
+			}
+		}
 	}
-	m := ranges[i-1].meta
-	if obj < m.start+chunkDataOff || obj >= m.end {
-		return nil, false
-	}
-	return m, true
 }
 
-// lockStripeOf locks and returns the stripe currently owning obj's chunk.
-// A concurrent free-list steal can move the chunk to another stripe
-// between the lookup and the lock, so the record's stripe field is
-// re-read under the lock and the acquisition retried if it moved (a steal
-// holds the source stripe's lock, so once we hold the lock of the stripe
-// the record names, the chunk cannot move).
-func (a *Allocator) lockStripeOf(obj pmem.Ptr) (*chunkMeta, *stripeState, error) {
-	m, ok := a.lookupChunk(obj)
-	if !ok {
-		return nil, nil, ErrNotChunkObject
+// lookupChunk finds the record of the chunk containing obj: one table
+// index and one compare, with no lock, so the validity check HART's
+// locked Get performs on a leaf (BitIsSet, Algorithm 4 line 9) costs no
+// shared-lock round trip.
+func (a *Allocator) lookupChunk(obj pmem.Ptr) (*chunkMeta, error) {
+	e := a.entry(uint64(obj) >> a.tableShift)
+	m := e.within.Load()
+	if m == nil || obj < m.start {
+		m = e.before.Load()
 	}
-	return m, a.lockChunk(m), nil
+	if m == nil || obj < m.start+chunkDataOff || obj >= m.end {
+		return nil, ErrNotChunkObject
+	}
+	return m, nil
 }
 
-// lockChunk locks the stripe currently owning the chunk (see lockStripeOf).
+// lockChunk locks and returns the stripe currently owning the chunk. A
+// concurrent free-list steal can move the chunk to another stripe between
+// the lookup and the lock, so the record's stripe field is re-read under
+// the lock and the acquisition retried if it moved (a steal holds the
+// source stripe's lock, so once we hold the lock of the stripe the record
+// names, the chunk cannot move).
 func (a *Allocator) lockChunk(m *chunkMeta) *stripeState {
 	for {
 		st := m.stripe.Load()
@@ -584,18 +613,15 @@ func (a *Allocator) lockChunk(m *chunkMeta) *stripeState {
 
 // ChunkOf returns the chunk containing obj (the paper's MemChunkOf).
 func (a *Allocator) ChunkOf(obj pmem.Ptr) (pmem.Ptr, error) {
-	m, ok := a.lookupChunk(obj)
-	if !ok {
-		return pmem.Nil, ErrNotChunkObject
-	}
-	return m.start, nil
+	m, err := a.lookupChunk(obj)
+	return m.ptr(), err
 }
 
 // ClassOf returns the class owning obj.
 func (a *Allocator) ClassOf(obj pmem.Ptr) (Class, error) {
-	m, ok := a.lookupChunk(obj)
-	if !ok {
-		return 0, ErrNotChunkObject
+	m, err := a.lookupChunk(obj)
+	if err != nil {
+		return 0, err
 	}
 	return m.class, nil
 }
@@ -603,22 +629,26 @@ func (a *Allocator) ClassOf(obj pmem.Ptr) (Class, error) {
 // StripeOf returns the stripe currently owning obj's chunk (diagnostics
 // and tests; the answer can be stale the moment it returns).
 func (a *Allocator) StripeOf(obj pmem.Ptr) (int, error) {
-	m, ok := a.lookupChunk(obj)
-	if !ok {
-		return 0, ErrNotChunkObject
+	m, err := a.lookupChunk(obj)
+	if err != nil {
+		return 0, err
 	}
 	return int(m.stripe.Load()), nil
 }
 
-// slotIndex returns the slot number of obj within its chunk. obj must be a
-// slot base address.
-func (a *Allocator) slotIndex(m *chunkMeta, obj pmem.Ptr) (int, error) {
+// slotOf resolves obj, which must be a slot base address, to its chunk's
+// record and the slot's bitmap bit. It takes no lock; lockChunk does.
+func (a *Allocator) slotOf(obj pmem.Ptr) (*chunkMeta, uint64, error) {
+	m, err := a.lookupChunk(obj)
+	if err != nil {
+		return nil, 0, err
+	}
 	objSize := a.classes[m.class].spec.ObjSize
 	rel := int64(obj - m.start - chunkDataOff)
 	if rel%objSize != 0 {
-		return 0, fmt.Errorf("%w: %d is not a slot base", ErrNotChunkObject, obj)
+		return nil, 0, fmt.Errorf("%w: %d is not a slot base", ErrNotChunkObject, obj)
 	}
-	return int(rel / objSize), nil
+	return m, 1 << uint(rel/objSize), nil
 }
 
 // SlotAddr returns the base address of slot idx of a chunk.

@@ -13,7 +13,8 @@ import (
 // (the paper's pfree). It is a no-op when the chunk still has used objects
 // (Algorithm 6 lines 1-2). Lenient mode treats "chunk not on the list" as
 // success instead of corruption. The operation is local to the chunk's
-// current stripe: its lock, its lists, its recycle-log slot.
+// current stripe: its lock, its lists, its recycle-log slot. The chunk's
+// DRAM links name its neighbours, so the recycle loads nothing from PM.
 //
 // The log protocol hardens Algorithm 6 slightly: PPrev records the PM
 // address of the *link field* pointing at the chunk (the stripe's head
@@ -27,24 +28,19 @@ func (a *Allocator) recycleLocked(m *chunkMeta, ss *stripeState, lenient bool) e
 	}
 	// Keep at least one chunk per stripe linked: recycling the only chunk
 	// just to re-reserve one on the next AllocStripe would thrash.
-	if a.head(c, stripe) == chunk && a.arena.ReadPtr(chunk+8).IsNil() {
+	if ss.head == m && m.next == nil {
 		return nil
 	}
-
-	// Find the link field pointing at the chunk.
+	if m.prev == nil && ss.head != m { // on the free list
+		if lenient {
+			return nil
+		}
+		return fmt.Errorf("%w: chunk %d not on class %d stripe %d list", ErrCorrupt, chunk, c, stripe)
+	}
+	// The link field pointing at the chunk.
 	link := a.headAddr(c, stripe)
-	for {
-		at := a.arena.ReadPtr(link)
-		if at == chunk {
-			break
-		}
-		if at.IsNil() {
-			if lenient {
-				return nil
-			}
-			return fmt.Errorf("%w: chunk %d not on class %d stripe %d list", ErrCorrupt, chunk, c, stripe)
-		}
-		link = at + 8 // predecessor's PNext field
+	if m.prev != nil {
+		link = m.prev.start + 8 // predecessor's PNext field
 	}
 
 	ar := a.arena
@@ -61,11 +57,21 @@ func (a *Allocator) recycleLocked(m *chunkMeta, ss *stripeState, lenient bool) e
 	ar.Persist(rl+rlCurOff, 8)
 
 	// Unlink (Algorithm 6 line 6 / line 10).
-	ar.WritePtr(link, ar.ReadPtr(chunk+8))
+	ar.WritePtr(link, m.next.ptr())
 	ar.Persist(link, 8)
+	if m.prev != nil {
+		m.prev.next = m.next
+	} else {
+		ss.head = m.next
+	}
+	if m.next != nil {
+		m.next.prev = m.prev
+	}
 
 	// pfree (Algorithm 6 line 11): push onto the stripe's free list.
-	a.pushFreeList(c, stripe, chunk)
+	a.pushFreeList(c, stripe, chunk, ss.freeHead.Load().ptr())
+	m.prev, m.next = nil, ss.freeHead.Load()
+	ss.freeHead.Store(m)
 
 	// Reclaim the log (Algorithm 6 line 12).
 	ar.WritePtr(rl+rlCurOff, pmem.Nil)
@@ -86,11 +92,12 @@ func (a *Allocator) recycleLocked(m *chunkMeta, ss *stripeState, lenient bool) e
 	return nil
 }
 
-// pushFreeList pushes chunk onto class c, stripe s's free list. Both steps
-// are individually idempotent given the recovery guards in recoverLogs.
-func (a *Allocator) pushFreeList(c Class, stripe int, chunk pmem.Ptr) {
+// pushFreeList pushes chunk onto class c, stripe s's free list, whose head
+// is head. Both steps are individually idempotent given the recovery
+// guards in recoverLogs.
+func (a *Allocator) pushFreeList(c Class, stripe int, chunk, head pmem.Ptr) {
 	ar := a.arena
-	ar.WritePtr(chunk+8, a.freeHead(c, stripe))
+	ar.WritePtr(chunk+8, head)
 	ar.Persist(chunk+8, 8)
 	ar.WritePtr(a.freeHeadAddr(c, stripe), chunk)
 	ar.Persist(a.freeHeadAddr(c, stripe), 8)
@@ -143,11 +150,11 @@ func (a *Allocator) recoverLogs() error {
 				// Crash before the unlink persisted: redo unlink, then pfree.
 				ar.WritePtr(link, ar.ReadPtr(cur+8))
 				ar.Persist(link, 8)
-				a.pushFreeList(c, s, cur)
+				a.pushFreeList(c, s, cur, a.freeHead(c, s))
 			default:
 				// Unlinked but pfree incomplete. Step 1 (cur.PNext =
 				// freeHead) is idempotent; step 2 publishes the chunk.
-				a.pushFreeList(c, s, cur)
+				a.pushFreeList(c, s, cur, a.freeHead(c, s))
 			}
 			ar.WritePtr(rl+rlCurOff, pmem.Nil)
 			ar.Persist(rl+rlCurOff, 8)
@@ -178,7 +185,7 @@ func (a *Allocator) recoverLogs() error {
 			default:
 				// In limbo between the lists: park it on the destination
 				// stripe's free list.
-				a.pushFreeList(c, s, chunk)
+				a.pushFreeList(c, s, chunk, a.freeHead(c, s))
 			}
 			ar.WritePtr(tl+tlChunkOff, pmem.Nil)
 			ar.Persist(tl+tlChunkOff, 8)

@@ -58,6 +58,9 @@ go test -race -count=3 -run TestReadersBesideInPlaceWriter ./internal/art/
 # The directory's own: one writer publishing pages while lock-free readers
 # Get, Seek and Range.
 go test -race -count=3 -run TestConcurrentReadersBesideWriter ./internal/hashdir/
+# The allocator's chunk table: fresh reservations file chunks and publish
+# table pages while lock-free ChunkOf and BitIsSet readers look them up.
+go test -race -count=3 -run TestLookupBesideTableGrowth ./internal/epalloc/
 # The model checker's whole sweep under -race exceeds the default timeout
 # (ROADMAP item C), so only its fixed value-shape histories run here: they
 # put every pair of value shapes through five configurations (serial,
