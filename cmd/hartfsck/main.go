@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rs.FormatVersion, epalloc.NumUpdateLogs, epalloc.ULogSlotSize)
 	fmt.Fprintf(stdout, "  recovery: %d live leaves, %d update logs completed, %d orphan values reclaimed\n",
 		rs.LiveLeaves, rs.CompletedULogs, rs.OrphanValues)
-	fmt.Fprintf(stdout, "  recovery phases (%d worker(s)): ulog replay %v, leaf scan and ART build %v, orphan sweep %v, strays and publish %v\n",
+	fmt.Fprintf(stdout, "  recovery phases (%d worker(s)): ulog replay %v, leaf scan %v, orphan sweep %v, strays, builds and publish %v\n",
 		rs.Workers,
 		time.Duration(rs.ULogNs).Round(time.Microsecond),
 		time.Duration(rs.ScanNs).Round(time.Microsecond),

@@ -110,7 +110,9 @@ type Options struct {
 	// the store serves traffic immediately after the scan and orphan
 	// sweep, and each shard's ART is built on first touch or by
 	// DrainRecovery (typically started in the background right after Open
-	// or Restore).
+	// or Restore). Eager and lazy recovery do the same PM reads and the
+	// same builds; they differ only in whether the builds run before Open
+	// returns.
 	LazyRecovery bool
 }
 

@@ -200,18 +200,21 @@ type Options struct {
 	// many goroutines, partitioned by allocator stripe, which holds all
 	// of a shard's leaves (0 or 1 = the paper's serial recovery).
 	RecoveryWorkers int
-	// LazyRecovery defers the per-shard ART builds out of Open: recovery
-	// completes after the update-log replay, leaf scan and orphan
-	// sweep, publishing a directory whose shards point at their
-	// stripe's log of leaves instead of holding trees. A shard's ART is
-	// built on its first locked touch, or by DrainRecovery, which callers
-	// typically start in the background right after Open. Open still
-	// loads every live leaf's header word (and a value-object leaf's word
-	// 0) and keeps 16 B of DRAM per live leaf until its stripe is built,
-	// so time to first read grows with the store; what it skips is every
-	// full-key read and tree insert. Durable state is untouched by the
-	// deferred builds, so a crash mid-drain recovers exactly like a crash
-	// before it.
+	// LazyRecovery defers the per-shard ART builds out of Open. Both
+	// modes run one scan, which files every live leaf's header word and
+	// ref in its stripe's log, and the same builds from those logs, so
+	// they read the same PM words; they differ only in when the builds
+	// run. An eager Open builds every shard before it publishes the
+	// directory. A lazy one publishes shards that point at their run of
+	// their stripe's log, and builds a shard's ART on its first locked
+	// touch, or in DrainRecovery, which callers typically start in the
+	// background right after Open. Open still loads every live leaf's
+	// header word (and a value-object leaf's word 0) and keeps 16 B of
+	// DRAM per live leaf until its stripe is built, so time to first read
+	// grows with the store; what it defers is the grouping, every read of
+	// a key's tail past the header word and every tree insert. Durable
+	// state is untouched by the deferred builds, so a crash mid-drain
+	// recovers exactly like a crash before it.
 	LazyRecovery bool
 }
 

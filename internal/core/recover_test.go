@@ -724,10 +724,11 @@ func TestLeafClassBoundary(t *testing.T) {
 
 // TestRecoveryAllocBudget holds an eager recovery's heap traffic to the
 // index it builds: the bytes allocated across a Rebuild of 60 000 records
-// may be at most 1.5× the DRAM the rebuilt index holds. Leaves go from PM
-// straight into their shards' trees, so nothing but the index and a
-// little bookkeeping should be allocated. A lazy Rebuild of the same
-// records is held to 16 B per record and a constant per shard. Not
+// may be at most 1.5× the DRAM the rebuilt index holds. Each leaf is one
+// 16-byte record in its stripe's presized log, and the shards build from
+// the logs, which are dropped once built, so nothing but the index, the
+// logs and a little bookkeeping should be allocated. A lazy Rebuild of the
+// same records is held to 16 B per record and a constant per shard. Not
 // parallel: TotalAlloc counts every goroutine's allocations.
 func TestRecoveryAllocBudget(t *testing.T) {
 	const n = 60000
@@ -781,14 +782,86 @@ func TestRecoveryAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkLazyOpen times a lazy Open of a file-backed store of 250 000
-// records up to its first read, the cycle the restart workload's
-// lat_p50_us times, and reports it per live leaf: the lazy scan loads
-// every live leaf's header word, so the time grows with the store. Each
-// iteration's drain and Close run off the clock.
-func BenchmarkLazyOpen(b *testing.B) {
-	const records = 250_000
-	path := filepath.Join(b.TempDir(), "lazy.pm")
+// TestRecoveryReadsAcrossModes pins recovery to one pipeline: a store file
+// opened eagerly, lazily and drained, and lazily with every key touched by
+// Get, has loaded the same PM words by the time every shard is built. The
+// scan loads each live leaf's header word once, and word 0 of a leaf that
+// names a value object; the builds load only the tail of a key longer than
+// the header word holds. Keys run from 7 to 21 bytes, and a third of the
+// values live in value objects.
+func TestRecoveryReadsAcrossModes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "modes.pm")
+	cfg := Options{ArenaSize: 16 << 20}.ArenaConfig()
+	arena, _, err := pmem.OpenFileArena(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewOnArena(arena, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[string]string{}
+	for i := 0; i < 3000; i++ {
+		k := fmt.Sprintf("%c%c%05d", 'a'+i%6, 'a'+i/6%6, i)
+		if i%3 == 1 {
+			k += "-in-a-40B-leaf"
+		}
+		ref[k] = mixedValue("v%05d", i)
+		mustPut(t, h, k, ref[k])
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// open reopens the file with opts, runs build, and returns the PM reads
+	// so far, once every shard is built, and after a Get of every key.
+	open := func(name string, opts Options, build func(h *HART)) (built, total int64) {
+		t.Helper()
+		arena, _, err := pmem.OpenFileArena(path, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := Open(arena, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build(h)
+		if p := h.PendingShards(); p != 0 {
+			t.Fatalf("%s: %d shards pending", name, p)
+		}
+		built = arena.Stats().Reads
+		assertContents(t, h, ref, nil, name)
+		total = arena.Stats().Reads
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return built, total
+	}
+	eagerBuilt, eagerTotal := open("eager", Options{RecoveryWorkers: 4}, func(*HART) {})
+	t.Logf("eager Open of %d records: %d PM reads (%.3f per record)", len(ref), eagerBuilt, float64(eagerBuilt)/float64(len(ref)))
+	drainBuilt, drainTotal := open("lazy+drain", Options{LazyRecovery: true, RecoveryWorkers: 4}, (*HART).DrainRecovery)
+	if drainBuilt != eagerBuilt || drainTotal != eagerTotal {
+		t.Errorf("lazy+drain read %d words to built and %d after the Gets; eager %d and %d", drainBuilt, drainTotal, eagerBuilt, eagerTotal)
+	}
+	touch := func(h *HART) {
+		for k, v := range ref {
+			if got, ok := h.Get([]byte(k)); !ok || string(got) != v {
+				t.Fatalf("lazy+Get: Get(%q) = (%q, %v), want %q", k, got, ok, v)
+			}
+		}
+	}
+	// The touched arm's first Gets are its builds: by then it has read what
+	// the eager arm has once its Gets are done.
+	touchBuilt, _ := open("lazy+Get", Options{LazyRecovery: true, RecoveryWorkers: 4}, touch)
+	if touchBuilt != eagerTotal {
+		t.Errorf("lazy+Get read %d words after a Get of every key; eager %d", touchBuilt, eagerTotal)
+	}
+}
+
+// recoveryStore makes a file-backed store of n 11-byte keys with 8-byte
+// values and closes it, returning its path, arena config and keys.
+func recoveryStore(b *testing.B, n int) (string, pmem.Config, [][]byte) {
+	b.Helper()
+	path := filepath.Join(b.TempDir(), "recovery.pm")
 	cfg := Options{ArenaSize: 64 << 20}.ArenaConfig()
 	arena, _, err := pmem.OpenFileArena(path, cfg)
 	if err != nil {
@@ -798,11 +871,22 @@ func BenchmarkLazyOpen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	keys := putAlphabetKeys(b, h, rng, records)
+	keys := putAlphabetKeys(b, h, rand.New(rand.NewSource(1)), n)
 	if err := h.Close(); err != nil {
 		b.Fatal(err)
 	}
+	return path, cfg, keys
+}
+
+// BenchmarkLazyOpen times a lazy Open of a file-backed store of 250 000
+// records up to its first read, the cycle the restart workload's
+// lat_p50_us times, and reports it per live leaf: the lazy scan loads
+// every live leaf's header word, so the time grows with the store. Each
+// iteration's drain and Close run off the clock.
+func BenchmarkLazyOpen(b *testing.B) {
+	const records = 250_000
+	path, cfg, keys := recoveryStore(b, records)
+	rng := rand.New(rand.NewSource(1))
 	opts := Options{LazyRecovery: true, RecoveryWorkers: runtime.NumCPU()}
 	val := make([]byte, 0, MaxValueLen)
 	b.ResetTimer()
@@ -829,4 +913,48 @@ func BenchmarkLazyOpen(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/leaf")
+}
+
+// BenchmarkRecovery times a whole recovery of the file-backed store
+// BenchmarkLazyOpen opens, 250 000 records, in ns and PM reads per live
+// leaf: eager is an Open that builds every shard before it publishes, and
+// lazy-drained a lazy Open followed by DrainRecovery, which runs the same
+// builds after it. Both read the same words; compare their times in
+// alternating runs. Each iteration's Close runs off the clock.
+func BenchmarkRecovery(b *testing.B) {
+	const records = 250_000
+	path, cfg, _ := recoveryStore(b, records)
+	for _, arm := range []struct {
+		name string
+		opts Options
+	}{
+		{"eager", Options{RecoveryWorkers: runtime.NumCPU()}},
+		{"lazy-drained", Options{LazyRecovery: true, RecoveryWorkers: runtime.NumCPU()}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			var reads int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
+				arena, _, err := pmem.OpenFileArena(path, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				h, err := Open(arena, arm.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				h.DrainRecovery()
+				b.StopTimer()
+				reads += arena.Stats().Reads
+				if err := h.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/leaf")
+			b.ReportMetric(float64(reads)/float64(b.N*records), "reads/leaf")
+		})
+	}
 }

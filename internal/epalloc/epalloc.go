@@ -513,11 +513,11 @@ func (a *Allocator) writeHeader(m *chunkMeta, h header) {
 // or over a chunk already filed. Caller holds chunkMu, or is Attach.
 func (a *Allocator) fileChunk(p pmem.Ptr, c Class, stripe int) (*chunkMeta, error) {
 	cs := &a.classes[c]
-	end := p + pmem.Ptr(chunkSize(cs.spec.ObjSize))
-	if reserved := pmem.Ptr(a.arena.Reserved()); p < a.sb+sbSize || p%8 != 0 || end < p || end > reserved {
+	if !a.inChunkArea(p, c) {
 		return nil, fmt.Errorf("%w: class %s chunk pointer %d is not 8-aligned within the chunk area [%d,%d)",
-			ErrCorrupt, cs.spec.Name, p, a.sb+sbSize, reserved)
+			ErrCorrupt, cs.spec.Name, p, a.sb+sbSize, a.arena.Reserved())
 	}
+	end := p + pmem.Ptr(chunkSize(cs.spec.ObjSize))
 	first, last := uint64(p)>>a.tableShift, uint64(end-1)>>a.tableShift
 	for i := first; i <= last; i++ {
 		e := a.entry(i)
@@ -549,6 +549,13 @@ func (a *Allocator) fileChunk(p pmem.Ptr, c Class, stripe int) (*chunkMeta, erro
 		}
 	}
 	return m, nil
+}
+
+// inChunkArea reports whether a chunk of class c can start at p: 8-aligned
+// and wholly inside [end of superblock, Reserved()).
+func (a *Allocator) inChunkArea(p pmem.Ptr, c Class) bool {
+	end := p + pmem.Ptr(chunkSize(a.classes[c].spec.ObjSize))
+	return p >= a.sb+sbSize && p%8 == 0 && end >= p && end <= pmem.Ptr(a.arena.Reserved())
 }
 
 // noEntry stands for every entry of a page not made; it is never written.

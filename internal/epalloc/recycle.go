@@ -143,6 +143,12 @@ func (a *Allocator) recoverLogs() error {
 				return fmt.Errorf("%w: stripe %d recycle log armed with invalid state (link=%d class=%d)",
 					ErrCorrupt, s, link, c)
 			}
+			// The replay follows both words: cur names a chunk, and link
+			// the stripe's head field or a chunk's PNext field.
+			if !a.inChunkArea(cur, c) || link != a.headAddr(c, s) && !a.inChunkArea(link-8, c) {
+				return fmt.Errorf("%w: stripe %d recycle log names chunk %d behind link %d; want an 8-aligned class %s chunk within the chunk area [%d,%d), behind the stripe's head or a chunk's PNext",
+					ErrCorrupt, s, cur, link, a.classes[c].spec.Name, a.sb+sbSize, ar.Reserved())
+			}
 			switch {
 			case a.freeHead(c, s) == cur:
 				// pfree completed; only the log reclaim was lost.
@@ -174,6 +180,9 @@ func (a *Allocator) recoverLogs() error {
 			switch {
 			case src == tlSrcFresh && int64(chunk)+size > a.arena.Reserved():
 				// The reservation itself never became durable; nothing to do.
+			case !a.inChunkArea(chunk, c):
+				return fmt.Errorf("%w: stripe %d transfer log names chunk %d; want an 8-aligned class %s chunk within the chunk area [%d,%d)",
+					ErrCorrupt, s, chunk, a.classes[c].spec.Name, a.sb+sbSize, ar.Reserved())
 			case a.head(c, s) == chunk:
 				// Fully linked; only the disarm was lost.
 			case src != tlSrcFresh && a.freeHead(c, src) == chunk:

@@ -30,8 +30,9 @@ func reattach(t *testing.T, arena *pmem.Arena) (*Allocator, error) {
 // TestAttachRefusesWildChunkPointers: a chunk-list or free-list pointer in
 // the image that cannot name a chunk — inside the allocator superblock,
 // past the reservation or the arena, not 8-aligned, or over a chunk
-// already met — makes Attach return ErrCorrupt, whether it is a list head
-// or a chunk's PNext word, instead of following it into a panic.
+// already met — makes Attach return ErrCorrupt, whether it is a list head,
+// a chunk's PNext word or a word of an armed recycle or transfer log,
+// instead of following it into a panic.
 func TestAttachRefusesWildChunkPointers(t *testing.T) {
 	cases := []struct {
 		name string
@@ -48,10 +49,29 @@ func TestAttachRefusesWildChunkPointers(t *testing.T) {
 	sites := []struct {
 		name string
 		addr func(al *Allocator, chunk pmem.Ptr) pmem.Ptr
+		// arm, for a word of stripe 0's logs, writes the log's other words
+		// (class 0, the chunk's, is the zero word) so the log is armed and
+		// Attach's replay follows the wild word.
+		arm func(arena *pmem.Arena, al *Allocator, chunk pmem.Ptr)
 	}{
-		{"chunk-list head", func(al *Allocator, _ pmem.Ptr) pmem.Ptr { return al.headAddr(1, 3) }},
-		{"free-list head", func(al *Allocator, _ pmem.Ptr) pmem.Ptr { return al.freeHeadAddr(1, 3) }},
-		{"PNext", func(_ *Allocator, chunk pmem.Ptr) pmem.Ptr { return chunk + 8 }},
+		{"chunk-list head", func(al *Allocator, _ pmem.Ptr) pmem.Ptr { return al.headAddr(1, 3) }, nil},
+		{"free-list head", func(al *Allocator, _ pmem.Ptr) pmem.Ptr { return al.freeHeadAddr(1, 3) }, nil},
+		{"PNext", func(_ *Allocator, chunk pmem.Ptr) pmem.Ptr { return chunk + 8 }, nil},
+		{"recycle-log chunk", func(al *Allocator, _ pmem.Ptr) pmem.Ptr { return al.rlogAddr(0) + rlCurOff },
+			func(arena *pmem.Arena, al *Allocator, _ pmem.Ptr) {
+				arena.WritePtr(al.rlogAddr(0)+rlPrevOff, al.headAddr(0, 0))
+				arena.Persist(al.rlogAddr(0)+rlPrevOff, 8)
+			}},
+		{"recycle-log link", func(al *Allocator, _ pmem.Ptr) pmem.Ptr { return al.rlogAddr(0) + rlPrevOff },
+			func(arena *pmem.Arena, al *Allocator, chunk pmem.Ptr) {
+				arena.WritePtr(al.rlogAddr(0)+rlCurOff, chunk)
+				arena.Persist(al.rlogAddr(0)+rlCurOff, 8)
+			}},
+		{"transfer-log chunk", func(al *Allocator, _ pmem.Ptr) pmem.Ptr { return al.tlogAddr(0) + tlChunkOff },
+			func(arena *pmem.Arena, al *Allocator, _ pmem.Ptr) {
+				arena.Write8(al.tlogAddr(0)+tlSrcOff, 1) // a free-list pop from stripe 1
+				arena.Persist(al.tlogAddr(0)+tlSrcOff, 8)
+			}},
 	}
 	for _, tc := range cases {
 		for _, site := range sites {
@@ -71,6 +91,9 @@ func TestAttachRefusesWildChunkPointers(t *testing.T) {
 				}
 				if _, err := reattach(t, arena); err != nil {
 					t.Fatalf("intact image: Attach = %v", err)
+				}
+				if site.arm != nil {
+					site.arm(arena, al, chunk)
 				}
 				at := site.addr(al, chunk)
 				arena.WritePtr(at, tc.wild(al, chunk, raw))

@@ -44,13 +44,15 @@ go test -race -count=3 -run TestSharedClientBursts ./client/
 # linearization: the checks above see races and invariants, these see a
 # stale or lost value built from atomics.
 go test -race -count=3 -run Linearizable ./internal/core/
-# Recovery's scan builds every stripe's shards on its own goroutine and
-# files stray leaves after the walk: the modes compared, a Rebuild beside
-# readers, leaves placed off their shard's stripe, and keys on both sides
-# of the 14-byte leaf-class boundary (one walk per leaf class into the same
-# builders), three times each. A lazy open's shards share their stripe's
-# log, grouped by the first touch: first touches race on it beside each
-# other, beside writers and beside the drain.
+# Recovery's scan walks every stripe on its own goroutine into the
+# stripe's log and files stray leaves after the walk; an eager recovery
+# then groups each log and builds its shards, one goroutine per stripe,
+# before it publishes: the modes compared, a Rebuild beside readers,
+# leaves placed off their shard's stripe, and keys on both sides of the
+# 14-byte leaf-class boundary (one walk per leaf class into the same
+# logs), three times each. A lazy open's shards share their stripe's log,
+# grouped by the first touch: first touches race on it beside each other,
+# beside writers and beside the drain.
 go test -race -count=3 -run 'TestRecoveryModeEquivalence|TestRebuildVisibility|TestRecoveryStrayLeaves|TestLeafClassBoundary|TestLazyRecovery' ./internal/core/
 # The ART's own: one writer editing a tree in place, taking one node
 # through every kind and back, beside lock-free Get and Prefetch readers.
@@ -83,12 +85,14 @@ go test -run='^$' -fuzz=FuzzSuperblock -fuzztime=10s ./internal/core/
 # the allocator's (EPallocator against a per-object PM allocator, slot
 # turnover), the burst lookup (serial, prefetched, and the prefetch walk
 # alone), a lazy open of a file-backed store to its first read (in ns per
-# live leaf) and the root range and recovery benchmarks (Figs. 10a and
-# 10c's paths), one iteration each, so they keep compiling and running.
+# live leaf), a whole recovery of that store, eager and lazy-drained (in
+# ns and PM reads per live leaf), and the root range and recovery
+# benchmarks (Figs. 10a and 10c's paths), one iteration each, so they keep
+# compiling and running.
 go test -run '^$' -bench . -benchtime 1x ./internal/hashdir/
 go test -run '^$' -bench . -benchtime 1x ./internal/epalloc/
 go test -run '^$' -bench GetBurst -benchtime 1x ./internal/core/
-go test -run '^$' -bench LazyOpen -benchtime 1x ./internal/core/
+go test -run '^$' -bench 'LazyOpen|Recovery' -benchtime 1x ./internal/core/
 go test -run '^$' -bench Fig10 -benchtime 1x .
 
 # The benchmark is a nested module (benchmark/go.mod), so nothing above
